@@ -53,11 +53,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-try:  # optional acceleration; the fallback is bit-identical
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less deployments
-    _np = None
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..tcp.connection import TcpConnection
     from ..tcp.stack import TcpStack
@@ -71,8 +66,23 @@ __all__ = ["FluidRoute", "FluidFlow", "FidelityController"]
 _VECTOR_MIN = 32
 
 
+def _import_numpy():
+    """numpy if importable (optional acceleration), else None.
+
+    Resolved by each :class:`FidelityController`, not at module import:
+    ``repro.sim`` imports this module for every run, and packet-fidelity
+    runs never build a controller, so they do not pay numpy's load time
+    or memory.
+    """
+    try:
+        import numpy
+    except ImportError:  # numpy-less deployment: the twin is bit-identical
+        return None
+    return numpy
+
+
 def _waterfill(
-    caps: List[float], capacity: float
+    caps: List[float], capacity: float, np
 ) -> Tuple[List[int], List[float], int]:
     """Max-min water-fill of ``capacity`` over flows with per-flow caps.
 
@@ -81,7 +91,8 @@ def _waterfill(
     flow ``order[pos]``, and positions ``< n_capped`` are cap-bound (the
     rest split the leftover equally).
 
-    The numpy path and the pure-python fallback are bit-identical by
+    ``np`` is the numpy module or None (see :func:`_import_numpy`).  The
+    numpy path and the pure-python fallback are bit-identical by
     construction — both evaluate, in ascending-cap order,
     ``remaining_i = capacity - csum(caps)_{i-1}`` with sequential
     accumulation, ``share_i = remaining_i / (n - i)``, take ``cap_i``
@@ -91,14 +102,14 @@ def _waterfill(
     elementwise IEEE doubles, so no reassociation sneaks in.
     """
     n = len(caps)
-    if _np is not None and n >= _VECTOR_MIN:
-        arr = _np.asarray(caps, dtype=_np.float64)
-        order = _np.argsort(arr, kind="stable")
+    if np is not None and n >= _VECTOR_MIN:
+        arr = np.asarray(caps, dtype=np.float64)
+        order = np.argsort(arr, kind="stable")
         caps_sorted = arr[order]
-        csum = _np.cumsum(caps_sorted)
-        remaining = capacity - _np.concatenate(([0.0], csum[:-1]))
-        share = remaining / _np.arange(n, 0, -1, dtype=_np.float64)
-        uncapped = _np.nonzero(~(caps_sorted < share))[0]
+        csum = np.cumsum(caps_sorted)
+        remaining = capacity - np.concatenate(([0.0], csum[:-1]))
+        share = remaining / np.arange(n, 0, -1, dtype=np.float64)
+        uncapped = np.nonzero(~(caps_sorted < share))[0]
         k = int(uncapped[0]) if uncapped.size else n
         rates = caps_sorted.copy()
         if k < n:
@@ -239,6 +250,7 @@ class FidelityController:
         self.fluid_bytes_delivered = 0
         self.fluid_chunks_delivered = 0
         self.rate_epochs = 0
+        self._np = _import_numpy()
         sim.fidelity = self
 
     # -- topology registration ------------------------------------------------
@@ -542,7 +554,7 @@ class FidelityController:
         for flow in flows:
             flow.cap, flow.rwnd_cap = self._flow_cap(flow.conn, flow.peer, route)
         order, rates, n_capped = _waterfill(
-            [flow.cap for flow in flows], route.capacity
+            [flow.cap for flow in flows], route.capacity, self._np
         )
         for pos in range(n_capped):
             flow = flows[order[pos]]
@@ -582,17 +594,18 @@ class FidelityController:
         under the same guard), so the cut-over at ``_VECTOR_MIN`` never
         changes a byte counter's value.
         """
-        if _np is None or len(flows) < _VECTOR_MIN:
+        np = self._np
+        if np is None or len(flows) < _VECTOR_MIN:
             for flow in flows:
                 self._sync(flow, now)
             return
-        rate = _np.array([flow.rate for flow in flows])
-        last = _np.array([flow.last_update for flow in flows])
-        serviced = _np.array([flow.serviced for flow in flows])
-        submitted = _np.array([float(flow.submitted) for flow in flows])
+        rate = np.array([flow.rate for flow in flows])
+        last = np.array([flow.last_update for flow in flows])
+        serviced = np.array([flow.serviced for flow in flows])
+        submitted = np.array([float(flow.submitted) for flow in flows])
         delta = now - last
-        grown = _np.minimum(submitted, serviced + delta * rate)
-        advanced = _np.where((rate > 0.0) & (delta > 0.0), grown, serviced)
+        grown = np.minimum(submitted, serviced + delta * rate)
+        advanced = np.where((rate > 0.0) & (delta > 0.0), grown, serviced)
         for flow, value in zip(flows, advanced.tolist()):
             flow.serviced = value
             flow.last_update = now

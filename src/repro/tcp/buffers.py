@@ -119,9 +119,16 @@ class ReassemblyQueue:
         if length < 0:
             raise ValueError("negative segment length")
         end = seq + length
-        if end <= self.rcv_nxt:
+        rcv_nxt = self.rcv_nxt
+        if end <= rcv_nxt:
             return 0  # entirely duplicate
-        seq = max(seq, self.rcv_nxt)
+        if seq <= rcv_nxt and not self._ooo:
+            # In order with nothing held: the common case touches no set.
+            # (_last_touched is only ever compared against held ranges,
+            # all above rcv_nxt, so a stale value below it is as good.)
+            self.rcv_nxt = end
+            return end - rcv_nxt
+        seq = max(seq, rcv_nxt)
         self._ooo.add(seq, end)
         self._last_touched = seq
         return self._advance()
@@ -134,35 +141,37 @@ class ReassemblyQueue:
         ranges so that a sender accumulating blocks across ACKs eventually
         learns the whole scoreboard.
         """
-        intervals = self._ooo.intervals()
-        if len(intervals) <= limit:
-            return tuple(intervals)
+        ooo = self._ooo
+        if not ooo:
+            return ()  # every ACK of an in-order flow
+        held = len(ooo)
+        if held <= limit:
+            return tuple(ooo)
         blocks: list[Tuple[int, int]] = []
-        fresh = None
+        fresh = -1  # index of the range holding the freshest segment
         if self._last_touched is not None:
-            for s, e in intervals:
-                if s <= self._last_touched < e:
-                    fresh = (s, e)
-                    break
-        if fresh is not None:
-            blocks.append(fresh)
-        others = [iv for iv in intervals if iv != fresh]
+            fresh = ooo.find(self._last_touched)
+        if fresh >= 0:
+            blocks.append(ooo[fresh])
+            held -= 1
+        # The other ranges, in order, are ooo[k] with ``fresh`` skipped.
         for i in range(limit - len(blocks)):
-            blocks.append(others[(self._rotate + i) % len(others)])
-        self._rotate = (self._rotate + limit - 1) % max(1, len(others))
+            k = (self._rotate + i) % held
+            blocks.append(ooo[k + 1 if 0 <= fresh <= k else k])
+        self._rotate = (self._rotate + limit - 1) % held
         return tuple(blocks)
 
     def _advance(self) -> int:
-        advanced = 0
-        intervals = self._ooo.intervals()
-        while intervals and intervals[0][0] <= self.rcv_nxt:
-            start, end = intervals.pop(0)
+        ooo = self._ooo
+        before = self.rcv_nxt
+        while ooo:
+            start, end = ooo.first()
+            if start > self.rcv_nxt:
+                break
             if end > self.rcv_nxt:
-                advanced += end - self.rcv_nxt
                 self.rcv_nxt = end
-        if advanced:
-            self._ooo.trim_below(self.rcv_nxt)
-        return advanced
+            ooo.trim_below(self.rcv_nxt)
+        return self.rcv_nxt - before
 
 
 class ReceiveBuffer:

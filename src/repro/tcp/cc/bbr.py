@@ -62,7 +62,8 @@ class Bbr(CongestionControl):
         self.state = "STARTUP"
         self.pacing_gain = STARTUP_GAIN
         self.cwnd_gain = STARTUP_GAIN
-        # Bottleneck-bandwidth filter: (round, bw) samples, windowed max.
+        # Bottleneck-bandwidth filter: (round, bw) candidates for the
+        # windowed max, oldest and largest first (see _update_bw).
         self._bw_samples: List[Tuple[int, float]] = []
         self.btl_bw = 0.0
         # Min-RTT filter.
@@ -106,10 +107,22 @@ class Bbr(CongestionControl):
             return
         if sample.is_app_limited and rate <= self.btl_bw:
             return  # app-limited samples can only raise the estimate
-        self._bw_samples.append((self.round_count, rate))
+        # Windowed max as a monotone queue: a sample no larger than the new
+        # one can never be the maximum again (it is also older), so rates
+        # strictly decrease from head to tail and the head is the maximum.
+        samples = self._bw_samples
+        while samples and samples[-1][1] <= rate:
+            samples.pop()
+        samples.append((self.round_count, rate))
         horizon = self.round_count - BW_FILTER_ROUNDS
-        self._bw_samples = [(r, b) for r, b in self._bw_samples if r > horizon]
-        self.btl_bw = max(b for _r, b in self._bw_samples)
+        if samples[0][0] <= horizon:
+            # The head only goes stale when a round ends, so this shift
+            # runs at most once a round over what ten rounds left behind.
+            stale = 1
+            while samples[stale][0] <= horizon:
+                stale += 1
+            del samples[:stale]
+        self.btl_bw = samples[0][1]
 
     def _update_min_rtt(self, sample: RateSample) -> None:
         if sample.rtt is None:

@@ -535,9 +535,10 @@ class TcpConnection:
             return
 
         advance = ack - self.snd_una
-        previously_sacked = self._sacked.covered(self.snd_una, ack)
         self.snd_una = ack
-        self._sacked.trim_below(ack)
+        # The scoreboard never reaches below snd_una, so what the trim
+        # drops is exactly the SACKed part of [old snd_una, ack).
+        previously_sacked = self._sacked.trim_below(ack)
         self._rexmitted.trim_below(ack)
         self.stats.bytes_acked += advance
         self._dupacks = 0
@@ -644,6 +645,7 @@ class TcpConnection:
 
     def _on_dupack(self, seg: TcpSegment, newly_sacked: int) -> None:
         self.stats.dup_acks += 1
+        self.stack.stats.dup_acks += 1
         self._dupacks += 1
 
         if newly_sacked > 0:
@@ -661,9 +663,9 @@ class TcpConnection:
                     self.rtt.on_sample(rtt)
             self.cc.on_ack(sample)
 
-        lost_threshold = self._sacked.covered(
-            self.snd_una, self.snd_nxt
-        ) >= 3 * self.config.mss
+        # _sacked lies within [snd_una, snd_nxt), so its total is the
+        # SACKed bytes in flight.
+        lost_threshold = self._sacked.total() >= 3 * self.config.mss
         if not self._in_fast_recovery and (self._dupacks >= 3 or lost_threshold):
             self._enter_fast_recovery()
         elif self._in_fast_recovery:
@@ -674,6 +676,7 @@ class TcpConnection:
         self._recover = self.snd_nxt
         self.cc.on_loss_event(self.sim.now, self.bytes_in_flight)
         self.stats.fast_retransmits += 1
+        self.stack.stats.fast_retransmits += 1
         self._recovery_send()
         self._arm_rto(restart=True)
 
@@ -684,25 +687,23 @@ class TcpConnection:
         below the highest SACKed byte, then (2) new data.
         """
         span = self.snd_nxt - self.snd_una
-        sacked = self._sacked.covered(self.snd_una, self.snd_nxt)
+        sacked = self._sacked.total()  # all of it lies in [snd_una, snd_nxt)
         high_sacked = min(self._sacked.max_end(), self.snd_nxt)
         # After an RTO everything outstanding at timeout time is presumed lost.
         high_lost = max(high_sacked, min(self._rto_high, self.snd_nxt))
 
-        holes: list[tuple[int, int]] = []
-        lost_unrepaired = 0
-        if high_lost > self.snd_una:
-            for hole_start, hole_end in self._sacked.holes(self.snd_una, high_lost):
-                for s, e in self._rexmitted.holes(hole_start, hole_end):
-                    holes.append((s, e))
-                    lost_unrepaired += e - s
+        # Holes below high_lost that are neither SACKed nor already repaired.
+        holes, lost_unrepaired = self._sacked.gaps(
+            self._rexmitted, self.snd_una, high_lost
+        )
 
         pipe = span - sacked - lost_unrepaired
         cwnd = self.cc.window()
         mss = self.config.mss
         # ACK clocking: at most one segment of retransmission per incoming
         # ACK, so repair traffic cannot exceed the bottleneck rate and
-        # re-lose the repairs.
+        # re-lose the repairs.  (It also bounds the loop below by bytes
+        # sent, not by how many holes the sweep found.)
         burst_budget = mss
 
         for hole_start, hole_end in holes:
@@ -712,6 +713,7 @@ class TcpConnection:
                     # The hole is our FIN: resend it, not payload.
                     seg = self._make_segment(cursor, ack=True, fin=True)
                     self.stats.retransmits += 1
+                    self.stack.stats.retransmits += 1
                     self._transmit(seg, retransmit=True)
                     self._rexmitted.add(cursor, cursor + 1)
                     self._last_repair_time = self.sim.now
@@ -724,6 +726,7 @@ class TcpConnection:
                     cursor, ack=True, payload_len=length
                 )
                 self.stats.retransmits += 1
+                self.stack.stats.retransmits += 1
                 self._transmit(seg, retransmit=True)
                 self._rexmitted.add(cursor, cursor + length)
                 self._last_repair_time = self.sim.now
@@ -1141,6 +1144,7 @@ class TcpConnection:
         if self.snd_una >= self.snd_nxt:
             return  # everything acked; nothing to do
         self.stats.timeouts += 1
+        self.stack.stats.timeouts += 1
         self.rtt.on_timeout()
         self.cc.on_rto(self.sim.now)
         # Treat everything unsacked as lost; retransmit via the scoreboard

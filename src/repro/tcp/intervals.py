@@ -2,12 +2,21 @@
 
 Used by the receiver's reassembly queue and by the sender's SACK
 scoreboard.  Intervals are half-open ``[start, end)`` ranges of absolute
-sequence numbers, kept sorted and disjoint.
+sequence numbers, kept sorted, disjoint and non-adjacent.
+
+Storage is one strictly increasing list of boundaries,
+``[s0, e0, s1, e1, ...]``: interval ``k`` is ``(b[2k], b[2k+1])``, so a
+bisect lands on the interval a point belongs to and its parity says
+whether the point is covered (odd) or in a gap (even).  Every operation
+starts from a bisect instead of the head of the set, and a running byte
+total makes :meth:`IntervalSet.total` free.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from bisect import bisect_left, bisect_right
+from itertools import islice
+from typing import Iterator, List, Sequence, Tuple
 
 __all__ = ["IntervalSet"]
 
@@ -15,77 +24,104 @@ __all__ = ["IntervalSet"]
 class IntervalSet:
     """A sorted, disjoint set of half-open integer intervals."""
 
-    __slots__ = ("_iv",)
+    # Two slots on purpose: a slotted object with one or two slots lands in
+    # the same 48-byte allocator class, a third would push every set (three
+    # per connection) into the 64-byte one.
+    __slots__ = ("_b", "_total")
 
     def __init__(self) -> None:
         # The shared empty tuple stands in for "no coverage" — most
         # connections' scoreboards are empty most of the time, and at
         # large N an empty list per set is measurable memory.  Mutators
         # swap in a real list only while there is coverage.
-        self._iv: Tuple[Tuple[int, int], ...] = ()
+        self._b: Sequence[int] = ()
+        self._total = 0
 
     def __bool__(self) -> bool:
-        return bool(self._iv)
+        return bool(self._b)
 
     def __len__(self) -> int:
-        return len(self._iv)
+        return len(self._b) >> 1
 
     def __iter__(self) -> Iterator[Tuple[int, int]]:
-        return iter(self._iv)
+        b = self._b
+        return zip(islice(b, 0, None, 2), islice(b, 1, None, 2))
+
+    def __getitem__(self, index: int) -> Tuple[int, int]:
+        """The ``index``-th interval in ascending order."""
+        b = self._b  # a negative index counts from the end here as well
+        return (b[2 * index], b[2 * index + 1])
 
     def intervals(self) -> List[Tuple[int, int]]:
-        return list(self._iv)
+        b = self._b
+        return list(zip(b[::2], b[1::2]))
 
     def total(self) -> int:
         """Total bytes covered."""
-        return sum(e - s for s, e in self._iv)
+        return self._total
 
     def max_end(self) -> int:
         """Highest covered sequence number (0 when empty)."""
-        return self._iv[-1][1] if self._iv else 0
+        return self._b[-1] if self._b else 0
+
+    def find(self, point: int) -> int:
+        """Index of the interval containing ``point``, or -1."""
+        at = bisect_right(self._b, point)
+        return at >> 1 if at & 1 else -1
 
     def add(self, start: int, end: int) -> int:
         """Insert ``[start, end)``; return the number of newly covered bytes."""
         if end <= start:
             return 0
-        if not self._iv:
-            # In-order delivery keeps reassembly empty at every add; skip
-            # the merge machinery for the case that dominates at scale.
-            self._iv = [(start, end)]
-            return end - start
-        # Newly covered bytes == the part of [start, end) not already
-        # covered; one early-exit scan instead of two full-set sums.
-        gained = (end - start) - self.covered(start, end)
-        merged: List[Tuple[int, int]] = []
-        placed = False
-        for s, e in self._iv:
-            if e < start:
-                merged.append((s, e))
-            elif s > end:
-                if not placed:
-                    merged.append((start, end))
-                    placed = True
-                merged.append((s, e))
+        b = self._b
+        size = end - start
+        if not b:
+            self._b = [start, end]
+            self._total = size
+            return size
+        last = b[-1]
+        if start >= last:
+            # In-order arrival above everything held (the next packet
+            # number, the segment after the last SACKed one): extend or
+            # append at the tail without searching.
+            if start == last:
+                b[-1] = end
             else:
-                start = min(start, s)
-                end = max(end, e)
-        if not placed:
-            merged.append((start, end))
-            merged.sort()
-        self._iv = merged
+                b += (start, end)
+            self._total += size
+            return size
+        # b[lo-1] < start <= b[lo] and b[hi-1] <= end < b[hi].  An odd
+        # index means the point falls inside (or touches the end/start of)
+        # an existing interval, which then joins the merge.
+        lo = bisect_left(b, start)
+        hi = bisect_right(b, end, lo)
+        if lo & 1:
+            lo -= 1
+            start = b[lo]
+        if hi & 1:
+            end = b[hi]
+            hi += 1
+        # b[lo:hi] is now the run of whole intervals the new one swallows.
+        gained = (end - start) - (sum(b[lo + 1 : hi : 2]) - sum(b[lo:hi:2]))
+        b[lo:hi] = (start, end)
+        self._total += gained
         return gained
 
     def covered(self, start: int, end: int) -> int:
         """Bytes of ``[start, end)`` that this set covers."""
-        if end <= start:
+        b = self._b
+        if end <= start or not b:
             return 0
-        total = 0
-        for s, e in self._iv:
-            if e <= start:
-                continue
-            if s >= end:
-                break
-            total += min(e, end) - max(s, start)
+        # Boundaries strictly inside (start, end) are b[lo:hi]; odd lo/hi
+        # mean the range starts/ends inside an interval, which the clipped
+        # ``start``/``end`` then stand in for.
+        lo = bisect_right(b, start)
+        hi = bisect_left(b, end, lo)
+        total = sum(b[lo | 1 : hi : 2]) - sum(b[lo + (lo & 1) : hi : 2])
+        if lo & 1:
+            total -= start
+        if hi & 1:
+            total += end
         return total
 
     def contains(self, start: int, end: int) -> bool:
@@ -96,36 +132,90 @@ class IntervalSet:
         """Yield the gaps of ``[start, end)`` this set does not cover."""
         if end <= start:
             return
-        cursor = start
-        for s, e in self._iv:
-            if e <= cursor:
-                continue
-            if s >= end:
-                break
-            if s > cursor:
-                yield (cursor, min(s, end))
-            cursor = max(cursor, e)
-            if cursor >= end:
+        b = self._b
+        at = bisect_right(b, start)
+        if at & 1:  # start is covered: resume at the end of its interval
+            start = b[at]
+            at += 1
+        n = len(b)
+        while start < end:
+            if at >= n or b[at] >= end:
+                yield (start, end)
                 return
-        if cursor < end:
-            yield (cursor, end)
+            yield (start, b[at])
+            start = b[at + 1]
+            at += 2
 
-    def trim_below(self, cutoff: int) -> None:
-        """Drop coverage below ``cutoff``."""
-        trimmed: List[Tuple[int, int]] = []
-        for s, e in self._iv:
-            if e <= cutoff:
-                continue
-            trimmed.append((max(s, cutoff), e))
-        self._iv = trimmed or ()
+    def gaps(
+        self, other: "IntervalSet", start: int, end: int
+    ) -> Tuple[List[Tuple[int, int]], int]:
+        """Ranges of ``[start, end)`` that neither set covers, and their size.
+
+        One merge sweep over both sets from ``start``: the SACK sender's
+        "holes not yet retransmitted" without re-scanning ``other`` once
+        per hole of ``self``.
+        """
+        found: List[Tuple[int, int]] = []
+        size = 0
+        if end <= start:
+            return found, size
+        mine, theirs = self._b, other._b
+        # Even index of the first interval ending after ``start``.
+        i = bisect_right(mine, start) & ~1
+        j = bisect_right(theirs, start) & ~1
+        n_mine, n_theirs = len(mine), len(theirs)
+        cursor = start
+        while True:
+            if i < n_mine and (j >= n_theirs or mine[i] <= theirs[j]):
+                lo, hi = mine[i], mine[i + 1]
+                i += 2
+            elif j < n_theirs:
+                lo, hi = theirs[j], theirs[j + 1]
+                j += 2
+            else:
+                break
+            if lo >= end:
+                break
+            if lo > cursor:
+                found.append((cursor, lo))
+                size += lo - cursor
+            if hi > cursor:
+                cursor = hi
+                if cursor >= end:
+                    return found, size
+        found.append((cursor, end))
+        size += end - cursor
+        return found, size
+
+    def trim_below(self, cutoff: int) -> int:
+        """Drop coverage below ``cutoff``; return the bytes dropped."""
+        b = self._b
+        if not b or cutoff <= b[0]:
+            return 0
+        if cutoff >= b[-1]:
+            dropped = self._total
+            self.clear()
+            return dropped
+        at = bisect_right(b, cutoff)  # b[at-1] <= cutoff < b[at]
+        dropped = 0
+        if at & 1:
+            # cutoff splits interval (b[at-1], b[at]): keep its upper part.
+            at -= 1
+            dropped = cutoff - b[at]
+            b[at] = cutoff
+        dropped += sum(b[1:at:2]) - sum(b[:at:2])
+        del b[:at]
+        self._total -= dropped
+        return dropped
 
     def clear(self) -> None:
-        self._iv = ()
+        self._b = ()
+        self._total = 0
 
     def first(self) -> Tuple[int, int]:
-        if not self._iv:
+        if not self._b:
             raise IndexError("empty interval set")
-        return self._iv[0]
+        return (self._b[0], self._b[1])
 
     def __repr__(self) -> str:
-        return f"IntervalSet({self._iv!r})"
+        return f"IntervalSet({self.intervals()!r})"

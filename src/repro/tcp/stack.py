@@ -61,6 +61,12 @@ class StackStats:
     no_socket_drops: int = 0
     connections_opened: int = 0
     connections_accepted: int = 0
+    # Loss recovery, summed over every connection the stack has carried
+    # (ConnStats keeps the per-connection split; connections bump both).
+    retransmits: int = 0
+    fast_retransmits: int = 0
+    timeouts: int = 0
+    dup_acks: int = 0
 
 
 ConnKey = Tuple[int, str, int]  # (local_port, remote_ip, remote_port)

@@ -219,3 +219,50 @@ def test_netkernel_fluid_credits_are_conserved():
             nsm.servicelib.fluid_credit_bytes for nsm in hypervisor.nsms
         )
         assert coreengine.fluid_credit_bytes == emitted
+
+
+# -- the optional numpy solver -----------------------------------------------
+
+
+def test_packet_runs_never_load_numpy():
+    """numpy is resolved by the first controller, not by ``import repro``:
+    a packet-fidelity run pays neither its load time nor its memory."""
+    import os
+    import subprocess
+    import sys
+    import textwrap
+
+    probe = textwrap.dedent(
+        """
+        import sys
+        import repro.sim
+        from repro.experiments.common import install_fluid, make_lan_testbed
+        from repro.sim import Simulator
+        from repro.sim.fluid import FidelityController
+
+        testbed = make_lan_testbed()
+        assert install_fluid(testbed, mode="packet") is None
+        assert "numpy" not in sys.modules, "packet path imported numpy"
+        controller = FidelityController(Simulator(), mode="auto")
+        try:
+            import numpy
+        except ImportError:
+            numpy = None
+        assert controller._np is numpy
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", probe], check=True, env=env, timeout=120)
+
+
+def test_waterfill_numpy_and_python_twins_agree_bit_for_bit():
+    np = pytest.importorskip("numpy", exc_type=ImportError)
+    import random
+
+    from repro.sim.fluid import _VECTOR_MIN, _waterfill
+
+    rng = random.Random(3)
+    for n in (_VECTOR_MIN, 3 * _VECTOR_MIN, 500):
+        caps = [rng.choice((rng.uniform(1e3, 1e9), 5e6, float("inf"))) for _ in range(n)]
+        for capacity in (1e6, 4.7e9, 1e13):
+            assert _waterfill(caps, capacity, np) == _waterfill(caps, capacity, None)

@@ -120,6 +120,73 @@ def test_property_reassembly_delivers_every_byte_once(segments):
     assert rq.out_of_order_bytes == 0
 
 
+class ListReassembly:
+    """Reference model: the list-copying queue the indexed one replaced."""
+
+    def __init__(self):
+        self.rcv_nxt, self.ooo = 0, []
+        self.last_touched, self.rotate = None, 0
+
+    def add(self, seq, length):
+        end = seq + length
+        if end <= self.rcv_nxt:
+            return 0
+        seq = max(seq, self.rcv_nxt)
+        held = set()
+        for lo, hi in self.ooo + [(seq, end)]:
+            held.update(range(lo, hi))
+        self.last_touched = seq
+        before = self.rcv_nxt
+        while self.rcv_nxt in held:
+            self.rcv_nxt += 1
+        points = sorted(x for x in held if x >= self.rcv_nxt)
+        self.ooo = []
+        for x in points:
+            if self.ooo and self.ooo[-1][1] == x:
+                self.ooo[-1] = (self.ooo[-1][0], x + 1)
+            else:
+                self.ooo.append((x, x + 1))
+        return self.rcv_nxt - before
+
+    def sack_blocks(self, limit):
+        intervals = list(self.ooo)
+        if len(intervals) <= limit:
+            return tuple(intervals)
+        blocks, fresh = [], None
+        if self.last_touched is not None:
+            for lo, hi in intervals:
+                if lo <= self.last_touched < hi:
+                    fresh = (lo, hi)
+                    break
+        if fresh is not None:
+            blocks.append(fresh)
+        others = [iv for iv in intervals if iv != fresh]
+        for i in range(limit - len(blocks)):
+            blocks.append(others[(self.rotate + i) % len(others)])
+        self.rotate = (self.rotate + limit - 1) % max(1, len(others))
+        return tuple(blocks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(st.integers(0, 40), st.integers(0, 4), st.integers(1, 4)),
+        max_size=60,
+    )
+)
+def test_property_reassembly_matches_list_model(steps):
+    """Same bytes released, same SACK blocks in the same rotation, whether
+    a segment takes the in-order fast path or the out-of-order one."""
+    rq, model = ReassemblyQueue(rcv_nxt=0), ListReassembly()
+    for slot, length, limit in steps:
+        # 5-byte slots: in-order, duplicate, overlapping and far-ahead
+        # arrivals all occur; length 0 is a bare ACK.
+        assert rq.add(5 * slot, 3 * length) == model.add(5 * slot, 3 * length)
+        assert rq.rcv_nxt == model.rcv_nxt
+        assert rq.out_of_order_bytes == sum(hi - lo for lo, hi in model.ooo)
+        assert rq.sack_blocks(limit) == model.sack_blocks(limit)
+
+
 # -------------------------------------------------------------- ReceiveBuffer --
 def test_receive_buffer_read_blocks_until_data(sim):
     buf = ReceiveBuffer(sim)

@@ -1,6 +1,8 @@
 """Unit tests for each congestion-control algorithm's control law."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.tcp.cc import (
     Bbr,
@@ -14,6 +16,7 @@ from repro.tcp.cc import (
     make,
 )
 from repro.tcp.cc.base import RateSample
+from repro.tcp.cc.bbr import BW_FILTER_ROUNDS
 
 MSS = 1448
 
@@ -229,6 +232,44 @@ def test_bbr_rto_conservation():
     cc = Bbr(mss=MSS)
     cc.on_rto(0.0)
     assert cc.cwnd == MSS
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    stream=st.lists(
+        st.tuples(
+            st.booleans(),  # does this ACK end a round?
+            st.one_of(st.none(), st.integers(1, 12).map(float)),  # few values: ties
+            st.booleans(),  # app-limited flight?
+        ),
+        max_size=120,
+    )
+)
+def test_bbr_bandwidth_filter_is_the_windowed_max(stream):
+    """The monotone queue must report what rescanning every sample would.
+
+    Reference: keep all accepted samples and take the max over those with
+    ``round > round_count - 10`` on each accepted sample; an app-limited
+    sample at or below the estimate is skipped and leaves it untouched,
+    even when older samples have aged out meanwhile.
+    """
+    cc = Bbr(mss=MSS)
+    kept, estimate, round_count = [], 0.0, 0
+    delivered, round_end = 0, 0
+    for ends_round, rate, app_limited in stream:
+        delivered += MSS
+        prior = round_end if ends_round else round_end - 1
+        if ends_round:
+            round_count += 1
+            round_end = delivered
+        ack(cc, rate=rate, delivered=delivered, prior=prior, app_limited=app_limited)
+        if rate is not None and not (app_limited and rate <= estimate):
+            kept.append((round_count, rate))
+            estimate = max(r for at, r in kept if at > round_count - BW_FILTER_ROUNDS)
+        assert cc.round_count == round_count
+        assert cc.btl_bw == estimate
+        queued = [r for _at, r in cc._bw_samples]
+        assert queued == sorted(set(queued), reverse=True)  # strictly decreasing
 
 
 # -------------------------------------------------------------------- Compound --

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.tcp.intervals import IntervalSet
 
@@ -140,3 +141,176 @@ def test_property_trim_below_matches_reference(ranges, cutoff):
     reference = {x for x in reference if x >= cutoff}
     assert ivs.total() == len(reference)
     assert ivs.covered(0, 300) == len(reference)
+
+
+# -- the indexed structure against a set-of-ints model ----------------------
+
+SPAN = 120  # sequence space the machines play in (small, so ranges collide)
+points = st.integers(0, SPAN)
+
+
+def runs(members, start, end):
+    """Maximal runs of consecutive integers of ``members`` within [start, end)."""
+    found, run_start = [], None
+    for x in range(start, end):
+        if x in members:
+            if run_start is None:
+                run_start = x
+        elif run_start is not None:
+            found.append((run_start, x))
+            run_start = None
+    if run_start is not None:
+        found.append((run_start, end))
+    return found
+
+
+def nested_gaps(first, second, start, end):
+    """The pre-index sender loop: rescan ``second`` under every hole of ``first``."""
+    found = []
+    for hole_start, hole_end in first.holes(start, end):
+        found.extend(second.holes(hole_start, hole_end))
+    return found
+
+
+class IntervalSetMachine(RuleBasedStateMachine):
+    """Two sets (a SACK scoreboard and its repaired-marks) against int sets."""
+
+    def __init__(self):
+        super().__init__()
+        self.sets = (IntervalSet(), IntervalSet())
+        self.models = (set(), set())
+
+    @rule(which=st.integers(0, 1), start=points, length=st.integers(0, 25))
+    def add(self, which, start, length):
+        end = start + length
+        fresh = set(range(start, end)) - self.models[which]
+        assert self.sets[which].add(start, end) == len(fresh)
+        self.models[which].update(fresh)
+
+    @rule(which=st.integers(0, 1), length=st.integers(1, 10))
+    def add_at_tail(self, which, length):
+        # The in-order shape (next packet number, next segment) that takes
+        # the append path; with a gap of 0 it extends, otherwise appends.
+        ivs, model = self.sets[which], self.models[which]
+        for gap in (0, 2):
+            start = ivs.max_end() + gap
+            assert ivs.add(start, start + length) == length
+            model.update(range(start, start + length))
+
+    @rule(which=st.integers(0, 1), cutoff=points)
+    def trim_below(self, which, cutoff):
+        model = self.models[which]
+        below = {x for x in model if x < cutoff}
+        assert self.sets[which].trim_below(cutoff) == len(below)
+        model -= below
+
+    @rule(which=st.integers(0, 1))
+    def clear(self, which):
+        self.sets[which].clear()
+        self.models[which].clear()
+
+    @rule(start=points, end=points)
+    def probe(self, start, end):
+        for ivs, model in zip(self.sets, self.models):
+            inside = {x for x in model if start <= x < end}
+            assert ivs.covered(start, end) == len(inside)
+            assert ivs.contains(start, end) == (len(inside) == end - start)
+            missing = set(range(start, end)) - model
+            assert list(ivs.holes(start, end)) == runs(missing, start, end)
+        first, second = self.sets
+        neither = set(range(start, end)) - self.models[0] - self.models[1]
+        found, size = first.gaps(second, start, end)
+        assert found == runs(neither, start, end) == nested_gaps(first, second, start, end)
+        assert size == len(neither)
+
+    @invariant()
+    def agrees_with_model(self):
+        for ivs, model in zip(self.sets, self.models):
+            top = max(model) + 1 if model else 0
+            expected = runs(model, 0, top)
+            assert ivs.intervals() == list(ivs) == expected
+            assert len(ivs) == len(expected) and bool(ivs) == bool(model)
+            assert ivs.total() == len(model)
+            assert ivs.max_end() == top
+            assert [ivs[k] for k in range(len(ivs))] == expected
+            for k, (lo, hi) in enumerate(expected):
+                assert ivs.find(lo) == ivs.find(hi - 1) == k
+                assert ivs.find(hi) == -1  # non-adjacent: hi starts a gap
+            if model:
+                assert ivs.first() == expected[0] and ivs[-1] == expected[-1]
+            else:
+                with pytest.raises(IndexError):
+                    ivs.first()
+
+
+TestIntervalSetMachine = IntervalSetMachine.TestCase
+TestIntervalSetMachine.settings = settings(
+    max_examples=150, stateful_step_count=40, deadline=None
+)
+
+
+def test_empty_sets_share_their_storage():
+    """The flyweight: no per-set container until there is coverage, and none
+    left behind once it is gone (idle connections hold three of these)."""
+    fresh, used = IntervalSet(), IntervalSet()
+    used.add(5, 9)
+    used.trim_below(9)
+    cleared = IntervalSet()
+    cleared.add(1, 2)
+    cleared.clear()
+    assert fresh._b is used._b is cleared._b
+    assert IntervalSet.__slots__ == ("_b", "_total")  # 48-byte size class
+
+
+def test_trim_below_nothing_below_leaves_the_list_alone():
+    ivs = IntervalSet()
+    ivs.add(10, 20)
+    ivs.add(30, 40)
+    held = ivs._b
+    assert ivs.trim_below(10) == 0 and ivs.trim_below(3) == 0
+    assert ivs._b is held and ivs.intervals() == [(10, 20), (30, 40)]
+
+
+def test_per_call_cost_does_not_grow_with_the_scoreboard():
+    """add / covered probe one spot and the gap sweep walks both sets once.
+
+    A scan from the head per call made add and covered linear and the
+    sender's hole finder quadratic (every hole of one set rescanned the
+    other): 4x the intervals cost 4x and 16x.  Indexed, add and covered
+    stay flat and the sweep is linear; 6x leaves room for a noisy host.
+    """
+    import time
+
+    def build(n):
+        sacked, repaired = IntervalSet(), IntervalSet()
+        for k in range(n):
+            sacked.add(40 * k, 40 * k + 10)  # SACKed segment, then a hole
+            if k % 2:
+                repaired.add(40 * k + 10, 40 * k + 25)  # hole partly repaired
+        return sacked, repaired
+
+    def per_call(n):
+        sacked, repaired = build(n)
+        top = 40 * n
+        probes = [(37 * k) % top for k in range(0, 400)]
+        start = time.perf_counter()
+        for at in probes:
+            at -= at % 40
+            sacked.add(at + 12, at + 14)  # lands mid-set, in a hole
+            sacked.covered(at, at + 400)
+            sacked.trim_below(0)
+        point = time.perf_counter()
+        for _ in range(5):
+            found, size = sacked.gaps(repaired, 0, top)
+        done = time.perf_counter()
+        assert size == sum(hi - lo for lo, hi in found) > 0
+        return (point - start) / len(probes), (done - point) / 5
+
+    best = {n: (float("inf"), float("inf")) for n in (2000, 8000)}
+    for _ in range(3):
+        for n in best:
+            best[n] = tuple(map(min, best[n], per_call(n)))
+    point_ratio = best[8000][0] / best[2000][0]
+    sweep_ratio = best[8000][1] / best[2000][1]
+    assert point_ratio <= 6.0, f"add/covered grew {point_ratio:.1f}x for 4x the intervals"
+    assert sweep_ratio <= 6.0, f"gap sweep grew {sweep_ratio:.1f}x for 4x the intervals"

@@ -37,6 +37,22 @@ def test_stack_counts_bytes():
     assert rig.stack_b.stats.bytes_in >= 25_000
 
 
+def test_stack_sums_recovery_counters_past_connection_teardown():
+    from conftest import transfer
+    from repro.net import IIDLoss
+
+    rig = make_linked_stacks(loss=IIDLoss(0.03, seed=5))
+    conns = [
+        transfer(rig, 300_000, port=port, time_limit=limit)["client_conn"]
+        for port, limit in ((5000, 300.0), (5001, 600.0))
+    ]
+    assert not rig.stack_a._connections  # both closed and forgotten
+    stats = rig.stack_a.stats
+    for name in ("retransmits", "fast_retransmits", "timeouts", "dup_acks"):
+        assert getattr(stats, name) == sum(getattr(c.stats, name) for c in conns)
+    assert stats.retransmits > 0 and stats.dup_acks > 0
+
+
 def test_rst_counted_for_closed_port():
     rig = make_linked_stacks()
     rig.stack_a.connect(Endpoint("10.0.0.2", 4242))
