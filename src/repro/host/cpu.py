@@ -38,13 +38,9 @@ class Core:
         self._tracer = obs_runtime.get_tracer()
         self._traced = self._tracer.enabled
 
-    def execute(self, cost_seconds: float) -> Event:
-        """Enqueue ``cost_seconds`` of work; event fires at completion.
-
-        The returned event comes from the simulator's timeout free list:
-        yield it or attach callbacks immediately, but do not store it past
-        its firing (no datapath code does).
-        """
+    def _charge(self, cost_seconds: float) -> float:
+        """Queue ``cost_seconds`` behind the core's backlog; return the
+        delay from now until that work completes."""
         if cost_seconds < 0:
             raise ValueError("negative CPU cost")
         if self._traced:
@@ -57,19 +53,23 @@ class Core:
         self._busy_until = finish
         self.busy_seconds += cost_seconds
         self.ops += 1
-        return self.sim._pooled_timeout(finish - now)
+        # The delay, not ``finish``: both callers below schedule at
+        # ``now + (finish - now)``, whose rounding every recorded
+        # timestamp was taken with.
+        return finish - now
 
-    def execute_call(self, cost_seconds: float, func, *args) -> Event:
-        """``execute(cost)`` then ``func(*args)``, without closure allocation.
+    def execute(self, cost_seconds: float) -> Event:
+        """Enqueue ``cost_seconds`` of work; event fires at completion."""
+        return self.sim.timeout(self._charge(cost_seconds))
 
-        Equivalent to ``execute(cost).add_callback(lambda _ev: func(*args))``
-        but the call rides the timeout's direct-call slot — the common shape
-        for charging an op cost and then pushing an nqe or a packet.
+    def execute_call(self, cost_seconds: float, func, *args) -> None:
+        """Charge ``cost_seconds``, then call ``func(*args)`` at completion.
+
+        Same finish time as ``execute(cost).add_callback(...)`` without an
+        event or a closure — the common shape for charging an op cost and
+        then pushing an nqe or a packet.
         """
-        timeout = self.execute(cost_seconds)
-        timeout._call = func
-        timeout._call_args = args
-        return timeout
+        self.sim.schedule_call(self._charge(cost_seconds), func, *args)
 
     def execute_cycles(self, cycles: float) -> Event:
         """Enqueue work expressed in CPU cycles at this core's clock."""

@@ -81,8 +81,9 @@ class HostSwitch:
 
     def forward(self, packet: Packet, ingress: NIC) -> None:
         if self.core is not None and self.per_packet_cpu_ns > 0:
-            done = self.core.execute(self.per_packet_cpu_ns * NANOS)
-            done.add_callback(lambda _ev: self._route(packet, ingress))
+            self.core.execute_call(
+                self.per_packet_cpu_ns * NANOS, self._route, packet, ingress
+            )
         elif self.forward_latency > 0:
             self.sim.schedule_call(self.forward_latency, self._route, packet, ingress)
         else:

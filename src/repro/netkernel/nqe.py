@@ -162,7 +162,7 @@ class Nqe:
 # DATA nqes dominate a long run — ServiceLib emits one per delivered rx
 # chunk and GuestLib drops the reference as soon as it is handled, so the
 # same descriptors cycle through the datapath millions of times.  Recycle
-# them the way TcpSegment and the kernel's pooled Timeout already are:
+# them the way TcpSegment already is:
 # a bounded LIFO free list, so sustained churn stops allocating.
 _FREE: list = []
 _POOL_MAX = 8192

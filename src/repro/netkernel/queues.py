@@ -369,7 +369,7 @@ class RingPump:
 
     but driven by callbacks instead of a generator: the ring notifies the
     pump on the push that makes it non-empty, and the pump then chains
-    itself through the timeout direct-call slot — charge ``cost`` on the
+    itself through ``core.execute_call`` — charge ``cost`` on the
     core, handle the nqe, pop the next.  The core's FIFO accounting
     serializes the charges exactly as the poll loop did (each charge is
     issued at the simulated instant the previous one finished), so
@@ -418,9 +418,7 @@ class RingPump:
         pre = self.pre
         if pre is not None:
             self._token = pre(nqe)
-        timeout = self.core.execute(self.cost)
-        timeout._call = self._charged
-        timeout._call_args = (nqe,)
+        self.core.execute_call(self.cost, self._charged, nqe)
 
     def _charged(self, nqe) -> None:
         token, self._token = self._token, None
@@ -490,9 +488,9 @@ class BatchRingPump:
             pre = self.pre_batch
             if pre is not None:
                 pre(1)
-            timeout = self.core.execute(self.per_batch + self.per_nqe)
-            timeout._call = self._charged_one
-            timeout._call_args = (nqe,)
+            self.core.execute_call(
+                self.per_batch + self.per_nqe, self._charged_one, nqe
+            )
             return
         batch = ring.pop_batch(self.burst)
         n = len(batch)
@@ -502,9 +500,9 @@ class BatchRingPump:
         pre = self.pre_batch
         if pre is not None:
             pre(n)
-        timeout = self.core.execute(self.per_batch + n * self.per_nqe)
-        timeout._call = self._charged
-        timeout._call_args = (batch,)
+        self.core.execute_call(
+            self.per_batch + n * self.per_nqe, self._charged, batch
+        )
 
     def _charged_one(self, nqe) -> None:
         blocked = self.handle(nqe)

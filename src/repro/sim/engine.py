@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from heapq import heappop
 from itertools import count
+from math import nextafter
 from typing import Any, Generator, Iterable, Optional
 
 from .events import AllOf, AnyOf, Event, SimulationError, Timeout
@@ -40,6 +41,8 @@ MICROS = 1e-6
 #: One millisecond in simulator time units (seconds).
 MILLIS = 1e-3
 
+_INF = float("inf")
+
 
 class Simulator:
     """A discrete-event simulator with a monotonically advancing clock.
@@ -51,17 +54,11 @@ class Simulator:
     :mod:`repro.sim.wheel` for the ordering contract.
     """
 
-    #: Free-list bound: enough to cover every in-flight pooled timeout of
-    #: a busy run without letting a burst pin memory forever.
-    _POOL_MAX = 4096
-
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         self._queue = CalendarQueue(self._now)
         self._counter = count()
         self._active_process: Optional[Process] = None
-        #: Recycled Timeout instances for the kernel-internal pooled path.
-        self._timeout_pool: list = []
         #: Events processed since construction (perf metric; see
         #: ``benchmarks/bench_datapath.py``).
         self.events_processed = 0
@@ -104,51 +101,23 @@ class Simulator:
         """Composite event that fires when all of ``events`` have fired."""
         return AllOf(self, events)
 
-    # -- scheduling (kernel internal) ----------------------------------------
+    # -- scheduling -----------------------------------------------------------
+    # Queue entries are ``(when, seq, target, args)``.  ``args is None``:
+    # ``target`` is an Event whose callbacks run.  Otherwise the loop calls
+    # ``target(*args)`` — a scheduled call is nothing but its entry.
     def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
-        self._queue.push((self._now + delay, next(self._counter), event))
+        self._queue.push((self._now + delay, next(self._counter), event, None))
 
-    def _pooled_timeout(self, delay: float, value: Any = None) -> Timeout:
-        """A Timeout from the free list (kernel-internal fast path).
-
-        Contract: the caller must not retain the returned event past its
-        firing — after its callbacks run, the run loop resets it and hands
-        it to the next ``_pooled_timeout`` call.  Code that needs to hold
-        one longer (composite conditions, ``run_until_event``) clears
-        ``_reusable`` instead.
-        """
-        pool = self._timeout_pool
-        if not pool:
-            timeout = Timeout(self, delay, value)
-            timeout._reusable = True
-            return timeout
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
-        timeout = pool.pop()
-        timeout.delay = delay
-        if timeout.callbacks is None:
-            timeout.callbacks = []
-        timeout._value = value
-        timeout._ok = True
-        timeout._triggered = True
-        timeout._processed = False
-        self._queue.push((self._now + delay, next(self._counter), timeout))
-        return timeout
-
-    def schedule_call(self, delay: float, func, *args) -> Event:
+    def schedule_call(self, delay: float, func, *args) -> None:
         """Schedule ``func(*args)`` to run after ``delay`` seconds.
 
-        Returns the underlying timeout event.  Convenient for fire-and-forget
-        callbacks without spinning up a full process.  The call is stored on
-        the timeout itself (no closure, no callbacks-list append), and the
-        timeout comes from the kernel free list — callers must not hold the
-        returned event past its firing (none do; it exists so tests can
-        observe scheduling).
+        Fire-and-forget: nothing is returned and nothing is allocated
+        beyond the queue entry.  Use :meth:`timeout` for something to
+        wait on.
         """
-        timeout = self._pooled_timeout(delay)
-        timeout._call = func
-        timeout._call_args = args
-        return timeout
+        if delay < 0:
+            raise ValueError(f"negative schedule_call delay: {delay!r}")
+        self._queue.push((self._now + delay, next(self._counter), func, args))
 
     def schedule_call_at(self, when: float, func, *args) -> None:
         """Schedule ``func(*args)`` at the *absolute* time ``when``.
@@ -164,44 +133,23 @@ class Simulator:
             raise SimulationError(
                 f"schedule_call_at({when}) is in the past (now={self._now})"
             )
-        pool = self._timeout_pool
-        if pool:
-            timeout = pool.pop()
-            timeout.delay = 0.0
-            if timeout.callbacks is None:
-                timeout.callbacks = []
-            timeout._value = None
-            timeout._ok = True
-            timeout._triggered = True
-            timeout._processed = False
-        else:
-            timeout = Timeout.__new__(Timeout)
-            Event.__init__(timeout, self)
-            timeout.delay = 0.0
-            timeout._reusable = True
-            timeout._triggered = True
-        timeout._call = func
-        timeout._call_args = args
-        self._queue.push((when, next(self._counter), timeout))
+        self._queue.push((when, next(self._counter), func, args))
 
     # -- execution ------------------------------------------------------------
     def step(self) -> None:
-        """Process the single next event in the queue."""
+        """Process the single next entry in the queue."""
         item = self._queue.pop()
         if item is None:
             raise SimulationError("step() on an empty event queue")
-        when, _seq, event = item
+        when, _seq, target, args = item
         if when < self._now:
             raise SimulationError("event scheduled in the past")
         self._now = when
         self.events_processed += 1
-        event._run_callbacks()
-        if (
-            event.__class__ is Timeout
-            and event._reusable
-            and len(self._timeout_pool) < self._POOL_MAX
-        ):
-            self._timeout_pool.append(event)
+        if args is None:
+            target._run_callbacks()
+        else:
+            target(*args)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``float('inf')`` if none."""
@@ -213,111 +161,14 @@ class Simulator:
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the last event fires earlier, so measurements spanning
         ``[0, until]`` are well defined.
-
-        The loop body is :meth:`step` inlined (minus the stale-event guard,
-        which the queue invariant makes unreachable from here): resolve the
-        head bucket (fast path: the bucket the last pop settled on is still
-        the earliest), one heappop over it, the event's callbacks, and
-        free-list recycling for pooled timeouts.  Event semantics are
-        identical to repeated ``step()`` calls.
         """
-        q = self._queue
-        buckets = q.buckets
-        groups = q.groups
-        pool = self._timeout_pool
-        pool_max = self._POOL_MAX
-        heappop_ = heappop
-        timeout_cls = Timeout
-        processed = 0
-        try:
-            if until is None:
-                while True:
-                    if q.bucket_count:
-                        i = q.first
-                        b = buckets[i]
-                        if not b or i != q.active:
-                            b = q._head_bucket()
-                            i = q.first
-                    elif q.overflow:
-                        b = q._head_bucket()
-                        i = q.first
-                    else:
-                        return
-                    when, _seq, event = heappop_(b)
-                    if not b:
-                        groups[i >> GROUP_SHIFT] -= 1
-                    q.bucket_count -= 1
-                    self._now = when
-                    processed += 1
-                    if event.__class__ is timeout_cls:
-                        call = event._call
-                        if call is not None and not event.callbacks:
-                            # Direct-call, no waiters: run it here and keep
-                            # the (still empty) callbacks list attached so
-                            # the next pool reuse skips the allocation.
-                            event._call = None
-                            event._processed = True
-                            call(*event._call_args)
-                            event._call_args = ()
-                            if event._reusable and len(pool) < pool_max:
-                                pool.append(event)
-                            continue
-                        event._run_callbacks()
-                        if event._reusable and len(pool) < pool_max:
-                            pool.append(event)
-                    else:
-                        callbacks, event.callbacks = event.callbacks, None
-                        event._processed = True
-                        if callbacks:
-                            for callback in callbacks:
-                                callback(event)
-            if until < self._now:
-                raise ValueError(
-                    f"run(until={until}) is in the past (now={self._now})"
-                )
-            while True:
-                if q.bucket_count:
-                    i = q.first
-                    b = buckets[i]
-                    if not b or i != q.active:
-                        b = q._head_bucket()
-                        i = q.first
-                elif q.overflow:
-                    b = q._head_bucket()
-                    i = q.first
-                else:
-                    break
-                when = b[0][0]
-                if when > until:
-                    break
-                _when, _seq, event = heappop_(b)
-                if not b:
-                    groups[i >> GROUP_SHIFT] -= 1
-                q.bucket_count -= 1
-                self._now = when
-                processed += 1
-                if event.__class__ is timeout_cls:
-                    call = event._call
-                    if call is not None and not event.callbacks:
-                        event._call = None
-                        event._processed = True
-                        call(*event._call_args)
-                        event._call_args = ()
-                        if event._reusable and len(pool) < pool_max:
-                            pool.append(event)
-                        continue
-                    event._run_callbacks()
-                    if event._reusable and len(pool) < pool_max:
-                        pool.append(event)
-                else:
-                    callbacks, event.callbacks = event.callbacks, None
-                    event._processed = True
-                    if callbacks:
-                        for callback in callbacks:
-                            callback(event)
-            self._now = until
-        finally:
-            self.events_processed += processed
+        if until is None:
+            self._run_through(_INF)
+            return
+        if until < self._now:
+            raise ValueError(f"run(until={until}) is in the past (now={self._now})")
+        self._run_through(until)
+        self._now = until
 
     def run_window(self, horizon: float, limit: Optional[float] = None) -> int:
         """Process every event with ``time < horizon`` (and ``<= limit``).
@@ -329,19 +180,27 @@ class Simulator:
         injected ahead of them.  Unlike :meth:`run`, the clock is left at
         the last processed event — the shard coordinator owns end-of-run
         clock advancement.  Returns the number of events processed.
+        """
+        # ``time < horizon`` is ``time <= the float just below horizon``.
+        bound = nextafter(horizon, -_INF)
+        if limit is not None and limit < bound:
+            bound = limit
+        return self._run_through(bound)
 
-        The loop body is the same inlined :meth:`step` as :meth:`run`;
-        event semantics are identical to repeated ``step()`` calls.
+    def _run_through(self, bound: float) -> int:
+        """Process every entry with ``time <= bound``; return how many.
+
+        The one event-loop body: :meth:`step` inlined (minus the
+        stale-event guard, which the queue invariant makes unreachable
+        from here) against the queue's fields — resolve the head bucket
+        (fast path: the bucket the last pop settled on is still the
+        earliest), one heappop over it, then the call or the event's
+        callbacks.  Semantics are identical to repeated ``step()`` calls.
         """
         q = self._queue
         buckets = q.buckets
         groups = q.groups
-        pool = self._timeout_pool
-        pool_max = self._POOL_MAX
         heappop_ = heappop
-        timeout_cls = Timeout
-        bound = horizon if limit is None else min(horizon, limit)
-        strict = limit is None or horizon <= limit
         processed = 0
         try:
             while True:
@@ -356,34 +215,21 @@ class Simulator:
                     i = q.first
                 else:
                     break
-                when = b[0][0]
-                if when >= bound if strict else when > bound:
+                if b[0][0] > bound:
                     break
-                _when, _seq, event = heappop_(b)
+                when, _seq, target, args = heappop_(b)
                 if not b:
                     groups[i >> GROUP_SHIFT] -= 1
                 q.bucket_count -= 1
                 self._now = when
                 processed += 1
-                if event.__class__ is timeout_cls:
-                    call = event._call
-                    if call is not None and not event.callbacks:
-                        event._call = None
-                        event._processed = True
-                        call(*event._call_args)
-                        event._call_args = ()
-                        if event._reusable and len(pool) < pool_max:
-                            pool.append(event)
-                        continue
-                    event._run_callbacks()
-                    if event._reusable and len(pool) < pool_max:
-                        pool.append(event)
+                if args is not None:
+                    target(*args)
                 else:
-                    callbacks, event.callbacks = event.callbacks, None
-                    event._processed = True
-                    if callbacks:
-                        for callback in callbacks:
-                            callback(event)
+                    callbacks, target.callbacks = target.callbacks, None
+                    target._processed = True
+                    for callback in callbacks:
+                        callback(target)
         finally:
             self.events_processed += processed
         return processed
@@ -395,10 +241,6 @@ class Simulator:
         :class:`SimulationError` if the queue drains or ``limit`` is reached
         first.
         """
-        if isinstance(event, Timeout):
-            # We read ``processed``/``value`` after the event fires; keep it
-            # out of the free list.
-            event._reusable = False
         while not event.processed:
             if not self._queue:
                 raise SimulationError("queue drained before event fired")

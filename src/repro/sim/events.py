@@ -11,7 +11,7 @@ and trimmed to what this project needs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Simulator
@@ -54,7 +54,10 @@ class Event:
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self.callbacks: Optional[List[Callable[["Event"], None]]] = []
+        #: The shared empty tuple until the first waiter attaches, then a
+        #: list; ``None`` once processed.  Most events (fire-and-forget
+        #: timers, a process's own completion) never get a waiter.
+        self.callbacks: Optional[Sequence[Callable[["Event"], None]]] = ()
         self._value: Any = None
         self._ok: bool = True
         self._triggered = False
@@ -94,7 +97,7 @@ class Event:
         # Inlined Simulator._schedule_event — succeed() is the kernel's
         # hottest trigger path.
         sim = self.sim
-        sim._queue.push((sim._now, next(sim._counter), self))
+        sim._queue.push((sim._now, next(sim._counter), self, None))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -117,66 +120,33 @@ class Event:
     def _run_callbacks(self) -> None:
         callbacks, self.callbacks = self.callbacks, None
         self._processed = True
-        if callbacks:
-            for callback in callbacks:
-                callback(self)
+        for callback in callbacks:
+            callback(self)
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Attach ``callback(event)``; runs immediately if already processed."""
-        if self.callbacks is None:
+        callbacks = self.callbacks
+        if callbacks is None:
             callback(self)
+        elif callbacks:
+            callbacks.append(callback)
         else:
-            self.callbacks.append(callback)
+            self.callbacks = [callback]
 
 
 class Timeout(Event):
-    """An event that fires after a fixed simulated delay.
+    """An event that fires after a fixed simulated delay."""
 
-    Two kernel fast paths live here (see ``Simulator`` for the contract):
-
-    * ``_call`` / ``_call_args`` — a direct callback invoked when the
-      timeout fires, set by :meth:`Simulator.schedule_call` and
-      :meth:`repro.host.cpu.Core.execute_call`.  It replaces the
-      one-element ``callbacks`` list plus closure that fire-and-forget
-      callers used to allocate per event.
-    * ``_reusable`` — True for timeouts created through the kernel's
-      pooled path (:meth:`Simulator._pooled_timeout`).  The run loop
-      returns these to a free list after their callbacks have run, so
-      the hot ``core.execute`` / ``schedule_call`` paths stop allocating
-      an object per event.  Holding a reference to a pooled timeout past
-      its firing is not allowed; code that must (composite conditions,
-      ``run_until_event``) clears the flag first.
-    """
-
-    __slots__ = ("delay", "_call", "_call_args", "_reusable")
+    __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay!r}")
         super().__init__(sim)
         self.delay = delay
-        self._call: Optional[Callable[..., Any]] = None
-        self._call_args: tuple = ()
-        self._reusable = False
         self._triggered = True
         self._value = value
         sim._schedule_event(self, delay=delay)
-
-    def _run_callbacks(self) -> None:
-        call = self._call
-        if call is None:
-            Event._run_callbacks(self)
-            return
-        # Direct-call fast path: the call was registered at creation, so
-        # it runs before any callbacks added later — same order as the
-        # closure it replaces.
-        self._call = None
-        callbacks, self.callbacks = self.callbacks, None
-        self._processed = True
-        call(*self._call_args)
-        if callbacks:
-            for callback in callbacks:
-                callback(self)
 
 
 class _Condition(Event):
@@ -194,11 +164,6 @@ class _Condition(Event):
         for event in self.events:
             if event.sim is not sim:
                 raise SimulationError("cannot mix events from different simulators")
-            if isinstance(event, Timeout):
-                # The condition reads child state (``processed``/``value``)
-                # after other children fire — keep pooled timeouts out of
-                # the free list for the condition's lifetime.
-                event._reusable = False
             event.add_callback(self._on_child)
 
     def _on_child(self, event: Event) -> None:

@@ -67,7 +67,7 @@ class Process(Event):
         interrupt_event.add_callback(lambda _ev: self._throw(Interrupt(cause)))
         interrupt_event.succeed()
         # Detach from the old target so a later fire does not double-resume.
-        if target is not None and target.callbacks is not None:
+        if target is not None and target.callbacks:
             try:
                 target.callbacks.remove(self._resume)
             except ValueError:
@@ -126,8 +126,10 @@ class Process(Event):
         callbacks = target.callbacks
         if callbacks is None:
             self._resume(target)
-        else:
+        elif callbacks:
             callbacks.append(self._resume)
+        else:
+            target.callbacks = [self._resume]
 
     def _finish(self, value: Any) -> None:
         self._alive = False

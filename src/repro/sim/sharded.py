@@ -4,7 +4,7 @@ One large run — ten thousand connections between two hosts — pins a
 single core in the classic single-heap event loop, no matter how many
 cores the host has.  This module splits such a run into **shards**: each
 shard owns its own :class:`~repro.sim.engine.Simulator` (event heap,
-clock, timeout pool) plus everything *intra-host* that hangs off it —
+clock) plus everything *intra-host* that hangs off it —
 VMs, GuestLib, CoreEngine, NSMs, NICs, host switches.  Shards touch each
 other only where the model itself has latency: :class:`repro.net.link.Link`
 instances whose two ends land in different shards (*cut links*).

@@ -2,7 +2,7 @@
 
 :class:`CalendarQueue` replaces the single binary heap that
 :class:`~repro.sim.engine.Simulator` used for its event queue.  At
-datacenter scale the heap holds 10^5..10^6 pending ``(time, seq, event)``
+datacenter scale the heap holds 10^5..10^6 pending ``(time, seq, ...)``
 entries and every push/pop pays an O(log N) sift over tuple comparisons;
 the dominant traffic — timeouts a few nanoseconds to microseconds ahead —
 doesn't need a total order over the whole queue, only over the immediate
@@ -77,14 +77,17 @@ _INF = float("inf")
 #: Buckets per occupancy group (must be a power of two; see GROUP_SHIFT).
 GROUP_SHIFT = 7
 
-Item = Tuple[float, int, Any]
+#: ``(time, seq, target, args)`` from the engine; the queue only ever
+#: compares the first two fields (``seq`` is unique, so a comparison never
+#: reaches the payload).
+Item = Tuple[Any, ...]
 
 
 class CalendarQueue:
     """A two-level calendar queue with an overflow heap for far timers.
 
-    Entries are ``(time, seq, event)`` tuples — the same shape the old
-    global heap stored, so per-bucket heap operations reproduce its
+    Entries are tuples led by ``(time, seq)`` — the key the old global
+    heap ordered by, so per-bucket heap operations reproduce its
     comparison semantics verbatim.
     """
 
@@ -135,7 +138,7 @@ class CalendarQueue:
 
     # -- scheduling ---------------------------------------------------------
     def push(self, item: Item) -> None:
-        """Insert ``(time, seq, event)``; O(1) unless far-future."""
+        """Insert a ``(time, seq, ...)`` entry; O(1) unless far-future."""
         when = item[0]
         if when >= self.limit:
             heappush(self.overflow, item)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..sim import Event, Simulator
-from .intervals import IntervalSet
+from .intervals import EMPTY, IntervalSet
 
 __all__ = ["SendBuffer", "ReassemblyQueue", "ReceiveBuffer"]
 
@@ -99,14 +99,14 @@ class ReassemblyQueue:
 
     def __init__(self, rcv_nxt: int = 0) -> None:
         self.rcv_nxt = rcv_nxt
-        self._ooo = IntervalSet()
+        self._ooo: IntervalSet = EMPTY  # own set from the first ooo segment
         self._last_touched: Optional[int] = None  # start of freshest interval
         self._rotate = 0
 
     def reset(self, rcv_nxt: int = 0) -> None:
         """Reinitialize in place for a pooled connection (see TcpStack)."""
         self.rcv_nxt = rcv_nxt
-        self._ooo.clear()
+        self._ooo = EMPTY
         self._last_touched = None
         self._rotate = 0
 
@@ -129,6 +129,8 @@ class ReassemblyQueue:
             self.rcv_nxt = end
             return end - rcv_nxt
         seq = max(seq, rcv_nxt)
+        if self._ooo is EMPTY:
+            self._ooo = IntervalSet()
         self._ooo.add(seq, end)
         self._last_touched = seq
         return self._advance()

@@ -22,7 +22,7 @@ from ..net import Endpoint
 from ..sim import Event, Simulator
 from .buffers import ReassemblyQueue, ReceiveBuffer, SendBuffer
 from .cc.base import CongestionControl, RateSample
-from .intervals import IntervalSet
+from .intervals import EMPTY, IntervalSet
 from .rtt import RttEstimator
 from .segment import TcpSegment, alloc_segment
 
@@ -247,8 +247,9 @@ class TcpConnection:
         self._dupacks = 0
         self._recover = 0
         self._in_fast_recovery = False
-        self._sacked = IntervalSet()  # peer-held ranges above snd_una
-        self._rexmitted = IntervalSet()  # holes already retransmitted
+        # Both scoreboards share EMPTY until this connection sees loss.
+        self._sacked: IntervalSet = EMPTY  # peer-held ranges above snd_una
+        self._rexmitted: IntervalSet = EMPTY  # holes already retransmitted
         self._rto_high = 0  # everything below this is presumed lost after RTO
         self._last_repair_time = 0.0  # RACK-style lost-retransmission timer
         self._rack_armed = False
@@ -356,8 +357,8 @@ class TcpConnection:
         self._dupacks = 0
         self._recover = 0
         self._in_fast_recovery = False
-        self._sacked.clear()
-        self._rexmitted.clear()
+        self._sacked = EMPTY
+        self._rexmitted = EMPTY
         self._rto_high = 0
         self._last_repair_time = 0.0
         self._rack_armed = False
@@ -519,6 +520,8 @@ class TcpConnection:
             clipped_start = max(block_start, floor)
             clipped_end = min(block_end, self.snd_nxt)
             if clipped_end > clipped_start:
+                if self._sacked is EMPTY:
+                    self._sacked = IntervalSet()
                 newly_sacked += self._sacked.add(clipped_start, clipped_end)
 
         if ack <= self.snd_una:
@@ -576,7 +579,7 @@ class TcpConnection:
 
         if self._in_fast_recovery and ack >= self._recover:
             self._in_fast_recovery = False
-            self._rexmitted.clear()
+            self._rexmitted = EMPTY
             self._rto_high = 0
             self.cc.on_recovery_exit(self.sim.now)
         self.cc.on_ack(sample)
@@ -715,7 +718,7 @@ class TcpConnection:
                     self.stats.retransmits += 1
                     self.stack.stats.retransmits += 1
                     self._transmit(seg, retransmit=True)
-                    self._rexmitted.add(cursor, cursor + 1)
+                    self._mark_rexmitted(cursor, cursor + 1)
                     self._last_repair_time = self.sim.now
                     pipe += 1
                     break
@@ -728,7 +731,7 @@ class TcpConnection:
                 self.stats.retransmits += 1
                 self.stack.stats.retransmits += 1
                 self._transmit(seg, retransmit=True)
-                self._rexmitted.add(cursor, cursor + length)
+                self._mark_rexmitted(cursor, cursor + length)
                 self._last_repair_time = self.sim.now
                 cursor += length
                 pipe += length
@@ -742,6 +745,11 @@ class TcpConnection:
 
         if self._rexmitted and not self._rack_armed:
             self._arm_rack()
+
+    def _mark_rexmitted(self, start: int, end: int) -> None:
+        if self._rexmitted is EMPTY:
+            self._rexmitted = IntervalSet()
+        self._rexmitted.add(start, end)
 
     # RACK-style lost-retransmission detection: if snd_una has not moved a
     # round trip after a hole was repaired, the retransmission itself was
@@ -759,7 +767,7 @@ class TcpConnection:
         if self.snd_una == una_then and self._rexmitted:
             repair_age = self.sim.now - self._last_repair_time
             if repair_age >= 1.25 * (self.rtt.srtt or self.rtt.rto):
-                self._rexmitted.clear()
+                self._rexmitted = EMPTY
             self._recovery_send()
         if self._in_fast_recovery and self._rexmitted and not self._rack_armed:
             self._arm_rack()
@@ -1151,7 +1159,7 @@ class TcpConnection:
         # machinery while the window regrows from one MSS.  SACKed ranges
         # are kept (as Linux does) so delivered-byte accounting stays exact.
         self._dupacks = 0
-        self._rexmitted.clear()
+        self._rexmitted = EMPTY
         self._tx_records.clear()
         self._tx_order.clear()
         self._tx_head = 0

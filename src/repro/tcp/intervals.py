@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from itertools import islice
 from typing import Iterator, List, Sequence, Tuple
 
-__all__ = ["IntervalSet"]
+__all__ = ["IntervalSet", "EMPTY"]
 
 
 class IntervalSet:
@@ -219,3 +219,22 @@ class IntervalSet:
 
     def __repr__(self) -> str:
         return f"IntervalSet({self.intervals()!r})"
+
+
+class _SharedEmpty(IntervalSet):
+    """The one empty set every idle scoreboard points at."""
+
+    __slots__ = ()
+
+    def add(self, start: int, end: int) -> int:
+        raise TypeError(
+            "the shared empty IntervalSet is read-only: "
+            "give the owner its own IntervalSet() before the first add"
+        )
+
+
+#: An in-order flow never SACKs, retransmits or reassembles, so its three
+#: scoreboards stay empty for life; they all reference this instance until
+#: the first ``add`` (the owner swaps in a real set) and again after a
+#: reset.  Every reader (``total``/``trim_below``/``gaps``/...) works on it.
+EMPTY = _SharedEmpty()

@@ -80,7 +80,7 @@ class TcpSegment:
 # stack's demux, never retained (connections copy the sequence numbers
 # into IntervalSet/ReassemblyQueue; the packet tap snapshots a string).
 # So the receiving ``TcpStack._demux`` returns each segment here and
-# senders reuse it, mirroring the simulation kernel's Timeout pool.
+# senders reuse it.
 # Segments that never reach a demux (lost, queue-dropped, blackholed)
 # simply fall to the garbage collector — a pool miss, not a leak.
 

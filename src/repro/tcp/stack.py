@@ -18,6 +18,7 @@ which is what makes Figure 4 come out even.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..net import NIC, Endpoint, Packet
@@ -71,8 +72,8 @@ class StackStats:
 
 ConnKey = Tuple[int, str, int]  # (local_port, remote_ip, remote_port)
 
-#: TcpConfig field names, for the _tcp_config cache fingerprint.
-_TCP_FIELD_NAMES = tuple(f.name for f in TcpConfig.__dataclass_fields__.values())
+#: Every TcpConfig field value as one tuple: the _tcp_config cache fingerprint.
+_tcp_field_values = attrgetter(*TcpConfig.__dataclass_fields__)
 
 #: Upper bound on pooled (recycled) connections kept per stack.
 _CONN_POOL_MAX = 4096
@@ -136,7 +137,7 @@ class TcpStack:
         try:
             key = (
                 self.effective_mss(),
-                tuple(getattr(template, name) for name in _TCP_FIELD_NAMES),
+                _tcp_field_values(template),
                 tuple(sorted(overrides.items())),
             )
             cached = self._cfg_cache.get(key)

@@ -1,0 +1,261 @@
+"""Scheduled calls are bare queue entries; events allocate callbacks lazily.
+
+The kernel's queue holds ``(when, seq, target, args)``.  These tests pin
+what that format must not change: fire order is exactly ``(time, seq)``
+whatever mix of entry kinds shares the queue and however the run is
+driven, ``Core.execute_call`` lands on the float ``Core.execute`` would
+have, and an event without waiters behaves like one with an empty list.
+"""
+
+import heapq
+from itertools import count
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.host import Core
+from repro.sim import Interrupt, Simulator, SimulationError, Timeout
+
+# Zero, equal-time ties, one wheel bucket (8 us), and far enough (> 131 ms)
+# to sit in the wheel's overflow heap.
+DELAYS = st.sampled_from([0.0, 0.0, 1e-6, 1e-6, 3e-6, 8e-6, 1e-3, 0.2])
+KINDS = st.sampled_from(["call", "call_at", "timeout", "succeed", "execute_call"])
+
+# An op is (kind, delay, children); children are issued when the op fires.
+OPS = st.recursive(
+    st.tuples(KINDS, DELAYS, st.just(())),
+    lambda children: st.tuples(KINDS, DELAYS, st.lists(children, max_size=3).map(tuple)),
+    max_leaves=25,
+)
+
+DRIVES = st.lists(
+    st.one_of(
+        st.tuples(st.just("window"), st.sampled_from([0.0, 1e-6, 4e-6, 1e-3, 0.2])),
+        st.tuples(st.just("until"), st.sampled_from([0.0, 1e-6, 2e-6, 1e-3, 0.3])),
+        st.tuples(st.just("step"), st.integers(1, 4)),
+    ),
+    max_size=5,
+)
+
+
+def reference_order(program):
+    """The same program on a plain heapq: [(time, label), ...] in fire order."""
+    heap, seq, labels = [], count(), count()
+    state = {"now": 0.0, "busy_until": 0.0}
+
+    def issue(op):
+        kind, delay, children = op
+        now = state["now"]
+        if kind == "succeed":
+            when = now
+        elif kind == "execute_call":
+            start = max(now, state["busy_until"])
+            finish = state["busy_until"] = start + delay
+            when = now + (finish - now)
+        else:
+            when = now + delay
+        heapq.heappush(heap, (when, next(seq), next(labels), children))
+
+    for op in program:
+        issue(op)
+    fired = []
+    while heap:
+        when, _seq, label, children = heapq.heappop(heap)
+        state["now"] = when
+        fired.append((when, label))
+        for op in children:
+            issue(op)
+    return fired
+
+
+class Rig:
+    """Issues the same ops against a real Simulator, logging what fires."""
+
+    def __init__(self):
+        self.sim = Simulator()
+        self.core = Core(self.sim)
+        self.labels = count()
+        self.fired = []
+
+    def fire(self, label, children):
+        self.fired.append((self.sim.now, label))
+        for op in children:
+            self.issue(op)
+
+    def issue(self, op):
+        kind, delay, children = op
+        sim, label = self.sim, next(self.labels)
+        if kind == "call":
+            assert sim.schedule_call(delay, self.fire, label, children) is None
+        elif kind == "call_at":
+            sim.schedule_call_at(sim.now + delay, self.fire, label, children)
+        elif kind == "timeout":
+            sim.timeout(delay).add_callback(lambda _ev: self.fire(label, children))
+        elif kind == "succeed":
+            event = sim.event()
+            event.add_callback(lambda _ev: self.fire(label, children))
+            event.succeed()
+        else:
+            assert self.core.execute_call(delay, self.fire, label, children) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(program=st.lists(OPS, min_size=1, max_size=8), drives=DRIVES)
+def test_fire_order_is_time_then_seq_for_every_entry_kind(program, drives):
+    rig = Rig()
+    for op in program:
+        rig.issue(op)
+    sim = rig.sim
+    for how, arg in drives:
+        if how == "window":
+            before = len(rig.fired)
+            assert sim.run_window(arg) == sim.events_processed - before
+            assert all(when < arg for when, _ in rig.fired[before:])
+            assert sim.peek() >= arg  # boundary entries stay queued
+        elif how == "until":
+            if arg >= sim.now:
+                sim.run(until=arg)
+                assert sim.now == arg and sim.peek() > arg
+        else:
+            for _ in range(arg):
+                if sim.peek() != float("inf"):
+                    sim.step()
+    sim.run()
+    expected = reference_order(program)
+    assert rig.fired == expected  # exact floats, exact order
+    assert sim.events_processed == len(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    work=st.lists(
+        st.tuples(
+            st.floats(0.0, 5e-6, allow_nan=False),  # gap before this arrival
+            st.floats(0.0, 9e-6, allow_nan=False),  # its CPU cost
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_execute_call_fires_at_the_float_execute_would(work):
+    def finish_times(use_call):
+        sim = Simulator()
+        core = Core(sim)
+        done = []
+
+        def arrivals():
+            for gap, cost in work:
+                yield sim.timeout(gap)
+                if use_call:
+                    core.execute_call(cost, lambda: done.append(sim.now))
+                else:
+                    core.execute(cost).add_callback(lambda _ev: done.append(sim.now))
+
+        sim.process(arrivals())
+        sim.run()
+        return done, core.busy_seconds, core.ops
+
+    assert finish_times(True) == finish_times(False)
+
+
+def test_negative_delay_raises_where_it_is_scheduled(sim):
+    with pytest.raises(ValueError):
+        sim.schedule_call(-1e-9, lambda: None)
+    assert sim.peek() == float("inf")  # nothing was queued
+    with pytest.raises(SimulationError):
+        sim.schedule_call_at(sim.now - 1.0, lambda: None)
+
+
+def test_run_until_event_dispatches_calls_on_the_way(sim):
+    seen = []
+    sim.schedule_call(1.0, seen.append, "call")
+    assert sim.run_until_event(sim.timeout(2.0, value="done")) == "done"
+    assert seen == ["call"]
+
+
+def test_there_is_no_timeout_pool():
+    assert Timeout.__slots__ == ("delay",)
+    sim = Simulator()
+    assert not [name for name in vars(sim) if "pool" in name]
+    assert not [name for name in dir(Simulator) if "pool" in name.lower()]
+
+
+# -- callbacks allocated on first waiter ------------------------------------
+def test_event_without_waiters_costs_no_list(sim):
+    event, timer = sim.event(), sim.timeout(1.0)
+    assert event.callbacks == () and timer.callbacks == ()
+    assert event.callbacks is timer.callbacks
+    event.add_callback(lambda _ev: None)
+    assert isinstance(event.callbacks, list) and timer.callbacks == ()
+    event.succeed()
+    sim.run()
+    assert event.callbacks is None and timer.callbacks is None
+    assert event.processed and timer.processed
+
+
+def test_add_callback_after_processing_runs_immediately(sim):
+    timer = sim.timeout(1.0, value=7)  # fires with nobody waiting
+    sim.run()
+    seen = []
+    timer.add_callback(lambda ev: seen.append(ev.value))
+    assert seen == [7]
+
+
+def test_interrupt_when_the_target_has_no_other_waiter(sim):
+    log = []
+    target = sim.event()
+
+    def waiter():
+        try:
+            yield target
+        except Interrupt as interrupt:
+            log.append(interrupt.cause)
+        yield sim.timeout(1.0)
+        log.append("resumed once")
+
+    proc = sim.process(waiter())
+    sim.run(until=0.5)
+    proc.interrupt("stop")
+    sim.run(until=0.6)
+    target.succeed()  # a late fire must not resume the process a second time
+    sim.run()
+    assert log == ["stop", "resumed once"] and not target.callbacks
+
+
+def test_interrupt_before_the_process_has_waited_on_anything(sim):
+    log = []
+
+    def body():
+        try:
+            yield sim.timeout(1.0)
+        except Interrupt:
+            log.append(sim.now)
+
+    proc = sim.process(body())
+    proc.interrupt()  # same instant as the bootstrap: no target yet
+    sim.run()
+    assert log == [0.0]
+
+
+def test_crash_with_nobody_waiting_still_raises(sim):
+    def body():
+        yield sim.timeout(1.0)
+        raise RuntimeError("crash")
+
+    proc = sim.process(body())
+    assert proc.callbacks == ()
+    with pytest.raises(RuntimeError, match="crash"):
+        sim.run()
+
+
+def test_crash_with_a_waiter_fails_the_event_instead(sim):
+    def body():
+        yield sim.timeout(1.0)
+        raise RuntimeError("crash")
+
+    proc = sim.process(body())
+    seen = []
+    proc.add_callback(lambda ev: seen.append(ev.ok))
+    sim.run()
+    assert seen == [False]

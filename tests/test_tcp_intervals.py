@@ -5,7 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.tcp.intervals import IntervalSet
+from conftest import make_linked_stacks, transfer
+from repro.net import IIDLoss
+from repro.tcp.buffers import ReassemblyQueue
+from repro.tcp.intervals import EMPTY, IntervalSet
 
 
 def test_empty_set():
@@ -260,6 +263,39 @@ def test_empty_sets_share_their_storage():
     cleared.clear()
     assert fresh._b is used._b is cleared._b
     assert IntervalSet.__slots__ == ("_b", "_total")  # 48-byte size class
+
+
+def test_shared_empty_reads_like_an_empty_set_and_refuses_mutation():
+    other = IntervalSet()
+    other.add(3, 7)
+    assert not EMPTY and len(EMPTY) == 0 and EMPTY.total() == 0
+    assert EMPTY.trim_below(10) == 0 and EMPTY.covered(0, 10) == 0
+    assert EMPTY.gaps(other, 0, 10) == ([(0, 3), (7, 10)], 6)
+    assert other.gaps(EMPTY, 0, 10) == ([(0, 3), (7, 10)], 6)
+    with pytest.raises(TypeError, match="read-only"):
+        EMPTY.add(1, 2)
+    EMPTY.clear()  # a no-op, not a way to corrupt every connection
+    assert not EMPTY and EMPTY.intervals() == [] and IntervalSet().intervals() == []
+
+
+def test_only_a_connection_that_sees_loss_gets_its_own_scoreboards():
+    clean = transfer(make_linked_stacks(), total_bytes=200_000)["client_conn"]
+    assert clean._sacked is EMPTY and clean._rexmitted is EMPTY
+    assert clean.assembly._ooo is EMPTY
+
+    rig = make_linked_stacks(loss=IIDLoss(0.02, seed=5))
+    result = transfer(rig, total_bytes=500_000)
+    lossy = result["client_conn"]
+    assert result["received"] == 500_000 and lossy.stats.retransmits > 0
+    assert lossy._sacked is not EMPTY and type(lossy._sacked) is IntervalSet
+
+    queue = ReassemblyQueue()
+    assert queue.add(0, 100) == 100 and queue._ooo is EMPTY  # in order
+    assert queue.add(200, 50) == 0 and queue._ooo is not EMPTY
+    assert queue.sack_blocks() == ((200, 250),)
+    queue.reset()
+    assert queue._ooo is EMPTY
+    assert not EMPTY  # none of it leaked into the shared instance
 
 
 def test_trim_below_nothing_below_leaves_the_list_alone():
