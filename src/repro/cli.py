@@ -62,19 +62,6 @@ def _jobs(args: argparse.Namespace) -> int:
     return max(1, getattr(args, "jobs", 1) or 1)
 
 
-def _shards(args: argparse.Namespace) -> int:
-    return max(1, getattr(args, "shards", 1) or 1)
-
-
-def _shard_kwargs(args: argparse.Namespace) -> Dict[str, object]:
-    """Partition/executor knobs shared by figure4/figure5/trace."""
-    return {
-        "shard_plan": getattr(args, "shard_plan", "host") or "host",
-        "ring_latency": getattr(args, "ring_latency", None),
-        "adaptive": bool(getattr(args, "adaptive", False)),
-    }
-
-
 def _pool(args: argparse.Namespace) -> str:
     return getattr(args, "pool", "fork") or "fork"
 
@@ -86,11 +73,8 @@ def run_figure4(args: argparse.Namespace) -> str:
         duration=args.duration,
         warmup=args.duration * 0.25,
         jobs=_jobs(args),
-        shards=_shards(args),
         pool=_pool(args),
-        shard_executor=getattr(args, "shard_executor", "serial") or "serial",
         fidelity=getattr(args, "fidelity", "packet"),
-        **_shard_kwargs(args),
     ).table()
 
 
@@ -101,10 +85,8 @@ def run_figure5(args: argparse.Namespace) -> str:
         duration=args.duration,
         seeds=tuple(args.seeds),
         jobs=_jobs(args),
-        shards=_shards(args),
         pool=_pool(args),
         fidelity=getattr(args, "fidelity", "packet"),
-        **_shard_kwargs(args),
     ).table()
 
 
@@ -166,8 +148,6 @@ def run_bench(args: argparse.Namespace) -> str:
             smoke=args.smoke,
             jobs=_jobs(args),
             sweep=not args.no_sweep,
-            sharded=not args.no_sharded,
-            shards=_shards(args),
             pool=_pool(args),
             fidelity=getattr(args, "fidelity", "packet"),
         )
@@ -180,7 +160,6 @@ def run_bench(args: argparse.Namespace) -> str:
             quick=args.quick,
             repeats=args.repeats,
             jobs=_jobs(args),
-            shards=_shards(args),
         )
         render = bench_datapath.render
         out = args.out if args.out is not None else "BENCH_datapath.json"
@@ -199,25 +178,11 @@ def run_bench(args: argparse.Namespace) -> str:
 
 def run_trace(args: argparse.Namespace) -> str:
     """Run one experiment datapath with the repro.obs tracer enabled."""
-    import json
-
     from . import obs
     from .obs import runtime as obs_runtime
 
-    shards = _shards(args)
-
-    def new_tracer():
-        sampler = obs.HeadSampler(args.sample) if args.sample > 1 else None
-        return obs.Tracer(sampler=sampler, cadence=args.cadence)
-
-    # One tracer per shard keeps the span stores disjoint; with one shard
-    # this degenerates to the classic single process-wide tracer.
-    tracers = [new_tracer() for _ in range(shards)]
-    trace_kwargs = (
-        {"tracer": tracers[0]} if shards == 1 else
-        {"tracers": tracers, "shards": shards}
-    )
-    trace_kwargs.update(_shard_kwargs(args))
+    sampler = obs.HeadSampler(args.sample) if args.sample > 1 else None
+    tracer = obs.Tracer(sampler=sampler, cadence=args.cadence)
     try:
         if args.experiment == "figure4":
             from .experiments.figure4 import measure_lan_throughput
@@ -228,7 +193,7 @@ def run_trace(args: argparse.Namespace) -> str:
                 flows=args.flows,
                 duration=duration,
                 warmup=duration * 0.25,
-                **trace_kwargs,
+                tracer=tracer,
             )
             headline = (
                 f"figure4 (netkernel, {args.flows} flow(s), {duration}s sim): "
@@ -245,7 +210,7 @@ def run_trace(args: argparse.Namespace) -> str:
                 "bbr",
                 duration=duration,
                 warmup=duration * 0.125,
-                **trace_kwargs,
+                tracer=tracer,
             )
             headline = (
                 f"figure5 (BBR NSM, {duration}s sim): {mbps:.2f} Mbps"
@@ -255,25 +220,14 @@ def run_trace(args: argparse.Namespace) -> str:
         # into whatever the interpreter does next.
         obs_runtime.reset()
 
-    if shards == 1:
-        obs.write_chrome_trace(tracers[0], args.out)
-        if args.summary_out:
-            obs.write_summary(tracers[0], args.summary_out)
-        report = obs.summary(tracers[0])
-    else:
-        obs.write_chrome_trace_merged(tracers, args.out)
-        report = obs.merged_summary(tracers)
-        if args.summary_out:
-            with open(args.summary_out, "w") as fh:
-                json.dump(report, fh, indent=1, sort_keys=False)
+    obs.write_chrome_trace(tracer, args.out)
+    if args.summary_out:
+        obs.write_summary(tracer, args.summary_out)
+    report = obs.summary(tracer)
     lines = [
         headline,
         f"chrome trace -> {args.out} (open in chrome://tracing or Perfetto)",
     ]
-    if shards > 1:
-        lines.append(
-            f"merged from {shards} shard tracers (one trace process per shard)"
-        )
     if args.summary_out:
         lines.append(f"summary -> {args.summary_out}")
     lines.append(
@@ -442,41 +396,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "per run (crashes attributable per-run) or reuse "
                             "persistent workers (faster for short runs)")
 
-    def add_shards(p: argparse.ArgumentParser, default: int = 1) -> None:
-        p.add_argument("--shards", type=int, default=default, metavar="N",
-                       help="split each simulation across N shards "
-                            "(conservative-lookahead windows; simulated "
-                            "metrics bit-identical to --shards 1)")
-        p.add_argument("--shard-plan", choices=["host", "plane", "auto"],
-                       default="host", dest="shard_plan",
-                       help="partition plan: whole hosts over wire cuts "
-                            "(host), intra-host guest/provider cut at the "
-                            "nqe ring hop (plane), or lowest estimated "
-                            "cost (auto)")
-        p.add_argument("--ring-latency", type=float, default=None,
-                       metavar="SECONDS", dest="ring_latency",
-                       help="nqe ring hop crossing latency — the intra-host "
-                            "cut's lookahead floor (default 40e-6)")
-        p.add_argument("--adaptive", action="store_true",
-                       help="per-shard adaptive lookahead windows (fewer "
-                            "barriers when cut channels are idle; metrics "
-                            "still bit-identical)")
-
     fig4 = sub.add_parser("figure4", help="Figure 4")
     fig4.add_argument("--duration", type=float, default=0.35,
                       help="seconds of simulated time per point")
-    fig4.add_argument("--shard-executor", choices=["serial", "thread", "process"],
-                      default="serial", dest="shard_executor",
-                      help="how sharded points execute: in-process windows "
-                           "(serial/thread) or one forked worker per shard "
-                           "(process)")
     fig4.add_argument("--fidelity", choices=["packet", "fluid", "auto"],
                       default="packet",
                       help="engine fidelity: packet (exact, default), auto "
                            "(fluid fast path with packet-accurate "
                            "promotion), fluid")
     add_jobs(fig4)
-    add_shards(fig4)
     fig4.set_defaults(runner=run_figure4)
 
     fig5 = sub.add_parser("figure5", help="Figure 5")
@@ -489,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "(fluid fast path with packet-accurate "
                            "promotion), fluid")
     add_jobs(fig5)
-    add_shards(fig5)
     fig5.set_defaults(runner=run_figure5)
 
     ablation = sub.add_parser("ablation", help="§5 ablations")
@@ -509,8 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="datapath: runs per config, best kept")
     bench.add_argument("--no-sweep", action="store_true",
                        help="scale: skip the serial-vs-parallel sweep")
-    bench.add_argument("--no-sharded", action="store_true",
-                       help="scale: skip the intra-run sharded section")
     bench.add_argument("--fidelity", choices=["packet", "fluid", "auto"],
                        default="packet",
                        help="scale: also measure the hybrid-fidelity cells "
@@ -519,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="result JSON path (default BENCH_<which>.json, "
                             "'' to skip writing)")
     add_jobs(bench)
-    add_shards(bench, default=2)
     bench.set_defaults(runner=run_bench)
 
     trace = sub.add_parser(
@@ -539,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="head-sample 1-in-N root spans (default: all)")
     trace.add_argument("--cadence", type=float, default=None,
                        help="counter snapshot interval in sim seconds")
-    add_shards(trace)
     trace.set_defaults(runner=run_trace)
 
     chaos = sub.add_parser(

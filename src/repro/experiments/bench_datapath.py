@@ -9,12 +9,6 @@ runs the same figure4 shape against a QUIC-family NSM
 (``NsmSpec(stack_family="quic")``) so TCP-vs-QUIC datapath events/sec
 can be compared side by side.
 
-A ``sharded_figure4`` section (``--shards N``, default 2) measures the
-intra-host plane partitioning: the figure4 point with each host's
-guest/provider planes cut apart at the nqe ring hops, across the
-serial/thread/forked-process executors, against the legacy per-host
-wire-cut plan — see :func:`run_sharded_figure4_bench`.
-
 The headline number is ``fig4_unbatched_untraced`` — the hot datapath in
 its default configuration.  Two committed references anchor it:
 
@@ -37,7 +31,6 @@ Usage::
 from __future__ import annotations
 
 import json
-import os
 import resource
 import time
 from dataclasses import dataclass
@@ -50,9 +43,7 @@ __all__ = [
     "PRE_BATCHING_BASELINE_QUICK_WALL_S",
     "BenchConfig",
     "MATRIX",
-    "SHARDED_CELLS",
     "run_bench",
-    "run_sharded_figure4_bench",
     "run_datapath_bench",
     "check_regression",
     "render",
@@ -161,7 +152,6 @@ def run_bench(
     quick: bool = False,
     repeats: Optional[int] = None,
     jobs: int = 1,
-    shards: int = 2,
 ) -> Dict[str, object]:
     """Run the full matrix; returns the BENCH_datapath.json payload.
 
@@ -172,9 +162,6 @@ def run_bench(
     the measured values merge identically, but on a loaded or
     few-core host the *wall times* of concurrent cells contend, so use
     parallel mode for turnaround, serial mode for publishable timings.
-
-    ``shards >= 2`` appends the intra-host sharded-figure4 section
-    (:func:`run_sharded_figure4_bench`); ``shards=1`` skips it.
     """
     if repeats is None:
         repeats = 2 if quick else 3
@@ -198,7 +185,7 @@ def run_bench(
     baseline = (
         PRE_BATCHING_BASELINE_QUICK_WALL_S if quick else PRE_BATCHING_BASELINE_WALL_S
     )
-    payload = {
+    return {
         "benchmark": "datapath",
         "quick": quick,
         "pre_batching_baseline_wall_s": baseline,
@@ -206,122 +193,6 @@ def run_bench(
         "speedup_vs_pre_batching": baseline / headline if headline > 0 else None,
         "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         "configs": configs,
-    }
-    if shards >= 2:
-        # Run serially after the matrix: these cells time forked workers
-        # themselves, so they must not contend with parallel_map jobs.
-        payload["sharded_figure4"] = run_sharded_figure4_bench(
-            quick=quick, shards=shards, repeats=repeats
-        )
-    return payload
-
-
-#: Sharded-figure4 cells: (key, shard_plan, executor, adaptive).  The
-#: ``plane_s1_serial`` cell is the bit-identity baseline (hops on, one
-#: heap); every other plane cell must reproduce its metrics exactly.
-#: ``host_sN_process`` is the PR-5 partitioning under the same executor —
-#: the comparison that isolates what the intra-host ring cut buys
-#: (windows as wide as the 40 us ring floor instead of the 5 us wire).
-SHARDED_CELLS = [
-    ("plane_s1_serial", "plane", "serial", False),
-    ("plane_sN_serial", "plane", "serial", False),
-    ("plane_sN_thread", "plane", "thread", False),
-    ("plane_sN_process", "plane", "process", False),
-    ("plane_sN_process_adaptive", "plane", "process", True),
-    ("host_sN_process", "host", "process", False),
-]
-
-
-def _run_sharded_cell(
-    plan: str, executor: str, adaptive: bool, shards: int, quick: bool
-) -> Dict[str, object]:
-    from .figure4 import measure_lan_throughput
-
-    flows, duration = (1, 0.05) if quick else (2, 0.2)
-    stats: Dict[str, float] = {}
-    started = time.perf_counter()
-    value = measure_lan_throughput(
-        "netkernel",
-        flows,
-        duration=duration,
-        warmup=duration * 0.25,
-        stats_out=stats,
-        shards=shards,
-        shard_plan=plan,
-        shard_executor=executor,
-        adaptive=adaptive,
-    )
-    wall = time.perf_counter() - started
-    events = int(stats.get("events_processed", 0))
-    row: Dict[str, object] = {
-        "plan": plan,
-        "shards": stats.get("shards", shards),
-        "executor": executor,
-        "adaptive": adaptive,
-        "wall_s": wall,
-        "events": events,
-        "events_per_s": events / wall if wall > 0 else 0.0,
-        "gbps": value,
-    }
-    for key in ("windows", "events_per_window", "channel_idle_ratio",
-                "messages_exchanged", "messages"):
-        if key in stats:
-            row[key] = stats[key]
-    return row
-
-
-def run_sharded_figure4_bench(
-    quick: bool = False, shards: int = 2, repeats: Optional[int] = None
-) -> Dict[str, object]:
-    """The intra-host sharding section: figure4 partitioned at the rings.
-
-    Runs the figure4 netkernel point under the plane plan (guest planes
-    and provider planes on different shards, cut at the nqe ring hops)
-    across executors, plus the legacy host plan under the process
-    executor for comparison.  Asserts bit-identical goodput across every
-    plane cell, and reports two speedups:
-
-    * ``speedup_process_vs_serial`` — plane ``shards=N`` forked workers
-      vs the same plan on one heap.  This one needs real cores:
-      ``host_cores`` is recorded alongside so a 1-core container's
-      inverted ratio reads as what it is.
-    * ``speedup_plane_vs_host_process`` — same shard count, same
-      executor, only the cut placement differs.  The ring floor (40 us
-      vs the 5 us wire) makes windows ~8x wider, so this holds on any
-      host — it is the headline of the intra-host partitioning work.
-    """
-    if repeats is None:
-        repeats = 2 if quick else 3
-    cells: Dict[str, Dict[str, object]] = {}
-    for key, plan, executor, adaptive in SHARDED_CELLS:
-        n = 1 if key == "plane_s1_serial" else shards
-        runs = [
-            _run_sharded_cell(plan, executor, adaptive, n, quick)
-            for _ in range(repeats)
-        ]
-        best = min(runs, key=lambda run: run["wall_s"])
-        best["best_of"] = repeats
-        cells[key] = best
-
-    baseline = cells["plane_s1_serial"]
-    bit_identical = all(
-        repr(cells[key]["gbps"]) == repr(baseline["gbps"])
-        for key, plan, _ex, _ad in SHARDED_CELLS
-        if plan == "plane"
-    )
-    process = cells["plane_sN_process"]["wall_s"]
-    return {
-        "workload": "figure4 netkernel point, intra-host plane partitioning",
-        "shards": shards,
-        "host_cores": os.cpu_count() or 1,
-        "bit_identical": bit_identical,
-        "speedup_process_vs_serial": (
-            baseline["wall_s"] / process if process > 0 else None
-        ),
-        "speedup_plane_vs_host_process": (
-            cells["host_sN_process"]["wall_s"] / process if process > 0 else None
-        ),
-        "cells": cells,
     }
 
 
@@ -376,31 +247,6 @@ def render(result: Dict[str, object]) -> str:
         f"{result['pre_batching_baseline_wall_s']:.3f}s "
         f"-> {speedup:.2f}x speedup; peak RSS {result['peak_rss_kb']} KB"
     )
-    sharded = result.get("sharded_figure4")
-    if sharded:
-        lines.append("")
-        lines.append(
-            f"Intra-host sharded figure4 (plane partitioning, "
-            f"{sharded['shards']} shards, {sharded['host_cores']} host cores)"
-        )
-        lines.append(
-            f"{'cell':>26} {'wall s':>8} {'windows':>8} {'ev/win':>8} "
-            f"{'idle':>6} {'gbps':>7}"
-        )
-        for key, row in sharded["cells"].items():
-            windows = row.get("windows", 0)
-            epw = row.get("events_per_window", 0.0)
-            idle = row.get("channel_idle_ratio", 0.0)
-            lines.append(
-                f"{key:>26} {row['wall_s']:>8.3f} {windows:>8} {epw:>8.1f} "
-                f"{idle:>6.2f} {row['gbps']:>7.2f}"
-            )
-        lines.append(
-            f"bit-identical across plane cells: {sharded['bit_identical']}; "
-            f"process vs serial {sharded['speedup_process_vs_serial']:.2f}x; "
-            f"plane cut vs host cut (process) "
-            f"{sharded['speedup_plane_vs_host_process']:.2f}x"
-        )
     return "\n".join(lines)
 
 
@@ -412,9 +258,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="small workloads (CI smoke: ~seconds, not minutes)")
     parser.add_argument("--repeats", type=int, default=None,
                         help="runs per config, best kept (default 3, 2 with --quick)")
-    parser.add_argument("--shards", type=int, default=2,
-                        help="shard count for the intra-host sharded-figure4 "
-                             "section (1 skips it)")
     parser.add_argument("--out", default="BENCH_datapath.json",
                         help="result JSON path")
     parser.add_argument("--check", default=None, metavar="REF_JSON",
@@ -422,7 +265,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         ">25%% vs this committed reference")
     args = parser.parse_args(argv)
 
-    result = run_bench(quick=args.quick, repeats=args.repeats, shards=args.shards)
+    result = run_bench(quick=args.quick, repeats=args.repeats)
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")

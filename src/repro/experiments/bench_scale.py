@@ -57,7 +57,6 @@ __all__ = [
     "run_bench",
     "run_scale_bench",
     "run_gc_ab",
-    "run_sharded_point",
     "run_sweep",
     "check_regression",
     "render",
@@ -239,7 +238,6 @@ class _EpollWorld:
 
     __slots__ = (
         "testbed",
-        "sharded",
         "sink",
         "senders",
         "duration",
@@ -262,19 +260,15 @@ def _build_epoll_world(
     n_conns: int,
     messages_per_conn: int = 2,
     message_bytes: int = 512,
-    shards: int = 1,
-    propagation_delay: float = 5e-6,
     fidelity: str = "packet",
     send_spacing: float = SEND_SPACING,
     offloads: bool = True,
 ) -> _EpollWorld:
-    """Build the epoll workload (module-level: the shard workers call it)."""
+    """Build the epoll workload."""
     from ..net.offload import OffloadConfig
     from .common import install_fluid, make_lan_testbed
 
     testbed = make_lan_testbed(
-        shards=shards,
-        propagation_delay=propagation_delay,
         # offloads=False models paravirtual NICs without TSO/GRO — the
         # per-segment regime the paper's guest kernels live in, and where
         # the fluid engine's byte-counter integration pays off most.
@@ -288,7 +282,6 @@ def _build_epoll_world(
     client_vm = testbed.hypervisor_a.boot_legacy_vm("clients", vcpus=4)
 
     world.testbed = testbed
-    world.sharded = testbed.sharded
     # The client stack has ~32k ephemeral ports per remote (ip, port):
     # past that the sink must spread across listen ports.  Assignment is
     # by *block* (connections 0..cap-1 -> first port, ...), not
@@ -298,7 +291,7 @@ def _build_epoll_world(
     # the spread is < 32768, so local ports cannot repeat.
     n_ports = 1 + (n_conns - 1) // CONNS_PER_PORT
     ports = [5000 + p for p in range(n_ports)]
-    world.sink = _EpollSink(testbed.sim_b, server_vm.api, port=ports)
+    world.sink = _EpollSink(testbed.sim, server_vm.api, port=ports)
     connect_phase = n_conns * CONNECT_SPACING + 0.005
     plan = _SendPlan(
         connect_phase, n_conns, send_spacing, messages_per_conn, message_bytes
@@ -308,7 +301,7 @@ def _build_epoll_world(
     for i in range(n_conns):
         world.senders.append(
             _ScheduledSender(
-                testbed.sim_a,
+                testbed.sim,
                 client_vm.api,
                 remotes[i // CONNS_PER_PORT],
                 plan,
@@ -320,26 +313,10 @@ def _build_epoll_world(
     return world
 
 
-def _collect_epoll_world(world: _EpollWorld, shard: int) -> Dict[str, object]:
-    """Per-shard result extraction for the process executor (shard 1 owns
-    the sink; other shards contribute only their event counts)."""
-    row: Dict[str, object] = {
-        "shard": shard,
-        "events": world.testbed.sharded.sims[shard].events_processed,
-    }
-    if shard == 1:
-        row["messages_delivered"] = world.sink.messages
-        row["bytes_delivered"] = world.sink.bytes
-    return row
-
-
 def measure_epoll_point(
     n_conns: int,
     messages_per_conn: int = 2,
     message_bytes: int = 512,
-    shards: int = 1,
-    shard_executor: str = "serial",
-    propagation_delay: float = 5e-6,
     fidelity: str = "packet",
     send_spacing: float = SEND_SPACING,
     offloads: bool = True,
@@ -351,9 +328,6 @@ def measure_epoll_point(
     — every delivery is its own epoll wakeup with O(1) ready fds, which
     is exactly where a per-wait O(n_fds) scan goes quadratic.
 
-    ``shards``/``shard_executor`` run the same workload sharded per host
-    (bit-identical simulated metrics); ``propagation_delay`` sets the
-    wire delay and therefore the sharded run's lookahead window width.
     ``fidelity`` selects the engine mode: ``"packet"`` (the default,
     byte-for-byte the pre-existing behaviour), ``"auto"`` or ``"fluid"``
     (see :mod:`repro.sim.fluid`).
@@ -362,15 +336,13 @@ def measure_epoll_point(
         n_conns,
         messages_per_conn,
         message_bytes,
-        shards,
-        propagation_delay,
         fidelity,
         send_spacing,
         offloads,
     )
     with _tuned_gc(gc_tuning):
         started = time.perf_counter()
-        world.testbed.run(until=world.duration, executor=shard_executor)
+        world.testbed.run(until=world.duration)
         wall = time.perf_counter() - started
     events = world.testbed.events_processed
     row = {
@@ -392,10 +364,6 @@ def measure_epoll_point(
         row["fidelity"] = fidelity
         if world.fidelity is not None:
             row["fluid"] = world.fidelity.stats()
-    if world.sharded is not None:
-        row["shards"] = shards
-        row["windows"] = world.sharded.windows
-        row["messages_exchanged"] = world.sharded.messages_exchanged
     return row
 
 
@@ -496,11 +464,6 @@ FLUID_SMOKE_POINTS = [
 SWEEP_RUNS = 8
 SWEEP_JOBS = 4
 
-#: The sharded point: 2-host epoll workload with a fatter wire delay —
-#: lookahead is the window width, so 25 µs packs ~5x the events per
-#: window (and per barrier round trip) that the LAN default 5 µs would.
-SHARDED_PROP_DELAY = 25e-6
-
 
 def _run_point(
     kind: str, size: int, kwargs: Optional[Dict[str, object]] = None
@@ -528,10 +491,9 @@ def run_sweep(
 ) -> Dict[str, object]:
     """Time ``runs`` independent simulations serially, then with ``jobs``.
 
-    The parallel leg is timed three ways — fork-per-run with the pickle
-    pipe, persistent pool with the pipe, persistent pool with the
-    shared-memory metric transport — so the pool/transport overheads are
-    visible side by side in ``BENCH_scale.json``.
+    The parallel leg is timed twice — fork-per-run and persistent pool —
+    so the pool overheads are visible side by side in
+    ``BENCH_scale.json``.
     """
     from ..parallel import ParallelRunner, RunSpec
 
@@ -543,16 +505,13 @@ def run_sweep(
     serial = ParallelRunner(jobs=1).run(tasks)
     serial_wall = time.perf_counter() - serial_started
 
-    def timed(pool: str, transport: str):
+    def timed(pool: str):
         started = time.perf_counter()
-        outcomes = ParallelRunner(jobs=jobs, pool=pool, transport=transport).run(
-            tasks
-        )
+        outcomes = ParallelRunner(jobs=jobs, pool=pool).run(tasks)
         return outcomes, time.perf_counter() - started
 
-    parallel, parallel_wall = timed("fork", "pipe")
-    pooled, pooled_wall = timed("persistent", "pipe")
-    pooled_shm, pooled_shm_wall = timed("persistent", "shm")
+    parallel, parallel_wall = timed("fork")
+    pooled, pooled_wall = timed("persistent")
 
     # Every parallel merge must be bit-identical to the serial one
     # (modulo host wall clock and anything derived from it).
@@ -569,7 +528,7 @@ def run_sweep(
 
     failures = sum(
         1
-        for outcomes in (serial, parallel, pooled, pooled_shm)
+        for outcomes in (serial, parallel, pooled)
         for r in outcomes
         if r.error is not None
     )
@@ -580,89 +539,12 @@ def run_sweep(
         "serial_wall_s": serial_wall,
         "parallel_wall_s": parallel_wall,
         "persistent_wall_s": pooled_wall,
-        "persistent_shm_wall_s": pooled_shm_wall,
         "speedup": serial_wall / parallel_wall if parallel_wall > 0 else None,
         "persistent_speedup": (
             serial_wall / pooled_wall if pooled_wall > 0 else None
         ),
-        "persistent_shm_speedup": (
-            serial_wall / pooled_shm_wall if pooled_shm_wall > 0 else None
-        ),
-        # Empirical transport verdict for this host.  The shm transport's
-        # per-result create/unlink churn is gone (workers reuse one
-        # mapped segment), but on single-core hosts the parent's
-        # pure-Python unpack still loses to the C pickle pipe by ~20 us
-        # per result — so pipe stays the default and shm is opt-in.
-        "transport_winner": (
-            "pipe" if pooled_wall <= pooled_shm_wall else "shm"
-        ),
         "failures": failures,
-        "result_mismatches": (
-            mismatch_count(parallel)
-            + mismatch_count(pooled)
-            + mismatch_count(pooled_shm)
-        ),
-    }
-
-
-def run_sharded_point(
-    n_conns: int = 10000,
-    shards: int = 2,
-    propagation_delay: float = SHARDED_PROP_DELAY,
-) -> Dict[str, object]:
-    """Intra-run parallelism: one big simulation, serial vs sharded workers.
-
-    Times the identical 2-host epoll workload twice — classic single
-    heap, then split per host across ``shards`` worker processes
-    (:func:`repro.parallel.run_sharded_process`) — and cross-checks that
-    the simulated metrics (events, messages, bytes) are identical.
-    ``host_cpus`` in the payload qualifies the speedup: with fewer cores
-    than shards the sharded run pays the window protocol without the
-    parallel hardware to win it back.
-    """
-    from ..parallel import ShardRunStats, run_sharded_process
-    from ..runstate import reset_run_ids
-
-    reset_run_ids()
-    serial = measure_epoll_point(n_conns, propagation_delay=propagation_delay)
-    reset_run_ids()
-    duration = _epoll_duration(n_conns)
-
-    stats = ShardRunStats()
-    started = time.perf_counter()
-    rows = run_sharded_process(
-        _build_epoll_world,
-        (n_conns, 2, 512, shards, propagation_delay),
-        until=duration,
-        collect_fn=_collect_epoll_world,
-        shards=shards,
-        stats=stats,
-    )
-    sharded_wall = time.perf_counter() - started
-    reset_run_ids()
-
-    sink_row = rows[1 % shards] or {}
-    metrics_match = (
-        stats.events_processed == serial["events"]
-        and sink_row.get("messages_delivered") == serial["messages_delivered"]
-        and sink_row.get("bytes_delivered") == serial["bytes_delivered"]
-    )
-    return {
-        "workload": "epoll",
-        "connections": n_conns,
-        "shards": shards,
-        "propagation_delay": propagation_delay,
-        "lookahead": stats.lookahead,
-        "windows": stats.windows,
-        "messages_exchanged": stats.messages,
-        "serial_wall_s": serial["wall_s"],
-        "sharded_wall_s": sharded_wall,
-        "speedup": (
-            serial["wall_s"] / sharded_wall if sharded_wall > 0 else None
-        ),
-        "events": stats.events_processed,
-        "metrics_match": metrics_match,
-        "host_cpus": os.cpu_count(),
+        "result_mismatches": mismatch_count(parallel) + mismatch_count(pooled),
     }
 
 
@@ -699,8 +581,6 @@ def run_bench(
     smoke: bool = False,
     jobs: Optional[int] = None,
     sweep: bool = True,
-    sharded: bool = True,
-    shards: int = 2,
     pool: str = "fork",
     fidelity: str = "packet",
     large: bool = False,
@@ -709,9 +589,7 @@ def run_bench(
 
     ``jobs`` fans the matrix points themselves through the parallel
     runner (wall-clock numbers then overlap; events and workload progress
-    stay bit-identical to serial).  ``sharded`` adds the intra-run
-    parallelism section: one big epoll run, serial vs ``shards`` worker
-    processes.
+    stay bit-identical to serial).
 
     ``fidelity="auto"`` (or ``"fluid"``) appends the hybrid-engine cells
     (:data:`FLUID_FULL_POINTS` / :data:`FLUID_SMOKE_POINTS`).  The base
@@ -791,10 +669,6 @@ def run_bench(
         payload["sweep"] = run_sweep(
             runs=SWEEP_RUNS, jobs=SWEEP_JOBS, size=100 if smoke else 400
         )
-    if sharded:
-        payload["sharded"] = run_sharded_point(
-            n_conns=1000 if smoke else 10000, shards=shards
-        )
     return payload
 
 
@@ -863,29 +737,6 @@ def check_regression(
                 f"{(1.0 - tolerance):.2f}x the committed reference "
                 f"{ref_equiv:.0f}"
             )
-    # Sharded section: simulated-metric equivalence is a correctness
-    # invariant and always enforced; the wall-clock speedup comparison is
-    # only meaningful with real parallel hardware, so it is guarded on
-    # host_cpus > 1 (a single-core runner pays the window protocol with
-    # no cores to win it back, and the number says so honestly).
-    sharded = result.get("sharded")
-    if sharded is not None:
-        if not sharded.get("metrics_match", True):
-            return "sharded run diverged from the serial run's metrics"
-        ref_sharded = reference.get("sharded")
-        if (
-            ref_sharded
-            and result.get("host_cpus", 1) > 1
-            and sharded.get("host_cpus", 1) > 1
-            and sharded.get("speedup")
-            and ref_sharded.get("speedup")
-        ):
-            if sharded["speedup"] < ref_sharded["speedup"] * (1.0 - tolerance):
-                return (
-                    f"sharded speedup regression: {sharded['speedup']:.2f}x, "
-                    f"less than {(1.0 - tolerance):.2f}x the committed "
-                    f"reference {ref_sharded['speedup']:.2f}x"
-                )
     return None
 
 
@@ -981,25 +832,10 @@ def render(result: Dict[str, object]) -> str:
             f"{sweep['result_mismatches']} result mismatch(es)"
         )
         if "persistent_wall_s" in sweep:
-            winner = sweep.get("transport_winner")
             lines.append(
                 f"  pools: fork {sweep['parallel_wall_s']:.2f}s, "
-                f"persistent {sweep['persistent_wall_s']:.2f}s, "
-                f"persistent+shm {sweep['persistent_shm_wall_s']:.2f}s"
-                + (f" (winner: {winner})" if winner else "")
+                f"persistent {sweep['persistent_wall_s']:.2f}s"
             )
-    sharded = result.get("sharded")
-    if sharded:
-        lines.append(
-            f"sharded: {sharded['connections']} conns split over "
-            f"{sharded['shards']} shard workers, serial "
-            f"{sharded['serial_wall_s']:.2f}s vs sharded "
-            f"{sharded['sharded_wall_s']:.2f}s -> {sharded['speedup']:.2f}x "
-            f"on {sharded['host_cpus']} host cpu(s); "
-            f"{sharded['windows']} windows "
-            f"(lookahead {sharded['lookahead'] * 1e6:.0f} us), metrics "
-            f"{'match' if sharded['metrics_match'] else 'MISMATCH'}"
-        )
     lines.append(f"peak RSS {result['peak_rss_kb']} KB")
     return "\n".join(lines)
 
@@ -1018,10 +854,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="fan matrix points across N worker processes")
     parser.add_argument("--no-sweep", action="store_true",
                         help="skip the serial-vs-parallel sweep section")
-    parser.add_argument("--no-sharded", action="store_true",
-                        help="skip the intra-run sharded section")
-    parser.add_argument("--shards", type=int, default=2,
-                        help="shard worker count for the sharded section")
     parser.add_argument("--fidelity", choices=("packet", "fluid", "auto"),
                         default="packet",
                         help="packet (default, the pre-existing matrix) or "
@@ -1038,8 +870,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         smoke=args.smoke,
         jobs=args.jobs,
         sweep=not args.no_sweep and not args.large,
-        sharded=not args.no_sharded and not args.large,
-        shards=args.shards,
         fidelity=args.fidelity,
         large=args.large,
     )

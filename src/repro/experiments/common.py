@@ -10,8 +10,8 @@ Two environments appear in §4:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 from ..host import PhysicalHost
 from ..net import (
@@ -25,13 +25,7 @@ from ..net import (
 from ..netkernel import CoreEngineConfig, Hypervisor
 from ..obs import runtime as obs_runtime
 from ..obs.spans import Tracer
-from ..sim import (
-    PartitionPlan,
-    ShardedSimulation,
-    Simulator,
-    plan_partition,
-    shard_for_host,
-)
+from ..sim import Simulator
 
 
 def _trace_sim(tracer: Optional[Tracer]) -> Simulator:
@@ -48,86 +42,6 @@ def _trace_sim(tracer: Optional[Tracer]) -> Simulator:
     if tracer is not None:
         tracer.attach(sim)
     return sim
-
-
-def _enter_shard(
-    sharded: ShardedSimulation, shard: int, tracers: Optional[Sequence[Tracer]]
-) -> Simulator:
-    """Select shard ``shard``'s simulator, installing its tracer first.
-
-    Components capture the process-wide tracer at construction, so each
-    shard's subtree must be built with that shard's tracer installed —
-    that is what keeps per-shard span stores disjoint (and thread-safe
-    under the thread executor).  Call this immediately before building a
-    host/hypervisor/app on the shard.
-    """
-    sim = sharded.sims[shard]
-    if tracers is not None:
-        obs_runtime.set_tracer(tracers[shard])
-        tracers[shard].attach(sim)
-    return sim
-
-
-def _check_shard_args(
-    shards: int, tracer: Optional[Tracer], tracers: Optional[Sequence[Tracer]]
-) -> None:
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    if shards > 1 and tracer is not None:
-        raise ValueError(
-            "a single process-wide tracer cannot serve a sharded build; "
-            "pass tracers=[...] (one per shard) instead"
-        )
-    if tracers is not None and len(tracers) != shards:
-        raise ValueError(f"need exactly {shards} tracers, got {len(tracers)}")
-
-
-def _plan_hop_config(
-    plan: PartitionPlan, coreengine_config: Optional[CoreEngineConfig]
-) -> Optional[CoreEngineConfig]:
-    """Thread the plan's ring-hop floor into the CoreEngine config."""
-    if plan.ring_latency is None:
-        return coreengine_config
-    return replace(
-        coreengine_config or CoreEngineConfig(),
-        ring_hop_latency=plan.ring_latency,
-    )
-
-
-def _attach_guest_planes(
-    plan: PartitionPlan,
-    sharded: Optional[ShardedSimulation],
-    tracers: Optional[Sequence[Tracer]],
-    hypervisors: Sequence[Hypervisor],
-) -> List[Optional[Simulator]]:
-    """Wire each split host's tenant plane onto its planned shard.
-
-    Returns per-host guest simulators (``None`` for unsplit hosts, and
-    everywhere when the plan needs no hops).  With ``sharded`` absent
-    (``shards=1`` with a hop floor — the bit-identity baseline) the
-    hypervisors keep hopping on their own simulator, so nothing to wire.
-    """
-    guest_sims: List[Optional[Simulator]] = [None] * len(hypervisors)
-    if plan.ring_latency is None or sharded is None:
-        return guest_sims
-    for host_index, hypervisor in enumerate(hypervisors):
-        if (host_index, "guest") not in plan.assignment:
-            continue
-        guest_shard = plan.shard_of(host_index, "guest")
-        provider_shard = plan.shard_of(host_index, "provider")
-        guest_sim = sharded.sims[guest_shard]
-        guest_tracer = tracers[guest_shard] if tracers is not None else None
-        if guest_tracer is not None:
-            guest_tracer.attach(guest_sim)
-        hypervisor.attach_guest_plane(
-            guest_sim,
-            guest_shard=guest_shard,
-            provider_shard=provider_shard,
-            sharded=sharded,
-            guest_tracer=guest_tracer,
-        )
-        guest_sims[host_index] = guest_sim
-    return guest_sims
 
 
 __all__ = [
@@ -179,8 +93,6 @@ def install_fluid(testbed, mode: str = "auto"):
     fidelity, bit-identical to ``--fidelity packet``:
 
     * ``mode`` is "packet"/None — fluid not requested;
-    * the build is sharded — conservative-lookahead windows exchange
-      per-packet channel events, which the fluid bypass would starve;
     * either wire direction has a loss model — loss episodes are exactly
       the dynamics packet fidelity exists to model (so figure 5's WAN,
       with its calibrated EpisodicLoss uplink, always runs packets).
@@ -190,8 +102,6 @@ def install_fluid(testbed, mode: str = "auto"):
     from ..sim.fluid import FidelityController
 
     if mode in (None, "packet"):
-        return None
-    if testbed.sharded is not None:
         return None
     fwd, rev = testbed.wire.a_to_b, testbed.wire.b_to_a
     if not isinstance(fwd.loss, NoLoss) or not isinstance(rev.loss, NoLoss):
@@ -211,22 +121,16 @@ def install_fluid(testbed, mode: str = "auto"):
 
 
 class _RunnableTestbed:
-    """Shared run/metrics surface over plain and sharded testbeds."""
+    """The run/metrics surface every testbed shares."""
 
     sim: Simulator
-    sharded: Optional[ShardedSimulation]
 
-    def run(self, until: Optional[float] = None, executor: str = "serial") -> None:
-        """Run the testbed to ``until`` — sharded windows or the one heap."""
-        if self.sharded is not None:
-            self.sharded.run(until=until, executor=executor)
-        else:
-            self.sim.run(until=until)
+    def run(self, until: Optional[float] = None) -> None:
+        """Run the testbed's simulator to ``until``."""
+        self.sim.run(until=until)
 
     @property
     def events_processed(self) -> int:
-        if self.sharded is not None:
-            return self.sharded.events_processed
         return self.sim.events_processed
 
 
@@ -238,26 +142,16 @@ class LanTestbed(_RunnableTestbed):
     hypervisor_a: Hypervisor
     hypervisor_b: Hypervisor
     wire: DuplexLink
-    #: Set when built with ``shards > 1``; drive the run through
-    #: :meth:`run` so either form executes correctly.
-    sharded: Optional[ShardedSimulation] = None
-    #: The partition plan the build followed (always set).
-    plan: Optional[PartitionPlan] = None
-    #: Tenant-plane simulators when an intra-host cut split them off
-    #: their host's simulator; apps (senders/receivers using GuestLib)
-    #: must be built on these — which ``sim_a``/``sim_b`` hand out.
-    guest_sim_a: Optional[Simulator] = None
-    guest_sim_b: Optional[Simulator] = None
 
+    # ``benchmarks/ledger/workloads.py`` hands each app its host's
+    # simulator by these names; a run has one simulator, so both are it.
     @property
     def sim_a(self) -> Simulator:
-        """Host A's tenant-facing simulator (== ``sim`` when unsharded)."""
-        return self.guest_sim_a or self.host_a.sim
+        return self.sim
 
     @property
     def sim_b(self) -> Simulator:
-        """Host B's tenant-facing simulator (== ``sim`` when unsharded)."""
-        return self.guest_sim_b or self.host_b.sim
+        return self.sim
 
 
 def make_lan_testbed(
@@ -267,72 +161,9 @@ def make_lan_testbed(
     sriov: bool = True,
     coreengine_config: Optional[CoreEngineConfig] = None,
     tracer: Optional[Tracer] = None,
-    shards: int = 1,
-    tracers: Optional[Sequence[Tracer]] = None,
-    shard_plan: str = "host",
-    ring_latency: Optional[float] = None,
     offload: Optional[OffloadConfig] = None,
 ) -> LanTestbed:
-    """Two back-to-back hosts, as in the prototype testbed (§4.1).
-
-    ``shards > 1`` builds the same topology partitioned per the plan —
-    see :mod:`repro.sim.partition`.  ``shard_plan="host"`` is the legacy
-    per-host split (wire as the only cut); ``"plane"`` forces an
-    intra-host cut at the nqe ring hop (guest planes and provider planes
-    on different shards, wire intra-shard, lookahead = the ring floor);
-    ``"auto"`` picks by estimated cost.  Empty shards collapse at plan
-    time, so ``shards=4`` here may build fewer.  Simulated metrics are
-    bit-identical to the unsharded build for every plan and executor.
-
-    ``ring_latency`` overrides the hop floor; with ``shard_plan="plane"``
-    and ``shards=1`` the build still hops (on one heap) — that is the
-    baseline the sharded plane runs are bit-identical to.
-    """
-    _check_shard_args(shards, tracer, tracers)
-    plan = plan_partition(2, shards, mode=shard_plan, ring_latency=ring_latency)
-    coreengine_config = _plan_hop_config(plan, coreengine_config)
-    if plan.shards > 1:
-        sharded = ShardedSimulation(plan.shards)
-        shard_a, shard_b = plan.shard_of(0), plan.shard_of(1)
-        sim_a = _enter_shard(sharded, shard_a, tracers)
-        host_a = PhysicalHost(
-            sim_a, "hostA", "10.1.255.1", sriov=sriov,
-            addresses=AddressAllocator("10.1"), offload=offload,
-        )
-        hypervisor_a = Hypervisor(sim_a, host_a, coreengine_config)
-        sim_b = _enter_shard(sharded, shard_b, tracers)
-        host_b = PhysicalHost(
-            sim_b, "hostB", "10.2.255.1", sriov=sriov,
-            addresses=AddressAllocator("10.2"), offload=offload,
-        )
-        hypervisor_b = Hypervisor(sim_b, host_b, coreengine_config)
-        wire = DuplexLink(
-            sim_a,
-            rate_bps=rate_bps,
-            propagation_delay=propagation_delay,
-            queue_bytes=queue_bytes,
-            name="40g-wire",
-            sim_b=sim_b,
-        )
-        host_a.pnic.wire = wire.a_to_b.send
-        host_b.pnic.wire = wire.b_to_a.send
-        wire.attach(host_a.pnic.wire_receive, host_b.pnic.wire_receive)
-        sharded.cut_duplex(wire, shard_a, shard_b)
-        guest_sims = _attach_guest_planes(
-            plan, sharded, tracers, (hypervisor_a, hypervisor_b)
-        )
-        return LanTestbed(
-            sim=sim_a,
-            host_a=host_a,
-            host_b=host_b,
-            hypervisor_a=hypervisor_a,
-            hypervisor_b=hypervisor_b,
-            wire=wire,
-            sharded=sharded,
-            plan=plan,
-            guest_sim_a=guest_sims[0],
-            guest_sim_b=guest_sims[1],
-        )
+    """Two back-to-back hosts, as in the prototype testbed (§4.1)."""
     sim = _trace_sim(tracer)
     host_a = PhysicalHost(
         sim, "hostA", "10.1.255.1", sriov=sriov,
@@ -359,7 +190,6 @@ def make_lan_testbed(
         hypervisor_a=Hypervisor(sim, host_a, coreengine_config),
         hypervisor_b=Hypervisor(sim, host_b, coreengine_config),
         wire=wire,
-        plan=plan,
     )
 
 
@@ -371,19 +201,15 @@ class WanTestbed(_RunnableTestbed):
     server_hypervisor: Hypervisor
     client_hypervisor: Hypervisor
     wire: DuplexLink
-    sharded: Optional[ShardedSimulation] = None
-    plan: Optional[PartitionPlan] = None
-    #: Server tenant-plane simulator when the plan cut the server host
-    #: intra-host (the client is legacy in figure 5 — never split).
-    guest_server_sim: Optional[Simulator] = None
 
+    # Aliases of ``sim`` for the ledger, as on :class:`LanTestbed`.
     @property
     def server_sim(self) -> Simulator:
-        return self.guest_server_sim or self.server_host.sim
+        return self.sim
 
     @property
     def client_sim(self) -> Simulator:
-        return self.client_host.sim
+        return self.sim
 
 
 def make_wan_testbed(
@@ -395,78 +221,15 @@ def make_wan_testbed(
     seed: int = 1,
     coreengine_config: Optional[CoreEngineConfig] = None,
     tracer: Optional[Tracer] = None,
-    shards: int = 1,
-    tracers: Optional[Sequence[Tracer]] = None,
-    shard_plan: str = "host",
-    ring_latency: Optional[float] = None,
-    server_splittable: bool = True,
 ) -> WanTestbed:
     """Figure 5's path: datacenter server -> transpacific WAN -> client.
 
     Loss applies on the server's uplink direction (where the data flows);
     the reverse (ACK) direction is clean — asymmetric, like the real path.
-
-    ``shards > 1`` partitions per the plan.  The legacy ``"host"`` plan
-    puts the server on shard 0 and the client on shard 1 with the WAN
-    wire cut (175 ms lookahead — the best case for windowed execution).
-    ``"plane"`` cuts the *server host* at its nqe rings instead: guest
-    plane off-shard, provider plane co-located with the client and wire.
-    ``server_splittable=False`` (legacy server) forbids the plane cut.
     """
-    _check_shard_args(shards, tracer, tracers)
-    plan = plan_partition(
-        2, shards, mode=shard_plan,
-        splittable=(server_splittable, False),
-        ring_latency=ring_latency,
-        wire_delay=rtt / 2.0,
-    )
-    coreengine_config = _plan_hop_config(plan, coreengine_config)
     # No TSO super-segments on the WAN path: at 12 Mbps, Linux's TSO
     # autosizing degenerates to MTU-sized frames anyway.
     wan_offload = OffloadConfig(tso=False)
-    if plan.shards > 1:
-        sharded = ShardedSimulation(plan.shards)
-        shard_s, shard_c = plan.shard_of(0), plan.shard_of(1)
-        sim_s = _enter_shard(sharded, shard_s, tracers)
-        server = PhysicalHost(
-            sim_s, "beijing", "10.1.255.1",
-            addresses=AddressAllocator("10.1"), offload=wan_offload,
-        )
-        server_hv = Hypervisor(sim_s, server, coreengine_config)
-        sim_c = _enter_shard(sharded, shard_c, tracers)
-        client = PhysicalHost(
-            sim_c, "california", "10.2.255.1",
-            addresses=AddressAllocator("10.2"), offload=wan_offload,
-        )
-        client_hv = Hypervisor(sim_c, client, coreengine_config)
-        wire = DuplexLink(
-            sim_s,
-            rate_bps=uplink_bps,
-            rate_bps_reverse=downlink_bps,
-            propagation_delay=rtt / 2.0,
-            queue_bytes=queue_bytes,
-            loss=loss if loss is not None else default_wan_loss(seed),
-            name="wan",
-            sim_b=sim_c,
-        )
-        server.pnic.wire = wire.a_to_b.send
-        client.pnic.wire = wire.b_to_a.send
-        wire.attach(server.pnic.wire_receive, client.pnic.wire_receive)
-        sharded.cut_duplex(wire, shard_s, shard_c)
-        guest_sims = _attach_guest_planes(
-            plan, sharded, tracers, (server_hv, client_hv)
-        )
-        return WanTestbed(
-            sim=sim_s,
-            server_host=server,
-            client_host=client,
-            server_hypervisor=server_hv,
-            client_hypervisor=client_hv,
-            wire=wire,
-            sharded=sharded,
-            plan=plan,
-            guest_server_sim=guest_sims[0],
-        )
     sim = _trace_sim(tracer)
     server = PhysicalHost(
         sim,
@@ -501,7 +264,6 @@ def make_wan_testbed(
         server_hypervisor=Hypervisor(sim, server, coreengine_config),
         client_hypervisor=Hypervisor(sim, client, coreengine_config),
         wire=wire,
-        plan=plan,
     )
 
 
@@ -513,7 +275,6 @@ class ClusterTestbed(_RunnableTestbed):
     hosts: list
     hypervisors: list
     core: CoreSwitch
-    sharded: Optional[ShardedSimulation] = None
 
 
 def make_cluster_testbed(
@@ -523,55 +284,10 @@ def make_cluster_testbed(
     queue_bytes: int = 2 * 1024 * 1024,
     ecn_threshold_bytes: Optional[int] = None,
     tracer: Optional[Tracer] = None,
-    shards: int = 1,
-    tracers: Optional[Sequence[Tracer]] = None,
 ) -> ClusterTestbed:
-    """A small cluster: every host uplinks into one core switch.
-
-    ``shards > 1`` keeps the core switch on shard 0 and deals hosts
-    round-robin across shards (``shard_for_host``); every uplink whose
-    host landed off shard 0 becomes a cut link.  Host 0 shares shard 0
-    with the switch, so its uplink stays local — mirroring how a real
-    partitioner co-locates the fabric with one host group.
-    """
+    """A small cluster: every host uplinks into one core switch."""
     if n_hosts < 2:
         raise ValueError("a cluster needs at least 2 hosts")
-    _check_shard_args(shards, tracer, tracers)
-    # Empty-shard collapse: more shards than hosts would leave ghost
-    # heaps that still pay every window barrier.
-    shards = min(shards, n_hosts)
-    if shards > 1:
-        sharded = ShardedSimulation(shards)
-        core_sim = _enter_shard(sharded, 0, tracers)
-        core = CoreSwitch(core_sim, ecn_threshold_bytes=ecn_threshold_bytes)
-        hosts, hypervisors = [], []
-        for index in range(n_hosts):
-            shard = shard_for_host(index, shards)
-            host_sim = _enter_shard(sharded, shard, tracers)
-            host = PhysicalHost(
-                host_sim,
-                f"host{index}",
-                f"10.{index + 1}.255.1",
-                addresses=AddressAllocator(f"10.{index + 1}"),
-            )
-            uplink = core.attach_host(
-                host,
-                rate_bps=rate_bps,
-                propagation_delay=propagation_delay,
-                queue_bytes=queue_bytes,
-                host_sim=host_sim,
-            )
-            if shard != 0:
-                sharded.cut_duplex(uplink, shard, 0)
-            hosts.append(host)
-            hypervisors.append(Hypervisor(host_sim, host))
-        return ClusterTestbed(
-            sim=core_sim,
-            hosts=hosts,
-            hypervisors=hypervisors,
-            core=core,
-            sharded=sharded,
-        )
     sim = _trace_sim(tracer)
     core = CoreSwitch(sim, ecn_threshold_bytes=ecn_threshold_bytes)
     hosts, hypervisors = [], []

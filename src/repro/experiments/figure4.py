@@ -10,12 +10,17 @@ throughput saturates the 40 GbE wire from two flows on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence, Tuple
 
 from ..apps import BulkReceiver, BulkSender
 from ..netkernel import NsmSpec
-from ..sim import plan_partition
-from .common import FIG4_SOCKET_BUF, LAN_LINE_RATE_GBPS, make_lan_testbed
+from .common import (
+    FIG4_SOCKET_BUF,
+    LAN_LINE_RATE_GBPS,
+    LanTestbed,
+    install_fluid,
+    make_lan_testbed,
+)
 
 __all__ = ["Figure4Row", "Figure4Result", "run_figure4", "measure_lan_throughput"]
 
@@ -61,48 +66,23 @@ class Figure4Result:
         return "\n".join(lines)
 
 
-class _LanWorld:
-    """The figure-4 workload plus everything needed to run/collect it."""
-
-    __slots__ = ("testbed", "sharded", "receivers", "duration")
-
-
 def _build_lan_world(
     mode: str,
     flows: int,
     congestion_control: str = "cubic",
-    duration: float = 0.35,
     warmup: float = 0.1,
     socket_buf: int = FIG4_SOCKET_BUF,
-    shards: int = 1,
-    shard_plan: str = "host",
-    ring_latency: Optional[float] = None,
     stack_family: str = "tcp",
     coreengine_config=None,
     tracer=None,
-    tracers=None,
     fidelity: str = "packet",
-) -> _LanWorld:
-    """Build the figure-4 workload (module-level: shard workers call it)."""
+) -> Tuple[LanTestbed, List[BulkReceiver]]:
+    """Build the figure-4 workload: the testbed and its metered receivers."""
     if mode not in ("native", "netkernel"):
         raise ValueError(f"mode must be 'native' or 'netkernel', got {mode!r}")
-    # Legacy VMs have no nqe rings — nothing to cut intra-host.  Native
-    # points fall back to the whole-host plan (mirrors figure 5).
-    if mode != "netkernel" and shard_plan != "host":
-        shard_plan = "host"
-    testbed = make_lan_testbed(
-        coreengine_config=coreengine_config,
-        tracer=tracer,
-        shards=shards,
-        tracers=tracers,
-        shard_plan=shard_plan,
-        ring_latency=ring_latency,
-    )
+    testbed = make_lan_testbed(coreengine_config=coreengine_config, tracer=tracer)
     # Install before any VM/NSM boots: stacks snapshot sim.fidelity at
-    # construction.  No-op (returns None) at packet fidelity or when the
-    # build is sharded.
-    from .common import install_fluid
-
+    # construction.  No-op (returns None) at packet fidelity.
     install_fluid(testbed, mode=fidelity)
     overrides = {"rcvbuf": socket_buf, "sndbuf": socket_buf}
 
@@ -137,40 +117,12 @@ def _build_lan_world(
             tcp_overrides=overrides,
         )
 
-    world = _LanWorld()
-    world.testbed = testbed
-    world.sharded = testbed.sharded
-    world.duration = duration
-    world.receivers = []
-    # With ring hops on, the receiver's socket/bind/listen control path
-    # costs three hop round trips before the listener is live; with
-    # synchronous rings that race resolves at t~0, ahead of the 5 us
-    # wire, but a hopped SYN would beat the LISTEN and take an RST.
-    # Stagger the senders past the control phase — ``warmup`` already
-    # keeps the start-up transient out of the metered window.
-    sender_delay = 0.0
-    hop = testbed.plan.ring_latency if testbed.plan is not None else None
-    if hop is not None:
-        sender_delay = 25 * hop
+    receivers = []
     for i in range(flows):
         port = 5000 + i
-        world.receivers.append(
-            BulkReceiver(testbed.sim_b, vm_b.api, port, warmup=warmup)
-        )
-        BulkSender(
-            testbed.sim_a, vm_a.api, remote_for(vm_b, port),
-            start_delay=sender_delay,
-        )
-    return world
-
-
-def _collect_lan_world(world: _LanWorld, shard: int):
-    """Per-shard result extraction for the process executor: the shard
-    owning host B's tenant plane holds the receivers (and their meters);
-    everyone else has nothing to report."""
-    if shard == world.testbed.plan.shard_of(1, "guest"):
-        return sum(rx.meter.bps(until=world.duration) for rx in world.receivers)
-    return None
+        receivers.append(BulkReceiver(testbed.sim, vm_b.api, port, warmup=warmup))
+        BulkSender(testbed.sim, vm_a.api, remote_for(vm_b, port))
+    return testbed, receivers
 
 
 def measure_lan_throughput(
@@ -183,88 +135,28 @@ def measure_lan_throughput(
     coreengine_config=None,
     tracer=None,
     stats_out=None,
-    shards: int = 1,
-    shard_executor: str = "serial",
-    tracers=None,
     stack_family: str = "tcp",
-    shard_plan: str = "host",
-    ring_latency: Optional[float] = None,
-    adaptive: bool = False,
     fidelity: str = "packet",
 ) -> float:
     """Aggregate goodput (Gbps) of ``flows`` bulk flows on the LAN testbed.
 
     ``coreengine_config`` overrides the datapath policy (batching, notify
     mode, ...).  Pass a dict as ``stats_out`` to receive simulator-level
-    metrics (``events_processed`` plus, when sharded, the window/barrier
-    efficiency counters) — the bench harness uses this.
+    metrics (``events_processed``, ``sim_seconds``) — the bench harness
+    uses this.
 
     ``stack_family`` picks the NSM's protocol stack (``"tcp"`` default,
     ``"quic"`` for the tenant-defined QUIC family) — netkernel mode only.
-
-    ``shards > 1`` runs the same experiment partitioned per the plan
-    (``shard_plan`` — ``"host"``/``"plane"``/``"auto"``, see
-    :mod:`repro.sim.partition`); results are bit-identical to
-    ``shards=1`` — pinned by tests/test_sim_sharded.py.
-    ``shard_executor="process"`` forks one worker per shard
-    (:func:`repro.parallel.run_sharded_process`); ``adaptive`` widens
-    per-shard lookahead windows when cut channels are quiet.
     """
-    if mode != "netkernel" and shard_plan != "host":
-        shard_plan = "host"  # no rings to cut in a legacy VM
-    if shard_executor == "process":
-        if tracer is not None or tracers is not None:
-            raise ValueError(
-                "tracing is per-process; the forked shard executor "
-                "cannot ship spans back — use serial/thread executors"
-            )
-        plan = plan_partition(2, shards, mode=shard_plan, ring_latency=ring_latency)
-        if plan.shards < 2:
-            raise ValueError(
-                "shard_executor='process' needs a plan with >= 2 shards "
-                f"(got {plan.shards} from shards={shards}, plan={shard_plan!r})"
-            )
-        from ..parallel import ShardRunStats, run_sharded_process
-
-        run_stats = ShardRunStats()
-        values = run_sharded_process(
-            _build_lan_world,
-            (mode, flows, congestion_control, duration, warmup, socket_buf,
-             shards, shard_plan, ring_latency, stack_family, coreengine_config),
-            until=duration,
-            collect_fn=_collect_lan_world,
-            shards=plan.shards,
-            stats=run_stats,
-            adaptive=adaptive,
-        )
-        total_bps = sum(v for v in values if v is not None)
-        if stats_out is not None:
-            stats_out.update(run_stats.as_dict())
-            stats_out["sim_seconds"] = duration
-            stats_out["shards"] = plan.shards
-        return total_bps / 1e9
-
-    world = _build_lan_world(
-        mode, flows, congestion_control, duration, warmup, socket_buf,
-        shards, shard_plan, ring_latency, stack_family,
-        coreengine_config, tracer, tracers, fidelity,
+    testbed, receivers = _build_lan_world(
+        mode, flows, congestion_control, warmup, socket_buf,
+        stack_family, coreengine_config, tracer, fidelity,
     )
-    testbed = world.testbed
-    if adaptive and testbed.sharded is not None:
-        testbed.sharded.set_adaptive(True)
-    testbed.run(until=duration, executor=shard_executor)
+    testbed.run(until=duration)
     if stats_out is not None:
         stats_out["events_processed"] = testbed.events_processed
         stats_out["sim_seconds"] = duration
-        if testbed.sharded is not None:
-            sharded = testbed.sharded
-            stats_out["shards"] = sharded.n_shards
-            stats_out["windows"] = sharded.windows
-            stats_out["messages_exchanged"] = sharded.messages_exchanged
-            stats_out["events_per_window"] = sharded.events_per_window
-            stats_out["channel_idle_ratio"] = sharded.channel_idle_ratio
-            stats_out["adaptive"] = sharded.adaptive
-    total_bps = sum(rx.meter.bps(until=duration) for rx in world.receivers)
+    total_bps = sum(rx.meter.bps(until=duration) for rx in receivers)
     return total_bps / 1e9
 
 
@@ -279,24 +171,10 @@ def _measure_point(
     flows: int,
     duration: float,
     warmup: float,
-    shards: int = 1,
-    shard_plan: str = "host",
-    shard_executor: str = "serial",
-    ring_latency: Optional[float] = None,
-    adaptive: bool = False,
     fidelity: str = "packet",
 ) -> float:
     return measure_lan_throughput(
-        mode,
-        flows,
-        duration=duration,
-        warmup=warmup,
-        shards=shards,
-        shard_plan=shard_plan,
-        shard_executor=shard_executor,
-        ring_latency=ring_latency,
-        adaptive=adaptive,
-        fidelity=fidelity,
+        mode, flows, duration=duration, warmup=warmup, fidelity=fidelity
     )
 
 
@@ -305,27 +183,19 @@ def run_figure4(
     duration: float = 0.35,
     warmup: float = 0.1,
     jobs: int = 1,
-    shards: int = 1,
     pool: str = "fork",
-    shard_plan: str = "host",
-    shard_executor: str = "serial",
-    ring_latency: Optional[float] = None,
-    adaptive: bool = False,
     fidelity: str = "packet",
 ) -> Figure4Result:
     """Regenerate Figure 4: one row per flow count.
 
     ``jobs`` fans the (mode × flows) grid across worker processes; the
-    merged result is bit-identical to the serial run.  ``shards`` runs
-    each point as a sharded simulation (partitioned per ``shard_plan``,
-    executed by ``shard_executor``) — also bit-identical.  ``pool``
-    picks the worker-process policy (see :mod:`repro.parallel`).
+    merged result is bit-identical to the serial run.  ``pool`` picks the
+    worker-process policy (see :mod:`repro.parallel`).
     """
     from ..parallel import parallel_map
 
     grid = [
-        (mode, flows, duration, warmup, shards,
-         shard_plan, shard_executor, ring_latency, adaptive, fidelity)
+        (mode, flows, duration, warmup, fidelity)
         for flows in flow_counts
         for mode in ("native", "netkernel")
     ]

@@ -29,7 +29,7 @@ from ..apps import BulkReceiver, BulkSender
 from ..host.vm import GuestOS
 from ..net import Endpoint, LossModel
 from ..netkernel import NsmSpec
-from .common import make_wan_testbed
+from .common import install_fluid, make_wan_testbed
 
 __all__ = ["Figure5Row", "Figure5Result", "run_figure5", "measure_wan_throughput"]
 
@@ -87,44 +87,20 @@ def measure_wan_throughput(
     coreengine_config=None,
     tracer=None,
     stats_out=None,
-    shards: int = 1,
-    shard_executor: str = "serial",
-    tracers=None,
-    shard_plan: str = "host",
-    ring_latency: Optional[float] = None,
-    adaptive: bool = False,
     fidelity: str = "packet",
 ) -> float:
-    """Mean goodput (Mbps) of one sender configuration on the WAN path.
-
-    ``shards > 1`` partitions per ``shard_plan``: the legacy ``"host"``
-    plan puts server and client in separate shards with the rtt/2
-    propagation as lookahead; ``"plane"`` cuts the *server host* at its
-    nqe rings instead (netkernel mode only — a legacy server has no
-    rings, so native configs fall back to the host plan).  All plans are
-    bit-identical to ``shards=1``.  ``adaptive`` widens per-shard
-    lookahead windows when cut channels are idle.
-    """
-    if mode != "netkernel" and shard_plan == "plane":
-        shard_plan = "host"
+    """Mean goodput (Mbps) of one sender configuration on the WAN path."""
     testbed = make_wan_testbed(
         seed=seed,
         loss=loss,
         coreengine_config=coreengine_config,
         tracer=tracer,
-        shards=shards,
-        tracers=tracers,
-        shard_plan=shard_plan,
-        ring_latency=ring_latency,
-        server_splittable=(mode == "netkernel"),
     )
     # The WAN path carries an episodic loss process, so install_fluid
     # declines to add routes: ``--fidelity auto`` on figure 5 is
     # packet-exact by construction (the analytic model is only valid on
     # clean paths).  Installing anyway keeps the CLI surface uniform and
     # exercises the hooks.
-    from .common import install_fluid
-
     install_fluid(testbed, mode=fidelity)
 
     # The California client: a plain Linux VM that sinks the stream.
@@ -142,29 +118,12 @@ def measure_wan_throughput(
             "server", guest_os=guest_os, congestion_control=congestion_control
         )
 
-    receiver = BulkReceiver(testbed.client_sim, client_vm.api, port=5000, warmup=warmup)
-    # With ring hops on the server host, stagger the sender past its own
-    # control phase (see figure4's rationale; here only the sender hops,
-    # but the delay keeps the workload identical across plans' baselines).
-    hop = testbed.plan.ring_latency if testbed.plan is not None else None
-    BulkSender(
-        testbed.server_sim, server_vm.api, Endpoint(client_vm.api.ip, 5000),
-        start_delay=(25 * hop if hop is not None else 0.0),
-    )
-    if adaptive and testbed.sharded is not None:
-        testbed.sharded.set_adaptive(True)
-    testbed.run(until=duration, executor=shard_executor)
+    receiver = BulkReceiver(testbed.sim, client_vm.api, port=5000, warmup=warmup)
+    BulkSender(testbed.sim, server_vm.api, Endpoint(client_vm.api.ip, 5000))
+    testbed.run(until=duration)
     if stats_out is not None:
         stats_out["events_processed"] = testbed.events_processed
         stats_out["sim_seconds"] = duration
-        if testbed.sharded is not None:
-            sharded = testbed.sharded
-            stats_out["shards"] = sharded.n_shards
-            stats_out["windows"] = sharded.windows
-            stats_out["messages_exchanged"] = sharded.messages_exchanged
-            stats_out["events_per_window"] = sharded.events_per_window
-            stats_out["channel_idle_ratio"] = sharded.channel_idle_ratio
-            stats_out["adaptive"] = sharded.adaptive
     return receiver.meter.bps(until=duration) / 1e6
 
 
@@ -175,10 +134,6 @@ def _measure_sample(
     duration: float,
     warmup: float,
     seed: int,
-    shards: int = 1,
-    shard_plan: str = "host",
-    ring_latency: Optional[float] = None,
-    adaptive: bool = False,
     fidelity: str = "packet",
 ) -> float:
     return measure_wan_throughput(
@@ -188,10 +143,6 @@ def _measure_sample(
         duration=duration,
         warmup=warmup,
         seed=seed,
-        shards=shards,
-        shard_plan=shard_plan,
-        ring_latency=ring_latency,
-        adaptive=adaptive,
         fidelity=fidelity,
     )
 
@@ -201,11 +152,7 @@ def run_figure5(
     warmup: float = 5.0,
     seeds: tuple = (1, 2, 3),
     jobs: int = 1,
-    shards: int = 1,
     pool: str = "fork",
-    shard_plan: str = "host",
-    ring_latency: Optional[float] = None,
-    adaptive: bool = False,
     fidelity: str = "packet",
 ) -> Figure5Result:
     """Regenerate Figure 5: all four sender configurations, same path.
@@ -219,8 +166,7 @@ def run_figure5(
     from ..parallel import parallel_map
 
     grid = [
-        (mode, guest_os, cc, duration, warmup, seed, shards,
-         shard_plan, ring_latency, adaptive, fidelity)
+        (mode, guest_os, cc, duration, warmup, seed, fidelity)
         for _label, mode, guest_os, cc in CONFIGS
         for seed in seeds
     ]

@@ -52,27 +52,19 @@ class CoreSwitch:
         propagation_delay: float = 5e-6,
         queue_bytes: int = 2 * 1024 * 1024,
         loss: Optional[LossModel] = None,
-        host_sim: Optional[Simulator] = None,
     ) -> DuplexLink:
-        """Cable a host's pNIC to this switch; returns the uplink.
-
-        ``host_sim`` supports sharded topologies: the host→switch half of
-        the uplink runs on the host's (shard's) simulator, the
-        switch→host half on the switch's.  The sharded cluster factory
-        then cuts both halves (:meth:`ShardedSimulation.cut_duplex`).
-        """
+        """Cable a host's pNIC to this switch; returns the uplink."""
         prefix = self._prefix(host.addresses.prefix + ".0.0")
         if prefix in self._routes:
             raise ValueError(f"prefix {prefix} already attached to {self.name}")
         link = DuplexLink(
-            host_sim if host_sim is not None else self.sim,
+            self.sim,
             rate_bps=rate_bps,
             propagation_delay=propagation_delay,
             queue_bytes=queue_bytes,
             ecn_threshold_bytes=self.ecn_threshold_bytes,
             loss=loss,
             name=f"{self.name}<->{host.name}",
-            sim_b=self.sim,
         )
         # Host side: pNIC transmits into the host->switch half.
         host.pnic.wire = link.a_to_b.send

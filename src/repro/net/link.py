@@ -128,13 +128,6 @@ class Link:
         self.name = name
         self.stats = LinkStats()
         self._busy = False
-        #: Sharded execution (:mod:`repro.sim.sharded`): when this link is a
-        #: *cut link* — its two ends live in different shards — the shard
-        #: coordinator installs a :class:`~repro.sim.sharded.ShardChannel`
-        #: here and the propagation hop crosses it as a timestamped message
-        #: instead of a local ``schedule_call``.  Serialization and the
-        #: queue stay in the sender's shard either way.
-        self.channel = None
 
     def send(self, packet: Packet) -> None:
         """Entry point for upstream devices."""
@@ -166,14 +159,7 @@ class Link:
             delay = self.propagation_delay
             if self.jitter > 0:
                 delay += self._jitter_rng.uniform(0.0, self.jitter)
-            channel = self.channel
-            if channel is not None:
-                # Cut link: ship (exact delivery timestamp, packet) to the
-                # destination shard.  Same arithmetic as the local path, so
-                # the injected event lands bit-identically in time.
-                channel.post(self.sim.now + delay, packet)
-            else:
-                self.sim.schedule_call(delay, self._deliver, packet)
+            self.sim.schedule_call(delay, self._deliver, packet)
         self._transmit_next()
 
     def _deliver(self, packet: Packet) -> None:
@@ -183,14 +169,7 @@ class Link:
 
 
 class DuplexLink:
-    """Two opposite :class:`Link` halves between endpoints A and B.
-
-    ``sim_b`` places the B→A half on a different simulator than the A→B
-    half — each half's queue and serialization then run on its *sender's*
-    clock, which is what a sharded topology needs when A and B live in
-    different shards (see :mod:`repro.sim.sharded`).  Left unset, both
-    halves share ``sim`` as before.
-    """
+    """Two opposite :class:`Link` halves between endpoints A and B."""
 
     def __init__(
         self,
@@ -204,7 +183,6 @@ class DuplexLink:
         loss_reverse: Optional[LossModel] = None,
         mtu: int = DEFAULT_MTU,
         name: str = "duplex",
-        sim_b: Optional[Simulator] = None,
     ) -> None:
         self.a_to_b = Link(
             sim,
@@ -217,7 +195,7 @@ class DuplexLink:
             name=f"{name}:a->b",
         )
         self.b_to_a = Link(
-            sim_b if sim_b is not None else sim,
+            sim,
             rate_bps_reverse if rate_bps_reverse is not None else rate_bps,
             propagation_delay,
             queue_bytes=queue_bytes,

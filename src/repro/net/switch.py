@@ -56,16 +56,6 @@ class HostSwitch:
         """Plug a local NIC (vNIC or VF) into the switch."""
         if nic.ip in self.table:
             raise ValueError(f"duplicate IP on switch {self.name!r}: {nic.ip}")
-        if nic.sim is not self.sim:
-            # Shard-partitioning misconfiguration: a host switch forwards
-            # synchronously (zero lookahead), so every NIC on it must live
-            # on the same simulator/shard as the switch.  Cross-shard
-            # traffic may only cross at repro.net links with positive
-            # propagation delay (see repro.sim.sharded).
-            raise ValueError(
-                f"NIC {nic.name!r} is on a different simulator than switch "
-                f"{self.name!r} — hosts are indivisible shard units"
-            )
         self.table[nic.ip] = nic
         nic.downstream = self.forward
 

@@ -9,13 +9,11 @@ Components, mirroring §3:
 * :class:`CoreEngine` — hypervisor daemon: nqe switching + connection table.
 * :class:`NSM` — the provider-run network stack module (VM/container/module).
 * :class:`Hypervisor` — boots VMs (legacy or NetKernel) and NSMs.
-* :class:`RingHop` — the GuestLib↔CoreEngine ring boundary as a cuttable
-  edge with a modeled crossing latency (intra-host sharding).
 """
 
 from .arbiter import FastpassArbiter
 from .batching import DEFAULT_BATCH_SIZE, BatchPolicy
-from .conntable import CompactConnectionTable, ConnectionTable
+from .conntable import ConnectionTable
 from .coreengine import CoreEngine, CoreEngineConfig, VmAttachment
 from .guestlib import GUESTLIB_OP_NS, GuestLib
 from .hugepages import CHUNK_SIZE, DEFAULT_PAGES, PAGE_SIZE, HugeChunk, HugePageRegion
@@ -25,7 +23,6 @@ from .provision import Hypervisor
 from .qos import DrrScheduler, QosPolicy, TokenBucket
 from .rdma_nsm import DOORBELL_NS, RdmaNsm, TenantRdma
 from .queues import NotifyMode, NqeRing, PriorityNqeRing, QueueTimeout
-from .ringhop import DEFAULT_RING_HOP_LATENCY, RingHop
 from .servicelib import SERVICELIB_OP_NS, ServiceLib
 
 __all__ = [
@@ -45,7 +42,6 @@ __all__ = [
     "CHUNK_SIZE",
     "DEFAULT_PAGES",
     "PAGE_SIZE",
-    "CompactConnectionTable",
     "ConnectionTable",
     "GuestLib",
     "GUESTLIB_OP_NS",
@@ -67,6 +63,4 @@ __all__ = [
     "RdmaNsm",
     "TenantRdma",
     "DOORBELL_NS",
-    "RingHop",
-    "DEFAULT_RING_HOP_LATENCY",
 ]

@@ -7,10 +7,9 @@ and cIDs on behalf of NSMs.
 
 from __future__ import annotations
 
-from array import array
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
-__all__ = ["ConnectionTable", "CompactConnectionTable"]
+__all__ = ["ConnectionTable"]
 
 VmKey = Tuple[int, int]  # (vm_id, fd)
 NsmKey = Tuple[int, int]  # (nsm_id, cid)
@@ -197,262 +196,6 @@ class ConnectionTable:
                 problems.append(f"{nsm_key} missing from NSM index")
         for nsm_key in self._alias:
             if nsm_key in self._nsm_to_vm:
-                problems.append(
-                    f"alias {nsm_key} collides with a live mapping "
-                    "(two NSMs claim one cID)"
-                )
-        return problems
-
-_EMPTY = -1
-
-
-class CompactConnectionTable:
-    """Structure-of-arrays variant of :class:`ConnectionTable`.
-
-    Same API, a fraction of the memory.  The dict-of-tuples layout costs
-    several hundred bytes per mapping once both direction dicts, the
-    membership indexes and the tuple keys/values are counted.  Here each
-    direction is a per-entity ``array('q')`` indexed by the dense
-    allocator-assigned id (fd for VMs, cID for NSMs), holding the partner
-    key packed into one machine word (``id << 32 | sub_id``); the family
-    tag is one byte in a parallel ``array('b')``.  ~17 bytes per mapping
-    all-in, and the membership indexes come for free (scan your own
-    array), which is what the large-N benchmarks need.
-
-    Trade-offs — why this is an *option*
-    (``CoreEngineConfig.compact_conntable``), not the default:
-
-    * ``connections_of_*`` and ``evict_nsm`` iterate in fd/cID order, not
-      insertion order.  Ids are allocated monotonically, so the orders
-      only differ when a later-allocated fd finishes connecting before an
-      earlier one — but failover eviction notifications can then arrive
-      in a different order than the reference table produces.
-    * Ids must stay dense: the arrays are sized by the highest id ever
-      allocated per entity, exactly what ``allocate_fd``/``allocate_cid``
-      produce.
-    """
-
-    def __init__(self) -> None:
-        self._fwd: Dict[int, array] = {}  # vm_id -> packed nsm key, by fd
-        self._inv: Dict[int, array] = {}  # nsm_id -> packed vm key, by cid
-        self._fam: Dict[int, array] = {}  # vm_id -> family code, by fd
-        self._next_fd: Dict[int, int] = {}
-        self._next_cid: Dict[int, int] = {}
-        self._len = 0
-        self._family_codes: Dict[str, int] = {}
-        self._family_names: list[str] = []
-        self._alias: Dict[NsmKey, VmKey] = {}
-
-    def __len__(self) -> int:
-        return self._len
-
-    # -- key packing --------------------------------------------------------
-    @staticmethod
-    def _pack(major: int, minor: int) -> int:
-        return (major << 32) | minor
-
-    @staticmethod
-    def _unpack(packed: int) -> Tuple[int, int]:
-        return packed >> 32, packed & 0xFFFFFFFF
-
-    def _slot(self, table: Dict[int, array], entity: int, index: int) -> array:
-        """The entity's column, grown (with empties) to cover ``index``."""
-        column = table.get(entity)
-        if column is None:
-            column = table[entity] = array("q")
-        if len(column) <= index:
-            column.extend([_EMPTY] * (index + 1 - len(column)))
-        return column
-
-    def _family_code(self, family: str) -> int:
-        code = self._family_codes.get(family)
-        if code is None:
-            code = self._family_codes[family] = len(self._family_names)
-            self._family_names.append(family)
-            if code > 127:
-                raise ValueError("more than 128 stack families")
-        return code
-
-    # -- allocation ---------------------------------------------------------
-    def allocate_fd(self, vm_id: int) -> int:
-        """New guest-side fd (CoreEngine assigns these immediately, §3.2)."""
-        fd = self._next_fd.get(vm_id, 3)
-        self._next_fd[vm_id] = fd + 1
-        return fd
-
-    def allocate_cid(self, nsm_id: int) -> int:
-        cid = self._next_cid.get(nsm_id, 1)
-        self._next_cid[nsm_id] = cid + 1
-        return cid
-
-    # -- mapping ------------------------------------------------------------
-    def insert(
-        self, vm_id: int, fd: int, nsm_id: int, cid: int, family: str = "tcp"
-    ) -> None:
-        fwd = self._slot(self._fwd, vm_id, fd)
-        if fwd[fd] != _EMPTY:
-            raise KeyError(f"duplicate mapping for VM{vm_id} fd{fd}")
-        inv = self._slot(self._inv, nsm_id, cid)
-        if inv[cid] != _EMPTY:
-            raise KeyError(f"duplicate mapping for NSM{nsm_id} cid{cid}")
-        fwd[fd] = self._pack(nsm_id, cid)
-        inv[cid] = self._pack(vm_id, fd)
-        fam = self._fam.get(vm_id)
-        if fam is None:
-            fam = self._fam[vm_id] = array("b")
-        if len(fam) <= fd:
-            fam.extend([0] * (fd + 1 - len(fam)))
-        fam[fd] = self._family_code(family)
-        self._len += 1
-
-    def family_of(self, vm_id: int, fd: int) -> Optional[str]:
-        """The stack family serving this mapping, or None if unmapped."""
-        fwd = self._fwd.get(vm_id)
-        if fwd is None or fd >= len(fwd) or fwd[fd] == _EMPTY:
-            return None
-        return self._family_names[self._fam[vm_id][fd]]
-
-    def to_nsm(self, vm_id: int, fd: int) -> Optional[NsmKey]:
-        column = self._fwd.get(vm_id)
-        if column is None or fd < 0 or fd >= len(column):
-            return None
-        packed = column[fd]
-        return None if packed == _EMPTY else self._unpack(packed)
-
-    def to_vm(self, nsm_id: int, cid: int) -> Optional[VmKey]:
-        column = self._inv.get(nsm_id)
-        if column is None or cid < 0 or cid >= len(column):
-            return None
-        packed = column[cid]
-        return None if packed == _EMPTY else self._unpack(packed)
-
-    def remove_by_vm(self, vm_id: int, fd: int) -> None:
-        nsm_key = self.to_nsm(vm_id, fd)
-        if nsm_key is None:
-            return
-        self._fwd[vm_id][fd] = _EMPTY
-        inv = self._inv.get(nsm_key[0])
-        if inv is not None and nsm_key[1] < len(inv):
-            inv[nsm_key[1]] = _EMPTY
-        self._len -= 1
-
-    def remove_by_nsm(self, nsm_id: int, cid: int) -> None:
-        vm_key = self.to_vm(nsm_id, cid)
-        if vm_key is None:
-            return
-        self._inv[nsm_id][cid] = _EMPTY
-        fwd = self._fwd.get(vm_key[0])
-        if fwd is not None and vm_key[1] < len(fwd):
-            fwd[vm_key[1]] = _EMPTY
-        self._len -= 1
-
-    def evict_nsm(self, nsm_id: int) -> list[Tuple[VmKey, NsmKey]]:
-        """Drop every mapping served by ``nsm_id`` (NSM failover).
-
-        Returns the removed ``((vm_id, fd), (nsm_id, cid))`` pairs — in
-        cID order — so CoreEngine can notify each affected guest socket.
-        """
-        pairs = []
-        column = self._inv.get(nsm_id)
-        if column is None:
-            return pairs
-        for cid, packed in enumerate(column):
-            if packed == _EMPTY:
-                continue
-            vm_key = self._unpack(packed)
-            column[cid] = _EMPTY
-            fwd = self._fwd.get(vm_key[0])
-            if fwd is not None and vm_key[1] < len(fwd):
-                fwd[vm_key[1]] = _EMPTY
-            self._len -= 1
-            pairs.append((vm_key, (nsm_id, cid)))
-        return pairs
-
-    def connections_of_vm(
-        self, vm_id: int, family: Optional[str] = None
-    ) -> list[VmKey]:
-        column = self._fwd.get(vm_id)
-        if column is None:
-            return []
-        code = None
-        if family is not None:
-            code = self._family_codes.get(family)
-            if code is None:
-                return []
-        fam = self._fam.get(vm_id)
-        return [
-            (vm_id, fd)
-            for fd, packed in enumerate(column)
-            if packed != _EMPTY and (code is None or fam[fd] == code)
-        ]
-
-    def connections_of_nsm(self, nsm_id: int) -> list[NsmKey]:
-        column = self._inv.get(nsm_id)
-        if column is None:
-            return []
-        return [
-            (nsm_id, cid)
-            for cid, packed in enumerate(column)
-            if packed != _EMPTY
-        ]
-
-    # -- migration re-pointing ----------------------------------------------
-    def repoint(self, vm_id: int, fd: int, nsm_id: int, cid: int) -> NsmKey:
-        """Remap one live connection to a new ``<NSM ID, cID>``.
-
-        Same alias semantics as :meth:`ConnectionTable.repoint`.
-        """
-        old_nsm_key = self.to_nsm(vm_id, fd)
-        if old_nsm_key is None:
-            raise KeyError(f"no mapping for VM{vm_id} fd{fd}")
-        if self.to_vm(nsm_id, cid) is not None:
-            raise KeyError(f"duplicate mapping for NSM{nsm_id} cid{cid}")
-        self._inv[old_nsm_key[0]][old_nsm_key[1]] = _EMPTY
-        self._fwd[vm_id][fd] = self._pack(nsm_id, cid)
-        inv = self._slot(self._inv, nsm_id, cid)
-        inv[cid] = self._pack(vm_id, fd)
-        self._alias[old_nsm_key] = (vm_id, fd)
-        return old_nsm_key
-
-    def alias_to_vm(self, nsm_id: int, cid: int) -> Optional[VmKey]:
-        """Resolve a re-pointed connection's *old* NSM key, if aliased."""
-        return self._alias.get((nsm_id, cid))
-
-    def drop_alias(self, nsm_id: int, cid: int) -> None:
-        self._alias.pop((nsm_id, cid), None)
-
-    def drop_aliases_of_nsm(self, nsm_id: int) -> None:
-        """Forget every alias pointing at ``nsm_id`` (migration COMMIT)."""
-        stale = [key for key in self._alias if key[0] == nsm_id]
-        for key in stale:
-            del self._alias[key]
-
-    def alias_count(self) -> int:
-        return len(self._alias)
-
-    def audit(self) -> list[str]:
-        """Ownership-uniqueness self-check (invariant checker hook)."""
-        problems: list[str] = []
-        for vm_id, column in self._fwd.items():
-            for fd, packed in enumerate(column):
-                if packed == _EMPTY:
-                    continue
-                nsm_key = self._unpack(packed)
-                if self.to_vm(*nsm_key) != (vm_id, fd):
-                    problems.append(
-                        f"forward {(vm_id, fd)}->{nsm_key} has no inverse"
-                    )
-        for nsm_id, column in self._inv.items():
-            for cid, packed in enumerate(column):
-                if packed == _EMPTY:
-                    continue
-                vm_key = self._unpack(packed)
-                if self.to_nsm(*vm_key) != (nsm_id, cid):
-                    problems.append(
-                        f"inverse {(nsm_id, cid)}->{vm_key} has no forward"
-                    )
-        for nsm_key in self._alias:
-            if self.to_vm(*nsm_key) is not None:
                 problems.append(
                     f"alias {nsm_key} collides with a live mapping "
                     "(two NSMs claim one cID)"

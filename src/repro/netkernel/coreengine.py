@@ -29,13 +29,12 @@ from .batching import (
     SL_PER_NQE_NS,
     BatchPolicy,
 )
-from .conntable import CompactConnectionTable, ConnectionTable
+from .conntable import ConnectionTable
 from .guestlib import GuestLib
 from .hugepages import HugePageRegion
 from .nqe import NQE_COPY_NS, Nqe, NqeOp, NqeStatus
 from .nsm import NSM
 from .queues import BatchRingPump, NotifyMode, NqeRing, PriorityNqeRing, RingPump
-from .ringhop import RingHop
 from .servicelib import ServiceLib
 
 __all__ = ["CoreEngineConfig", "CoreEngine", "VmAttachment"]
@@ -84,10 +83,6 @@ class CoreEngineConfig:
     #: — after an NSM crash, synchronized deterministic retries thundering
     #: herd the standby — while staying reproducible run to run.
     op_jitter_seed: Optional[int] = None
-    #: Structure-of-arrays connection table (~17 bytes/mapping instead of
-    #: dict-of-tuples) — the large-N memory diet.  Off by default because
-    #: failover eviction then notifies in cID order, not insertion order.
-    compact_conntable: bool = False
     #: NSM liveness: CoreEngine pushes a HEARTBEAT nqe every interval and
     #: declares the NSM dead after ``heartbeat_miss`` silent intervals.
     #: ``None`` disables the watchdog (default; heartbeats charge NSM CPU,
@@ -116,15 +111,6 @@ class CoreEngineConfig:
     tenant_cycle_s: float = 5e-6
     #: Optional per-tenant weight (vm_id -> integer multiplier, default 1).
     tenant_weights: Optional[Dict[int, int]] = None
-    #: Model the GuestLib↔CoreEngine ring crossing as a latency hop (see
-    #: :mod:`repro.netkernel.ringhop`).  ``None`` keeps the synchronous
-    #: rings — bit-identical to every pre-hop run.  When set, each VM's
-    #: job/cq/rq rings are fronted by :class:`RingHop` facades with this
-    #: minimum latency, the guest and NSM sides get separate huge-page
-    #: accounting views, and the attachment becomes cuttable: its guest
-    #: plane may live on a different shard (``attach_vm(guest_sim=...)``),
-    #: with this latency as the conservative-lookahead floor of the cut.
-    ring_hop_latency: Optional[float] = None
 
     @property
     def fault_tolerant(self) -> bool:
@@ -164,19 +150,6 @@ class VmAttachment:
     completion_queue: NqeRing
     receive_queue: NqeRing
     nsm_queues: "_NsmQueues" = None
-    #: CoreEngine-facing producer ends of the cq/rq rings.  Without a
-    #: ring hop these ARE ``completion_queue``/``receive_queue``; with a
-    #: hop they are the :class:`RingHop` facades, and the ``*_queue``
-    #: fields keep the real rings (fault injection and chaos register
-    #: those directly).  CoreEngine forwards via the egress fields only.
-    completion_egress: object = None
-    receive_egress: object = None
-    #: Guest-plane huge-page accounting view (same object as ``region``
-    #: when no hop is configured).
-    guest_region: HugePageRegion = None
-    #: ``(job_hop, cq_hop, rq_hop)`` when a ring hop is configured, for
-    #: the provisioning layer to wire onto shard channels; else None.
-    hops: tuple = None
     #: The polling-mode job-ring pump, when that mover form is in use
     #: (None under interrupt modes / the tenant quota scheduler).  Live
     #: migration freezes a tenant by pausing this pump: ops queue in the
@@ -221,11 +194,7 @@ class CoreEngine:
         self.core = core
         self.config = config or CoreEngineConfig()
         self.name = name
-        self.table = (
-            CompactConnectionTable()
-            if self.config.compact_conntable
-            else ConnectionTable()
-        )
+        self.table = ConnectionTable()
         self._vms: Dict[int, VmAttachment] = {}
         self._nsms: Dict[int, _NsmQueues] = {}
         self._next_vm_id = 1
@@ -275,9 +244,9 @@ class CoreEngine:
             core.busy_poll = True
 
     # ------------------------------------------------------------------ setup --
-    def _ring(self, name: str, sim: Optional[Simulator] = None) -> NqeRing:
+    def _ring(self, name: str) -> NqeRing:
         cls = PriorityNqeRing if self.config.priority_queues else NqeRing
-        return cls(sim or self.sim, self.config.ring_capacity, name=name)
+        return cls(self.sim, self.config.ring_capacity, name=name)
 
     def attach_nsm(self, nsm: NSM) -> _NsmQueues:
         """Create the NSM-side queues and its ServiceLib (idempotent)."""
@@ -319,44 +288,29 @@ class CoreEngine:
         self._start_mover(receive, "rq", switch_receive, f"{self.name}.rq.{nsm.name}")
         return queues
 
-    def attach_vm(
-        self,
-        vm_core: Core,
-        nsm: NSM,
-        memcpy=None,
-        guest_sim: Optional[Simulator] = None,
-        guest_tracer=None,
-    ) -> VmAttachment:
-        """Boot-time plumbing for one VM served by ``nsm`` (§3.1).
-
-        With ``CoreEngineConfig.ring_hop_latency`` set, the guest plane
-        (GuestLib, its cq/rq rings and huge-page view) may be built on a
-        different simulator (``guest_sim``) — an intra-host shard cut at
-        the nqe ring boundary.  ``guest_tracer`` is installed while the
-        guest-plane objects capture their tracer, so per-shard traces
-        merge cleanly.  Without a hop latency the attachment is welded to
-        ``self.sim`` exactly as before (bit-identical).
-        """
+    def attach_vm(self, vm_core: Core, nsm: NSM, memcpy=None) -> VmAttachment:
+        """Boot-time plumbing for one VM served by ``nsm`` (§3.1)."""
         if not nsm.can_accept_tenant():
             raise RuntimeError(f"{nsm.name} is at tenant capacity")
         self.attach_nsm(nsm)
         vm_id = self._next_vm_id
         self._next_vm_id += 1
 
-        hop_latency = self.config.ring_hop_latency
-        if hop_latency is None and guest_sim is not None and guest_sim is not self.sim:
-            raise ValueError(
-                "splitting a VM's guest plane onto another simulator needs "
-                "CoreEngineConfig.ring_hop_latency: the hop latency is the "
-                "conservative-lookahead floor of the intra-host cut"
-            )
         region = HugePageRegion(
             self.sim, memcpy or nsm.host.memcpy, name=f"vm{vm_id}.hp"
         )
         job = self._ring(f"vm{vm_id}.job")
-        guestlib_kwargs = dict(
+        completion = self._ring(f"vm{vm_id}.cq")
+        receive = self._ring(f"vm{vm_id}.rq")
+        guestlib = GuestLib(
+            self.sim,
+            vm_id,
             nsm_ip=nsm.ip,
             core=vm_core,
+            job_queue=job,
+            completion_queue=completion,
+            receive_queue=receive,
+            region=region,
             notify_mode=self.config.notify_mode,
             inline_rx_copy=self.config.inline_rx_copy,
             batch=self.config.guestlib_batch(),
@@ -365,57 +319,6 @@ class CoreEngine:
             op_backoff=self.config.op_backoff,
             op_jitter_seed=self.config.op_jitter_seed,
         )
-        if hop_latency is None:
-            completion = self._ring(f"vm{vm_id}.cq")
-            receive = self._ring(f"vm{vm_id}.rq")
-            guest_region = region
-            completion_egress: object = completion
-            receive_egress: object = receive
-            hops = None
-            guestlib = GuestLib(
-                self.sim,
-                vm_id,
-                job_queue=job,
-                completion_queue=completion,
-                receive_queue=receive,
-                region=region,
-                **guestlib_kwargs,
-            )
-        else:
-            gsim = guest_sim or self.sim
-            # Guest-plane objects capture the guest shard's tracer and
-            # simulator; provider-plane objects keep the ambient ones.
-            with obs_runtime.installed(guest_tracer or obs_runtime.get_tracer()):
-                guest_region = HugePageRegion(
-                    gsim, memcpy or nsm.host.memcpy, name=f"vm{vm_id}.hp.guest"
-                )
-                completion = self._ring(f"vm{vm_id}.cq", sim=gsim)
-                receive = self._ring(f"vm{vm_id}.rq", sim=gsim)
-            job_hop = RingHop(
-                f"vm{vm_id}.job.hop", job, hop_latency,
-                src_sim=gsim, dst_sim=self.sim, dst_region=region,
-            )
-            cq_hop = RingHop(
-                f"vm{vm_id}.cq.hop", completion, hop_latency,
-                src_sim=self.sim, dst_sim=gsim,
-            )
-            rq_hop = RingHop(
-                f"vm{vm_id}.rq.hop", receive, hop_latency,
-                src_sim=self.sim, dst_sim=gsim, dst_region=guest_region,
-            )
-            hops = (job_hop, cq_hop, rq_hop)
-            completion_egress = cq_hop
-            receive_egress = rq_hop
-            with obs_runtime.installed(guest_tracer or obs_runtime.get_tracer()):
-                guestlib = GuestLib(
-                    gsim,
-                    vm_id,
-                    job_queue=job_hop,
-                    completion_queue=completion,
-                    receive_queue=receive,
-                    region=guest_region,
-                    **guestlib_kwargs,
-                )
         attachment = VmAttachment(
             vm_id=vm_id,
             nsm=nsm,
@@ -425,10 +328,6 @@ class CoreEngine:
             completion_queue=completion,
             receive_queue=receive,
             nsm_queues=self._nsms[nsm.nsm_id],
-            completion_egress=completion_egress,
-            receive_egress=receive_egress,
-            guest_region=guest_region,
-            hops=hops,
         )
         self._vms[vm_id] = attachment
         nsm.tenant_vm_ids.append(vm_id)
@@ -505,7 +404,7 @@ class CoreEngine:
                 args=attachment.region,
                 span=nqe.span,
             )
-            cq = attachment.completion_egress
+            cq = attachment.completion_queue
             jq = nsm_queues.job
             if cq.is_full or jq.is_full:
                 return self._socket_switch_slow(cq, response, jq, backend)
@@ -519,7 +418,7 @@ class CoreEngine:
             chunk = nqe.data_desc
             if chunk is not None and not chunk.freed:
                 chunk.free()
-            ring = attachment.completion_egress
+            ring = attachment.completion_queue
             nqe = nqe.completion(
                 NqeStatus.ERROR,
                 result=ConnectionReset(f"no mapping for fd {nqe.fd}"),
@@ -573,7 +472,7 @@ class CoreEngine:
         nqe.vm_id, nqe.fd = vm_id, fd
         if nqe.args is NqeOp.CLOSE:
             self.table.remove_by_vm(vm_id, fd)
-        ring = attachment.completion_egress
+        ring = attachment.completion_queue
         if ring.is_full:
             return self._forward_slow(ring, nqe)
         ring.offer(nqe)
@@ -628,7 +527,7 @@ class CoreEngine:
             inv.on_data_forwarded(
                 nqe.flow_uid, nqe.rx_seq, chunk.size if chunk is not None else 0
             )
-        ring = attachment.receive_egress
+        ring = attachment.receive_queue
         if ring.is_full:
             return self._forward_slow(ring, nqe)
         ring.offer(nqe)
@@ -952,7 +851,7 @@ class CoreEngine:
             attachment = self._vms.get(vm_id)
             if attachment is None:
                 continue
-            attachment.receive_egress.offer(
+            attachment.receive_queue.offer(
                 Nqe(op=NqeOp.RESET, vm_id=vm_id, fd=fd)
             )
         # Adopt a standby, if the control plane provides one.

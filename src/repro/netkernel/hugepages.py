@@ -102,25 +102,6 @@ class HugePageRegion:
             self._waiters.append((size, event))
         return event
 
-    def adopt(self, size: int) -> HugeChunk:
-        """Re-materialize a chunk arriving over a ring hop (forced alloc).
-
-        With a :class:`~repro.netkernel.ringhop.RingHop` in place, the
-        guest and NSM sides keep *separate accounting views* of the one
-        physical shared region; a descriptor crossing the hop is freed
-        from the source view at post time and adopted here at delivery.
-        Adoption bypasses the capacity check deliberately: the bytes
-        occupied physical pages for the whole flight, the views merely
-        disagree about which plane can see the descriptor while it is in
-        the hop.  Unconditional (never blocks, never fails) so delivery
-        stays a single deterministic event in every execution mode.
-        """
-        if size <= 0:
-            raise ValueError("chunk size must be positive")
-        self.used += size
-        self.peak_used = max(self.peak_used, self.used)
-        return HugeChunk(self, size)
-
     def free(self, chunk: HugeChunk) -> None:
         if chunk.freed:
             raise RuntimeError(f"double free of {chunk!r}")

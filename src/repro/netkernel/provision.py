@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..api.socket_api import KernelSocketApi
-from ..host.cpu import CpuSet
 from ..host.machine import PhysicalHost
 from ..obs import runtime as obs_runtime
 from ..host.vm import VM, GuestOS, NetworkMode
@@ -45,10 +44,10 @@ class Hypervisor:
         self.host = host
         # Components capture the process-wide tracer at construction
         # (obs.runtime contract).  Experiments boot VMs/NSMs *after* the
-        # testbed factory returns — in a sharded build, after another
-        # shard's tracer has been installed — so the hypervisor pins the
-        # tracer active at its own construction and re-installs it
-        # around every boot path.
+        # testbed factory returns, by which time the process-wide tracer
+        # may belong to another testbed (or have been reset), so the
+        # hypervisor pins the tracer active at its own construction and
+        # re-installs it around every boot path: one host, one tracer.
         self._tracer = obs_runtime.get_tracer()
         self.coreengine = CoreEngine(
             sim,
@@ -62,40 +61,6 @@ class Hypervisor:
         #: Warm standby NSMs for failover (see :meth:`enable_failover`).
         self.standby_pool: List[NSM] = []
         self._standby_spec: Optional[NsmSpec] = None
-        # --- intra-host sharding (see attach_guest_plane) ----------------
-        self.guest_sim: Optional[Simulator] = None
-        self.guest_tracer = None
-        self.sharded = None
-        self.guest_shard: Optional[int] = None
-        self.provider_shard: Optional[int] = None
-
-    def attach_guest_plane(
-        self,
-        guest_sim: Simulator,
-        guest_shard: Optional[int] = None,
-        provider_shard: Optional[int] = None,
-        sharded=None,
-        guest_tracer=None,
-    ) -> None:
-        """Place this host's tenant plane (VMs + GuestLibs) on ``guest_sim``.
-
-        Called by the testbed factories when the partition plan makes an
-        intra-host cut: NetKernel VMs booted afterwards get their vCPUs,
-        GuestLib, cq/rq rings and huge-page view on the guest simulator,
-        and every ring hop is wired onto a shard channel between
-        ``guest_shard`` and ``provider_shard`` of ``sharded``.  Requires
-        ``CoreEngineConfig.ring_hop_latency`` (the cut's lookahead floor).
-        """
-        if self.coreengine.config.ring_hop_latency is None:
-            raise ValueError(
-                "attach_guest_plane needs CoreEngineConfig.ring_hop_latency: "
-                "the intra-host cut's lookahead floor"
-            )
-        self.guest_sim = guest_sim
-        self.guest_tracer = guest_tracer
-        self.sharded = sharded
-        self.guest_shard = guest_shard
-        self.provider_shard = provider_shard
 
     # ------------------------------------------------------------------- NSMs --
     def boot_nsm(self, spec: NsmSpec, name: Optional[str] = None) -> NSM:
@@ -262,48 +227,11 @@ class Hypervisor:
         ``rate_limit_bps`` register the tenant with the NSM's QoS policy
         (the NSM must have been booted with one for weights to matter).
         """
-        hop = self.coreengine.config.ring_hop_latency is not None
-        if hop:
-            # Ring-hop build: the tenant plane gets dedicated vCPUs on the
-            # guest simulator (identical structure whether or not the run
-            # is actually sharded — that is the bit-identity baseline).
-            gsim = self.guest_sim or self.sim
-            gtracer = self.guest_tracer or self._tracer
-            self.host.reserve_memory(memory_gb)
-            with obs_runtime.installed(gtracer):
-                cores = CpuSet(
-                    gsim, vcpus, name=f"{name}.vcpu",
-                    ghz=self.host.hypervisor_core.ghz,
-                ).cores
-                vm = VM(gsim, name, guest_os, cores, memory_gb, NetworkMode.NETKERNEL)
-            with obs_runtime.installed(self._tracer):
-                attachment = self.coreengine.attach_vm(
-                    cores[0], nsm, guest_sim=gsim, guest_tracer=gtracer
-                )
-            if (
-                self.sharded is not None
-                and self.guest_shard is not None
-                and self.guest_shard != self.provider_shard
-            ):
-                job_hop, cq_hop, rq_hop = attachment.hops
-                job_hop.channel = self.sharded.channel(
-                    self.guest_shard, self.provider_shard,
-                    job_hop.deliver, job_hop.latency,
-                )
-                cq_hop.channel = self.sharded.channel(
-                    self.provider_shard, self.guest_shard,
-                    cq_hop.deliver, cq_hop.latency,
-                )
-                rq_hop.channel = self.sharded.channel(
-                    self.provider_shard, self.guest_shard,
-                    rq_hop.deliver, rq_hop.latency,
-                )
-        else:
-            cores = self.host.allocate_cores(vcpus)
-            self.host.reserve_memory(memory_gb)
-            with obs_runtime.installed(self._tracer):
-                vm = VM(self.sim, name, guest_os, cores, memory_gb, NetworkMode.NETKERNEL)
-                attachment = self.coreengine.attach_vm(cores[0], nsm)
+        cores = self.host.allocate_cores(vcpus)
+        self.host.reserve_memory(memory_gb)
+        with obs_runtime.installed(self._tracer):
+            vm = VM(self.sim, name, guest_os, cores, memory_gb, NetworkMode.NETKERNEL)
+            attachment = self.coreengine.attach_vm(cores[0], nsm)
         vm.api = attachment.guestlib
         vm.vm_id = attachment.vm_id
         if qos_weight is not None or rate_limit_bps is not None:

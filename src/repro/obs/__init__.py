@@ -32,11 +32,8 @@ from .counters import CounterCadence, CounterSet
 from .runtime import NULL_TRACER, NullTracer
 from .export import (
     chrome_trace,
-    chrome_trace_merged,
-    merged_summary,
     summary,
     write_chrome_trace,
-    write_chrome_trace_merged,
     write_summary,
 )
 from .histograms import Log2Histogram
@@ -67,10 +64,7 @@ __all__ = [
     "ProbabilisticSampler",
     "PerTenantSampler",
     "chrome_trace",
-    "chrome_trace_merged",
     "write_chrome_trace",
-    "write_chrome_trace_merged",
     "summary",
-    "merged_summary",
     "write_summary",
 ]

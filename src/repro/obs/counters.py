@@ -21,27 +21,19 @@ __all__ = ["CounterSet", "CounterCadence"]
 class CounterSet:
     """Flat named counters: monotonic increments and high-water marks."""
 
-    __slots__ = ("_values", "_max_names")
+    __slots__ = ("_values",)
 
     def __init__(self) -> None:
         self._values: Dict[str, float] = {}
-        #: Names recorded via :meth:`set_max` — merge semantics differ:
-        #: folding counter sets together (sharded runs) must take the max
-        #: of a high-water mark, not the sum.
-        self._max_names: set = set()
 
     def inc(self, name: str, delta: float = 1) -> None:
         values = self._values
         values[name] = values.get(name, 0) + delta
 
     def set_max(self, name: str, value: float) -> None:
-        self._max_names.add(name)
         values = self._values
         if value > values.get(name, 0):
             values[name] = value
-
-    def is_high_water(self, name: str) -> bool:
-        return name in self._max_names
 
     def get(self, name: str, default: float = 0) -> float:
         return self._values.get(name, default)
@@ -51,7 +43,6 @@ class CounterSet:
 
     def clear(self) -> None:
         self._values.clear()
-        self._max_names.clear()
 
     def __len__(self) -> int:
         return len(self._values)

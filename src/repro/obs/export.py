@@ -9,29 +9,19 @@ way the Figure 2 datapath is drawn.
 ``summary`` flattens counters, per-core CPU attribution, histogram
 percentiles and per-layer span counts into one JSON-able dict — the
 machine-readable artifact benchmarks diff across PRs.
-
-Sharded runs (:mod:`repro.sim.sharded`) carry one tracer per shard so the
-span stores stay disjoint; ``chrome_trace_merged`` renders them as one
-trace with a process per shard (shared timeline — all shards run the same
-virtual clock), and ``merged_summary`` folds the counters and histograms
-back together as if one tracer had seen the whole run.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
-from .histograms import Log2Histogram
 from .spans import LAYERS, Tracer
 
 __all__ = [
     "chrome_trace",
-    "chrome_trace_merged",
-    "merged_summary",
     "summary",
     "write_chrome_trace",
-    "write_chrome_trace_merged",
     "write_summary",
 ]
 
@@ -47,9 +37,7 @@ def _layer_tids(tracer: Tracer) -> Dict[str, int]:
     return tids
 
 
-def chrome_trace(
-    tracer: Tracer, pid: int = 1, process_name: str = "netkernel"
-) -> Dict[str, Any]:
+def chrome_trace(tracer: Tracer, pid: int = 1) -> Dict[str, Any]:
     """Render all finished spans as a Chrome Trace Event Format object."""
     tids = _layer_tids(tracer)
     events: List[Dict[str, Any]] = [
@@ -57,7 +45,7 @@ def chrome_trace(
             "ph": "M",
             "pid": pid,
             "name": "process_name",
-            "args": {"name": process_name},
+            "args": {"name": "netkernel"},
         }
     ]
     for layer, tid in sorted(tids.items(), key=lambda item: item[1]):
@@ -103,35 +91,6 @@ def write_chrome_trace(tracer: Tracer, path: str, pid: int = 1) -> str:
     return path
 
 
-def chrome_trace_merged(
-    tracers: Sequence[Tracer], names: Optional[Sequence[str]] = None
-) -> Dict[str, Any]:
-    """One trace object from per-shard tracers: process ``i`` = shard ``i``.
-
-    Shards share the virtual clock, so their event timestamps line up on
-    one timeline; pids keep each shard's layer swimlanes separate.
-    """
-    events: List[Dict[str, Any]] = []
-    for shard, tracer in enumerate(tracers):
-        name = (
-            names[shard] if names is not None else f"netkernel shard {shard}"
-        )
-        events.extend(
-            chrome_trace(tracer, pid=shard + 1, process_name=name)["traceEvents"]
-        )
-    return {"traceEvents": events, "displayTimeUnit": "ns"}
-
-
-def write_chrome_trace_merged(
-    tracers: Sequence[Tracer],
-    path: str,
-    names: Optional[Sequence[str]] = None,
-) -> str:
-    with open(path, "w") as fh:
-        json.dump(chrome_trace_merged(tracers, names=names), fh, indent=1)
-    return path
-
-
 def summary(tracer: Tracer) -> Dict[str, Any]:
     """Flatten the tracer's aggregates into one JSON-able dict."""
     spans_by_layer: Dict[str, int] = {}
@@ -162,63 +121,3 @@ def write_summary(tracer: Tracer, path: str) -> str:
     with open(path, "w") as fh:
         json.dump(summary(tracer), fh, indent=1, sort_keys=False)
     return path
-
-
-def merged_summary(tracers: Sequence[Tracer]) -> Dict[str, Any]:
-    """Fold per-shard tracers into one :func:`summary`-shaped dict.
-
-    Counts and counters sum — except high-water marks (``set_max``
-    counters, e.g. ``queue.hwm.*``), which take the max across shards:
-    two shards can legitimately record the same key (each host's
-    CoreEngine numbers its VMs from 1), and a single-tracer run would
-    have folded those with ``set_max``, not addition.  Histograms merge
-    bucket-by-bucket (:meth:`Log2Histogram.merge`), so percentiles are
-    those of the union of samples.  Counter snapshots are reported per
-    shard (they are cadence-driven time series; summing across shards
-    would interleave different snapshot instants).
-
-    Histogram *means* may differ from the single-tracer run in the last
-    ulp: per-shard subtotals are added instead of accumulating samples in
-    interleaved order.  Counts, buckets and percentiles are exact — only
-    simulation results carry the bit-identity contract, not float
-    telemetry aggregates.
-    """
-    spans_by_layer: Dict[str, int] = {}
-    counters: Dict[str, float] = {}
-    cpu_by_core: Dict[str, float] = {}
-    histograms: Dict[str, Log2Histogram] = {}
-    spans = dropped = 0
-    snapshots: List[Dict[str, Any]] = []
-    for shard, tracer in enumerate(tracers):
-        spans += len(tracer.spans)
-        dropped += tracer.spans_dropped
-        for span in tracer.spans:
-            spans_by_layer[span.layer] = spans_by_layer.get(span.layer, 0) + 1
-        for name, value in tracer.counters.as_dict().items():
-            if tracer.counters.is_high_water(name):
-                counters[name] = max(counters.get(name, 0), value)
-            else:
-                counters[name] = counters.get(name, 0) + value
-        for core, ns in tracer.cpu_ns_by_core.items():
-            cpu_by_core[core] = cpu_by_core.get(core, 0.0) + ns
-        for name, hist in tracer.histograms.items():
-            merged = histograms.get(name)
-            if merged is None:
-                merged = histograms[name] = Log2Histogram(name)
-            merged.merge(hist)
-        if tracer.cadence is not None:
-            snapshots.extend(
-                {"t": t, "shard": shard, "counters": values}
-                for t, values in tracer.cadence.snapshots
-            )
-    return {
-        "spans": spans,
-        "spans_dropped": dropped,
-        "spans_by_layer": dict(sorted(spans_by_layer.items())),
-        "counters": dict(sorted(counters.items())),
-        "cpu_ns_by_core": dict(sorted(cpu_by_core.items())),
-        "histograms_ns": {
-            name: hist.summary() for name, hist in sorted(histograms.items())
-        },
-        "counter_snapshots": snapshots,
-    }

@@ -1,4 +1,4 @@
-"""Deterministic scale-out execution: run sweeps and sharded runs on cores."""
+"""Deterministic scale-out execution: run independent sweeps on cores."""
 
 from .runner import (
     ParallelRunner,
@@ -6,22 +6,14 @@ from .runner import (
     RunResult,
     RunSpec,
     derive_seed,
-    pack_metrics,
     parallel_map,
-    unpack_metrics,
 )
-from .shards import ShardRunStats, ShardWorkerError, run_sharded_process
 
 __all__ = [
     "ParallelRunner",
     "RunFailure",
     "RunResult",
     "RunSpec",
-    "ShardRunStats",
-    "ShardWorkerError",
     "derive_seed",
-    "pack_metrics",
     "parallel_map",
-    "run_sharded_process",
-    "unpack_metrics",
 ]

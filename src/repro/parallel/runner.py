@@ -29,21 +29,13 @@ Two pooling policies (``pool=``):
   large when runs are short (many-point smoke grids).  A crashed worker
   fails only the run it was executing and is respawned.
 
-Two result transports (``transport=``, persistent pool only):
-
-* ``"pipe"`` (default) — results come back pickled over the worker pipe.
-* ``"shm"`` — a run result that is a flat ``dict`` of scalars (the shape
-  every bench/figure point returns) is struct-packed into a
-  ``multiprocessing.shared_memory`` segment; only the segment name
-  crosses the pipe.  Results of any other shape fall back to the pipe
-  transparently.  ``benchmarks/bench_scale.py`` times both.
+Results come back pickled over the worker's pipe under either policy.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
-import struct
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -56,8 +48,6 @@ __all__ = [
     "ParallelRunner",
     "derive_seed",
     "parallel_map",
-    "pack_metrics",
-    "unpack_metrics",
 ]
 
 
@@ -114,145 +104,6 @@ class RunResult:
 ProgressFn = Callable[[int, int, RunResult], None]
 
 
-# -- shared-memory metric transport -------------------------------------------
-#
-# Wire format: u32 row count, then per entry a u16-length-prefixed utf-8
-# key, a one-byte type tag and the value — 'd' f64, 'q' i64, 'b' bool,
-# 's' u32-length-prefixed utf-8, 'n' None.  Nothing else qualifies; a
-# packer returning None means "use the pipe".
-
-_PACKABLE_TAGS = {float: b"d", int: b"q", bool: b"b", str: b"s"}
-
-
-def pack_metrics(value: Any) -> Optional[bytes]:
-    """Struct-pack a flat scalar dict, or ``None`` if it doesn't qualify."""
-    if type(value) is not dict:
-        return None
-    out = bytearray(struct.pack("<I", len(value)))
-    for key, item in value.items():
-        if type(key) is not str:
-            return None
-        encoded = key.encode()
-        out += struct.pack("<H", len(encoded))
-        out += encoded
-        kind = type(item)
-        if kind is bool:  # before int: bool is an int subclass
-            out += b"b"
-            out += struct.pack("<B", item)
-        elif kind is float:
-            out += b"d"
-            out += struct.pack("<d", item)
-        elif kind is int:
-            if not -(2**63) <= item < 2**63:
-                return None
-            out += b"q"
-            out += struct.pack("<q", item)
-        elif kind is str:
-            encoded = item.encode()
-            out += b"s"
-            out += struct.pack("<I", len(encoded))
-            out += encoded
-        elif item is None:
-            out += b"n"
-        else:
-            return None
-    return bytes(out)
-
-
-def unpack_metrics(buf: bytes) -> Dict[str, Any]:
-    """Inverse of :func:`pack_metrics`."""
-    (count,) = struct.unpack_from("<I", buf, 0)
-    offset = 4
-    value: Dict[str, Any] = {}
-    for _ in range(count):
-        (key_len,) = struct.unpack_from("<H", buf, offset)
-        offset += 2
-        key = bytes(buf[offset : offset + key_len]).decode()
-        offset += key_len
-        tag = buf[offset : offset + 1]
-        offset += 1
-        if tag == b"d":
-            (item,) = struct.unpack_from("<d", buf, offset)
-            offset += 8
-        elif tag == b"q":
-            (item,) = struct.unpack_from("<q", buf, offset)
-            offset += 8
-        elif tag == b"b":
-            (raw,) = struct.unpack_from("<B", buf, offset)
-            item = bool(raw)
-            offset += 1
-        elif tag == b"s":
-            (str_len,) = struct.unpack_from("<I", buf, offset)
-            offset += 4
-            item = bytes(buf[offset : offset + str_len]).decode()
-            offset += str_len
-        elif tag == b"n":
-            item = None
-        else:
-            raise ValueError(f"corrupt metric buffer: tag {tag!r}")
-        value[key] = item
-    return value
-
-
-#: Initial size of a pool worker's reusable result segment.  Metric
-#: dicts are a few hundred bytes; 64 KB means growth is essentially
-#: never needed.
-_SHM_SEGMENT_MIN = 65536
-
-
-def _ensure_worker_segment(segment, size: int):
-    """Return a worker-owned segment of at least ``size`` bytes.
-
-    The segment is created ONCE per worker and reused for every result —
-    a create+unlink per result costs ~115 us of syscalls (open,
-    ftruncate, mmap, unlink) against sub-microsecond for rewriting a
-    mapped segment, which is how the shm transport managed to lose to
-    the plain pickle pipe in the sweep.  Growth (re-create at the next
-    power of two) only happens between results, after the parent has
-    consumed the previous one, so the old mapping is never read again.
-    """
-    from multiprocessing import resource_tracker, shared_memory
-
-    if segment is not None and segment.size >= size:
-        return segment
-    want = _SHM_SEGMENT_MIN
-    while want < size:
-        want *= 2
-    if segment is not None:
-        old = segment
-        segment = None
-        old.close()
-        try:
-            old.unlink()
-        except FileNotFoundError:
-            pass
-    segment = shared_memory.SharedMemory(create=True, size=want)
-    # The worker exits while the parent still maps the segment: stop our
-    # resource tracker from unlinking it at interpreter shutdown (the
-    # parent unlinks at pool teardown).
-    try:
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:
-        pass
-    return segment
-
-
-def _receive_from_shm(name: str, size: int, cache: Dict[str, Any]) -> Dict[str, Any]:
-    """Read one packed result out of a worker's reusable segment.
-
-    Mappings are cached per segment name — attaching costs an open+mmap,
-    so the parent pays it once per worker (plus once per rare growth),
-    not once per result.  Cached segments are unlinked at pool teardown.
-    """
-    from multiprocessing import shared_memory
-
-    segment = cache.get(name)
-    if segment is None:
-        segment = shared_memory.SharedMemory(name=name)
-        cache[name] = segment
-    return unpack_metrics(bytes(segment.buf[:size]))
-
-
 def _worker_main(conn, fn, args, kwargs) -> None:
     from ..runstate import reset_run_ids
 
@@ -281,11 +132,10 @@ def _worker_main(conn, fn, args, kwargs) -> None:
         conn.close()
 
 
-def _pool_worker_main(conn, transport: str) -> None:
+def _pool_worker_main(conn) -> None:
     """Persistent-pool worker: loop over (fn, args, kwargs) jobs until EOF."""
     from ..runstate import reset_run_ids
 
-    segment = None  # reusable result segment (shm transport only)
     while True:
         try:
             job = conn.recv()
@@ -308,20 +158,8 @@ def _pool_worker_main(conn, transport: str) -> None:
             )
             continue
         wall = time.perf_counter() - started
-        payload = None
-        if transport == "shm":
-            packed = pack_metrics(value)
-            if packed is not None:
-                try:
-                    segment = _ensure_worker_segment(segment, len(packed))
-                    segment.buf[: len(packed)] = packed
-                    payload = ("shm", (segment.name, len(packed)), wall)
-                except Exception:
-                    payload = None  # no /dev/shm etc.: fall back to the pipe
-        if payload is None:
-            payload = ("ok", value, wall)
         try:
-            conn.send(payload)
+            conn.send(("ok", value, wall))
         except Exception as exc:
             conn.send(
                 (
@@ -341,16 +179,12 @@ class ParallelRunner:
         progress: Optional[ProgressFn] = None,
         context: Optional[str] = None,
         pool: str = "fork",
-        transport: str = "pipe",
     ) -> None:
         if pool not in ("fork", "persistent"):
             raise ValueError(f"unknown pool policy: {pool!r}")
-        if transport not in ("pipe", "shm"):
-            raise ValueError(f"unknown result transport: {transport!r}")
         self.jobs = max(1, jobs)
         self.progress = progress
         self.pool = pool
-        self.transport = transport
         if context is None:
             methods = multiprocessing.get_all_start_methods()
             context = "fork" if "fork" in methods else "spawn"
@@ -448,7 +282,7 @@ class ParallelRunner:
         parent, child = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_pool_worker_main,
-            args=(child, self.transport),
+            args=(child,),
             name="repro-pool-worker",
         )
         proc.start()
@@ -459,7 +293,6 @@ class ParallelRunner:
         results: List[Optional[RunResult]] = [None] * len(specs)
         pending = list(enumerate(specs))
         workers: Dict[Any, Tuple[Any, Optional[int]]] = {}  # conn -> (proc, index)
-        shm_cache: Dict[str, Any] = {}  # segment name -> open mapping
         done = 0
 
         for _ in range(min(self.jobs, max(1, len(specs)))):
@@ -503,20 +336,6 @@ class ParallelRunner:
                         workers[conn] = (proc, None)
                         if status == "ok":
                             result = RunResult(spec.key, value=payload, wall_s=wall)
-                        elif status == "shm":
-                            name, size = payload
-                            try:
-                                value = _receive_from_shm(name, size, shm_cache)
-                                result = RunResult(spec.key, value=value, wall_s=wall)
-                            except Exception as exc:  # noqa: BLE001
-                                result = RunResult(
-                                    spec.key,
-                                    error=RunFailure(
-                                        type(exc).__name__,
-                                        f"shm result unreadable: {exc}",
-                                    ),
-                                    wall_s=wall,
-                                )
                         else:
                             result = RunResult(spec.key, error=payload, wall_s=wall)
                     results[index] = result
@@ -536,12 +355,6 @@ class ParallelRunner:
                 if proc.is_alive():
                     proc.terminate()
                     proc.join()
-            for segment in shm_cache.values():
-                segment.close()
-                try:
-                    segment.unlink()
-                except FileNotFoundError:
-                    pass  # worker already unlinked it when growing
         return results  # type: ignore[return-value]
 
 
@@ -552,7 +365,6 @@ def parallel_map(
     keys: Optional[Sequence[str]] = None,
     progress: Optional[ProgressFn] = None,
     pool: str = "fork",
-    transport: str = "pipe",
 ) -> List[Any]:
     """Map ``fn`` over argument tuples; raise on the first failed run.
 
@@ -568,9 +380,7 @@ def parallel_map(
         )
         for i, args in enumerate(argtuples)
     ]
-    outcomes = ParallelRunner(
-        jobs=jobs, progress=progress, pool=pool, transport=transport
-    ).run(specs)
+    outcomes = ParallelRunner(jobs=jobs, progress=progress, pool=pool).run(specs)
     for outcome in outcomes:
         if outcome.error is not None:
             raise RuntimeError(

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from heapq import heappop
 from itertools import count
-from math import nextafter
 from typing import Any, Generator, Iterable, Optional
 
 from .events import AllOf, AnyOf, Event, SimulationError, Timeout
@@ -59,8 +58,8 @@ class Simulator:
         self._queue = CalendarQueue(self._now)
         self._counter = count()
         self._active_process: Optional[Process] = None
-        #: Events processed since construction (perf metric; see
-        #: ``benchmarks/bench_datapath.py``).
+        #: Events processed since construction (the perf ledger's
+        #: ``sim.events``; see ``benchmarks/ledger/layers.py``).
         self.events_processed = 0
         #: Hybrid fidelity: the installed
         #: :class:`~repro.sim.fluid.FidelityController`, or None for pure
@@ -119,22 +118,6 @@ class Simulator:
             raise ValueError(f"negative schedule_call delay: {delay!r}")
         self._queue.push((self._now + delay, next(self._counter), func, args))
 
-    def schedule_call_at(self, when: float, func, *args) -> None:
-        """Schedule ``func(*args)`` at the *absolute* time ``when``.
-
-        The sharded execution layer (:mod:`repro.sim.sharded`) injects
-        cross-shard deliveries with the exact timestamp computed in the
-        sending shard; going through :meth:`schedule_call` would recompute
-        ``now + (when - now)``, whose float rounding need not reproduce
-        ``when`` bit-for-bit — and timestamp identity is what makes a
-        sharded run merge to the single-heap schedule.
-        """
-        if when < self._now:
-            raise SimulationError(
-                f"schedule_call_at({when}) is in the past (now={self._now})"
-            )
-        self._queue.push((when, next(self._counter), func, args))
-
     # -- execution ------------------------------------------------------------
     def step(self) -> None:
         """Process the single next entry in the queue."""
@@ -169,23 +152,6 @@ class Simulator:
             raise ValueError(f"run(until={until}) is in the past (now={self._now})")
         self._run_through(until)
         self._now = until
-
-    def run_window(self, horizon: float, limit: Optional[float] = None) -> int:
-        """Process every event with ``time < horizon`` (and ``<= limit``).
-
-        The virtual-time window primitive for conservative-lookahead
-        sharded execution (:mod:`repro.sim.sharded`): events landing
-        *exactly on* the window boundary stay queued for the next window,
-        so a cross-shard message timestamped ``horizon`` can still be
-        injected ahead of them.  Unlike :meth:`run`, the clock is left at
-        the last processed event — the shard coordinator owns end-of-run
-        clock advancement.  Returns the number of events processed.
-        """
-        # ``time < horizon`` is ``time <= the float just below horizon``.
-        bound = nextafter(horizon, -_INF)
-        if limit is not None and limit < bound:
-            bound = limit
-        return self._run_through(bound)
 
     def _run_through(self, bound: float) -> int:
         """Process every entry with ``time <= bound``; return how many.

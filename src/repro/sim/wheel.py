@@ -41,12 +41,12 @@ could tie (equal time) always share a bucket, where the per-bucket heap
 orders them by the same ``(time, seq)`` tuples the global heap used.
 Overflow entries all have ``when >= limit`` and bucket entries
 ``when < limit``, so the partition never reorders either.  All existing
-golden tests (sharded merges, fluid twins, traced figures) pin this.
+golden tests (fluid twins, traced figures) pin this.
 
 Insert-below-the-scan safety: ``first`` (the lower bound on the earliest
 non-empty bucket) is *lowered* whenever a push lands below it, and ``t0``
-may jump above the clock at a window advance — a late
-``schedule_call_at`` from the sharded coordinator then computes a
+may jump above the clock at a window advance (a ``peek()`` past the end
+of a ``run(until=...)`` is enough) — a push below ``t0`` then computes a
 negative ``idx`` and is clamped into bucket 0, which is correct because
 clamping preserves monotonicity and the per-bucket heap restores the
 exact order among everything that gathers there.

@@ -32,6 +32,37 @@ def test_parser_rejects_unknown_ablation():
         build_parser().parse_args(["ablation", "nonsense"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure4", "--shards", "2"],
+        ["figure4", "--shard-plan", "plane"],
+        ["figure4", "--ring-latency", "40e-6"],
+        ["figure4", "--adaptive"],
+        ["figure4", "--shard-executor", "process"],
+        ["figure5", "--shards", "2"],
+        ["figure5", "--shard-plan", "plane"],
+        ["bench", "datapath", "--shards", "2"],
+        ["bench", "scale", "--no-sharded"],
+        ["trace", "figure4", "--shards", "2"],
+        ["trace", "figure4", "--adaptive"],
+    ],
+)
+def test_intra_run_sharding_flags_are_gone(argv):
+    """One simulator per run: the flags that selected anything else are
+    argparse errors."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("field", ["ring_hop_latency", "compact_conntable"])
+def test_coreengine_config_rejects_removed_fields(field):
+    from repro.netkernel import CoreEngineConfig
+
+    with pytest.raises(TypeError):
+        CoreEngineConfig(**{field: None})
+
+
 def test_figure5_seed_argument():
     args = build_parser().parse_args(["figure5", "--seeds", "7", "8"])
     assert args.seeds == [7, 8]

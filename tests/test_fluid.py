@@ -207,10 +207,9 @@ def test_netkernel_fluid_credits_are_conserved():
     """Aggregated DATA credits keep the invariants ledger balanced."""
     from repro.experiments.figure4 import _build_lan_world
 
-    world = _build_lan_world(
-        "netkernel", flows=1, duration=0.05, warmup=0.01, fidelity="auto"
+    testbed, _receivers = _build_lan_world(
+        "netkernel", flows=1, warmup=0.01, fidelity="auto"
     )
-    testbed = world.testbed
     testbed.run(until=0.05)
     assert testbed.sim.fidelity.stats()["promotions"] >= 1
     for hypervisor in (testbed.hypervisor_a, testbed.hypervisor_b):

@@ -182,69 +182,3 @@ def test_persistent_pool_respawns_after_crash():
 def test_unknown_pool_rejected():
     with pytest.raises(ValueError, match="pool"):
         ParallelRunner(jobs=2, pool="threads")
-
-
-# ------------------------------------------------- shared-memory transport --
-def _metrics_row(x):
-    return {"gbps": 1.5 * x, "events": 100 + x, "ok": True, "label": f"run{x}",
-            "missing": None}
-
-
-def _unpackable(x):
-    return {"nested": {"a": x}}  # not flat: must fall back to the pipe
-
-
-def test_shm_transport_matches_pipe():
-    args = [(i,) for i in range(6)]
-    piped = parallel_map(_metrics_row, args, jobs=2, pool="persistent")
-    shipped = parallel_map(
-        _metrics_row, args, jobs=2, pool="persistent", transport="shm"
-    )
-    assert piped == shipped == [_metrics_row(i) for i in range(6)]
-
-
-def test_shm_transport_falls_back_for_unpackable_values():
-    args = [(i,) for i in range(4)]
-    shipped = parallel_map(
-        _unpackable, args, jobs=2, pool="persistent", transport="shm"
-    )
-    assert shipped == [_unpackable(i) for i in range(4)]
-
-
-def test_unknown_transport_rejected():
-    with pytest.raises(ValueError, match="transport"):
-        ParallelRunner(jobs=2, pool="persistent", transport="tmpfile")
-
-
-# ------------------------------------------------------------ metric codec --
-def test_pack_metrics_round_trip():
-    from repro.parallel import pack_metrics, unpack_metrics
-
-    row = {
-        "gbps": 37.6476601691976,
-        "events": 96911,
-        "negative": -3,
-        "flag_t": True,
-        "flag_f": False,
-        "label": "epoll_10000",
-        "unicode": "μs — shard",
-        "nothing": None,
-        "zero": 0.0,
-    }
-    packed = pack_metrics(row)
-    assert packed is not None
-    out = unpack_metrics(packed)
-    assert out == row
-    # Bit-exact floats and preserved types (bool must not come back as int).
-    assert repr(out["gbps"]) == repr(row["gbps"])
-    assert isinstance(out["flag_t"], bool) and isinstance(out["events"], int)
-
-
-def test_pack_metrics_rejects_non_conforming():
-    from repro.parallel import pack_metrics
-
-    assert pack_metrics([1, 2]) is None                    # not a dict
-    assert pack_metrics({"a": {"b": 1}}) is None           # nested
-    assert pack_metrics({1: "x"}) is None                  # non-str key
-    assert pack_metrics({"a": (1, 2)}) is None             # tuple value
-    assert pack_metrics({"big": 2**70}) is None            # out of i64 range

@@ -15,12 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.host import Core
-from repro.sim import Interrupt, Simulator, SimulationError, Timeout
+from repro.sim import Interrupt, Simulator, Timeout
 
 # Zero, equal-time ties, one wheel bucket (8 us), and far enough (> 131 ms)
 # to sit in the wheel's overflow heap.
 DELAYS = st.sampled_from([0.0, 0.0, 1e-6, 1e-6, 3e-6, 8e-6, 1e-3, 0.2])
-KINDS = st.sampled_from(["call", "call_at", "timeout", "succeed", "execute_call"])
+KINDS = st.sampled_from(["call", "timeout", "succeed", "execute_call"])
 
 # An op is (kind, delay, children); children are issued when the op fires.
 OPS = st.recursive(
@@ -31,8 +31,10 @@ OPS = st.recursive(
 
 DRIVES = st.lists(
     st.one_of(
-        st.tuples(st.just("window"), st.sampled_from([0.0, 1e-6, 4e-6, 1e-3, 0.2])),
-        st.tuples(st.just("until"), st.sampled_from([0.0, 1e-6, 2e-6, 1e-3, 0.3])),
+        st.tuples(
+            st.just("until"),
+            st.sampled_from([0.0, 1e-6, 2e-6, 4e-6, 1e-3, 0.2, 0.3]),
+        ),
         st.tuples(st.just("step"), st.integers(1, 4)),
     ),
     max_size=5,
@@ -88,8 +90,6 @@ class Rig:
         sim, label = self.sim, next(self.labels)
         if kind == "call":
             assert sim.schedule_call(delay, self.fire, label, children) is None
-        elif kind == "call_at":
-            sim.schedule_call_at(sim.now + delay, self.fire, label, children)
         elif kind == "timeout":
             sim.timeout(delay).add_callback(lambda _ev: self.fire(label, children))
         elif kind == "succeed":
@@ -108,12 +108,7 @@ def test_fire_order_is_time_then_seq_for_every_entry_kind(program, drives):
         rig.issue(op)
     sim = rig.sim
     for how, arg in drives:
-        if how == "window":
-            before = len(rig.fired)
-            assert sim.run_window(arg) == sim.events_processed - before
-            assert all(when < arg for when, _ in rig.fired[before:])
-            assert sim.peek() >= arg  # boundary entries stay queued
-        elif how == "until":
+        if how == "until":
             if arg >= sim.now:
                 sim.run(until=arg)
                 assert sim.now == arg and sim.peek() > arg
@@ -163,8 +158,6 @@ def test_negative_delay_raises_where_it_is_scheduled(sim):
     with pytest.raises(ValueError):
         sim.schedule_call(-1e-9, lambda: None)
     assert sim.peek() == float("inf")  # nothing was queued
-    with pytest.raises(SimulationError):
-        sim.schedule_call_at(sim.now - 1.0, lambda: None)
 
 
 def test_run_until_event_dispatches_calls_on_the_way(sim):

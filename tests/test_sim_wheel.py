@@ -43,8 +43,7 @@ def _random_times(rng, now, heap):
         return now + window * (1.0 + rng.random() * 50.0)
     if kind < 0.90:  # sub-width jitter: many entries share a bucket
         return now + rng.random() * WIDTH
-    # Below the clock: the clamped insert-below-the-scan path (late
-    # schedule_call_at from a sharded coordinator).
+    # Below the clock: the clamped insert-below-the-scan path.
     return max(0.0, now - rng.random() * WIDTH)
 
 

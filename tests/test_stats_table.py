@@ -123,21 +123,3 @@ def test_bench_points_table():
     assert len(table) == 2
     assert list(table.column("fidelity")) == ["packet", "auto"]
     assert table.column("bytes_delivered")[0] == 51200
-
-
-def test_pool_shm_transport_reuses_segment(tmp_path):
-    """The shm transport ships many results through one worker segment."""
-    from repro.parallel import ParallelRunner, RunSpec
-
-    tasks = [
-        RunSpec(key=f"t{i}", fn=_metric_task, args=(i,)) for i in range(50)
-    ]
-    runner = ParallelRunner(jobs=2, pool="persistent", transport="shm")
-    results = runner.run(tasks)
-    assert all(r.error is None for r in results)
-    assert [r.value["index"] for r in results] == list(range(50))
-    assert results[7].value["value"] == 7 * 2.5
-
-
-def _metric_task(index):
-    return {"index": index, "value": index * 2.5}
