@@ -1,11 +1,11 @@
 #!/usr/bin/env python
 """Scale benchmark: simulator host performance at large connection counts.
 
-Like ``bench_datapath.py`` this measures the simulator *itself* — wall
-seconds, events per wall second, workload progress — but in the many-
-connection regime: ``epoll_N`` sparse-activity sinks (100 → 10k
-connections) and short-connection ``churn_N``, plus a serial-vs-``--jobs``
-sweep of independent runs.  Results go to BENCH_scale.json with the
+This measures the simulator *itself* — wall seconds, events per wall
+second, workload progress — in the many-connection regime the perf
+ledger (``benchmarks/ledger/``) has no workload for yet: ``epoll_N``
+sparse-activity sinks (100 → 10k connections) and short-connection
+``churn_N``, plus a serial-vs-``--jobs`` sweep of independent runs.  Results go to BENCH_scale.json with the
 committed pre-PR baseline embedded for an honest before/after.
 
 Two entry points:

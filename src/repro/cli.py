@@ -12,7 +12,6 @@
     python -m repro chaos --fuzz 8 --jobs 4          # parallel fuzz sweep
     python -m repro stackswap [--quick]  # QUIC NSM swap + tenant isolation
     python -m repro migrate [--chaos --family quic]  # live NSM migration
-    python -m repro bench datapath [--quick]         # simulator wall-clock perf
     python -m repro bench scale [--smoke]            # large-N scale benchmark
     python -m repro all                  # everything (several minutes)
 
@@ -141,38 +140,25 @@ def run_all(args: argparse.Namespace) -> str:
 def run_bench(args: argparse.Namespace) -> str:
     import json
 
-    if args.which == "scale":
-        from .experiments import bench_scale
+    from .experiments import bench_scale
 
-        result = bench_scale.run_bench(
-            smoke=args.smoke,
-            jobs=_jobs(args),
-            sweep=not args.no_sweep,
-            pool=_pool(args),
-            fidelity=getattr(args, "fidelity", "packet"),
-        )
-        render = bench_scale.render
-        out = args.out if args.out is not None else "BENCH_scale.json"
-    else:
-        from .experiments import bench_datapath
-
-        result = bench_datapath.run_bench(
-            quick=args.quick,
-            repeats=args.repeats,
-            jobs=_jobs(args),
-        )
-        render = bench_datapath.render
-        out = args.out if args.out is not None else "BENCH_datapath.json"
-    lines = [render(result)]
+    result = bench_scale.run_bench(
+        smoke=args.smoke,
+        jobs=_jobs(args),
+        sweep=not args.no_sweep,
+        pool=_pool(args),
+        fidelity=getattr(args, "fidelity", "packet"),
+    )
+    out = args.out if args.out is not None else "BENCH_scale.json"
+    lines = [bench_scale.render(result)]
     if out:
         with open(out, "w") as fh:
             json.dump(result, fh, indent=2)
             fh.write("\n")
         lines.append(f"results -> {out}")
-        if args.which == "scale":
-            table_out = (out[:-5] if out.endswith(".json") else out) + ".tbl"
-            bench_scale.points_table(result).write(table_out)
-            lines.append(f"columnar points -> {table_out}")
+        table_out = (out[:-5] if out.endswith(".json") else out) + ".tbl"
+        bench_scale.points_table(result).write(table_out)
+        lines.append(f"columnar points -> {table_out}")
     return "\n".join(lines)
 
 
@@ -361,7 +347,8 @@ def run_list(args: argparse.Namespace) -> str:
         " latency) + hostile-tenant isolation on a shared NSM",
         "  migrate    live NSM migration mid-transfer (zero-loss handoff);"
         " --chaos sweeps faults across every phase boundary",
-        "  bench      simulator wall-clock benchmarks (datapath, scale)",
+        "  bench      simulator wall-clock benchmark (scale); per-workload"
+        " timing lives in benchmarks/ledger/",
         "  all        everything above in sequence",
         "",
         "figure4/figure5/ablation/chaos/bench accept --jobs N to fan",
@@ -427,13 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench", help="simulator wall-clock benchmarks (host performance)"
     )
-    bench.add_argument("which", choices=["datapath", "scale"])
-    bench.add_argument("--quick", action="store_true",
-                       help="datapath: small workloads (seconds, not minutes)")
+    bench.add_argument("which", choices=["scale"])
     bench.add_argument("--smoke", action="store_true",
                        help="scale: CI mode with small connection counts")
-    bench.add_argument("--repeats", type=int, default=None,
-                       help="datapath: runs per config, best kept")
     bench.add_argument("--no-sweep", action="store_true",
                        help="scale: skip the serial-vs-parallel sweep")
     bench.add_argument("--fidelity", choices=["packet", "fluid", "auto"],
@@ -441,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scale: also measure the hybrid-fidelity cells "
                             "(packet-equivalent events/s vs the packet twin)")
     bench.add_argument("--out", default=None,
-                       help="result JSON path (default BENCH_<which>.json, "
+                       help="result JSON path (default BENCH_scale.json, "
                             "'' to skip writing)")
     add_jobs(bench)
     bench.set_defaults(runner=run_bench)

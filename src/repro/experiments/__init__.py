@@ -32,7 +32,6 @@ from .common import (
     make_lan_testbed,
     make_wan_testbed,
 )
-from .bench_datapath import run_datapath_bench
 from .bench_scale import run_scale_bench
 from .figure4 import Figure4Result, run_figure4
 from .figure5 import Figure5Result, run_figure5
@@ -64,7 +63,6 @@ __all__ = [
     "render_fuzz_sweep",
     "Figure4Result",
     "run_figure4",
-    "run_datapath_bench",
     "run_scale_bench",
     "Figure5Result",
     "run_figure5",

@@ -1,7 +1,7 @@
 """Scale benchmark: how fast does the simulator run at large connection counts?
 
-Like :mod:`bench_datapath`, this measures *host-side* performance, not
-paper numbers — but in the many-connection regime that the NetKernel
+Like the perf ledger (``benchmarks/ledger/``), this measures *host-side*
+performance, not paper numbers — but in the many-connection regime that the NetKernel
 follow-up (arXiv:1903.07119) evaluates: thousands of mostly-idle
 connections with sparse, uncoordinated activity, plus short-connection
 churn.  Two workload families:
@@ -23,7 +23,7 @@ second, and workload progress (messages or requests).  The headline is
   before the large-N fast paths (O(ready) epoll, lookup/alloc fast
   paths), committed so ``BENCH_scale.json`` always carries the speedup;
 * ``benchmarks/ref/BENCH_scale_ref.json`` — a smoke-mode reference used
-  by CI to fail on >25 % regressions (same gate as bench_datapath).
+  by CI to fail on >25 % regressions.
 
 A ``sweep`` section times ≥8 independent runs serially and through
 ``repro.parallel`` with 4 workers, recording the wall-clock speedup
@@ -83,7 +83,7 @@ PRE_PR_BASELINE: Dict[str, Dict[str, float]] = {
     "churn_64": {"wall_s": 13.049, "events_per_s": 104582.0},
 }
 
-#: CI regression gate (same shape as bench_datapath's).
+#: CI regression gate: tolerated events/s shortfall against the reference.
 DEFAULT_TOLERANCE = 0.25
 
 #: GC generation thresholds inside a timed window.  The built world is

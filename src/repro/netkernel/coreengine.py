@@ -20,27 +20,16 @@ from ..api.errors import ConnectionReset
 from ..host.cpu import Core
 from ..obs import runtime as obs_runtime
 from ..sim import NANOS, Event, Simulator
-from .batching import (
-    CE_PER_BATCH_NS,
-    CE_PER_NQE_NS,
-    GL_PER_BATCH_NS,
-    GL_PER_NQE_NS,
-    SL_PER_BATCH_NS,
-    SL_PER_NQE_NS,
-    BatchPolicy,
-)
+from .batching import drain_policy
 from .conntable import ConnectionTable
 from .guestlib import GuestLib
 from .hugepages import HugePageRegion
 from .nqe import NQE_COPY_NS, Nqe, NqeOp, NqeStatus
 from .nsm import NSM
-from .queues import BatchRingPump, NotifyMode, NqeRing, PriorityNqeRing, RingPump
+from .queues import NotifyMode, NqeRing, PriorityNqeRing, RingPump, soft_interrupt
 from .servicelib import ServiceLib
 
 __all__ = ["CoreEngineConfig", "CoreEngine", "VmAttachment"]
-
-INTERRUPT_DELAY = 10e-6
-INTERRUPT_COST_NS = 2000.0
 
 
 @dataclass
@@ -55,21 +44,11 @@ class CoreEngineConfig:
     #: Single-threaded GuestLib receive processing (copies inline in the
     #: poll loop, as the prototype does) — the HoL-prone configuration.
     inline_rx_copy: bool = False
-    #: Burst size for draining nqe rings (1 = batching off; every layer
-    #: then charges its original per-nqe constant bit-identically).  When
-    #: > 1, a drained burst of N nqes costs ``per_batch_ns + N*per_nqe_ns``
+    #: Burst size for draining nqe rings.  1 is the prototype: every
+    #: layer charges its per-nqe constant once per nqe.  When > 1, a
+    #: drained burst of N nqes costs the layer's ``per_batch + N*per_nqe``
     #: in a single ``core.execute`` — see :mod:`repro.netkernel.batching`.
     batch_size: int = 1
-    #: CoreEngine amortized switch cost (replaces ``nqe_copy_ns`` per nqe).
-    per_batch_ns: float = CE_PER_BATCH_NS
-    per_nqe_ns: float = CE_PER_NQE_NS
-    #: GuestLib poll-loop amortized costs (replace ``GUESTLIB_OP_NS``).
-    guestlib_per_batch_ns: float = GL_PER_BATCH_NS
-    guestlib_per_nqe_ns: float = GL_PER_NQE_NS
-    #: ServiceLib poll-loop amortized costs (replace ``SERVICELIB_OP_NS``;
-    #: the NSM form's cpu multiplier applies on top, as it does unbatched).
-    servicelib_per_batch_ns: float = SL_PER_BATCH_NS
-    servicelib_per_nqe_ns: float = SL_PER_NQE_NS
     #: Fault tolerance: GuestLib op timeout in simulated seconds (``None``
     #: keeps the machinery entirely off — no timers, bit-identical).  Each
     #: retry multiplies the deadline by ``op_backoff``; after
@@ -116,23 +95,6 @@ class CoreEngineConfig:
     def fault_tolerant(self) -> bool:
         return self.op_timeout is not None
 
-    @property
-    def batching(self) -> bool:
-        return self.batch_size > 1
-
-    def coreengine_batch(self) -> BatchPolicy:
-        return BatchPolicy(self.batch_size, self.per_batch_ns, self.per_nqe_ns)
-
-    def guestlib_batch(self) -> BatchPolicy:
-        return BatchPolicy(
-            self.batch_size, self.guestlib_per_batch_ns, self.guestlib_per_nqe_ns
-        )
-
-    def servicelib_batch(self) -> BatchPolicy:
-        return BatchPolicy(
-            self.batch_size, self.servicelib_per_batch_ns, self.servicelib_per_nqe_ns
-        )
-
 
 @dataclass
 class VmAttachment:
@@ -150,11 +112,11 @@ class VmAttachment:
     completion_queue: NqeRing
     receive_queue: NqeRing
     nsm_queues: "_NsmQueues" = None
-    #: The polling-mode job-ring pump, when that mover form is in use
-    #: (None under interrupt modes / the tenant quota scheduler).  Live
-    #: migration freezes a tenant by pausing this pump: ops queue in the
-    #: guest-visible ring — bounded freeze, nothing lost.
-    job_pump: object = None
+    #: The job ring's consumer when it is event-driven (None under
+    #: interrupt modes / the tenant quota scheduler).  Live migration
+    #: freezes a tenant by pausing it: ops queue in the guest-visible
+    #: ring — bounded freeze, nothing lost.
+    job_pump: Optional[RingPump] = None
 
 
 @dataclass
@@ -264,7 +226,7 @@ class CoreEngine:
             receive_queue=receive,
             allocate_cid=lambda: self.table.allocate_cid(nsm.nsm_id),
             notify_mode=self.config.notify_mode,
-            batch=self.config.servicelib_batch(),
+            batch_size=self.config.batch_size,
             dedup=self.config.fault_tolerant,
         )
         servicelib.invariants = self.invariant_checker
@@ -278,10 +240,10 @@ class CoreEngine:
                 name=f"{self.name}.hb.{nsm.name}",
             )
 
-        def switch_completion(nqe):
+        def switch_completion(nqe, _token=None):
             return self._switch_completion_nqe(nsm, nqe)
 
-        def switch_receive(nqe):
+        def switch_receive(nqe, _token=None):
             return self._switch_receive_nqe(nsm, nqe)
 
         self._start_mover(completion, "cq", switch_completion, f"{self.name}.cq.{nsm.name}")
@@ -313,7 +275,7 @@ class CoreEngine:
             region=region,
             notify_mode=self.config.notify_mode,
             inline_rx_copy=self.config.inline_rx_copy,
-            batch=self.config.guestlib_batch(),
+            batch_size=self.config.batch_size,
             op_timeout=self.config.op_timeout,
             op_retries=self.config.op_retries,
             op_backoff=self.config.op_backoff,
@@ -332,7 +294,7 @@ class CoreEngine:
         self._vms[vm_id] = attachment
         nsm.tenant_vm_ids.append(vm_id)
 
-        def switch_job(nqe):
+        def switch_job(nqe, _token=None):
             return self._switch_job_nqe(attachment, nqe)
 
         if self.config.tenant_quota_nqes is not None:
@@ -348,36 +310,36 @@ class CoreEngine:
         """Backpressure path: block the mover until ``ring`` accepts."""
         yield ring.push(nqe)
 
-    def _begin_switch(self, nqe: Nqe, op: str, cpu_ns: Optional[float] = None):
+    def _begin_switch(self, nqe: Nqe, op: str, cpu_ns: float):
         """Open the per-nqe switch span (pop -> forwarded push accepted).
 
-        Callers guard on ``self.tracer.enabled`` so the disabled datapath
-        pays one attribute check per nqe instead of two calls, and pass
-        the preformatted ``coreengine.switch.<direction>`` op name — one
-        f-string per nqe in the drain loops is measurable.
+        Only wired in when tracing is on, with the preformatted
+        ``coreengine.switch.<direction>`` op name — one f-string per nqe
+        in the drain path is measurable.
         """
         span = None
         if nqe.span is not None:
             span = nqe.span.child(op, "coreengine")
             if span is not None:
-                span.cpu(cpu_ns if cpu_ns is not None else self.config.nqe_copy_ns)
+                span.cpu(cpu_ns)
         return self.sim.now, span
 
-    def _end_switch(self, started, span) -> None:
+    def _end_switch(self, token) -> None:
+        started, span = token
         tracer = self.tracer
         tracer.count("coreengine.nqes_switched")
         tracer.histogram("coreengine.switch_ns").record((self.sim.now - started) * 1e9)
         if span is not None:
             span.end()
 
-    # -- per-nqe switch bodies (shared by batched and unbatched movers) -----
+    # -- per-nqe switch bodies (the ring consumers' ``handle`` hooks) -------
     #
     # Each body is a *plain function* returning ``None`` on the fast path
     # (destination rings had space; nqes were handed over with ``offer``,
-    # no event round-trip) or a generator the mover must ``yield from``
-    # when a destination ring is full and the mover has to block for
-    # backpressure.  Delivery order is identical either way: a full ring
-    # queues offered nqes behind its backpressure list in FIFO order.
+    # no event round-trip) or a generator the consumer waits on when a
+    # destination ring is full and it has to block for backpressure.
+    # Delivery order is identical either way: a full ring queues offered
+    # nqes behind its backpressure list in FIFO order.
     def _switch_job_nqe(self, attachment: VmAttachment, nqe: Nqe):
         # Read the NSM binding per nqe (not captured at attach time): a
         # failover re-points ``attachment.nsm``/``nsm_queues`` and every
@@ -533,150 +495,38 @@ class CoreEngine:
         ring.offer(nqe)
         return None
 
-    # -- drain loops --------------------------------------------------------
-    def _mover(self, ring: NqeRing, direction: str, switch_nqe):
-        """One unbatched mover loop: per-nqe copy cost, as the prototype.
-
-        ``switch_nqe(nqe)`` is the per-nqe switch body; it returns a
-        generator to delegate to only when a destination ring is full.
-        Each nqe charges one ``core.execute`` of ``nqe_copy_ns``, exactly
-        as the original datapath did.
-        """
-        interrupt = self.config.notify_mode is NotifyMode.BATCHED_INTERRUPT
-        copy_cost = self.config.nqe_copy_ns * NANOS
-        execute = self.core.execute
-        wait_nonempty = ring.wait_nonempty
-        pop_batch = ring.pop_batch
-        switch_op = "coreengine.switch." + direction
-        while True:
-            yield wait_nonempty()
-            if interrupt:
-                yield self.sim.timeout(INTERRUPT_DELAY)
-                yield execute(INTERRUPT_COST_NS * NANOS)
-            for nqe in pop_batch():
-                if self._traced:
-                    started, span = self._begin_switch(nqe, switch_op)
-                else:
-                    started = span = None
-                try:
-                    self.nqes_copied += 1
-                    yield execute(copy_cost)
-                    blocked = switch_nqe(nqe)
-                    if blocked is not None:
-                        yield from blocked
-                finally:
-                    if started is not None:
-                        self._end_switch(started, span)
-
-    def _mover_batched(self, ring: NqeRing, direction: str, switch_nqe):
-        """One batched mover loop: a drained burst of N nqes charges
-        ``per_batch_ns + N*per_nqe_ns`` in a single ``core.execute``.
-
-        Every nqe still counts in ``nqes_copied`` and (when traced) in
-        ``coreengine.nqes_switched`` — accounting matches unbatched runs.
-        """
-        policy = self.config.coreengine_batch()
-        burst = policy.batch_size
-        per_batch = policy.per_batch_ns * NANOS
-        per_nqe = policy.per_nqe_ns * NANOS
-        per_nqe_ns = policy.per_nqe_ns
-        interrupt = self.config.notify_mode is NotifyMode.BATCHED_INTERRUPT
-        execute = self.core.execute
-        wait_nonempty = ring.wait_nonempty
-        pop_batch = ring.pop_batch
-        switch_op = "coreengine.switch." + direction
-        while True:
-            yield wait_nonempty()
-            if interrupt:
-                yield self.sim.timeout(INTERRUPT_DELAY)
-                yield execute(INTERRUPT_COST_NS * NANOS)
-            batch = pop_batch(burst)
-            n = len(batch)
-            if n == 0:
-                continue
-            self.nqes_copied += n
-            yield execute(per_batch + n * per_nqe)
-            for nqe in batch:
-                if self._traced:
-                    started, span = self._begin_switch(nqe, switch_op, per_nqe_ns)
-                else:
-                    started = span = None
-                try:
-                    blocked = switch_nqe(nqe)
-                    if blocked is not None:
-                        yield from blocked
-                finally:
-                    if started is not None:
-                        self._end_switch(started, span)
-
     def _start_mover(self, ring: NqeRing, direction: str, switch_nqe, name: str):
-        """Attach the switch datapath for one ring.
+        """Attach the switch datapath for one ring: a :class:`RingPump`
+        whose ``handle`` is the per-nqe switch body.
 
-        Polling mode gets an event-driven :class:`RingPump` /
-        :class:`BatchRingPump` (no doorbell events, no generator frames);
-        interrupt mode keeps the poll-loop process, whose explicit
-        doorbell wait is where the interrupt delay and cost are modelled.
+        Every nqe counts in ``nqes_copied`` when it is popped and (when
+        traced) carries a span from pop to forwarded push.  Returns the
+        consumer only when it is event-driven — the form live migration
+        can pause (see ``VmAttachment.job_pump``).
         """
-        if self.config.notify_mode is not NotifyMode.POLLING:
-            loop = self._mover_batched if self.config.batching else self._mover
-            self.sim.process(loop(ring, direction, switch_nqe), name=name)
-            return None
-        switch_op = "coreengine.switch." + direction
-        if self.config.batching:
-            policy = self.config.coreengine_batch()
-            per_nqe_ns = policy.per_nqe_ns
-            if self._traced:
-
-                def handle(nqe):
-                    started, span = self._begin_switch(nqe, switch_op, per_nqe_ns)
-                    blocked = switch_nqe(nqe)
-                    if blocked is None:
-                        self._end_switch(started, span)
-                        return None
-                    return self._switch_traced_slow(blocked, started, span)
-
-            else:
-                handle = switch_nqe
-
-            def pre_batch(n):
-                self.nqes_copied += n
-
-            return BatchRingPump(
-                ring,
-                self.core,
-                policy.batch_size,
-                policy.per_batch_ns * NANOS,
-                policy.per_nqe_ns * NANOS,
-                handle,
-                pre_batch,
-            )
+        policy = drain_policy(
+            self.config.batch_size, "coreengine", self.config.nqe_copy_ns
+        )
         if self._traced:
+            switch_op = "coreengine.switch." + direction
+            per_nqe_ns = policy.per_nqe_ns
 
-            def pre(nqe):
+            def begin(nqe):
                 self.nqes_copied += 1
-                return self._begin_switch(nqe, switch_op)
+                return self._begin_switch(nqe, switch_op, per_nqe_ns)
 
-            def post(token):
-                self._end_switch(token[0], token[1])
-
+            end = self._end_switch
         else:
 
-            def pre(nqe):
+            def begin(nqe):
                 self.nqes_copied += 1
-                return None
 
-            post = None
-
-        def handle(nqe, _token):
-            return switch_nqe(nqe)
-
-        return RingPump(
-            ring, self.core, self.config.nqe_copy_ns * NANOS, handle, pre, post
+            end = None
+        pump = RingPump(
+            ring, self.core, *policy.seconds(), switch_nqe, begin, end,
+            wake=soft_interrupt(self.config.notify_mode), name=name,
         )
-
-    def _switch_traced_slow(self, blocked, started, span):
-        yield from blocked
-        self._end_switch(started, span)
+        return pump if pump.event_driven else None
 
     # ------------------------------------------------------ tenant isolation --
     def _register_tenant_ring(self, vm_id: int, ring: NqeRing, switch_nqe) -> None:

@@ -31,17 +31,15 @@ from ..host.cpu import Core
 from ..net import Endpoint
 from ..obs import runtime as obs_runtime
 from ..sim import Event, NANOS, Simulator
-from .batching import BatchPolicy
+from .batching import drain_policy
 from .hugepages import HugeChunk, HugePageRegion
 from .nqe import Nqe, NqeOp, NqeStatus, free_nqe
-from .queues import BatchRingPump, NotifyMode, NqeRing, RingPump
+from .queues import NotifyMode, NqeRing, RingPump, soft_interrupt
 
 __all__ = ["GuestLib", "GUESTLIB_OP_NS"]
 
 #: CPU cost of GuestLib intercepting one call / handling one nqe.
 GUESTLIB_OP_NS = 200.0
-INTERRUPT_DELAY = 10e-6
-INTERRUPT_COST_NS = 2000.0
 
 
 class _GuestSocket:
@@ -101,7 +99,7 @@ class GuestLib(SocketApi):
         region: HugePageRegion,
         notify_mode: NotifyMode = NotifyMode.POLLING,
         inline_rx_copy: bool = False,
-        batch: Optional[BatchPolicy] = None,
+        batch_size: int = 1,
         op_timeout: Optional[float] = None,
         op_retries: int = 2,
         op_backoff: float = 2.0,
@@ -116,15 +114,11 @@ class GuestLib(SocketApi):
         self.completion_queue = completion_queue
         self.receive_queue = receive_queue
         self.region = region
-        self.notify_mode = notify_mode
-        #: When True, the receive loop copies each DATA chunk out of the
-        #: huge pages *inline* (single-threaded GuestLib, as in the
+        #: When True, the receive consumer copies each DATA chunk out of
+        #: the huge pages *inline* (single-threaded GuestLib, as in the
         #: prototype's polling design) — subsequent nqes wait behind the
         #: copy, which is the §3.2 head-of-line-blocking regime.
         self.inline_rx_copy = inline_rx_copy
-        #: Amortized poll-loop cost model; ``None``/size-1 = original
-        #: one-``core.execute``-per-nqe behavior (bit-identical).
-        self.batch = batch if batch is not None else BatchPolicy()
         self._sockets: Dict[int, _GuestSocket] = {}
         self._pending: Dict[int, Event] = {}  # token -> API event
         # --- fault tolerance: op timeouts with bounded retry + backoff ---
@@ -151,20 +145,23 @@ class GuestLib(SocketApi):
         self.calls_issued = 0
         self.tracer = obs_runtime.get_tracer()
         self._traced = self.tracer.enabled
-        if notify_mode is NotifyMode.POLLING:
-            # Polling fast path: event-driven pump (same simulated charges
-            # as the poll loop, no doorbell events or generator frames).
-            self._start_completion_pump()
-        else:
-            sim.process(self._completion_loop(), name=f"vm{vm_id}.guestlib.cq")
-        #: Pump-mode receive path: descriptor handling is synchronous and
-        #: reader copies chain as direct calls.  Inline-copy mode keeps the
-        #: generator loop — its copies block the loop by design (§3.2 HoL).
-        self._rx_pump = notify_mode is NotifyMode.POLLING and not inline_rx_copy
-        if self._rx_pump:
-            self._start_receive_pump()
-        else:
-            sim.process(self._receive_loop(), name=f"vm{vm_id}.guestlib.rq")
+        # --- queue consumers ----------------------------------------------
+        policy = drain_policy(batch_size, "guestlib", GUESTLIB_OP_NS)
+        self._deliver_cpu_ns = policy.per_nqe_ns
+        wake = soft_interrupt(notify_mode)
+        RingPump(
+            completion_queue, core, *policy.seconds(), self._handle_completion,
+            wake=wake, name=f"vm{vm_id}.guestlib.cq",
+        )
+        #: The receive consumer.  Event-driven, descriptor handling is
+        #: synchronous and reader copies chain as direct calls; inline
+        #: copies block it by design (§3.2 HoL), so it polls in a loop.
+        self._rx = RingPump(
+            receive_queue, core, *policy.seconds(), self._handle_receive,
+            self._begin_deliver if self._traced else None,
+            self._end_deliver if self._traced else None,
+            wake=wake, blocking=inline_rx_copy, name=f"vm{vm_id}.guestlib.rq",
+        )
 
     # ---------------------------------------------------------------- helpers --
     def _get(self, fd: int) -> _GuestSocket:
@@ -421,60 +418,7 @@ class GuestLib(SocketApi):
         return self._get(fd).readable
 
     # --------------------------------------------------------- queue consumers --
-    def _start_completion_pump(self) -> None:
-        """Polling-mode completion consumer as an event-driven pump."""
-        if self.batch.enabled:
-            policy = self.batch
-
-            def handle(nqe):
-                self._handle_completion(nqe)
-                return None
-
-            BatchRingPump(
-                self.completion_queue,
-                self.core,
-                policy.batch_size,
-                policy.per_batch_ns * NANOS,
-                policy.per_nqe_ns * NANOS,
-                handle,
-            )
-            return
-
-        def handle(nqe, _token):
-            self._handle_completion(nqe)
-            return None
-
-        RingPump(self.completion_queue, self.core, GUESTLIB_OP_NS * NANOS, handle)
-
-    def _completion_loop(self):
-        if self.batch.enabled:
-            yield from self._completion_loop_batched()
-            return
-        while True:
-            yield self.completion_queue.wait_nonempty()
-            if self.notify_mode is NotifyMode.BATCHED_INTERRUPT:
-                yield self.sim.timeout(INTERRUPT_DELAY)
-                yield self.core.execute(INTERRUPT_COST_NS * NANOS)
-            for nqe in self.completion_queue.pop_batch():
-                yield self.core.execute(GUESTLIB_OP_NS * NANOS)
-                self._handle_completion(nqe)
-
-    def _completion_loop_batched(self):
-        """Drain a burst, charge ``per_batch + N*per_nqe`` once, handle all."""
-        policy = self.batch
-        while True:
-            yield self.completion_queue.wait_nonempty()
-            if self.notify_mode is NotifyMode.BATCHED_INTERRUPT:
-                yield self.sim.timeout(INTERRUPT_DELAY)
-                yield self.core.execute(INTERRUPT_COST_NS * NANOS)
-            batch = self.completion_queue.pop_batch(policy.batch_size)
-            if not batch:
-                continue
-            yield self.core.execute(policy.burst_ns(len(batch)) * NANOS)
-            for nqe in batch:
-                self._handle_completion(nqe)
-
-    def _handle_completion(self, nqe: Nqe) -> None:
+    def _handle_completion(self, nqe: Nqe, _token) -> None:
         if nqe.span is not None:
             nqe.span.cpu(GUESTLIB_OP_NS).end()
         event = self._pending.pop(nqe.token, None)
@@ -494,201 +438,77 @@ class GuestLib(SocketApi):
         # request forgotten) — recycle it.
         free_nqe(nqe)
 
-    def _start_receive_pump(self) -> None:
-        """Polling-mode receive consumer as an event-driven pump.
-
-        Handling is synchronous (:meth:`_handle_receive_fast`); reader
-        copies chain through the core's direct-call slot, which preserves
-        the generator loop's ``busy_until`` accounting exactly.
-        """
-        if self.batch.enabled:
-            policy = self.batch
-            per_nqe_ns = policy.per_nqe_ns
-
-            def handle_batched(nqe):
-                span = nqe.span
-                if span is not None:
-                    deliver = span.child("guestlib.deliver", "guestlib")
-                    if deliver is not None:
-                        deliver.cpu(per_nqe_ns)
-                    self._handle_receive_fast(nqe)
-                    if deliver is not None:
-                        deliver.end()
-                    span.end()
-                    free_nqe(nqe)
-                    return None
-                self._handle_receive_fast(nqe)
-                free_nqe(nqe)
-                return None
-
-            BatchRingPump(
-                self.receive_queue,
-                self.core,
-                policy.batch_size,
-                policy.per_batch_ns * NANOS,
-                policy.per_nqe_ns * NANOS,
-                handle_batched,
-            )
-            return
-
-        if self._traced:
-
-            def pre(nqe):
-                span = nqe.span
-                if span is None:
-                    return None
-                deliver = span.child("guestlib.deliver", "guestlib")
-                if deliver is not None:
-                    deliver.cpu(GUESTLIB_OP_NS)
-                return (deliver, span)
-
-            def post(token):
-                if token is None:
-                    return
-                deliver, span = token
-                if deliver is not None:
-                    deliver.end()
-                span.end()
-
-            def handle(nqe, _token):
-                # post() ends the span from the refs pre() captured, so
-                # clearing nqe.span here is safe.
-                self._handle_receive_fast(nqe)
-                free_nqe(nqe)
-                return None
-
-            RingPump(
-                self.receive_queue,
-                self.core,
-                GUESTLIB_OP_NS * NANOS,
-                handle,
-                pre,
-                post,
-            )
-            return
-
-        def handle(nqe, _token):
-            self._handle_receive_fast(nqe)
-            free_nqe(nqe)
+    def _begin_deliver(self, nqe: Nqe):
+        """Open the per-nqe delivery span (traced runs only)."""
+        span = nqe.span
+        if span is None:
             return None
+        deliver = span.child("guestlib.deliver", "guestlib")
+        if deliver is not None:
+            deliver.cpu(self._deliver_cpu_ns)
+        return deliver, span
 
-        RingPump(self.receive_queue, self.core, GUESTLIB_OP_NS * NANOS, handle)
-
-    def _receive_loop(self):
-        if self.batch.enabled:
-            yield from self._receive_loop_batched()
+    def _end_deliver(self, token) -> None:
+        if token is None:
             return
-        while True:
-            yield self.receive_queue.wait_nonempty()
-            if self.notify_mode is NotifyMode.BATCHED_INTERRUPT:
-                yield self.sim.timeout(INTERRUPT_DELAY)
-                yield self.core.execute(INTERRUPT_COST_NS * NANOS)
-            for nqe in self.receive_queue.pop_batch():
-                deliver = None
-                if self._traced and nqe.span is not None:
-                    deliver = nqe.span.child("guestlib.deliver", "guestlib")
-                    if deliver is not None:
-                        deliver.cpu(GUESTLIB_OP_NS)
-                yield self.core.execute(GUESTLIB_OP_NS * NANOS)
-                yield from self._handle_receive(nqe)
-                if deliver is not None:
-                    deliver.end()
-                if nqe.span is not None:
-                    nqe.span.end()
-                free_nqe(nqe)
+        deliver, span = token
+        if deliver is not None:
+            deliver.end()
+        span.end()
 
-    def _receive_loop_batched(self):
-        """Burst-charge the nqe handling; bulk-data copies stay per-nqe.
+    def _handle_receive(self, nqe: Nqe, _token):
+        """Handle one receive-ring nqe; the descriptor handling itself
+        (burst-charged by the consumer) never blocks.
 
-        The amortized cost covers descriptor handling only — huge-page
-        copies inside :meth:`_handle_receive` are real per-byte work and
-        are still charged where the data moves.
-        """
-        policy = self.batch
-        while True:
-            yield self.receive_queue.wait_nonempty()
-            if self.notify_mode is NotifyMode.BATCHED_INTERRUPT:
-                yield self.sim.timeout(INTERRUPT_DELAY)
-                yield self.core.execute(INTERRUPT_COST_NS * NANOS)
-            batch = self.receive_queue.pop_batch(policy.batch_size)
-            if not batch:
-                continue
-            yield self.core.execute(policy.burst_ns(len(batch)) * NANOS)
-            for nqe in batch:
-                deliver = None
-                if self._traced and nqe.span is not None:
-                    deliver = nqe.span.child("guestlib.deliver", "guestlib")
-                    if deliver is not None:
-                        deliver.cpu(policy.per_nqe_ns)
-                yield from self._handle_receive(nqe)
-                if deliver is not None:
-                    deliver.end()
-                if nqe.span is not None:
-                    nqe.span.end()
-                free_nqe(nqe)
-
-    def _handle_receive(self, nqe: Nqe):
-        sock = self._sockets.get(nqe.fd)
-        if sock is None:
-            if nqe.data_desc is not None:
-                nqe.data_desc.free()
-            return
-        if nqe.op is NqeOp.DATA:
-            if self._traced:
-                self.tracer.count("guestlib.rx_bytes", nqe.data_desc.size)
-            if self.inline_rx_copy:
-                yield self.region.copy(self.core, nqe.data_desc.size)
-                nqe.data_desc.eof = True  # marker: already copied out
-            sock.rx_chunks.append([nqe.data_desc, nqe.data_desc.size])
-            sock.rx_available += nqe.data_desc.size
-            yield from self._drain_readers_gen(sock)
-        elif nqe.op is NqeOp.EOF:
-            sock.eof = True
-            yield from self._drain_readers_gen(sock)
-        elif nqe.op is NqeOp.RESET:
-            self._reset_socket(sock)
-        elif nqe.op is NqeOp.ACCEPT_EVENT:
-            child_fd = nqe.result
-            self._sockets[child_fd] = _GuestSocket(child_fd, connected=True)
-            if sock.acceptors:
-                sock.acceptors.popleft().succeed(child_fd)
-            else:
-                sock.accept_ready.append(child_fd)
-        self._wake_watchers(sock)
-
-    def _handle_receive_fast(self, nqe: Nqe) -> None:
-        """Synchronous :meth:`_handle_receive` for the pump path.
-
-        Requires ``inline_rx_copy`` off (the pump is not started
-        otherwise): the only blocking step left — the recv-side copy out
-        of the huge pages — is chained via :meth:`_drain_readers_fast`.
+        Returns ``None``, or a generator where bulk data is copied while
+        the consumer waits: the inline copy out of the huge pages, and —
+        under the poll-loop drive — the waiting readers' copies.  Those
+        are real per-byte work, charged where the data moves.
         """
         sock = self._sockets.get(nqe.fd)
-        if sock is None:
-            if nqe.data_desc is not None:
-                nqe.data_desc.free()
-            return
         op = nqe.op
+        chunk = nqe.data_desc
+        child_fd = nqe.result
+        # Fully read: recycle it (a traced run ends the spans from the
+        # refs ``_begin_deliver`` captured).
+        free_nqe(nqe)
+        if sock is None:
+            if chunk is not None:
+                chunk.free()
+            return None
         if op is NqeOp.DATA:
             if self._traced:
-                self.tracer.count("guestlib.rx_bytes", nqe.data_desc.size)
-            sock.rx_chunks.append([nqe.data_desc, nqe.data_desc.size])
-            sock.rx_available += nqe.data_desc.size
-            if sock.readers:
-                self._drain_readers_fast(sock)
+                self.tracer.count("guestlib.rx_bytes", chunk.size)
+            if self.inline_rx_copy:
+                return self._receive_inline(sock, chunk)
+            sock.rx_chunks.append([chunk, chunk.size])
+            sock.rx_available += chunk.size
         elif op is NqeOp.EOF:
             sock.eof = True
-            if sock.readers:
-                self._drain_readers_fast(sock)
         elif op is NqeOp.RESET:
             self._reset_socket(sock)
         elif op is NqeOp.ACCEPT_EVENT:
-            child_fd = nqe.result
             self._sockets[child_fd] = _GuestSocket(child_fd, connected=True)
             if sock.acceptors:
                 sock.acceptors.popleft().succeed(child_fd)
             else:
                 sock.accept_ready.append(child_fd)
+        if sock.readers:  # data or EOF for a socket someone is reading
+            if not self._rx.event_driven:
+                return self._deliver_blocking(sock)
+            self._drain_readers_fast(sock)
+        self._wake_watchers(sock)
+        return None
+
+    def _receive_inline(self, sock: _GuestSocket, chunk: HugeChunk):
+        yield self.region.copy(self.core, chunk.size)
+        chunk.eof = True  # marker: already copied out
+        sock.rx_chunks.append([chunk, chunk.size])
+        sock.rx_available += chunk.size
+        yield from self._deliver_blocking(sock)
+
+    def _deliver_blocking(self, sock: _GuestSocket):
+        yield from self._drain_readers_gen(sock)
         self._wake_watchers(sock)
 
     def _reset_socket(self, sock: _GuestSocket) -> None:
@@ -742,10 +562,34 @@ class GuestLib(SocketApi):
     # -- reader satisfaction (copies data out of huge pages) -----------------
     def _drain_readers(self, sock: _GuestSocket) -> None:
         if sock.readers and (sock.rx_available > 0 or sock.eof):
-            if self._rx_pump:
+            if self._rx.event_driven:
                 self._drain_readers_fast(sock)
             else:
                 self.sim.process(self._drain_readers_gen(sock))
+
+    def _take(self, sock: _GuestSocket, max_bytes: int) -> int:
+        """Consume up to ``max_bytes`` of buffered rx data.
+
+        Chunks may be consumed partially; a chunk's huge-page bytes are
+        released once its last byte has been read out.
+        """
+        taken = 0
+        rx_chunks = sock.rx_chunks
+        while rx_chunks and taken < max_bytes:
+            entry = rx_chunks[0]  # [chunk, bytes remaining]
+            take = min(entry[1], max_bytes - taken)
+            entry[1] -= take
+            taken += take
+            if entry[1] == 0:
+                rx_chunks.popleft()
+                entry[0].free()
+        sock.rx_available -= taken
+        return taken
+
+    def _copy_span(self):
+        if self._traced:
+            return self.tracer.span("guestlib.recv_copy", "guestlib", tenant=self.vm_id)
+        return None
 
     def _drain_readers_fast(self, sock: _GuestSocket) -> None:
         """:meth:`_drain_readers_gen` without the process frame.
@@ -757,25 +601,10 @@ class GuestLib(SocketApi):
         """
         while sock.readers and (sock.rx_available > 0 or sock.eof):
             max_bytes, event = sock.readers.popleft()
-            taken = 0
-            rx_chunks = sock.rx_chunks
-            while rx_chunks and taken < max_bytes:
-                entry = rx_chunks[0]  # [chunk, bytes remaining]
-                take = min(entry[1], max_bytes - taken)
-                entry[1] -= take
-                taken += take
-                if entry[1] == 0:
-                    rx_chunks.popleft()
-                    entry[0].free()
-            sock.rx_available -= taken
+            taken = self._take(sock, max_bytes)
             if taken > 0:
-                copy_span = None
-                if self._traced:
-                    copy_span = self.tracer.span(
-                        "guestlib.recv_copy", "guestlib", tenant=self.vm_id
-                    )
                 self.region.copy_call(
-                    self.core, taken, self._finish_read, event, taken, copy_span
+                    self.core, taken, self._finish_read, event, taken, self._copy_span()
                 )
             else:
                 event.succeed(taken)
@@ -788,25 +617,10 @@ class GuestLib(SocketApi):
     def _drain_readers_gen(self, sock: _GuestSocket):
         while sock.readers and (sock.rx_available > 0 or sock.eof):
             max_bytes, event = sock.readers.popleft()
-            taken = 0
-            # Chunks may be consumed partially; a chunk's huge-page bytes
-            # are released once its last byte has been read out.
-            while sock.rx_chunks and taken < max_bytes:
-                entry = sock.rx_chunks[0]  # [chunk, bytes remaining]
-                take = min(entry[1], max_bytes - taken)
-                entry[1] -= take
-                taken += take
-                if entry[1] == 0:
-                    sock.rx_chunks.popleft()
-                    entry[0].free()
-            sock.rx_available -= taken
+            taken = self._take(sock, max_bytes)
             if taken > 0 and not self.inline_rx_copy:
-                copy_span = None
-                if self._traced:
-                    copy_span = self.tracer.span(
-                        "guestlib.recv_copy", "guestlib", tenant=self.vm_id
-                    )
+                copy_span = self._copy_span()
                 yield self.region.copy(self.core, taken)
-                if copy_span is not None:
-                    copy_span.annotate(bytes=taken).end()
-            event.succeed(taken)
+                self._finish_read(event, taken, copy_span)
+            else:
+                event.succeed(taken)

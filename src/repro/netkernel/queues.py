@@ -6,12 +6,20 @@ ring as a bounded queue with:
 * ``push`` — producer side; returns an event that fires once the element is
   in the ring (immediately unless full — full rings backpressure).
 * ``try_pop`` / ``pop_batch`` — consumer side.
-* ``wait_nonempty`` — the doorbell used by interrupt-driven consumers.
+* ``wait_nonempty`` — the doorbell used by poll-loop consumers.
 
 :class:`PriorityNqeRing` implements §3.2's head-of-line-blocking fix: it
 keeps connection events and data events in separate internal queues and
 always serves connection events first, so a connection-setup nqe is never
 stuck behind a burst of bulk-data nqes.
+
+:class:`RingPump` is the consumer side of every ring CoreEngine, GuestLib
+and ServiceLib drain one-to-one (the six rings of the paper's Figure 3):
+burst size and burst cost are its parameters, the layers supply three
+hooks, and :func:`soft_interrupt` turns a :class:`NotifyMode` into its
+wake-up cost.  Consumers that schedule *across* rings or tenants (the
+CoreEngine quota scheduler, ServiceLib's DRR and multi-queue loops) are
+different algorithms and read the rings directly.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from collections import deque
 from typing import Deque, List, Optional, Tuple
 
 from ..obs import runtime as obs_runtime
-from ..sim import Event, Simulator
+from ..sim import NANOS, Event, Simulator
 from .nqe import Nqe
 
 __all__ = [
@@ -29,8 +37,8 @@ __all__ = [
     "NqeRing",
     "PriorityNqeRing",
     "RingPump",
-    "BatchRingPump",
     "QueueTimeout",
+    "soft_interrupt",
 ]
 
 
@@ -52,6 +60,20 @@ class NotifyMode(enum.Enum):
 
     POLLING = "polling"
     BATCHED_INTERRUPT = "interrupt"
+
+
+#: Soft-interrupt coalescing window and per-interrupt CPU cost.
+INTERRUPT_DELAY = 10e-6
+INTERRUPT_COST_NS = 2000.0
+
+
+def soft_interrupt(mode: NotifyMode, cost_multiplier: float = 1.0):
+    """A consumer's ``wake`` under ``mode``: ``None`` when polling, else the
+    ``(delay, cost)`` seconds it pays per doorbell before draining.
+    ``cost_multiplier`` is the consuming core's per-op CPU multiplier."""
+    if mode is NotifyMode.POLLING:
+        return None
+    return INTERRUPT_DELAY, INTERRUPT_COST_NS * cost_multiplier * NANOS
 
 
 class NqeRing:
@@ -251,8 +273,7 @@ class NqeRing:
 
         ``notify`` is invoked synchronously from ``_accept`` whenever an
         element lands in the ring; the pump ignores the call unless it is
-        idle.  This replaces the doorbell-Event-per-wakeup of poll-loop
-        consumers.  One pump per ring; doorbells still work alongside it.
+        idle.  One pump per ring; doorbells still work alongside it.
         """
         self._pump_notify = notify
         if self._count:
@@ -357,174 +378,170 @@ class PriorityNqeRing(NqeRing):
 
 
 class RingPump:
-    """Event-driven ring consumer: the polling datapath's fast path.
+    """The one consumer of an nqe ring: drain a burst, charge it, handle it.
 
-    Semantically equivalent to the classic poll-loop process::
+    A burst is at most ``burst`` nqes.  For each, ``begin(nqe) -> token``
+    runs at pop time (count it, open its span); the core is then charged
+    ONCE, ``per_batch + n * per_nqe`` seconds; then ``handle(nqe, token)``
+    and ``end(token)`` run for each in order.  ``handle`` returns ``None``,
+    or a generator when it has to block (a full destination ring, an
+    inline copy): the consumer waits for it before touching the next nqe
+    and calls ``end`` once it is through.  The prototype's one charge per
+    nqe (§4.1) is the policy ``burst=1, per_batch=0.0, per_nqe=<the layer's
+    constant>`` — ``0.0 + 1*c`` is ``c`` to the last bit — so batched and
+    unbatched layers are the same code with different numbers.
+    ``per_batch``/``per_nqe`` are plain attributes: a slowdown fault
+    rescales them on a live consumer.
 
-        while True:
-            yield ring.wait_nonempty()
-            for nqe in ring.pop_batch():
-                yield core.execute(cost)
-                handle(nqe)
+    Two drives run those same steps; the constructor picks one from what
+    the consumer was given, and ``event_driven`` says which:
 
-    but driven by callbacks instead of a generator: the ring notifies the
-    pump on the push that makes it non-empty, and the pump then chains
-    itself through ``core.execute_call`` — charge ``cost`` on the
-    core, handle the nqe, pop the next.  The core's FIFO accounting
-    serializes the charges exactly as the poll loop did (each charge is
-    issued at the simulated instant the previous one finished), so
-    simulated results are identical; what disappears is wall-clock
-    machinery: no doorbell Event per wakeup, no generator frame resume
-    per handled nqe.
-
-    Hooks (both optional): ``pre(nqe) -> token`` runs at pop time before
-    the charge (open a span, bump a counter); ``handle(nqe, token)`` runs
-    after the charge and may return a generator for a *blocking* slow
-    path (ring full downstream), which the pump drains in a throwaway
-    process; ``post(token)`` runs once the nqe is fully handled.
+    * **Event-driven** (no ``wake``, handlers that normally do not
+      block): the ring calls :meth:`notify` on the push that makes it
+      non-empty and the consumer chains itself through
+      ``core.execute_call`` — charge, handle, pop the next.  The core's
+      FIFO accounting serializes the charges exactly as a poll loop
+      would, without a doorbell Event per wakeup or a generator resume
+      per nqe.  A handler that does block is finished in a throwaway
+      process.  ``stopped`` may be cleared again (live migration freezes
+      a tenant this way): nqes wait in the ring until the next
+      :meth:`notify`.
+    * **Poll loop** (``wake=(delay, cost)`` soft interrupts, or
+      ``blocking`` handlers): one process that waits on the ring's
+      doorbell, pays ``wake`` once per doorbell, pops up to 64 nqes
+      (``burst`` when batching) and works through them in bursts.  It is
+      a separate drive because a held loop and a chained call order
+      same-instant charges on a shared core differently and re-arm the
+      interrupt coalescing window at different instants: folding it into
+      the chain moves simulated results.
     """
 
-    __slots__ = ("ring", "core", "cost", "handle", "pre", "post", "idle", "stopped", "_token")
+    __slots__ = (
+        "ring", "core", "burst", "per_batch", "per_nqe", "handle", "begin", "end",
+        "event_driven", "idle", "stopped",
+    )
 
-    def __init__(self, ring, core, cost_seconds, handle, pre=None, post=None):
-        self.ring = ring
-        self.core = core
-        self.cost = cost_seconds
-        self.handle = handle
-        self.pre = pre
-        self.post = post
-        self.idle = True
-        self.stopped = False
-        self._token = None
-        ring.attach_pump(self.notify)
-
-    def stop(self) -> None:
-        """Fault injection: the consumer died; never drain again."""
-        self.stopped = True
-
-    def notify(self) -> None:
-        if self.idle and not self.stopped:
-            self.idle = False
-            self._next()
-
-    def _next(self) -> None:
-        if self.stopped:
-            self.idle = True
-            return
-        nqe = self.ring.try_pop()
-        if nqe is None:
-            self.idle = True
-            return
-        pre = self.pre
-        if pre is not None:
-            self._token = pre(nqe)
-        self.core.execute_call(self.cost, self._charged, nqe)
-
-    def _charged(self, nqe) -> None:
-        token, self._token = self._token, None
-        blocked = self.handle(nqe, token)
-        if blocked is not None:
-            self.ring.sim.process(self._drain(blocked, token))
-            return
-        post = self.post
-        if post is not None:
-            post(token)
-        self._next()
-
-    def _drain(self, blocked, token):
-        yield from blocked
-        post = self.post
-        if post is not None:
-            post(token)
-        self._next()
-
-
-class BatchRingPump:
-    """Event-driven burst consumer: one amortized charge per drained burst.
-
-    The batched counterpart of :class:`RingPump`: drains up to ``burst``
-    nqes, charges ``per_batch + N*per_nqe`` seconds in a single
-    ``core.execute``, then handles each nqe.  ``pre_batch(n)`` runs at
-    drain time (accounting); ``handle(nqe)`` may return a generator for
-    the blocking slow path, drained inline in a throwaway process.
-    """
-
-    __slots__ = ("ring", "core", "burst", "per_batch", "per_nqe", "pre_batch", "handle", "idle", "stopped")
-
-    def __init__(self, ring, core, burst, per_batch_s, per_nqe_s, handle, pre_batch=None):
+    def __init__(
+        self, ring, core, burst, per_batch, per_nqe, handle,
+        begin=None, end=None, wake=None, blocking=False, name="ringpump",
+    ):
         self.ring = ring
         self.core = core
         self.burst = burst
-        self.per_batch = per_batch_s
-        self.per_nqe = per_nqe_s
+        self.per_batch = per_batch
+        self.per_nqe = per_nqe
         self.handle = handle
-        self.pre_batch = pre_batch
+        self.begin = begin
+        self.end = end
+        self.event_driven = wake is None and not blocking
         self.idle = True
         self.stopped = False
-        ring.attach_pump(self.notify)
+        if self.event_driven:
+            ring.attach_pump(self.notify)
+        else:
+            ring.sim.process(self._loop(wake), name=name)
 
     def stop(self) -> None:
-        """Fault injection: the consumer died; never drain again."""
+        """Fault injection: the consumer died; stop draining."""
         self.stopped = True
 
+    def _begin_burst(self, batch):
+        begin = self.begin
+        if begin is None:
+            return [None] * len(batch)
+        return [begin(nqe) for nqe in batch]
+
+    def _handle_from(self, batch, tokens, start):
+        """Handle ``batch[start:]`` in order, waiting out handlers that block."""
+        handle = self.handle
+        end = self.end
+        for index in range(start, len(batch)):
+            blocked = handle(batch[index], tokens[index])
+            if blocked is not None:
+                yield from blocked
+            if end is not None:
+                end(tokens[index])
+
+    # -- event-driven drive ---------------------------------------------------
     def notify(self) -> None:
         if self.idle and not self.stopped:
             self.idle = False
             self._next()
 
     def _next(self) -> None:
-        if self.stopped:
+        ring = self.ring
+        if self.stopped or ring._count == 0:
             self.idle = True
             return
-        ring = self.ring
-        if ring._count == 1:
-            # Bursts of one dominate latency-bound workloads (each offer
-            # notifies the pump before the next lands); skip the batch
-            # list for them.  The charge is the same per_batch + per_nqe.
+        if self.burst == 1 or ring._count == 1:
+            # Bursts of one are all of an unbatched layer's traffic and
+            # nearly all of a batched one's (each push notifies before
+            # the next lands): no list, no token list.
             nqe = ring.try_pop()
-            if nqe is None:
-                self.idle = True
-                return
-            pre = self.pre_batch
-            if pre is not None:
-                pre(1)
+            begin = self.begin
             self.core.execute_call(
-                self.per_batch + self.per_nqe, self._charged_one, nqe
+                self.per_batch + self.per_nqe,
+                self._charged_one,
+                nqe,
+                begin(nqe) if begin is not None else None,
             )
             return
         batch = ring.pop_batch(self.burst)
-        n = len(batch)
-        if n == 0:
-            self.idle = True
-            return
-        pre = self.pre_batch
-        if pre is not None:
-            pre(n)
         self.core.execute_call(
-            self.per_batch + n * self.per_nqe, self._charged, batch
+            self.per_batch + len(batch) * self.per_nqe,
+            self._charged,
+            batch,
+            self._begin_burst(batch),
         )
 
-    def _charged_one(self, nqe) -> None:
-        blocked = self.handle(nqe)
+    def _charged_one(self, nqe, token) -> None:
+        blocked = self.handle(nqe, token)
         if blocked is not None:
-            self.ring.sim.process(self._drain(blocked, (), 0))
+            self.ring.sim.process(self._unblock(blocked, (nqe,), (token,), 0))
             return
+        end = self.end
+        if end is not None:
+            end(token)
         self._next()
 
-    def _charged(self, batch) -> None:
+    def _charged(self, batch, tokens) -> None:
         handle = self.handle
+        end = self.end
         for index, nqe in enumerate(batch):
-            blocked = handle(nqe)
+            blocked = handle(nqe, tokens[index])
             if blocked is not None:
-                self.ring.sim.process(self._drain(blocked, batch, index + 1))
+                self.ring.sim.process(self._unblock(blocked, batch, tokens, index))
                 return
+            if end is not None:
+                end(tokens[index])
         self._next()
 
-    def _drain(self, blocked, batch, start):
+    def _unblock(self, blocked, batch, tokens, index):
+        """The handler of ``batch[index]`` blocked: wait, finish the burst."""
         yield from blocked
-        handle = self.handle
-        for index in range(start, len(batch)):
-            blocked = handle(batch[index])
-            if blocked is not None:
-                yield from blocked
+        if self.end is not None:
+            self.end(tokens[index])
+        yield from self._handle_from(batch, tokens, index + 1)
         self._next()
+
+    # -- poll-loop drive ------------------------------------------------------
+    def _loop(self, wake):
+        ring = self.ring
+        core = self.core
+        burst = self.burst
+        while not self.stopped:
+            yield ring.wait_nonempty()
+            if self.stopped:
+                return
+            if wake is not None:
+                delay, cost = wake
+                yield ring.sim.timeout(delay)
+                yield core.execute(cost)
+            # An unbatched loop pops ``pop_batch``'s default 64 per
+            # doorbell and charges them one by one.
+            popped = ring.pop_batch(burst) if burst > 1 else ring.pop_batch()
+            for start in range(0, len(popped), burst):
+                batch = popped[start:start + burst]
+                tokens = self._begin_burst(batch)
+                yield core.execute(self.per_batch + len(batch) * self.per_nqe)
+                yield from self._handle_from(batch, tokens, 0)

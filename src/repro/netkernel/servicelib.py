@@ -21,12 +21,12 @@ from ..net import Endpoint
 from ..obs import runtime as obs_runtime
 from ..sim import NANOS, Simulator
 from ..tcp import Listener, TcpConnection
-from .batching import BatchPolicy
+from .batching import drain_policy
 from .hugepages import HugePageRegion
 from .nqe import Nqe, NqeOp, NqeStatus, alloc_nqe
 from .nsm import NSM
 from .qos import DrrScheduler, TokenBucket
-from .queues import BatchRingPump, NotifyMode, NqeRing, RingPump
+from .queues import NotifyMode, NqeRing, RingPump, soft_interrupt
 
 __all__ = ["ServiceLib", "SERVICELIB_OP_NS", "RX_CHUNK_BYTES"]
 
@@ -34,9 +34,6 @@ __all__ = ["ServiceLib", "SERVICELIB_OP_NS", "RX_CHUNK_BYTES"]
 SERVICELIB_OP_NS = 300.0
 #: Largest single DATA nqe payload (matches the TSO/GRO aggregate size).
 RX_CHUNK_BYTES = 65536
-#: Interrupt coalescing window and per-interrupt cost (batched mode).
-INTERRUPT_DELAY = 10e-6
-INTERRUPT_COST_NS = 2000.0
 
 
 #: Stable flow identities for the invariant checker: a backend keeps its
@@ -81,6 +78,11 @@ class _Backend:
         self.rx_done = False
 
 
+def _end_span(span) -> None:
+    if span is not None:
+        span.end()
+
+
 class ServiceLib:
     """The per-NSM service library driving the NSM's network stack."""
 
@@ -93,7 +95,7 @@ class ServiceLib:
         receive_queue: NqeRing,
         allocate_cid: Callable[[], int],
         notify_mode: NotifyMode = NotifyMode.POLLING,
-        batch: Optional[BatchPolicy] = None,
+        batch_size: int = 1,
         dedup: bool = False,
     ) -> None:
         self.sim = sim
@@ -102,13 +104,10 @@ class ServiceLib:
         self.completion_queue = completion_queue
         self.receive_queue = receive_queue
         self.allocate_cid = allocate_cid
-        self.notify_mode = notify_mode
         self.workers = getattr(nsm.spec, "servicelib_workers", 1)
         self.core = nsm.cores[0]
+        #: What the one-op-at-a-time loops (DRR, multi-queue) charge per op.
         self.op_cost = SERVICELIB_OP_NS * nsm.form.cpu_multiplier * NANOS
-        #: Amortized poll-loop cost model (size 1 = original per-op path);
-        #: the NSM form's cpu multiplier scales burst costs like ``op_cost``.
-        self.batch = batch if batch is not None else BatchPolicy()
         self.rx_chunk = getattr(nsm.spec, "rx_chunk_bytes", RX_CHUNK_BYTES)
         self._backends: Dict[int, _Backend] = {}
         self.ops_handled = 0
@@ -133,7 +132,10 @@ class ServiceLib:
         #: DATA emissions (None = zero-cost).
         self.invariants = None
         self._base_op_cost = self.op_cost
-        self._pump = None
+        #: The job ring's consumer and its healthy (per_batch, per_nqe)
+        #: seconds; None under DRR / multi-queue, which run their own loops.
+        self._pump: Optional[RingPump] = None
+        self._base_burst_cost = (0.0, 0.0)
         #: Retry dedup (on when GuestLib op timeouts are armed): bounded
         #: memory of recently executed tokens; a retried nqe whose original
         #: already executed is dropped instead of re-run.
@@ -152,13 +154,25 @@ class ServiceLib:
         if self.workers == 1:
             if notify_mode is NotifyMode.POLLING:
                 self.core.busy_poll = True
-            if notify_mode is NotifyMode.POLLING and self._drr is None:
-                # Polling fast path: event-driven pump instead of a
-                # poll-loop process (DRR keeps the loop — its deficit
-                # accounting needs nqe-granular scheduling decisions).
-                self._start_job_pump()
+            multiplier = nsm.form.cpu_multiplier
+            wake = soft_interrupt(notify_mode, multiplier)
+            if self._drr is None:
+                # The NSM form's cpu multiplier scales burst costs the
+                # way it scales ``op_cost``.
+                policy = drain_policy(batch_size, "servicelib", SERVICELIB_OP_NS)
+                burst, per_batch, per_nqe = policy.seconds(multiplier)
+                self._base_burst_cost = (per_batch, per_nqe)
+                self._pump = RingPump(
+                    job_queue, self.core, burst, per_batch, per_nqe,
+                    self._handle_job,
+                    self._begin_job if self._traced else None,
+                    _end_span if self._traced else None,
+                    wake=wake, name=f"{nsm.name}.servicelib",
+                )
             else:
-                sim.process(self._job_loop(self.core), name=f"{nsm.name}.servicelib")
+                # DRR keeps its own loop: its deficit accounting needs
+                # nqe-granular scheduling decisions across tenants.
+                sim.process(self._drr_loop(wake), name=f"{nsm.name}.servicelib")
         else:
             # Multi-queue mode (§5 future work): ops are sharded by cID so
             # each connection is always served by the same worker (RSS-style),
@@ -188,54 +202,7 @@ class ServiceLib:
                 shard = (nqe.cid or 0) % self.workers
                 self._shards[shard].try_put(nqe)
 
-    def _start_job_pump(self) -> None:
-        """Polling-mode job consumer as an event-driven pump.
-
-        Same charges at the same simulated instants as :meth:`_job_loop`
-        (the NSM core's FIFO accounting serializes them identically), but
-        with no doorbell Event per wakeup and no generator frame per op.
-        """
-        if self.batch.enabled:
-            policy = self.batch
-            multiplier = self.nsm.form.cpu_multiplier
-            per_nqe_ns = policy.per_nqe_ns * multiplier
-
-            def handle(nqe):
-                span = self._begin_op(nqe, per_nqe_ns)
-                self.ops_handled += 1
-                self._dispatch(nqe, span)
-                if span is not None:
-                    span.end()
-                return None
-
-            self._pump = BatchRingPump(
-                self.job_queue,
-                self.core,
-                policy.batch_size,
-                policy.per_batch_ns * multiplier * NANOS,
-                policy.per_nqe_ns * multiplier * NANOS,
-                handle,
-            )
-            return
-
-        def handle(nqe, span):
-            self.ops_handled += 1
-            self._dispatch(nqe, span)
-            return None
-
-        if self._traced:
-
-            def post(span):
-                if span is not None:
-                    span.end()
-
-            self._pump = RingPump(
-                self.job_queue, self.core, self.op_cost, handle, self._begin_op, post
-            )
-        else:
-            self._pump = RingPump(self.job_queue, self.core, self.op_cost, handle)
-
-    def _begin_op(self, nqe: Nqe, cpu_ns: Optional[float] = None):
+    def _begin_op(self, nqe: Nqe, cost_seconds: float):
         """Open the per-op span (covers the NSM-core charge + dispatch)."""
         if not self._traced:
             return None
@@ -245,8 +212,22 @@ class ServiceLib:
             return None
         span = nqe.span.child(f"servicelib.{nqe.op.value}", "servicelib")
         if span is not None:
-            span.cpu(cpu_ns if cpu_ns is not None else self.op_cost / NANOS)
+            span.cpu(cost_seconds / NANOS)
         return span
+
+    def _begin_job(self, nqe: Nqe):
+        return self._begin_op(nqe, self._pump.per_nqe)
+
+    def _handle_job(self, nqe: Nqe, span) -> None:
+        self.ops_handled += 1
+        self._dispatch(nqe, span)
+
+    def _serve_op(self, nqe: Nqe, core):
+        """One op at ``op_cost`` (the DRR and multi-queue loops)."""
+        span = self._begin_op(nqe, self.op_cost)
+        yield core.execute(self.op_cost)
+        self._handle_job(nqe, span)
+        _end_span(span)
 
     def _shard_loop(self, index, core):
         store = self._shards[index]
@@ -254,79 +235,29 @@ class ServiceLib:
             nqe = yield store.get()
             if self.crashed:
                 return
-            span = self._begin_op(nqe)
-            yield core.execute(self.op_cost)
-            self.ops_handled += 1
-            self._dispatch(nqe, span)
-            if span is not None:
-                span.end()
+            yield from self._serve_op(nqe, core)
 
-    def _job_loop(self, core):
-        if self.batch.enabled and self._drr is None:
-            # Batched fast path; DRR mode keeps per-op service so the
-            # deficit accounting stays at nqe granularity.
-            yield from self._job_loop_batched(core)
-            return
+    def _drr_loop(self, wake):
+        """Classify arrivals by tenant, then serve one op per iteration in
+        deficit-round-robin order so a single tenant's op storm cannot
+        monopolize the NSM core."""
+        drr = self._drr
         while True:
             if self.crashed:
                 return
-            if self._drr is None or len(self._drr) == 0:
+            if len(drr) == 0:
                 yield self.job_queue.wait_nonempty()
                 if self.crashed:
                     return
-                if self.notify_mode is NotifyMode.BATCHED_INTERRUPT:
-                    yield self.sim.timeout(INTERRUPT_DELAY)
-                    yield core.execute(
-                        INTERRUPT_COST_NS * self.nsm.form.cpu_multiplier * NANOS
-                    )
-            if self._drr is None:
-                for nqe in self.job_queue.pop_batch():
-                    span = self._begin_op(nqe)
-                    yield core.execute(self.op_cost)
-                    self.ops_handled += 1
-                    self._dispatch(nqe, span)
-                    if span is not None:
-                        span.end()
-                continue
-            # DRR mode: classify fresh arrivals by tenant, then serve one
-            # op per iteration in deficit-round-robin order so a single
-            # tenant's op storm cannot monopolize the NSM core.
+                if wake is not None:
+                    delay, cost = wake
+                    yield self.sim.timeout(delay)
+                    yield self.core.execute(cost)
             for nqe in self.job_queue.pop_batch():
-                self._drr.push(nqe.vm_id, nqe, cost=self.op_cost / NANOS)
-            nqe = self._drr.pop()
+                drr.push(nqe.vm_id, nqe, cost=self.op_cost / NANOS)
+            nqe = drr.pop()
             if nqe is not None:
-                span = self._begin_op(nqe)
-                yield core.execute(self.op_cost)
-                self.ops_handled += 1
-                self._dispatch(nqe, span)
-                if span is not None:
-                    span.end()
-
-    def _job_loop_batched(self, core):
-        """Drain a burst, charge the amortized cost once, dispatch all.
-
-        ``ops_handled`` still counts every nqe, matching unbatched runs.
-        """
-        policy = self.batch
-        multiplier = self.nsm.form.cpu_multiplier
-        per_nqe_ns = policy.per_nqe_ns * multiplier
-        while True:
-            yield self.job_queue.wait_nonempty()
-            if self.crashed:
-                return
-            if self.notify_mode is NotifyMode.BATCHED_INTERRUPT:
-                yield self.sim.timeout(INTERRUPT_DELAY)
-                yield core.execute(INTERRUPT_COST_NS * multiplier * NANOS)
-            batch = self.job_queue.pop_batch(policy.batch_size)
-            if not batch:
-                continue
-            yield core.execute(policy.burst_ns(len(batch)) * multiplier * NANOS)
-            for nqe in batch:
-                span = self._begin_op(nqe, per_nqe_ns)
-                self.ops_handled += 1
-                self._dispatch(nqe, span)
-                if span is not None:
-                    span.end()
+                yield from self._serve_op(nqe, self.core)
 
     #: op -> unbound handler; bound per call (avoids rebuilding the table —
     #: and seven bound methods — on every dispatched nqe).
@@ -356,14 +287,10 @@ class ServiceLib:
         self.degraded = factor
         self.op_cost = self._base_op_cost * factor
         pump = self._pump
-        if pump is None:
-            return
-        if isinstance(pump, BatchRingPump):
-            multiplier = self.nsm.form.cpu_multiplier
-            pump.per_batch = self.batch.per_batch_ns * multiplier * NANOS * factor
-            pump.per_nqe = self.batch.per_nqe_ns * multiplier * NANOS * factor
-        else:
-            pump.cost = self.op_cost
+        if pump is not None:
+            per_batch, per_nqe = self._base_burst_cost
+            pump.per_batch = per_batch * factor
+            pump.per_nqe = per_nqe * factor
 
     def _dispatch(self, nqe: Nqe, span=None) -> None:
         if self.crashed:

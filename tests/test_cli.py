@@ -55,7 +55,35 @@ def test_intra_run_sharding_flags_are_gone(argv):
         build_parser().parse_args(argv)
 
 
-@pytest.mark.parametrize("field", ["ring_hop_latency", "compact_conntable"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "datapath"],
+        ["bench", "scale", "--quick"],
+        ["bench", "scale", "--repeats", "2"],
+    ],
+)
+def test_bench_datapath_and_its_flags_are_gone(argv):
+    """Per-workload timing is the ledger's job (benchmarks/ledger/)."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        "ring_hop_latency",
+        "compact_conntable",
+        # The per-layer burst costs are constants of the model
+        # (repro.netkernel.batching), not knobs; batch_size is the dial.
+        "per_batch_ns",
+        "per_nqe_ns",
+        "guestlib_per_batch_ns",
+        "guestlib_per_nqe_ns",
+        "servicelib_per_batch_ns",
+        "servicelib_per_nqe_ns",
+    ],
+)
 def test_coreengine_config_rejects_removed_fields(field):
     from repro.netkernel import CoreEngineConfig
 
