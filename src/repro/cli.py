@@ -12,12 +12,12 @@
     python -m repro chaos --fuzz 8 --jobs 4          # parallel fuzz sweep
     python -m repro stackswap [--quick]  # QUIC NSM swap + tenant isolation
     python -m repro migrate [--chaos --family quic]  # live NSM migration
-    python -m repro bench scale [--smoke]            # large-N scale benchmark
     python -m repro all                  # everything (several minutes)
 
-``--jobs N`` on figure4/figure5/ablation/chaos/bench fans independent
-runs across a worker-process pool (repro.parallel); merged output is
-bit-identical to ``--jobs 1``.
+``--jobs N`` on figure4/figure5/ablation/chaos fans independent runs
+across a worker-process pool (repro.parallel); merged output is
+bit-identical to ``--jobs 1``.  Wall-clock and memory benchmarking is
+not a subcommand: it is ``python3 benchmarks/ledger/run.py``.
 """
 
 from __future__ import annotations
@@ -61,10 +61,6 @@ def _jobs(args: argparse.Namespace) -> int:
     return max(1, getattr(args, "jobs", 1) or 1)
 
 
-def _pool(args: argparse.Namespace) -> str:
-    return getattr(args, "pool", "fork") or "fork"
-
-
 def run_figure4(args: argparse.Namespace) -> str:
     from .experiments import run_figure4 as harness
 
@@ -72,7 +68,6 @@ def run_figure4(args: argparse.Namespace) -> str:
         duration=args.duration,
         warmup=args.duration * 0.25,
         jobs=_jobs(args),
-        pool=_pool(args),
         fidelity=getattr(args, "fidelity", "packet"),
     ).table()
 
@@ -84,7 +79,6 @@ def run_figure5(args: argparse.Namespace) -> str:
         duration=args.duration,
         seeds=tuple(args.seeds),
         jobs=_jobs(args),
-        pool=_pool(args),
         fidelity=getattr(args, "fidelity", "packet"),
     ).table()
 
@@ -112,8 +106,6 @@ def run_ablation(args: argparse.Namespace) -> str:
     parameters = inspect.signature(harness).parameters
     if "jobs" in parameters:
         kwargs["jobs"] = _jobs(args)
-    if "pool" in parameters:
-        kwargs["pool"] = _pool(args)
     return harness(**kwargs).table()
 
 
@@ -135,31 +127,6 @@ def run_all(args: argparse.Namespace) -> str:
         sections.append(run_ablation(argparse.Namespace(which=which)))
         sections.append(f"[{time.time() - started:.0f}s]")
     return "\n".join(sections)
-
-
-def run_bench(args: argparse.Namespace) -> str:
-    import json
-
-    from .experiments import bench_scale
-
-    result = bench_scale.run_bench(
-        smoke=args.smoke,
-        jobs=_jobs(args),
-        sweep=not args.no_sweep,
-        pool=_pool(args),
-        fidelity=getattr(args, "fidelity", "packet"),
-    )
-    out = args.out if args.out is not None else "BENCH_scale.json"
-    lines = [bench_scale.render(result)]
-    if out:
-        with open(out, "w") as fh:
-            json.dump(result, fh, indent=2)
-            fh.write("\n")
-        lines.append(f"results -> {out}")
-        table_out = (out[:-5] if out.endswith(".json") else out) + ".tbl"
-        bench_scale.points_table(result).write(table_out)
-        lines.append(f"columnar points -> {table_out}")
-    return "\n".join(lines)
 
 
 def run_trace(args: argparse.Namespace) -> str:
@@ -243,7 +210,6 @@ def run_chaos(args: argparse.Namespace) -> str:
             faults=args.faults,
             jobs=_jobs(args),
             progress=_progress_printer("chaos-fuzz"),
-            pool=_pool(args),
         )
         report = chaos.render_fuzz_sweep(outcomes)
         if any(outcome.error is not None for outcome in outcomes):
@@ -347,11 +313,9 @@ def run_list(args: argparse.Namespace) -> str:
         " latency) + hostile-tenant isolation on a shared NSM",
         "  migrate    live NSM migration mid-transfer (zero-loss handoff);"
         " --chaos sweeps faults across every phase boundary",
-        "  bench      simulator wall-clock benchmark (scale); per-workload"
-        " timing lives in benchmarks/ledger/",
         "  all        everything above in sequence",
         "",
-        "figure4/figure5/ablation/chaos/bench accept --jobs N to fan",
+        "figure4/figure5/ablation/chaos accept --jobs N to fan",
         "independent runs across worker processes (bit-identical output).",
     ]
     return "\n".join(lines)
@@ -377,20 +341,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="fan independent runs across N worker processes "
                             "(results bit-identical to --jobs 1)")
-        p.add_argument("--pool", choices=["fork", "persistent"],
-                       default="fork",
-                       help="worker policy for --jobs: fork a fresh process "
-                            "per run (crashes attributable per-run) or reuse "
-                            "persistent workers (faster for short runs)")
+
+    def add_fidelity(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--fidelity", choices=["packet", "auto"],
+                       default="packet",
+                       help="engine fidelity: packet (exact, default) or auto "
+                            "(fluid fast path with packet-accurate "
+                            "promotion)")
 
     fig4 = sub.add_parser("figure4", help="Figure 4")
     fig4.add_argument("--duration", type=float, default=0.35,
                       help="seconds of simulated time per point")
-    fig4.add_argument("--fidelity", choices=["packet", "fluid", "auto"],
-                      default="packet",
-                      help="engine fidelity: packet (exact, default), auto "
-                           "(fluid fast path with packet-accurate "
-                           "promotion), fluid")
+    add_fidelity(fig4)
     add_jobs(fig4)
     fig4.set_defaults(runner=run_figure4)
 
@@ -398,11 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig5.add_argument("--duration", type=float, default=40.0)
     fig5.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3],
                       help="loss-process realizations to average")
-    fig5.add_argument("--fidelity", choices=["packet", "fluid", "auto"],
-                      default="packet",
-                      help="engine fidelity: packet (exact, default), auto "
-                           "(fluid fast path with packet-accurate "
-                           "promotion), fluid")
+    add_fidelity(fig5)
     add_jobs(fig5)
     fig5.set_defaults(runner=run_figure5)
 
@@ -410,24 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     ablation.add_argument("which", choices=sorted(_ABLATIONS))
     add_jobs(ablation)
     ablation.set_defaults(runner=run_ablation)
-
-    bench = sub.add_parser(
-        "bench", help="simulator wall-clock benchmarks (host performance)"
-    )
-    bench.add_argument("which", choices=["scale"])
-    bench.add_argument("--smoke", action="store_true",
-                       help="scale: CI mode with small connection counts")
-    bench.add_argument("--no-sweep", action="store_true",
-                       help="scale: skip the serial-vs-parallel sweep")
-    bench.add_argument("--fidelity", choices=["packet", "fluid", "auto"],
-                       default="packet",
-                       help="scale: also measure the hybrid-fidelity cells "
-                            "(packet-equivalent events/s vs the packet twin)")
-    bench.add_argument("--out", default=None,
-                       help="result JSON path (default BENCH_scale.json, "
-                            "'' to skip writing)")
-    add_jobs(bench)
-    bench.set_defaults(runner=run_bench)
 
     trace = sub.add_parser(
         "trace",

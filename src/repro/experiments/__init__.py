@@ -32,7 +32,6 @@ from .common import (
     make_lan_testbed,
     make_wan_testbed,
 )
-from .bench_scale import run_scale_bench
 from .figure4 import Figure4Result, run_figure4
 from .figure5 import Figure5Result, run_figure5
 from .microbench import MicrobenchResult, run_microbench
@@ -63,7 +62,6 @@ __all__ = [
     "render_fuzz_sweep",
     "Figure4Result",
     "run_figure4",
-    "run_scale_bench",
     "Figure5Result",
     "run_figure5",
     "Table1Result",

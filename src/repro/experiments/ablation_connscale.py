@@ -111,7 +111,6 @@ def run_connscale_ablation(
     warmup: float = 0.02,
     modes: Sequence[str] = ("native", "netkernel", "netkernel-4q"),
     jobs: int = 1,
-    pool: str = "fork",
 ) -> ConnScaleResult:
     """Native vs NetKernel (single and multi-queue) short-connection rates.
 
@@ -130,6 +129,5 @@ def run_connscale_ablation(
         grid,
         jobs=jobs,
         keys=[f"connscale:{mode}:{clients}c" for mode, clients, _, _ in grid],
-        pool=pool,
     )
     return ConnScaleResult(rows=rows)

@@ -101,7 +101,6 @@ def run_multiplexing_ablation(
     duration: float = 0.3,
     warmup: float = 0.08,
     jobs: int = 1,
-    pool: str = "fork",
 ) -> MultiplexResult:
     """Dedicated vs shared placement for the same tenant population."""
     from ..parallel import parallel_map
@@ -111,6 +110,5 @@ def run_multiplexing_ablation(
         [(False, tenants, duration, warmup), (True, tenants, duration, warmup)],
         jobs=jobs,
         keys=["multiplex:dedicated", "multiplex:shared"],
-        pool=pool,
     )
     return MultiplexResult(rows=rows)

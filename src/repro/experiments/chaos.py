@@ -455,7 +455,6 @@ def run_chaos_fuzz(
     faults: int = 5,
     jobs: int = 1,
     progress=None,
-    pool: str = "fork",
 ):
     """A sweep of seeded random fault plans; returns ``List[RunResult]``.
 
@@ -475,7 +474,7 @@ def run_chaos_fuzz(
         )
         for index in range(count)
     ]
-    return ParallelRunner(jobs=jobs, progress=progress, pool=pool).run(specs)
+    return ParallelRunner(jobs=jobs, progress=progress).run(specs)
 
 
 def render_fuzz_sweep(outcomes) -> str:

@@ -103,10 +103,12 @@ def install_fluid(testbed, mode: str = "auto"):
 
     if mode in (None, "packet"):
         return None
+    if mode != "auto":
+        raise ValueError(f"fidelity must be 'packet' or 'auto': {mode!r}")
     fwd, rev = testbed.wire.a_to_b, testbed.wire.b_to_a
     if not isinstance(fwd.loss, NoLoss) or not isinstance(rev.loss, NoLoss):
         return None
-    controller = FidelityController(testbed.sim, mode=mode)
+    controller = FidelityController(testbed.sim)
     # Route capacity is TCP goodput: line rate less framing overhead at
     # the default wire MSS (the 37.6-of-40 Gbps factor in §4.2).
     mss = 1448

@@ -183,14 +183,12 @@ def run_figure4(
     duration: float = 0.35,
     warmup: float = 0.1,
     jobs: int = 1,
-    pool: str = "fork",
     fidelity: str = "packet",
 ) -> Figure4Result:
     """Regenerate Figure 4: one row per flow count.
 
     ``jobs`` fans the (mode × flows) grid across worker processes; the
-    merged result is bit-identical to the serial run.  ``pool`` picks the
-    worker-process policy (see :mod:`repro.parallel`).
+    merged result is bit-identical to the serial run.
     """
     from ..parallel import parallel_map
 
@@ -204,7 +202,6 @@ def run_figure4(
         grid,
         jobs=jobs,
         keys=[f"fig4:{mode}:{flows}f" for mode, flows, *_rest in grid],
-        pool=pool,
     )
     rows = []
     for index, flows in enumerate(flow_counts):

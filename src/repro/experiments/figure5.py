@@ -152,7 +152,6 @@ def run_figure5(
     warmup: float = 5.0,
     seeds: tuple = (1, 2, 3),
     jobs: int = 1,
-    pool: str = "fork",
     fidelity: str = "packet",
 ) -> Figure5Result:
     """Regenerate Figure 5: all four sender configurations, same path.
@@ -179,7 +178,6 @@ def run_figure5(
             for label, _m, _g, _c in CONFIGS
             for seed in seeds
         ],
-        pool=pool,
     )
     rows = []
     for index, (label, _mode, _guest_os, _cc) in enumerate(CONFIGS):

@@ -33,7 +33,7 @@ from ..obs import runtime as obs_runtime
 from ..sim import Event, NANOS, Simulator
 from .batching import drain_policy
 from .hugepages import HugeChunk, HugePageRegion
-from .nqe import Nqe, NqeOp, NqeStatus, free_nqe
+from .nqe import Nqe, NqeOp, NqeStatus
 from .queues import NotifyMode, NqeRing, RingPump, soft_interrupt
 
 __all__ = ["GuestLib", "GUESTLIB_OP_NS"]
@@ -423,7 +423,6 @@ class GuestLib(SocketApi):
             nqe.span.cpu(GUESTLIB_OP_NS).end()
         event = self._pending.pop(nqe.token, None)
         if event is None:
-            free_nqe(nqe)
             return  # completion for a forgotten (timed-out/duplicated) call
         if self._ft:
             self._pending_nqes.pop(nqe.token, None)
@@ -434,9 +433,6 @@ class GuestLib(SocketApi):
             if not isinstance(error, BaseException):
                 error = SocketError(str(error))
             event.fail(wrap_transport_error(error))
-        # The completion is fully consumed (result extracted, span ended,
-        # request forgotten) — recycle it.
-        free_nqe(nqe)
 
     def _begin_deliver(self, nqe: Nqe):
         """Open the per-nqe delivery span (traced runs only)."""
@@ -468,10 +464,6 @@ class GuestLib(SocketApi):
         sock = self._sockets.get(nqe.fd)
         op = nqe.op
         chunk = nqe.data_desc
-        child_fd = nqe.result
-        # Fully read: recycle it (a traced run ends the spans from the
-        # refs ``_begin_deliver`` captured).
-        free_nqe(nqe)
         if sock is None:
             if chunk is not None:
                 chunk.free()
@@ -488,6 +480,7 @@ class GuestLib(SocketApi):
         elif op is NqeOp.RESET:
             self._reset_socket(sock)
         elif op is NqeOp.ACCEPT_EVENT:
+            child_fd = nqe.result
             self._sockets[child_fd] = _GuestSocket(child_fd, connected=True)
             if sock.acceptors:
                 sock.acceptors.popleft().succeed(child_fd)

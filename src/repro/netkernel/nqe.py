@@ -24,8 +24,6 @@ __all__ = [
     "Nqe",
     "NQE_SIZE_BYTES",
     "NQE_COPY_NS",
-    "alloc_nqe",
-    "free_nqe",
 ]
 
 #: Size of one queue element; small enough that copying is negligible (§3.2).
@@ -156,79 +154,3 @@ class Nqe:
             result=result,
             span=self.span,
         )
-
-
-# -- free-list pooling -------------------------------------------------------
-# DATA nqes dominate a long run — ServiceLib emits one per delivered rx
-# chunk and GuestLib drops the reference as soon as it is handled, so the
-# same descriptors cycle through the datapath millions of times.  Recycle
-# them the way TcpSegment already is:
-# a bounded LIFO free list, so sustained churn stops allocating.
-_FREE: list = []
-_POOL_MAX = 8192
-
-
-def alloc_nqe(
-    op: NqeOp,
-    *,
-    vm_id: Optional[int] = None,
-    fd: Optional[int] = None,
-    nsm_id: Optional[int] = None,
-    cid: Optional[int] = None,
-    data_desc: Optional["HugeChunk"] = None,
-    args: Any = None,
-    result: Any = None,
-    span: Optional["Span"] = None,
-) -> Nqe:
-    """Pooled :class:`Nqe` allocator; unset fields reset to their defaults.
-
-    A pooled nqe gets a fresh token, exactly as a constructed one would.
-    """
-    if _FREE:
-        nqe = _FREE.pop()
-        nqe.op = op
-        nqe.vm_id = vm_id
-        nqe.fd = fd
-        nqe.nsm_id = nsm_id
-        nqe.cid = cid
-        nqe.data_desc = data_desc
-        nqe.args = args
-        nqe.status = NqeStatus.OK
-        nqe.token = next(_nqe_ids)
-        nqe.result = result
-        nqe.span = span
-        nqe.enqueued_at = None
-        nqe.attempt = 0
-        nqe.flow_uid = None
-        nqe.rx_seq = None
-        nqe.fluid_credit = False
-        return nqe
-    return Nqe(
-        op=op,
-        vm_id=vm_id,
-        fd=fd,
-        nsm_id=nsm_id,
-        cid=cid,
-        data_desc=data_desc,
-        args=args,
-        result=result,
-        span=span,
-    )
-
-
-def free_nqe(nqe: Nqe) -> None:
-    """Recycle a consumed nqe.
-
-    Only call once the nqe is definitively dead: popped from its final
-    ring, handled, and its span closed.  Request nqes that GuestLib may
-    retry (held in ``_pending_nqes`` for fault tolerance) must never be
-    freed by the consumer — GuestLib owns those until the completion or
-    the final timeout.
-    """
-    if len(_FREE) >= _POOL_MAX:
-        return
-    nqe.data_desc = None
-    nqe.args = None
-    nqe.result = None
-    nqe.span = None
-    _FREE.append(nqe)

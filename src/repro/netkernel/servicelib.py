@@ -23,7 +23,7 @@ from ..sim import NANOS, Simulator
 from ..tcp import Listener, TcpConnection
 from .batching import drain_policy
 from .hugepages import HugePageRegion
-from .nqe import Nqe, NqeOp, NqeStatus, alloc_nqe
+from .nqe import Nqe, NqeOp, NqeStatus
 from .nsm import NSM
 from .qos import DrrScheduler, TokenBucket
 from .queues import NotifyMode, NqeRing, RingPump, soft_interrupt
@@ -583,7 +583,7 @@ class ServiceLib:
             span = self.tracer.span("servicelib.accept_event", "servicelib")
             self.tracer.count("servicelib.accepts")
         self.receive_queue.offer(
-            alloc_nqe(
+            Nqe(
                 NqeOp.ACCEPT_EVENT,
                 nsm_id=self.nsm.nsm_id,
                 cid=listen_backend.cid,
@@ -640,7 +640,7 @@ class ServiceLib:
         if taken == 0:  # EOF: stream fully delivered
             backend.rx_done = True
             self.receive_queue.offer(
-                alloc_nqe(NqeOp.EOF, nsm_id=self.nsm.nsm_id, cid=backend.cid)
+                Nqe(NqeOp.EOF, nsm_id=self.nsm.nsm_id, cid=backend.cid)
             )
             self._maybe_recycle(backend)
             return
@@ -683,7 +683,7 @@ class ServiceLib:
             return
         if stage is not None:
             stage.end()
-        nqe = alloc_nqe(
+        nqe = Nqe(
             NqeOp.DATA,
             nsm_id=self.nsm.nsm_id,
             cid=backend.cid,

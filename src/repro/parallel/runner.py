@@ -17,19 +17,16 @@ layer preserves two properties the test suite enforces:
   yields a typed :class:`RunFailure` in that run's slot; the rest of the
   sweep completes.
 
-Two pooling policies (``pool=``):
+``jobs > 1`` runs ``jobs`` long-lived workers that each execute many
+runs, calling :func:`~repro.runstate.reset_run_ids` before every one —
+all the run-to-run isolation pure-function runs need, which is also why
+no module may keep a cache that outlives a run.  This amortizes process
+startup + module import over the sweep.  A worker that dies outright —
+``os._exit``, a segfault in an extension, the OOM killer — fails only the
+run it was executing and is respawned.  (Why not a process per run:
+docs/PERFORMANCE.md §3, "One pool policy".)
 
-* ``"fork"`` (default) — each run gets its own worker process.  A hard
-  crash — ``os._exit``, a segfault in an extension, the OOM killer — is
-  attributable to exactly one run and cannot poison a shared pool.
-* ``"persistent"`` — ``jobs`` long-lived workers each execute many runs,
-  calling :func:`~repro.runstate.reset_run_ids` before every one (which
-  is all run-to-run isolation our pure-function runs need).  This
-  amortizes process startup + module import over the sweep — the win is
-  large when runs are short (many-point smoke grids).  A crashed worker
-  fails only the run it was executing and is respawned.
-
-Results come back pickled over the worker's pipe under either policy.
+Results come back pickled over the worker's pipe.
 """
 
 from __future__ import annotations
@@ -104,36 +101,8 @@ class RunResult:
 ProgressFn = Callable[[int, int, RunResult], None]
 
 
-def _worker_main(conn, fn, args, kwargs) -> None:
-    from ..runstate import reset_run_ids
-
-    reset_run_ids()
-    started = time.perf_counter()
-    try:
-        value = fn(*args, **kwargs)
-        payload = ("ok", value, time.perf_counter() - started)
-    except BaseException as exc:  # noqa: BLE001 — isolation is the point
-        payload = (
-            "err",
-            RunFailure(type(exc).__name__, str(exc), traceback.format_exc()),
-            time.perf_counter() - started,
-        )
-    try:
-        conn.send(payload)
-    except Exception as exc:  # unpicklable result: report, don't die silent
-        conn.send(
-            (
-                "err",
-                RunFailure(type(exc).__name__, f"result not sendable: {exc}"),
-                time.perf_counter() - started,
-            )
-        )
-    finally:
-        conn.close()
-
-
 def _pool_worker_main(conn) -> None:
-    """Persistent-pool worker: loop over (fn, args, kwargs) jobs until EOF."""
+    """Pool worker: loop over (fn, args, kwargs) jobs until EOF."""
     from ..runstate import reset_run_ids
 
     while True:
@@ -178,13 +147,9 @@ class ParallelRunner:
         jobs: int = 1,
         progress: Optional[ProgressFn] = None,
         context: Optional[str] = None,
-        pool: str = "fork",
     ) -> None:
-        if pool not in ("fork", "persistent"):
-            raise ValueError(f"unknown pool policy: {pool!r}")
         self.jobs = max(1, jobs)
         self.progress = progress
-        self.pool = pool
         if context is None:
             methods = multiprocessing.get_all_start_methods()
             context = "fork" if "fork" in methods else "spawn"
@@ -195,9 +160,7 @@ class ParallelRunner:
         """Execute every spec; results align 1:1 with ``specs``."""
         if self.jobs == 1:
             return self._run_inline(specs)
-        if self.pool == "persistent":
-            return self._run_pooled(specs)
-        return self._run_forked(specs)
+        return self._run_pooled(specs)
 
     # -- inline (the reference semantics) --------------------------------------
     def _run_inline(self, specs: Sequence[RunSpec]) -> List[RunResult]:
@@ -225,59 +188,7 @@ class ParallelRunner:
                 self.progress(done, len(specs), result)
         return results
 
-    # -- forked ----------------------------------------------------------------
-    def _run_forked(self, specs: Sequence[RunSpec]) -> List[RunResult]:
-        results: List[Optional[RunResult]] = [None] * len(specs)
-        pending = list(enumerate(specs))  # launch in spec order
-        active: Dict[Any, Tuple[int, Any]] = {}  # recv conn -> (index, process)
-        done = 0
-
-        def launch() -> None:
-            while pending and len(active) < self.jobs:
-                index, spec = pending.pop(0)
-                recv, send = self._ctx.Pipe(duplex=False)
-                proc = self._ctx.Process(
-                    target=_worker_main,
-                    args=(send, spec.fn, spec.args, spec.kwargs),
-                    name=f"repro-run-{spec.key}",
-                )
-                proc.start()
-                send.close()  # child holds the only sender now
-                active[recv] = (index, proc)
-
-        launch()
-        while active:
-            ready = multiprocessing.connection.wait(list(active))
-            for conn in ready:
-                index, proc = active.pop(conn)
-                spec = specs[index]
-                try:
-                    status, payload, wall = conn.recv()
-                except EOFError:
-                    status, payload, wall = None, None, 0.0
-                conn.close()
-                proc.join()
-                if status == "ok":
-                    result = RunResult(spec.key, value=payload, wall_s=wall)
-                elif status == "err":
-                    result = RunResult(spec.key, error=payload, wall_s=wall)
-                else:  # died before reporting: crash, signal, os._exit
-                    result = RunResult(
-                        spec.key,
-                        error=RunFailure(
-                            "worker-crashed",
-                            f"worker exited with code {proc.exitcode} "
-                            "before reporting a result",
-                        ),
-                    )
-                results[index] = result
-                done += 1
-                if self.progress is not None:
-                    self.progress(done, len(specs), result)
-            launch()
-        return results  # type: ignore[return-value]
-
-    # -- persistent pool -------------------------------------------------------
+    # -- worker pool -----------------------------------------------------------
     def _spawn_pool_worker(self):
         parent, child = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
@@ -364,7 +275,6 @@ def parallel_map(
     jobs: int = 1,
     keys: Optional[Sequence[str]] = None,
     progress: Optional[ProgressFn] = None,
-    pool: str = "fork",
 ) -> List[Any]:
     """Map ``fn`` over argument tuples; raise on the first failed run.
 
@@ -380,7 +290,7 @@ def parallel_map(
         )
         for i, args in enumerate(argtuples)
     ]
-    outcomes = ParallelRunner(jobs=jobs, progress=progress, pool=pool).run(specs)
+    outcomes = ParallelRunner(jobs=jobs, progress=progress).run(specs)
     for outcome in outcomes:
         if outcome.error is not None:
             raise RuntimeError(

@@ -19,7 +19,11 @@ per flow by the congestion controller's exported steady-state rate
 (:meth:`~repro.tcp.cc.base.CongestionControl.steady_state_rate`), the
 peer's receive window, and a CPU ceiling mirroring the per-segment
 processing cost of the packet path.  Rates are re-solved only on *epochs*
-— flow arrival, departure, capacity change — never per delivery.
+— flow arrival, departure, capacity change — never per delivery.  There
+is one solver, in plain Python: a route's active set holds only flows
+with bytes on the wire, and the largest one any benchmark workload has
+produced is 2 (``fanin_bulk_fluid``, 10 000 connections, 40 572 solves),
+so an array twin would never run (DESIGN.md §16).
 
 Promotion/demotion rules (the fidelity contract):
 
@@ -60,29 +64,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["FluidRoute", "FluidFlow", "FidelityController"]
 
-#: Active-set size at or above which the numpy paths engage.  Below it
-#: the gather/scatter overhead beats the vector win; the cut-over is
-#: invisible in results because both paths compute identical bits.
-_VECTOR_MIN = 32
-
-
-def _import_numpy():
-    """numpy if importable (optional acceleration), else None.
-
-    Resolved by each :class:`FidelityController`, not at module import:
-    ``repro.sim`` imports this module for every run, and packet-fidelity
-    runs never build a controller, so they do not pay numpy's load time
-    or memory.
-    """
-    try:
-        import numpy
-    except ImportError:  # numpy-less deployment: the twin is bit-identical
-        return None
-    return numpy
-
 
 def _waterfill(
-    caps: List[float], capacity: float, np
+    caps: List[float], capacity: float
 ) -> Tuple[List[int], List[float], int]:
     """Max-min water-fill of ``capacity`` over flows with per-flow caps.
 
@@ -91,30 +75,13 @@ def _waterfill(
     flow ``order[pos]``, and positions ``< n_capped`` are cap-bound (the
     rest split the leftover equally).
 
-    ``np`` is the numpy module or None (see :func:`_import_numpy`).  The
-    numpy path and the pure-python fallback are bit-identical by
-    construction — both evaluate, in ascending-cap order,
-    ``remaining_i = capacity - csum(caps)_{i-1}`` with sequential
-    accumulation, ``share_i = remaining_i / (n - i)``, take ``cap_i``
-    while ``cap_i < share_i``, and give every flow from the first
-    uncapped position onward that position's share verbatim.  numpy's
-    ``cumsum`` accumulates sequentially and the remaining operations are
-    elementwise IEEE doubles, so no reassociation sneaks in.
+    In ascending-cap order, ``remaining_i = capacity - csum(caps)_{i-1}``
+    with sequential accumulation, ``share_i = remaining_i / (n - i)``;
+    a flow takes ``cap_i`` while ``cap_i < share_i``, and every flow from
+    the first uncapped position onward gets that position's share
+    verbatim.
     """
     n = len(caps)
-    if np is not None and n >= _VECTOR_MIN:
-        arr = np.asarray(caps, dtype=np.float64)
-        order = np.argsort(arr, kind="stable")
-        caps_sorted = arr[order]
-        csum = np.cumsum(caps_sorted)
-        remaining = capacity - np.concatenate(([0.0], csum[:-1]))
-        share = remaining / np.arange(n, 0, -1, dtype=np.float64)
-        uncapped = np.nonzero(~(caps_sorted < share))[0]
-        k = int(uncapped[0]) if uncapped.size else n
-        rates = caps_sorted.copy()
-        if k < n:
-            rates[k:] = share[k]
-        return order.tolist(), rates.tolist(), k
     order = sorted(range(n), key=caps.__getitem__)
     rates = [0.0] * n
     prev = 0.0
@@ -234,11 +201,8 @@ class FidelityController:
     packet`` bit-identical to pre-fluid builds.
     """
 
-    def __init__(self, sim: "Simulator", mode: str = "auto") -> None:
-        if mode not in ("fluid", "auto"):
-            raise ValueError(f"fidelity mode must be 'fluid' or 'auto': {mode!r}")
+    def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self.mode = mode
         self.routes: Dict[Tuple[str, str], FluidRoute] = {}
         self._stacks: Dict[str, "TcpStack"] = {}
         self._fault_until = 0.0
@@ -250,7 +214,6 @@ class FidelityController:
         self.fluid_bytes_delivered = 0
         self.fluid_chunks_delivered = 0
         self.rate_epochs = 0
-        self._np = _import_numpy()
         sim.fidelity = self
 
     # -- topology registration ------------------------------------------------
@@ -542,19 +505,18 @@ class FidelityController:
         Exact for a single shared bottleneck with per-flow caps: ascending
         by cap, each flow takes min(cap, equal share of what remains).
         An epoch — runs only on flow arrival/departure/capacity change.
-        The allocation itself runs through :func:`_waterfill` (vectorized
-        past ``_VECTOR_MIN`` active flows, identical bits either way).
+        The allocation itself is :func:`_waterfill`.
         """
         self.rate_epochs += 1
         flows = route.active
         if not flows:
             return
         now = self.sim.now
-        self._sync_all(flows, now)
         for flow in flows:
+            self._sync(flow, now)
             flow.cap, flow.rwnd_cap = self._flow_cap(flow.conn, flow.peer, route)
         order, rates, n_capped = _waterfill(
-            [flow.cap for flow in flows], route.capacity, self._np
+            [flow.cap for flow in flows], route.capacity
         )
         for pos in range(n_capped):
             flow = flows[order[pos]]
@@ -585,30 +547,6 @@ class FidelityController:
                 flow.serviced + (now - flow.last_update) * flow.rate,
             )
         flow.last_update = now
-
-    def _sync_all(self, flows: List[FluidFlow], now: float) -> None:
-        """Vectorized :meth:`_sync` over a route's whole active set.
-
-        The numpy path computes the same elementwise IEEE operations the
-        scalar loop does (``min(submitted, serviced + (now-last)*rate)``
-        under the same guard), so the cut-over at ``_VECTOR_MIN`` never
-        changes a byte counter's value.
-        """
-        np = self._np
-        if np is None or len(flows) < _VECTOR_MIN:
-            for flow in flows:
-                self._sync(flow, now)
-            return
-        rate = np.array([flow.rate for flow in flows])
-        last = np.array([flow.last_update for flow in flows])
-        serviced = np.array([flow.serviced for flow in flows])
-        submitted = np.array([float(flow.submitted) for flow in flows])
-        delta = now - last
-        grown = np.minimum(submitted, serviced + delta * rate)
-        advanced = np.where((rate > 0.0) & (delta > 0.0), grown, serviced)
-        for flow, value in zip(flows, advanced.tolist()):
-            flow.serviced = value
-            flow.last_update = now
 
     def _schedule(self, flow: FluidFlow) -> None:
         """(Re)schedule the head chunk's service under the current rate.
@@ -805,7 +743,6 @@ class FidelityController:
     # -- introspection ---------------------------------------------------------
     def stats(self) -> Dict[str, object]:
         return {
-            "mode": self.mode,
             "promotions": self.promotions,
             "demotions": self.demotions,
             "demotion_reasons": dict(self.demotion_reasons),
@@ -818,6 +755,6 @@ class FidelityController:
 
     def __repr__(self) -> str:
         return (
-            f"<FidelityController mode={self.mode} routes={len(self.routes)} "
+            f"<FidelityController routes={len(self.routes)} "
             f"promotions={self.promotions} demotions={self.demotions}>"
         )

@@ -2,7 +2,6 @@
 
 from .metrics import LatencyRecorder, ThroughputMeter, percentile
 from .series import PeriodicSampler, TimeSeries
-from .table import ColumnarTable
 
 __all__ = [
     "ThroughputMeter",
@@ -10,5 +9,4 @@ __all__ = [
     "percentile",
     "TimeSeries",
     "PeriodicSampler",
-    "ColumnarTable",
 ]

@@ -24,7 +24,7 @@ from .buffers import ReassemblyQueue, ReceiveBuffer, SendBuffer
 from .cc.base import CongestionControl, RateSample
 from .intervals import EMPTY, IntervalSet
 from .rtt import RttEstimator
-from .segment import TcpSegment, alloc_segment
+from .segment import TcpSegment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .stack import TcpStack
@@ -1021,7 +1021,7 @@ class TcpConnection:
     ) -> TcpSegment:
         wnd = self.recv_buffer.window(self.assembly.out_of_order_bytes)
         self._last_advertised_wnd = wnd
-        seg = alloc_segment(
+        seg = TcpSegment(
             src_port=self.local.port,
             dst_port=self.remote.port,
             seq=seq,

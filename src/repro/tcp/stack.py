@@ -27,7 +27,7 @@ from ..sim import NANOS, Event, Simulator
 from .cc import base as cc_base
 from .connection import TcpConfig, TcpConnection, TcpState
 from .listener import Listener
-from .segment import TcpSegment, alloc_segment, free_segment
+from .segment import TcpSegment
 
 __all__ = ["StackConfig", "TcpStack", "StackStats"]
 
@@ -194,6 +194,15 @@ class TcpStack:
         garbage collector rather than risk a previous life's callback
         firing into a new one.  Returns True when pooled.
         """
+        # Why this pool exists when segments and nqes are plain
+        # constructor calls: a closed connection is not garbage.  The
+        # lazy-deadline RTO leaves stale ``_rto_check`` entries in the
+        # event queue, and each pins its connection until it fires — up
+        # to an RTO (min_rto 200 ms) after close.  Under connection churn
+        # only reuse bounds them: on the ledger's ``web_nk`` (4 869
+        # connections in 90 ms) 11 CLOSED connections are alive at the
+        # end with the pool, 4 544 without, peak RSS 45.05 -> 52.82 MiB
+        # (+17 %, 10 of 10 pairs).
         if (
             conn.state is not TcpState.CLOSED
             or not conn.closed.triggered
@@ -348,30 +357,23 @@ class TcpStack:
     ) -> None:
         # The connection is looked up here (not carried over from
         # on_packet) because it may close while the CPU charge drains;
-        # only the key tuple is reused.  The segment's life ends in this
-        # method — each exit path returns it to the free list.
+        # only the key tuple is reused.
         if key is None:
             key = (seg.dst_port, packet.src, seg.src_port)
         conn = self._connections.get(key)
         if conn is not None:
             conn.on_segment(seg, ecn_ce=packet.ecn_ce)
-            free_segment(seg)
             return
         if seg.syn and not seg.ack:
             listener = self._listeners.get(seg.dst_port)
-            if listener is not None and listener.can_admit():
-                self._spawn_server_connection(listener, seg, packet.src)
-                free_segment(seg)
-                return
             if listener is not None:
-                self.stats.no_socket_drops += 1
-                free_segment(seg)
-                return  # backlog full: silent drop, client retries
-        if seg.rst:
-            free_segment(seg)
-            return
-        self._send_rst(packet, seg)
-        free_segment(seg)
+                if listener.can_admit():
+                    self._spawn_server_connection(listener, seg, packet.src)
+                else:  # backlog full: silent drop, client retries
+                    self.stats.no_socket_drops += 1
+                return
+        if not seg.rst:
+            self._send_rst(packet, seg)
 
     def _send_rst(self, packet: Packet, seg: TcpSegment) -> None:
         self.stats.rst_sent += 1

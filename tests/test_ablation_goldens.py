@@ -126,32 +126,44 @@ def test_multiplexing_parallel_matches_serial_exactly():
     ]
 
 
-def test_epoll_memory_growth_is_linear_and_bounded():
+def test_epoll_memory_growth_is_linear_and_bounded(monkeypatch):
     """Live bytes per connection stay bounded as the epoll workload scales.
 
-    The 100k point in ``bench scale`` only works because per-connection
-    state is O(1): measured ~8.3 KB/conn after the flyweight diet
-    (__slots__ structs, deque->list tx order, lazy waiter lists; was
-    ~13 KB before it).  The number covers the whole per-connection world
-    — both TcpConnection endpoints, socket/epoll registration, and the
-    benchmark's own sender process.  This pins the *incremental* cost
-    between two sizes so fixed overheads cancel; a leak or an accidental
-    O(n) structure per connection (e.g. a ready-list copy retained per
-    fd) blows the bound immediately.
+    The ledger's ``fanin_10k`` (and any larger N) only works because
+    per-connection state is O(1): measured ~6.1 KB/conn here, after the
+    flyweight diet (__slots__ structs, deque->list tx order, lazy waiter
+    lists) took a third off it.  The number covers the whole
+    per-connection world — both TcpConnection endpoints, socket/epoll
+    registration, and the workload's own sender.  This pins the
+    *incremental* cost between two sizes so fixed overheads cancel; a
+    leak or an accidental O(n) structure per connection (e.g. a
+    ready-list copy retained per fd) blows the bound immediately.
+
+    The worlds are ``fanin_10k``'s own builder at a smaller N, not a
+    copy of it.
     """
     import gc
+    import os
     import tracemalloc
 
-    from repro.experiments.bench_scale import _build_epoll_world
     from repro.runstate import reset_run_ids
+
+    monkeypatch.syspath_prepend(
+        os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "ledger")
+    )
+    from workloads import _fanin
 
     def live_bytes(n_conns):
         reset_run_ids()
         gc.collect()
         tracemalloc.start()
-        world = _build_epoll_world(n_conns)
-        world.testbed.run(until=world.duration)
-        assert world.sink.messages == world.expected
+        world = _fanin(1, None, n_conns, messages_per_conn=2,
+                       message_bytes=512, send_spacing=2e-6)
+        for until in world.run_until:
+            world.testbed.run(until=until)
+        result = world.results()
+        assert result["failed"] == 0 and result["attempted"] == 2 * n_conns
+        assert all(ok for _name, ok, _detail in result["checks"]), result["checks"]
         current, _peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         return current
@@ -162,18 +174,3 @@ def test_epoll_memory_growth_is_linear_and_bounded():
         f"per-connection live memory grew to {per_conn:.0f} B "
         f"(200 conns: {small} B, 800 conns: {large} B)"
     )
-
-
-def test_epoll_multi_port_sink_delivers_everything():
-    """Past ~30k connections the sink spreads over several listen ports
-    (the client stack has ~32k ephemeral ports per remote endpoint).
-    Exercise that path cheaply by lowering the per-port cap."""
-    from unittest import mock
-
-    import repro.experiments.bench_scale as bench_scale
-    from repro.runstate import reset_run_ids
-
-    with mock.patch.object(bench_scale, "CONNS_PER_PORT", 100):
-        reset_run_ids()
-        row = bench_scale.measure_epoll_point(250)
-    assert len(row) and row["messages_delivered"] == row["messages_expected"] == 500

@@ -70,6 +70,24 @@ def test_bench_datapath_and_its_flags_are_gone(argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "scale"],
+        ["figure4", "--pool", "persistent"],
+        ["figure4", "--fidelity", "fluid"],
+        ["chaos", "--fuzz", "2", "--pool", "fork"],
+    ],
+)
+def test_second_benchmark_system_and_its_options_are_gone(argv):
+    """One benchmark system (the ledger), one worker-pool policy, two
+    fidelities: the subcommand, flag and value that chose otherwise are
+    usage errors."""
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(argv)
+    assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
     "field",
     [
         "ring_hop_latency",

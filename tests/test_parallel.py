@@ -136,39 +136,58 @@ def test_figure4_parallel_matches_serial():
     ]
 
 
-# ---------------------------------------------------------- persistent pool --
+# ------------------------------------------------------------- worker reuse --
+# ``jobs > 1`` is one policy: ``jobs`` long-lived workers, each executing
+# many runs.  These pin what reuse must not cost.
+def _next_nqe_token(_index):
+    from repro.netkernel.nqe import Nqe, NqeOp
+
+    return (Nqe(NqeOp.SOCKET).token, os.getpid())
+
+
+def _pid_or_raise(index):
+    if index == 1:
+        raise ValueError(f"boom {index}")
+    return os.getpid()
+
+
 def test_persistent_pool_matches_fork_pool():
+    """Twelve runs over three reused workers merge, in spec order, to
+    exactly the inline (``jobs=1``) results."""
     args = [(i,) for i in range(12)]
-    forked = parallel_map(_square, args, jobs=3, pool="fork")
-    pooled = parallel_map(_square, args, jobs=3, pool="persistent")
-    assert forked == pooled == [i * i for i in range(12)]
+    inline = parallel_map(_square, args, jobs=1)
+    pooled = parallel_map(_square, args, jobs=3)
+    assert inline == pooled == [i * i for i in range(12)]
 
 
 def test_persistent_pool_seeded_runs_bit_identical():
-    """Reused workers must reset run-scoped state between runs."""
-    args = [(derive_seed(123, i),) for i in range(8)]
-    serial = parallel_map(_seeded_tuple, args, jobs=1)
-    pooled = parallel_map(_seeded_tuple, args, jobs=2, pool="persistent")
-    assert serial == pooled
+    """Reused workers must reset run-scoped state between runs: every
+    run's first nqe token is 1 however many runs its worker already
+    executed, as it is inline."""
+    args = [(i,) for i in range(8)]
+    serial = parallel_map(_next_nqe_token, args, jobs=1)
+    pooled = parallel_map(_next_nqe_token, args, jobs=2)
+    assert [token for token, _pid in serial] == [1] * 8
+    assert [token for token, _pid in pooled] == [1] * 8
+    assert len({pid for _token, pid in pooled}) <= 2  # workers were reused
 
 
 def test_persistent_pool_isolates_raising_run():
-    runner = ParallelRunner(jobs=2, pool="persistent")
-    specs = [
-        RunSpec(key="ok", fn=_square, args=(3,)),
-        RunSpec(key="bad", fn=_raise_value_error, args=(1,)),
-        RunSpec(key="also-ok", fn=_square, args=(4,)),
-    ]
-    results = {r.key: r for r in runner.run(specs)}
-    assert results["ok"].value == 9
-    assert results["also-ok"].value == 16
-    assert results["bad"].error.kind == "ValueError"
+    """A raising run fails its own slot and does not cost its worker: the
+    sweep finishes on the ``jobs`` processes it started with."""
+    runner = ParallelRunner(jobs=2)
+    specs = [RunSpec(key=f"run{i}", fn=_pid_or_raise, args=(i,)) for i in range(6)]
+    results = runner.run(specs)
+    assert results[1].error.kind == "ValueError"
+    pids = {r.value for r in results if r.ok}
+    assert len([r for r in results if r.ok]) == 5
+    assert len(pids) <= 2 and os.getpid() not in pids
 
 
 def test_persistent_pool_respawns_after_crash():
     """A dying worker fails only its own run; the pool refills and the
     remaining queue still completes."""
-    runner = ParallelRunner(jobs=2, pool="persistent")
+    runner = ParallelRunner(jobs=2)
     specs = [RunSpec(key=f"ok{i}", fn=_square, args=(i,)) for i in range(4)]
     specs.insert(1, RunSpec(key="dead", fn=_hard_exit, args=(0,)))
     results = {r.key: r for r in runner.run(specs)}
@@ -177,8 +196,3 @@ def test_persistent_pool_respawns_after_crash():
     assert failure.kind == "worker-crashed"
     for i in range(4):
         assert results[f"ok{i}"].value == i * i
-
-
-def test_unknown_pool_rejected():
-    with pytest.raises(ValueError, match="pool"):
-        ParallelRunner(jobs=2, pool="threads")
