@@ -41,8 +41,8 @@ class Core:
     def _charge(self, cost_seconds: float) -> float:
         """Queue ``cost_seconds`` behind the core's backlog; return the
         delay from now until that work completes."""
-        if cost_seconds < 0:
-            raise ValueError("negative CPU cost")
+        if not cost_seconds >= 0:  # NaN would poison _busy_until for good
+            raise ValueError(f"negative or NaN CPU cost: {cost_seconds!r}")
         if self._traced:
             self._tracer.on_cpu(self.name, cost_seconds)
         now = self.sim.now

@@ -2,8 +2,7 @@
 
 Public surface:
 
-* :class:`Simulator` — clock + calendar-queue event scheduler.
-* :class:`CalendarQueue` — the timer wheel behind the simulator's queue.
+* :class:`Simulator` — clock + event queue (one ``heapq`` list).
 * :class:`Event`, :class:`Timeout`, :class:`AnyOf`, :class:`AllOf` — waitables.
 * :class:`Process` — generator-based coroutine; also an event.
 * :class:`Store`, :class:`Resource`, :class:`Container` — shared resources.
@@ -15,11 +14,9 @@ from .events import AllOf, AnyOf, Event, Interrupt, SimulationError, Timeout
 from .fluid import FidelityController, FluidFlow, FluidRoute
 from .process import Process
 from .resources import Container, Resource, Store
-from .wheel import CalendarQueue
 
 __all__ = [
     "Simulator",
-    "CalendarQueue",
     "FidelityController",
     "FluidFlow",
     "FluidRoute",

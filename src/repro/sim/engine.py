@@ -1,9 +1,9 @@
 """The discrete-event simulation kernel.
 
-:class:`Simulator` owns the virtual clock and a calendar-queue event
-scheduler (:mod:`repro.sim.wheel`).  Everything else in the library
-(links, TCP stacks, NetKernel queues, CPU cores) is built on processes
-and events scheduled here.
+:class:`Simulator` owns the virtual clock and the event queue, one list
+ordered by :mod:`heapq`.  Everything else in the library (links, TCP
+stacks, NetKernel queues, CPU cores) is built on processes and events
+scheduled here.
 
 Time is a ``float`` in **seconds**.  Nanosecond-scale costs (memory copies,
 nqe hops) are converted with :data:`NANOS`.
@@ -23,13 +23,12 @@ Example
 
 from __future__ import annotations
 
-from heapq import heappop
+from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Generator, Iterable, Optional
 
 from .events import AllOf, AnyOf, Event, SimulationError, Timeout
 from .process import Process
-from .wheel import GROUP_SHIFT, CalendarQueue
 
 __all__ = ["Simulator", "NANOS", "MICROS", "MILLIS"]
 
@@ -48,14 +47,16 @@ class Simulator:
 
     Events scheduled at equal times fire in FIFO order of scheduling, which
     makes runs fully deterministic for a fixed seedless workload.  The
-    queue is a calendar queue (timer wheel with an overflow heap) whose
-    pop order is bit-identical to the binary heap it replaced — see
-    :mod:`repro.sim.wheel` for the ordering contract.
+    queue is one binary heap of ``(when, seq, target, args)`` tuples:
+    ``seq`` is unique, so a comparison never reaches the payload and the
+    fire order is ``(when, seq)`` by construction.  Why nothing more
+    elaborate: the ledger workloads keep ten to 40 000 entries pending
+    (DESIGN.md section 7, "Why one heapq").
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._queue = CalendarQueue(self._now)
+        self._queue: list = []
         self._counter = count()
         self._active_process: Optional[Process] = None
         #: Events processed since construction (the perf ledger's
@@ -105,7 +106,7 @@ class Simulator:
     # ``target`` is an Event whose callbacks run.  Otherwise the loop calls
     # ``target(*args)`` — a scheduled call is nothing but its entry.
     def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
-        self._queue.push((self._now + delay, next(self._counter), event, None))
+        heappush(self._queue, (self._now + delay, next(self._counter), event, None))
 
     def schedule_call(self, delay: float, func, *args) -> None:
         """Schedule ``func(*args)`` to run after ``delay`` seconds.
@@ -114,17 +115,16 @@ class Simulator:
         beyond the queue entry.  Use :meth:`timeout` for something to
         wait on.
         """
-        if delay < 0:
-            raise ValueError(f"negative schedule_call delay: {delay!r}")
-        self._queue.push((self._now + delay, next(self._counter), func, args))
+        if not delay >= 0:  # also refuses NaN, which would corrupt the heap
+            raise ValueError(f"negative or NaN schedule_call delay: {delay!r}")
+        heappush(self._queue, (self._now + delay, next(self._counter), func, args))
 
     # -- execution ------------------------------------------------------------
     def step(self) -> None:
         """Process the single next entry in the queue."""
-        item = self._queue.pop()
-        if item is None:
+        if not self._queue:
             raise SimulationError("step() on an empty event queue")
-        when, _seq, target, args = item
+        when, _seq, target, args = heappop(self._queue)
         if when < self._now:
             raise SimulationError("event scheduled in the past")
         self._now = when
@@ -136,7 +136,8 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``float('inf')`` if none."""
-        return self._queue.peek()
+        q = self._queue
+        return q[0][0] if q else _INF
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock reaches ``until``.
@@ -157,36 +158,16 @@ class Simulator:
         """Process every entry with ``time <= bound``; return how many.
 
         The one event-loop body: :meth:`step` inlined (minus the
-        stale-event guard, which the queue invariant makes unreachable
-        from here) against the queue's fields — resolve the head bucket
-        (fast path: the bucket the last pop settled on is still the
-        earliest), one heappop over it, then the call or the event's
-        callbacks.  Semantics are identical to repeated ``step()`` calls.
+        stale-event guard, which the heap order makes unreachable from
+        here) — one heappop, then the call or the event's callbacks.
+        Semantics are identical to repeated ``step()`` calls.
         """
         q = self._queue
-        buckets = q.buckets
-        groups = q.groups
         heappop_ = heappop
         processed = 0
         try:
-            while True:
-                if q.bucket_count:
-                    i = q.first
-                    b = buckets[i]
-                    if not b or i != q.active:
-                        b = q._head_bucket()
-                        i = q.first
-                elif q.overflow:
-                    b = q._head_bucket()
-                    i = q.first
-                else:
-                    break
-                if b[0][0] > bound:
-                    break
-                when, _seq, target, args = heappop_(b)
-                if not b:
-                    groups[i >> GROUP_SHIFT] -= 1
-                q.bucket_count -= 1
+            while q and q[0][0] <= bound:
+                when, _seq, target, args = heappop_(q)
                 self._now = when
                 processed += 1
                 if args is not None:

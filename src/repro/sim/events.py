@@ -11,6 +11,7 @@ and trimmed to what this project needs.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -97,7 +98,7 @@ class Event:
         # Inlined Simulator._schedule_event — succeed() is the kernel's
         # hottest trigger path.
         sim = self.sim
-        sim._queue.push((sim._now, next(sim._counter), self, None))
+        heappush(sim._queue, (sim._now, next(sim._counter), self, None))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -140,8 +141,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
+        if not delay >= 0:  # also refuses NaN, which would corrupt the heap
+            raise ValueError(f"negative or NaN timeout delay: {delay!r}")
         super().__init__(sim)
         self.delay = delay
         self._triggered = True

@@ -109,6 +109,18 @@ def test_coreengine_config_rejects_removed_fields(field):
         CoreEngineConfig(**{field: None})
 
 
+def test_calendar_queue_is_gone():
+    """One scheduler (a heapq list in the Simulator): no second queue
+    class to select or tune."""
+    import importlib
+
+    import repro.sim
+
+    assert not hasattr(repro.sim, "CalendarQueue")
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.sim.wheel")
+
+
 def test_figure5_seed_argument():
     args = build_parser().parse_args(["figure5", "--seeds", "7", "8"])
     assert args.seeds == [7, 8]

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from repro.host import Core
 from repro.sim import Interrupt, Simulator, Timeout
 
-# Zero, equal-time ties, one wheel bucket (8 us), and far enough (> 131 ms)
-# to sit in the wheel's overflow heap.
+# Zero, equal-time ties, microseconds (nqe and wire hops) and a far timer
+# (an RTO's 200 ms).
 DELAYS = st.sampled_from([0.0, 0.0, 1e-6, 1e-6, 3e-6, 8e-6, 1e-3, 0.2])
 KINDS = st.sampled_from(["call", "timeout", "succeed", "execute_call"])
 
@@ -155,16 +155,30 @@ def test_execute_call_fires_at_the_float_execute_would(work):
 
 
 def test_negative_delay_raises_where_it_is_scheduled(sim):
-    with pytest.raises(ValueError):
-        sim.schedule_call(-1e-9, lambda: None)
-    assert sim.peek() == float("inf")  # nothing was queued
+    # NaN compares false both ways: queued, it would break the heap order
+    # and silently drop entries.
+    core = Core(sim)
+    for delay in (-1e-9, float("nan")):
+        for schedule in (
+            lambda d: sim.schedule_call(d, lambda: None),
+            sim.timeout,
+            lambda d: core.execute_call(d, lambda: None),
+        ):
+            with pytest.raises(ValueError):
+                schedule(delay)
+            assert sim.peek() == float("inf")  # nothing was queued
+            assert core.backlog_seconds == 0.0 and core.ops == 0
 
 
 def test_run_until_event_dispatches_calls_on_the_way(sim):
     seen = []
     sim.schedule_call(1.0, seen.append, "call")
+    sim.schedule_call(0.5, seen.append, "stepped")
+    assert sim.peek() == 0.5 and sim.peek() == 0.5  # reading changes nothing
+    sim.step()  # fires the entry peek() named
+    assert seen == ["stepped"] and sim.now == 0.5
     assert sim.run_until_event(sim.timeout(2.0, value="done")) == "done"
-    assert seen == ["call"]
+    assert seen == ["stepped", "call"]
 
 
 def test_there_is_no_timeout_pool():

@@ -1,0 +1,109 @@
+"""Fire order and pending-queue population of the one ``heapq`` scheduler.
+
+* engine-level FIFO at equal timestamps (order under every entry kind
+  and drive is the hypothesis property in ``tests/test_sim_calls.py``);
+* figure4/figure5 golden pins — the paper figures, byte-for-byte
+  (regenerate with the calls below if a deliberate model change moves
+  them; the diff is the review artifact);
+* how many entries the queue holds on the two workload shapes the ledger
+  measures: a lingering timer per segment or per nqe shows up here long
+  before it shows up as wall-clock.
+"""
+
+import os
+
+
+def test_engine_fires_equal_timestamps_fifo():
+    """Callbacks scheduled for the same instant run in schedule order."""
+    from repro.sim import Simulator
+
+    sim = Simulator()
+    fired = []
+    # interleave two instants, scheduled out of order
+    for i in range(64):
+        sim.schedule_call(0.002, fired.append, (2, i))
+    for i in range(64):
+        sim.schedule_call(0.001, fired.append, (1, i))
+    sim.run(until=0.01)
+    assert fired == [(1, i) for i in range(64)] + [(2, i) for i in range(64)]
+
+
+# -- figure goldens ---------------------------------------------------------
+
+FIG4_KWARGS = dict(flow_counts=(1, 2), duration=0.06, warmup=0.02)
+
+#: flows -> (repr(native_gbps), repr(nsm_gbps))
+FIG4_GOLDEN = {
+    1: ("22.37691832065372", "26.875379803169846"),
+    2: ("37.648449484292264", "37.63969544216942"),
+}
+
+FIG5_KWARGS = dict(duration=3.0, warmup=1.0, seeds=(1,))
+
+#: label -> repr(mbps)
+FIG5_GOLDEN = {
+    "BBR NSM": "4.239659238967965",
+    "Linux BBR": "4.239657454702333",
+    "Windows CTCP": "1.6560674798839108",
+    "Linux Cubic": "1.9898992643664382",
+}
+
+
+def test_figure4_full_repr_golden():
+    from repro.experiments.figure4 import run_figure4
+
+    result = run_figure4(**FIG4_KWARGS)
+    observed = {
+        row.flows: (repr(row.native_gbps), repr(row.nsm_gbps))
+        for row in result.rows
+    }
+    assert observed == FIG4_GOLDEN
+
+
+def test_figure5_full_repr_golden():
+    from repro.experiments.figure5 import run_figure5
+
+    result = run_figure5(**FIG5_KWARGS)
+    observed = {row.label: repr(row.mbps) for row in result.rows}
+    assert observed == FIG5_GOLDEN
+
+
+# -- what the queue holds ---------------------------------------------------
+def _pending_at_samples(testbed, end, samples=20):
+    pending = []
+    for i in range(1, samples + 1):
+        testbed.run(until=end * i / samples)
+        pending.append(len(testbed.sim._queue))
+    return pending
+
+
+def test_lan_bulk_keeps_a_handful_of_entries_pending():
+    """Fig. 4, 2 NetKernel flows: 9-12 pending, on the ledger's
+    ``lan_bulk`` and here (``_rto_check`` per endpoint plus the wire and
+    copy hops in flight).  Nothing in the datapath scales with bytes."""
+    from repro.experiments.figure4 import _build_lan_world
+
+    testbed, _receivers = _build_lan_world("netkernel", 2)
+    pending = _pending_at_samples(testbed, 0.02)
+    assert 0 < max(pending) <= 64, pending
+
+
+def test_fanin_pending_entries_are_a_few_per_connection(monkeypatch):
+    """Two ``_rto_check``, one sender sleep and one ``_delack_fire`` per
+    connection at most: peak 3.5 x connections here, 3.99 x on the
+    ledger's ``fanin_10k``."""
+    from repro.runstate import reset_run_ids
+
+    monkeypatch.syspath_prepend(
+        os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "ledger")
+    )
+    from workloads import _fanin
+
+    n_conns = 200
+    reset_run_ids()
+    world = _fanin(1, None, n_conns, messages_per_conn=2,
+                   message_bytes=512, send_spacing=2e-6)
+    pending = _pending_at_samples(world.testbed, world.run_until[-1])
+    result = world.results()
+    assert result["failed"] == 0 and result["attempted"] == 2 * n_conns
+    assert n_conns <= max(pending) <= 5 * n_conns, pending
