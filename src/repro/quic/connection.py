@@ -16,6 +16,9 @@ machine.  The moving parts, against their RFC 9000/9002 counterparts:
   when ``reorder_threshold`` newer packets are acknowledged), one
   congestion event per recovery epoch, plus a probe timeout (PTO) that
   retransmits the oldest outstanding packet and collapses the window.
+  The flight map is kept in packet-number order, so an ACK is one merge
+  walk against its ranges, the lost packets are a prefix of the flight
+  and the oldest packet is its first key: no scan of the whole flight.
 * **Sending** — window-based: packets go out while
   ``bytes_in_flight < cc.window()``; pure ACKs bypass the window.
 
@@ -58,6 +61,33 @@ class _SentPacket:
         self.size = size
         self.ptype = ptype
         self.prior_delivered = prior_delivered
+
+
+def _newly_acked(
+    sent: Dict[int, _SentPacket], ranges: Tuple[Tuple[int, int], ...]
+) -> List[int]:
+    """The packet numbers of ``sent`` that ``ranges`` acknowledge, ascending.
+
+    ``sent`` iterates in ascending packet number and ``ranges`` are the
+    peer's :meth:`QuicConnection._ack_ranges`: inclusive, disjoint, newest
+    first.  One merge walk from the oldest range, stopping at the first
+    packet above the newest acked number, so the cost is the packets
+    below that number plus the ranges, never flight x ranges.  Returns a
+    list because the caller pops from ``sent`` while consuming it.
+    """
+    acked: List[int] = []
+    newest = ranges[0][1]
+    at = len(ranges) - 1
+    lo, hi = ranges[at]
+    for num in sent:
+        if num > newest:
+            break
+        while num > hi:  # past this range: on to the next newer one
+            at -= 1
+            lo, hi = ranges[at]
+        if num >= lo:
+            acked.append(num)
+    return acked
 
 
 class QuicConnection:
@@ -136,6 +166,9 @@ class QuicConnection:
 
         # -- sender state ----------------------------------------------
         self._pkt_num = 0
+        # Iterates in ascending packet number: _send_packet is the only
+        # writer, always under the next _pkt_num, and entries are only ever
+        # popped, so insertion order is the index the ACK path walks.
         self.sent: Dict[int, _SentPacket] = {}
         self.bytes_in_flight = 0
         self.largest_acked = -1
@@ -259,6 +292,14 @@ class QuicConnection:
         self.stack.send_packet(self, qpkt)
 
     def _ack_ranges(self) -> Tuple[Tuple[int, int], ...]:
+        """At most ``ack_range_limit`` inclusive ``(lo, hi)`` ranges of the
+        received packet numbers, newest first, out of the 64 newest
+        intervals retained.
+
+        The peer's :func:`_newly_acked` relies on two order contracts: the
+        ranges are strictly descending, disjoint and non-adjacent, and the
+        first one holds the highest packet number received.
+        """
         intervals = self._rcvd.intervals()
         if len(intervals) > 64:
             self._rcvd.trim_below(intervals[-64][0])
@@ -273,15 +314,8 @@ class QuicConnection:
         newly_acked = 0
         rtt_sample: Optional[float] = None
         prior_delivered = 0
-        newest = max(hi for _lo, hi in ranges)
-        # Iterate outstanding packets, not range widths: ranges span the
-        # whole received-number history, the sent map only the flight.
-        acked = sorted(
-            num
-            for num in self.sent
-            if any(lo <= num <= hi for lo, hi in ranges)
-        )
-        for num in acked:
+        newest = ranges[0][1]
+        for num in _newly_acked(self.sent, ranges):
             pkt = self.sent.pop(num)
             self.bytes_in_flight -= pkt.size
             newly_acked += pkt.size
@@ -326,15 +360,20 @@ class QuicConnection:
         threshold = self.largest_acked - self.config.reorder_threshold
         if threshold < 0 or not self.sent:
             return
-        lost = [num for num in self.sent if num <= threshold]
+        # The lost packets are the flight's prefix up to ``threshold``,
+        # collected first: _requeue may resend a handshake into ``sent``.
+        lost = []
+        for num in self.sent:
+            if num > threshold:
+                break
+            lost.append(num)
         if not lost:
             return
-        newest_lost = max(lost)
-        for num in sorted(lost):
+        for num in lost:
             pkt = self.sent.pop(num)
             self.bytes_in_flight -= pkt.size
             self._requeue(pkt)
-        if newest_lost > self._recovery_until:
+        if lost[-1] > self._recovery_until:
             self._recovery_until = self._pkt_num - 1
             self.stack.stats.loss_events += 1
             self.cc.on_loss_event(now, self.bytes_in_flight)
@@ -368,8 +407,7 @@ class QuicConnection:
         if gen != self._pto_gen or self.closed or not self.sent:
             return
         self.stack.stats.ptos += 1
-        oldest = min(self.sent)
-        pkt = self.sent.pop(oldest)
+        pkt = self.sent.pop(next(iter(self.sent)))  # the oldest
         self.bytes_in_flight -= pkt.size
         self.cc.on_rto(self.sim.now)
         self._pto_backoff = min(self._pto_backoff * 2.0, 64.0)

@@ -3,23 +3,30 @@
 Protocol tests drive two bare :class:`QuicStack` endpoints over a duplex
 link (mirroring the TCP rig in ``conftest``): 1-RTT handshake,
 tenant-keyed 0-RTT resumption, stream multiplexing over one connection,
-loss recovery, and connection-id routing surviving an IP change.
+loss recovery, and connection-id routing surviving an IP change.  The
+ACK bookkeeping is checked against the full-scan reference it replaced.
 
 Integration tests check the stack-family registry — the NSM boots
 whichever family its spec names behind the *same* GuestLib surface —
 and that shared-NSM placement never mixes families.
 """
 
+import time
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.net import DuplexLink, Endpoint, IIDLoss, OffloadConfig, VirtualNIC
 from repro.netkernel import NsmSpec
 from repro.netkernel.nsm import STACK_FAMILIES, register_stack_family
 from repro.quic import QuicStack
+from repro.quic.connection import _newly_acked, _SentPacket
+from repro.quic.packet import QuicPacketType
 from repro.sim import Simulator
 from repro.tcp import TcpStack
+from repro.tcp.intervals import IntervalSet
 
 
 @dataclass
@@ -170,20 +177,130 @@ def test_streams_multiplex_over_one_connection():
 
 
 # ------------------------------------------------------------ loss recovery --
+#: (loss, seed, streams, bytes per stream) -> (received, events processed,
+#: sender packets_out, retransmits, ptos, loss_events, receiver packets_out).
+#: The first point's one retransmit is a PTO; the other two run packet-
+#: threshold loss detection over a flight with holes.
+LOSS_POINTS = [
+    ((0.03, 7, 1, 300_000), (300_000, 88, 9, 1, 1, 0, 8)),
+    ((0.05, 2, 1, 3_000_000), (3_000_000, 446, 53, 4, 1, 2, 49)),
+    ((0.20, 11, 3, 3_000_000), (9_000_000, 1348, 182, 41, 13, 18, 141)),
+]
+
+
 def test_transfer_under_loss_is_reliable():
-    rig = make_quic_rig(loss=IIDLoss(0.03, seed=7))
-    result = serve_and_count(rig)
-    stream = rig.stack_a.connect(Endpoint("10.0.0.2", 5000), tenant=1)
+    for (loss, seed, n_streams, size), expected in LOSS_POINTS:
+        rig = make_quic_rig(loss=IIDLoss(loss, seed=seed))
+        result = serve_and_count(rig)
+        stream = rig.stack_a.connect(Endpoint("10.0.0.2", 5000), tenant=1)
+        streams = [stream] + [
+            stream.conn.open_stream() for _ in range(n_streams - 1)
+        ]
 
-    def client(sim):
-        yield stream.established
-        yield stream.send(300_000)
-        stream.close()
+        def client(sim, streams=streams, size=size):
+            yield streams[0].established
+            for s in streams:
+                yield s.send(size)
+                s.close()
 
-    rig.sim.process(client(rig.sim))
-    rig.run(until=30.0)
-    assert result["received"] == 300_000
-    assert rig.stack_a.stats.retransmits > 0
+        rig.sim.process(client(rig.sim))
+        rig.run(until=30.0)
+        a, b = rig.stack_a.stats, rig.stack_b.stats
+        assert result["received"] == n_streams * size
+        assert a.retransmits > 0
+        assert (
+            result["received"],
+            rig.sim.events_processed,
+            a.packets_out,
+            a.retransmits,
+            a.ptos,
+            a.loss_events,
+            b.packets_out,
+        ) == expected, (loss, seed)
+
+
+# ---------------------------------------------------------- ACK bookkeeping --
+def _reference_acked(sent, ranges):
+    """The scan the ACK path made before the merge walk: every outstanding
+    packet against every range."""
+    return sorted(
+        num for num in sent if any(lo <= num <= hi for lo, hi in ranges)
+    )
+
+
+def _idle_connection():
+    """A real client connection: its first packet queued, the sim never run."""
+    rig = make_quic_rig()
+    return rig.stack_a.connect(Endpoint("10.0.0.2", 5000), tenant=1).conn
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    received=st.sets(st.integers(0, 400), min_size=1, max_size=250),
+    flight=st.sets(st.integers(0, 500), max_size=64),
+)
+@example(received={5, 6, 7}, flight=set())  # empty flight
+@example(received={5, 6, 7, 9}, flight={10, 11, 12})  # all above the newest ack
+@example(received={1, 2, 4, 6, 8, 9}, flight={8, 9, 10, 11})  # older ranges below
+@example(received={3, 4, 5, 6}, flight={1, 4, 6, 7})  # a single range
+def test_newly_acked_matches_the_full_scan(received, flight):
+    conn = _idle_connection()
+    conn._rcvd = IntervalSet()
+    for num in received:
+        conn._rcvd.add(num, num + 1)
+    ranges = conn._ack_ranges()
+
+    # The contract the walk relies on.
+    assert 1 <= len(ranges) <= conn.config.ack_range_limit
+    assert len(conn._rcvd) <= 64
+    assert ranges[0][1] == max(received)
+    assert all(lo <= hi for lo, hi in ranges)
+    for (lo, _hi), (_older_lo, older_hi) in zip(ranges, ranges[1:]):
+        assert older_hi + 1 < lo  # strictly descending, disjoint, non-adjacent
+    covered = {num for lo, hi in ranges for num in range(lo, hi + 1)}
+    assert covered == {num for num in received if num >= ranges[-1][0]}
+
+    sent = {num: None for num in sorted(flight)}  # ascending, as sent
+    assert _newly_acked(sent, ranges) == _reference_acked(sent, ranges)
+
+
+def test_ack_cost_does_not_grow_with_the_flight():
+    """An ACK walks the flight from its oldest packet, never all of it.
+
+    The ``lan_bulk_quic`` shape: 8 ranges, the newest acking the flight's
+    4 oldest packets, seven older ones below the flight (every retransmit
+    leaves a permanent gap in the receiver's history).  Checking every
+    packet against every range made an ACK cost flight x ranges: 16x the
+    flight cost ~15x.  Walked, it stays flat; 3x leaves room for a noisy
+    host.
+    """
+    base = 1000
+    ranges = ((base, base + 3),) + tuple(
+        (base - 10 * k, base - 10 * k + 7) for k in range(1, 8)
+    )
+
+    def per_call(n, calls=100):
+        conn = _idle_connection()
+        flight = {
+            num: _SentPacket((), -1e-3, 1200, QuicPacketType.ONE_RTT, 0)
+            for num in range(base, base + n)
+        }
+        spent = 0.0
+        for _ in range(calls):
+            conn.sent = dict(flight)
+            conn.bytes_in_flight = 1200 * n
+            start = time.perf_counter()
+            conn._on_ack(ranges)
+            spent += time.perf_counter() - start
+        assert list(conn.sent) == list(range(base + 4, base + n))  # none lost
+        return spent / calls
+
+    best = {n: float("inf") for n in (64, 1024)}
+    for _ in range(3):
+        for n in best:
+            best[n] = min(best[n], per_call(n))
+    ratio = best[1024] / best[64]
+    assert ratio <= 3.0, f"an ACK grew {ratio:.1f}x for 16x the flight"
 
 
 # ---------------------------------------------------------------- migration --
@@ -282,6 +399,11 @@ def test_quic_nsm_carries_bulk_flow_through_unchanged_guestlib():
     testbed.run(until=0.05)
     gbps = rx.meter.bps(until=0.05) / 1e9
     assert gbps > 30.0  # 40G NICs; TCP hits ~37 on this shape
+    # Full precision: the loss-recovery bookkeeping must not move a bit.
+    assert repr(gbps) == "37.810382971368604"
+    assert testbed.sim.events_processed == 118932
+    assert nsm_a.stack.stats.retransmits == 61
+    assert nsm_a.stack.stats.loss_events == 8
 
 
 def test_quic_nsm_guestlib_close_tears_down_the_mapping():
