@@ -229,13 +229,7 @@ class KernelSocketApi(SocketApi):
         if sock.bound_port is not None:
             self._bound_ports.discard(sock.bound_port)
         if sock.conn is not None:
-            conn = sock.conn
-            # The fd is gone, so the app can never touch this connection
-            # again; once teardown completes the stack may recycle it.
-            conn.closed.add_callback(
-                lambda _ev, c=conn: self.stack.recycle(c)
-            )
-            conn.close()
+            sock.conn.close()
         elif sock.listener is not None:
             sock.listener.close()
         event = Event(self.sim)

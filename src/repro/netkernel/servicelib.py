@@ -53,7 +53,7 @@ class _Backend:
 
     __slots__ = (
         "cid", "region", "cc_name", "bound_port", "conn", "listener",
-        "owner", "uid", "rx_seq", "rx_stalled", "rx_done",
+        "owner", "uid", "rx_seq", "rx_stalled",
     )
 
     def __init__(
@@ -73,9 +73,6 @@ class _Backend:
         #: A readiness callback fired while the owner was frozen; the
         #: thaw re-arms exactly these (the rest are still armed).
         self.rx_stalled = False
-        #: The receive chain emitted EOF — nothing will touch ``conn``'s
-        #: receive side again (one of the two recycle preconditions).
-        self.rx_done = False
 
 
 def _end_span(span) -> None:
@@ -385,7 +382,6 @@ class ServiceLib:
             **kwargs,
         )
         backend.conn = conn
-        self._watch_teardown(backend)
 
         def finish(ev):
             if ev.ok:
@@ -457,42 +453,6 @@ class ServiceLib:
         elif backend.conn is not None:
             backend.conn.close()
         self._complete_ok(nqe)
-
-    # ------------------------------------------------------------- recycling --
-    def _watch_teardown(self, backend: _Backend) -> None:
-        """Arm the connection-recycle hook for ``backend.conn``.
-
-        No-op for transports without a ``closed`` event (QUIC stream
-        backends) — those simply skip pooling.
-        """
-        conn = backend.conn
-        closed = getattr(conn, "closed", None)
-        if closed is not None:
-            closed.add_callback(lambda _ev, b=backend: self._maybe_recycle(b))
-
-    def _maybe_recycle(self, backend: _Backend) -> None:
-        """Return ``backend.conn`` to its stack's free list once truly dead.
-
-        Two events must BOTH have happened, in either order: the connection
-        reached CLOSED (``conn.closed`` fired) and the rx chain emitted its
-        EOF nqe (``backend.rx_done``).  Recycling on close alone would be
-        unsound — the rx copy chain can still be mid-``region.copy`` holding
-        the connection, and would re-arm ``wait_readable`` on a recycled
-        buffer, delivering a *new* connection's bytes under an old cID.
-        ``conn.stack`` (not ``self.nsm.stack``) is the recycle target so a
-        migrated-and-adopted connection returns to the stack that owns it.
-        """
-        conn = backend.conn
-        if conn is None or not backend.rx_done:
-            return
-        closed = getattr(conn, "closed", None)
-        if closed is None or not closed.triggered:
-            return
-        recycle = getattr(getattr(conn, "stack", None), "recycle", None)
-        if recycle is None:
-            return
-        backend.conn = None
-        recycle(conn)
 
     def _op_heartbeat(self, nqe: Nqe) -> None:
         """Liveness probe from CoreEngine: answer immediately.
@@ -575,7 +535,6 @@ class ServiceLib:
         cid = self.allocate_cid()
         child = _Backend(cid, listen_backend.region, owner=self)
         child.conn = conn
-        self._watch_teardown(child)
         self._backends[cid] = child
         self._start_rx(child)
         span = None
@@ -638,11 +597,9 @@ class ServiceLib:
             self._rx_wait(backend)
             return
         if taken == 0:  # EOF: stream fully delivered
-            backend.rx_done = True
             self.receive_queue.offer(
                 Nqe(NqeOp.EOF, nsm_id=self.nsm.nsm_id, cid=backend.cid)
             )
-            self._maybe_recycle(backend)
             return
         root = stage = None
         if self._traced:

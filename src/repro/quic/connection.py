@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..net import Endpoint
-from ..sim import Event, Simulator
+from ..sim import Deadline, Event, Simulator
 from ..tcp.cc.base import CongestionControl, RateSample
 from ..tcp.intervals import IntervalSet
 from .packet import QuicPacket, QuicPacketType, StreamFrame
@@ -123,7 +123,7 @@ class QuicConnection:
         "delivered",
         "_rcvd",
         "srtt",
-        "_pto_gen",
+        "_pto",
         "_pto_backoff",
     )
 
@@ -182,7 +182,7 @@ class QuicConnection:
 
         # -- timers ----------------------------------------------------
         self.srtt: Optional[float] = None
-        self._pto_gen = 0
+        self._pto = Deadline(sim, self, QuicConnection._on_pto)
         self._pto_backoff = 1.0
 
         if self.zero_rtt:
@@ -398,14 +398,12 @@ class QuicConnection:
         return max(3.0 * self.srtt, self.config.min_pto_s) * self._pto_backoff
 
     def _arm_pto(self) -> None:
-        self._pto_gen += 1
-        if not self.sent:
-            return
-        self.sim.schedule_call(self._pto_interval(), self._on_pto, self._pto_gen)
+        if self.sent:
+            self._pto.arm(self._pto_interval())
+        else:
+            self._pto.cancel()
 
-    def _on_pto(self, gen: int) -> None:
-        if gen != self._pto_gen or self.closed or not self.sent:
-            return
+    def _on_pto(self) -> None:
         self.stack.stats.ptos += 1
         pkt = self.sent.pop(next(iter(self.sent)))  # the oldest
         self.bytes_in_flight -= pkt.size
@@ -561,7 +559,7 @@ class QuicConnection:
         if self.closed:
             return
         self.closed = True
-        self._pto_gen += 1
+        self._pto.release()
         self.sent.clear()
         self.bytes_in_flight = 0
         self._retx.clear()

@@ -17,7 +17,7 @@ from itertools import count
 from typing import Callable, Deque, Dict, Optional, Tuple
 
 from ..net import NIC, Packet
-from ..sim import Event, Simulator
+from ..sim import Deadline, Event, Simulator
 
 __all__ = ["RdmaMessage", "RcEndpoint", "RdmaFabric"]
 
@@ -77,7 +77,7 @@ class RcEndpoint:
         self._snd_una = 0
         self._tx_queue: Deque[Tuple[RdmaMessage, int, int, bool]] = deque()
         self._unacked: Deque[Tuple[int, RdmaMessage, int, int, bool]] = deque()
-        self._rto_gen = 0
+        self._rto = Deadline(sim, self, RcEndpoint._rto_fire)
         # receiver state
         self._rcv_nxt = 0
         self._partial: Dict[int, int] = {}  # msg_id -> bytes received
@@ -120,7 +120,7 @@ class RcEndpoint:
             self._unacked.append((seq, message, chunk, _index, is_last))
             self._transmit(seq, message, chunk, is_last)
         if self._unacked:
-            self._arm_rto()
+            self._rto.arm(RETRANSMIT_TIMEOUT)
 
     def _transmit(self, seq: int, message: RdmaMessage, chunk: int, is_last: bool) -> None:
         segment = _RcSegment(
@@ -165,23 +165,16 @@ class RcEndpoint:
                 message.completion.succeed()
         self._snd_una = max(self._snd_una, ack)
         if progressed:
-            self._rto_gen += 1
+            self._rto.cancel()
         self._pump()
 
     # ------------------------------------------------------------------- rto --
-    def _arm_rto(self) -> None:
-        self._rto_gen += 1
-        gen = self._rto_gen
-        self.sim.schedule_call(RETRANSMIT_TIMEOUT, self._rto_fire, gen)
-
-    def _rto_fire(self, gen: int) -> None:
-        if gen != self._rto_gen or not self._unacked:
-            return
+    def _rto_fire(self) -> None:
         # Go-back-N: replay everything outstanding.
         self.retransmit_events += 1
         for seq, message, chunk, _index, is_last in self._unacked:
             self._transmit(seq, message, chunk, is_last)
-        self._arm_rto()
+        self._rto.arm(RETRANSMIT_TIMEOUT)
 
 
 class RdmaFabric:

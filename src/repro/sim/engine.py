@@ -30,7 +30,7 @@ from typing import Any, Generator, Iterable, Optional
 from .events import AllOf, AnyOf, Event, SimulationError, Timeout
 from .process import Process
 
-__all__ = ["Simulator", "NANOS", "MICROS", "MILLIS"]
+__all__ = ["Simulator", "Deadline", "NANOS", "MICROS", "MILLIS"]
 
 #: One nanosecond in simulator time units (seconds).
 NANOS = 1e-9
@@ -197,3 +197,79 @@ class Simulator:
         if not event.ok:
             raise event.value
         return event.value
+
+
+class Deadline:
+    """A restartable one-shot timer with at most one live queue entry.
+
+    Protocol timers (TCP's RTO, persist and delayed ACK, QUIC's PTO, the
+    RDMA transport's RTO) are re-armed on nearly every ACK and every
+    transmission.  Pushing a fresh entry per arm and retiring the old one
+    with a generation token floods the queue with stale no-ops, so arming
+    is lazy: a deadline that moves *later* only moves :attr:`when`, and
+    the pending entry, when it pops, pushes itself again at the new
+    deadline.  A deadline that moves *earlier* than the pending entry
+    pushes one new entry and retires the old one by token — otherwise a
+    data RTO of ``min_rto`` (200 ms) armed under the SYN's 1 s initial RTO
+    would fire up to 800 ms late and stall loss recovery.  Entries are
+    pushed at the absolute deadline, so ``func`` runs at exactly the float
+    a push on every arm would have fired at.
+
+    The queue entry references the deadline, never a bound method of the
+    owner: after :meth:`release` a pending entry keeps nothing but this
+    small object alive, and a closed connection is garbage at close
+    instead of an RTO later.  ``func`` is called as ``func(owner)``; a
+    released deadline must not be armed again.
+    """
+
+    __slots__ = ("sim", "owner", "func", "when", "_at", "_token")
+
+    def __init__(self, sim: Simulator, owner, func) -> None:
+        self.sim = sim
+        self.owner = owner
+        self.func = func
+        #: Absolute time ``func`` is due, or None while disarmed.
+        self.when: Optional[float] = None
+        self._at: Optional[float] = None  # time of the live queue entry
+        self._token = 0  # identifies the live entry; older ones are stale
+
+    @property
+    def armed(self) -> bool:
+        return self.when is not None
+
+    def arm(self, delay: float) -> None:
+        """(Re)arm to fire ``delay`` seconds from now."""
+        when = self.when = self.sim._now + delay
+        at = self._at
+        if at is None or when < at:
+            self._push(when)
+
+    def cancel(self) -> None:
+        self.when = None
+
+    def release(self) -> None:
+        """Cancel and drop the owner (a pending entry may still pop)."""
+        self.when = None
+        self.owner = None
+
+    def _push(self, when: float) -> None:
+        sim = self.sim
+        self._at = when
+        token = self._token = self._token + 1
+        heappush(sim._queue, (when, next(sim._counter), _deadline_pop, (self, token)))
+
+
+def _deadline_pop(deadline: Deadline, token: int) -> None:
+    """Target of every :class:`Deadline` queue entry (module level, so the
+    entry holds no bound method of the owner)."""
+    if token != deadline._token:
+        return  # retired when the deadline moved earlier
+    deadline._at = None
+    when = deadline.when
+    if when is None:
+        return  # cancelled or released
+    if when > deadline.sim._now:
+        deadline._push(when)  # moved later since this entry was pushed
+        return
+    deadline.when = None
+    deadline.func(deadline.owner)

@@ -55,7 +55,9 @@ chunk was never counted anywhere.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+
+from .engine import Deadline
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..tcp.connection import TcpConnection
@@ -143,14 +145,19 @@ class FluidFlow:
         "submitted",
         "targets",
         "_targets_head",
-        "gen",
         "demoted",
         "last_update",
         "active",
-        "next_fire",
+        "service",
     )
 
-    def __init__(self, conn: "TcpConnection", peer: "TcpConnection", route: FluidRoute):
+    def __init__(
+        self,
+        conn: "TcpConnection",
+        peer: "TcpConnection",
+        route: FluidRoute,
+        service_done: Callable[["FluidFlow"], None],
+    ):
         self.conn = conn
         self.peer = peer
         self.route = route
@@ -166,14 +173,13 @@ class FluidFlow:
         #: which alone would be most of the 10^6-flow memory budget.
         self.targets: List[Tuple[int, int]] = []
         self._targets_head = 0
-        self.gen = 0  # invalidates stale service callbacks
         self.demoted = False
         self.last_update = 0.0
         self.active = False
-        #: Fire time of the live (gen-current) service event; inf if none.
-        #: Lets rate epochs skip rescheduling when the existing event
-        #: already fires early enough (lazy rescheduling).
-        self.next_fire = float("inf")
+        #: The head chunk's service completion at the fastest rate seen
+        #: since it was armed: after a rate drop it fires early and the
+        #: rest is rescheduled (:meth:`FidelityController._schedule`).
+        self.service = Deadline(conn.sim, self, service_done)
 
     def head_target(self) -> Optional[Tuple[int, int]]:
         """Oldest unserviced ``(cumulative target, chunk size)``, or None."""
@@ -203,6 +209,8 @@ class FidelityController:
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
+        #: One bound method shared by every flow's service deadline.
+        self._service_due = self._service_done
         self.routes: Dict[Tuple[str, str], FluidRoute] = {}
         self._stacks: Dict[str, "TcpStack"] = {}
         self._fault_until = 0.0
@@ -409,7 +417,7 @@ class FidelityController:
             return
         assert conn.snd_una == conn.snd_nxt, "promotion requires a drained pipe"
         route = self.route_for(conn.local.ip, conn.remote.ip)
-        flow = FluidFlow(conn, peer, route)
+        flow = FluidFlow(conn, peer, route, self._service_due)
         conn._fluid_flow = flow
         conn._fluid_armed = False
         self.promotions += 1
@@ -435,8 +443,7 @@ class FidelityController:
             return
         conn._fluid_flow = None
         flow.demoted = True
-        flow.gen += 1
-        flow.next_fire = float("inf")
+        flow.service.release()
         if flow.active:
             flow.active = False
             flow.route.active.remove(flow)
@@ -551,44 +558,40 @@ class FidelityController:
     def _schedule(self, flow: FluidFlow) -> None:
         """(Re)schedule the head chunk's service under the current rate.
 
-        Only the *service* event is generation-guarded: a rate epoch
-        reschedules it for the remaining bytes (work is conserved by
-        :meth:`_sync`).  Propagation events are scheduled separately at
+        Only the *service* event is a cancellable :class:`Deadline`: a
+        rate epoch reschedules it for the remaining bytes (work is
+        conserved by :meth:`_sync`).  Propagation events are scheduled separately at
         service completion and never cancelled by epochs — a chunk on the
         wire is not affected by a rate change behind it (re-paying the
         propagation delay per epoch would starve deliveries whenever flow
         arrivals outpace the path latency).
 
-        Rescheduling is *lazy*: a new event is pushed only when the
-        completion estimate moves earlier than the live event's fire
-        time.  When the rate drops instead, the live event fires early,
-        :meth:`_service_done` syncs the partial progress and reschedules
-        the remainder.  Without this, every arrival epoch invalidates one
-        event per concurrently active flow and the heap fills with stale
-        pops — O(arrivals x active) events under overlap.
+        Rescheduling is *lazy*: the deadline moves only when the
+        completion estimate moves earlier.  When the rate drops instead,
+        the deadline fires early, :meth:`_service_done` syncs the partial
+        progress and reschedules the remainder.  Without this, every
+        arrival epoch invalidates one event per concurrently active flow
+        and the heap fills with stale pops — O(arrivals x active) events
+        under overlap.
         """
         head = flow.head_target()
+        service = flow.service
         if head is None or flow.rate <= 0:
-            flow.gen += 1  # nothing to service: kill any live event
-            flow.next_fire = float("inf")
+            service.cancel()  # nothing to service
             return
         target, _size = head
         remaining = max(0.0, target - flow.serviced)
-        when = self.sim.now + remaining / flow.rate
-        if when >= flow.next_fire:
-            return  # live event fires no later than needed: keep it
-        flow.gen += 1
-        flow.next_fire = when
-        self.sim.schedule_call(
-            when - self.sim.now, self._service_done, flow, flow.gen
-        )
+        now = self.sim.now
+        when = now + remaining / flow.rate
+        if service.armed and when >= service.when:
+            return  # fires no later than needed: keep it
+        service.arm(when - now)
 
-    def _service_done(self, flow: FluidFlow, gen: int) -> None:
+    def _service_done(self, flow: FluidFlow) -> None:
         """Head chunk fully serviced: put it in propagation, line up next."""
         head = flow.head_target()
-        if gen != flow.gen or flow.demoted or head is None:
+        if head is None:
             return
-        flow.next_fire = float("inf")
         self._sync(flow, self.sim.now)
         target, size = head
         if target - flow.serviced > 0.5:

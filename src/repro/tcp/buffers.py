@@ -36,17 +36,6 @@ class SendBuffer:
         # buffer's waiter list is empty, and the empty lists add up.
         self._waiters: Optional[List[Tuple[int, Event]]] = None
 
-    def reset(self, sim: Simulator, capacity: int) -> None:
-        """Reinitialize in place for a pooled connection (see TcpStack)."""
-        if capacity <= 0:
-            raise ValueError("send buffer capacity must be positive")
-        self.sim = sim
-        self.capacity = capacity
-        self.written = 0
-        self.acked = 0
-        self.fin_requested = False
-        self._waiters = None
-
     @property
     def backlog(self) -> int:
         """Bytes accepted but not yet acknowledged."""
@@ -104,7 +93,7 @@ class ReassemblyQueue:
         self._rotate = 0
 
     def reset(self, rcv_nxt: int = 0) -> None:
-        """Reinitialize in place for a pooled connection (see TcpStack)."""
+        """Reinitialize in place (a SYN names the first sequence number)."""
         self.rcv_nxt = rcv_nxt
         self._ooo = EMPTY
         self._last_touched = None
@@ -191,17 +180,6 @@ class ReceiveBuffer:
         # Both lists are None until first use (see SendBuffer._waiters).
         self._readers: Optional[List[Tuple[int, Event]]] = None
         self._watchers: Optional[List[Event]] = None
-
-    def reset(self, sim: Simulator, capacity: int) -> None:
-        """Reinitialize in place for a pooled connection (see TcpStack)."""
-        if capacity <= 0:
-            raise ValueError("receive buffer capacity must be positive")
-        self.sim = sim
-        self.capacity = capacity
-        self.available = 0
-        self.eof = False
-        self._readers = None
-        self._watchers = None
 
     def window(self, out_of_order_bytes: int = 0) -> int:
         """Receive window to advertise."""

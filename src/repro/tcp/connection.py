@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
 from ..net import Endpoint
-from ..sim import Event, Simulator
+from ..sim import Deadline, Event, Simulator
 from .buffers import ReassemblyQueue, ReceiveBuffer, SendBuffer
 from .cc.base import CongestionControl, RateSample
 from .intervals import EMPTY, IntervalSet
@@ -104,19 +104,6 @@ class ConnStats:
     dup_acks: int = 0
     ecn_echoes: int = 0
 
-    def reset(self) -> None:
-        """Zero all counters in place (pooled-connection reuse)."""
-        self.bytes_sent = 0
-        self.bytes_acked = 0
-        self.bytes_received = 0
-        self.segments_sent = 0
-        self.segments_received = 0
-        self.retransmits = 0
-        self.fast_retransmits = 0
-        self.timeouts = 0
-        self.dup_acks = 0
-        self.ecn_echoes = 0
-
 
 class TcpConnection:
     """One endpoint of a TCP connection."""
@@ -146,17 +133,13 @@ class TcpConnection:
         "_last_advertised_wnd",
         # RTT / timers
         "rtt",
-        "_rto_armed",
-        "_rto_scheduled",
-        "_rto_deadline",
-        "_rto_check_at",
-        "_rto_gen",
-        "_persist_gen",
+        "_rto",
+        "_persist",
         "_syn_retries_left",
         # delayed ack
         "_delack_pending",
         "_delack_bytes",
-        "_delack_gen",
+        "_delack",
         # loss recovery
         "_dupacks",
         "_recover",
@@ -230,18 +213,16 @@ class TcpConnection:
 
         # --- RTT / timers ---
         self.rtt = RttEstimator(min_rto=self.config.min_rto)
-        self._rto_armed = False
-        self._rto_scheduled = False
-        self._rto_deadline = 0.0
-        self._rto_check_at = 0.0  # fire time of the pending (gen-current) check
-        self._rto_gen = 0
-        self._persist_gen = 0
+        self._rto = Deadline(sim, self, TcpConnection._rto_fire)
+        # Most connections never probe a zero window and only a data
+        # receiver delays ACKs: both deadlines are built on first arm.
+        self._persist: Optional[Deadline] = None
         self._syn_retries_left = self.config.syn_retries
 
         # --- delayed ack ---
         self._delack_pending = 0
         self._delack_bytes = 0
-        self._delack_gen = 0
+        self._delack: Optional[Deadline] = None
 
         # --- loss recovery (SACK scoreboard, RFC 2018/6675-style) ---
         self._dupacks = 0
@@ -297,97 +278,6 @@ class TcpConnection:
         #: Demoted as rwnd-limited: stays packet until the route's flow
         #: population makes the max-min share smaller than the peer-
         #: window cap (the regime the fluid model can price).
-        self._fluid_rwnd_block = False
-
-    def _reinit(
-        self,
-        sim: Simulator,
-        stack: "TcpStack",
-        local: Endpoint,
-        remote: Endpoint,
-        cc: CongestionControl,
-        config: Optional[TcpConfig] = None,
-    ) -> None:
-        """Reset a pooled connection to the state ``__init__`` produces.
-
-        Mirrors ``__init__`` field for field but reuses the heavy
-        sub-objects (buffers, reassembly queue, RTT estimator, SACK
-        scoreboard, tx-record containers, stats).  Fresh ``established``
-        / ``closed`` events are allocated — stale waiters on the previous
-        life must never observe this one.  Generation tokens are bumped,
-        not zeroed, so a timer scheduled against the previous life can
-        never be mistaken for one of ours.
-        """
-        self.sim = sim
-        self.stack = stack
-        self.local = local
-        self.remote = remote
-        self.cc = cc
-        self.config = config or TcpConfig()
-        self.state = TcpState.CLOSED
-
-        self.iss = 0
-        self.snd_una = 0
-        self.snd_nxt = 0
-        self.snd_wnd = 65535
-        self.send_buffer.reset(sim, self.config.sndbuf)
-        self.fin_sent = False
-        self.fin_seq = None
-
-        self.irs = None
-        self.assembly.reset()
-        self.recv_buffer.reset(sim, self.config.rcvbuf)
-        self.fin_received_seq = None
-        self._ts_recent = None
-        self._last_advertised_wnd = self.config.rcvbuf
-
-        self.rtt.reset(min_rto=self.config.min_rto)
-        self._rto_armed = False
-        self._rto_scheduled = False
-        self._rto_deadline = 0.0
-        self._rto_check_at = 0.0
-        self._rto_gen += 1
-        self._persist_gen += 1
-        self._syn_retries_left = self.config.syn_retries
-
-        self._delack_pending = 0
-        self._delack_bytes = 0
-        self._delack_gen += 1
-
-        self._dupacks = 0
-        self._recover = 0
-        self._in_fast_recovery = False
-        self._sacked = EMPTY
-        self._rexmitted = EMPTY
-        self._rto_high = 0
-        self._last_repair_time = 0.0
-        self._rack_armed = False
-
-        self._ecn_echo_latched = False
-        self._send_cwr = False
-        self._ecn_reduction_seq = 0
-
-        self.delivered = 0
-        self.delivered_time = 0.0
-        self._tx_records.clear()
-        self._tx_order.clear()
-        self._tx_head = 0
-        self._first_tx_time = 0.0
-        self._app_limited_until = 0
-
-        self._next_send_time = 0.0
-        self._pacing_timer_armed = False
-
-        self.established = Event(sim)
-        self.closed = Event(sim)
-        self.on_data_available = None
-        self.on_established_cb = None
-
-        self.stats.reset()
-
-        self._fidelity = getattr(sim, "fidelity", None)
-        self._fluid_flow = None
-        self._fluid_armed = False
         self._fluid_rwnd_block = False
 
     # ------------------------------------------------------------------ API --
@@ -585,7 +475,7 @@ class TcpConnection:
         self.cc.on_ack(sample)
 
         if self.snd_una == self.snd_nxt:
-            self._cancel_rto()
+            self._rto.cancel()
             self.rtt.reset_backoff()
         else:
             self._arm_rto(restart=True)
@@ -823,21 +713,24 @@ class TcpConnection:
         ):
             self._send_ack(force=True)
             return
-        gen = self._delack_gen
-        self.sim.schedule_call(
-            self.config.delack_timeout, self._delack_fire, gen
-        )
-
-    def _delack_fire(self, gen: int) -> None:
-        if gen == self._delack_gen and self._delack_pending > 0:
-            self._send_ack(force=True)
+        # The timer runs from the first unacknowledged segment (every ACK
+        # sent cancels it): a later one leaves it where it is.
+        delack = self._delack
+        if delack is None:
+            delack = self._delack = Deadline(
+                self.sim, self, TcpConnection._send_ack
+            )
+        elif delack.armed:
+            return
+        delack.arm(self.config.delack_timeout)
 
     def _send_ack(self, force: bool = False, ece_override: Optional[bool] = None) -> None:
         if self.irs is None or self.state in (TcpState.CLOSED, TcpState.LISTEN):
             return
         self._delack_pending = 0
         self._delack_bytes = 0
-        self._delack_gen += 1
+        if self._delack is not None:
+            self._delack.cancel()
         seg = self._make_segment(self.snd_nxt, ack=True)
         if ece_override is not None:
             seg.ece = ece_override
@@ -895,7 +788,12 @@ class TcpConnection:
     def _finish_closed(self) -> None:
         if self._fluid_flow is not None or self._fluid_armed:
             self._fidelity.demote(self, "closed")
-        self._cancel_rto()
+        # Pending timer entries must not keep a closed connection alive.
+        self._rto.release()
+        if self._persist is not None:
+            self._persist.release()
+        if self._delack is not None:
+            self._delack.release()
         if not self.closed.triggered:
             self.closed.succeed()
         self.stack.forget(self)
@@ -1084,54 +982,19 @@ class TcpConnection:
             self.state = TcpState.ESTABLISHED
             self.delivered_time = self.sim.now
             if not self.established.triggered:
-                self.established.succeed(self)
+                self.established.succeed()
             if self.on_established_cb is not None:
                 self.on_established_cb(self)
             if self._fidelity is not None:
                 self._fidelity.on_established(self)
 
     # timers ----------------------------------------------------------------
-    # The RTO is re-armed on every ACK and every transmission.  Scheduling a
-    # fresh timeout each time would flood the event heap with stale no-ops
-    # (tens of thousands per simulated second on a busy flow), so the timer
-    # is lazy: arming just moves ``_rto_deadline``, and the pending check
-    # event re-schedules itself for the remaining time when it finds the
-    # deadline has moved *later*.  When the deadline moves *earlier* than
-    # the pending check (the SYN-time check sits at the 1 s initial RTO;
-    # post-measurement data RTOs are min_rto = 200 ms), a fresh check is
-    # scheduled at the new deadline and the old event is retired by the
-    # generation token — otherwise a data timeout fires up to
-    # initial_rto - rto late, stalling loss recovery for most of a second.
+    # Re-armed on every ACK and transmission; lazily, see repro.sim.Deadline.
     def _arm_rto(self, restart: bool = False) -> None:
-        if self._rto_armed and not restart:
-            return
-        self._rto_armed = True
-        self._rto_deadline = self.sim.now + self.rtt.rto
-        if not self._rto_scheduled or (
-            self._rto_deadline < self._rto_check_at - 1e-12
-        ):
-            self._rto_scheduled = True
-            self._rto_gen += 1
-            self._rto_check_at = self._rto_deadline
-            self.sim.schedule_call(self.rtt.rto, self._rto_check, self._rto_gen)
+        if restart or not self._rto.armed:
+            self._rto.arm(self.rtt.rto)
 
-    def _cancel_rto(self) -> None:
-        self._rto_armed = False
-
-    def _rto_check(self, gen: int) -> None:
-        if gen != self._rto_gen:
-            return  # superseded by an earlier-scheduled check
-        self._rto_scheduled = False
-        if not self._rto_armed:
-            return
-        remaining = self._rto_deadline - self.sim.now
-        if remaining > 1e-12:
-            self._rto_scheduled = True
-            self._rto_gen += 1
-            self._rto_check_at = self._rto_deadline
-            self.sim.schedule_call(remaining, self._rto_check, self._rto_gen)
-            return
-        self._rto_armed = False
+    def _rto_fire(self) -> None:
         if self.state is TcpState.SYN_SENT:
             self._syn_retries_left -= 1
             if self._syn_retries_left <= 0:
@@ -1170,12 +1033,11 @@ class TcpConnection:
         self._recovery_send()
 
     def _arm_persist(self) -> None:
-        self._persist_gen += 1
-        self.sim.schedule_call(self.rtt.rto, self._persist_fire, self._persist_gen)
+        if self._persist is None:
+            self._persist = Deadline(self.sim, self, TcpConnection._persist_fire)
+        self._persist.arm(self.rtt.rto)
 
-    def _persist_fire(self, gen: int) -> None:
-        if gen != self._persist_gen:
-            return
+    def _persist_fire(self) -> None:
         if self.snd_wnd == 0 and self.state is TcpState.ESTABLISHED:
             # Window probe: 1-byte nudge would be the real thing; a bare ACK
             # suffices to elicit a window update in this simulation.

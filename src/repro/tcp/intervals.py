@@ -107,45 +107,6 @@ class IntervalSet:
         self._total += gained
         return gained
 
-    def covered(self, start: int, end: int) -> int:
-        """Bytes of ``[start, end)`` that this set covers."""
-        b = self._b
-        if end <= start or not b:
-            return 0
-        # Boundaries strictly inside (start, end) are b[lo:hi]; odd lo/hi
-        # mean the range starts/ends inside an interval, which the clipped
-        # ``start``/``end`` then stand in for.
-        lo = bisect_right(b, start)
-        hi = bisect_left(b, end, lo)
-        total = sum(b[lo | 1 : hi : 2]) - sum(b[lo + (lo & 1) : hi : 2])
-        if lo & 1:
-            total -= start
-        if hi & 1:
-            total += end
-        return total
-
-    def contains(self, start: int, end: int) -> bool:
-        """True if ``[start, end)`` is fully covered."""
-        return self.covered(start, end) == end - start
-
-    def holes(self, start: int, end: int) -> Iterator[Tuple[int, int]]:
-        """Yield the gaps of ``[start, end)`` this set does not cover."""
-        if end <= start:
-            return
-        b = self._b
-        at = bisect_right(b, start)
-        if at & 1:  # start is covered: resume at the end of its interval
-            start = b[at]
-            at += 1
-        n = len(b)
-        while start < end:
-            if at >= n or b[at] >= end:
-                yield (start, end)
-                return
-            yield (start, b[at])
-            start = b[at + 1]
-            at += 2
-
     def gaps(
         self, other: "IntervalSet", start: int, end: int
     ) -> Tuple[List[Tuple[int, int]], int]:

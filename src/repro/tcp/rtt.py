@@ -37,16 +37,6 @@ class RttEstimator:
         initial_rto: float = 1.0,
         clock_granularity: float = 1e-3,
     ) -> None:
-        self.reset(min_rto, max_rto, initial_rto, clock_granularity)
-
-    def reset(
-        self,
-        min_rto: float = 0.2,
-        max_rto: float = 60.0,
-        initial_rto: float = 1.0,
-        clock_granularity: float = 1e-3,
-    ) -> None:
-        """(Re)initialize; also used in place for pooled connections."""
         if min_rto <= 0 or max_rto < min_rto:
             raise ValueError("require 0 < min_rto <= max_rto")
         self.min_rto = min_rto

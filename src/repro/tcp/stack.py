@@ -25,7 +25,7 @@ from ..net import NIC, Endpoint, Packet
 from ..obs import runtime as obs_runtime
 from ..sim import NANOS, Event, Simulator
 from .cc import base as cc_base
-from .connection import TcpConfig, TcpConnection, TcpState
+from .connection import TcpConfig, TcpConnection
 from .listener import Listener
 from .segment import TcpSegment
 
@@ -75,9 +75,6 @@ ConnKey = Tuple[int, str, int]  # (local_port, remote_ip, remote_port)
 #: Every TcpConfig field value as one tuple: the _tcp_config cache fingerprint.
 _tcp_field_values = attrgetter(*TcpConfig.__dataclass_fields__)
 
-#: Upper bound on pooled (recycled) connections kept per stack.
-_CONN_POOL_MAX = 4096
-
 
 class TcpStack:
     """A complete TCP endpoint bound to one NIC/IP."""
@@ -104,11 +101,6 @@ class TcpStack:
         self._next_core = 0
         self._core_of: Dict[int, _Core] = {}  # id(conn) -> core
         self._cfg_cache: Dict[tuple, TcpConfig] = {}
-        #: Free list of recycled connections (see :meth:`recycle`).  The
-        #: pool stays empty unless an owner that controls the whole
-        #: connection lifecycle (socket APIs, ServiceLib) opts in by
-        #: recycling, so plain-stack users keep exact allocation behaviour.
-        self._conn_pool: List[TcpConnection] = []
         #: Fastpass-style fabric arbiter: when set, every payload-bearing
         #: segment waits for a wire timeslot grant before transmission
         #: (pure ACKs bypass — they are a rounding error on the fabric).
@@ -168,62 +160,6 @@ class TcpStack:
             self._core_of[id(conn)] = self.cores[self._next_core % len(self.cores)]
             self._next_core += 1
 
-    # ---------------------------------------------------- connection pooling --
-    def _alloc_connection(
-        self,
-        local: Endpoint,
-        remote: Endpoint,
-        cc: cc_base.CongestionControl,
-        cfg: TcpConfig,
-    ) -> TcpConnection:
-        pool = self._conn_pool
-        if pool:
-            conn = pool.pop()
-            conn._reinit(self.sim, self, local, remote, cc, cfg)
-            return conn
-        return TcpConnection(self.sim, self, local, remote, cc, cfg)
-
-    def recycle(self, conn: TcpConnection) -> bool:
-        """Return a fully dead connection to the stack's free list.
-
-        Only owners that control the whole lifecycle may call this —
-        after ``conn.closed`` has fired and every reference outside the
-        stack is gone (a socket API whose fd was closed, ServiceLib once
-        the backend's receive chain has drained).  Connections with a
-        stale one-shot timer still pending (RACK, pacing) are left to the
-        garbage collector rather than risk a previous life's callback
-        firing into a new one.  Returns True when pooled.
-        """
-        # Why this pool exists when segments and nqes are plain
-        # constructor calls: a closed connection is not garbage.  The
-        # lazy-deadline RTO leaves stale ``_rto_check`` entries in the
-        # event queue, and each pins its connection until it fires — up
-        # to an RTO (min_rto 200 ms) after close.  Under connection churn
-        # only reuse bounds them: on the ledger's ``web_nk`` (4 869
-        # connections in 90 ms) 11 CLOSED connections are alive at the
-        # end with the pool, 4 544 without, peak RSS 45.05 -> 52.82 MiB
-        # (+17 %, 10 of 10 pairs).
-        if (
-            conn.state is not TcpState.CLOSED
-            or not conn.closed.triggered
-            or conn._rack_armed
-            or conn._pacing_timer_armed
-            or conn._fluid_flow is not None
-            or conn._fluid_armed
-        ):
-            return False
-        key = (conn.local.port, conn.remote.ip, conn.remote.port)
-        if self._connections.get(key) is conn:
-            return False  # still demuxable: not dead yet
-        if len(self._conn_pool) >= _CONN_POOL_MAX:
-            return False
-        if self._traced:
-            # id(conn) is about to be reused; drop any flow-parent span
-            # bound to the old life.
-            self.tracer.bind_flow(id(conn), None)
-        self._conn_pool.append(conn)
-        return True
-
     # ------------------------------------------------------------- active open --
     def connect(
         self,
@@ -237,7 +173,7 @@ class TcpStack:
         local = Endpoint(self.ip, port)
         cfg = self._tcp_config(**tcp_overrides)
         cc = self._make_cc(congestion_control, cfg.mss)
-        conn = self._alloc_connection(local, remote, cc, cfg)
+        conn = TcpConnection(self.sim, self, local, remote, cc, cfg)
         key = (port, remote.ip, remote.port)
         if key in self._connections:
             raise RuntimeError(f"connection collision on {key}")
@@ -270,7 +206,7 @@ class TcpStack:
         remote = Endpoint(src_ip, seg.src_port)
         cfg = self._tcp_config(**getattr(listener, "_tcp_overrides", {}))
         cc = self._make_cc(getattr(listener, "_cc_name", None), cfg.mss)
-        conn = self._alloc_connection(local, remote, cc, cfg)
+        conn = TcpConnection(self.sim, self, local, remote, cc, cfg)
         self._connections[(listener.port, remote.ip, remote.port)] = conn
         self.stats.connections_accepted += 1
         self._assign_core(conn)
@@ -447,6 +383,10 @@ class TcpStack:
         if existing is conn:
             del self._connections[key]
         self._core_of.pop(id(conn), None)
+        if self._traced:
+            # A closed connection is freed at close and the next one may
+            # reuse its id: drop the flow-parent span bound to this one.
+            self.tracer.bind_flow(id(conn), None)
 
     @property
     def connection_count(self) -> int:

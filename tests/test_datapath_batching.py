@@ -158,7 +158,8 @@ def test_receive_switch_frees_descriptor_for_unknown_cid():
 # queue deeply (web, hol), lightly (bulk8) and never (rpc).  Every value is a full ``repr``
 # captured at the commit *before* the six hand-written consumers were folded
 # into one ``RingPump``; ``events_processed`` is included so not even the
-# number of simulator events may move.  Regenerate (only for a deliberate
+# number of simulator events may move (it alone was re-recorded when the
+# protocol timers became ``sim.Deadline``s).  Regenerate (only for a deliberate
 # model change) with ``PYTHONPATH=src python tests/test_datapath_batching.py``.
 DRAIN_GOLDEN = pathlib.Path(__file__).parent / "data" / "drain_matrix_golden.json"
 

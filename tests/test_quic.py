@@ -182,9 +182,9 @@ def test_streams_multiplex_over_one_connection():
 #: The first point's one retransmit is a PTO; the other two run packet-
 #: threshold loss detection over a flight with holes.
 LOSS_POINTS = [
-    ((0.03, 7, 1, 300_000), (300_000, 88, 9, 1, 1, 0, 8)),
-    ((0.05, 2, 1, 3_000_000), (3_000_000, 446, 53, 4, 1, 2, 49)),
-    ((0.20, 11, 3, 3_000_000), (9_000_000, 1348, 182, 41, 13, 18, 141)),
+    ((0.03, 7, 1, 300_000), (300_000, 70, 9, 1, 1, 0, 8)),
+    ((0.05, 2, 1, 3_000_000), (3_000_000, 349, 53, 4, 1, 2, 49)),
+    ((0.20, 11, 3, 3_000_000), (9_000_000, 1088, 182, 41, 13, 18, 141)),
 ]
 
 
@@ -401,7 +401,7 @@ def test_quic_nsm_carries_bulk_flow_through_unchanged_guestlib():
     assert gbps > 30.0  # 40G NICs; TCP hits ~37 on this shape
     # Full precision: the loss-recovery bookkeeping must not move a bit.
     assert repr(gbps) == "37.810382971368604"
-    assert testbed.sim.events_processed == 118932
+    assert testbed.sim.events_processed == 108446
     assert nsm_a.stack.stats.retransmits == 61
     assert nsm_a.stack.stats.loss_events == 8
 

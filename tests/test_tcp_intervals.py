@@ -16,7 +16,7 @@ def test_empty_set():
     assert not ivs
     assert ivs.total() == 0
     assert ivs.max_end() == 0
-    assert list(ivs.holes(0, 10)) == [(0, 10)]
+    assert ivs.gaps(EMPTY, 0, 10) == ([(0, 10)], 10)
 
 
 def test_add_disjoint():
@@ -55,30 +55,13 @@ def test_add_empty_range_is_noop():
     assert not ivs
 
 
-def test_covered():
-    ivs = IntervalSet()
-    ivs.add(10, 20)
-    ivs.add(30, 40)
-    assert ivs.covered(0, 50) == 20
-    assert ivs.covered(15, 35) == 10
-    assert ivs.covered(20, 30) == 0
-
-
-def test_contains():
-    ivs = IntervalSet()
-    ivs.add(10, 20)
-    assert ivs.contains(10, 20)
-    assert ivs.contains(12, 18)
-    assert not ivs.contains(5, 15)
-
-
 def test_holes():
     ivs = IntervalSet()
     ivs.add(10, 20)
     ivs.add(30, 40)
-    assert list(ivs.holes(0, 50)) == [(0, 10), (20, 30), (40, 50)]
-    assert list(ivs.holes(10, 40)) == [(20, 30)]
-    assert list(ivs.holes(12, 18)) == []
+    assert ivs.gaps(EMPTY, 0, 50) == ([(0, 10), (20, 30), (40, 50)], 30)
+    assert ivs.gaps(EMPTY, 10, 40) == ([(20, 30)], 10)
+    assert ivs.gaps(EMPTY, 12, 18) == ([], 0)
 
 
 def test_trim_below():
@@ -99,6 +82,10 @@ def test_trim_below_everything():
 def test_first_raises_on_empty():
     with pytest.raises(IndexError):
         IntervalSet().first()
+
+
+def covered_points(ivs):
+    return {x for start, end in ivs for x in range(start, end)}
 
 
 ranges = st.lists(
@@ -122,14 +109,15 @@ def test_property_matches_reference_set(ranges):
         assert newly == len(added)
         reference |= set(range(start, end))
     assert ivs.total() == len(reference)
-    assert ivs.covered(0, 300) == len(reference)
+    assert covered_points(ivs) == reference
     # Intervals are sorted, disjoint, non-adjacent.
     intervals = ivs.intervals()
     for (s1, e1), (s2, e2) in zip(intervals, intervals[1:]):
         assert e1 < s2
     # Holes + coverage partition the probed span.
-    holes = list(ivs.holes(0, 300))
-    assert sum(e - s for s, e in holes) + ivs.covered(0, 300) == 300
+    holes, size = ivs.gaps(EMPTY, 0, 300)
+    assert {x for s, e in holes for x in range(s, e)} == set(range(300)) - reference
+    assert size + len(reference) == 300
 
 
 @settings(max_examples=100, deadline=None)
@@ -143,7 +131,7 @@ def test_property_trim_below_matches_reference(ranges, cutoff):
     ivs.trim_below(cutoff)
     reference = {x for x in reference if x >= cutoff}
     assert ivs.total() == len(reference)
-    assert ivs.covered(0, 300) == len(reference)
+    assert covered_points(ivs) == reference
 
 
 # -- the indexed structure against a set-of-ints model ----------------------
@@ -164,14 +152,6 @@ def runs(members, start, end):
             run_start = None
     if run_start is not None:
         found.append((run_start, end))
-    return found
-
-
-def nested_gaps(first, second, start, end):
-    """The pre-index sender loop: rescan ``second`` under every hole of ``first``."""
-    found = []
-    for hole_start, hole_end in first.holes(start, end):
-        found.extend(second.holes(hole_start, hole_end))
     return found
 
 
@@ -215,15 +195,12 @@ class IntervalSetMachine(RuleBasedStateMachine):
     @rule(start=points, end=points)
     def probe(self, start, end):
         for ivs, model in zip(self.sets, self.models):
-            inside = {x for x in model if start <= x < end}
-            assert ivs.covered(start, end) == len(inside)
-            assert ivs.contains(start, end) == (len(inside) == end - start)
             missing = set(range(start, end)) - model
-            assert list(ivs.holes(start, end)) == runs(missing, start, end)
+            assert ivs.gaps(EMPTY, start, end) == (runs(missing, start, end), len(missing))
         first, second = self.sets
         neither = set(range(start, end)) - self.models[0] - self.models[1]
         found, size = first.gaps(second, start, end)
-        assert found == runs(neither, start, end) == nested_gaps(first, second, start, end)
+        assert found == runs(neither, start, end)
         assert size == len(neither)
 
     @invariant()
@@ -269,7 +246,7 @@ def test_shared_empty_reads_like_an_empty_set_and_refuses_mutation():
     other = IntervalSet()
     other.add(3, 7)
     assert not EMPTY and len(EMPTY) == 0 and EMPTY.total() == 0
-    assert EMPTY.trim_below(10) == 0 and EMPTY.covered(0, 10) == 0
+    assert EMPTY.trim_below(10) == 0 and EMPTY.find(5) == -1
     assert EMPTY.gaps(other, 0, 10) == ([(0, 3), (7, 10)], 6)
     assert other.gaps(EMPTY, 0, 10) == ([(0, 3), (7, 10)], 6)
     with pytest.raises(TypeError, match="read-only"):
@@ -308,12 +285,12 @@ def test_trim_below_nothing_below_leaves_the_list_alone():
 
 
 def test_per_call_cost_does_not_grow_with_the_scoreboard():
-    """add / covered probe one spot and the gap sweep walks both sets once.
+    """add / find probe one spot and the gap sweep walks both sets once.
 
-    A scan from the head per call made add and covered linear and the
-    sender's hole finder quadratic (every hole of one set rescanned the
-    other): 4x the intervals cost 4x and 16x.  Indexed, add and covered
-    stay flat and the sweep is linear; 6x leaves room for a noisy host.
+    A scan from the head per call made add linear and the sender's hole
+    finder quadratic (every hole of one set rescanned the other): 4x the
+    intervals cost 4x and 16x.  Indexed, add and find stay flat and the
+    sweep is linear; 6x leaves room for a noisy host.
     """
     import time
 
@@ -333,7 +310,7 @@ def test_per_call_cost_does_not_grow_with_the_scoreboard():
         for at in probes:
             at -= at % 40
             sacked.add(at + 12, at + 14)  # lands mid-set, in a hole
-            sacked.covered(at, at + 400)
+            sacked.find(at + 13)
             sacked.trim_below(0)
         point = time.perf_counter()
         for _ in range(5):
@@ -348,5 +325,5 @@ def test_per_call_cost_does_not_grow_with_the_scoreboard():
             best[n] = tuple(map(min, best[n], per_call(n)))
     point_ratio = best[8000][0] / best[2000][0]
     sweep_ratio = best[8000][1] / best[2000][1]
-    assert point_ratio <= 6.0, f"add/covered grew {point_ratio:.1f}x for 4x the intervals"
+    assert point_ratio <= 6.0, f"add/find grew {point_ratio:.1f}x for 4x the intervals"
     assert sweep_ratio <= 6.0, f"gap sweep grew {sweep_ratio:.1f}x for 4x the intervals"

@@ -1,9 +1,12 @@
 """TcpStack miscellany: demux, ports, stats, RSS core assignment."""
 
+import gc
+
 import pytest
 
 from repro.host.cpu import Core
 from repro.net import Endpoint
+from repro.sim.engine import _deadline_pop
 from repro.tcp import StackConfig, TcpSegment, TcpStack, TcpState
 
 from conftest import make_linked_stacks
@@ -134,145 +137,17 @@ def test_per_connection_tcp_overrides():
     assert rig.stack_a.config.tcp.sndbuf != 123_456
 
 
-# -- the connection pool (TcpStack.recycle / TcpConnection._reinit) -----------
+# -- timers that let go ------------------------------------------------------
 #
-# The one free list left in the tree: a CLOSED connection is pinned by its
-# stale lazy-RTO queue entries for up to an RTO, so under churn only reuse
-# bounds how many are alive (see the comment at TcpStack.recycle).
+# A connection's RTO, persist and delayed-ACK deadlines are released when it
+# reaches CLOSED.  The queue entries they leave behind reference only the
+# deadline, so a closed connection is freed by reference count at close
+# instead of being pinned until its last stale entry pops (up to an RTO).
 
 
-def _dead_client_conn(**rig_kwargs):
-    """A client connection that lived a whole life and is recyclable."""
-    from conftest import transfer
-
-    rig = make_linked_stacks(**rig_kwargs)
-    conn = transfer(rig, total_bytes=200_000)["client_conn"]
-    assert conn.closed.triggered and not rig.stack_a._connections
-    return rig, conn
-
-
-#: Each makes an otherwise recyclable connection not dead, one way.
-_RECYCLE_SPOILERS = {
-    "state not CLOSED": lambda rig, conn: setattr(conn, "state", TcpState.TIME_WAIT),
-    "closed untriggered": lambda rig, conn: setattr(conn, "closed", rig.sim.event()),
-    "still demuxable": lambda rig, conn: rig.stack_a._connections.update(
-        {(conn.local.port, conn.remote.ip, conn.remote.port): conn}
-    ),
-    "RACK timer pending": lambda rig, conn: setattr(conn, "_rack_armed", True),
-    "pacing timer pending": lambda rig, conn: setattr(conn, "_pacing_timer_armed", True),
-    "live fluid flow": lambda rig, conn: setattr(conn, "_fluid_flow", object()),
-    "promotion armed": lambda rig, conn: setattr(conn, "_fluid_armed", True),
-}
-
-
-@pytest.mark.parametrize("why", sorted(_RECYCLE_SPOILERS))
-def test_recycle_refuses_a_connection_that_is_not_dead(why):
-    rig, conn = _dead_client_conn()
-    names = ("state", "closed", "_rack_armed", "_pacing_timer_armed",
-             "_fluid_flow", "_fluid_armed")
-    before = {name: getattr(conn, name) for name in names}
-    _RECYCLE_SPOILERS[why](rig, conn)
-    assert rig.stack_a.recycle(conn) is False
-    assert rig.stack_a._conn_pool == []
-    # Undo the one spoiler: the same connection is now accepted, so the
-    # spoiler was the reason.
-    for name, value in before.items():
-        setattr(conn, name, value)
-    rig.stack_a._connections.clear()
-    assert rig.stack_a.recycle(conn) is True
-    assert rig.stack_a._conn_pool == [conn]
-
-
-def test_recycle_refuses_when_the_pool_is_full(monkeypatch):
-    import repro.tcp.stack as stack_module
-
-    rig, conn = _dead_client_conn()
-    monkeypatch.setattr(stack_module, "_CONN_POOL_MAX", 0)
-    assert rig.stack_a.recycle(conn) is False
-    assert rig.stack_a._conn_pool == []
-    monkeypatch.setattr(stack_module, "_CONN_POOL_MAX", 1)
-    assert rig.stack_a.recycle(conn) is True
-
-
-#: Sub-objects ``_reinit`` reuses through their ``reset()``; compared field
-#: by field.  Everything else in ``__slots__`` is compared with ``==``.
-_REUSED_PARTS = ("send_buffer", "assembly", "recv_buffer", "rtt", "stats")
-_GENERATIONS = ("_rto_gen", "_persist_gen", "_delack_gen")
-_FRESH_EVENTS = ("established", "closed")
-#: Cleared in place, so they must stay containers.
-_CONTAINERS = ("_tx_records", "_tx_order")
-
-
-def _fields(obj):
-    names = [n for klass in type(obj).__mro__ for n in getattr(klass, "__slots__", ())]
-    return {name: getattr(obj, name) for name in names}
-
-
-def test_reinit_mirrors_init_for_every_slot():
-    """A recycled connection equals a constructed one, slot by slot.
-
-    After a real (lossy) life every field ``_reinit`` must write is also
-    overwritten with a sentinel, so a field added to ``__init__`` and
-    ``__slots__`` but not to ``_reinit`` — or to a part's ``__init__`` but
-    not its ``reset()`` — survives into the next life and fails here.
-    """
-    from repro.net import IIDLoss
-    from repro.tcp import TcpConnection
-
-    rig, conn = _dead_client_conn(loss=IIDLoss(0.03, seed=5))
-    assert conn.stats.retransmits > 0  # the life left marks
-    stack = rig.stack_a
-    assert stack.recycle(conn)
-
-    stale = object()
-    generations = {name: getattr(conn, name) for name in _GENERATIONS}
-    old_events = {name: getattr(conn, name) for name in _FRESH_EVENTS}
-    for name in TcpConnection.__slots__:
-        if name in _GENERATIONS:
-            continue
-        if name in _REUSED_PARTS:
-            part = getattr(conn, name)
-            for field in _fields(part):
-                setattr(part, field, stale)
-        elif name == "_tx_records":
-            conn._tx_records[1] = stale
-        elif name == "_tx_order":
-            conn._tx_order.append(stale)
-        else:
-            setattr(conn, name, stale)
-
-    local, remote = Endpoint("10.0.0.1", 40000), Endpoint("10.0.0.2", 5000)
-    cfg = stack._tcp_config()
-    cc = stack._make_cc(None, cfg.mss)
-    reborn = stack._alloc_connection(local, remote, cc, cfg)
-    assert reborn is conn and stack._conn_pool == []
-    fresh = TcpConnection(rig.sim, stack, local, remote, cc, cfg)
-
-    for name in TcpConnection.__slots__:
-        mine, theirs = getattr(reborn, name), getattr(fresh, name)
-        if name in _GENERATIONS:
-            assert mine != generations[name], f"{name} was not bumped"
-        elif name in _FRESH_EVENTS:
-            assert mine is not old_events[name] and mine is not stale
-            assert type(mine) is type(theirs) and not mine.triggered
-        elif name in _REUSED_PARTS:
-            assert _fields(mine) == _fields(theirs), name
-        else:
-            assert mine == theirs, name
-
-
-def _two_lives(recycle):
-    """Connect/transfer/close twice from the same stacks; with ``recycle``
-    the second pair of connections are the first pair's objects.  The
-    second life idles across the first life's RTO deadline.  Returns the
-    second life's (client stats, server stats, duration)."""
-    import dataclasses
-
-    rig = make_linked_stacks()
-    listener = rig.stack_b.listen(5000)
-    remote = Endpoint("10.0.0.2", 5000)
-    out = {}
-
+def _one_life(rig, sim, listener, idle_until=None):
+    """Connect from port 40000, send 100 kB (twice, around an idle stretch,
+    with ``idle_until``) and close; return both ends once both are CLOSED."""
     def serve_one(sim):
         peer = yield listener.accept()
         while (yield peer.recv(1 << 20)):
@@ -280,62 +155,111 @@ def _two_lives(recycle):
         yield peer.close()
         return peer
 
-    def life(sim, idle_until):
-        server = sim.process(serve_one(sim))
-        conn = rig.stack_a.connect(remote)
-        yield conn.established
+    server = sim.process(serve_one(sim))
+    conn = rig.stack_a.connect(Endpoint("10.0.0.2", 5000), local_port=40000)
+    yield conn.established
+    yield conn.send(100_000)
+    if idle_until is not None:
+        yield sim.timeout(idle_until - sim.now)
         yield conn.send(100_000)
-        if idle_until is not None:
-            yield sim.timeout(idle_until - sim.now)
-            yield conn.send(100_000)
-        yield conn.close()
-        peer = yield server
-        yield peer.closed
-        return conn, peer
+    yield conn.close()
+    peer = yield server
+    return conn, peer
+
+
+def _stale_entries(sim):
+    return [entry for entry in sim._queue if entry[2] is _deadline_pop]
+
+
+def test_a_closed_connection_is_freed_at_close():
+    """Both ends of a finished transfer are garbage by reference count alone
+    while the RTO entries they armed are still in the event queue."""
+    from repro.tcp import TcpConnection
+
+    rig = make_linked_stacks()
+    sim = rig.sim
+    listener = rig.stack_b.listen(5000)
+    out = {}
 
     def script(sim):
-        first, first_peer = yield from life(sim, None)
-        # The first life's lazy RTO checks are still in the event queue.
-        assert first._rto_scheduled and first._rto_check_at > sim.now
-        assert first_peer._rto_scheduled and first_peer._rto_check_at > sim.now
-        stale_until = max(first._rto_check_at, first_peer._rto_check_at)
-        if recycle:
-            assert rig.stack_a.recycle(first) and rig.stack_b.recycle(first_peer)
+        conns = yield from _one_life(rig, sim, listener)
+        assert all(conn.state is TcpState.CLOSED for conn in conns)
+        out["ids"] = {id(conn) for conn in conns}
+        out["closed_at"] = sim.now
+
+    sim.process(script(sim))
+    gc.disable()  # nothing may need the cycle collector to free them
+    try:
+        while "ids" not in out:
+            sim.step()
+        alive = [
+            obj for obj in gc.get_objects()
+            if type(obj) is TcpConnection and id(obj) in out["ids"]
+        ]
+        assert alive == []
+    finally:
+        gc.enable()
+    stale = _stale_entries(sim)
+    assert stale and all(entry[0] > out["closed_at"] for entry in stale)
+    assert all(entry[3][0].owner is None for entry in stale)
+    sim.run()  # they pop as no-ops
+    assert rig.stack_a.stats.timeouts == rig.stack_b.stats.timeouts == 0
+
+
+def _two_lives(drop_stale):
+    """Two connections on the same 4-tuple, the second started while the
+    first one's stale timer entries are still queued and idling past them.
+    With ``drop_stale`` those entries are deleted from the queue first.
+    Returns the second life's (client stats, server stats, duration)."""
+    import dataclasses
+    import heapq
+
+    rig = make_linked_stacks()
+    sim = rig.sim
+    listener = rig.stack_b.listen(5000)
+    out = {}
+
+    def script(sim):
+        yield from _one_life(rig, sim, listener)
+        stale = _stale_entries(sim)
+        assert stale and min(entry[0] for entry in stale) > sim.now
+        if drop_stale:
+            sim._queue[:] = [e for e in sim._queue if e[2] is not _deadline_pop]
+            heapq.heapify(sim._queue)
         started = sim.now
-        second, second_peer = yield from life(sim, stale_until + 1.0)
-        assert (second is first and second_peer is first_peer) == recycle
+        idle_until = max(entry[0] for entry in stale) + 1.0
+        second = yield from _one_life(rig, sim, listener, idle_until)
         out["result"] = (
-            dataclasses.asdict(second.stats),
-            dataclasses.asdict(second_peer.stats),
+            *(dataclasses.asdict(conn.stats) for conn in second),
             sim.now - started,
         )
 
-    rig.sim.process(script(rig.sim))
+    sim.process(script(sim))
     rig.run(until=300.0)
     return out["result"]
 
 
 def test_previous_life_timers_are_noops_in_the_next_life():
-    """RTO / delayed-ACK / persist entries queued by a connection's first
-    life are still in the event queue when it is recycled and reconnected;
-    they fire into the second life without effect: no timeout, no
-    retransmit, and not one segment more or less than on fresh objects."""
-    client, server, duration = _two_lives(recycle=True)
+    """RTO / delayed-ACK entries queued by a closed connection are still in
+    the event queue when a new connection reuses its 4-tuple; they pop into
+    the new life without effect: no timeout, no retransmit, and not one
+    segment more or less than with those entries deleted."""
+    client, server, duration = _two_lives(drop_stale=False)
     assert client["bytes_sent"] == server["bytes_received"] == 200_000
     for stats in (client, server):
         assert stats["timeouts"] == 0 and stats["retransmits"] == 0
-    assert (client, server, duration) == _two_lives(recycle=False)
+    assert (client, server, duration) == _two_lives(drop_stale=True)
 
 
 def test_connection_churn_keeps_closed_connections_bounded():
-    """Why the pool exists, executable: in the middle of connect/request/
-    close churn through one NSM pair, at most a small constant of CLOSED
-    connections is alive.
+    """In the middle of connect/request/close churn through one NSM pair
+    no CLOSED connection is alive — counted with the cycle collector off,
+    so every one must have been freed by reference count at close.
 
-    Without reuse every connection that reached CLOSED stays pinned by its
-    stale lazy-RTO queue entries until they fire (min_rto 200 ms, far
-    beyond this run): 111 here with ``recycle`` returning False, 0 with
-    the pool."""
+    Before timers let go, every connection that reached CLOSED stayed
+    pinned by its stale lazy-RTO queue entries until they fired (min_rto
+    200 ms, far beyond this run): 111 here without the connection pool the
+    tree kept for that reason."""
     import gc
 
     from repro.apps import WebClient, WebServer
@@ -354,15 +278,18 @@ def test_connection_churn_keeps_closed_connections_bounded():
                   start_delay=0.001 + 0.0005 * i)
         for i in range(clients)
     ]
-    testbed.run(until=0.012)
+    gc.collect()
+    gc.disable()
+    try:
+        testbed.run(until=0.012)
+        closed_alive = [
+            obj for obj in gc.get_objects()
+            if type(obj) is TcpConnection
+            and obj.sim is testbed.sim
+            and obj.state is TcpState.CLOSED
+        ]
+    finally:
+        gc.enable()
     completed = sum(w.completed for w in workers)
     assert completed >= 400 and server.requests_served >= completed
-
-    gc.collect()
-    closed_alive = [
-        obj for obj in gc.get_objects()
-        if type(obj) is TcpConnection
-        and obj.sim is testbed.sim
-        and obj.state is TcpState.CLOSED
-    ]
-    assert len(closed_alive) <= 2 * clients, len(closed_alive)
+    assert closed_alive == []
