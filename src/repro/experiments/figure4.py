@@ -140,8 +140,8 @@ def measure_lan_throughput(
 ) -> float:
     """Aggregate goodput (Gbps) of ``flows`` bulk flows on the LAN testbed.
 
-    ``coreengine_config`` overrides the datapath policy (batching, notify
-    mode, ...).  Pass a dict as ``stats_out`` to receive simulator-level
+    ``coreengine_config`` overrides the datapath policy (notify mode,
+    priority rings, ...).  Pass a dict as ``stats_out`` to receive simulator-level
     metrics (``events_processed``, ``sim_seconds``) — the bench harness
     uses this.
 

@@ -12,7 +12,6 @@ Components, mirroring §3:
 """
 
 from .arbiter import FastpassArbiter
-from .batching import DEFAULT_BATCH_SIZE, BatchPolicy
 from .conntable import ConnectionTable
 from .coreengine import CoreEngine, CoreEngineConfig, VmAttachment
 from .guestlib import GUESTLIB_OP_NS, GuestLib
@@ -26,8 +25,6 @@ from .queues import NotifyMode, NqeRing, PriorityNqeRing, QueueTimeout
 from .servicelib import SERVICELIB_OP_NS, ServiceLib
 
 __all__ = [
-    "BatchPolicy",
-    "DEFAULT_BATCH_SIZE",
     "Nqe",
     "NqeOp",
     "NqeStatus",

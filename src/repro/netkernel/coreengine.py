@@ -20,7 +20,6 @@ from ..api.errors import ConnectionReset
 from ..host.cpu import Core
 from ..obs import runtime as obs_runtime
 from ..sim import NANOS, Event, Simulator
-from .batching import drain_policy
 from .conntable import ConnectionTable
 from .guestlib import GuestLib
 from .hugepages import HugePageRegion
@@ -31,65 +30,65 @@ from .servicelib import ServiceLib
 
 __all__ = ["CoreEngineConfig", "CoreEngine", "VmAttachment"]
 
+#: Capacity of every nqe ring CoreEngine sets up.
+RING_CAPACITY = 4096
+#: CPU seconds CoreEngine spends switching one nqe (§4.2's 12 ns copy).
+NQE_COPY_S = NQE_COPY_NS * NANOS
+#: Suspicion grace: exceeding the heartbeat miss budget only *suspects*
+#: the NSM; death needs continued silence past ``budget * (1 + grace)``.
+#: A slow-but-alive NSM (NSM_SLOWDOWN) whose heartbeats arrive late keeps
+#: resetting the silence clock and survives; a crashed one stays silent
+#: and is declared dead one grace window later.  0.0 would be a
+#: hair-trigger watchdog.
+HEARTBEAT_GRACE = 1.0
+#: Quota refill period of the tenant scheduler.  5 µs keeps per-cycle
+#: bursts small relative to ring capacity while staying coarse enough to
+#: amortize scheduling.
+TENANT_CYCLE_S = 5e-6
+
 
 @dataclass
 class CoreEngineConfig:
-    """CoreEngine policy knobs (the §5 research-agenda dials)."""
+    """CoreEngine policy knobs; every one has a caller that turns it.
 
+    The defaults are the prototype: polling, FIFO rings, no timeouts, no
+    watchdog, no quotas.  Each knob that is off is bit-identical to its
+    absence.
+    """
+
+    #: Polling or batched soft interrupts (§4.1, §5): the notification
+    #: ablation (``repro ablation notify``).
     notify_mode: NotifyMode = NotifyMode.POLLING
-    #: Use priority rings (connection events before data events, §3.2).
+    #: Priority rings, connection events before data events (§3.2): the
+    #: priority ablation (``repro ablation priority``).
     priority_queues: bool = False
-    ring_capacity: int = 4096
-    nqe_copy_ns: float = NQE_COPY_NS
     #: Single-threaded GuestLib receive processing (copies inline in the
-    #: poll loop, as the prototype does) — the HoL-prone configuration.
+    #: poll loop, as the prototype does) — the HoL-prone configuration of
+    #: the priority ablation.
     inline_rx_copy: bool = False
-    #: Burst size for draining nqe rings.  1 is the prototype: every
-    #: layer charges its per-nqe constant once per nqe.  When > 1, a
-    #: drained burst of N nqes costs the layer's ``per_batch + N*per_nqe``
-    #: in a single ``core.execute`` — see :mod:`repro.netkernel.batching`.
-    batch_size: int = 1
-    #: Fault tolerance: GuestLib op timeout in simulated seconds (``None``
-    #: keeps the machinery entirely off — no timers, bit-identical).  Each
-    #: retry multiplies the deadline by ``op_backoff``; after
-    #: ``op_retries`` retries the op fails with ETIMEDOUT.
+    #: Fault tolerance: GuestLib op timeout in simulated seconds, set by
+    #: ``repro chaos`` and the ledger's ``chaos_failover``.  ``None`` keeps
+    #: the machinery entirely off — no timers, bit-identical.  Retries and
+    #: backoff are :data:`repro.netkernel.guestlib.OP_RETRIES` and
+    #: ``OP_BACKOFF``.
     op_timeout: Optional[float] = None
-    op_retries: int = 2
-    op_backoff: float = 2.0
-    #: Decorrelated jitter for op-retry backoff.  ``None`` keeps the
-    #: deterministic exponential schedule (bit-identical to pre-jitter
-    #: runs); an integer seeds one RNG per GuestLib so retries desynchronize
-    #: — after an NSM crash, synchronized deterministic retries thundering
-    #: herd the standby — while staying reproducible run to run.
-    op_jitter_seed: Optional[int] = None
-    #: NSM liveness: CoreEngine pushes a HEARTBEAT nqe every interval and
-    #: declares the NSM dead after ``heartbeat_miss`` silent intervals.
-    #: ``None`` disables the watchdog (default; heartbeats charge NSM CPU,
-    #: so enabling them perturbs simulated results).
+    #: NSM liveness (chaos, ledger): CoreEngine pushes a HEARTBEAT nqe
+    #: every interval and suspects the NSM after ``heartbeat_miss`` silent
+    #: intervals (dead one :data:`HEARTBEAT_GRACE` window later).  ``None``
+    #: disables the watchdog (heartbeats charge NSM CPU, so enabling them
+    #: perturbs simulated results).
     heartbeat_interval: Optional[float] = None
     heartbeat_miss: int = 3
-    #: Suspicion grace: exceeding the miss budget only *suspects* the NSM;
-    #: death needs continued silence past ``budget * (1 + grace)``.  A
-    #: slow-but-alive NSM (NSM_SLOWDOWN) whose heartbeats arrive late keeps
-    #: resetting the silence clock and survives; a crashed one stays
-    #: silent and is declared dead one grace window later.  0.0 restores
-    #: the old hair-trigger watchdog.
-    heartbeat_grace: float = 1.0
-    #: Per-tenant isolation: when set, VM job rings are drained by one
-    #: weighted round-robin scheduler instead of a free-running mover per
-    #: ring, and each tenant moves at most ``tenant_quota_nqes × weight``
-    #: nqes per ``tenant_cycle_s`` cycle.  A tenant whose forward blocks
-    #: on a full destination ring is parked and drained asynchronously,
-    #: so its backpressure never stalls the scheduler's round — a flooding
-    #: tenant is rate-capped *and* cannot wedge co-tenants behind its full
-    #: NSM ring.  ``None`` keeps the original per-ring movers and is
-    #: bit-identical to pre-quota behaviour.
+    #: Per-tenant isolation (``repro stackswap``): when set, VM job rings
+    #: are drained by one round-robin scheduler instead of a free-running
+    #: mover per ring, and each tenant moves at most ``tenant_quota_nqes``
+    #: nqes per :data:`TENANT_CYCLE_S` cycle.  A tenant whose forward
+    #: blocks on a full destination ring is parked and drained
+    #: asynchronously, so its backpressure never stalls the scheduler's
+    #: round — a flooding tenant is rate-capped *and* cannot wedge
+    #: co-tenants behind its full NSM ring.  ``None`` keeps the per-ring
+    #: movers.
     tenant_quota_nqes: Optional[int] = None
-    #: Quota refill period.  5 µs keeps per-cycle bursts small relative to
-    #: ring capacity while staying coarse enough to amortize scheduling.
-    tenant_cycle_s: float = 5e-6
-    #: Optional per-tenant weight (vm_id -> integer multiplier, default 1).
-    tenant_weights: Optional[Dict[int, int]] = None
 
     @property
     def fault_tolerant(self) -> bool:
@@ -130,13 +129,12 @@ class _NsmQueues:
 class _TenantEntry:
     """One tenant's job ring under the quota scheduler."""
 
-    __slots__ = ("vm_id", "ring", "switch", "weight", "stalled")
+    __slots__ = ("vm_id", "ring", "switch", "stalled")
 
-    def __init__(self, vm_id: int, ring: NqeRing, switch, weight: int) -> None:
+    def __init__(self, vm_id: int, ring: NqeRing, switch) -> None:
         self.vm_id = vm_id
         self.ring = ring
         self.switch = switch
-        self.weight = weight
         #: True while an async drainer is finishing a blocked forward;
         #: the scheduler skips stalled tenants rather than waiting.
         self.stalled = False
@@ -180,6 +178,12 @@ class CoreEngine:
         #: lands), plus a per-NSM count of suspicion episodes for tests.
         self._suspected_since: Dict[int, float] = {}
         self.heartbeat_suspicions: Dict[int, int] = {}
+        #: token -> fd of recently answered SOCKETs (fault tolerance only),
+        #: so a GuestLib retry gets the same fd back instead of a second
+        #: mapping and a second NSM backend.
+        self._socket_fds: Optional[Dict[int, int]] = (
+            {} if self.config.fault_tolerant else None
+        )
         # --- live migration ----------------------------------------------
         #: The active migration coordinator (at most one per CoreEngine);
         #: receives drain-marker echoes from the switch bodies.
@@ -208,7 +212,7 @@ class CoreEngine:
     # ------------------------------------------------------------------ setup --
     def _ring(self, name: str) -> NqeRing:
         cls = PriorityNqeRing if self.config.priority_queues else NqeRing
-        return cls(self.sim, self.config.ring_capacity, name=name)
+        return cls(self.sim, RING_CAPACITY, name=name)
 
     def attach_nsm(self, nsm: NSM) -> _NsmQueues:
         """Create the NSM-side queues and its ServiceLib (idempotent)."""
@@ -226,7 +230,6 @@ class CoreEngine:
             receive_queue=receive,
             allocate_cid=lambda: self.table.allocate_cid(nsm.nsm_id),
             notify_mode=self.config.notify_mode,
-            batch_size=self.config.batch_size,
             dedup=self.config.fault_tolerant,
         )
         servicelib.invariants = self.invariant_checker
@@ -275,11 +278,7 @@ class CoreEngine:
             region=region,
             notify_mode=self.config.notify_mode,
             inline_rx_copy=self.config.inline_rx_copy,
-            batch_size=self.config.batch_size,
             op_timeout=self.config.op_timeout,
-            op_retries=self.config.op_retries,
-            op_backoff=self.config.op_backoff,
-            op_jitter_seed=self.config.op_jitter_seed,
         )
         attachment = VmAttachment(
             vm_id=vm_id,
@@ -348,8 +347,24 @@ class CoreEngine:
         nsm_queues = attachment.nsm_queues
         vm_id = attachment.vm_id
         if nqe.op is NqeOp.SOCKET:
+            answered = self._socket_fds
+            fd = None if answered is None else answered.get(nqe.token)
+            if fd is not None:
+                # A retry of a SOCKET already switched: the same answer
+                # again; its mapping and backend exist.
+                response = nqe.completion(NqeStatus.OK, result=fd)
+                response.fd = fd
+                ring = attachment.completion_queue
+                if ring.is_full:
+                    return self._forward_slow(ring, response)
+                ring.offer(response)
+                return None
             # Assign the fd immediately (§3.2) ...
             fd = self.table.allocate_fd(vm_id)
+            if answered is not None:
+                answered[nqe.token] = fd
+                if len(answered) > 4096:  # bounded like ServiceLib's dedup
+                    del answered[next(iter(answered))]
             response = nqe.completion(NqeStatus.OK, result=fd)
             response.fd = fd
             # ... and independently request a backend socket.
@@ -504,16 +519,12 @@ class CoreEngine:
         consumer only when it is event-driven — the form live migration
         can pause (see ``VmAttachment.job_pump``).
         """
-        policy = drain_policy(
-            self.config.batch_size, "coreengine", self.config.nqe_copy_ns
-        )
         if self._traced:
             switch_op = "coreengine.switch." + direction
-            per_nqe_ns = policy.per_nqe_ns
 
             def begin(nqe):
                 self.nqes_copied += 1
-                return self._begin_switch(nqe, switch_op, per_nqe_ns)
+                return self._begin_switch(nqe, switch_op, NQE_COPY_NS)
 
             end = self._end_switch
         else:
@@ -523,7 +534,7 @@ class CoreEngine:
 
             end = None
         pump = RingPump(
-            ring, self.core, *policy.seconds(), switch_nqe, begin, end,
+            ring, self.core, NQE_COPY_S, switch_nqe, begin, end,
             wake=soft_interrupt(self.config.notify_mode), name=name,
         )
         return pump if pump.event_driven else None
@@ -531,9 +542,7 @@ class CoreEngine:
     # ------------------------------------------------------ tenant isolation --
     def _register_tenant_ring(self, vm_id: int, ring: NqeRing, switch_nqe) -> None:
         """Put one VM's job ring under the shared quota scheduler."""
-        weights = self.config.tenant_weights or {}
-        entry = _TenantEntry(vm_id, ring, switch_nqe, max(1, weights.get(vm_id, 1)))
-        self._tenant_entries.append(entry)
+        self._tenant_entries.append(_TenantEntry(vm_id, ring, switch_nqe))
         self.tenant_nqes_moved[vm_id] = 0
         # Wake an idle scheduler so a tenant attached mid-run is served.
         wake = self._tenant_wake
@@ -546,10 +555,10 @@ class CoreEngine:
             )
 
     def _tenant_scheduler(self):
-        """Weighted round-robin over VM job rings with per-cycle quotas.
+        """Round-robin over VM job rings with per-cycle quotas.
 
         Each cycle every unstalled tenant may move at most
-        ``tenant_quota_nqes × weight`` nqes; each move charges the usual
+        ``tenant_quota_nqes`` nqes; each move charges the usual
         per-nqe copy cost on the CoreEngine core.  When a forward blocks
         (destination ring full), the tenant is parked — its remaining
         burst finishes in an async drainer and the scheduler moves on
@@ -558,20 +567,18 @@ class CoreEngine:
         spinning.
         """
         quota = self.config.tenant_quota_nqes
-        cycle = self.config.tenant_cycle_s
-        copy_cost = self.config.nqe_copy_ns * NANOS
         execute = self.core.execute
         while True:
             moved = 0
             for entry in list(self._tenant_entries):
                 if entry.stalled:
                     continue
-                batch = entry.ring.pop_batch(quota * entry.weight)
+                batch = entry.ring.pop_batch(quota)
                 for i, nqe in enumerate(batch):
                     self.nqes_copied += 1
                     self.tenant_nqes_moved[entry.vm_id] += 1
                     moved += 1
-                    yield execute(copy_cost)
+                    yield execute(NQE_COPY_S)
                     blocked = entry.switch(nqe)
                     if blocked is not None:
                         entry.stalled = True
@@ -581,7 +588,7 @@ class CoreEngine:
                         )
                         break
             if moved:
-                yield self.sim.timeout(cycle)
+                yield self.sim.timeout(TENANT_CYCLE_S)
                 continue
             waiters = [
                 entry.ring.wait_nonempty()
@@ -590,7 +597,7 @@ class CoreEngine:
             ]
             if not waiters:
                 # Everyone is parked behind backpressure; poll for unpark.
-                yield self.sim.timeout(cycle)
+                yield self.sim.timeout(TENANT_CYCLE_S)
                 continue
             self._tenant_wake = Event(self.sim)
             waiters.append(self._tenant_wake)
@@ -606,12 +613,11 @@ class CoreEngine:
         The tenant stays stalled — invisible to the scheduler — until the
         whole burst has landed.
         """
-        copy_cost = self.config.nqe_copy_ns * NANOS
         yield from blocked
         for nqe in rest:
             self.nqes_copied += 1
             self.tenant_nqes_moved[entry.vm_id] += 1
-            yield self.core.execute(copy_cost)
+            yield self.core.execute(NQE_COPY_S)
             again = entry.switch(nqe)
             if again is not None:
                 yield from again
@@ -633,7 +639,7 @@ class CoreEngine:
         """
         interval = self.config.heartbeat_interval
         budget = interval * self.config.heartbeat_miss
-        deadline = budget * (1.0 + self.config.heartbeat_grace)
+        deadline = budget * (1.0 + HEARTBEAT_GRACE)
         nsm_id = nsm.nsm_id
         while True:
             yield self.sim.timeout(interval)

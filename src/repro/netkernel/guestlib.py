@@ -13,7 +13,6 @@ the paper's central compatibility claim.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import replace
 from typing import Deque, Dict, List, Optional, Tuple
@@ -31,7 +30,6 @@ from ..host.cpu import Core
 from ..net import Endpoint
 from ..obs import runtime as obs_runtime
 from ..sim import Event, NANOS, Simulator
-from .batching import drain_policy
 from .hugepages import HugeChunk, HugePageRegion
 from .nqe import Nqe, NqeOp, NqeStatus
 from .queues import NotifyMode, NqeRing, RingPump, soft_interrupt
@@ -40,6 +38,11 @@ __all__ = ["GuestLib", "GUESTLIB_OP_NS"]
 
 #: CPU cost of GuestLib intercepting one call / handling one nqe.
 GUESTLIB_OP_NS = 200.0
+#: Fault tolerance: an op that times out is re-issued up to ``OP_RETRIES``
+#: times, each deadline ``OP_BACKOFF`` times the previous one, then fails
+#: with ETIMEDOUT.
+OP_RETRIES = 2
+OP_BACKOFF = 2.0
 
 
 class _GuestSocket:
@@ -99,11 +102,7 @@ class GuestLib(SocketApi):
         region: HugePageRegion,
         notify_mode: NotifyMode = NotifyMode.POLLING,
         inline_rx_copy: bool = False,
-        batch_size: int = 1,
         op_timeout: Optional[float] = None,
-        op_retries: int = 2,
-        op_backoff: float = 2.0,
-        op_jitter_seed: Optional[int] = None,
     ) -> None:
         self.sim = sim
         self.vm_id = vm_id
@@ -125,18 +124,6 @@ class GuestLib(SocketApi):
         #: ``None`` disables the machinery entirely (bit-identical default:
         #: no timers are armed, no bookkeeping beyond ``_pending``).
         self._op_timeout = op_timeout
-        self._op_retries = op_retries
-        self._op_backoff = op_backoff
-        #: Decorrelated retry jitter.  ``None`` keeps the deterministic
-        #: exponential schedule bit-identical; a seed derives one private
-        #: RNG per GuestLib (vm_id-salted) so co-tenant VMs retrying after
-        #: the same NSM crash spread out instead of thundering the standby
-        #: in lockstep — while identical seeds reproduce identical runs.
-        self._op_rng = (
-            None
-            if op_jitter_seed is None
-            else random.Random(op_jitter_seed * 1000003 + vm_id)
-        )
         self._ft = op_timeout is not None
         self._pending_nqes: Dict[int, Nqe] = {}  # token -> request (ft only)
         self.op_timeouts = 0
@@ -146,18 +133,17 @@ class GuestLib(SocketApi):
         self.tracer = obs_runtime.get_tracer()
         self._traced = self.tracer.enabled
         # --- queue consumers ----------------------------------------------
-        policy = drain_policy(batch_size, "guestlib", GUESTLIB_OP_NS)
-        self._deliver_cpu_ns = policy.per_nqe_ns
+        cost = GUESTLIB_OP_NS * NANOS
         wake = soft_interrupt(notify_mode)
         RingPump(
-            completion_queue, core, *policy.seconds(), self._handle_completion,
+            completion_queue, core, cost, self._handle_completion,
             wake=wake, name=f"vm{vm_id}.guestlib.cq",
         )
         #: The receive consumer.  Event-driven, descriptor handling is
         #: synchronous and reader copies chain as direct calls; inline
         #: copies block it by design (§3.2 HoL), so it polls in a loop.
         self._rx = RingPump(
-            receive_queue, core, *policy.seconds(), self._handle_receive,
+            receive_queue, core, cost, self._handle_receive,
             self._begin_deliver if self._traced else None,
             self._end_deliver if self._traced else None,
             wake=wake, blocking=inline_rx_copy, name=f"vm{vm_id}.guestlib.rq",
@@ -193,25 +179,19 @@ class GuestLib(SocketApi):
         self.core.execute_call(GUESTLIB_OP_NS * NANOS, self.job_queue.offer, nqe)
         return result
 
-    def _op_deadline(self, nqe: Nqe, attempt: int, prev_delay=None) -> None:
+    def _op_deadline(self, nqe: Nqe, attempt: int) -> None:
         """An armed op timer fired: retry with backoff, or fail ETIMEDOUT.
 
         Timers charge no simulated CPU; with no faults every op completes
         first and this is a no-op, so results stay bit-identical.  Retries
         reuse the token — the FIFO rings deliver the original first, and
         ServiceLib's token dedup drops the duplicate execution.
-
-        With a jitter RNG installed the re-arm delay is *decorrelated
-        jitter* — ``uniform(base, 3 × previous delay)``, capped at the
-        exponential schedule's ceiling — instead of the synchronized
-        ``timeout × backoff^attempt`` that makes every VM retry at the
-        exact same instant after a shared-NSM crash.
         """
         token = nqe.token
         event = self._pending.get(token)
         if event is None:
             return  # completed (or reset) in time
-        if attempt >= self._op_retries:
+        if attempt >= OP_RETRIES:
             self._pending.pop(token, None)
             self._pending_nqes.pop(token, None)
             chunk = nqe.data_desc
@@ -232,19 +212,11 @@ class GuestLib(SocketApi):
         if self._traced:
             self.tracer.count("guestlib.op_retries")
         self.core.execute_call(GUESTLIB_OP_NS * NANOS, self.job_queue.offer, retry)
-        base = self._op_timeout
-        delay = base * (self._op_backoff ** (attempt + 1))
-        rng = self._op_rng
-        if rng is not None:
-            cap = base * (self._op_backoff ** (self._op_retries + 1))
-            prev = prev_delay if prev_delay is not None else base
-            delay = min(cap, rng.uniform(base, prev * 3.0))
         self.sim.schedule_call(
-            delay,
+            self._op_timeout * (OP_BACKOFF ** (attempt + 1)),
             self._op_deadline,
             nqe,
             attempt + 1,
-            delay,
         )
 
     # ---------------------------------------------------------------- SocketApi --
@@ -441,7 +413,7 @@ class GuestLib(SocketApi):
             return None
         deliver = span.child("guestlib.deliver", "guestlib")
         if deliver is not None:
-            deliver.cpu(self._deliver_cpu_ns)
+            deliver.cpu(GUESTLIB_OP_NS)
         return deliver, span
 
     def _end_deliver(self, token) -> None:
@@ -454,7 +426,7 @@ class GuestLib(SocketApi):
 
     def _handle_receive(self, nqe: Nqe, _token):
         """Handle one receive-ring nqe; the descriptor handling itself
-        (burst-charged by the consumer) never blocks.
+        (charged by the consumer) never blocks.
 
         Returns ``None``, or a generator where bulk data is copied while
         the consumer waits: the inline copy out of the huge pages, and —

@@ -15,11 +15,11 @@ stuck behind a burst of bulk-data nqes.
 
 :class:`RingPump` is the consumer side of every ring CoreEngine, GuestLib
 and ServiceLib drain one-to-one (the six rings of the paper's Figure 3):
-burst size and burst cost are its parameters, the layers supply three
-hooks, and :func:`soft_interrupt` turns a :class:`NotifyMode` into its
-wake-up cost.  Consumers that schedule *across* rings or tenants (the
-CoreEngine quota scheduler, ServiceLib's DRR and multi-queue loops) are
-different algorithms and read the rings directly.
+the per-nqe cost is its parameter, the layers supply three hooks, and
+:func:`soft_interrupt` turns a :class:`NotifyMode` into its wake-up cost.
+Consumers that schedule *across* rings or tenants (the CoreEngine quota
+scheduler, ServiceLib's DRR and multi-queue loops) are different
+algorithms and read the rings directly.
 """
 
 from __future__ import annotations
@@ -378,20 +378,16 @@ class PriorityNqeRing(NqeRing):
 
 
 class RingPump:
-    """The one consumer of an nqe ring: drain a burst, charge it, handle it.
+    """The one consumer of an nqe ring: pop an nqe, charge it, handle it.
 
-    A burst is at most ``burst`` nqes.  For each, ``begin(nqe) -> token``
-    runs at pop time (count it, open its span); the core is then charged
-    ONCE, ``per_batch + n * per_nqe`` seconds; then ``handle(nqe, token)``
-    and ``end(token)`` run for each in order.  ``handle`` returns ``None``,
-    or a generator when it has to block (a full destination ring, an
-    inline copy): the consumer waits for it before touching the next nqe
-    and calls ``end`` once it is through.  The prototype's one charge per
-    nqe (§4.1) is the policy ``burst=1, per_batch=0.0, per_nqe=<the layer's
-    constant>`` — ``0.0 + 1*c`` is ``c`` to the last bit — so batched and
-    unbatched layers are the same code with different numbers.
-    ``per_batch``/``per_nqe`` are plain attributes: a slowdown fault
-    rescales them on a live consumer.
+    For each nqe, ``begin(nqe) -> token`` runs at pop time (count it, open
+    its span); the core is then charged ``cost`` seconds, the prototype's
+    one fixed charge per nqe (§4.1); then ``handle(nqe, token)`` and
+    ``end(token)`` run.  ``handle`` returns ``None``, or a generator when
+    it has to block (a full destination ring, an inline copy): the
+    consumer waits for it before touching the next nqe and calls ``end``
+    once it is through.  ``cost`` is a plain attribute: a slowdown fault
+    rescales it on a live consumer.
 
     Two drives run those same steps; the constructor picks one from what
     the consumer was given, and ``event_driven`` says which:
@@ -408,28 +404,26 @@ class RingPump:
       :meth:`notify`.
     * **Poll loop** (``wake=(delay, cost)`` soft interrupts, or
       ``blocking`` handlers): one process that waits on the ring's
-      doorbell, pays ``wake`` once per doorbell, pops up to 64 nqes
-      (``burst`` when batching) and works through them in bursts.  It is
-      a separate drive because a held loop and a chained call order
-      same-instant charges on a shared core differently and re-arm the
-      interrupt coalescing window at different instants: folding it into
-      the chain moves simulated results.
+      doorbell, pays ``wake`` once per doorbell, pops up to 64 nqes and
+      works through them one charge at a time.  It is a separate drive
+      because a held loop and a chained call order same-instant charges
+      on a shared core differently and re-arm the interrupt coalescing
+      window at different instants: folding it into the chain moves
+      simulated results.
     """
 
     __slots__ = (
-        "ring", "core", "burst", "per_batch", "per_nqe", "handle", "begin", "end",
+        "ring", "core", "cost", "handle", "begin", "end",
         "event_driven", "idle", "stopped",
     )
 
     def __init__(
-        self, ring, core, burst, per_batch, per_nqe, handle,
+        self, ring, core, cost, handle,
         begin=None, end=None, wake=None, blocking=False, name="ringpump",
     ):
         self.ring = ring
         self.core = core
-        self.burst = burst
-        self.per_batch = per_batch
-        self.per_nqe = per_nqe
+        self.cost = cost
         self.handle = handle
         self.begin = begin
         self.end = end
@@ -445,23 +439,6 @@ class RingPump:
         """Fault injection: the consumer died; stop draining."""
         self.stopped = True
 
-    def _begin_burst(self, batch):
-        begin = self.begin
-        if begin is None:
-            return [None] * len(batch)
-        return [begin(nqe) for nqe in batch]
-
-    def _handle_from(self, batch, tokens, start):
-        """Handle ``batch[start:]`` in order, waiting out handlers that block."""
-        handle = self.handle
-        end = self.end
-        for index in range(start, len(batch)):
-            blocked = handle(batch[index], tokens[index])
-            if blocked is not None:
-                yield from blocked
-            if end is not None:
-                end(tokens[index])
-
     # -- event-driven drive ---------------------------------------------------
     def notify(self) -> None:
         if self.idle and not self.stopped:
@@ -473,62 +450,36 @@ class RingPump:
         if self.stopped or ring._count == 0:
             self.idle = True
             return
-        if self.burst == 1 or ring._count == 1:
-            # Bursts of one are all of an unbatched layer's traffic and
-            # nearly all of a batched one's (each push notifies before
-            # the next lands): no list, no token list.
-            nqe = ring.try_pop()
-            begin = self.begin
-            self.core.execute_call(
-                self.per_batch + self.per_nqe,
-                self._charged_one,
-                nqe,
-                begin(nqe) if begin is not None else None,
-            )
-            return
-        batch = ring.pop_batch(self.burst)
+        nqe = ring.try_pop()
+        begin = self.begin
         self.core.execute_call(
-            self.per_batch + len(batch) * self.per_nqe,
-            self._charged,
-            batch,
-            self._begin_burst(batch),
+            self.cost, self._charged, nqe, begin(nqe) if begin is not None else None
         )
 
-    def _charged_one(self, nqe, token) -> None:
+    def _charged(self, nqe, token) -> None:
         blocked = self.handle(nqe, token)
         if blocked is not None:
-            self.ring.sim.process(self._unblock(blocked, (nqe,), (token,), 0))
+            self.ring.sim.process(self._unblock(blocked, token))
             return
         end = self.end
         if end is not None:
             end(token)
         self._next()
 
-    def _charged(self, batch, tokens) -> None:
-        handle = self.handle
-        end = self.end
-        for index, nqe in enumerate(batch):
-            blocked = handle(nqe, tokens[index])
-            if blocked is not None:
-                self.ring.sim.process(self._unblock(blocked, batch, tokens, index))
-                return
-            if end is not None:
-                end(tokens[index])
-        self._next()
-
-    def _unblock(self, blocked, batch, tokens, index):
-        """The handler of ``batch[index]`` blocked: wait, finish the burst."""
+    def _unblock(self, blocked, token):
+        """The handler blocked: wait it out, then pop the next nqe."""
         yield from blocked
         if self.end is not None:
-            self.end(tokens[index])
-        yield from self._handle_from(batch, tokens, index + 1)
+            self.end(token)
         self._next()
 
     # -- poll-loop drive ------------------------------------------------------
     def _loop(self, wake):
         ring = self.ring
         core = self.core
-        burst = self.burst
+        handle = self.handle
+        begin = self.begin
+        end = self.end
         while not self.stopped:
             yield ring.wait_nonempty()
             if self.stopped:
@@ -537,11 +488,11 @@ class RingPump:
                 delay, cost = wake
                 yield ring.sim.timeout(delay)
                 yield core.execute(cost)
-            # An unbatched loop pops ``pop_batch``'s default 64 per
-            # doorbell and charges them one by one.
-            popped = ring.pop_batch(burst) if burst > 1 else ring.pop_batch()
-            for start in range(0, len(popped), burst):
-                batch = popped[start:start + burst]
-                tokens = self._begin_burst(batch)
-                yield core.execute(self.per_batch + len(batch) * self.per_nqe)
-                yield from self._handle_from(batch, tokens, 0)
+            for nqe in ring.pop_batch():
+                token = begin(nqe) if begin is not None else None
+                yield core.execute(self.cost)
+                blocked = handle(nqe, token)
+                if blocked is not None:
+                    yield from blocked
+                if end is not None:
+                    end(token)

@@ -21,7 +21,6 @@ from ..net import Endpoint
 from ..obs import runtime as obs_runtime
 from ..sim import NANOS, Simulator
 from ..tcp import Listener, TcpConnection
-from .batching import drain_policy
 from .hugepages import HugePageRegion
 from .nqe import Nqe, NqeOp, NqeStatus
 from .nsm import NSM
@@ -92,7 +91,6 @@ class ServiceLib:
         receive_queue: NqeRing,
         allocate_cid: Callable[[], int],
         notify_mode: NotifyMode = NotifyMode.POLLING,
-        batch_size: int = 1,
         dedup: bool = False,
     ) -> None:
         self.sim = sim
@@ -103,7 +101,7 @@ class ServiceLib:
         self.allocate_cid = allocate_cid
         self.workers = getattr(nsm.spec, "servicelib_workers", 1)
         self.core = nsm.cores[0]
-        #: What the one-op-at-a-time loops (DRR, multi-queue) charge per op.
+        #: What every job consumer charges per op.
         self.op_cost = SERVICELIB_OP_NS * nsm.form.cpu_multiplier * NANOS
         self.rx_chunk = getattr(nsm.spec, "rx_chunk_bytes", RX_CHUNK_BYTES)
         self._backends: Dict[int, _Backend] = {}
@@ -129,10 +127,9 @@ class ServiceLib:
         #: DATA emissions (None = zero-cost).
         self.invariants = None
         self._base_op_cost = self.op_cost
-        #: The job ring's consumer and its healthy (per_batch, per_nqe)
-        #: seconds; None under DRR / multi-queue, which run their own loops.
+        #: The job ring's consumer; None under DRR / multi-queue, which run
+        #: their own loops.
         self._pump: Optional[RingPump] = None
-        self._base_burst_cost = (0.0, 0.0)
         #: Retry dedup (on when GuestLib op timeouts are armed): bounded
         #: memory of recently executed tokens; a retried nqe whose original
         #: already executed is dropped instead of re-run.
@@ -148,19 +145,13 @@ class ServiceLib:
                 self._drr.set_weight(vm_id, weight)
         self._buckets: Dict[int, TokenBucket] = {}
         nsm.servicelib = self
+        wake = soft_interrupt(notify_mode, nsm.form.cpu_multiplier)
         if self.workers == 1:
             if notify_mode is NotifyMode.POLLING:
                 self.core.busy_poll = True
-            multiplier = nsm.form.cpu_multiplier
-            wake = soft_interrupt(notify_mode, multiplier)
             if self._drr is None:
-                # The NSM form's cpu multiplier scales burst costs the
-                # way it scales ``op_cost``.
-                policy = drain_policy(batch_size, "servicelib", SERVICELIB_OP_NS)
-                burst, per_batch, per_nqe = policy.seconds(multiplier)
-                self._base_burst_cost = (per_batch, per_nqe)
                 self._pump = RingPump(
-                    job_queue, self.core, burst, per_batch, per_nqe,
+                    job_queue, self.core, self.op_cost,
                     self._handle_job,
                     self._begin_job if self._traced else None,
                     _end_span if self._traced else None,
@@ -178,7 +169,7 @@ class ServiceLib:
             from ..sim import Store
 
             self._shards = [Store(sim) for _ in range(self.workers)]
-            sim.process(self._classifier_loop(), name=f"{nsm.name}.sl-classify")
+            sim.process(self._classifier_loop(wake), name=f"{nsm.name}.sl-classify")
             for index in range(self.workers):
                 worker_core = nsm.cores[index % len(nsm.cores)]
                 if notify_mode is NotifyMode.POLLING:
@@ -189,12 +180,18 @@ class ServiceLib:
                 )
 
     # ------------------------------------------------------------ job loop --
-    def _classifier_loop(self):
-        """Move nqes from the shared ring into per-worker shards by cID."""
+    def _classifier_loop(self, wake):
+        """Move nqes from the shared ring into per-worker shards by cID,
+        paying the soft-interrupt ``wake`` once per doorbell on the
+        classifier's core."""
         while True:
             yield self.job_queue.wait_nonempty()
             if self.crashed:
                 return
+            if wake is not None:
+                delay, cost = wake
+                yield self.sim.timeout(delay)
+                yield self.core.execute(cost)
             for nqe in self.job_queue.pop_batch():
                 shard = (nqe.cid or 0) % self.workers
                 self._shards[shard].try_put(nqe)
@@ -213,7 +210,7 @@ class ServiceLib:
         return span
 
     def _begin_job(self, nqe: Nqe):
-        return self._begin_op(nqe, self._pump.per_nqe)
+        return self._begin_op(nqe, self.op_cost)
 
     def _handle_job(self, nqe: Nqe, span) -> None:
         self.ops_handled += 1
@@ -283,11 +280,8 @@ class ServiceLib:
             raise ValueError("degradation factor must be > 0")
         self.degraded = factor
         self.op_cost = self._base_op_cost * factor
-        pump = self._pump
-        if pump is not None:
-            per_batch, per_nqe = self._base_burst_cost
-            pump.per_batch = per_batch * factor
-            pump.per_nqe = per_nqe * factor
+        if self._pump is not None:
+            self._pump.cost = self.op_cost
 
     def _dispatch(self, nqe: Nqe, span=None) -> None:
         if self.crashed:

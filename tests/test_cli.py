@@ -92,14 +92,23 @@ def test_second_benchmark_system_and_its_options_are_gone(argv):
     [
         "ring_hop_latency",
         "compact_conntable",
-        # The per-layer burst costs are constants of the model
-        # (repro.netkernel.batching), not knobs; batch_size is the dial.
         "per_batch_ns",
         "per_nqe_ns",
         "guestlib_per_batch_ns",
         "guestlib_per_nqe_ns",
         "servicelib_per_batch_ns",
         "servicelib_per_nqe_ns",
+        # The batched drain model went with its dial; the rest had one
+        # value at every caller and became module constants or went.
+        "batch_size",
+        "op_retries",
+        "op_backoff",
+        "op_jitter_seed",
+        "tenant_weights",
+        "ring_capacity",
+        "nqe_copy_ns",
+        "heartbeat_grace",
+        "tenant_cycle_s",
     ],
 )
 def test_coreengine_config_rejects_removed_fields(field):
@@ -107,6 +116,30 @@ def test_coreengine_config_rejects_removed_fields(field):
 
     with pytest.raises(TypeError):
         CoreEngineConfig(**{field: None})
+
+
+def test_coreengine_config_keeps_only_the_knobs_a_caller_turns():
+    import dataclasses
+    import importlib
+    import inspect
+
+    from repro.netkernel import CoreEngineConfig
+    from repro.netkernel.queues import RingPump
+
+    assert [f.name for f in dataclasses.fields(CoreEngineConfig)] == [
+        "notify_mode",
+        "priority_queues",
+        "inline_rx_copy",
+        "op_timeout",
+        "heartbeat_interval",
+        "heartbeat_miss",
+        "tenant_quota_nqes",
+    ]
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.netkernel.batching")
+    params = inspect.signature(RingPump).parameters
+    assert "cost" in params
+    assert not {"burst", "per_batch", "per_nqe"} & set(params)
 
 
 def test_calendar_queue_is_gone():

@@ -1,20 +1,18 @@
-"""Batched-datapath determinism and conservation regressions.
+"""Ring-drain datapath determinism regressions.
 
-Four contracts of the ring-drain datapath:
+Three contracts of the ring-drain datapath, which charges every nqe once
+at its layer's fixed cost, as the prototype does (§4.1):
 
-* ``batch_size=1`` (the default) is **bit-identical** to the pre-batching
-  datapath — the goldens below were captured on the tree before the
-  batched movers, pumps and kernel fast paths landed, and every simulated
-  quantity must still match to the last float bit.
-* Batching changes modeled cost, not accounting: every nqe in a drained
-  burst is counted, delivered and completed exactly as in the unbatched
-  run of the same workload.
+* The datapath is **bit-identical** to the one the goldens below were
+  captured on, before the ring consumers and kernel fast paths were
+  rewritten: every simulated quantity must still match to the last float
+  bit.
 * Tracing is observation only: a traced run produces bit-identical
   simulated results to an untraced one.
-* Every way a ring can be drained (notify mode x burst size x blocking
-  handler x ring class x tenant scheduler) is pinned to the last bit and
-  the last simulator event, and a fault that slows a consumer slows it in
-  every one of them — the drain matrix at the bottom of this file.
+* Every way a ring can be drained (notify mode x blocking handler x ring
+  class x tenant scheduler) is pinned to the last bit and the last
+  simulator event, and a fault that slows a consumer slows it in both
+  drives — the drain matrix at the bottom of this file.
 """
 
 import json
@@ -26,17 +24,12 @@ from repro import obs
 from repro.apps import BulkReceiver, BulkSender, RpcClient, RpcServer, WebClient, WebServer
 from repro.experiments.common import FIG4_SOCKET_BUF, make_lan_testbed
 from repro.net import Endpoint
-from repro.netkernel import (
-    DEFAULT_BATCH_SIZE,
-    CoreEngineConfig,
-    NotifyMode,
-    NsmSpec,
-)
+from repro.netkernel import CoreEngineConfig, NotifyMode, NsmSpec
 from repro.netkernel.nqe import Nqe, NqeOp
 from repro.obs import runtime as obs_runtime
 from repro.runstate import reset_run_ids
 
-# Captured with /tmp-style harness on the pre-batching tree (PR 2 seed):
+# Captured on the tree before the ring consumers were rewritten: a
 # figure4-shaped workload, 1 flow, 0.05 s simulated, polling mode.
 GOLDEN = {
     "gbps": "26.88369518857814",
@@ -105,33 +98,6 @@ def test_traced_run_is_bit_identical_to_untraced():
     assert tracer.spans, "tracer saw the datapath"
 
 
-def test_batched_run_conserves_nqe_accounting():
-    """A drained burst of N nqes still counts/delivers all N.
-
-    Modeled *time* differs under batching, but in this workload polling
-    consumers drain bursts as they arrive, so end-to-end delivery and the
-    per-nqe counters must line up with the unbatched run exactly.
-    """
-    config = CoreEngineConfig(batch_size=DEFAULT_BATCH_SIZE)
-    assert config.batch_size > 1
-    observed = _run_workload(coreengine_config=config)
-    assert float(observed["gbps"]) > 0
-    for counter in (
-        "nqes_copied_a",
-        "nqes_copied_b",
-        "calls_issued_a",
-        "calls_issued_b",
-        "sl_ops_a",
-        "sl_ops_b",
-    ):
-        assert observed[counter] == GOLDEN[counter], counter
-    # Throughput stays within the cost-model envelope of the unbatched run
-    # (identical here: amortized single-nqe bursts cost the per-nqe rate).
-    assert abs(float(observed["gbps"]) - float(GOLDEN["gbps"])) < 0.05 * float(
-        GOLDEN["gbps"]
-    )
-
-
 def test_receive_switch_frees_descriptor_for_unknown_cid():
     """A DATA nqe whose cID has no VM mapping must not leak its chunk."""
     testbed = make_lan_testbed()
@@ -153,9 +119,9 @@ def test_receive_switch_frees_descriptor_for_unknown_cid():
 
 # --------------------------------------------------------------- drain matrix --
 #
-# One pin per way a ring can be drained: notify mode x burst size x blocking
-# receive handler x ring class x tenant scheduler, on worlds whose rings
-# queue deeply (web, hol), lightly (bulk8) and never (rpc).  Every value is a full ``repr``
+# One pin per way a ring can be drained: notify mode x blocking receive
+# handler x ring class x tenant scheduler, on worlds whose rings queue
+# deeply (web, hol), lightly (bulk8) and never (rpc).  Every value is a full ``repr``
 # captured at the commit *before* the six hand-written consumers were folded
 # into one ``RingPump``; ``events_processed`` is included so not even the
 # number of simulator events may move (it alone was re-recorded when the
@@ -169,19 +135,12 @@ _INTR = NotifyMode.BATCHED_INTERRUPT
 DRAIN_POINTS = {
     "rpc.poll": ("rpc", 0.1, {}),
     "rpc.intr": ("rpc", 0.1, {"notify_mode": _INTR}),
-    "rpc.intr.b64": ("rpc", 0.1, {"notify_mode": _INTR, "batch_size": 64}),
     "web.poll.b1": ("web", 0.03, {}),
-    "web.poll.b8": ("web", 0.03, {"batch_size": 8}),
-    "web.poll.b64": ("web", 0.03, {"batch_size": 64}),
     "web.intr.b1": ("web", 0.03, {"notify_mode": _INTR}),
-    "web.intr.b8": ("web", 0.03, {"notify_mode": _INTR, "batch_size": 8}),
-    "web.intr.b64": ("web", 0.03, {"notify_mode": _INTR, "batch_size": 64}),
     "hol.fifo": ("hol", 0.05, {"inline_rx_copy": True}),
     "hol.prio": ("hol", 0.05, {"inline_rx_copy": True, "priority_queues": True}),
-    "hol.b64": ("hol", 0.05, {"inline_rx_copy": True, "batch_size": 64}),
     "hol.intr": ("hol", 0.05, {"inline_rx_copy": True, "notify_mode": _INTR}),
     "bulk8.poll": ("bulk8", 0.05, {}),
-    "bulk8.b64": ("bulk8", 0.05, {"batch_size": 64}),
     "bulk8.intr": ("bulk8", 0.05, {"notify_mode": _INTR}),
     "bulk8.quota8": ("bulk8", 0.05, {"tenant_quota_nqes": 8}),
 }
@@ -303,25 +262,20 @@ def test_drain_matrix_point_is_bit_identical_to_golden(point):
     assert sum(observed["nqes_copied"]) > 100
 
 
-def test_nsm_slowdown_bites_under_interrupt_batching():
-    """NSM_SLOWDOWN scales the job consumer's cost in every drain form.
-
-    The interrupt + batched job loop used to price bursts from the policy
-    instead of the degraded cost, so the fault was a silent no-op there.
-    Every burst in this RPC world is one nqe, so the degraded batched run
-    must also equal the degraded unbatched one to the last bit.
-    """
-    batched = {"notify_mode": _INTR, "batch_size": 64}
+def test_nsm_slowdown_bites_in_both_drives():
+    """NSM_SLOWDOWN rescales the job consumer's one per-nqe charge in the
+    event-driven drive (polling) and in the poll loop (interrupts): fewer
+    RPCs complete and the server NSM's core works longer in both."""
 
     def outcome(config_kwargs, slowdown):
         observed = _run_drain_point("rpc", 0.05, config_kwargs, slowdown)
-        return observed["clients"][0][2], observed["busy_seconds"][3]
+        return observed["clients"][0][2], float(observed["busy_seconds"][3])
 
-    healthy = outcome(batched, None)
-    degraded = outcome(batched, 8.0)
-    assert degraded[0] < healthy[0]
-    assert float(degraded[1]) > float(healthy[1])
-    assert degraded == outcome({"notify_mode": _INTR}, 8.0)
+    for config_kwargs in ({}, {"notify_mode": _INTR}):
+        healthy = outcome(config_kwargs, None)
+        degraded = outcome(config_kwargs, 8.0)
+        assert degraded[0] < healthy[0], config_kwargs
+        assert degraded[1] > healthy[1], config_kwargs
 
 
 if __name__ == "__main__":

@@ -142,8 +142,9 @@ def _boot_pair(config):
     return testbed, nsm_a, nsm_b, vm_a, vm_b
 
 
-def test_connect_to_dead_nsm_times_out_typed():
-    config = CoreEngineConfig(op_timeout=0.001, op_retries=1)
+def test_connect_to_dead_nsm_times_out_typed(monkeypatch):
+    monkeypatch.setattr("repro.netkernel.guestlib.OP_RETRIES", 1)
+    config = CoreEngineConfig(op_timeout=0.001)
     testbed, _, nsm_b, vm_a, vm_b = _boot_pair(config)
     nsm_b.crash()  # server side dead; handshake can never complete
     caught = []
@@ -174,6 +175,35 @@ def test_op_timeout_retry_recovers_without_duplicates():
     testbed.sim.run(until=0.2)
     assert rx.meter.bytes == 512 * 1024
     assert tx.bytes_sent == 512 * 1024
+
+
+def test_retried_socket_gets_the_same_fd_and_leaks_nothing():
+    """A SOCKET retried while CoreEngine is stalled is answered once.
+
+    The retry reuses the original's token; CoreEngine remembers which fd
+    it gave that token, so the retry creates no second conntable mapping
+    and no second NSM backend that nobody would ever close.
+    """
+    config = CoreEngineConfig(op_timeout=0.001)
+    testbed = make_lan_testbed(coreengine_config=config)
+    hypervisor = testbed.hypervisor_a
+    nsm = hypervisor.boot_nsm(NsmSpec())
+    vm = hypervisor.boot_netkernel_vm("c", nsm)
+    ce = hypervisor.coreengine
+    fds = []
+
+    def app(api):
+        fd = yield api.socket()
+        fds.append(fd)
+        yield api.close(fd)
+
+    ce.core.execute(0.0025)  # a CE_STALL: the SOCKET times out once
+    testbed.sim.process(app(vm.api))
+    testbed.sim.run(until=0.05)
+    assert vm.api.op_retries_sent == 1
+    assert len(fds) == 1
+    assert ce.table.connections_of_vm(vm.vm_id) == []
+    assert not nsm.servicelib.backends()
 
 
 # ------------------------------------------------------------ failover e2e --
@@ -244,11 +274,10 @@ def test_slow_nsm_is_suspected_not_killed():
     assert nsm_b.nsm_id not in ce._suspected_since  # suspicion cleared
 
 
-def test_zero_grace_kills_the_slow_nsm():
+def test_zero_grace_kills_the_slow_nsm(monkeypatch):
     """Without the grace window the same slowdown is a false positive."""
-    config = CoreEngineConfig(
-        op_timeout=0.002, heartbeat_interval=0.001, heartbeat_grace=0.0
-    )
+    monkeypatch.setattr("repro.netkernel.coreengine.HEARTBEAT_GRACE", 0.0)
+    config = CoreEngineConfig(op_timeout=0.002, heartbeat_interval=0.001)
     testbed = make_lan_testbed(coreengine_config=config)
     nsm_b = testbed.hypervisor_b.boot_nsm(NsmSpec())
     testbed.hypervisor_b.boot_netkernel_vm("s", nsm_b)

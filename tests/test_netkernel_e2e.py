@@ -251,6 +251,36 @@ def test_batched_interrupt_mode_end_to_end():
     assert out["client_got"] == 10_000
 
 
+def _interrupt_rpc(servicelib_workers):
+    """RPC p50 latency and server-NSM core-0 CPU per RPC, under interrupts."""
+    from repro.apps import RpcClient, RpcServer
+
+    config = CoreEngineConfig(notify_mode=NotifyMode.BATCHED_INTERRUPT)
+    testbed, vm_a, vm_b, _, nsm_b = make_rig(
+        ce_config=config,
+        nsm_kwargs={"cores": 2, "servicelib_workers": servicelib_workers},
+    )
+    sim = testbed.sim
+    RpcServer(sim, vm_b.api, port=7000)
+    client = RpcClient(sim, vm_a.api, Endpoint(vm_b.api.ip, 7000), start_delay=0.005)
+    sim.run(until=0.05)
+    assert client.completed > 100
+    return client.latency.p(50), nsm_b.cores[0].busy_seconds / client.completed
+
+
+def test_multi_queue_servicelib_pays_the_interrupt_wake():
+    """A multi-queue ServiceLib's classifier takes the same soft interrupt
+    as the single-queue consumer: one ``INTERRUPT_DELAY`` and one wake
+    charge per doorbell, on each of the two NSMs an RPC crosses."""
+    from repro.netkernel.queues import INTERRUPT_COST_NS, INTERRUPT_DELAY
+
+    single_p50, single_cpu = _interrupt_rpc(1)
+    multi_p50, multi_cpu = _interrupt_rpc(2)
+    # Free interrupts would make the multi-queue NSMs ~2 x 12 us faster.
+    assert multi_p50 > single_p50 - INTERRUPT_DELAY / 10
+    assert multi_cpu > single_cpu - INTERRUPT_COST_NS * 1e-9 / 10
+
+
 def test_priority_queue_mode_end_to_end():
     config = CoreEngineConfig(priority_queues=True)
     testbed, vm_a, vm_b, *_ = make_rig(ce_config=config)

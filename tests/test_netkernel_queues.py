@@ -306,11 +306,8 @@ class _Probe:
     def end(self, token):
         self.ended.append(token)
 
-    def pump(self, ring, core, burst, per_batch, per_nqe, **kwargs):
-        return RingPump(
-            ring, core, burst, per_batch, per_nqe, self.handle, self.begin, self.end,
-            **kwargs,
-        )
+    def pump(self, ring, core, cost, **kwargs):
+        return RingPump(ring, core, cost, self.handle, self.begin, self.end, **kwargs)
 
 
 def tokens(count):
@@ -320,9 +317,9 @@ def tokens(count):
 def test_pump_picks_its_drive_from_what_it_was_given(sim):
     core = Core(sim)
     probe = _Probe(sim)
-    assert probe.pump(NqeRing(sim), core, 1, 0.0, 1e-6).event_driven
-    assert not probe.pump(NqeRing(sim), core, 1, 0.0, 1e-6, wake=(1e-5, 2e-6)).event_driven
-    assert not probe.pump(NqeRing(sim), core, 1, 0.0, 1e-6, blocking=True).event_driven
+    assert probe.pump(NqeRing(sim), core, 1e-6).event_driven
+    assert not probe.pump(NqeRing(sim), core, 1e-6, wake=(1e-5, 2e-6)).event_driven
+    assert not probe.pump(NqeRing(sim), core, 1e-6, blocking=True).event_driven
     assert soft_interrupt(NotifyMode.POLLING) is None
     assert soft_interrupt(NotifyMode.BATCHED_INTERRUPT, 0.5) == (10e-6, 2000.0 * 0.5 * 1e-9)
 
@@ -330,19 +327,19 @@ def test_pump_picks_its_drive_from_what_it_was_given(sim):
 def test_pump_burst_of_one_charges_once_through_try_pop(sim, monkeypatch):
     ring, core = NqeRing(sim), Core(sim)
     probe = _Probe(sim)
-    probe.pump(ring, core, 8, 3e-6, 2e-6)
-    monkeypatch.setattr(ring, "pop_batch", lambda *a: pytest.fail("pop_batch on a burst of one"))
+    probe.pump(ring, core, 5e-6)
+    monkeypatch.setattr(ring, "pop_batch", lambda *a: pytest.fail("pop_batch in the chain"))
     ring.offer(tokens(1)[0])
     sim.run(until=1.0)
-    assert probe.handled == [(0, 3e-6 + 2e-6)]
-    assert (core.ops, core.busy_seconds) == (1, 3e-6 + 2e-6)
+    assert probe.handled == [(0, 5e-6)]
+    assert (core.ops, core.busy_seconds) == (1, 5e-6)
     assert probe.begun == probe.ended == [0]
 
 
 def test_pump_unbatched_policy_charges_the_constant_per_nqe(sim):
     ring, core = NqeRing(sim), Core(sim)
     probe = _Probe(sim)
-    probe.pump(ring, core, 1, 0.0, 200e-9)
+    probe.pump(ring, core, 200e-9)
     for nqe in tokens(3):
         ring.offer(nqe)
     sim.run(until=1.0)
@@ -351,32 +348,32 @@ def test_pump_unbatched_policy_charges_the_constant_per_nqe(sim):
     assert [t for t, _ in probe.handled] == [0, 1, 2]
 
 
-def test_pump_batches_what_queued_behind_the_first_charge(sim):
+def test_pump_charges_what_queued_behind_the_first_charge_one_by_one(sim):
     ring, core = NqeRing(sim), Core(sim)
     probe = _Probe(sim)
-    probe.pump(ring, core, 4, 10e-6, 1e-6)
+    probe.pump(ring, core, 1e-6)
     for nqe in tokens(7):
         ring.offer(nqe)  # the first notifies at once; six queue behind its charge
     sim.run(until=1.0)
-    assert core.ops == 3  # bursts of 1, 4, 2
-    assert core.busy_seconds == pytest.approx(3 * 10e-6 + 7 * 1e-6)
+    assert core.ops == 7
+    assert core.busy_seconds == pytest.approx(7 * 1e-6)
     assert probe.begun == probe.ended == list(range(7))
-    assert [t for t, _ in probe.handled] == list(range(7))
-    assert probe.handled[1][1] == probe.handled[4][1]  # one burst, one instant
+    assert probe.handled == [(t, pytest.approx((t + 1) * 1e-6)) for t in range(7)]
 
 
 def test_pump_handler_blocking_mid_burst_resumes_the_rest_in_order(sim):
     ring, core = NqeRing(sim), Core(sim)
     probe = _Probe(sim, block_on={2})
-    probe.pump(ring, core, 8, 0.0, 1e-6)
+    probe.pump(ring, core, 1e-6)
     for nqe in tokens(5):
         ring.offer(nqe)
     sim.run(until=1.0)
     assert [t for t, _ in probe.handled] == [0, 1, 2, 3, 4]
     assert probe.ended == [0, 1, 2, 3, 4]  # exactly once each, in order
     blocked_until = probe.handled[2][1]
-    assert blocked_until == pytest.approx(1e-6 + 4e-6 + 1e-3)
-    assert probe.handled[3][1] == blocked_until  # the burst waited for it
+    assert blocked_until == pytest.approx(3e-6 + 1e-3)
+    # The next nqe is popped and charged only once the block is over.
+    assert probe.handled[3][1] == pytest.approx(blocked_until + 1e-6)
     assert len(ring) == 0
 
 
@@ -384,7 +381,7 @@ def test_pump_stop_then_resume_loses_nothing(sim):
     """Migration's freeze/resume: ``stopped`` set, cleared, ``notify()``."""
     ring, core = NqeRing(sim), Core(sim)
     probe = _Probe(sim)
-    pump = probe.pump(ring, core, 1, 0.0, 1e-6)
+    pump = probe.pump(ring, core, 1e-6)
     batch = tokens(6)
     for nqe in batch[:3]:
         ring.offer(nqe)
@@ -404,37 +401,38 @@ def test_pump_stop_then_resume_loses_nothing(sim):
 def test_pump_loop_pays_wake_once_per_doorbell_and_drains_at_most_64(sim):
     ring, core = NqeRing(sim), Core(sim)
     probe = _Probe(sim)
-    wake_delay, wake_cost, per_nqe = 10e-6, 2e-6, 1e-6
-    probe.pump(ring, core, 1, 0.0, per_nqe, wake=(wake_delay, wake_cost))
+    wake_delay, wake_cost, cost = 10e-6, 2e-6, 1e-6
+    probe.pump(ring, core, cost, wake=(wake_delay, wake_cost))
     for nqe in tokens(70):
         ring.offer(nqe)
-    sim.run(until=wake_delay + wake_cost + 64 * per_nqe + wake_delay / 2)
+    sim.run(until=wake_delay + wake_cost + 64 * cost + wake_delay / 2)
     # First doorbell: one wake, 64 nqes; the other six wait for the next.
     assert len(probe.handled) == 64 and len(ring) == 6
     assert core.ops == 1 + 64
     sim.run(until=1.0)
     assert [t for t, _ in probe.handled] == list(range(70))
     assert core.ops == 2 + 70
-    assert core.busy_seconds == pytest.approx(2 * wake_cost + 70 * per_nqe)
+    assert core.busy_seconds == pytest.approx(2 * wake_cost + 70 * cost)
 
 
-def test_pump_loop_charges_sub_bursts_and_waits_out_blocking_handlers(sim):
+def test_pump_loop_charges_each_nqe_and_waits_out_blocking_handlers(sim):
     ring, core = NqeRing(sim), Core(sim)
     probe = _Probe(sim, block_on={1})
-    probe.pump(ring, core, 4, 5e-6, 1e-6, blocking=True)
+    probe.pump(ring, core, 1e-6, blocking=True)
     for nqe in tokens(6):
         ring.offer(nqe)
     sim.run(until=1.0)
-    assert core.ops == 2  # bursts of 4 and 2, no wake
+    assert core.ops == 6  # one charge per nqe, no wake
     assert [t for t, _ in probe.handled] == list(range(6))
     assert probe.ended == list(range(6))
-    assert probe.handled[2][1] == probe.handled[1][1]  # held behind the block
+    # nqe 2 is charged only after nqe 1's handler unblocks.
+    assert probe.handled[2][1] == pytest.approx(probe.handled[1][1] + 1e-6)
 
 
 def test_pump_loop_stops_for_good(sim):
     ring, core = NqeRing(sim), Core(sim)
     probe = _Probe(sim)
-    pump = probe.pump(ring, core, 1, 0.0, 1e-6, wake=(1e-5, 0.0))
+    pump = probe.pump(ring, core, 1e-6, wake=(1e-5, 0.0))
     pump.stop()
     ring.offer(tokens(1)[0])
     sim.run(until=1.0)
