@@ -12,6 +12,7 @@ pricing (:mod:`repro.mgmt`) can bill tenants per the paper's §5.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import List, Optional
 
 from ..obs import runtime as obs_runtime
@@ -53,7 +54,7 @@ class Core:
         self._busy_until = finish
         self.busy_seconds += cost_seconds
         self.ops += 1
-        # The delay, not ``finish``: both callers below schedule at
+        # The delay, not ``finish``: this and ``execute_call`` schedule at
         # ``now + (finish - now)``, whose rounding every recorded
         # timestamp was taken with.
         return finish - now
@@ -67,9 +68,22 @@ class Core:
 
         Same finish time as ``execute(cost).add_callback(...)`` without an
         event or a closure — the common shape for charging an op cost and
-        then pushing an nqe or a packet.
+        then pushing an nqe or a packet; one frame (``_charge`` inlined).
         """
-        self.sim.schedule_call(self._charge(cost_seconds), func, *args)
+        if not cost_seconds >= 0:
+            raise ValueError(f"negative or NaN CPU cost: {cost_seconds!r}")
+        if self._traced:
+            self._tracer.on_cpu(self.name, cost_seconds)
+        sim = self.sim
+        now = sim.now
+        start = self._busy_until
+        if now > start:
+            start = now
+        finish = start + cost_seconds
+        self._busy_until = finish
+        self.busy_seconds += cost_seconds
+        self.ops += 1
+        heappush(sim._queue, (now + (finish - now), next(sim._counter), func, args))
 
     def execute_cycles(self, cycles: float) -> Event:
         """Enqueue work expressed in CPU cycles at this core's clock."""

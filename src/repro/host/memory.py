@@ -50,7 +50,7 @@ class MemcpyModel:
         if len(points) < 2:
             raise ValueError("need at least two calibration points")
         self.points: List[Tuple[int, float]] = sorted(points)
-        sizes = [s for s, _l in self.points]
+        sizes = self._sizes = [s for s, _l in self.points]
         if len(set(sizes)) != len(sizes):
             raise ValueError("duplicate calibration sizes")
         if any(latency <= 0 for _s, latency in self.points):
@@ -62,7 +62,7 @@ class MemcpyModel:
             raise ValueError("negative copy size")
         if size == 0:
             return 0.0
-        sizes = [s for s, _l in self.points]
+        sizes = self._sizes
         index = bisect_left(sizes, size)
         if index < len(sizes) and sizes[index] == size:
             return self.points[index][1]

@@ -14,6 +14,7 @@ core.  CoreEngine also:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Optional
 
 from ..api.errors import ConnectionReset
@@ -243,14 +244,14 @@ class CoreEngine:
                 name=f"{self.name}.hb.{nsm.name}",
             )
 
-        def switch_completion(nqe, _token=None):
-            return self._switch_completion_nqe(nsm, nqe)
-
-        def switch_receive(nqe, _token=None):
-            return self._switch_receive_nqe(nsm, nqe)
-
-        self._start_mover(completion, "cq", switch_completion, f"{self.name}.cq.{nsm.name}")
-        self._start_mover(receive, "rq", switch_receive, f"{self.name}.rq.{nsm.name}")
+        self._start_mover(
+            completion, "cq", partial(self._switch_completion_nqe, nsm),
+            f"{self.name}.cq.{nsm.name}",
+        )
+        self._start_mover(
+            receive, "rq", partial(self._switch_receive_nqe, nsm),
+            f"{self.name}.rq.{nsm.name}",
+        )
         return queues
 
     def attach_vm(self, vm_core: Core, nsm: NSM, memcpy=None) -> VmAttachment:
@@ -293,9 +294,7 @@ class CoreEngine:
         self._vms[vm_id] = attachment
         nsm.tenant_vm_ids.append(vm_id)
 
-        def switch_job(nqe, _token=None):
-            return self._switch_job_nqe(attachment, nqe)
-
+        switch_job = partial(self._switch_job_nqe, attachment)
         if self.config.tenant_quota_nqes is not None:
             self._register_tenant_ring(vm_id, job, switch_job)
         else:
@@ -338,8 +337,9 @@ class CoreEngine:
     # no event round-trip) or a generator the consumer waits on when a
     # destination ring is full and it has to block for backpressure.
     # Delivery order is identical either way: a full ring queues offered
-    # nqes behind its backpressure list in FIFO order.
-    def _switch_job_nqe(self, attachment: VmAttachment, nqe: Nqe):
+    # nqes behind its backpressure list in FIFO order.  Bound with
+    # ``functools.partial`` (no closure frame per hop); ``_token`` unused.
+    def _switch_job_nqe(self, attachment: VmAttachment, nqe: Nqe, _token=None):
         # Read the NSM binding per nqe (not captured at attach time): a
         # failover re-points ``attachment.nsm``/``nsm_queues`` and every
         # subsequent op must flow to the standby.
@@ -413,7 +413,7 @@ class CoreEngine:
         yield cq.push(response)
         yield jq.push(backend)
 
-    def _switch_completion_nqe(self, nsm: NSM, nqe: Nqe):
+    def _switch_completion_nqe(self, nsm: NSM, nqe: Nqe, _token=None):
         if nqe.args is NqeOp.HEARTBEAT:
             # Liveness answer from ServiceLib; consumed here, never
             # forwarded (heartbeats carry no VM mapping).
@@ -455,7 +455,7 @@ class CoreEngine:
         ring.offer(nqe)
         return None
 
-    def _switch_receive_nqe(self, nsm: NSM, nqe: Nqe):
+    def _switch_receive_nqe(self, nsm: NSM, nqe: Nqe, _token=None):
         if nqe.op is NqeOp.DRAIN_MARKER:
             # Migration drain marker flushed through the receive pipeline.
             migration = self._migration

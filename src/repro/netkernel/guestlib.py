@@ -119,7 +119,7 @@ class GuestLib(SocketApi):
         #: copy, which is the §3.2 head-of-line-blocking regime.
         self.inline_rx_copy = inline_rx_copy
         self._sockets: Dict[int, _GuestSocket] = {}
-        self._pending: Dict[int, Event] = {}  # token -> API event
+        self._pending: Dict[int, object] = {}  # token -> waiter (_settle)
         # --- fault tolerance: op timeouts with bounded retry + backoff ---
         #: ``None`` disables the machinery entirely (bit-identical default:
         #: no timers are armed, no bookkeeping beyond ``_pending``).
@@ -156,8 +156,9 @@ class GuestLib(SocketApi):
         except KeyError:
             raise BadFileDescriptor(f"fd {fd}") from None
 
-    def _issue(self, nqe: Nqe, span=None) -> Event:
-        """Push a request nqe; returns the event resolved by its completion."""
+    def _issue(self, nqe: Nqe, span=None, waiter=None):
+        """Push a request nqe; returns the waiter (a fresh Event unless
+        given) its completion settles (:meth:`_settle`)."""
         self.calls_issued += 1
         if self._traced:
             tracer = self.tracer
@@ -171,13 +172,32 @@ class GuestLib(SocketApi):
                 span.cpu(GUESTLIB_OP_NS)
                 nqe.span = span
             tracer.count("guestlib.ops")
-        result = Event(self.sim)
-        self._pending[nqe.token] = result
+        if waiter is None:
+            waiter = Event(self.sim)
+        self._pending[nqe.token] = waiter
         if self._ft:
             self._pending_nqes[nqe.token] = nqe
             self.sim.schedule_call(self._op_timeout, self._op_deadline, nqe, 0)
         self.core.execute_call(GUESTLIB_OP_NS * NANOS, self.job_queue.offer, nqe)
-        return result
+        return waiter
+
+    def _settle(self, waiter, ok: bool, value) -> None:
+        """Resolve a waiter with ``value`` (an exception unless ``ok``).
+
+        An Event fires.  :meth:`send`'s hand-off ``(api_event, nbytes)``
+        becomes the bare entry ``api_event.succeed(nbytes)`` (or ``.fail``)
+        where an intermediate Event would have fired to make that call.
+        """
+        if waiter.__class__ is tuple:
+            api_event, nbytes = waiter
+            if ok:
+                self.sim.wake((api_event.succeed, (nbytes,)))
+            else:
+                self.sim.wake((api_event.fail, (value,)))
+        elif ok:
+            waiter.succeed(value)
+        else:
+            waiter.fail(value)
 
     def _op_deadline(self, nqe: Nqe, attempt: int) -> None:
         """An armed op timer fired: retry with backoff, or fail ETIMEDOUT.
@@ -188,8 +208,8 @@ class GuestLib(SocketApi):
         ServiceLib's token dedup drops the duplicate execution.
         """
         token = nqe.token
-        event = self._pending.get(token)
-        if event is None:
+        waiter = self._pending.get(token)
+        if waiter is None:
             return  # completed (or reset) in time
         if attempt >= OP_RETRIES:
             self._pending.pop(token, None)
@@ -200,12 +220,10 @@ class GuestLib(SocketApi):
             self.op_timeouts += 1
             if self._traced:
                 self.tracer.count("guestlib.op_timeouts")
-            event.fail(
-                OperationTimedOut(
-                    f"{nqe.op.value} on fd {nqe.fd} timed out "
-                    f"after {attempt + 1} attempt(s)"
-                )
-            )
+            self._settle(waiter, False, OperationTimedOut(
+                f"{nqe.op.value} on fd {nqe.fd} timed out "
+                f"after {attempt + 1} attempt(s)"
+            ))
             return
         retry = replace(nqe, attempt=attempt + 1)
         self.op_retries_sent += 1
@@ -316,18 +334,11 @@ class GuestLib(SocketApi):
     ) -> None:
         if stage is not None:
             stage.end()
-        result = self._issue(
+        self._issue(
             Nqe(op=NqeOp.SEND, vm_id=self.vm_id, fd=sock.fd, data_desc=chunk),
             span=root,
+            waiter=(api_event, nbytes),
         )
-
-        def finish(ev: Event) -> None:
-            if ev.ok:
-                api_event.succeed(nbytes)
-            else:
-                api_event.fail(ev.value)
-
-        result.add_callback(finish)
 
     def recv(self, fd: int, max_bytes: int) -> Event:
         sock = self._get(fd)
@@ -393,18 +404,18 @@ class GuestLib(SocketApi):
     def _handle_completion(self, nqe: Nqe, _token) -> None:
         if nqe.span is not None:
             nqe.span.cpu(GUESTLIB_OP_NS).end()
-        event = self._pending.pop(nqe.token, None)
-        if event is None:
+        waiter = self._pending.pop(nqe.token, None)
+        if waiter is None:
             return  # completion for a forgotten (timed-out/duplicated) call
         if self._ft:
             self._pending_nqes.pop(nqe.token, None)
         if nqe.status is NqeStatus.OK:
-            event.succeed(nqe.result if nqe.result is not None else nqe.fd)
+            self._settle(waiter, True, nqe.result if nqe.result is not None else nqe.fd)
         else:
             error = nqe.result
             if not isinstance(error, BaseException):
                 error = SocketError(str(error))
-            event.fail(wrap_transport_error(error))
+            self._settle(waiter, False, wrap_transport_error(error))
 
     def _begin_deliver(self, nqe: Nqe):
         """Open the per-nqe delivery span (traced runs only)."""
@@ -504,18 +515,16 @@ class GuestLib(SocketApi):
             for token, nqe in list(self._pending_nqes.items()):
                 if nqe.fd != sock.fd:
                     continue
-                event = self._pending.pop(token, None)
+                waiter = self._pending.pop(token, None)
                 self._pending_nqes.pop(token, None)
                 chunk = nqe.data_desc
                 if chunk is not None and not chunk.freed:
                     chunk.free()
-                if event is not None:
-                    event.fail(
-                        ConnectionReset(
-                            f"{nqe.op.value} on fd {sock.fd}: "
-                            "backend connection reset"
-                        )
-                    )
+                if waiter is not None:
+                    self._settle(waiter, False, ConnectionReset(
+                        f"{nqe.op.value} on fd {sock.fd}: "
+                        "backend connection reset"
+                    ))
         self._wake_watchers(sock)
 
     def _wake_watchers(self, sock: _GuestSocket) -> None:

@@ -64,6 +64,8 @@ class HugePageRegion:
             raise ValueError("need at least one huge page of >= 4 KB")
         self.sim = sim
         self.memcpy = memcpy or MemcpyModel()
+        #: One full chunk's copy latency, the same float on every copy.
+        self._chunk_latency = self.memcpy.copy_latency(CHUNK_SIZE)
         self.capacity = pages * page_size
         self.name = name
         self.tracer = obs_runtime.get_tracer()
@@ -140,7 +142,8 @@ class HugePageRegion:
         if nbytes < 0:
             raise ValueError("negative copy size")
         full, rest = divmod(nbytes, chunk_size)
-        cost = full * self.memcpy.copy_latency(chunk_size)
+        cost = full * (self._chunk_latency if chunk_size == CHUNK_SIZE
+                       else self.memcpy.copy_latency(chunk_size))
         if rest:
             cost += self.memcpy.copy_latency(rest)
         if self._traced:

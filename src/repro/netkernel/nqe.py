@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import count
 from typing import Any, Optional, TYPE_CHECKING
 
@@ -31,7 +32,14 @@ NQE_SIZE_BYTES = 64
 #: Measured cost of CoreEngine copying one nqe between queues (§4.2).
 NQE_COPY_NS = 12.0
 
-_nqe_ids = count(1)
+#: ``next(count)`` called from C: no Python frame per nqe token.  The
+#: dataclass binds this object, so :func:`reset_tokens` rewinds it in place.
+_next_token = partial(next, count(1))
+
+
+def reset_tokens() -> None:
+    """Restart tokens at 1 (:func:`repro.runstate.reset_run_ids`)."""
+    _next_token.__setstate__((next, (count(1),), None, None))
 
 
 class NqeOp(enum.Enum):
@@ -111,7 +119,7 @@ class Nqe:
     args: Any = None
     status: NqeStatus = NqeStatus.OK
     #: Correlates completions with requests.
-    token: int = field(default_factory=lambda: next(_nqe_ids))
+    token: int = field(default_factory=_next_token)
     #: Result payload for completions.
     result: Any = None
     #: Observability: the root span riding this nqe across layers

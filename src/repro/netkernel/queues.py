@@ -101,6 +101,9 @@ class NqeRing:
         self._wait_span_op = f"queue.{self.kind}.wait"
         self._wait_hist = None
         self._items: Deque[Nqe] = deque()
+        # The deque's C methods: no frame per nqe (PriorityNqeRing rebinds).
+        self._enqueue = self._items.append
+        self._dequeue = self._items.popleft
         self._putters: Deque[Tuple[Event, Nqe]] = deque()
         self._doorbells: List[Event] = []
         #: Mirrors the queued-element count so the hot paths read one int
@@ -199,12 +202,6 @@ class NqeRing:
         notify = self._pump_notify
         if notify is not None:
             notify()
-
-    def _enqueue(self, nqe: Nqe) -> None:
-        self._items.append(nqe)
-
-    def _dequeue(self) -> Nqe:
-        return self._items.popleft()
 
     # -- consumer ---------------------------------------------------------------
     def try_pop(self) -> Optional[Nqe]:
@@ -361,14 +358,16 @@ class PriorityNqeRing(NqeRing):
         super().__init__(sim, capacity, name)
         self._conn_items: Deque[Nqe] = deque()
         self._data_items: Deque[Nqe] = deque()
+        self._enqueue = self._enqueue_by_class
+        self._dequeue = self._dequeue_by_class
 
-    def _enqueue(self, nqe: Nqe) -> None:
+    def _enqueue_by_class(self, nqe: Nqe) -> None:
         if nqe.is_connection_event:
             self._conn_items.append(nqe)
         else:
             self._data_items.append(nqe)
 
-    def _dequeue(self) -> Nqe:
+    def _dequeue_by_class(self) -> Nqe:
         if self._conn_items:
             return self._conn_items.popleft()
         return self._data_items.popleft()
@@ -440,21 +439,17 @@ class RingPump:
         self.stopped = True
 
     # -- event-driven drive ---------------------------------------------------
+    # ``notify`` and ``_charged`` each pop and charge in their own frame.
     def notify(self) -> None:
-        if self.idle and not self.stopped:
-            self.idle = False
-            self._next()
-
-    def _next(self) -> None:
+        """Start draining if idle; a no-op on an empty ring (resume)."""
         ring = self.ring
-        if self.stopped or ring._count == 0:
-            self.idle = True
-            return
-        nqe = ring.try_pop()
-        begin = self.begin
-        self.core.execute_call(
-            self.cost, self._charged, nqe, begin(nqe) if begin is not None else None
-        )
+        if self.idle and not self.stopped and ring._count:
+            self.idle = False
+            nqe = ring.try_pop()
+            begin = self.begin
+            self.core.execute_call(
+                self.cost, self._charged, nqe, None if begin is None else begin(nqe)
+            )
 
     def _charged(self, nqe, token) -> None:
         blocked = self.handle(nqe, token)
@@ -464,14 +459,23 @@ class RingPump:
         end = self.end
         if end is not None:
             end(token)
-        self._next()
+        ring = self.ring
+        if self.stopped or not ring._count:
+            self.idle = True
+            return
+        nqe = ring.try_pop()
+        begin = self.begin
+        self.core.execute_call(
+            self.cost, self._charged, nqe, None if begin is None else begin(nqe)
+        )
 
     def _unblock(self, blocked, token):
         """The handler blocked: wait it out, then pop the next nqe."""
         yield from blocked
         if self.end is not None:
             self.end(token)
-        self._next()
+        self.idle = True
+        self.notify()
 
     # -- poll-loop drive ------------------------------------------------------
     def _loop(self, wake):

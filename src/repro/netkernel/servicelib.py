@@ -11,7 +11,6 @@ huge pages and push DATA / ACCEPT_EVENT nqes into the NSM receive queue.
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 from itertools import count
 from typing import Callable, Dict, Optional
 
@@ -400,25 +399,25 @@ class ServiceLib:
                 id(backend.conn), span if span is not None else nqe.span
             )
 
-        def submit(_ev=None):
-            accepted = backend.conn.send(nbytes)
-            accepted.add_callback(finish)
-
-        def finish(_ev):
-            # The stack has buffered the data; huge-page chunk is reusable.
-            # (Guarded: a guest-side op timeout or ring-corruption cleanup
-            # may already have released it.)
-            if not chunk.freed:
-                chunk.free()
-            self._complete_ok(nqe, nbytes)
-
         bucket = self._rate_bucket(nqe.vm_id)
         if bucket is None:
-            submit()
+            backend.conn.send_call(nbytes, self._send_accepted, nqe, chunk, nbytes)
         else:
             # Egress QoS: wait for rate tokens before entering the stack;
             # the delayed completion backpressures GuestLib naturally.
-            bucket.take(nbytes).add_callback(submit)
+            bucket.take(nbytes).add_callback(
+                lambda _ev: backend.conn.send_call(
+                    nbytes, self._send_accepted, nqe, chunk, nbytes
+                )
+            )
+
+    def _send_accepted(self, nqe: Nqe, chunk, nbytes: int) -> None:
+        # The stack has buffered the data; huge-page chunk is reusable.
+        # (Guarded: a guest-side op timeout or ring-corruption cleanup
+        # may already have released it.)
+        if not chunk.freed:
+            chunk.free()
+        self._complete_ok(nqe, nbytes)
 
     def _rate_bucket(self, vm_id: Optional[int]) -> Optional[TokenBucket]:
         if self.qos is None or vm_id is None:
@@ -548,8 +547,9 @@ class ServiceLib:
     def _start_rx(self, backend: _Backend) -> None:
         self._rx_wait(backend)
 
-    # nk_new_data_callback, as a chain of direct calls: readiness event ->
-    # read + huge-page stage (chained memcpy charge) -> DATA nqe -> re-arm.
+    # nk_new_data_callback, as a chain of direct calls: readiness (a bare
+    # queue entry where the readiness event would have fired) -> read +
+    # huge-page stage (chained memcpy charge) -> DATA nqe -> re-arm.
     # Sequencing matches the old per-cID generator loop exactly — the next
     # read happens only after the previous chunk's copy has been charged
     # and its nqe delivered — without a process frame per chunk.  Only the
@@ -558,16 +558,14 @@ class ServiceLib:
     def _rx_wait(self, backend: _Backend) -> None:
         conn = backend.conn
         assert conn is not None
-        conn.recv_buffer.wait_readable().add_callback(
-            partial(self._rx_ready, backend)
-        )
+        conn.recv_buffer.watch((self._rx_ready, (backend,)))
 
-    def _rx_ready(self, backend: _Backend, _event) -> None:
+    def _rx_ready(self, backend: _Backend) -> None:
         owner = backend.owner
         if owner is not None and owner is not self:
             # The backend migrated after this callback was armed: continue
             # on the NSM that owns it now (its queues, its <NSM ID, cID>).
-            owner._rx_ready(backend, _event)
+            owner._rx_ready(backend)
             return
         if self.crashed:
             return  # dead NSMs deliver nothing (and stop re-arming)

@@ -85,9 +85,17 @@ class QuicStream:
     # ------------------------------------------------------------ app API --
     def send(self, nbytes: int) -> Event:
         """Accept ``nbytes`` from the app; event fires once buffered."""
-        event = self.send_buffer.write(nbytes)
-        self.conn.stream_wants_send(self)
+        event = Event(self.sim)
+        self._write(nbytes, event)
         return event
+
+    def send_call(self, nbytes: int, func, *args) -> None:
+        """:meth:`send`, then ``func(*args)`` as its own queue entry."""
+        self._write(nbytes, (func, args))
+
+    def _write(self, nbytes: int, waiter) -> None:
+        self.send_buffer.admit(nbytes, waiter)
+        self.conn.stream_wants_send(self)
 
     def close(self) -> None:
         """Half-close: FIN at the current write watermark."""

@@ -31,7 +31,7 @@ def reset_run_ids() -> None:
     from .rdma import transport, verbs
 
     packet._packet_ids = count(1)
-    nqe._nqe_ids = count(1)
+    nqe.reset_tokens()
     hugepages._chunk_ids = count(1)
     nsm._nsm_ids = count(1)
     rdma_nsm._rdma_nsm_ids = count(1)

@@ -55,10 +55,10 @@ class Simulator:
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+        #: Current simulated time in seconds (plain attribute: read per hop).
+        self.now = float(start_time)
         self._queue: list = []
         self._counter = count()
-        self._active_process: Optional[Process] = None
         #: Events processed since construction (the perf ledger's
         #: ``sim.events``; see ``benchmarks/ledger/layers.py``).
         self.events_processed = 0
@@ -68,17 +68,6 @@ class Simulator:
         #: no controller installed every fluid hook in the TCP/NIC layers
         #: is a single attribute test that takes the packet branch).
         self.fidelity = None
-
-    # -- clock -------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
 
     # -- event factories ----------------------------------------------------
     def event(self) -> Event:
@@ -106,7 +95,7 @@ class Simulator:
     # ``target`` is an Event whose callbacks run.  Otherwise the loop calls
     # ``target(*args)`` — a scheduled call is nothing but its entry.
     def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
-        heappush(self._queue, (self._now + delay, next(self._counter), event, None))
+        heappush(self._queue, (self.now + delay, next(self._counter), event, None))
 
     def schedule_call(self, delay: float, func, *args) -> None:
         """Schedule ``func(*args)`` to run after ``delay`` seconds.
@@ -117,7 +106,17 @@ class Simulator:
         """
         if not delay >= 0:  # also refuses NaN, which would corrupt the heap
             raise ValueError(f"negative or NaN schedule_call delay: {delay!r}")
-        heappush(self._queue, (self._now + delay, next(self._counter), func, args))
+        heappush(self._queue, (self.now + delay, next(self._counter), func, args))
+
+    def wake(self, waiter, value: Any = None) -> None:
+        """Fire a waiter now: an Event succeeds with ``value``; a
+        continuation ``(func, args)`` becomes the bare queue entry
+        ``func(*args)`` at the ``(now, seq)`` ``Event.succeed`` would take."""
+        if waiter.__class__ is tuple:
+            func, args = waiter
+            heappush(self._queue, (self.now, next(self._counter), func, args))
+        else:
+            waiter.succeed(value)
 
     # -- execution ------------------------------------------------------------
     def step(self) -> None:
@@ -125,9 +124,9 @@ class Simulator:
         if not self._queue:
             raise SimulationError("step() on an empty event queue")
         when, _seq, target, args = heappop(self._queue)
-        if when < self._now:
+        if when < self.now:
             raise SimulationError("event scheduled in the past")
-        self._now = when
+        self.now = when
         self.events_processed += 1
         if args is None:
             target._run_callbacks()
@@ -149,10 +148,10 @@ class Simulator:
         if until is None:
             self._run_through(_INF)
             return
-        if until < self._now:
-            raise ValueError(f"run(until={until}) is in the past (now={self._now})")
+        if until < self.now:
+            raise ValueError(f"run(until={until}) is in the past (now={self.now})")
         self._run_through(until)
-        self._now = until
+        self.now = until
 
     def _run_through(self, bound: float) -> int:
         """Process every entry with ``time <= bound``; return how many.
@@ -168,7 +167,7 @@ class Simulator:
         try:
             while q and q[0][0] <= bound:
                 when, _seq, target, args = heappop_(q)
-                self._now = when
+                self.now = when
                 processed += 1
                 if args is not None:
                     target(*args)
@@ -239,7 +238,7 @@ class Deadline:
 
     def arm(self, delay: float) -> None:
         """(Re)arm to fire ``delay`` seconds from now."""
-        when = self.when = self.sim._now + delay
+        when = self.when = self.sim.now + delay
         at = self._at
         if at is None or when < at:
             self._push(when)
@@ -268,7 +267,7 @@ def _deadline_pop(deadline: Deadline, token: int) -> None:
     when = deadline.when
     if when is None:
         return  # cancelled or released
-    if when > deadline.sim._now:
+    if when > deadline.sim.now:
         deadline._push(when)  # moved later since this entry was pushed
         return
     deadline.when = None

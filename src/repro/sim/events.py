@@ -98,7 +98,7 @@ class Event:
         # Inlined Simulator._schedule_event — succeed() is the kernel's
         # hottest trigger path.
         sim = self.sim
-        heappush(sim._queue, (sim._now, next(sim._counter), self, None))
+        heappush(sim._queue, (sim.now, next(sim._counter), self, None))
         return self
 
     def fail(self, exception: BaseException) -> "Event":

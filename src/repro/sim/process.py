@@ -78,26 +78,23 @@ class Process(Event):
         if not self._alive:
             return
         self._target = None
-        self.sim._active_process = self
         try:
-            if event.ok:
-                nxt = self.generator.send(event.value)
+            # The fields, not the properties: a fired event is triggered.
+            if event._ok:
+                nxt = self.generator.send(event._value)
             else:
-                nxt = self.generator.throw(event.value)
+                nxt = self.generator.throw(event._value)
         except StopIteration as stop:
             self._finish(stop.value)
             return
         except BaseException as exc:
             self._die(exc)
             return
-        finally:
-            self.sim._active_process = None
         self._wait_on(nxt)
 
     def _throw(self, exc: BaseException) -> None:
         if not self._alive:
             return
-        self.sim._active_process = self
         try:
             nxt = self.generator.throw(exc)
         except StopIteration as stop:
@@ -106,8 +103,6 @@ class Process(Event):
         except BaseException as err:
             self._die(err)
             return
-        finally:
-            self.sim._active_process = None
         self._wait_on(nxt)
 
     def _wait_on(self, target: Any) -> None:

@@ -7,7 +7,7 @@ never exceed capacity) are what the tests and the protocol rely on.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..sim import Event, Simulator
 from .intervals import EMPTY, IntervalSet
@@ -34,7 +34,7 @@ class SendBuffer:
         self.fin_requested = False
         # None until a write actually blocks: at large N nearly every
         # buffer's waiter list is empty, and the empty lists add up.
-        self._waiters: Optional[List[Tuple[int, Event]]] = None
+        self._waiters: Optional[List[Tuple[int, Any]]] = None
 
     @property
     def backlog(self) -> int:
@@ -47,20 +47,23 @@ class SendBuffer:
 
     def write(self, nbytes: int) -> Event:
         """Accept ``nbytes`` from the app; event fires when buffered."""
+        event = Event(self.sim)
+        self.admit(nbytes, event)
+        return event
+
+    def admit(self, nbytes: int, waiter) -> None:
+        """:meth:`write` for any waiter (see :meth:`Simulator.wake`)."""
         if nbytes < 0:
             raise ValueError("cannot write a negative byte count")
         if self.fin_requested:
             raise RuntimeError("write after close()")
-        event = Event(self.sim)
         if nbytes <= self.free_space:
             self.written += nbytes
-            event.succeed(nbytes)
+            self.sim.wake(waiter, nbytes)
+        elif self._waiters is None:
+            self._waiters = [(nbytes, waiter)]
         else:
-            if self._waiters is None:
-                self._waiters = [(nbytes, event)]
-            else:
-                self._waiters.append((nbytes, event))
-        return event
+            self._waiters.append((nbytes, waiter))
 
     def on_ack(self, new_acked: int) -> None:
         """Advance the acknowledged watermark and admit blocked writes."""
@@ -68,9 +71,9 @@ class SendBuffer:
             raise ValueError("negative ack amount")
         self.acked += new_acked
         while self._waiters and self._waiters[0][0] <= self.free_space:
-            nbytes, event = self._waiters.pop(0)
+            nbytes, waiter = self._waiters.pop(0)
             self.written += nbytes
-            event.succeed(nbytes)
+            self.sim.wake(waiter, nbytes)
 
     def close(self) -> None:
         self.fin_requested = True
@@ -179,7 +182,7 @@ class ReceiveBuffer:
         self.eof = False
         # Both lists are None until first use (see SendBuffer._waiters).
         self._readers: Optional[List[Tuple[int, Event]]] = None
-        self._watchers: Optional[List[Event]] = None
+        self._watchers: Optional[List[Any]] = None
 
     def window(self, out_of_order_bytes: int = 0) -> int:
         """Receive window to advertise."""
@@ -224,19 +227,24 @@ class ReceiveBuffer:
         This is the readiness primitive behind epoll's EPOLLIN.
         """
         event = Event(self.sim)
-        if self.available > 0 or self.eof:
-            event.succeed()
-        elif self._watchers is None:
-            self._watchers = [event]
-        else:
-            self._watchers.append(event)
+        self.watch(event)
         return event
+
+    def watch(self, waiter) -> None:
+        """:meth:`wait_readable` for any waiter (see :meth:`Simulator.wake`)."""
+        if self.available > 0 or self.eof:
+            self.sim.wake(waiter)
+        elif self._watchers is None:
+            self._watchers = [waiter]
+        else:
+            self._watchers.append(waiter)
 
     def _wake(self) -> None:
         if self._watchers and (self.available > 0 or self.eof):
             watchers, self._watchers = self._watchers, None
-            for watcher in watchers:
-                watcher.succeed()
+            wake = self.sim.wake
+            for waiter in watchers:
+                wake(waiter)
         while self._readers and (self.available > 0 or self.eof):
             max_bytes, event = self._readers.pop(0)
             taken = min(max_bytes, self.available)

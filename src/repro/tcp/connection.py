@@ -307,6 +307,21 @@ class TcpConnection:
 
     def send(self, nbytes: int) -> Event:
         """Queue ``nbytes`` of app data; event fires when buffered."""
+        accepted = Event(self.sim)
+        self._write(nbytes, accepted)
+        accepted.add_callback(lambda _ev: self._pump())
+        return accepted
+
+    def send_call(self, nbytes: int, func, *args) -> None:
+        """:meth:`send` without the event: where it would fire, one queue
+        entry pumps and then calls ``func(*args)``, as its callbacks did."""
+        self._write(nbytes, (self._sent, (func, args)))
+
+    def _sent(self, func, args) -> None:
+        self._pump()
+        func(*args)
+
+    def _write(self, nbytes: int, waiter) -> None:
         if self.state in (
             TcpState.FIN_WAIT_1,
             TcpState.FIN_WAIT_2,
@@ -315,9 +330,7 @@ class TcpConnection:
             TcpState.TIME_WAIT,
         ):
             raise RuntimeError("send() after close()")
-        accepted = self.send_buffer.write(nbytes)
-        accepted.add_callback(lambda _ev: self._pump())
-        return accepted
+        self.send_buffer.admit(nbytes, waiter)
 
     def recv(self, max_bytes: int) -> Event:
         """Read up to ``max_bytes``; fires with count (0 = EOF)."""

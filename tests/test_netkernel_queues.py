@@ -398,6 +398,22 @@ def test_pump_stop_then_resume_loses_nothing(sim):
     assert probe.ended == list(range(6))
 
 
+def test_pump_notify_on_an_empty_ring_stays_idle(sim):
+    """Live migration resumes a paused job pump with ``notify()`` whether
+    or not ops queued during the freeze: on an empty ring it must charge
+    nothing and stay idle, so the next push still wakes it."""
+    ring, core = NqeRing(sim), Core(sim)
+    probe = _Probe(sim)
+    pump = probe.pump(ring, core, 1e-6)
+    pump.stop()
+    pump.stopped = False
+    pump.notify()
+    assert pump.idle and core.ops == 0 and sim.peek() == float("inf")
+    ring.offer(tokens(1)[0])
+    sim.run(until=1.0)
+    assert [t for t, _ in probe.handled] == [0] and pump.idle
+
+
 def test_pump_loop_pays_wake_once_per_doorbell_and_drains_at_most_64(sim):
     ring, core = NqeRing(sim), Core(sim)
     probe = _Probe(sim)

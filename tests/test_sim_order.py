@@ -88,6 +88,39 @@ def test_lan_bulk_keeps_a_handful_of_entries_pending():
     assert 0 < max(pending) <= 64, pending
 
 
+def test_one_send_on_the_figure4_world_costs_27_events_5_of_them_zero_delay():
+    """The census behind DESIGN.md's "What a ``send()`` costs": per send,
+    22 timed entries (ring pumps, core and copy charges, TCP and wire
+    hops) and 5 zero-delay ones — 2 benchmark-app resumes (Events) and 3
+    library continuations (bare calls).  A change that adds, fuses or
+    re-wraps a hop moves these counts."""
+    from repro.experiments.figure4 import _build_lan_world
+    from repro.runstate import reset_run_ids
+    from repro.sim import Event
+
+    reset_run_ids()
+    testbed, _receivers = _build_lan_world("netkernel", 2)
+    sim = testbed.sim
+    testbed.run(until=0.005)
+    (client,) = testbed.hypervisor_a.coreengine._vms.values()
+    calls, events = client.guestlib.calls_issued, sim.events_processed
+    seen = max(entry[1] for entry in sim._queue)
+    zero_delay = zero_delay_events = 0
+    end = sim.now + 0.002
+    while sim.peek() <= end:
+        sim.step()
+        for when, seq, target, _args in sim._queue:
+            if seq > seen and when == sim.now:
+                zero_delay += 1
+                zero_delay_events += isinstance(target, Event)
+        seen = max(entry[1] for entry in sim._queue)
+    sends = client.guestlib.calls_issued - calls
+    events = sim.events_processed - events
+    assert (sends, events, zero_delay) == (144, 3875, 717)
+    assert round(events / sends) == 27 and round(zero_delay / sends) == 5
+    assert round(zero_delay_events / sends) == 2
+
+
 def test_fanin_pending_entries_are_a_few_per_connection(monkeypatch):
     """Two ``_rto_check``, one sender sleep and one ``_delack_fire`` per
     connection at most: peak 3.5 x connections here, 3.99 x on the

@@ -249,3 +249,66 @@ def test_receive_buffer_readers_fifo(sim):
     buf.deliver(15)
     assert first.value == 10
     assert second.value == 5
+
+
+# ------------------------------------------- continuation waiters vs Events --
+# A waiter is an Event or a continuation ``(func, args)``; a continuation
+# must become its own queue entry exactly where the Event's ``succeed``
+# would have pushed one.  Each step is (gap before it, kind, bytes, style).
+WAITER_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.0, 0.0, 1e-6, 5e-6]),
+        st.sampled_from(["write", "ack", "deliver", "read", "watch"]),
+        st.integers(1, 100),
+        st.sampled_from(["event", "call"]),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _waiter_fire_log(steps, all_events):
+    sim = Simulator()
+    sndbuf, rcvbuf = SendBuffer(sim, capacity=100), ReceiveBuffer(sim)
+    log = []
+
+    def fire(label):
+        log.append((sim.now, label))
+
+    def step(i, kind, nbytes, style):
+        fire(("step", i))
+        as_event = all_events or style == "event"
+        if kind == "write":
+            if as_event:
+                sndbuf.write(nbytes).add_callback(lambda _ev: fire(("written", i)))
+            else:
+                sndbuf.admit(nbytes, (fire, (("written", i),)))
+        elif kind == "ack":
+            sndbuf.on_ack(min(nbytes, sndbuf.backlog))
+        elif kind == "deliver":
+            rcvbuf.deliver(nbytes)
+        elif kind == "read":
+            rcvbuf.try_read(nbytes)
+        elif as_event:
+            rcvbuf.wait_readable().add_callback(lambda _ev: fire(("readable", i)))
+        else:
+            rcvbuf.watch((fire, (("readable", i),)))
+
+    at = 0.0
+    for i, (gap, kind, nbytes, style) in enumerate(steps):
+        at += gap
+        sim.schedule_call(at, step, i, kind, nbytes, style)
+    sim.run()
+    return log, sim.events_processed
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=WAITER_STEPS)
+def test_continuation_waiters_fire_where_their_events_would(steps):
+    """Blocked writes, ACKs, deliveries and reads, with each waiter either
+    a continuation or an Event (``send().add_callback`` /
+    ``wait_readable().add_callback``): the fire log — exact times, exact
+    order — and the event count equal those of the all-Event run."""
+    assert _waiter_fire_log(steps, all_events=False) == _waiter_fire_log(
+        steps, all_events=True
+    )
