@@ -9,7 +9,7 @@
 * :mod:`.ablation_notify` — §5: polling vs batched interrupts.
 * :mod:`.ablation_multiplexing` — §2.1: shared-NSM multiplexing gains.
 * :mod:`.ablation_containers` — §5: per-container network stacks.
-* :mod:`.ablation_qos` — §5: per-tenant QoS (rate caps, DRR) on shared NSMs.
+* :mod:`.ablation_qos` — §5: per-tenant QoS (rate caps) on shared NSMs.
 * :mod:`.ablation_fastpass` — §5: Fastpass-style arbitration as an NSM service.
 * :mod:`.ablation_connscale` — §5: short-connection scalability (+ the
   multi-queue ServiceLib fix).

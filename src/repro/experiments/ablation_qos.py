@@ -13,10 +13,9 @@ Demonstrations on a shared NSM:
   arbitrarily; capping the aggressive tenant guarantees the other one the
   remainder.
 
-(Op-level DRR scheduling is also implemented —
-:class:`repro.netkernel.qos.DrrScheduler` — and unit-tested; at the
-calibrated op costs the ServiceLib dispatch loop is never the contended
-resource, so rate caps are the QoS lever that matters end to end.)
+At the calibrated op costs the ServiceLib dispatch loop is never the
+contended resource, so the rate cap is the QoS lever: the only one the
+repo models.  Caps are set with ``boot_netkernel_vm(rate_limit_bps=)``.
 """
 
 from __future__ import annotations

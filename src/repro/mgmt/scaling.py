@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..netkernel.nsm import NSM, NsmSpec
+from ..netkernel.nsm import NSM
 from ..netkernel.provision import Hypervisor
 from ..sim import Simulator
 
@@ -88,15 +88,10 @@ class ScalingController:
                 )
             )
             return
+        # The sibling runs the same stack: its spec is the NSM's own (specs
+        # are not mutated after boot, so sharing one is safe).
         sibling = self.hypervisor.boot_nsm(
-            NsmSpec(
-                congestion_control=nsm.spec.congestion_control,
-                form=nsm.spec.form,
-                cores=nsm.spec.cores,
-                use_sriov=nsm.spec.use_sriov,
-                max_tenants=nsm.spec.max_tenants,
-            ),
-            name=f"{nsm.name}-sib{len(self.actions)}",
+            nsm.spec, name=f"{nsm.name}-sib{len(self.actions)}"
         )
         self.actions.append(
             ScalingAction(

@@ -19,7 +19,7 @@ from .hugepages import CHUNK_SIZE, DEFAULT_PAGES, PAGE_SIZE, HugeChunk, HugePage
 from .nqe import NQE_COPY_NS, NQE_SIZE_BYTES, Nqe, NqeOp, NqeStatus
 from .nsm import NSM, STACK_FAMILIES, NsmForm, NsmSpec, register_stack_family
 from .provision import Hypervisor
-from .qos import DrrScheduler, QosPolicy, TokenBucket
+from .qos import TokenBucket
 from .rdma_nsm import DOORBELL_NS, RdmaNsm, TenantRdma
 from .queues import NotifyMode, NqeRing, PriorityNqeRing, QueueTimeout
 from .servicelib import SERVICELIB_OP_NS, ServiceLib
@@ -53,8 +53,6 @@ __all__ = [
     "STACK_FAMILIES",
     "register_stack_family",
     "Hypervisor",
-    "QosPolicy",
-    "DrrScheduler",
     "TokenBucket",
     "FastpassArbiter",
     "RdmaNsm",

@@ -159,6 +159,11 @@ class CoreEngine:
         self._vms: Dict[int, VmAttachment] = {}
         self._nsms: Dict[int, _NsmQueues] = {}
         self._next_vm_id = 1
+        #: Per-tenant egress caps (§5 QoS): vm_id -> bits/s.  Keyed by
+        #: tenant and handed to every ServiceLib this engine creates, so a
+        #: cap follows its tenant to a failover standby or a migration
+        #: destination with no extra step.
+        self.rate_caps: Dict[int, float] = {}
         self.nqes_copied = 0
         #: Hybrid fidelity: DATA nqes switched that carried an aggregated
         #: fluid byte-credit (and the bytes they covered) — the receive
@@ -230,6 +235,7 @@ class CoreEngine:
             completion_queue=completion,
             receive_queue=receive,
             allocate_cid=lambda: self.table.allocate_cid(nsm.nsm_id),
+            rate_caps=self.rate_caps,
             notify_mode=self.config.notify_mode,
             dedup=self.config.fault_tolerant,
         )
@@ -665,6 +671,17 @@ class CoreEngine:
                 self._on_nsm_dead(nsm)
                 return
 
+    def _stop_nsm(self, nsm: NSM) -> None:
+        """Stop an NSM for good: crash it and its ServiceLib, and drain its
+        three rings (freeing huge-page chunks so blocked senders unblock)."""
+        nsm.crash()
+        queues = self._nsms.get(nsm.nsm_id)
+        if queues is not None:
+            queues.servicelib.crash()
+            queues.job.drain()
+            queues.completion.drain()
+            queues.receive.drain()
+
     def declare_nsm_dead(self, nsm: NSM) -> None:
         """Out-of-band failure declaration (monitoring triggers, tests)."""
         self._on_nsm_dead(nsm)
@@ -694,13 +711,7 @@ class CoreEngine:
         # stack with pending timers; once the standby takes over its IP
         # and its NIC is detached, those timers must not keep talking on
         # the network.  Declared dead means dead.
-        nsm.crash()
-        queues = self._nsms.get(nsm_id)
-        if queues is not None:
-            queues.servicelib.crash()
-            queues.job.drain()
-            queues.completion.drain()
-            queues.receive.drain()
+        self._stop_nsm(nsm)
         # Reset every connection the dead NSM served.
         evicted = self.table.evict_nsm(nsm_id)
         for (vm_id, fd), _nsm_key in evicted:
@@ -774,13 +785,7 @@ class CoreEngine:
             return
         self._fenced_nsm_ids.add(nsm_id)
         self._failed_nsms.add(nsm_id)  # the watchdog must not re-fail it
-        nsm.crash()
-        queues = self._nsms.get(nsm_id)
-        if queues is not None:
-            queues.servicelib.crash()
-            queues.job.drain()
-            queues.completion.drain()
-            queues.receive.drain()
+        self._stop_nsm(nsm)
         record = {"at": self.sim.now, "nsm": nsm.name, "op": nqe.op.value}
         self.fenced_sources.append(record)
         if self._traced:

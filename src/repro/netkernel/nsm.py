@@ -29,7 +29,6 @@ from ..net import NIC
 from ..sim import Simulator
 from ..tcp import StackConfig, TcpStack
 from .arbiter import FastpassArbiter
-from .qos import QosPolicy
 
 __all__ = [
     "NsmForm",
@@ -76,7 +75,7 @@ def _resolve_family(name: str) -> Callable[[Simulator, "NSM", "NsmSpec"], object
 
 
 def _build_tcp_stack(sim: Simulator, nsm: "NSM", spec: "NsmSpec") -> TcpStack:
-    config = spec.stack_config or StackConfig(
+    config = StackConfig(
         congestion_control=spec.congestion_control,
         # The NSM stack's per-byte protocol cost; the delivery copy into
         # huge pages is charged separately by ServiceLib, so the per-core
@@ -130,12 +129,9 @@ class NsmSpec:
         congestion_control: str = "cubic",
         form: NsmForm = NsmForm.VM,
         cores: int = 1,
-        use_sriov: bool = True,
         max_tenants: int = 1,
-        stack_config: Optional[StackConfig] = None,
         tcp_overrides: Optional[dict] = None,
         rx_chunk_bytes: int = 65536,
-        qos: Optional["QosPolicy"] = None,
         arbiter: Optional["FastpassArbiter"] = None,
         servicelib_workers: int = 1,
         stack_family: str = "tcp",
@@ -149,17 +145,13 @@ class NsmSpec:
         self.congestion_control = congestion_control
         self.form = form
         self.cores = cores
-        self.use_sriov = use_sriov
         self.max_tenants = max_tenants
-        self.stack_config = stack_config
         self.tcp_overrides = dict(tcp_overrides or {})
         if rx_chunk_bytes < 512:
             raise ValueError("rx_chunk_bytes must be >= 512")
         #: DATA-nqe granularity for received data; the prototype used 8 KB
         #: huge-page chunks, we default to the TSO aggregate size.
         self.rx_chunk_bytes = rx_chunk_bytes
-        #: Per-tenant scheduling/rate policy (see repro.netkernel.qos).
-        self.qos = qos
         #: Fastpass-style centralized arbiter (see repro.netkernel.arbiter):
         #: when set, every SEND waits for a fabric timeslot grant.
         self.arbiter = arbiter
@@ -193,7 +185,7 @@ class NSM:
         self.cores: List[Core] = host.allocate_cores(spec.cores)
         host.reserve_memory(spec.form.memory_gb)
 
-        if spec.use_sriov and host.sriov:
+        if host.sriov:
             self.nic: NIC = host.create_vf(f"{self.name}.vf")
         else:
             self.nic = host.create_vnic(f"{self.name}.vnic")

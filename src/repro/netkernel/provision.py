@@ -18,7 +18,6 @@ from ..sim import Simulator
 from ..tcp import StackConfig, TcpStack
 from .coreengine import CoreEngine, CoreEngineConfig
 from .nsm import NSM, NsmSpec
-from .qos import QosPolicy
 from .rdma_nsm import RdmaNsm, TenantRdma
 
 __all__ = ["Hypervisor", "LEGACY_STACK_PER_BYTE_NS", "LEGACY_STACK_PER_SEGMENT_NS"]
@@ -174,7 +173,6 @@ class Hypervisor:
         memory_gb: float = 4.0,
         use_sriov: bool = True,
         congestion_control: Optional[str] = None,
-        stack_config: Optional[StackConfig] = None,
         tcp_overrides: Optional[dict] = None,
     ) -> VM:
         """Figure 2(a): the network stack runs in the guest kernel."""
@@ -193,7 +191,7 @@ class Hypervisor:
                 nic = self.host.create_vf(f"{name}.vf")
             else:
                 nic = self.host.create_vnic(f"{name}.vnic")
-            config = stack_config or StackConfig(
+            config = StackConfig(
                 congestion_control=cc,
                 per_segment_ns=LEGACY_STACK_PER_SEGMENT_NS,
                 per_byte_ns=LEGACY_STACK_PER_BYTE_NS,
@@ -217,15 +215,14 @@ class Hypervisor:
         guest_os: GuestOS = GuestOS.LINUX,
         vcpus: int = 2,
         memory_gb: float = 4.0,
-        qos_weight: Optional[float] = None,
         rate_limit_bps: Optional[float] = None,
     ) -> VM:
         """Figure 2(b): GuestLib in the guest, the stack in ``nsm``.
 
         Works for *any* guest OS — that is the point: a Windows VM served
-        by a BBR NSM uses BBR (§4.3).  ``qos_weight`` and
-        ``rate_limit_bps`` register the tenant with the NSM's QoS policy
-        (the NSM must have been booted with one for weights to matter).
+        by a BBR NSM uses BBR (§4.3).  ``rate_limit_bps`` caps the
+        tenant's egress (§5 QoS); the cap is CoreEngine's, keyed by the
+        tenant, so it holds on whichever NSM serves the VM.
         """
         cores = self.host.allocate_cores(vcpus)
         self.host.reserve_memory(memory_gb)
@@ -234,20 +231,8 @@ class Hypervisor:
             attachment = self.coreengine.attach_vm(cores[0], nsm)
         vm.api = attachment.guestlib
         vm.vm_id = attachment.vm_id
-        if qos_weight is not None or rate_limit_bps is not None:
-            if nsm.spec.qos is None:
-                nsm.spec.qos = QosPolicy()
-                if nsm.servicelib is not None:
-                    nsm.servicelib.qos = nsm.spec.qos
-            nsm.spec.qos.set_tenant(
-                vm.vm_id,
-                weight=qos_weight if qos_weight is not None else 1.0,
-                rate_limit_bps=rate_limit_bps,
-            )
-            if nsm.servicelib is not None and nsm.servicelib._drr is not None:
-                nsm.servicelib._drr.set_weight(
-                    vm.vm_id, qos_weight if qos_weight is not None else 1.0
-                )
+        if rate_limit_bps is not None:
+            self.coreengine.rate_caps[vm.vm_id] = rate_limit_bps
         self.vms.append(vm)
         return vm
 

@@ -4,23 +4,21 @@
 strategically managed and optimized when we use a NSM to serve multiple
 VMs concurrently while providing QoS guarantees."
 
-Two mechanisms, both applied by ServiceLib:
-
-* :class:`DrrScheduler` — deficit-round-robin over per-tenant operation
-  queues, so one tenant's op storm cannot monopolize the NSM core.
-* :class:`TokenBucket` — per-tenant egress rate caps: SENDs that exceed
-  the tenant's rate wait for tokens before entering the stack, which
-  backpressures cleanly through the send-completion path.
+The lever is a per-tenant egress rate cap.  CoreEngine keeps the caps
+(``CoreEngine.rate_caps``, vm_id -> bits/s); ServiceLib gives each capped
+tenant a :class:`TokenBucket`, and a SEND that exceeds the tenant's rate
+waits for tokens before entering the stack, which backpressures cleanly
+through the send-completion path.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Optional, Tuple
 
 from ..sim import Event, Simulator
 
-__all__ = ["TokenBucket", "DrrScheduler", "QosPolicy"]
+__all__ = ["TokenBucket"]
 
 
 class TokenBucket:
@@ -92,99 +90,3 @@ class TokenBucket:
     def _on_refill(self) -> None:
         self._refill_armed = False
         self._drain()
-
-
-class DrrScheduler:
-    """Deficit round robin over per-key work queues.
-
-    Items carry a ``cost`` (we use the op's CPU cost in nanoseconds); each
-    round a queue's deficit grows by ``quantum * weight`` and it may emit
-    items while its deficit covers their cost.
-    """
-
-    def __init__(self, quantum: float = 1000.0) -> None:
-        if quantum <= 0:
-            raise ValueError("quantum must be positive")
-        self.quantum = quantum
-        self._queues: Dict[object, Deque[Tuple[float, object]]] = {}
-        self._deficits: Dict[object, float] = {}
-        self._weights: Dict[object, float] = {}
-        self._topped: Dict[object, bool] = {}  # quantum granted this visit
-        self._order: List[object] = []
-        self._cursor = 0
-
-    def set_weight(self, key: object, weight: float) -> None:
-        if weight <= 0:
-            raise ValueError("weight must be positive")
-        self._weights[key] = weight
-
-    def push(self, key: object, item: object, cost: float = 1.0) -> None:
-        if key not in self._queues:
-            self._queues[key] = deque()
-            self._deficits[key] = 0.0
-            self._topped[key] = False
-            self._order.append(key)
-        self._queues[key].append((cost, item))
-
-    def __len__(self) -> int:
-        return sum(len(queue) for queue in self._queues.values())
-
-    def pop(self) -> Optional[object]:
-        """Next item under DRR order, or None when empty.
-
-        Each queue receives one quantum grant per *visit*; while its
-        deficit covers head-of-line costs it keeps the token, and when it
-        cannot serve, the round moves on (the classic Shreedhar–Varghese
-        shape, expressed pop-by-pop).
-        """
-        if len(self) == 0:
-            return None
-        for _ in range(2 * len(self._order) + 1):
-            key = self._order[self._cursor % len(self._order)]
-            queue = self._queues[key]
-            if not queue:
-                self._deficits[key] = 0.0
-                self._topped[key] = False
-                self._cursor += 1
-                continue
-            if not self._topped[key]:
-                self._deficits[key] += self.quantum * self._weights.get(key, 1.0)
-                self._topped[key] = True
-            cost, item = queue[0]
-            if self._deficits[key] >= cost:
-                self._deficits[key] -= cost
-                queue.popleft()
-                return item
-            # Insufficient deficit: yield the round to the next queue.
-            self._topped[key] = False
-            self._cursor += 1
-        # Degenerate (one item costs many quanta): serve head-of-line so a
-        # giant op cannot wedge the scheduler.
-        for key in self._order:
-            if self._queues[key]:
-                self._deficits[key] = 0.0
-                _cost, item = self._queues[key].popleft()
-                return item
-        return None
-
-
-class QosPolicy:
-    """Per-NSM QoS configuration: scheduling weights and rate caps."""
-
-    def __init__(
-        self,
-        scheduling: str = "fifo",
-        quantum_ns: float = 2000.0,
-    ) -> None:
-        if scheduling not in ("fifo", "drr"):
-            raise ValueError("scheduling must be 'fifo' or 'drr'")
-        self.scheduling = scheduling
-        self.quantum_ns = quantum_ns
-        self.weights: Dict[int, float] = {}  # vm_id -> weight
-        self.rate_limits_bps: Dict[int, float] = {}  # vm_id -> egress cap
-
-    def set_tenant(self, vm_id: int, weight: float = 1.0,
-                   rate_limit_bps: Optional[float] = None) -> None:
-        self.weights[vm_id] = weight
-        if rate_limit_bps is not None:
-            self.rate_limits_bps[vm_id] = rate_limit_bps

@@ -18,8 +18,8 @@ and ServiceLib drain one-to-one (the six rings of the paper's Figure 3):
 the per-nqe cost is its parameter, the layers supply three hooks, and
 :func:`soft_interrupt` turns a :class:`NotifyMode` into its wake-up cost.
 Consumers that schedule *across* rings or tenants (the CoreEngine quota
-scheduler, ServiceLib's DRR and multi-queue loops) are different
-algorithms and read the rings directly.
+scheduler, ServiceLib's multi-queue classifier) are different algorithms
+and read the rings directly.
 """
 
 from __future__ import annotations

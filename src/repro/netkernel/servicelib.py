@@ -23,15 +23,13 @@ from ..tcp import Listener, TcpConnection
 from .hugepages import HugePageRegion
 from .nqe import Nqe, NqeOp, NqeStatus
 from .nsm import NSM
-from .qos import DrrScheduler, TokenBucket
+from .qos import TokenBucket
 from .queues import NotifyMode, NqeRing, RingPump, soft_interrupt
 
-__all__ = ["ServiceLib", "SERVICELIB_OP_NS", "RX_CHUNK_BYTES"]
+__all__ = ["ServiceLib", "SERVICELIB_OP_NS"]
 
 #: CPU cost of ServiceLib handling one nqe (dequeue, dispatch, backend call).
 SERVICELIB_OP_NS = 300.0
-#: Largest single DATA nqe payload (matches the TSO/GRO aggregate size).
-RX_CHUNK_BYTES = 65536
 
 
 #: Stable flow identities for the invariant checker: a backend keeps its
@@ -89,6 +87,7 @@ class ServiceLib:
         completion_queue: NqeRing,
         receive_queue: NqeRing,
         allocate_cid: Callable[[], int],
+        rate_caps: Dict[int, float],
         notify_mode: NotifyMode = NotifyMode.POLLING,
         dedup: bool = False,
     ) -> None:
@@ -98,11 +97,11 @@ class ServiceLib:
         self.completion_queue = completion_queue
         self.receive_queue = receive_queue
         self.allocate_cid = allocate_cid
-        self.workers = getattr(nsm.spec, "servicelib_workers", 1)
+        self.workers = nsm.spec.servicelib_workers
         self.core = nsm.cores[0]
         #: What every job consumer charges per op.
         self.op_cost = SERVICELIB_OP_NS * nsm.form.cpu_multiplier * NANOS
-        self.rx_chunk = getattr(nsm.spec, "rx_chunk_bytes", RX_CHUNK_BYTES)
+        self.rx_chunk = nsm.spec.rx_chunk_bytes
         self._backends: Dict[int, _Backend] = {}
         self.ops_handled = 0
         #: Hybrid fidelity: DATA nqes emitted as aggregated byte-credits
@@ -126,8 +125,8 @@ class ServiceLib:
         #: DATA emissions (None = zero-cost).
         self.invariants = None
         self._base_op_cost = self.op_cost
-        #: The job ring's consumer; None under DRR / multi-queue, which run
-        #: their own loops.
+        #: The job ring's consumer; None under multi-queue, which runs its
+        #: own classifier and shard loops.
         self._pump: Optional[RingPump] = None
         #: Retry dedup (on when GuestLib op timeouts are armed): bounded
         #: memory of recently executed tokens; a retried nqe whose original
@@ -135,31 +134,23 @@ class ServiceLib:
         self._dedup = dedup
         self._seen_tokens: set = set()
         self._seen_order: deque = deque()
-        # --- per-tenant QoS (§5): DRR op scheduling + egress rate caps ---
-        self.qos = nsm.spec.qos
-        self._drr: Optional[DrrScheduler] = None
-        if self.qos is not None and self.qos.scheduling == "drr":
-            self._drr = DrrScheduler(quantum=self.qos.quantum_ns)
-            for vm_id, weight in self.qos.weights.items():
-                self._drr.set_weight(vm_id, weight)
+        # --- per-tenant egress caps (§5 QoS) -------------------------------
+        #: vm_id -> bits/s, owned by CoreEngine and shared by every
+        #: ServiceLib it creates, so a cap follows its tenant to whichever
+        #: NSM serves it; the token buckets themselves are per NSM.
+        self.rate_caps = rate_caps
         self._buckets: Dict[int, TokenBucket] = {}
         nsm.servicelib = self
         wake = soft_interrupt(notify_mode, nsm.form.cpu_multiplier)
         if self.workers == 1:
             if notify_mode is NotifyMode.POLLING:
                 self.core.busy_poll = True
-            if self._drr is None:
-                self._pump = RingPump(
-                    job_queue, self.core, self.op_cost,
-                    self._handle_job,
-                    self._begin_job if self._traced else None,
-                    _end_span if self._traced else None,
-                    wake=wake, name=f"{nsm.name}.servicelib",
-                )
-            else:
-                # DRR keeps its own loop: its deficit accounting needs
-                # nqe-granular scheduling decisions across tenants.
-                sim.process(self._drr_loop(wake), name=f"{nsm.name}.servicelib")
+            self._pump = RingPump(
+                job_queue, self.core, self.op_cost, self._dispatch,
+                self._begin_op if self._traced else None,
+                _end_span if self._traced else None,
+                wake=wake, name=f"{nsm.name}.servicelib",
+            )
         else:
             # Multi-queue mode (§5 future work): ops are sharded by cID so
             # each connection is always served by the same worker (RSS-style),
@@ -195,62 +186,30 @@ class ServiceLib:
                 shard = (nqe.cid or 0) % self.workers
                 self._shards[shard].try_put(nqe)
 
-    def _begin_op(self, nqe: Nqe, cost_seconds: float):
-        """Open the per-op span (covers the NSM-core charge + dispatch)."""
-        if not self._traced:
-            return None
-        tracer = self.tracer
-        tracer.count("servicelib.ops")
-        if nqe.span is None:
-            return None
-        span = nqe.span.child(f"servicelib.{nqe.op.value}", "servicelib")
-        if span is not None:
-            span.cpu(cost_seconds / NANOS)
-        return span
-
-    def _begin_job(self, nqe: Nqe):
-        return self._begin_op(nqe, self.op_cost)
-
-    def _handle_job(self, nqe: Nqe, span) -> None:
-        self.ops_handled += 1
-        self._dispatch(nqe, span)
-
-    def _serve_op(self, nqe: Nqe, core):
-        """One op at ``op_cost`` (the DRR and multi-queue loops)."""
-        span = self._begin_op(nqe, self.op_cost)
-        yield core.execute(self.op_cost)
-        self._handle_job(nqe, span)
-        _end_span(span)
-
     def _shard_loop(self, index, core):
+        """One worker: the same begin / charge / dispatch / end steps the
+        ring pump runs, over this worker's shard."""
         store = self._shards[index]
+        traced = self._traced
         while True:
             nqe = yield store.get()
             if self.crashed:
                 return
-            yield from self._serve_op(nqe, core)
+            span = self._begin_op(nqe) if traced else None
+            yield core.execute(self.op_cost)
+            self._dispatch(nqe, span)
+            _end_span(span)
 
-    def _drr_loop(self, wake):
-        """Classify arrivals by tenant, then serve one op per iteration in
-        deficit-round-robin order so a single tenant's op storm cannot
-        monopolize the NSM core."""
-        drr = self._drr
-        while True:
-            if self.crashed:
-                return
-            if len(drr) == 0:
-                yield self.job_queue.wait_nonempty()
-                if self.crashed:
-                    return
-                if wake is not None:
-                    delay, cost = wake
-                    yield self.sim.timeout(delay)
-                    yield self.core.execute(cost)
-            for nqe in self.job_queue.pop_batch():
-                drr.push(nqe.vm_id, nqe, cost=self.op_cost / NANOS)
-            nqe = drr.pop()
-            if nqe is not None:
-                yield from self._serve_op(nqe, self.core)
+    def _begin_op(self, nqe: Nqe):
+        """Open the per-op span (covers the NSM-core charge + dispatch);
+        wired in only when tracing is on."""
+        self.tracer.count("servicelib.ops")
+        if nqe.span is None:
+            return None
+        span = nqe.span.child(f"servicelib.{nqe.op.value}", "servicelib")
+        if span is not None:
+            span.cpu(self.op_cost / NANOS)
+        return span
 
     #: op -> unbound handler; bound per call (avoids rebuilding the table —
     #: and seven bound methods — on every dispatched nqe).
@@ -283,6 +242,8 @@ class ServiceLib:
             self._pump.cost = self.op_cost
 
     def _dispatch(self, nqe: Nqe, span=None) -> None:
+        """Execute one job nqe (the job consumers' ``handle`` hook)."""
+        self.ops_handled += 1
         if self.crashed:
             chunk = nqe.data_desc
             if chunk is not None and not chunk.freed:
@@ -399,7 +360,7 @@ class ServiceLib:
                 id(backend.conn), span if span is not None else nqe.span
             )
 
-        bucket = self._rate_bucket(nqe.vm_id)
+        bucket = self._rate_bucket(nqe.vm_id) if self.rate_caps else None
         if bucket is None:
             backend.conn.send_call(nbytes, self._send_accepted, nqe, chunk, nbytes)
         else:
@@ -420,15 +381,13 @@ class ServiceLib:
         self._complete_ok(nqe, nbytes)
 
     def _rate_bucket(self, vm_id: Optional[int]) -> Optional[TokenBucket]:
-        if self.qos is None or vm_id is None:
-            return None
-        rate = self.qos.rate_limits_bps.get(vm_id)
+        """The tenant's token bucket on this NSM (None when uncapped)."""
+        rate = self.rate_caps.get(vm_id)
         if rate is None:
             return None
         bucket = self._buckets.get(vm_id)
         if bucket is None:
-            bucket = TokenBucket(self.sim, rate)
-            self._buckets[vm_id] = bucket
+            bucket = self._buckets[vm_id] = TokenBucket(self.sim, rate)
         return bucket
 
     def _op_close(self, nqe: Nqe) -> None:

@@ -24,7 +24,7 @@ CONNSCALE_KWARGS = dict(
     client_counts=(1, 4),
     duration=0.08,
     warmup=0.02,
-    modes=("native", "netkernel"),
+    modes=("native", "netkernel", "netkernel-4q"),
 )
 
 #: (mode, clients) -> repr of (requests_per_s, p50_us, p99_us)
@@ -48,6 +48,18 @@ CONNSCALE_GOLDEN = {
         "54666.66666666667",
         "84.69272000007078",
         "84.69272000007078",
+    ),
+    # The multi-queue ServiceLib: a cID classifier feeding four shard
+    # workers instead of the ring pump.
+    ("netkernel-4q", 1): (
+        "23583.333333333336",
+        "49.37879999994399",
+        "50.4968000000286",
+    ),
+    ("netkernel-4q", 4): (
+        "85700.0",
+        "53.09208000003201",
+        "59.89904000003321",
     ),
 }
 

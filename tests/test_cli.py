@@ -142,6 +142,31 @@ def test_coreengine_config_keeps_only_the_knobs_a_caller_turns():
     assert not {"burst", "per_batch", "per_nqe"} & set(params)
 
 
+@pytest.mark.parametrize("field", ["qos", "use_sriov", "stack_config"])
+def test_nsm_spec_rejects_removed_fields(field):
+    from repro.netkernel import NsmSpec
+
+    with pytest.raises(TypeError):
+        NsmSpec(**{field: None})
+
+
+def test_drr_scheduling_and_its_knobs_are_gone():
+    """QoS is the per-tenant rate cap: no DRR op scheduler, no policy
+    object, no per-tenant weight."""
+    import repro.netkernel
+    from repro.experiments.common import make_lan_testbed
+    from repro.netkernel import NsmSpec
+
+    assert not hasattr(repro.netkernel, "DrrScheduler")
+    assert not hasattr(repro.netkernel, "QosPolicy")
+    hyp = make_lan_testbed().hypervisor_a
+    nsm = hyp.boot_nsm(NsmSpec())
+    with pytest.raises(TypeError):
+        hyp.boot_netkernel_vm("t", nsm, qos_weight=2.0)
+    with pytest.raises(TypeError):
+        hyp.boot_legacy_vm("l", stack_config=None)
+
+
 def test_calendar_queue_is_gone():
     """One scheduler (a heapq list in the Simulator): no second queue
     class to select or tune."""

@@ -196,6 +196,33 @@ def test_scaling_out_when_scale_up_capped():
     assert len(testbed.hypervisor_a.nsms) > 1
 
 
+def test_scaling_out_sibling_runs_the_same_stack():
+    """A QUIC NSM with a non-default receive chunk scales out into a QUIC
+    sibling with the same chunk, not a default TCP one."""
+    testbed = make_lan_testbed()
+    sim = testbed.sim
+    spec = NsmSpec(stack_family="quic", rx_chunk_bytes=16384)
+    nsm = testbed.hypervisor_a.boot_nsm(spec)
+    ScalingController(
+        sim,
+        testbed.hypervisor_a,
+        ScalingPolicy(high_watermark=0.5, check_interval=0.1, max_cores_per_nsm=1),
+    )
+
+    def burn(sim):
+        while sim.now < 0.5:
+            yield nsm.cores[0].execute(0.05)
+
+    sim.process(burn(sim))
+    sim.run(until=0.5)
+    siblings = testbed.hypervisor_a.nsms[1:]
+    assert siblings
+    for sibling in siblings:
+        assert sibling.spec.stack_family == "quic"
+        assert type(sibling.stack) is type(nsm.stack)
+        assert sibling.servicelib.rx_chunk == 16384
+
+
 # ------------------------------------------------------------------ placement --
 def test_placer_shares_nsm_by_cc():
     testbed = make_lan_testbed()

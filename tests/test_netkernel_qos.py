@@ -1,9 +1,11 @@
-"""Per-tenant QoS: token buckets, DRR scheduling, end-to-end rate caps."""
+"""Per-tenant QoS: token buckets and end-to-end rate caps."""
 
 import pytest
 
-from repro.netkernel import DrrScheduler, NsmSpec, QosPolicy, TokenBucket
-from repro.sim import Simulator
+from repro.apps import BulkReceiver, BulkSender
+from repro.experiments.common import make_lan_testbed
+from repro.net import Endpoint
+from repro.netkernel import NsmSpec, TokenBucket
 
 
 # ----------------------------------------------------------------- TokenBucket --
@@ -60,71 +62,20 @@ def test_bucket_validates(sim):
         bucket.take(-1)
 
 
-# --------------------------------------------------------------------- DRR --
-def test_drr_round_robins_equal_weights():
-    drr = DrrScheduler(quantum=10.0)
-    for i in range(3):
-        drr.push("a", f"a{i}", cost=10.0)
-        drr.push("b", f"b{i}", cost=10.0)
-    order = [drr.pop() for _ in range(6)]
-    a_positions = [i for i, item in enumerate(order) if item.startswith("a")]
-    b_positions = [i for i, item in enumerate(order) if item.startswith("b")]
-    # Interleaved, not a-a-a-b-b-b.
-    assert max(a_positions) - min(a_positions) > 1 or len(order) < 4
-    assert sorted(order) == ["a0", "a1", "a2", "b0", "b1", "b2"]
-    assert abs(sum(a_positions) - sum(b_positions)) <= 3
-
-
-def test_drr_weights_bias_service():
-    drr = DrrScheduler(quantum=10.0)
-    drr.set_weight("heavy", 3.0)
-    drr.set_weight("light", 1.0)
-    for i in range(40):
-        drr.push("heavy", ("heavy", i), cost=10.0)
-        drr.push("light", ("light", i), cost=10.0)
-    first_20 = [drr.pop() for _ in range(20)]
-    heavy_served = sum(1 for item in first_20 if item[0] == "heavy")
-    assert heavy_served >= 12  # ~3:1 service ratio
-
-
-def test_drr_empty_pop_returns_none():
-    assert DrrScheduler().pop() is None
-
-
-def test_drr_len_counts_all_queues():
-    drr = DrrScheduler()
-    drr.push("a", 1)
-    drr.push("b", 2)
-    assert len(drr) == 2
-
-
-def test_drr_oversized_item_still_served():
-    drr = DrrScheduler(quantum=1.0)
-    drr.push("a", "giant", cost=1e9)
-    assert drr.pop() == "giant"
-
-
-def test_drr_validates():
-    with pytest.raises(ValueError):
-        DrrScheduler(quantum=0)
-    with pytest.raises(ValueError):
-        DrrScheduler().set_weight("a", 0)
-
-
-# --------------------------------------------------------------------- policy --
-def test_qos_policy_validates_scheduling():
-    with pytest.raises(ValueError):
-        QosPolicy(scheduling="magic")
-
-
-def test_qos_policy_registers_tenants():
-    policy = QosPolicy(scheduling="drr")
-    policy.set_tenant(1, weight=2.0, rate_limit_bps=1e9)
-    assert policy.weights[1] == 2.0
-    assert policy.rate_limits_bps[1] == 1e9
-
-
 # ----------------------------------------------------------------- end to end --
+CAP_BPS = 4e9
+
+
+def _goodput_gbps(testbed, vm, duration=0.25, warmup=0.08):
+    """Stream from ``vm`` to a sink on host B; goodput after ``warmup``."""
+    nsm_rx = testbed.hypervisor_b.boot_nsm(NsmSpec())
+    sink = testbed.hypervisor_b.boot_netkernel_vm("sink", nsm_rx, vcpus=4)
+    receiver = BulkReceiver(testbed.sim, sink.api, 5000, warmup=warmup)
+    BulkSender(testbed.sim, vm.api, Endpoint(sink.api.ip, 5000))
+    testbed.sim.run(until=duration)
+    return receiver.meter.bps(until=duration) / 1e9
+
+
 @pytest.mark.slow
 def test_rate_cap_enforced_end_to_end():
     from repro.experiments.ablation_qos import measure_rate_cap
@@ -135,35 +86,67 @@ def test_rate_cap_enforced_end_to_end():
 
 @pytest.mark.slow
 def test_uncapped_tenant_exceeds_cap_level():
-    from repro.experiments.ablation_qos import measure_rate_cap
-    from repro.apps import BulkReceiver, BulkSender
-    from repro.experiments.common import make_lan_testbed
-    from repro.net import Endpoint
+    testbed = make_lan_testbed()
+    nsm_tx = testbed.hypervisor_a.boot_nsm(NsmSpec())
+    vm_tx = testbed.hypervisor_a.boot_netkernel_vm("t", nsm_tx)
+    assert _goodput_gbps(testbed, vm_tx) > 15.0
 
+
+# ------------------------------------------------------- the cap's owner --
+def test_rate_cap_is_registered_with_coreengine():
+    testbed = make_lan_testbed()
+    hyp = testbed.hypervisor_a
+    nsm = hyp.boot_nsm(NsmSpec(max_tenants=2))
+    capped = hyp.boot_netkernel_vm("capped", nsm, rate_limit_bps=CAP_BPS)
+    free = hyp.boot_netkernel_vm("free", nsm)
+    assert hyp.coreengine.rate_caps == {capped.vm_id: CAP_BPS}
+    assert nsm.servicelib.rate_caps is hyp.coreengine.rate_caps
+    assert nsm.servicelib._rate_bucket(capped.vm_id) is not None
+    assert nsm.servicelib._rate_bucket(free.vm_id) is None
+
+
+@pytest.mark.slow
+def test_rate_cap_survives_warm_standby_failover():
+    """The standby booted from a default spec still enforces the cap: it
+    belongs to the tenant, not to the dead NSM's spec."""
+    testbed = make_lan_testbed()
+    hyp = testbed.hypervisor_a
+    nsm = hyp.boot_nsm(NsmSpec())
+    vm = hyp.boot_netkernel_vm("capped", nsm, rate_limit_bps=CAP_BPS)
+    hyp.enable_failover(standbys=1)
+    hyp.coreengine.declare_nsm_dead(nsm)
+    serving = hyp.coreengine.attachment_of(vm.vm_id).nsm
+    assert serving is not nsm and not serving.failed
+    assert serving.servicelib._rate_bucket(vm.vm_id) is not None
+    assert _goodput_gbps(testbed, vm) == pytest.approx(CAP_BPS / 1e9, rel=0.05)
+
+
+@pytest.mark.slow
+def test_rate_cap_survives_live_migration():
+    """A capped tenant's live flow stays capped after it moves to a
+    destination NSM booted without any QoS setting."""
+    testbed = make_lan_testbed()
+    hyp = testbed.hypervisor_a
+    src = hyp.boot_nsm(NsmSpec(), name="src")
+    dst = hyp.boot_nsm(NsmSpec(), name="dst")
+    vm = hyp.boot_netkernel_vm("capped", src, rate_limit_bps=CAP_BPS)
+    coordinator = hyp.migrate_nsm(src, dst, at=0.01)
+    measured = _goodput_gbps(testbed, vm)
+    assert coordinator.record["committed"]
+    assert hyp.coreengine.attachment_of(vm.vm_id).nsm is dst
+    assert dst.servicelib._rate_bucket(vm.vm_id) is not None
+    assert measured == pytest.approx(CAP_BPS / 1e9, rel=0.05)
+
+
+@pytest.mark.slow
+def test_capped_tenant_completes_a_bounded_transfer():
     testbed = make_lan_testbed()
     sim = testbed.sim
     nsm_tx = testbed.hypervisor_a.boot_nsm(NsmSpec())
     nsm_rx = testbed.hypervisor_b.boot_nsm(NsmSpec())
-    vm_tx = testbed.hypervisor_a.boot_netkernel_vm("t", nsm_tx)
-    vm_rx = testbed.hypervisor_b.boot_netkernel_vm("s", nsm_rx, vcpus=4)
-    receiver = BulkReceiver(sim, vm_rx.api, 5000, warmup=0.08)
-    BulkSender(sim, vm_tx.api, Endpoint(vm_rx.api.ip, 5000))
-    sim.run(until=0.25)
-    assert receiver.meter.bps(until=0.25) / 1e9 > 15.0
-
-
-def test_drr_mode_nsm_still_moves_traffic():
-    from repro.experiments.common import make_lan_testbed
-    from repro.apps import BulkReceiver, BulkSender
-    from repro.net import Endpoint
-
-    testbed = make_lan_testbed()
-    sim = testbed.sim
-    nsm_tx = testbed.hypervisor_a.boot_nsm(
-        NsmSpec(qos=QosPolicy(scheduling="drr"), max_tenants=2)
+    vm_tx = testbed.hypervisor_a.boot_netkernel_vm(
+        "t", nsm_tx, rate_limit_bps=CAP_BPS
     )
-    nsm_rx = testbed.hypervisor_b.boot_nsm(NsmSpec())
-    vm_tx = testbed.hypervisor_a.boot_netkernel_vm("t", nsm_tx, qos_weight=2.0)
     vm_rx = testbed.hypervisor_b.boot_netkernel_vm("s", nsm_rx, vcpus=4)
     receiver = BulkReceiver(sim, vm_rx.api, 5000)
     BulkSender(sim, vm_tx.api, Endpoint(vm_rx.api.ip, 5000), total_bytes=2_000_000)
