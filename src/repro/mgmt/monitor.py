@@ -69,12 +69,9 @@ class Trigger:
         counters = {
             Signal.EGRESS_BPS: float(stats.bytes_out) * 8.0,
             Signal.INGRESS_BPS: float(stats.bytes_in) * 8.0,
-            Signal.RETRANSMIT_RATE: float(
-                sum(
-                    conn.stats.retransmits
-                    for conn in self.nsm.stack._connections.values()
-                )
-            ),
+            # The stack's own total over every connection it has carried:
+            # it never drops when a connection closes.
+            Signal.RETRANSMIT_RATE: float(stats.retransmits),
             Signal.NIC_DROPS: float(self.nsm.nic.dropped_failed),
         }
         current = counters[self.signal]

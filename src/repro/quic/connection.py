@@ -96,6 +96,7 @@ class QuicConnection:
     __slots__ = (
         "sim",
         "stack",
+        "core",
         "local",
         "remote",
         "cc",
@@ -143,6 +144,9 @@ class QuicConnection:
     ) -> None:
         self.sim = sim
         self.stack = stack
+        #: The CPU core packet work is charged to (None: uncharged), set
+        #: and cleared by the stack that carries the connection.
+        self.core = None
         self.local = local
         self.remote = remote
         self.cc = cc

@@ -145,7 +145,6 @@ class QuicStack:
         self._issued: Dict[int, Optional[int]] = {}
         self._next_ephemeral = self.config.ephemeral_base
         self._next_core = 0
-        self._core_of: Dict[int, _Core] = {}  # id(conn) -> core
         #: Fastpass-style fabric arbiter (same contract as TcpStack).
         self.arbiter = None
         self.stats = QuicStackStats()
@@ -163,7 +162,7 @@ class QuicStack:
 
     def _assign_core(self, conn: QuicConnection) -> None:
         if self.cores:
-            self._core_of[id(conn)] = self.cores[self._next_core % len(self.cores)]
+            conn.core = self.cores[self._next_core % len(self.cores)]
             self._next_core += 1
 
     def _make_cc(self, name: Optional[str], mss: int) -> cc_base.CongestionControl:
@@ -285,7 +284,7 @@ class QuicStack:
         cost = (
             self.config.per_packet_ns + self.config.per_byte_ns * qpkt.payload_bytes
         ) * NANOS
-        core = self._core_of.get(id(conn))
+        core = conn.core
         if core is None:
             self._to_wire(packet, qpkt)
             return
@@ -307,7 +306,7 @@ class QuicStack:
         self.stats.packets_in += 1
         self.stats.bytes_in += qpkt.payload_bytes
         conn = self._by_cid.get(qpkt.dcid)
-        core = self._core_of.get(id(conn)) if conn is not None else (
+        core = conn.core if conn is not None else (
             self.cores[0] if self.cores else None
         )
         cost = (
@@ -356,7 +355,7 @@ class QuicStack:
         peer_key = (conn.tenant, conn.remote.ip, conn.remote.port)
         if self._conn_by_peer.get(peer_key) is conn:
             del self._conn_by_peer[peer_key]
-        self._core_of.pop(id(conn), None)
+        conn.core = None
         return conn.scid
 
     def adopt_connection(self, conn: QuicConnection) -> None:
@@ -416,7 +415,7 @@ class QuicStack:
         peer_key = (conn.tenant, conn.remote.ip, conn.remote.port)
         if self._conn_by_peer.get(peer_key) is conn:
             del self._conn_by_peer[peer_key]
-        self._core_of.pop(id(conn), None)
+        conn.core = None
 
     def close_idle_connections(self) -> int:
         """Tear down connections whose streams are all sent and acked.

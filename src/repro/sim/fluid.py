@@ -264,6 +264,8 @@ class FidelityController:
         return self.sim.now < self._fault_until
 
     def _fluid_conns(self) -> List["TcpConnection"]:
+        from ..tcp.stack import TimeWait
+
         return [
             flow.conn
             for route in self.routes.values()
@@ -272,7 +274,9 @@ class FidelityController:
             conn
             for stack in self._stacks.values()
             for conn in list(stack._connections.values())
-            if conn._fluid_flow is not None or conn._fluid_armed
+            # a TIME_WAIT record's connection closed: never fluid
+            if conn.__class__ is not TimeWait
+            and (conn._fluid_flow is not None or conn._fluid_armed)
         ]
 
     # -- capacity epochs -------------------------------------------------------
@@ -295,6 +299,8 @@ class FidelityController:
 
     # -- eligibility and promotion ---------------------------------------------
     def _peer_conn(self, conn: "TcpConnection") -> Optional["TcpConnection"]:
+        # A peer in TIME_WAIT comes back as its TimeWait record, whose
+        # ``state`` says so.
         peer_stack = self._stacks.get(conn.remote.ip)
         if peer_stack is None:
             return None

@@ -50,6 +50,11 @@ class TcpState(enum.Enum):
     TIME_WAIT = "time-wait"
 
 
+# Checked after every segment; a module global reads in a tenth of the
+# time an Enum class attribute takes.
+_TIME_WAIT = TcpState.TIME_WAIT
+
+
 @dataclass(slots=True)
 class TcpConfig:
     """Per-connection tunables (the stack supplies defaults)."""
@@ -111,6 +116,7 @@ class TcpConnection:
     __slots__ = (
         "sim",
         "stack",
+        "core",
         "local",
         "remote",
         "cc",
@@ -146,6 +152,7 @@ class TcpConnection:
         "_in_fast_recovery",
         "_sacked",
         "_rexmitted",
+        "_covered",
         "_rto_high",
         "_last_repair_time",
         "_rack_armed",
@@ -175,6 +182,8 @@ class TcpConnection:
         "_fluid_flow",
         "_fluid_armed",
         "_fluid_rwnd_block",
+        # a TIME_WAIT record refers to its connection weakly
+        "__weakref__",
     )
 
     def __init__(
@@ -188,6 +197,10 @@ class TcpConnection:
     ) -> None:
         self.sim = sim
         self.stack = stack
+        #: The CPU core protocol work is charged to (None: uncharged); the
+        #: stack sets it when it takes the connection and clears it when
+        #: it lets go.
+        self.core = None
         self.local = local
         self.remote = remote
         self.cc = cc
@@ -228,9 +241,11 @@ class TcpConnection:
         self._dupacks = 0
         self._recover = 0
         self._in_fast_recovery = False
-        # Both scoreboards share EMPTY until this connection sees loss.
+        # The scoreboards share EMPTY until this connection sees loss.
         self._sacked: IntervalSet = EMPTY  # peer-held ranges above snd_una
         self._rexmitted: IntervalSet = EMPTY  # holes already retransmitted
+        # _sacked | _rexmitted, kept in step: the sender's holes are its gaps.
+        self._covered: IntervalSet = EMPTY
         self._rto_high = 0  # everything below this is presumed lost after RTO
         self._last_repair_time = 0.0  # RACK-style lost-retransmission timer
         self._rack_armed = False
@@ -408,6 +423,10 @@ class TcpConnection:
             self._process_fin(seg)
         elif seg.payload_len == 0 and not seg.ack:
             pass  # keepalive-ish no-op
+        if self.state is _TIME_WAIT:
+            # Every reply to this segment is built: the stack's TIME_WAIT
+            # record takes over from here.
+            self.stack.settle_time_wait(self)
 
     # ------------------------------------------------------------ ACK path --
     def _process_ack(self, seg: TcpSegment) -> None:
@@ -425,7 +444,10 @@ class TcpConnection:
             if clipped_end > clipped_start:
                 if self._sacked is EMPTY:
                     self._sacked = IntervalSet()
+                if self._covered is EMPTY:
+                    self._covered = IntervalSet()
                 newly_sacked += self._sacked.add(clipped_start, clipped_end)
+                self._covered.add(clipped_start, clipped_end)
 
         if ack <= self.snd_una:
             is_dup = (
@@ -446,6 +468,7 @@ class TcpConnection:
         # drops is exactly the SACKed part of [old snd_una, ack).
         previously_sacked = self._sacked.trim_below(ack)
         self._rexmitted.trim_below(ack)
+        self._covered.trim_below(ack)
         self.stats.bytes_acked += advance
         self._dupacks = 0
 
@@ -482,7 +505,7 @@ class TcpConnection:
 
         if self._in_fast_recovery and ack >= self._recover:
             self._in_fast_recovery = False
-            self._rexmitted = EMPTY
+            self._forget_repairs()
             self._rto_high = 0
             self.cc.on_recovery_exit(self.sim.now)
         self.cc.on_ack(sample)
@@ -598,18 +621,25 @@ class TcpConnection:
         # After an RTO everything outstanding at timeout time is presumed lost.
         high_lost = max(high_sacked, min(self._rto_high, self.snd_nxt))
 
-        # Holes below high_lost that are neither SACKed nor already repaired.
-        holes, lost_unrepaired = self._sacked.gaps(
-            self._rexmitted, self.snd_una, high_lost
+        # Holes below high_lost that are neither SACKed nor already
+        # repaired: the gaps of their union.  Their size is the window
+        # minus what the union covers; the holes themselves are fetched
+        # only as far as the burst budget below can reach (the loop
+        # spends at most ``mss`` bytes, the last hole it touches whole),
+        # and before the loop marks any of them repaired.
+        covered = self._covered
+        mss = self.config.mss
+        lost_unrepaired = max(high_lost - self.snd_una, 0) - covered.covered(
+            self.snd_una, high_lost
         )
+        holes = covered.holes(self.snd_una, high_lost, mss)
 
         pipe = span - sacked - lost_unrepaired
         cwnd = self.cc.window()
-        mss = self.config.mss
         # ACK clocking: at most one segment of retransmission per incoming
         # ACK, so repair traffic cannot exceed the bottleneck rate and
         # re-lose the repairs.  (It also bounds the loop below by bytes
-        # sent, not by how many holes the sweep found.)
+        # sent, not by how many holes there are.)
         burst_budget = mss
 
         for hole_start, hole_end in holes:
@@ -652,7 +682,15 @@ class TcpConnection:
     def _mark_rexmitted(self, start: int, end: int) -> None:
         if self._rexmitted is EMPTY:
             self._rexmitted = IntervalSet()
+        if self._covered is EMPTY:
+            self._covered = IntervalSet()
         self._rexmitted.add(start, end)
+        self._covered.add(start, end)
+
+    def _forget_repairs(self) -> None:
+        """Clear the repaired-marks; the union falls back to the SACKed."""
+        self._rexmitted = EMPTY
+        self._covered = self._sacked.copy() if self._sacked else EMPTY
 
     # RACK-style lost-retransmission detection: if snd_una has not moved a
     # round trip after a hole was repaired, the retransmission itself was
@@ -670,7 +708,7 @@ class TcpConnection:
         if self.snd_una == una_then and self._rexmitted:
             repair_age = self.sim.now - self._last_repair_time
             if repair_age >= 1.25 * (self.rtt.srtt or self.rtt.rto):
-                self._rexmitted = EMPTY
+                self._forget_repairs()
             self._recovery_send()
         if self._in_fast_recovery and self._rexmitted and not self._rack_armed:
             self._arm_rack()
@@ -791,7 +829,7 @@ class TcpConnection:
 
     def _enter_time_wait(self) -> None:
         self.state = TcpState.TIME_WAIT
-        self.sim.schedule_call(2 * self.config.msl, self._time_wait_done)
+        self.stack.enter_time_wait(self)
 
     def _time_wait_done(self) -> None:
         if self.state is TcpState.TIME_WAIT:
@@ -801,15 +839,21 @@ class TcpConnection:
     def _finish_closed(self) -> None:
         if self._fluid_flow is not None or self._fluid_armed:
             self._fidelity.demote(self, "closed")
-        # Pending timer entries must not keep a closed connection alive.
-        self._rto.release()
-        if self._persist is not None:
-            self._persist.release()
-        if self._delack is not None:
-            self._delack.release()
+        self._release_timers()
         if not self.closed.triggered:
             self.closed.succeed()
         self.stack.forget(self)
+
+    def _release_timers(self) -> None:
+        # Pending timer entries must not keep a closed connection (or one
+        # in TIME_WAIT, whose FIN is acked) alive.
+        self._rto.release()
+        if self._persist is not None:
+            self._persist.release()
+            self._persist = None
+        if self._delack is not None:
+            self._delack.release()
+            self._delack = None
 
     def _on_rst(self) -> None:
         self.state = TcpState.CLOSED
@@ -1035,7 +1079,7 @@ class TcpConnection:
         # machinery while the window regrows from one MSS.  SACKed ranges
         # are kept (as Linux does) so delivered-byte accounting stays exact.
         self._dupacks = 0
-        self._rexmitted = EMPTY
+        self._forget_repairs()
         self._tx_records.clear()
         self._tx_order.clear()
         self._tx_head = 0

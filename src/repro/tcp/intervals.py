@@ -9,7 +9,8 @@ Storage is one strictly increasing list of boundaries,
 bisect lands on the interval a point belongs to and its parity says
 whether the point is covered (odd) or in a gap (even).  Every operation
 starts from a bisect instead of the head of the set, and a running byte
-total makes :meth:`IntervalSet.total` free.
+total makes :meth:`IntervalSet.total` free (and :meth:`IntervalSet.covered`
+cost only what lies outside the range asked about).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ class IntervalSet:
     """A sorted, disjoint set of half-open integer intervals."""
 
     # Two slots on purpose: a slotted object with one or two slots lands in
-    # the same 48-byte allocator class, a third would push every set (three
+    # the same 48-byte allocator class, a third would push every set (four
     # per connection) into the 64-byte one.
     __slots__ = ("_b", "_total")
 
@@ -107,46 +108,58 @@ class IntervalSet:
         self._total += gained
         return gained
 
-    def gaps(
-        self, other: "IntervalSet", start: int, end: int
-    ) -> Tuple[List[Tuple[int, int]], int]:
-        """Ranges of ``[start, end)`` that neither set covers, and their size.
+    def covered(self, start: int, end: int) -> int:
+        """Bytes of ``[start, end)`` the set covers.
 
-        One merge sweep over both sets from ``start``: the SACK sender's
-        "holes not yet retransmitted" without re-scanning ``other`` once
-        per hole of ``self``.
+        The running total minus the coverage outside the range: two
+        bisects, then slice sums over the intervals outside ``[start,
+        end)`` only (none, for a scoreboard probed over its own window).
+        """
+        if end <= start:
+            return 0
+        b = self._b
+        lo = bisect_left(b, start)  # b[lo-1] < start <= b[lo]
+        hi = bisect_left(b, end, lo)  # b[hi-1] < end <= b[hi]
+        # An odd index means the point cuts interval (b[i-1], b[i]).
+        below = sum(b[1:lo:2]) - sum(b[:lo:2]) + (start if lo & 1 else 0)
+        if hi & 1:
+            above = sum(b[hi::2]) - sum(b[hi + 1 :: 2]) - end
+        else:
+            above = sum(b[hi + 1 :: 2]) - sum(b[hi::2])
+        return self._total - below - above
+
+    def holes(self, start: int, end: int, want: int) -> List[Tuple[int, int]]:
+        """The first uncovered ranges of ``[start, end)``, in order, until
+        they add up to ``want`` bytes (the last one whole).
+
+        One bisect, then only the holes returned are touched: the SACK
+        sender repairs at most an MSS per ACK, so it asks for that much
+        and never sweeps the rest of the scoreboard.
         """
         found: List[Tuple[int, int]] = []
-        size = 0
-        if end <= start:
-            return found, size
-        mine, theirs = self._b, other._b
-        # Even index of the first interval ending after ``start``.
-        i = bisect_right(mine, start) & ~1
-        j = bisect_right(theirs, start) & ~1
-        n_mine, n_theirs = len(mine), len(theirs)
-        cursor = start
-        while True:
-            if i < n_mine and (j >= n_theirs or mine[i] <= theirs[j]):
-                lo, hi = mine[i], mine[i + 1]
-                i += 2
-            elif j < n_theirs:
-                lo, hi = theirs[j], theirs[j + 1]
-                j += 2
-            else:
+        b = self._b
+        n = len(b)
+        at = bisect_right(b, start)  # b[at-1] <= start < b[at]
+        if at & 1:  # start is covered: the first hole opens where it ends
+            start = b[at]
+            at += 1
+        while start < end and want > 0:
+            # b[at], when there, starts the next interval above ``start``.
+            stop = b[at] if at < n and b[at] < end else end
+            found.append((start, stop))
+            want -= stop - start
+            if stop == end:
                 break
-            if lo >= end:
-                break
-            if lo > cursor:
-                found.append((cursor, lo))
-                size += lo - cursor
-            if hi > cursor:
-                cursor = hi
-                if cursor >= end:
-                    return found, size
-        found.append((cursor, end))
-        size += end - cursor
-        return found, size
+            start = b[at + 1]
+            at += 2
+        return found
+
+    def copy(self) -> "IntervalSet":
+        twin = IntervalSet()
+        if self._b:
+            twin._b = list(self._b)
+            twin._total = self._total
+        return twin
 
     def trim_below(self, cutoff: int) -> int:
         """Drop coverage below ``cutoff``; return the bytes dropped."""
@@ -194,8 +207,8 @@ class _SharedEmpty(IntervalSet):
         )
 
 
-#: An in-order flow never SACKs, retransmits or reassembles, so its three
+#: An in-order flow never SACKs, retransmits or reassembles, so its four
 #: scoreboards stay empty for life; they all reference this instance until
 #: the first ``add`` (the owner swaps in a real set) and again after a
-#: reset.  Every reader (``total``/``trim_below``/``gaps``/...) works on it.
+#: reset.  Every reader (``total``/``trim_below``/``holes``/...) works on it.
 EMPTY = _SharedEmpty()

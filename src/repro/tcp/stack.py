@@ -17,19 +17,20 @@ which is what makes Figure 4 come out even.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..net import NIC, Endpoint, Packet
 from ..obs import runtime as obs_runtime
 from ..sim import NANOS, Event, Simulator
 from .cc import base as cc_base
-from .connection import TcpConfig, TcpConnection
+from .connection import TcpConfig, TcpConnection, TcpState
 from .listener import Listener
 from .segment import TcpSegment
 
-__all__ = ["StackConfig", "TcpStack", "StackStats"]
+__all__ = ["StackConfig", "TcpStack", "StackStats", "TimeWait"]
 
 
 class _Core:  # typing protocol, duck-typed against repro.host.cpu.Core
@@ -72,6 +73,136 @@ class StackStats:
 
 ConnKey = Tuple[int, str, int]  # (local_port, remote_ip, remote_port)
 
+
+def _key(conn) -> ConnKey:
+    return (conn.local.port, conn.remote.ip, conn.remote.port)
+
+
+class TimeWait:
+    """A connection in TIME_WAIT, as the demux table holds it.
+
+    Linux swaps a socket that enters TIME_WAIT for a small
+    ``inet_timewait_sock``; this is the same move.  The record refers to
+    its connection weakly, so the connection (buffers, scoreboards, RTT
+    and congestion state, timers) is freed as soon as the application
+    lets go of it, not 2 MSL later.  The record keeps the demux entry,
+    the 2 MSL timer and the connection's ``closed`` event, and enough to
+    answer what may still arrive (RFC 9293 section 3.10.7.4): while the
+    connection lives, segments go to it unchanged; once it is gone, the
+    record acknowledges a retransmitted FIN or duplicate data as the
+    connection would have, and an RST closes it.
+
+    ``remote``, ``config`` and ``core`` are the connection's, under its
+    names: :meth:`TcpStack.send_segment` sends for the record as for the
+    connection.  The receive buffer is kept for the window the answers
+    advertise: the application may still read after TIME_WAIT begins.
+    """
+
+    __slots__ = (
+        "stack",
+        "local_port",
+        "remote",
+        "config",
+        "core",
+        "ref",
+        "closed",
+        "recv_buffer",
+        "accurate_ecn",
+        # refreshed after every segment the connection processes
+        "snd_nxt",
+        "rcv_nxt",
+        "ts_recent",
+        "ecn_echo",
+    )
+
+    #: What a reader of the demux table sees.
+    state = TcpState.TIME_WAIT
+
+    def __init__(self, conn: TcpConnection) -> None:
+        self.stack = conn.stack
+        self.local_port = conn.local.port
+        self.remote = conn.remote
+        self.config = conn.config
+        self.core = conn.core
+        self.ref = weakref.ref(conn)
+        self.closed = conn.closed
+        self.recv_buffer = conn.recv_buffer
+        self.accurate_ecn = conn.cc.wants_accurate_ecn
+        self.update(conn)
+
+    @property
+    def key(self) -> ConnKey:
+        return (self.local_port, self.remote.ip, self.remote.port)
+
+    def update(self, conn: TcpConnection) -> None:
+        self.snd_nxt = conn.snd_nxt
+        self.rcv_nxt = conn.assembly.rcv_nxt
+        self.ts_recent = conn._ts_recent
+        self.ecn_echo = conn._ecn_echo_latched
+
+    def on_segment(self, seg: TcpSegment, ecn_ce: bool = False) -> None:
+        conn = self.ref()
+        if conn is not None:
+            conn.on_segment(seg, ecn_ce)
+            return
+        # What TcpConnection.on_segment does in TIME_WAIT, less the state
+        # nobody can observe any more.
+        if seg.rst:
+            self._close()
+            return
+        if seg.syn:
+            return
+        if seg.ts_val is not None:
+            self.ts_recent = seg.ts_val
+        if seg.payload_len > 0:  # a duplicate, acknowledged at once
+            if self.accurate_ecn:
+                self._ack(ecn_ce)
+            else:
+                if ecn_ce:
+                    self.ecn_echo = True
+                elif seg.cwr:
+                    self.ecn_echo = False
+                self._ack(self.ecn_echo)
+        if seg.fin:
+            self._ack(self.ecn_echo and not self.accurate_ecn)
+
+    def _ack(self, ece: bool) -> None:
+        seg = TcpSegment(
+            src_port=self.local_port,
+            dst_port=self.remote.port,
+            seq=self.snd_nxt,
+            ack_no=self.rcv_nxt,
+            ack=True,
+            wnd=self.recv_buffer.window(),
+            ts_val=self.stack.sim.now,
+            ts_ecr=self.ts_recent,
+            ece=ece,
+        )
+        self.stack.send_segment(self, seg)
+
+    def expire(self) -> None:
+        """2 MSL after entry: TIME_WAIT -> CLOSED."""
+        conn = self.ref()
+        if conn is not None:
+            conn._time_wait_done()
+        elif self.stack._connections.get(self.key) is self:
+            self._close()
+
+    def _close(self) -> None:
+        # TcpConnection._finish_closed for a connection that is gone.
+        if not self.closed.triggered:
+            self.closed.succeed()
+        del self.stack._connections[self.key]
+
+    def __repr__(self) -> str:
+        return f"<TimeWait {self.key} alive={self.ref() is not None}>"
+
+
+def _holds(entry, conn: TcpConnection) -> bool:
+    """Whether demux entry ``entry`` stands for ``conn``."""
+    return entry is conn or entry.__class__ is TimeWait and entry.ref() is conn
+
+
 #: Every TcpConfig field value as one tuple: the _tcp_config cache fingerprint.
 _tcp_field_values = attrgetter(*TcpConfig.__dataclass_fields__)
 
@@ -95,11 +226,11 @@ class TcpStack:
         self.ip = nic.ip
         nic.rx_handler = self.on_packet
 
-        self._connections: Dict[ConnKey, TcpConnection] = {}
+        #: A connection in TIME_WAIT is held as its TimeWait record.
+        self._connections: Dict[ConnKey, Union[TcpConnection, TimeWait]] = {}
         self._listeners: Dict[int, Listener] = {}
         self._next_ephemeral = self.config.ephemeral_base
         self._next_core = 0
-        self._core_of: Dict[int, _Core] = {}  # id(conn) -> core
         self._cfg_cache: Dict[tuple, TcpConfig] = {}
         #: Fastpass-style fabric arbiter: when set, every payload-bearing
         #: segment waits for a wire timeslot grant before transmission
@@ -157,7 +288,7 @@ class TcpStack:
 
     def _assign_core(self, conn: TcpConnection) -> None:
         if self.cores:
-            self._core_of[id(conn)] = self.cores[self._next_core % len(self.cores)]
+            conn.core = self.cores[self._next_core % len(self.cores)]
             self._next_core += 1
 
     # ------------------------------------------------------------- active open --
@@ -216,8 +347,15 @@ class TcpStack:
         conn.open_passive_from_syn(seg)
 
     # --------------------------------------------------------------- data path --
-    def send_segment(self, conn: TcpConnection, seg: TcpSegment) -> None:
-        """Charge transmit CPU, then hand the packet to the NIC."""
+    def send_segment(
+        self, conn: Union[TcpConnection, TimeWait], seg: TcpSegment
+    ) -> None:
+        """Charge transmit CPU, then hand the packet to the NIC.
+
+        A :class:`TimeWait` record answering for its connection sends
+        here too: it carries the ``remote``, ``config`` and ``core`` read
+        below (``id(conn)`` is then the record's own).
+        """
         self.stats.segments_out += 1
         self.stats.bytes_out += seg.payload_len
         cost = (
@@ -249,7 +387,7 @@ class TcpStack:
             flow_id=id(conn),
             created_at=self.sim.now,
         )
-        core = self._core_of.get(id(conn))
+        core = conn.core
         if core is None:
             self._to_wire(packet, seg, span)
             return
@@ -277,7 +415,7 @@ class TcpStack:
             self.tracer.count("tcp.bytes_in", seg.payload_len)
         key = (seg.dst_port, packet.src, seg.src_port)
         conn = self._connections.get(key)
-        core = self._core_of.get(id(conn)) if conn is not None else (
+        core = conn.core if conn is not None else (
             self.cores[0] if self.cores else None
         )
         if core is None:
@@ -296,9 +434,9 @@ class TcpStack:
         # only the key tuple is reused.
         if key is None:
             key = (seg.dst_port, packet.src, seg.src_port)
-        conn = self._connections.get(key)
+        conn = self._connections.get(key)  # or its TimeWait record
         if conn is not None:
-            conn.on_segment(seg, ecn_ce=packet.ecn_ce)
+            conn.on_segment(seg, packet.ecn_ce)
             return
         if seg.syn and not seg.ack:
             listener = self._listeners.get(seg.dst_port)
@@ -339,13 +477,15 @@ class TcpStack:
         demux entry and core assignment leave this stack.  Returns the
         demux key, or None if the connection was not (or no longer) ours.
         """
-        key = (conn.local.port, conn.remote.ip, conn.remote.port)
-        if self._connections.get(key) is not conn:
+        key = _key(conn)
+        if not _holds(self._connections.get(key), conn):
             return None
         if conn._fluid_flow is not None or conn._fluid_armed:
             conn._fidelity.demote(conn, "migration")
+        # A connection in TIME_WAIT leaves its record behind (still due to
+        # close it at 2 MSL) and is adopted whole.
         del self._connections[key]
-        self._core_of.pop(id(conn), None)
+        conn.core = None
         return key
 
     def adopt_connection(self, conn: TcpConnection) -> None:
@@ -356,7 +496,7 @@ class TcpStack:
         same simulated instant, so the wire 4-tuple never changes and the
         peer notices nothing).
         """
-        key = (conn.local.port, conn.remote.ip, conn.remote.port)
+        key = _key(conn)
         if key in self._connections:
             raise RuntimeError(f"connection collision on {key}")
         self._connections[key] = conn
@@ -376,13 +516,34 @@ class TcpStack:
         self._listeners[listener.port] = listener
 
     # ------------------------------------------------------------- bookkeeping --
+    def enter_time_wait(self, conn: TcpConnection) -> None:
+        """``conn`` entered TIME_WAIT: a :class:`TimeWait` record takes
+        its demux entry and its 2 MSL timer."""
+        key = _key(conn)
+        record = TimeWait(conn)
+        if self._connections.get(key) is conn:
+            self._connections[key] = record
+        self.sim.schedule_call(2 * conn.config.msl, record.expire)
+
+    def settle_time_wait(self, conn: TcpConnection) -> None:
+        """A connection in TIME_WAIT finished processing a segment: bring
+        its record up to date and let go of everything that held it."""
+        record = self._connections.get(_key(conn))
+        if record.__class__ is not TimeWait or record.ref() is not conn:
+            return  # adopted whole by migration: the table holds it
+        record.update(conn)
+        conn._release_timers()
+        if self._traced:
+            # The connection may be freed long before 2 MSL and its id
+            # reused: drop its flow-parent span now, not at forget.
+            self.tracer.bind_flow(id(conn), None)
+
     def forget(self, conn: TcpConnection) -> None:
         """Remove a fully closed connection from the demux table."""
-        key = (conn.local.port, conn.remote.ip, conn.remote.port)
-        existing = self._connections.get(key)
-        if existing is conn:
+        key = _key(conn)
+        if _holds(self._connections.get(key), conn):
             del self._connections[key]
-        self._core_of.pop(id(conn), None)
+        conn.core = None
         if self._traced:
             # A closed connection is freed at close and the next one may
             # reuse its id: drop the flow-parent span bound to this one.

@@ -11,12 +11,27 @@ from repro.tcp.buffers import ReassemblyQueue
 from repro.tcp.intervals import EMPTY, IntervalSet
 
 
+def gaps(ivs, start, end):
+    """Every hole of ``[start, end)`` and their size, from the two lookups
+    the SACK sender makes (asked for the whole span, ``holes`` returns all)."""
+    span = max(end - start, 0)
+    return ivs.holes(start, end, span), span - ivs.covered(start, end)
+
+
+def union(first, second):
+    """``first | second`` built as the sender keeps its ``_covered``."""
+    both = first.copy()
+    for start, end in second:
+        both.add(start, end)
+    return both
+
+
 def test_empty_set():
     ivs = IntervalSet()
     assert not ivs
     assert ivs.total() == 0
     assert ivs.max_end() == 0
-    assert ivs.gaps(EMPTY, 0, 10) == ([(0, 10)], 10)
+    assert gaps(ivs, 0, 10) == ([(0, 10)], 10)
 
 
 def test_add_disjoint():
@@ -59,9 +74,13 @@ def test_holes():
     ivs = IntervalSet()
     ivs.add(10, 20)
     ivs.add(30, 40)
-    assert ivs.gaps(EMPTY, 0, 50) == ([(0, 10), (20, 30), (40, 50)], 30)
-    assert ivs.gaps(EMPTY, 10, 40) == ([(20, 30)], 10)
-    assert ivs.gaps(EMPTY, 12, 18) == ([], 0)
+    assert gaps(ivs, 0, 50) == ([(0, 10), (20, 30), (40, 50)], 30)
+    assert gaps(ivs, 10, 40) == ([(20, 30)], 10)
+    assert gaps(ivs, 12, 18) == ([], 0)
+    # Asked for fewer bytes, holes stops at the hole that reaches them.
+    assert ivs.holes(0, 50, 1) == [(0, 10)]
+    assert ivs.holes(0, 50, 11) == [(0, 10), (20, 30)]
+    assert ivs.holes(15, 50, 0) == []
 
 
 def test_trim_below():
@@ -115,7 +134,7 @@ def test_property_matches_reference_set(ranges):
     for (s1, e1), (s2, e2) in zip(intervals, intervals[1:]):
         assert e1 < s2
     # Holes + coverage partition the probed span.
-    holes, size = ivs.gaps(EMPTY, 0, 300)
+    holes, size = gaps(ivs, 0, 300)
     assert {x for s, e in holes for x in range(s, e)} == set(range(300)) - reference
     assert size + len(reference) == 300
 
@@ -192,16 +211,25 @@ class IntervalSetMachine(RuleBasedStateMachine):
         self.sets[which].clear()
         self.models[which].clear()
 
-    @rule(start=points, end=points)
-    def probe(self, start, end):
+    @rule(start=points, end=points, want=st.integers(0, 30))
+    def probe(self, start, end, want):
         for ivs, model in zip(self.sets, self.models):
             missing = set(range(start, end)) - model
-            assert ivs.gaps(EMPTY, start, end) == (runs(missing, start, end), len(missing))
+            assert gaps(ivs, start, end) == (runs(missing, start, end), len(missing))
         first, second = self.sets
         neither = set(range(start, end)) - self.models[0] - self.models[1]
-        found, size = first.gaps(second, start, end)
+        found, size = gaps(union(first, second), start, end)
         assert found == runs(neither, start, end)
         assert size == len(neither)
+        # The sender's budgeted lookup: the holes, in order, up to the
+        # first that brings the total to ``want``.
+        prefix, total = [], 0
+        for lo, hi in found:
+            if total >= want:
+                break
+            prefix.append((lo, hi))
+            total += hi - lo
+        assert union(first, second).holes(start, end, want) == prefix
 
     @invariant()
     def agrees_with_model(self):
@@ -247,8 +275,9 @@ def test_shared_empty_reads_like_an_empty_set_and_refuses_mutation():
     other.add(3, 7)
     assert not EMPTY and len(EMPTY) == 0 and EMPTY.total() == 0
     assert EMPTY.trim_below(10) == 0 and EMPTY.find(5) == -1
-    assert EMPTY.gaps(other, 0, 10) == ([(0, 3), (7, 10)], 6)
-    assert other.gaps(EMPTY, 0, 10) == ([(0, 3), (7, 10)], 6)
+    assert gaps(EMPTY, 0, 10) == ([(0, 10)], 10)
+    assert gaps(union(EMPTY, other), 0, 10) == ([(0, 3), (7, 10)], 6)
+    assert gaps(union(other, EMPTY), 0, 10) == ([(0, 3), (7, 10)], 6)
     with pytest.raises(TypeError, match="read-only"):
         EMPTY.add(1, 2)
     EMPTY.clear()  # a no-op, not a way to corrupt every connection
@@ -285,13 +314,23 @@ def test_trim_below_nothing_below_leaves_the_list_alone():
 
 
 def test_per_call_cost_does_not_grow_with_the_scoreboard():
-    """add / find probe one spot and the gap sweep walks both sets once.
+    """add / find probe one spot, a full hole walk is linear, and the
+    sender's recovery lookup costs what it returns.
 
     A scan from the head per call made add linear and the sender's hole
     finder quadratic (every hole of one set rescanned the other): 4x the
     intervals cost 4x and 16x.  Indexed, add and find stay flat and the
-    sweep is linear; 6x leaves room for a noisy host.
+    holes of both sets, from scratch (their union, then every hole of
+    it), cost linear time; 6x leaves room for a noisy host.  The sender
+    keeps the union instead, and its recovery lookup (the holes' size
+    from the window's low edge, then one MSS of holes) must not sweep at
+    all: 2x for 4x the intervals.
+
+    The collector is paused while a section is timed: the walks allocate
+    a tuple per hole, and a full collection that lands in the 8 000-interval
+    walk but not in the 2 000 one is the collector's cost, not theirs.
     """
+    import gc
     import time
 
     def build(n):
@@ -314,16 +353,37 @@ def test_per_call_cost_does_not_grow_with_the_scoreboard():
             sacked.trim_below(0)
         point = time.perf_counter()
         for _ in range(5):
-            found, size = sacked.gaps(repaired, 0, top)
+            found, size = gaps(union(sacked, repaired), 0, top)
         done = time.perf_counter()
         assert size == sum(hi - lo for lo, hi in found) > 0
-        return (point - start) / len(probes), (done - point) / 5
+        covered = union(sacked, repaired)
+        look_up = time.perf_counter()
+        for at in probes * 5:
+            lost = top - covered.covered(0, top)
+            covered.holes(at, top, 1448)
+        looked_up = time.perf_counter()
+        assert lost == size
+        return (
+            (point - start) / len(probes),
+            (done - point) / 5,
+            (looked_up - look_up) / (5 * len(probes)),
+        )
 
-    best = {n: (float("inf"), float("inf")) for n in (2000, 8000)}
-    for _ in range(3):
-        for n in best:
-            best[n] = tuple(map(min, best[n], per_call(n)))
+    best = {n: (float("inf"),) * 3 for n in (2000, 8000)}
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(3):
+            for n in best:
+                best[n] = tuple(map(min, best[n], per_call(n)))
+    finally:
+        if collecting:
+            gc.enable()
     point_ratio = best[8000][0] / best[2000][0]
     sweep_ratio = best[8000][1] / best[2000][1]
+    lookup_ratio = best[8000][2] / best[2000][2]
     assert point_ratio <= 6.0, f"add/find grew {point_ratio:.1f}x for 4x the intervals"
     assert sweep_ratio <= 6.0, f"gap sweep grew {sweep_ratio:.1f}x for 4x the intervals"
+    assert lookup_ratio <= 2.0, (
+        f"recovery lookup grew {lookup_ratio:.1f}x for 4x the intervals"
+    )

@@ -69,7 +69,7 @@ def test_rss_spreads_connections_across_cores():
     rig.stack_a.cores = cores
     rig.stack_b.listen(5000)
     conns = [rig.stack_a.connect(Endpoint("10.0.0.2", 5000)) for _ in range(4)]
-    assigned = {rig.stack_a._core_of[id(conn)] for conn in conns}
+    assigned = {conn.core for conn in conns}
     assert assigned == set(cores)
 
 
