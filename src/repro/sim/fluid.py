@@ -700,7 +700,6 @@ class FidelityController:
 
     def _fluid_accept(self, conn, peer_stack, listener) -> None:
         """Server side of the analytic handshake (at +one-way latency)."""
-        from ..net import Endpoint
         from ..tcp.buffers import ReassemblyQueue
         from ..tcp.connection import TcpConnection, TcpState
 
@@ -709,8 +708,8 @@ class FidelityController:
         if not listener.can_admit() or listener.closed:
             conn._send_syn()  # fall back to the packet handshake
             return
-        local = Endpoint(peer_stack.ip, listener.port)
-        remote = Endpoint(conn.local.ip, conn.local.port)
+        local = listener.local_endpoint(peer_stack.ip)
+        remote = conn.local
         cfg = peer_stack._tcp_config(**getattr(listener, "_tcp_overrides", {}))
         cc = peer_stack._make_cc(getattr(listener, "_cc_name", None), cfg.mss)
         sconn = TcpConnection(peer_stack.sim, peer_stack, local, remote, cc, cfg)

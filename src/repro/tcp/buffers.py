@@ -32,7 +32,7 @@ class SendBuffer:
         self.written = 0  # total bytes accepted from the app
         self.acked = 0  # total bytes cumulatively acknowledged
         self.fin_requested = False
-        # None until a write actually blocks: at large N nearly every
+        # None unless a write is blocked: at large N nearly every
         # buffer's waiter list is empty, and the empty lists add up.
         self._waiters: Optional[List[Tuple[int, Any]]] = None
 
@@ -70,10 +70,13 @@ class SendBuffer:
         if new_acked < 0:
             raise ValueError("negative ack amount")
         self.acked += new_acked
-        while self._waiters and self._waiters[0][0] <= self.free_space:
-            nbytes, waiter = self._waiters.pop(0)
+        waiters = self._waiters
+        while waiters and waiters[0][0] <= self.free_space:
+            nbytes, waiter = waiters.pop(0)
             self.written += nbytes
             self.sim.wake(waiter, nbytes)
+        if not waiters:
+            self._waiters = None
 
     def close(self) -> None:
         self.fin_requested = True
@@ -180,7 +183,7 @@ class ReceiveBuffer:
         self.capacity = capacity
         self.available = 0  # in-order bytes not yet read by the app
         self.eof = False
-        # Both lists are None until first use (see SendBuffer._waiters).
+        # Both lists are None while empty (see SendBuffer._waiters).
         self._readers: Optional[List[Tuple[int, Event]]] = None
         self._watchers: Optional[List[Any]] = None
 
@@ -245,8 +248,11 @@ class ReceiveBuffer:
             wake = self.sim.wake
             for waiter in watchers:
                 wake(waiter)
-        while self._readers and (self.available > 0 or self.eof):
-            max_bytes, event = self._readers.pop(0)
+        readers = self._readers
+        while readers and (self.available > 0 or self.eof):
+            max_bytes, event = readers.pop(0)
             taken = min(max_bytes, self.available)
             self.available -= taken
             event.succeed(taken)
+        if not readers:
+            self._readers = None

@@ -15,8 +15,10 @@ much easier to audit.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from operator import attrgetter
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..net import Endpoint
 from ..sim import Deadline, Event, Simulator
@@ -94,6 +96,9 @@ class _TxRecord:
     payload_len: int = 0
 
 
+_end_seq = attrgetter("end_seq")
+
+
 @dataclass(slots=True)
 class ConnStats:
     """Per-connection counters surfaced to experiments and tests."""
@@ -164,7 +169,6 @@ class TcpConnection:
         "delivered",
         "delivered_time",
         "_tx_records",
-        "_tx_order",
         "_tx_head",
         "_first_tx_time",
         "_app_limited_until",
@@ -173,7 +177,7 @@ class TcpConnection:
         "_pacing_timer_armed",
         # app-visible
         "established",
-        "closed",
+        "_closed",
         "on_data_available",
         "on_established_cb",
         "stats",
@@ -258,10 +262,10 @@ class TcpConnection:
         # --- delivery-rate sampling (BBR) ---
         self.delivered = 0
         self.delivered_time = 0.0
-        self._tx_records: Dict[int, _TxRecord] = {}
-        # end_seqs in send order; a list + head cursor instead of a deque
-        # (an empty deque is ~0.75 KB — real money at 10^6 connections).
-        self._tx_order: List[int] = []
+        # In send order (end_seq increasing) behind a head cursor; the
+        # shared () whenever nothing is outstanding.  A list, not a dict
+        # keyed by end_seq: an empty dict is ~0.2 KB and never shrinks.
+        self._tx_records: Sequence[_TxRecord] = ()
         self._tx_head = 0
         self._first_tx_time = 0.0
         self._app_limited_until = 0
@@ -272,7 +276,8 @@ class TcpConnection:
 
         # --- app-visible events ---
         self.established = Event(sim)
-        self.closed = Event(sim)
+        # Built on first use: most connections are never waited on to close.
+        self._closed: Optional[Event] = None
         #: Optional hooks used by ServiceLib (nk_*_callback analogues).
         self.on_data_available = None
         self.on_established_cb = None
@@ -304,6 +309,14 @@ class TcpConnection:
     @property
     def bytes_in_flight(self) -> int:
         return self.snd_nxt - self.snd_una
+
+    @property
+    def closed(self) -> Event:
+        """Fires once the connection is fully closed."""
+        closed = self._closed
+        if closed is None:
+            closed = self._closed = Event(self.sim)
+        return closed
 
     def open_active(self) -> None:
         """Client side: send SYN, move to SYN_SENT."""
@@ -528,29 +541,28 @@ class TcpConnection:
         record: Optional[_TxRecord] = None
         # Records are queued in send order with monotonically increasing
         # end_seq, so cumulative ACKs pop a prefix.
-        order, head = self._tx_order, self._tx_head
-        while head < len(order) and order[head] <= seg.ack_no:
-            end_seq = order[head]
+        records, head = self._tx_records, self._tx_head
+        while head < len(records) and records[head].end_seq <= seg.ack_no:
+            candidate = records[head]
             head += 1
-            candidate = self._tx_records.pop(end_seq, None)
-            if candidate is not None and (
-                record is None or candidate.sent_time > record.sent_time
-            ):
+            if record is None or candidate.sent_time > record.sent_time:
                 record = candidate
         if head:
-            if head == len(order):
-                order.clear()
-                self._tx_head = 0
+            if head == len(records):
+                self._tx_records = records = ()
+                self._tx_head = head = 0
             elif head > 256:  # bound the dead prefix kept for O(1) pops
-                del order[:head]
-                self._tx_head = 0
+                del records[:head]
+                self._tx_head = head = 0
             else:
                 self._tx_head = head
-        # A SACK-only ACK samples the segment its freshest block ends at.
+        # A SACK-only ACK samples (and retires) the segment its freshest
+        # block ends at.
         if record is None and seg.sack:
-            candidate = self._tx_records.pop(seg.sack[0][1], None)
-            if candidate is not None:
-                record = candidate
+            end = seg.sack[0][1]
+            i = bisect_left(records, end, head, key=_end_seq)
+            if i < len(records) and records[i].end_seq == end:
+                record = records.pop(i)
         sample = RateSample(
             newly_acked=delivered_inc,
             delivered_total=self.delivered,
@@ -840,8 +852,9 @@ class TcpConnection:
         if self._fluid_flow is not None or self._fluid_armed:
             self._fidelity.demote(self, "closed")
         self._release_timers()
-        if not self.closed.triggered:
-            self.closed.succeed()
+        closed = self.closed
+        if not closed.triggered:
+            closed.succeed()
         self.stack.forget(self)
 
     def _release_timers(self) -> None:
@@ -1007,8 +1020,7 @@ class TcpConnection:
             if not retransmit:
                 if self.bytes_in_flight == 0:
                     self._first_tx_time = self.sim.now
-                self._tx_order.append(seg.end_seq)
-                self._tx_records[seg.end_seq] = _TxRecord(
+                record = _TxRecord(
                     end_seq=seg.end_seq,
                     sent_time=self.sim.now,
                     first_tx_time=self._first_tx_time,
@@ -1018,6 +1030,10 @@ class TcpConnection:
                     <= self._app_limited_until,
                     payload_len=seg.payload_len,
                 )
+                if self._tx_records:
+                    self._tx_records.append(record)
+                else:
+                    self._tx_records = [record]
         self.stack.send_segment(self, seg)
 
     # SYN helpers ---------------------------------------------------------------
@@ -1080,8 +1096,7 @@ class TcpConnection:
         # are kept (as Linux does) so delivered-byte accounting stays exact.
         self._dupacks = 0
         self._forget_repairs()
-        self._tx_records.clear()
-        self._tx_order.clear()
+        self._tx_records = ()
         self._tx_head = 0
         self._in_fast_recovery = True
         self._recover = self.snd_nxt

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
+from ..net import Endpoint
 from ..sim import Event, Simulator, Store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -34,6 +35,15 @@ class Listener:
         self.total_accepted = 0
         self.total_established = 0
         self.dropped_full = 0
+        self._local: Optional[Endpoint] = None
+
+    def local_endpoint(self, ip: str) -> Endpoint:
+        """The local endpoint of a connection accepted here at ``ip``:
+        one shared by every such connection, not one each."""
+        local = self._local
+        if local is None or local.ip != ip:
+            local = self._local = Endpoint(ip, self.port)
+        return local
 
     @property
     def queue_length(self) -> int:

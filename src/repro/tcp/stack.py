@@ -333,7 +333,7 @@ class TcpStack:
         return listener
 
     def _spawn_server_connection(self, listener: Listener, seg: TcpSegment, src_ip: str) -> None:
-        local = Endpoint(self.ip, listener.port)
+        local = listener.local_endpoint(self.ip)
         remote = Endpoint(src_ip, seg.src_port)
         cfg = self._tcp_config(**getattr(listener, "_tcp_overrides", {}))
         cc = self._make_cc(getattr(listener, "_cc_name", None), cfg.mss)

@@ -79,7 +79,7 @@ def _pending_at_samples(testbed, end, samples=20):
 
 def test_lan_bulk_keeps_a_handful_of_entries_pending():
     """Fig. 4, 2 NetKernel flows: 9-12 pending, on the ledger's
-    ``lan_bulk`` and here (``_rto_check`` per endpoint plus the wire and
+    ``lan_bulk`` and here (``_rto_fire`` per endpoint plus the wire and
     copy hops in flight).  Nothing in the datapath scales with bytes."""
     from repro.experiments.figure4 import _build_lan_world
 
@@ -122,7 +122,7 @@ def test_one_send_on_the_figure4_world_costs_27_events_5_of_them_zero_delay():
 
 
 def test_fanin_pending_entries_are_a_few_per_connection(monkeypatch):
-    """Two ``_rto_check``, one sender sleep and one ``_delack_fire`` per
+    """Two ``_rto_fire``, one sender sleep and one ``_send_ack`` per
     connection at most: peak 3.5 x connections here, 3.99 x on the
     ledger's ``fanin_10k``."""
     from repro.runstate import reset_run_ids
