@@ -23,7 +23,7 @@ Example
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import count
 from typing import Any, Generator, Iterable, Optional
 
@@ -40,6 +40,13 @@ MICROS = 1e-6
 MILLIS = 1e-3
 
 _INF = float("inf")
+
+#: Dead :class:`Deadline` entries tolerated before a purge is considered.
+#: Small queues stay below it and never purge (the ledger's ``lan_bulk``
+#: keeps 9-12 entries pending, ``lan_bulk_quic`` <= 13, ``chaos_failover``
+#: <= 165); without it ``lan_bulk_quic`` would purge now and then to save
+#: 12 of its 604 787 pops.  Connection churn (``web_nk``) crosses it.
+_PURGE_FLOOR = 256
 
 
 class Simulator:
@@ -59,6 +66,8 @@ class Simulator:
         self.now = float(start_time)
         self._queue: list = []
         self._counter = count()
+        # Deadline entries in the queue that can only pop as no-ops.
+        self._dead_entries = 0
         #: Events processed since construction (the perf ledger's
         #: ``sim.events``; see ``benchmarks/ledger/layers.py``).
         self.events_processed = 0
@@ -197,6 +206,18 @@ class Simulator:
             raise event.value
         return event.value
 
+    def _entry_died(self) -> None:
+        """A :class:`Deadline` entry was retired or released; purge the
+        dead ones once they reach the floor and outnumber the live ones."""
+        dead = self._dead_entries = self._dead_entries + 1
+        q = self._queue
+        if dead >= _PURGE_FLOOR and 2 * dead > len(q):
+            # In place: the event loop holds this list.  Survivors keep
+            # their ``(when, seq)``, so the fire order cannot move.
+            q[:] = [entry for entry in q if not _is_dead(entry)]
+            heapify(q)
+            self._dead_entries = 0
+
 
 class Deadline:
     """A restartable one-shot timer with at most one live queue entry.
@@ -213,6 +234,13 @@ class Deadline:
     would fire up to 800 ms late and stall loss recovery.  Entries are
     pushed at the absolute deadline, so ``func`` runs at exactly the float
     a push on every arm would have fired at.
+
+    Retired entries and the entry of a released deadline are dead: the
+    simulator counts them and, once they reach :data:`_PURGE_FLOOR` and
+    outnumber the live entries, drops them from the queue in one pass
+    (asyncio does the same with cancelled timer handles).  A cancelled
+    deadline that still has an owner keeps its entry, which a re-arm may
+    reuse.
 
     The queue entry references the deadline, never a bound method of the
     owner: after :meth:`release` a pending entry keeps nothing but this
@@ -240,16 +268,22 @@ class Deadline:
         """(Re)arm to fire ``delay`` seconds from now."""
         when = self.when = self.sim.now + delay
         at = self._at
-        if at is None or when < at:
+        if at is None:
             self._push(when)
+        elif when < at:
+            self._push(when)
+            self.sim._entry_died()  # the old entry is retired
 
     def cancel(self) -> None:
         self.when = None
 
     def release(self) -> None:
-        """Cancel and drop the owner (a pending entry may still pop)."""
+        """Cancel and drop the owner; a pending entry is dead from now on."""
         self.when = None
-        self.owner = None
+        if self.owner is not None:
+            self.owner = None
+            if self._at is not None:
+                self.sim._entry_died()
 
     def _push(self, when: float) -> None:
         sim = self.sim
@@ -262,13 +296,24 @@ def _deadline_pop(deadline: Deadline, token: int) -> None:
     """Target of every :class:`Deadline` queue entry (module level, so the
     entry holds no bound method of the owner)."""
     if token != deadline._token:
+        deadline.sim._dead_entries -= 1
         return  # retired when the deadline moved earlier
     deadline._at = None
     when = deadline.when
     if when is None:
+        if deadline.owner is None:
+            deadline.sim._dead_entries -= 1  # released
         return  # cancelled or released
     if when > deadline.sim.now:
         deadline._push(when)  # moved later since this entry was pushed
         return
     deadline.when = None
     deadline.func(deadline.owner)
+
+
+def _is_dead(entry) -> bool:
+    """Whether a queue entry is a retired or released :class:`Deadline`'s."""
+    if entry[2] is not _deadline_pop:
+        return False
+    deadline, token = entry[3]
+    return token != deadline._token or deadline.owner is None

@@ -5,9 +5,10 @@
 * figure4/figure5 golden pins — the paper figures, byte-for-byte
   (regenerate with the calls below if a deliberate model change moves
   them; the diff is the review artifact);
-* how many entries the queue holds on the two workload shapes the ledger
-  measures: a lingering timer per segment or per nqe shows up here long
-  before it shows up as wall-clock.
+* how many entries the queue holds on the three workload shapes the
+  ledger measures (bulk, fan-in, connection churn): a lingering timer per
+  segment, per nqe or per closed connection shows up here long before it
+  shows up as wall-clock.
 """
 
 import os
@@ -140,3 +141,47 @@ def test_fanin_pending_entries_are_a_few_per_connection(monkeypatch):
     result = world.results()
     assert result["failed"] == 0 and result["attempted"] == 2 * n_conns
     assert n_conns <= max(pending) <= 5 * n_conns, pending
+
+
+def test_churn_pending_entries_stay_within_twice_the_live_ones():
+    """Connect/request/close churn through one NSM pair: a closed
+    connection's deadline entries are dead (released, or retired when a
+    deadline moved earlier) but stay queued until their 0.2-1 s timeouts
+    pop.  The simulator purges them once they reach the floor and
+    outnumber the live entries, so at every sample the queue holds at
+    most twice its live entries plus the floor.  Without the purge the
+    last samples hold 3.5 dead entries per live one."""
+    from repro.apps import WebClient, WebServer
+    from repro.experiments.common import make_lan_testbed
+    from repro.net import Endpoint
+    from repro.netkernel import NsmSpec
+    from repro.sim.engine import _PURGE_FLOOR, _deadline_pop
+
+    def dead(entry):
+        if entry[2] is not _deadline_pop:
+            return False
+        deadline, token = entry[3]
+        return token != deadline._token or deadline.owner is None
+
+    clients = 8
+    testbed = make_lan_testbed()
+    hv_a, hv_b = testbed.hypervisor_a, testbed.hypervisor_b
+    client_vm = hv_a.boot_netkernel_vm("clients", hv_a.boot_nsm(NsmSpec()), vcpus=4)
+    server_vm = hv_b.boot_netkernel_vm("server", hv_b.boot_nsm(NsmSpec()), vcpus=4)
+    WebServer(testbed.sim, server_vm.api, port=80)
+    workers = [
+        WebClient(testbed.sim, client_vm.api, Endpoint(server_vm.api.ip, 80),
+                  start_delay=0.001 + 0.0005 * i)
+        for i in range(clients)
+    ]
+    queue = testbed.sim._queue
+    over = []
+    for i in range(1, 21):
+        testbed.run(until=0.03 * i / 20)
+        n_dead = sum(map(dead, queue))
+        live = len(queue) - n_dead
+        if len(queue) > 2 * live + _PURGE_FLOOR:
+            over.append((i, len(queue), n_dead))
+    # One connection per request: connect, send, receive, close.
+    assert sum(w.completed for w in workers) >= 1000
+    assert over == []
