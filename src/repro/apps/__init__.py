@@ -3,13 +3,6 @@
 from .bulk import BulkReceiver, BulkSender
 from .rpc import RpcClient, RpcServer
 from .web import WebClient, WebServer
-from .workload import (
-    WEB_FLOW_MIX,
-    PoissonArrivals,
-    empirical_sizes,
-    lognormal_sizes,
-    uniform_sizes,
-)
 
 __all__ = [
     "BulkSender",
@@ -18,9 +11,4 @@ __all__ = [
     "RpcClient",
     "WebServer",
     "WebClient",
-    "PoissonArrivals",
-    "lognormal_sizes",
-    "uniform_sizes",
-    "empirical_sizes",
-    "WEB_FLOW_MIX",
 ]

@@ -18,7 +18,6 @@ from ..tcp.cc.base import (
     CongestionControl,
     RateSample,
     available,
-    factory,
     make,
     register,
 )
@@ -28,6 +27,5 @@ __all__ = [
     "RateSample",
     "register",
     "make",
-    "factory",
     "available",
 ]

@@ -57,6 +57,14 @@ def _progress_printer(label: str):
     return progress
 
 
+def _sample_period(text: str) -> int:
+    """``--sample N``: a 1-in-N period, so N must be at least 1."""
+    period = int(text)
+    if period < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1 (1 = every span), got {period}")
+    return period
+
+
 def _jobs(args: argparse.Namespace) -> int:
     return max(1, getattr(args, "jobs", 1) or 1)
 
@@ -382,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds of simulated time (default 0.1 / 10)")
     trace.add_argument("--flows", type=int, default=1,
                        help="bulk flows (figure4 only)")
-    trace.add_argument("--sample", type=int, default=1, metavar="N",
+    trace.add_argument("--sample", type=_sample_period, default=1, metavar="N",
                        help="head-sample 1-in-N root spans (default: all)")
     trace.add_argument("--cadence", type=float, default=None,
                        help="counter snapshot interval in sim seconds")

@@ -93,7 +93,7 @@ def _measure(use_arbiter: bool, duration: float, warmup: float) -> FastpassRow:
         aggregate_gbps=total_bytes * 8 / (duration - warmup) / 1e9,
         rpc_p50_us=latency.p(50) * 1e6 if len(latency) else float("nan"),
         rpc_p99_us=latency.p(99) * 1e6 if len(latency) else float("nan"),
-        queue_max_kb=queue_sampler.series.max() / 1024,
+        queue_max_kb=max(value for _t, value in queue_sampler.series) / 1024,
     )
 
 

@@ -1,7 +1,7 @@
 """Host substrate: CPU cores, memory model, physical hosts, VMs."""
 
 from .cpu import Core, CpuSet
-from .machine import TESTBED, PhysicalHost
+from .machine import PhysicalHost
 from .memory import PAPER_TABLE1_POINTS, MemcpyModel
 from .vm import VM, GuestOS, NetworkMode
 
@@ -9,7 +9,6 @@ __all__ = [
     "Core",
     "CpuSet",
     "PhysicalHost",
-    "TESTBED",
     "MemcpyModel",
     "PAPER_TABLE1_POINTS",
     "VM",

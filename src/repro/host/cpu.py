@@ -103,13 +103,6 @@ class Core:
             return 0.0
         return min(1.0, self.busy_seconds / window)
 
-    def useful_utilization(self, elapsed: Optional[float] = None) -> float:
-        """Busy fraction excluding poll-spin (real work only)."""
-        window = elapsed if elapsed is not None else self.sim.now
-        if window <= 0:
-            return 0.0
-        return min(1.0, self.busy_seconds / window)
-
     def __repr__(self) -> str:
         return f"<Core {self.name} busy={self.busy_seconds:.6f}s>"
 

@@ -22,15 +22,7 @@ from ..sim import Simulator
 from .cpu import Core, CpuSet
 from .memory import MemcpyModel
 
-__all__ = ["PhysicalHost", "TESTBED"]
-
-#: The paper's testbed host parameters (§4.1).
-TESTBED = {
-    "cores": 8,
-    "ghz": 2.3,
-    "memory_gb": 192,
-    "nic_gbps": 40,
-}
+__all__ = ["PhysicalHost"]
 
 
 class PhysicalHost:

@@ -40,7 +40,7 @@ class GuestOS(enum.Enum):
 
 _OS_CC = {
     # Linux 4.9 ships all of these as kernel modules.
-    GuestOS.LINUX: frozenset({"reno", "cubic", "bbr", "dctcp", "vegas"}),
+    GuestOS.LINUX: frozenset({"reno", "cubic", "bbr", "dctcp"}),
     # Windows Server 2016: Compound TCP / (new) reno lineage; no BBR.
     GuestOS.WINDOWS: frozenset({"ctcp", "reno"}),
     # FreeBSD 11: newreno default, cubic available.

@@ -2,7 +2,6 @@
 
 from .accounting import Accountant, UsageRecord
 from .multiplexing import NsmPlacer
-from .monitor import Signal, Trigger, TriggerEngine, TriggerEvent
 from .pingmesh import PingmeshMesh, ProbeFailure
 from .pricing import (
     PerCorePricing,
@@ -30,8 +29,4 @@ __all__ = [
     "NsmPlacer",
     "PingmeshMesh",
     "ProbeFailure",
-    "Signal",
-    "Trigger",
-    "TriggerEngine",
-    "TriggerEvent",
 ]

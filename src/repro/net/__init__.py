@@ -3,7 +3,7 @@
 from .addressing import AddressAllocator, Endpoint
 from .fabric import CoreSwitch
 from .link import DropTailQueue, DuplexLink, Link, LinkStats
-from .loss import EpisodicLoss, GilbertElliottLoss, IIDLoss, LossModel, NoLoss
+from .loss import EpisodicLoss, IIDLoss, LossModel, NoLoss
 from .nic import NIC, PhysicalNIC, VirtualFunction, VirtualNIC
 from .offload import TSO_MAX_BYTES, OffloadConfig
 from .packet import (
@@ -17,7 +17,6 @@ from .packet import (
     wire_bytes,
 )
 from .switch import EmbeddedSwitch, HostSwitch, VirtualSwitch
-from .trace import CaptureEntry, PacketTrace
 
 __all__ = [
     "AddressAllocator",
@@ -30,7 +29,6 @@ __all__ = [
     "LossModel",
     "NoLoss",
     "IIDLoss",
-    "GilbertElliottLoss",
     "EpisodicLoss",
     "NIC",
     "PhysicalNIC",
@@ -49,6 +47,4 @@ __all__ = [
     "HostSwitch",
     "VirtualSwitch",
     "EmbeddedSwitch",
-    "PacketTrace",
-    "CaptureEntry",
 ]

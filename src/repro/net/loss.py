@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-__all__ = ["LossModel", "NoLoss", "IIDLoss", "GilbertElliottLoss", "EpisodicLoss"]
+__all__ = ["LossModel", "NoLoss", "IIDLoss", "EpisodicLoss"]
 
 
 class LossModel:
@@ -90,46 +90,3 @@ class EpisodicLoss(LossModel):
             self._burst_left -= 1
             return True
         return self.background_p > 0 and self._rng.random() < self.background_p
-
-
-class GilbertElliottLoss(LossModel):
-    """Two-state bursty loss (good/bad Markov chain).
-
-    ``p_gb``/``p_bg`` are per-packet transition probabilities; loss occurs
-    with ``loss_good``/``loss_bad`` in the respective state.  Models WAN
-    paths whose losses cluster, which punishes loss-based congestion
-    control even harder than iid loss.
-    """
-
-    def __init__(
-        self,
-        p_gb: float = 0.005,
-        p_bg: float = 0.3,
-        loss_good: float = 0.0,
-        loss_bad: float = 0.5,
-        seed: Optional[int] = None,
-    ) -> None:
-        for name, value in (
-            ("p_gb", p_gb),
-            ("p_bg", p_bg),
-            ("loss_good", loss_good),
-            ("loss_bad", loss_bad),
-        ):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        self.p_gb = p_gb
-        self.p_bg = p_bg
-        self.loss_good = loss_good
-        self.loss_bad = loss_bad
-        self._bad = False
-        self._rng = random.Random(seed)
-
-    def should_drop(self, now: float = 0.0) -> bool:
-        if self._bad:
-            if self._rng.random() < self.p_bg:
-                self._bad = False
-        else:
-            if self._rng.random() < self.p_gb:
-                self._bad = True
-        rate = self.loss_bad if self._bad else self.loss_good
-        return self._rng.random() < rate

@@ -16,7 +16,7 @@ from .conntable import ConnectionTable
 from .coreengine import CoreEngine, CoreEngineConfig, VmAttachment
 from .guestlib import GUESTLIB_OP_NS, GuestLib
 from .hugepages import CHUNK_SIZE, DEFAULT_PAGES, PAGE_SIZE, HugeChunk, HugePageRegion
-from .nqe import NQE_COPY_NS, NQE_SIZE_BYTES, Nqe, NqeOp, NqeStatus
+from .nqe import NQE_COPY_NS, Nqe, NqeOp, NqeStatus
 from .nsm import NSM, STACK_FAMILIES, NsmForm, NsmSpec, register_stack_family
 from .provision import Hypervisor
 from .qos import TokenBucket
@@ -29,7 +29,6 @@ __all__ = [
     "NqeOp",
     "NqeStatus",
     "NQE_COPY_NS",
-    "NQE_SIZE_BYTES",
     "NqeRing",
     "PriorityNqeRing",
     "NotifyMode",

@@ -1,10 +1,10 @@
 """NetKernel Queue Elements (nqes).
 
 The nqe is the unit of communication between GuestLib, CoreEngine and
-ServiceLib (§3.2): a small fixed-size descriptor carrying an operation ID
-plus ``<VM ID, fd>`` on the tenant side or ``<NSM ID, cID>`` on the NSM
-side, and optionally a huge-page data descriptor.  Copying one nqe between
-queues costs the CoreEngine ~12 ns (§4.2).
+ServiceLib (§3.2): a small fixed-size (64-byte) descriptor carrying an
+operation ID plus ``<VM ID, fd>`` on the tenant side or ``<NSM ID, cID>``
+on the NSM side, and optionally a huge-page data descriptor.  Copying one
+nqe between queues costs the CoreEngine ~12 ns (§4.2).
 """
 
 from __future__ import annotations
@@ -23,12 +23,9 @@ __all__ = [
     "NqeOp",
     "NqeStatus",
     "Nqe",
-    "NQE_SIZE_BYTES",
     "NQE_COPY_NS",
 ]
 
-#: Size of one queue element; small enough that copying is negligible (§3.2).
-NQE_SIZE_BYTES = 64
 #: Measured cost of CoreEngine copying one nqe between queues (§4.2).
 NQE_COPY_NS = 12.0
 

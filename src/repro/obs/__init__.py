@@ -9,8 +9,8 @@ by the provider*.  This package is that inspectability layer:
   snapshots;
 * :mod:`histograms` — constant-memory log2 latency histograms
   (p50/p99/p999);
-* :mod:`sampling` — deterministic head-based samplers (1-in-N,
-  per-tenant);
+* :mod:`sampling` — the deterministic 1-in-N head sampler
+  (``repro trace --sample N``);
 * :mod:`export` — Chrome ``trace_event`` JSON + flat summary dicts;
 * :mod:`runtime` — the process-wide tracer slot with a no-op default, so
   un-instrumented runs pay one attribute check on the hot paths.
@@ -37,14 +37,7 @@ from .export import (
     write_summary,
 )
 from .histograms import Log2Histogram
-from .sampling import (
-    AlwaysSampler,
-    HeadSampler,
-    NeverSampler,
-    PerTenantSampler,
-    ProbabilisticSampler,
-    Sampler,
-)
+from .sampling import HeadSampler
 from .spans import LAYERS, Span, Tracer
 
 __all__ = [
@@ -57,12 +50,7 @@ __all__ = [
     "CounterSet",
     "CounterCadence",
     "Log2Histogram",
-    "Sampler",
-    "AlwaysSampler",
-    "NeverSampler",
     "HeadSampler",
-    "ProbabilisticSampler",
-    "PerTenantSampler",
     "chrome_trace",
     "write_chrome_trace",
     "summary",

@@ -7,8 +7,7 @@ leave on for every instrumented event when the tracer is enabled.
 
 :class:`CounterCadence` snapshots the whole set on a fixed simulated-time
 interval, producing the coarse time series that provider-side monitoring
-(Trumpet-style triggers, the `repro.mgmt` plane) consumes without needing
-per-event data.
+consumes without needing per-event data.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Head-based samplers: decide at root-span creation whether to record.
+"""Head-based sampling: decide at root-span creation whether to record.
 
 Sampling is *head-based* — the decision is made when a root span would be
 created, and every child inherits it for free (an unsampled root attaches
@@ -7,48 +7,18 @@ runs stay fast: a 1-in-N sampler turns per-operation tracing cost into
 1/N of itself without biasing sim-time behaviour (samplers never yield,
 never charge CPU).
 
-All samplers are deterministic: :class:`HeadSampler` counts arrivals,
-:class:`ProbabilisticSampler` draws from a seeded PRNG, so two runs of the
-same workload sample the same operations.
+:class:`HeadSampler` is deterministic (it counts arrivals), so two runs of
+the same workload sample the same operations.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
-__all__ = [
-    "Sampler",
-    "AlwaysSampler",
-    "NeverSampler",
-    "HeadSampler",
-    "ProbabilisticSampler",
-    "PerTenantSampler",
-]
+__all__ = ["HeadSampler"]
 
 
-class Sampler:
-    """Decides whether one root span is recorded."""
-
-    def sample(self, tenant: Optional[int] = None) -> bool:
-        raise NotImplementedError
-
-
-class AlwaysSampler(Sampler):
-    """Record everything (full tracing)."""
-
-    def sample(self, tenant: Optional[int] = None) -> bool:
-        return True
-
-
-class NeverSampler(Sampler):
-    """Record nothing (counters and histograms still accumulate)."""
-
-    def sample(self, tenant: Optional[int] = None) -> bool:
-        return False
-
-
-class HeadSampler(Sampler):
+class HeadSampler:
     """Deterministic 1-in-N: arrivals 0, N, 2N, ... are sampled.
 
     The per-tenant arrival counters make the decision stable under
@@ -66,40 +36,3 @@ class HeadSampler(Sampler):
         seen = self._seen.get(tenant, 0)
         self._seen[tenant] = seen + 1
         return seen % self.every == 0
-
-
-class ProbabilisticSampler(Sampler):
-    """Bernoulli(p) per root with a seeded PRNG — deterministic per seed."""
-
-    def __init__(self, probability: float, seed: int = 1) -> None:
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError("probability must be in [0, 1]")
-        self.probability = probability
-        self.seed = seed
-        self._rng = random.Random(seed)
-
-    def sample(self, tenant: Optional[int] = None) -> bool:
-        return self._rng.random() < self.probability
-
-
-class PerTenantSampler(Sampler):
-    """Route the decision by tenant (VM ID): debug one tenant at full
-    resolution while the rest stay at a background rate.
-
-    ``tenants`` maps a VM ID to a sampler or to an int N (shorthand for
-    ``HeadSampler(N)``); unlisted tenants use ``default``.
-    """
-
-    def __init__(
-        self,
-        default: Optional[Sampler] = None,
-        tenants: Optional[Dict[int, Union[Sampler, int]]] = None,
-    ) -> None:
-        self.default = default or AlwaysSampler()
-        self.tenants: Dict[int, Sampler] = {}
-        for tenant, rule in (tenants or {}).items():
-            self.tenants[tenant] = rule if isinstance(rule, Sampler) else HeadSampler(rule)
-
-    def sample(self, tenant: Optional[int] = None) -> bool:
-        sampler = self.tenants.get(tenant, self.default) if tenant is not None else self.default
-        return sampler.sample(tenant)

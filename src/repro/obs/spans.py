@@ -17,7 +17,7 @@ Cost discipline (the "zero-allocation-when-disabled" contract):
 * sampled — unsampled roots return ``None`` and children are never created
   because no span rides the nqe;
 * enabled — one small ``__slots__`` object per span, appended to a flat
-  list; a ``max_spans`` cap drops (and counts) the overflow.
+  list; the :data:`DEFAULT_MAX_SPANS` cap drops (and counts) the overflow.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Any, Dict, Iterator, List, Optional
 
 from .counters import CounterCadence, CounterSet
 from .histograms import Log2Histogram
-from .sampling import AlwaysSampler, Sampler
+from .sampling import HeadSampler
 
 __all__ = ["Span", "Tracer", "LAYERS"]
 
@@ -117,14 +117,12 @@ class Tracer:
     def __init__(
         self,
         sim=None,
-        sampler: Optional[Sampler] = None,
-        max_spans: int = DEFAULT_MAX_SPANS,
+        sampler: Optional[HeadSampler] = None,
         cadence: Optional[float] = None,
     ) -> None:
         self.enabled = True
         self.sim = sim
-        self.sampler = sampler or AlwaysSampler()
-        self.max_spans = max_spans
+        self.sampler = sampler
         self.spans: List[Span] = []
         self.spans_dropped = 0
         self.counters = CounterSet()
@@ -149,7 +147,7 @@ class Tracer:
     # ------------------------------------------------------------------ spans --
     def _new_span(self, op: str, layer: str, tenant: Optional[int],
                   parent_id: Optional[int]) -> Optional[Span]:
-        if len(self.spans) >= self.max_spans:
+        if len(self.spans) >= DEFAULT_MAX_SPANS:
             self.spans_dropped += 1
             return None
         span = Span(self, next(self._ids), op, layer, tenant, self.now, parent_id)
@@ -161,7 +159,8 @@ class Tracer:
         """Open a span; returns ``None`` when head-sampling skips this root."""
         if parent is not None:
             return parent.child(op, layer, tenant)
-        if not self.sampler.sample(tenant):
+        sampler = self.sampler
+        if sampler is not None and not sampler.sample(tenant):
             return None
         return self._new_span(op, layer, tenant, parent_id=None)
 

@@ -6,15 +6,16 @@ Public surface:
 * :class:`Deadline` — a lazily re-armed protocol timer (one live entry).
 * :class:`Event`, :class:`Timeout`, :class:`AnyOf`, :class:`AllOf` — waitables.
 * :class:`Process` — generator-based coroutine; also an event.
-* :class:`Store`, :class:`Resource`, :class:`Container` — shared resources.
-* :data:`NANOS`, :data:`MICROS`, :data:`MILLIS` — time-unit helpers.
+* :class:`Store` — a FIFO item queue (the listener's accept queue,
+  ServiceLib's worker shards).
+* :data:`NANOS` — the time-unit helper for nanosecond costs.
 """
 
-from .engine import MICROS, MILLIS, NANOS, Deadline, Simulator
+from .engine import NANOS, Deadline, Simulator
 from .events import AllOf, AnyOf, Event, Interrupt, SimulationError, Timeout
 from .fluid import FidelityController, FluidFlow, FluidRoute
 from .process import Process
-from .resources import Container, Resource, Store
+from .resources import Store
 
 __all__ = [
     "Simulator",
@@ -30,9 +31,5 @@ __all__ = [
     "SimulationError",
     "Process",
     "Store",
-    "Resource",
-    "Container",
     "NANOS",
-    "MICROS",
-    "MILLIS",
 ]

@@ -30,14 +30,10 @@ from typing import Any, Generator, Iterable, Optional
 from .events import AllOf, AnyOf, Event, SimulationError, Timeout
 from .process import Process
 
-__all__ = ["Simulator", "Deadline", "NANOS", "MICROS", "MILLIS"]
+__all__ = ["Simulator", "Deadline", "NANOS"]
 
 #: One nanosecond in simulator time units (seconds).
 NANOS = 1e-9
-#: One microsecond in simulator time units (seconds).
-MICROS = 1e-6
-#: One millisecond in simulator time units (seconds).
-MILLIS = 1e-3
 
 _INF = float("inf")
 

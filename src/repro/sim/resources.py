@@ -1,11 +1,8 @@
-"""Shared resources for processes: stores, semaphores and containers.
+"""Shared resources for processes.
 
-These mirror the SimPy resource trio but are written from scratch:
-
-* :class:`Store` — a FIFO queue of items with optional capacity; ``put`` and
-  ``get`` return events.
-* :class:`Resource` — a counted semaphore (e.g. a CPU core pool).
-* :class:`Container` — a continuous quantity (e.g. bytes of buffer space).
+:class:`Store` — a FIFO queue of items with optional capacity; ``put`` and
+``get`` return events.  It mirrors SimPy's ``Store`` but is written from
+scratch.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ from .events import Event
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Simulator
 
-__all__ = ["Store", "Resource", "Container"]
+__all__ = ["Store"]
 
 
 class Store:
@@ -88,92 +85,3 @@ class Store:
                 get_event = self._getters.popleft()
                 get_event.succeed(self.items.popleft())
                 progressed = True
-
-
-class Resource:
-    """A counted resource (semaphore), e.g. CPU cores or NIC queues.
-
-    ``acquire()`` returns an event firing when a unit is granted; callers
-    must balance every grant with ``release()``.
-    """
-
-    def __init__(self, sim: "Simulator", capacity: int = 1) -> None:
-        if capacity < 1:
-            raise ValueError("resource capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def available(self) -> int:
-        return self.capacity - self._in_use
-
-    def acquire(self) -> Event:
-        event = Event(self.sim)
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            event.succeed()
-        else:
-            self._waiters.append(event)
-        return event
-
-    def release(self) -> None:
-        if self._in_use <= 0:
-            raise RuntimeError("release() without matching acquire()")
-        if self._waiters:
-            # Hand the unit directly to the next waiter.
-            self._waiters.popleft().succeed()
-        else:
-            self._in_use -= 1
-
-
-class Container:
-    """A continuous quantity with blocking ``get`` and immediate ``put``."""
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError("container capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise ValueError("init level outside [0, capacity]")
-        self.sim = sim
-        self.capacity = capacity
-        self._level = init
-        self._getters: Deque[tuple[Event, float]] = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> None:
-        """Add ``amount`` (clamped at capacity) and wake eligible getters."""
-        if amount < 0:
-            raise ValueError("cannot put a negative amount")
-        self._level = min(self.capacity, self._level + amount)
-        self._drain()
-
-    def get(self, amount: float) -> Event:
-        """Event fires once ``amount`` can be withdrawn (FIFO order)."""
-        if amount < 0:
-            raise ValueError("cannot get a negative amount")
-        if amount > self.capacity:
-            raise ValueError("requested amount exceeds container capacity")
-        event = Event(self.sim)
-        self._getters.append((event, amount))
-        self._drain()
-        return event
-
-    def _drain(self) -> None:
-        while self._getters and self._getters[0][1] <= self._level:
-            event, amount = self._getters.popleft()
-            self._level -= amount
-            event.succeed(amount)

@@ -1,12 +1,11 @@
 """Measurement: throughput meters, latency percentiles, time series."""
 
 from .metrics import LatencyRecorder, ThroughputMeter, percentile
-from .series import PeriodicSampler, TimeSeries
+from .series import PeriodicSampler
 
 __all__ = [
     "ThroughputMeter",
     "LatencyRecorder",
     "percentile",
-    "TimeSeries",
     "PeriodicSampler",
 ]

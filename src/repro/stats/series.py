@@ -6,41 +6,12 @@ from typing import Callable, List, Tuple
 
 from ..sim import Simulator
 
-__all__ = ["TimeSeries", "PeriodicSampler"]
-
-
-class TimeSeries:
-    """A list of (time, value) points with simple reductions."""
-
-    def __init__(self, name: str = "series") -> None:
-        self.name = name
-        self.points: List[Tuple[float, float]] = []
-
-    def add(self, t: float, value: float) -> None:
-        if self.points and t < self.points[-1][0]:
-            raise ValueError("time series must be appended in time order")
-        self.points.append((t, value))
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def values(self) -> List[float]:
-        return [v for _t, v in self.points]
-
-    def mean(self) -> float:
-        if not self.points:
-            return 0.0
-        return sum(self.values()) / len(self.points)
-
-    def max(self) -> float:
-        return max(self.values()) if self.points else 0.0
-
-    def last(self) -> float:
-        return self.points[-1][1] if self.points else 0.0
+__all__ = ["PeriodicSampler"]
 
 
 class PeriodicSampler:
-    """Runs ``probe()`` every ``interval`` and appends to a series."""
+    """Runs ``probe()`` every ``interval`` and appends ``(time, value)`` to
+    :attr:`series`."""
 
     def __init__(
         self,
@@ -51,7 +22,7 @@ class PeriodicSampler:
     ) -> None:
         if interval <= 0:
             raise ValueError("interval must be positive")
-        self.series = TimeSeries(name)
+        self.series: List[Tuple[float, float]] = []
         self._probe = probe
         self._interval = interval
         sim.process(self._loop(sim), name=name)
@@ -59,4 +30,4 @@ class PeriodicSampler:
     def _loop(self, sim: Simulator):
         while True:
             yield sim.timeout(self._interval)
-            self.series.add(sim.now, float(self._probe()))
+            self.series.append((sim.now, float(self._probe())))

@@ -6,7 +6,7 @@ that legacy guests run in-kernel.  Public surface:
 * :class:`TcpStack` — a protocol instance bound to a NIC.
 * :class:`TcpConnection` / :class:`TcpState` — one endpoint.
 * :class:`Listener` — passive open + accept queue.
-* :mod:`repro.tcp.cc` — reno, cubic, bbr, ctcp, dctcp, vegas.
+* :mod:`repro.tcp.cc` — reno, cubic, bbr, ctcp, dctcp.
 """
 
 from . import cc

@@ -1,22 +1,20 @@
 """Pluggable congestion-control algorithms.
 
 Importing this package registers every algorithm in the by-name registry:
-``reno``, ``cubic``, ``bbr``, ``ctcp``, ``dctcp``, ``vegas``.
+``reno``, ``cubic``, ``bbr``, ``ctcp``, ``dctcp``.
 """
 
-from .base import CongestionControl, RateSample, available, factory, make, register
+from .base import CongestionControl, RateSample, available, make, register
 from .bbr import Bbr
 from .ctcp import CompoundTcp
 from .cubic import Cubic
 from .dctcp import Dctcp
 from .reno import Reno
-from .vegas import Vegas
 
 __all__ = [
     "CongestionControl",
     "RateSample",
     "available",
-    "factory",
     "make",
     "register",
     "Reno",
@@ -24,5 +22,4 @@ __all__ = [
     "Bbr",
     "CompoundTcp",
     "Dctcp",
-    "Vegas",
 ]

@@ -12,7 +12,7 @@ tenants when they pick an NSM.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Type
+from typing import Dict, Optional, Type
 
 __all__ = ["RateSample", "CongestionControl", "register", "make", "available"]
 
@@ -127,8 +127,3 @@ def make(name: str, mss: int = 1448, **kwargs) -> CongestionControl:
 def available() -> list[str]:
     """Names of all registered congestion-control algorithms."""
     return sorted(_REGISTRY)
-
-
-def factory(name: str, **kwargs) -> Callable[[int], CongestionControl]:
-    """A callable ``mss -> CongestionControl`` for deferred construction."""
-    return lambda mss: make(name, mss=mss, **kwargs)

@@ -6,14 +6,10 @@ from repro.api import KernelSocketApi
 from repro.apps import (
     BulkReceiver,
     BulkSender,
-    PoissonArrivals,
     RpcClient,
     RpcServer,
     WebClient,
     WebServer,
-    empirical_sizes,
-    lognormal_sizes,
-    uniform_sizes,
 )
 from repro.net import Endpoint
 
@@ -128,45 +124,3 @@ def test_web_connections_do_not_leak():
     rig.run(until=rig.sim.now + 5.0)
     assert rig.stack_a.connection_count == 0
     assert rig.stack_b.connection_count == 0
-
-
-# -------------------------------------------------------- workload generators --
-def test_poisson_arrival_rate():
-    from repro.sim import Simulator
-
-    sim = Simulator()
-    spawned = []
-    PoissonArrivals(sim, rate_per_second=100.0, make_task=spawned.append, seed=1)
-    sim.run(until=10.0)
-    assert 800 < len(spawned) < 1200
-
-
-def test_poisson_limit():
-    from repro.sim import Simulator
-
-    sim = Simulator()
-    spawned = []
-    PoissonArrivals(
-        sim, rate_per_second=1000.0, make_task=spawned.append, limit=17, seed=2
-    )
-    sim.run(until=10.0)
-    assert len(spawned) == 17
-
-
-def test_lognormal_sizes_median():
-    gen = lognormal_sizes(median=10_000, seed=3)
-    samples = sorted(next(gen) for _ in range(2001))
-    assert 7_000 < samples[1000] < 14_000
-
-
-def test_uniform_sizes_bounds():
-    gen = uniform_sizes(low=100, high=200, seed=4)
-    assert all(100 <= next(gen) <= 200 for _ in range(500))
-
-
-def test_empirical_sizes_only_from_mix():
-    gen = empirical_sizes(seed=5)
-    from repro.apps import WEB_FLOW_MIX
-
-    allowed = {s for s, _w in WEB_FLOW_MIX}
-    assert all(next(gen) in allowed for _ in range(200))

@@ -216,6 +216,19 @@ def test_trace_parser_defaults():
     assert args.duration is None
 
 
+@pytest.mark.parametrize("period", ["0", "-3"])
+def test_trace_sample_below_one_is_a_usage_error(period):
+    """--sample N is a 1-in-N period: N < 1 used to trace every span."""
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["trace", "figure4", "--sample", period])
+    assert excinfo.value.code == 2
+
+
+def test_trace_sample_one_means_every_span():
+    args = build_parser().parse_args(["trace", "figure4", "--sample", "1"])
+    assert args.sample == 1
+
+
 def test_chaos_parser_defaults():
     args = build_parser().parse_args(["chaos"])
     assert args.seed == 7 and args.flows == 2 and not args.smoke

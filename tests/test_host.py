@@ -68,7 +68,6 @@ def test_core_busy_poll_reports_full_utilization(sim):
     sim.timeout(10.0)
     sim.run()
     assert core.utilization() == 1.0
-    assert core.useful_utilization() == 0.0
 
 
 def test_core_rejects_negative_cost(sim):

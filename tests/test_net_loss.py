@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import EpisodicLoss, GilbertElliottLoss, IIDLoss, NoLoss
+from repro.net import EpisodicLoss, IIDLoss, NoLoss
 
 
 def test_no_loss_never_drops():
@@ -65,22 +65,3 @@ def test_episodic_validates_arguments():
         EpisodicLoss(1.0, burst_len=0)
     with pytest.raises(ValueError):
         EpisodicLoss(1.0, background_p=1.0)
-
-
-def test_gilbert_elliott_bad_state_clusters_losses():
-    model = GilbertElliottLoss(
-        p_gb=0.005, p_bg=0.2, loss_good=0.0, loss_bad=1.0, seed=11
-    )
-    outcomes = [model.should_drop() for _ in range(20_000)]
-    losses = sum(outcomes)
-    assert losses > 0
-    # Consecutive-loss probability should far exceed the marginal rate.
-    pairs = sum(1 for i in range(len(outcomes) - 1) if outcomes[i] and outcomes[i + 1])
-    marginal = losses / len(outcomes)
-    conditional = pairs / max(1, losses)
-    assert conditional > 2 * marginal
-
-
-def test_gilbert_elliott_validates_probabilities():
-    with pytest.raises(ValueError):
-        GilbertElliottLoss(p_gb=1.5)

@@ -1,4 +1,4 @@
-"""repro.obs: histograms, samplers, span trees, runtime slot, exporters."""
+"""repro.obs: histograms, the head sampler, span trees, runtime slot, exporters."""
 
 import json
 import pathlib
@@ -12,13 +12,12 @@ from repro.obs import (
     HeadSampler,
     Log2Histogram,
     NullTracer,
-    PerTenantSampler,
-    ProbabilisticSampler,
     Tracer,
     chrome_trace,
     runtime,
     summary,
 )
+from repro.obs import spans as obs_spans
 from repro.obs.histograms import SUB_BUCKETS
 from repro.stats import percentile
 
@@ -89,24 +88,6 @@ def test_head_sampler_deterministic_per_tenant():
     ]
 
 
-def test_probabilistic_sampler_deterministic_per_seed():
-    def draws(seed):
-        sampler = ProbabilisticSampler(0.3, seed=seed)
-        return [sampler.sample() for _ in range(100)]
-
-    a, b, c = draws(5), draws(5), draws(6)
-    assert a == b
-    assert a != c
-    assert 10 < sum(a) < 50  # roughly Bernoulli(0.3)
-
-
-def test_per_tenant_sampler_routes_by_vm():
-    sampler = PerTenantSampler(default=HeadSampler(1000), tenants={7: 1})
-    assert all(sampler.sample(7) for _ in range(10))  # tenant 7: everything
-    background = [sampler.sample(3) for _ in range(10)]
-    assert background[0] is True and sum(background) == 1  # 1-in-1000
-
-
 # ----------------------------------------------------------- runtime slot --
 def test_null_tracer_default_and_scoped_install():
     assert runtime.get_tracer().enabled is False
@@ -132,8 +113,9 @@ def test_counters_inc_and_high_water():
     assert counters.as_dict() == {"x": 5, "hwm": 3}
 
 
-def test_tracer_max_spans_drops_and_counts():
-    tracer = Tracer(max_spans=2)
+def test_tracer_max_spans_drops_and_counts(monkeypatch):
+    monkeypatch.setattr(obs_spans, "DEFAULT_MAX_SPANS", 2)
+    tracer = Tracer()
     assert tracer.span("a", "guestlib") is not None
     assert tracer.span("b", "guestlib") is not None
     assert tracer.span("c", "guestlib") is None

@@ -1,10 +1,10 @@
-"""Unit and property tests for Store / Resource / Container."""
+"""Unit and property tests for Store."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Container, Resource, Simulator, Store
+from repro.sim import Simulator, Store
 
 
 # --------------------------------------------------------------------- Store --
@@ -101,89 +101,3 @@ def test_store_preserves_order_property(items):
     sim.process(consumer(sim))
     sim.run()
     assert out == items
-
-
-# ------------------------------------------------------------------ Resource --
-def test_resource_grants_up_to_capacity(sim):
-    res = Resource(sim, capacity=2)
-    a = res.acquire()
-    b = res.acquire()
-    c = res.acquire()
-    assert a.triggered and b.triggered and not c.triggered
-    assert res.in_use == 2
-
-
-def test_resource_release_hands_to_waiter(sim):
-    res = Resource(sim, capacity=1)
-    res.acquire()
-    waiter = res.acquire()
-    assert not waiter.triggered
-    res.release()
-    assert waiter.triggered
-    assert res.in_use == 1  # handed over, not freed
-
-
-def test_resource_release_without_acquire_raises(sim):
-    res = Resource(sim)
-    with pytest.raises(RuntimeError):
-        res.release()
-
-
-def test_resource_available_accounting(sim):
-    res = Resource(sim, capacity=3)
-    res.acquire()
-    assert res.available == 2
-
-
-# ----------------------------------------------------------------- Container --
-def test_container_put_then_get(sim):
-    box = Container(sim, capacity=100, init=10)
-    got = box.get(5)
-    assert got.triggered
-    assert box.level == 5
-
-
-def test_container_get_blocks_until_level(sim):
-    box = Container(sim, capacity=100)
-    fired = []
-    box.get(30).add_callback(lambda ev: fired.append(sim.now))
-    box.put(10)
-    sim.run()
-    assert fired == []
-    box.put(25)
-    sim.run()
-    assert fired == [0.0]
-    assert box.level == 5
-
-
-def test_container_clamps_at_capacity(sim):
-    box = Container(sim, capacity=10)
-    box.put(50)
-    assert box.level == 10
-
-
-def test_container_fifo_getters(sim):
-    box = Container(sim, capacity=100)
-    order = []
-    box.get(10).add_callback(lambda ev: order.append("first"))
-    box.get(1).add_callback(lambda ev: order.append("second"))
-    box.put(5)  # enough for second, but first is at the head
-    sim.run()
-    assert order == []
-    box.put(10)
-    sim.run()
-    assert order == ["first", "second"]
-
-
-def test_container_validates_arguments(sim):
-    with pytest.raises(ValueError):
-        Container(sim, capacity=0)
-    with pytest.raises(ValueError):
-        Container(sim, capacity=10, init=20)
-    box = Container(sim, capacity=10)
-    with pytest.raises(ValueError):
-        box.get(-1)
-    with pytest.raises(ValueError):
-        box.get(11)
-    with pytest.raises(ValueError):
-        box.put(-1)

@@ -9,7 +9,6 @@ from repro.stats import (
     LatencyRecorder,
     PeriodicSampler,
     ThroughputMeter,
-    TimeSeries,
     percentile,
 )
 
@@ -82,22 +81,6 @@ def test_latency_recorder_rejects_negative():
         LatencyRecorder().record(-0.1)
 
 
-def test_time_series_ordering_enforced():
-    series = TimeSeries()
-    series.add(1.0, 5.0)
-    with pytest.raises(ValueError):
-        series.add(0.5, 1.0)
-
-
-def test_time_series_reductions():
-    series = TimeSeries()
-    for t, v in ((0, 1.0), (1, 3.0), (2, 2.0)):
-        series.add(t, v)
-    assert series.mean() == pytest.approx(2.0)
-    assert series.max() == 3.0
-    assert series.last() == 2.0
-
-
 def test_periodic_sampler_collects(sim):
     counter = {"n": 0}
 
@@ -108,4 +91,4 @@ def test_periodic_sampler_collects(sim):
     sampler = PeriodicSampler(sim, probe, interval=0.5)
     sim.run(until=2.6)
     assert len(sampler.series) == 5
-    assert sampler.series.last() == 5
+    assert sampler.series[-1][1] == 5
