@@ -1,6 +1,6 @@
 """Ablation H (§5): short-connection scalability, native vs NetKernel."""
 
-from repro.experiments import run_connscale_ablation
+from repro.experiments.ablation_connscale import run_connscale_ablation
 
 from conftest import emit
 

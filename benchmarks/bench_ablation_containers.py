@@ -6,7 +6,7 @@ latency-sensitive neighbour because DCTCP holds the fabric queue at the
 ECN marking threshold.
 """
 
-from repro.experiments import run_container_ablation
+from repro.experiments.ablation_containers import run_container_ablation
 
 from conftest import emit
 

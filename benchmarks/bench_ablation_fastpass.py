@@ -1,6 +1,6 @@
 """Ablation G (§5): Fastpass-style centralized arbitration as an NSM service."""
 
-from repro.experiments import run_fastpass_ablation
+from repro.experiments.ablation_fastpass import run_fastpass_ablation
 
 from conftest import emit
 

@@ -1,6 +1,6 @@
 """Ablation D (§2.1): multiplexing gains from shared NSMs."""
 
-from repro.experiments import run_multiplexing_ablation
+from repro.experiments.ablation_multiplexing import run_multiplexing_ablation
 
 from conftest import emit
 

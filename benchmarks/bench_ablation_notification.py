@@ -4,7 +4,7 @@ Polling: lowest RPC latency, provider cores pinned at 100%.
 Interrupts: per-hop coalescing latency, CPU proportional to load.
 """
 
-from repro.experiments import run_notify_ablation
+from repro.experiments.ablation_notify import run_notify_ablation
 
 from conftest import emit
 

@@ -1,6 +1,6 @@
 """Ablation A (§5): NSM form factor tradeoffs — VM vs container vs module."""
 
-from repro.experiments import run_nsm_form_ablation
+from repro.experiments.ablation_nsm_form import run_nsm_form_ablation
 
 from conftest import emit
 

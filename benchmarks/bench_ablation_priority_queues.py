@@ -8,7 +8,7 @@ a future change that makes rings a bottleneck will surface here.
 
 import math
 
-from repro.experiments import run_priority_ablation
+from repro.experiments.ablation_priority import run_priority_ablation
 
 from conftest import emit
 

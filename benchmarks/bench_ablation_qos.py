@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import run_qos_ablation
+from repro.experiments.ablation_qos import run_qos_ablation
 
 from conftest import emit
 

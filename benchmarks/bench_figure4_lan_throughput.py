@@ -4,8 +4,8 @@ Paper shape: the NSM achieves virtually the same throughput as the native
 stack; both reach 40 GbE line rate (~37 Gbps) with two or more flows.
 """
 
-from repro.experiments import run_figure4
 from repro.experiments.common import LAN_LINE_RATE_GBPS
+from repro.experiments.figure4 import run_figure4
 
 from conftest import emit
 

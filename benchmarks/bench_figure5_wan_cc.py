@@ -10,7 +10,7 @@ Internet weather (see EXPERIMENTS.md).
 
 import pytest
 
-from repro.experiments import run_figure5
+from repro.experiments.figure5 import run_figure5
 
 from conftest import emit
 

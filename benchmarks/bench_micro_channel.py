@@ -5,7 +5,7 @@ Paper: ~12 ns per nqe copy; ~64 Gbps (64 B) and ~81 Gbps (8 KB) per core.
 
 import pytest
 
-from repro.experiments import run_microbench
+from repro.experiments.microbench import run_microbench
 
 from conftest import emit
 

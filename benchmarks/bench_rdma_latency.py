@@ -7,7 +7,7 @@ advantage tenants buy with the RDMA NSM.
 
 import statistics
 
-from repro.apps import RpcClient, RpcServer
+from repro.apps.rpc import RpcClient, RpcServer
 from repro.experiments.common import make_lan_testbed
 from repro.host.vm import GuestOS
 from repro.net import Endpoint

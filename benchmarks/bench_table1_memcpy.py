@@ -3,7 +3,7 @@
 Paper: 64B->8ns, 512B->64ns, 1KB->117ns, 2KB->214ns, 4KB->425ns, 8KB->809ns.
 """
 
-from repro.experiments import run_table1
+from repro.experiments.table1 import run_table1
 
 from conftest import emit
 

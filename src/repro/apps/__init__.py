@@ -1,14 +1,14 @@
-"""Workload applications built on the tenant socket API."""
+"""Workload applications built on the tenant socket API.
+
+The request/response pair (:mod:`.rpc`) is imported from its module.
+"""
 
 from .bulk import BulkReceiver, BulkSender
-from .rpc import RpcClient, RpcServer
 from .web import WebClient, WebServer
 
 __all__ = [
     "BulkSender",
     "BulkReceiver",
-    "RpcServer",
-    "RpcClient",
     "WebServer",
     "WebClient",
 ]

@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["main", "build_parser"]
 
@@ -36,13 +36,13 @@ def _banner(title: str) -> str:
 
 
 def run_table1(args: argparse.Namespace) -> str:
-    from .experiments import run_table1 as harness
+    from .experiments.table1 import run_table1 as harness
 
     return harness().table()
 
 
 def run_micro(args: argparse.Namespace) -> str:
-    from .experiments import run_microbench as harness
+    from .experiments.microbench import run_microbench as harness
 
     return harness().table()
 
@@ -70,7 +70,7 @@ def _jobs(args: argparse.Namespace) -> int:
 
 
 def run_figure4(args: argparse.Namespace) -> str:
-    from .experiments import run_figure4 as harness
+    from .experiments.figure4 import run_figure4 as harness
 
     return harness(
         duration=args.duration,
@@ -81,7 +81,7 @@ def run_figure4(args: argparse.Namespace) -> str:
 
 
 def run_figure5(args: argparse.Namespace) -> str:
-    from .experiments import run_figure5 as harness
+    from .experiments.figure5 import run_figure5 as harness
 
     return harness(
         duration=args.duration,
@@ -91,24 +91,25 @@ def run_figure5(args: argparse.Namespace) -> str:
     ).table()
 
 
-_ABLATIONS: Dict[str, str] = {
-    "form": "run_nsm_form_ablation",
-    "priority": "run_priority_ablation",
-    "notify": "run_notify_ablation",
-    "multiplex": "run_multiplexing_ablation",
-    "containers": "run_container_ablation",
-    "qos": "run_qos_ablation",
-    "fastpass": "run_fastpass_ablation",
-    "connscale": "run_connscale_ablation",
+#: ``repro ablation`` name -> (harness module in repro.experiments, runner).
+_ABLATIONS: Dict[str, Tuple[str, str]] = {
+    "form": ("ablation_nsm_form", "run_nsm_form_ablation"),
+    "priority": ("ablation_priority", "run_priority_ablation"),
+    "notify": ("ablation_notify", "run_notify_ablation"),
+    "multiplex": ("ablation_multiplexing", "run_multiplexing_ablation"),
+    "containers": ("ablation_containers", "run_container_ablation"),
+    "qos": ("ablation_qos", "run_qos_ablation"),
+    "fastpass": ("ablation_fastpass", "run_fastpass_ablation"),
+    "connscale": ("ablation_connscale", "run_connscale_ablation"),
 }
 
 
 def run_ablation(args: argparse.Namespace) -> str:
+    import importlib
     import inspect
 
-    import repro.experiments as experiments
-
-    harness = getattr(experiments, _ABLATIONS[args.which])
+    module, runner = _ABLATIONS[args.which]
+    harness = getattr(importlib.import_module(f"{__package__}.experiments.{module}"), runner)
     kwargs = {}
     # Grid-shaped ablations accept ``jobs``; single-run ones don't.
     parameters = inspect.signature(harness).parameters

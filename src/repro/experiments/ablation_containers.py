@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..apps import BulkReceiver, BulkSender, RpcClient, RpcServer
+from ..apps import BulkReceiver, BulkSender
+from ..apps.rpc import RpcClient, RpcServer
 from ..net import Endpoint
 from ..netkernel import NsmForm, NsmSpec
 from .common import make_lan_testbed

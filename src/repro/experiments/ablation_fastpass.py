@@ -18,10 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..apps import BulkReceiver, BulkSender, RpcClient, RpcServer
+from ..apps import BulkReceiver, BulkSender
+from ..apps.rpc import RpcClient, RpcServer
 from ..net import Endpoint
-from ..netkernel import FastpassArbiter, NsmSpec
-from ..stats import PeriodicSampler
+from ..netkernel import NsmSpec
+from ..netkernel.arbiter import FastpassArbiter
+from ..stats.series import PeriodicSampler
 from .common import make_lan_testbed
 
 __all__ = ["FastpassRow", "FastpassResult", "run_fastpass_ablation"]

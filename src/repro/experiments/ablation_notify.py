@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..apps import RpcClient, RpcServer
+from ..apps.rpc import RpcClient, RpcServer
 from ..net import Endpoint
 from ..netkernel import CoreEngineConfig, NotifyMode, NsmSpec
 from .common import make_lan_testbed

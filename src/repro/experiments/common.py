@@ -11,21 +11,25 @@ Two environments appear in §4:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..host import PhysicalHost
 from ..net import (
     AddressAllocator,
-    CoreSwitch,
     DuplexLink,
     EpisodicLoss,
     LossModel,
+    NoLoss,
     OffloadConfig,
+    wire_bytes,
 )
 from ..netkernel import CoreEngineConfig, Hypervisor
 from ..obs import runtime as obs_runtime
 from ..obs.spans import Tracer
 from ..sim import Simulator
+
+if TYPE_CHECKING:
+    from ..net.fabric import CoreSwitch
 
 
 def _trace_sim(tracer: Optional[Tracer]) -> Simulator:
@@ -97,10 +101,6 @@ def install_fluid(testbed, mode: str = "auto"):
       the dynamics packet fidelity exists to model (so figure 5's WAN,
       with its calibrated EpisodicLoss uplink, always runs packets).
     """
-    from ..net.loss import NoLoss
-    from ..net.packet import wire_bytes
-    from ..sim.fluid import FidelityController
-
     if mode in (None, "packet"):
         return None
     if mode != "auto":
@@ -108,6 +108,9 @@ def install_fluid(testbed, mode: str = "auto"):
     fwd, rev = testbed.wire.a_to_b, testbed.wire.b_to_a
     if not isinstance(fwd.loss, NoLoss) or not isinstance(rev.loss, NoLoss):
         return None
+    # Only fluid runs load the fluid engine.
+    from ..sim.fluid import FidelityController
+
     controller = FidelityController(testbed.sim)
     # Route capacity is TCP goodput: line rate less framing overhead at
     # the default wire MSS (the 37.6-of-40 Gbps factor in §4.2).
@@ -288,6 +291,8 @@ def make_cluster_testbed(
     tracer: Optional[Tracer] = None,
 ) -> ClusterTestbed:
     """A small cluster: every host uplinks into one core switch."""
+    from ..net.fabric import CoreSwitch
+
     if n_hosts < 2:
         raise ValueError("a cluster needs at least 2 hosts")
     sim = _trace_sim(tracer)

@@ -85,10 +85,6 @@ class Core:
         self.ops += 1
         heappush(sim._queue, (now + (finish - now), next(sim._counter), func, args))
 
-    def execute_cycles(self, cycles: float) -> Event:
-        """Enqueue work expressed in CPU cycles at this core's clock."""
-        return self.execute(cycles / (self.ghz * 1e9))
-
     @property
     def backlog_seconds(self) -> float:
         """Work currently queued ahead of a new arrival."""
@@ -134,9 +130,6 @@ class CpuSet:
         core = self.cores[self._rr % len(self.cores)]
         self._rr += 1
         return core
-
-    def least_loaded(self) -> Core:
-        return min(self.cores, key=lambda c: c.backlog_seconds)
 
     def total_busy_seconds(self) -> float:
         return sum(core.busy_seconds for core in self.cores)

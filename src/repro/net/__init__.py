@@ -1,7 +1,9 @@
-"""Network substrate: packets, links, loss, NICs, switches and offloads."""
+"""Network substrate: packets, links, loss, NICs, switches and offloads.
+
+The multi-host core switch (:mod:`.fabric`) is imported from its module.
+"""
 
 from .addressing import AddressAllocator, Endpoint
-from .fabric import CoreSwitch
 from .link import DropTailQueue, DuplexLink, Link, LinkStats
 from .loss import EpisodicLoss, IIDLoss, LossModel, NoLoss
 from .nic import NIC, PhysicalNIC, VirtualFunction, VirtualNIC
@@ -21,7 +23,6 @@ from .switch import EmbeddedSwitch, HostSwitch, VirtualSwitch
 __all__ = [
     "AddressAllocator",
     "Endpoint",
-    "CoreSwitch",
     "DropTailQueue",
     "DuplexLink",
     "Link",

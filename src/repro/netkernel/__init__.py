@@ -9,9 +9,12 @@ Components, mirroring §3:
 * :class:`CoreEngine` — hypervisor daemon: nqe switching + connection table.
 * :class:`NSM` — the provider-run network stack module (VM/container/module).
 * :class:`Hypervisor` — boots VMs (legacy or NetKernel) and NSMs.
+
+Fastpass arbitration (:mod:`.arbiter`), the RDMA NSM (:mod:`.rdma_nsm`)
+and live migration (:mod:`.migration`) are imported from their modules,
+so a run that uses none of them does not load them.
 """
 
-from .arbiter import FastpassArbiter
 from .conntable import ConnectionTable
 from .coreengine import CoreEngine, CoreEngineConfig, VmAttachment
 from .guestlib import GUESTLIB_OP_NS, GuestLib
@@ -20,7 +23,6 @@ from .nqe import NQE_COPY_NS, Nqe, NqeOp, NqeStatus
 from .nsm import NSM, STACK_FAMILIES, NsmForm, NsmSpec, register_stack_family
 from .provision import Hypervisor
 from .qos import TokenBucket
-from .rdma_nsm import DOORBELL_NS, RdmaNsm, TenantRdma
 from .queues import NotifyMode, NqeRing, PriorityNqeRing, QueueTimeout
 from .servicelib import SERVICELIB_OP_NS, ServiceLib
 
@@ -53,8 +55,4 @@ __all__ = [
     "register_stack_family",
     "Hypervisor",
     "TokenBucket",
-    "FastpassArbiter",
-    "RdmaNsm",
-    "TenantRdma",
-    "DOORBELL_NS",
 ]

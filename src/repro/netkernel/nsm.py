@@ -21,14 +21,16 @@ from __future__ import annotations
 import enum
 import importlib
 from itertools import count
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..host.cpu import Core
 from ..host.machine import PhysicalHost
 from ..net import NIC
 from ..sim import Simulator
 from ..tcp import StackConfig, TcpStack
-from .arbiter import FastpassArbiter
+
+if TYPE_CHECKING:
+    from .arbiter import FastpassArbiter
 
 __all__ = [
     "NsmForm",

@@ -8,7 +8,7 @@ registers NSMs, including shared (multiplexed) ones.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from ..api.socket_api import KernelSocketApi
 from ..host.machine import PhysicalHost
@@ -18,7 +18,9 @@ from ..sim import Simulator
 from ..tcp import StackConfig, TcpStack
 from .coreengine import CoreEngine, CoreEngineConfig
 from .nsm import NSM, NsmSpec
-from .rdma_nsm import RdmaNsm, TenantRdma
+
+if TYPE_CHECKING:
+    from .rdma_nsm import RdmaNsm, TenantRdma
 
 __all__ = ["Hypervisor", "LEGACY_STACK_PER_BYTE_NS", "LEGACY_STACK_PER_SEGMENT_NS"]
 
@@ -72,6 +74,8 @@ class Hypervisor:
 
     def boot_rdma_nsm(self, fabric, cores: int = 1, name: Optional[str] = None) -> RdmaNsm:
         """Boot an RDMA stack module (§2.1's 'customized stack (say RDMA)')."""
+        from .rdma_nsm import RdmaNsm
+
         with obs_runtime.installed(self._tracer):
             nsm = RdmaNsm(self.sim, self.host, fabric, cores=cores, name=name)
         self.rdma_nsms.append(nsm)
@@ -79,6 +83,8 @@ class Hypervisor:
 
     def attach_rdma(self, vm: VM, nsm: RdmaNsm) -> TenantRdma:
         """Give a (NetKernel or legacy) VM a Verbs handle served by ``nsm``."""
+        from .rdma_nsm import TenantRdma
+
         with obs_runtime.installed(self._tracer):
             handle = TenantRdma(self.sim, nsm, vm.cores[0])
         vm.rdma = handle  # type: ignore[attr-defined]

@@ -35,13 +35,7 @@ __all__ = [
     "QuicPacketType",
     "StreamFrame",
     "QuicPacket",
-    "QUIC_HEADER_BYTES",
 ]
-
-#: Short-header overhead stand-in (UDP header + flags + dcid + pkt num).
-#: Only used for CPU-cost accounting; wire framing reuses the shared
-#: per-frame constants in :mod:`repro.net.packet`.
-QUIC_HEADER_BYTES = 28
 
 
 class QuicPacketType(enum.Enum):

@@ -18,24 +18,35 @@ compares ids across simulators, but there is no reason to go there).
 
 from __future__ import annotations
 
+import sys
 from itertools import count
 
 __all__ = ["reset_run_ids"]
 
+#: Module (relative to this package) -> its module-level id allocators.
+_ALLOCATORS = {
+    "net.packet": ("_packet_ids",),
+    "netkernel.hugepages": ("_chunk_ids",),
+    "netkernel.nsm": ("_nsm_ids",),
+    "netkernel.rdma_nsm": ("_rdma_nsm_ids",),
+    "rdma.transport": ("_msg_ids",),
+    "rdma.verbs": ("_wr_ids",),
+    "quic.stack": ("_cid_ids", "_ticket_ids"),
+}
+
 
 def reset_run_ids() -> None:
-    """Rewind all module-level id allocators to their boot state."""
-    from .net import packet
-    from .netkernel import hugepages, nqe, nsm, rdma_nsm
-    from .quic import stack as quic_stack
-    from .rdma import transport, verbs
+    """Rewind the id allocators of every loaded module to their boot state.
 
-    packet._packet_ids = count(1)
-    nqe.reset_tokens()
-    hugepages._chunk_ids = count(1)
-    nsm._nsm_ids = count(1)
-    rdma_nsm._rdma_nsm_ids = count(1)
-    transport._msg_ids = count(1)
-    verbs._wr_ids = count(1)
-    quic_stack._cid_ids = count(1)
-    quic_stack._ticket_ids = count(1)
+    A module that is not loaded yet starts at its boot state when it is,
+    so the reset touches only modules already in ``sys.modules`` and
+    imports nothing.
+    """
+    for name, allocators in _ALLOCATORS.items():
+        module = sys.modules.get(f"{__package__}.{name}")
+        if module is not None:
+            for allocator in allocators:
+                setattr(module, allocator, count(1))
+    nqe = sys.modules.get(f"{__package__}.netkernel.nqe")
+    if nqe is not None:
+        nqe.reset_tokens()

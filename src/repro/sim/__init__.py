@@ -9,20 +9,19 @@ Public surface:
 * :class:`Store` — a FIFO item queue (the listener's accept queue,
   ServiceLib's worker shards).
 * :data:`NANOS` — the time-unit helper for nanosecond costs.
+
+The fluid engine (:mod:`.fluid`) sits above TCP and is imported from its
+module by the runs that install it.
 """
 
 from .engine import NANOS, Deadline, Simulator
 from .events import AllOf, AnyOf, Event, Interrupt, SimulationError, Timeout
-from .fluid import FidelityController, FluidFlow, FluidRoute
 from .process import Process
 from .resources import Store
 
 __all__ = [
     "Simulator",
     "Deadline",
-    "FidelityController",
-    "FluidFlow",
-    "FluidRoute",
     "Event",
     "Timeout",
     "AnyOf",

@@ -57,10 +57,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
+from ..tcp.buffers import ReassemblyQueue
+from ..tcp.connection import TcpConnection, TcpState
+from ..tcp.stack import TimeWait
 from .engine import Deadline
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..tcp.connection import TcpConnection
     from ..tcp.stack import TcpStack
     from .engine import Simulator
 
@@ -264,8 +266,6 @@ class FidelityController:
         return self.sim.now < self._fault_until
 
     def _fluid_conns(self) -> List["TcpConnection"]:
-        from ..tcp.stack import TimeWait
-
         return [
             flow.conn
             for route in self.routes.values()
@@ -310,8 +310,6 @@ class FidelityController:
 
     def _eligible(self, conn: "TcpConnection") -> Optional["TcpConnection"]:
         """Peer connection when ``conn``'s send direction may go fluid."""
-        from ..tcp.connection import TcpState
-
         if self.in_fault_window or conn.state is not TcpState.ESTABLISHED:
             return None
         if conn._in_fast_recovery or conn._sacked or conn.fin_sent:
@@ -625,8 +623,6 @@ class FidelityController:
         if flow.demoted:
             return
         conn, peer = flow.conn, flow.peer
-        from ..tcp.connection import TcpState
-
         if peer.state in (TcpState.CLOSED, TcpState.TIME_WAIT):
             # The receiver went away (abort/RST) under the flow; back to
             # packets, where the resent bytes will elicit the peer's RST.
@@ -671,8 +667,6 @@ class FidelityController:
         one-way latency — the same times the packet handshake would give
         on a clean path, minus its per-segment events.
         """
-        from ..tcp.connection import TcpState
-
         if self.in_fault_window or stack.arbiter is not None:
             return False
         route = self.route_for(conn.local.ip, conn.remote.ip)
@@ -700,9 +694,6 @@ class FidelityController:
 
     def _fluid_accept(self, conn, peer_stack, listener) -> None:
         """Server side of the analytic handshake (at +one-way latency)."""
-        from ..tcp.buffers import ReassemblyQueue
-        from ..tcp.connection import TcpConnection, TcpState
-
         if conn.state is not TcpState.SYN_SENT:
             return  # client gave up while the "SYN" was in flight
         if not listener.can_admit() or listener.closed:
@@ -737,9 +728,6 @@ class FidelityController:
 
     def _fluid_established(self, conn, sconn) -> None:
         """Client side completes (at +RTT), mirroring the SYN/ACK arrival."""
-        from ..tcp.buffers import ReassemblyQueue
-        from ..tcp.connection import TcpState
-
         if conn.state is not TcpState.SYN_SENT:
             return
         conn.irs = sconn.iss

@@ -1,11 +1,13 @@
-"""Measurement: throughput meters, latency percentiles, time series."""
+"""Measurement: throughput meters and latency percentiles.
+
+The periodic time-series sampler (:mod:`.series`) is imported from its
+module.
+"""
 
 from .metrics import LatencyRecorder, ThroughputMeter, percentile
-from .series import PeriodicSampler
 
 __all__ = [
     "ThroughputMeter",
     "LatencyRecorder",
     "percentile",
-    "PeriodicSampler",
 ]

@@ -3,14 +3,8 @@
 import pytest
 
 from repro.api import KernelSocketApi
-from repro.apps import (
-    BulkReceiver,
-    BulkSender,
-    RpcClient,
-    RpcServer,
-    WebClient,
-    WebServer,
-)
+from repro.apps import BulkReceiver, BulkSender, WebClient, WebServer
+from repro.apps.rpc import RpcClient, RpcServer
 from repro.net import Endpoint
 
 from conftest import make_linked_stacks

@@ -1,7 +1,8 @@
 """Census of the public surface: every exported name has a caller.
 
-A name listed in an ``__all__`` of a ``src/repro`` package is public
-surface.  It earns its place only if code outside ``tests/`` uses it: a
+A name listed in the ``__all__`` of any ``src/repro`` module is public
+surface (a package ``__init__`` re-exports only what every run needs, so
+most public names live only in their own module's ``__all__``).  It earns its place only if code outside ``tests/`` uses it: a
 ``Name`` or ``Attribute`` reference in ``src/``, ``examples/`` or
 ``benchmarks/``.  References inside the name's own ``def``/``class``,
 import lines and the ``__all__`` strings themselves do not count.
@@ -40,18 +41,18 @@ ALLOWLIST: Dict[str, str] = {
 
 
 def exported_names(root: Path) -> Dict[str, List[str]]:
-    """Every name in a ``src/repro/**/__init__.py`` ``__all__``, mapped to
-    the packages that export it."""
+    """Every name in a ``src/repro/**/*.py`` ``__all__``, mapped to the
+    modules that export it."""
     exports: Dict[str, List[str]] = {}
-    for init in sorted((root / "src" / "repro").rglob("__init__.py")):
-        for node in ast.parse(init.read_text()).body:
+    for module in sorted((root / "src" / "repro").rglob("*.py")):
+        for node in ast.parse(module.read_text()).body:
             if isinstance(node, ast.Assign) and any(
                 isinstance(target, ast.Name) and target.id == "__all__"
                 for target in node.targets
             ):
                 for element in node.value.elts:
                     exports.setdefault(element.value, []).append(
-                        str(init.parent.relative_to(root))
+                        str(module.relative_to(root))
                     )
     return exports
 

@@ -21,7 +21,8 @@ import pathlib
 import pytest
 
 from repro import obs
-from repro.apps import BulkReceiver, BulkSender, RpcClient, RpcServer, WebClient, WebServer
+from repro.apps import BulkReceiver, BulkSender, WebClient, WebServer
+from repro.apps.rpc import RpcClient, RpcServer
 from repro.experiments.common import FIG4_SOCKET_BUF, make_lan_testbed
 from repro.net import Endpoint
 from repro.netkernel import CoreEngineConfig, NotifyMode, NsmSpec

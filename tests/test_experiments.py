@@ -7,22 +7,20 @@ cheap experiments outright.
 
 import pytest
 
-from repro.experiments import (
-    make_cluster_testbed,
-    make_lan_testbed,
-    make_wan_testbed,
-    run_microbench,
-    run_table1,
-)
 from repro.experiments.common import (
     FIG4_SOCKET_BUF,
     LAN_LINE_RATE_GBPS,
     WAN_RTT,
     WAN_UPLINK_BPS,
     default_wan_loss,
+    make_cluster_testbed,
+    make_lan_testbed,
+    make_wan_testbed,
 )
 from repro.experiments.figure4 import Figure4Result, Figure4Row
 from repro.experiments.figure5 import CONFIGS, PAPER_MBPS
+from repro.experiments.microbench import run_microbench
+from repro.experiments.table1 import run_table1
 
 
 def test_lan_testbed_is_wired_both_ways():

@@ -55,13 +55,6 @@ def test_core_backlog_reported(sim):
     assert core.backlog_seconds == pytest.approx(5.0)
 
 
-def test_core_cycles_conversion(sim):
-    core = Core(sim, "c0", ghz=2.0)
-    core.execute_cycles(2e9)
-    sim.run()
-    assert core.busy_seconds == pytest.approx(1.0)
-
-
 def test_core_busy_poll_reports_full_utilization(sim):
     core = Core(sim, "c0")
     core.busy_poll = True
@@ -81,12 +74,6 @@ def test_cpuset_round_robin(sim):
     picks = [cpus.pick() for _ in range(6)]
     assert picks[:3] == picks[3:]
     assert len(set(picks[:3])) == 3
-
-
-def test_cpuset_least_loaded(sim):
-    cpus = CpuSet(sim, 2)
-    cpus[0].execute(10.0)
-    assert cpus.least_loaded() is cpus[1]
 
 
 def test_cpuset_utilization_averages(sim):

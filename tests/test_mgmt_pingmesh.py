@@ -7,7 +7,8 @@ import pytest
 
 from repro.experiments.common import make_cluster_testbed, make_lan_testbed
 from repro.mgmt import PingmeshMesh
-from repro.net import CoreSwitch, Packet
+from repro.net import Packet
+from repro.net.fabric import CoreSwitch
 from repro.netkernel import NsmForm
 
 

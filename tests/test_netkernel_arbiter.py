@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.netkernel import FastpassArbiter
+from repro.netkernel.arbiter import FastpassArbiter
 from repro.sim import Simulator
 
 

@@ -253,7 +253,7 @@ def test_batched_interrupt_mode_end_to_end():
 
 def _interrupt_rpc(servicelib_workers):
     """RPC p50 latency and server-NSM core-0 CPU per RPC, under interrupts."""
-    from repro.apps import RpcClient, RpcServer
+    from repro.apps.rpc import RpcClient, RpcServer
 
     config = CoreEngineConfig(notify_mode=NotifyMode.BATCHED_INTERRUPT)
     testbed, vm_a, vm_b, _, nsm_b = make_rig(

@@ -6,9 +6,10 @@ full — each maps to a table, figure or §4.2 statement.
 
 import pytest
 
-from repro.experiments import run_microbench, run_table1
 from repro.experiments.common import make_lan_testbed
 from repro.experiments.figure4 import measure_lan_throughput
+from repro.experiments.microbench import run_microbench
+from repro.experiments.table1 import run_table1
 from repro.host import MemcpyModel
 from repro.netkernel import NQE_COPY_NS
 

@@ -241,7 +241,7 @@ def test_rdma_rpc_latency_beats_tcp():
     rdma_rtt = sorted(rtts)[len(rtts) // 2]
 
     # --- TCP RPC on an identical testbed ---
-    from repro.apps import RpcClient, RpcServer
+    from repro.apps.rpc import RpcClient, RpcServer
     from repro.net import Endpoint
 
     testbed2 = make_lan_testbed()

@@ -5,12 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Simulator
-from repro.stats import (
-    LatencyRecorder,
-    PeriodicSampler,
-    ThroughputMeter,
-    percentile,
-)
+from repro.stats import LatencyRecorder, ThroughputMeter, percentile
+from repro.stats.series import PeriodicSampler
 
 
 def test_percentile_basics():
