@@ -5,8 +5,8 @@ from repro.experiments.ablation_connscale import run_connscale_ablation
 from conftest import emit
 
 
-def test_bench_connscale(benchmark):
-    result = benchmark.pedantic(run_connscale_ablation, rounds=1, iterations=1)
+def test_bench_connscale():
+    result = run_connscale_ablation()
     emit("Ablation H — short-connection scalability", result.table())
     by = {(r.mode, r.clients): r for r in result.rows}
     # Both paths serve a single client at comparable latency...

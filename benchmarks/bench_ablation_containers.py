@@ -11,8 +11,8 @@ from repro.experiments.ablation_containers import run_container_ablation
 from conftest import emit
 
 
-def test_bench_containers(benchmark):
-    result = benchmark.pedantic(run_container_ablation, rounds=1, iterations=1)
+def test_bench_containers():
+    result = run_container_ablation()
     emit("Ablation E — per-container stacks", result.table())
     shared, nsaas = result.rows
     assert shared.config == "shared-stack"

@@ -5,8 +5,8 @@ from repro.experiments.ablation_fastpass import run_fastpass_ablation
 from conftest import emit
 
 
-def test_bench_fastpass(benchmark):
-    result = benchmark.pedantic(run_fastpass_ablation, rounds=1, iterations=1)
+def test_bench_fastpass():
+    result = run_fastpass_ablation()
     emit("Ablation G — Fastpass-style arbitration", result.table())
     tcp_only, fastpass = result.rows
     assert tcp_only.config == "tcp-only"

@@ -5,8 +5,8 @@ from repro.experiments.ablation_multiplexing import run_multiplexing_ablation
 from conftest import emit
 
 
-def test_bench_multiplexing(benchmark):
-    result = benchmark.pedantic(run_multiplexing_ablation, rounds=1, iterations=1)
+def test_bench_multiplexing():
+    result = run_multiplexing_ablation()
     emit("Ablation D — dedicated vs shared NSMs", result.table())
     dedicated, shared = result.rows
     assert dedicated.placement == "dedicated"

@@ -9,8 +9,8 @@ from repro.experiments.ablation_notify import run_notify_ablation
 from conftest import emit
 
 
-def test_bench_notification(benchmark):
-    result = benchmark.pedantic(run_notify_ablation, rounds=1, iterations=1)
+def test_bench_notification():
+    result = run_notify_ablation()
     emit("Ablation C — notification mechanism", result.table())
     polling, interrupt = result.rows
     assert polling.mode == "polling"

@@ -5,8 +5,8 @@ from repro.experiments.ablation_nsm_form import run_nsm_form_ablation
 from conftest import emit
 
 
-def test_bench_nsm_form(benchmark):
-    result = benchmark.pedantic(run_nsm_form_ablation, rounds=1, iterations=1)
+def test_bench_nsm_form():
+    result = run_nsm_form_ablation()
     emit("Ablation A — NSM form factors", result.table())
     by_form = {row.form: row for row in result.rows}
     # Lighter forms burn less CPU per GB and less memory, boot faster.

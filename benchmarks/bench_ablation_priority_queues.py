@@ -13,8 +13,8 @@ from repro.experiments.ablation_priority import run_priority_ablation
 from conftest import emit
 
 
-def test_bench_priority_queues(benchmark):
-    result = benchmark.pedantic(run_priority_ablation, rounds=1, iterations=1)
+def test_bench_priority_queues():
+    result = run_priority_ablation()
     emit("Ablation B — FIFO vs priority nqe rings", result.table())
     fifo, priority = result.rows
     assert fifo.queue_kind == "fifo" and priority.queue_kind == "priority"

@@ -7,8 +7,8 @@ from repro.experiments.ablation_qos import run_qos_ablation
 from conftest import emit
 
 
-def test_bench_qos(benchmark):
-    result = benchmark.pedantic(run_qos_ablation, rounds=1, iterations=1)
+def test_bench_qos():
+    result = run_qos_ablation()
     emit("Ablation F — per-tenant QoS on a shared NSM", result.table())
     # The token bucket delivers the configured rate exactly.
     assert result.rate_measured_gbps == pytest.approx(result.rate_cap_gbps, rel=0.03)

@@ -10,10 +10,8 @@ from repro.experiments.figure4 import run_figure4
 from conftest import emit
 
 
-def test_bench_figure4(benchmark):
-    result = benchmark.pedantic(
-        run_figure4, kwargs=dict(duration=0.3, warmup=0.08), rounds=1, iterations=1
-    )
+def test_bench_figure4():
+    result = run_figure4(duration=0.3, warmup=0.08)
     emit("Figure 4 — Cubic native vs Cubic NSM", result.table())
     by_flows = {row.flows: row for row in result.rows}
     # NSM tracks native at every flow count.

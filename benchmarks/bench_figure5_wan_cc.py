@@ -15,10 +15,8 @@ from repro.experiments.figure5 import run_figure5
 from conftest import emit
 
 
-def test_bench_figure5(benchmark):
-    result = benchmark.pedantic(
-        run_figure5, kwargs=dict(duration=40.0, warmup=5.0), rounds=1, iterations=1
-    )
+def test_bench_figure5():
+    result = run_figure5(duration=40.0, warmup=5.0)
     emit("Figure 5 — WAN throughput by sender configuration", result.table())
     measured = result.by_label()
     # The headline: BBR-via-NSM from a Windows guest == native Linux BBR.

@@ -10,8 +10,8 @@ from repro.experiments.microbench import run_microbench
 from conftest import emit
 
 
-def test_bench_micro_channel(benchmark):
-    result = benchmark.pedantic(run_microbench, rounds=1, iterations=1)
+def test_bench_micro_channel():
+    result = run_microbench()
     emit("§4.2 — NetKernel communication microbenchmarks", result.table())
     assert result.nqe_copy_ns == pytest.approx(12.0, rel=0.01)
     rates = {row.chunk_bytes: row.gbps for row in result.channel}

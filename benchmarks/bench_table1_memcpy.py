@@ -8,8 +8,8 @@ from repro.experiments.table1 import run_table1
 from conftest import emit
 
 
-def test_bench_table1(benchmark):
-    result = benchmark.pedantic(run_table1, rounds=1, iterations=1)
+def test_bench_table1():
+    result = run_table1()
     emit("Table 1 — memory copying latency", result.table())
     for row in result.rows:
         assert row.matches_paper

@@ -1,17 +1,16 @@
 """Benchmark harness conventions.
 
 Every benchmark regenerates one of the paper's tables/figures (or one of
-the DESIGN.md ablations) on the simulated testbed and prints the rows the
-paper reports.  ``pytest-benchmark`` times the regeneration; the printed
-tables are the scientific output — see EXPERIMENTS.md for the comparison
-against the published numbers.
+the DESIGN.md ablations) on the simulated testbed, prints the rows the
+paper reports and asserts the paper's shape on them.  The printed tables
+are the scientific output — see EXPERIMENTS.md for the comparison against
+the published numbers.  Host time is measured by the ledger
+(``benchmarks/ledger``), not here.
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only -s
+    PYTHONPATH=src python -m pytest -q benchmarks -s
 """
-
-import pytest
 
 
 def emit(title: str, table: str) -> None:

@@ -50,13 +50,6 @@ class ConnScaleResult:
             )
         return "\n".join(lines)
 
-    def overhead_at(self, clients: int) -> float:
-        """NetKernel p50 overhead vs native at a concurrency level."""
-        by = {(r.mode, r.clients): r for r in self.rows}
-        native = by[("native", clients)]
-        netkernel = by[("netkernel", clients)]
-        return netkernel.p50_us - native.p50_us
-
 
 def _measure(mode: str, clients: int, duration: float, warmup: float) -> ConnScaleRow:
     testbed = make_lan_testbed()

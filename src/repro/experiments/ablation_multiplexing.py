@@ -26,7 +26,6 @@ __all__ = ["MultiplexRow", "MultiplexResult", "run_multiplexing_ablation"]
 @dataclass
 class MultiplexRow:
     placement: str
-    tenants: int
     nsm_count: int
     cores_reserved: int
     memory_gb: float
@@ -86,7 +85,6 @@ def _measure(shared: bool, tenants: int, duration: float, warmup: float) -> Mult
     per_tenant = [rx.meter.bps(until=duration) / 1e9 for rx in receivers]
     return MultiplexRow(
         placement="shared" if shared else "dedicated",
-        tenants=tenants,
         nsm_count=len(modules),
         cores_reserved=sum(len(nsm.cores) for nsm in modules),
         memory_gb=sum(nsm.form.memory_gb for nsm in modules),

@@ -82,10 +82,6 @@ class _RecoveryTracker:
             fault_at = self._pending.popleft()
             self.samples.append((fault_at, now - fault_at))
 
-    @property
-    def unrecovered_faults(self) -> int:
-        return len(self._pending)
-
 
 class ChaosReceiver:
     """A supervised bulk server: re-listens after resets, accepts forever.
@@ -117,7 +113,6 @@ class ChaosReceiver:
         self.bytes = 0
         self.first_at: Optional[float] = None
         self.errors = 0
-        self.relistens = 0
         self.connections_served = 0
         self.last_success_at = -1.0
         self.process = sim.process(self._listen(), name=f"chaos-rx:{port}")
@@ -153,7 +148,6 @@ class ChaosReceiver:
                 # Listener reset (our NSM failed over) or setup timed out:
                 # back off, then stand up a fresh listener.
                 self.errors += 1
-                self.relistens += 1
                 yield self.sim.timeout(CHAOS_RETRY_DELAY)
 
     def _drain(self, conn_fd: int):
@@ -223,8 +217,6 @@ class ChaosFlow:
     port: int
     bytes: int
     bytes_sent: int
-    rx_errors: int
-    tx_errors: int
     reconnects: int
     connections_served: int
     last_success_at: float
@@ -402,8 +394,6 @@ def run_chaos(
                 port=rx.port,
                 bytes=rx.bytes,
                 bytes_sent=tx.bytes_sent,
-                rx_errors=rx.errors,
-                tx_errors=tx.errors,
                 reconnects=max(0, tx.connects - 1),
                 connections_served=rx.connections_served,
                 last_success_at=max(rx.last_success_at, tx.last_success_at),
@@ -532,7 +522,6 @@ class _FiniteSender:
         self.write_size = write_size
         self.bytes_sent = 0
         self.errors = 0
-        self.done_at: Optional[float] = None
         self.process = sim.process(self._run(), name=f"mig-tx:{remote}")
 
     def _run(self):
@@ -544,7 +533,6 @@ class _FiniteSender:
                 yield self.api.send(fd, n)
                 self.bytes_sent += n
             yield self.api.close(fd)
-            self.done_at = self.sim.now
         except SocketError:
             self.errors += 1
 
@@ -554,8 +542,6 @@ class MigrationRunResult:
     """One migration run's outcome plus the zero-loss verdict."""
 
     family: str
-    fault: Optional[str]
-    fault_at: Optional[float]
     final_phase: Optional[str]
     committed: bool
     rolled_back: bool
@@ -677,8 +663,6 @@ def run_migration(
     record = coordinator.record if coordinator is not None else None
     return MigrationRunResult(
         family=family,
-        fault=fault.value if fault is not None else None,
-        fault_at=fault_at,
         final_phase=coordinator.phase.value if coordinator is not None else None,
         committed=bool(record and record.get("committed")),
         rolled_back=bool(record and record.get("rolled_back")),

@@ -24,15 +24,6 @@ from .common import (
 
 __all__ = ["Figure4Row", "Figure4Result", "run_figure4", "measure_lan_throughput"]
 
-#: Paper numbers (eyeballed from Figure 4): both systems track each other,
-#: reaching line rate with >= 2 flows.
-PAPER_SHAPE = {
-    1: "below line rate",
-    2: "~line rate (37 Gbps)",
-    3: "~line rate (37 Gbps)",
-}
-
-
 @dataclass
 class Figure4Row:
     flows: int

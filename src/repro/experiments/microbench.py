@@ -24,7 +24,6 @@ from ..sim import NANOS, Simulator
 __all__ = ["ChannelRow", "MicrobenchResult", "run_microbench"]
 
 PAPER_NQE_COPY_NS = 12.0
-PAPER_CHANNEL_GBPS = {64: 64.0, 8192: 81.0}
 
 
 @dataclass

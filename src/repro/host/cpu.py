@@ -24,12 +24,9 @@ __all__ = ["Core", "CpuSet"]
 class Core:
     """One hardware thread, modelled as a serial FIFO of timed work items."""
 
-    def __init__(self, sim: Simulator, name: str = "core", ghz: float = 2.3) -> None:
-        if ghz <= 0:
-            raise ValueError("clock rate must be positive")
+    def __init__(self, sim: Simulator, name: str = "core") -> None:
         self.sim = sim
         self.name = name
-        self.ghz = ghz
         self._busy_until = 0.0
         self.busy_seconds = 0.0
         self.ops = 0
@@ -85,11 +82,6 @@ class Core:
         self.ops += 1
         heappush(sim._queue, (now + (finish - now), next(sim._counter), func, args))
 
-    @property
-    def backlog_seconds(self) -> float:
-        """Work currently queued ahead of a new arrival."""
-        return max(0.0, self._busy_until - self.sim.now)
-
     def utilization(self, elapsed: Optional[float] = None) -> float:
         """Busy fraction over ``elapsed`` (defaults to the whole run)."""
         if self.busy_poll:
@@ -106,15 +98,14 @@ class Core:
 class CpuSet:
     """A named group of cores (a VM's vCPUs, an NSM's dedicated cores)."""
 
-    def __init__(self, sim: Simulator, count: int, name: str = "cpu", ghz: float = 2.3) -> None:
+    def __init__(self, sim: Simulator, count: int, name: str = "cpu") -> None:
         if count < 1:
             raise ValueError("a CPU set needs at least one core")
         self.sim = sim
         self.name = name
         self.cores: List[Core] = [
-            Core(sim, name=f"{name}[{i}]", ghz=ghz) for i in range(count)
+            Core(sim, name=f"{name}[{i}]") for i in range(count)
         ]
-        self._rr = 0
 
     def __len__(self) -> int:
         return len(self.cores)
@@ -125,12 +116,6 @@ class CpuSet:
     def __getitem__(self, index: int) -> Core:
         return self.cores[index]
 
-    def pick(self) -> Core:
-        """Round-robin core selection (RSS-style flow placement)."""
-        core = self.cores[self._rr % len(self.cores)]
-        self._rr += 1
-        return core
-
     def total_busy_seconds(self) -> float:
         return sum(core.busy_seconds for core in self.cores)
 
@@ -139,9 +124,3 @@ class CpuSet:
         if window <= 0:
             return 0.0
         return min(1.0, self.total_busy_seconds() / (window * len(self.cores)))
-
-    def add_core(self) -> Core:
-        """Scale up: add one core to the set (used by mgmt.scaling)."""
-        core = Core(self.sim, name=f"{self.name}[{len(self.cores)}]", ghz=self.cores[0].ghz)
-        self.cores.append(core)
-        return core

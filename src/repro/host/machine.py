@@ -34,7 +34,6 @@ class PhysicalHost:
         name: str,
         ip: str,
         cores: int = 8,
-        ghz: float = 2.3,
         memory_gb: int = 192,
         sriov: bool = True,
         addresses: Optional[AddressAllocator] = None,
@@ -44,7 +43,7 @@ class PhysicalHost:
             raise ValueError("a host needs at least 2 cores")
         self.sim = sim
         self.name = name
-        self.cpu = CpuSet(sim, cores, name=f"{name}.cpu", ghz=ghz)
+        self.cpu = CpuSet(sim, cores, name=f"{name}.cpu")
         self.memory_gb = memory_gb
         self.memcpy = MemcpyModel()
         self.addresses = addresses or AddressAllocator()
@@ -87,13 +86,6 @@ class PhysicalHost:
             )
         self._memory_used_gb += gb
 
-    def release_memory(self, gb: float) -> None:
-        self._memory_used_gb = max(0.0, self._memory_used_gb - gb)
-
-    @property
-    def memory_used_gb(self) -> float:
-        return self._memory_used_gb
-
     # -- NIC provisioning --------------------------------------------------------
     def create_vnic(self, name: str, offload: Optional[OffloadConfig] = None) -> VirtualNIC:
         """Paravirtual NIC through the host's (software) switch."""
@@ -114,10 +106,6 @@ class PhysicalHost:
         self.switch.attach(vf)
         self.nics[vf.ip] = vf
         return vf
-
-    def connect_wire(self, to_wire, name: str = "wire") -> None:
-        """Attach the pNIC's transmit side to an external link callback."""
-        self.pnic.wire = to_wire
 
     def __repr__(self) -> str:
         return f"<PhysicalHost {self.name} cores={len(self.cpu)} mem={self.memory_gb}GB>"

@@ -109,10 +109,6 @@ class VM:
             return self.api.ip
         return None
 
-    def can_use_cc_natively(self, cc_name: str) -> bool:
-        """Whether the guest kernel itself ships this congestion control."""
-        return cc_name in self.guest_os.available_cc
-
     def __repr__(self) -> str:
         return (
             f"<VM {self.name} os={self.guest_os.value} mode={self.mode.value} "

@@ -2,7 +2,7 @@
 
 §5: "One may charge tenants based on ... CPU and memory utilization on
 average per instance used".  This module turns core counters into
-per-NSM / per-host usage records.
+per-NSM usage records.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from ..host.machine import PhysicalHost
 from ..netkernel.nsm import NSM
 from ..sim import Simulator
 
@@ -28,7 +27,7 @@ class UsageRecord:
 
 
 class Accountant:
-    """Collects usage snapshots for NSMs and whole hosts."""
+    """Collects usage snapshots for NSMs."""
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
@@ -52,15 +51,3 @@ class Accountant:
 
     def all_usage(self) -> Dict[str, UsageRecord]:
         return {nsm.name: self.nsm_usage(nsm) for nsm in self._nsms}
-
-    def host_usage(self, host: PhysicalHost) -> UsageRecord:
-        busy = host.cpu.total_busy_seconds()
-        polling = any(core.busy_poll for core in host.cpu)
-        return UsageRecord(
-            name=host.name,
-            core_seconds=busy,
-            cores=len(host.cpu),
-            memory_gb=host.memory_used_gb,
-            utilization=host.cpu.utilization(),
-            polling=polling,
-        )

@@ -15,7 +15,7 @@ alarms with the affected (source, destination) pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..net import Endpoint
 from ..netkernel import NSM, NsmForm, NsmSpec
@@ -83,9 +83,6 @@ class PingmeshMesh:
         self.sim.process(self._prober(agent), name=f"pingmesh-probe-{name}")
         return nsm
 
-    def agent_ip(self, name: str) -> str:
-        return self._agents[name].nsm.ip
-
     # --------------------------------------------------------------- agents --
     def _responder(self, agent: _Agent):
         listener = agent.nsm.stack.listen(PINGMESH_PORT)
@@ -152,12 +149,6 @@ class PingmeshMesh:
         self.failures.append(
             ProbeFailure(at=self.sim.now, src=src, dst=dst, reason=reason)
         )
-
-    def pair_p50_us(self, src: str, dst: str) -> Optional[float]:
-        recorder = self.latency.get((src, dst))
-        if recorder is None or len(recorder) == 0:
-            return None
-        return recorder.p(50) * 1e6
 
     def suspected_failures(self, window: float = 1.0) -> List[Tuple[str, str]]:
         """Pairs with a failure within the trailing ``window`` seconds."""

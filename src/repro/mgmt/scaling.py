@@ -24,8 +24,6 @@ class ScalingPolicy:
 
     #: Scale up/out when utilization exceeds this for one interval.
     high_watermark: float = 0.85
-    #: Consider reclaiming when below this.
-    low_watermark: float = 0.20
     check_interval: float = 0.5
     max_cores_per_nsm: int = 4
     prefer: str = "scale-up"  # or "scale-out"
@@ -36,7 +34,6 @@ class ScalingAction:
     at: float
     nsm: str
     action: str
-    detail: str = ""
 
 
 class ScalingController:
@@ -67,11 +64,10 @@ class ScalingController:
         while True:
             yield self.sim.timeout(self.policy.check_interval)
             for nsm in list(self.hypervisor.nsms):
-                utilization = self._interval_utilization(nsm)
-                if utilization >= self.policy.high_watermark:
-                    self._grow(nsm, utilization)
+                if self._interval_utilization(nsm) >= self.policy.high_watermark:
+                    self._grow(nsm)
 
-    def _grow(self, nsm: NSM, utilization: float) -> None:
+    def _grow(self, nsm: NSM) -> None:
         if (
             self.policy.prefer == "scale-up"
             and len(nsm.cores) < self.policy.max_cores_per_nsm
@@ -79,25 +75,9 @@ class ScalingController:
             core = self.hypervisor.host.allocate_cores(1)[0]
             nsm.cores.append(core)
             nsm.stack.cores.append(core)
-            self.actions.append(
-                ScalingAction(
-                    at=self.sim.now,
-                    nsm=nsm.name,
-                    action="scale-up",
-                    detail=f"cores={len(nsm.cores)} util={utilization:.2f}",
-                )
-            )
+            self.actions.append(ScalingAction(self.sim.now, nsm.name, "scale-up"))
             return
         # The sibling runs the same stack: its spec is the NSM's own (specs
         # are not mutated after boot, so sharing one is safe).
-        sibling = self.hypervisor.boot_nsm(
-            nsm.spec, name=f"{nsm.name}-sib{len(self.actions)}"
-        )
-        self.actions.append(
-            ScalingAction(
-                at=self.sim.now,
-                nsm=nsm.name,
-                action="scale-out",
-                detail=f"spawned {sibling.name} util={utilization:.2f}",
-            )
-        )
+        self.hypervisor.boot_nsm(nsm.spec, name=f"{nsm.name}-sib{len(self.actions)}")
+        self.actions.append(ScalingAction(self.sim.now, nsm.name, "scale-out"))

@@ -26,8 +26,6 @@ class SlaSpec:
     min_throughput_bps: Optional[float] = None
     #: Maximum mean request latency (seconds); None = best effort.
     max_latency: Optional[float] = None
-    #: Maximum concurrent connections the provider promises to support.
-    max_connections: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.min_throughput_bps is not None and self.min_throughput_bps <= 0:
@@ -42,7 +40,6 @@ class SlaReport:
     throughput_ok: Optional[bool]
     latency_ok: Optional[bool]
     measured_throughput_bps: float
-    measured_mean_latency: float
 
     @property
     def compliant(self) -> bool:
@@ -96,5 +93,4 @@ class SlaMonitor:
             throughput_ok=throughput_ok,
             latency_ok=latency_ok,
             measured_throughput_bps=measured_bps,
-            measured_mean_latency=measured_latency,
         )

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-__all__ = ["Endpoint", "AddressAllocator"]
+__all__ = ["Endpoint", "AddressAllocator", "EPHEMERAL_BASE"]
+
+#: First ephemeral port a TCP or QUIC stack hands out (and wraps back to).
+EPHEMERAL_BASE = 32768
 
 
 class Endpoint(NamedTuple):

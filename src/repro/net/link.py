@@ -30,7 +30,6 @@ class LinkStats:
         "tx_wire_bytes",
         "dropped_overflow",
         "dropped_random",
-        "ecn_marked",
     )
 
     def __init__(self) -> None:
@@ -39,7 +38,6 @@ class LinkStats:
         self.tx_wire_bytes = 0
         self.dropped_overflow = 0
         self.dropped_random = 0
-        self.ecn_marked = 0
 
 
 class DropTailQueue:
@@ -151,8 +149,6 @@ class Link:
         self.stats.tx_packets += 1
         self.stats.tx_bytes += packet.payload_bytes
         self.stats.tx_wire_bytes += wire
-        if packet.ecn_ce:
-            self.stats.ecn_marked += 1
         if self.loss.should_drop(self.sim.now):
             self.stats.dropped_random += 1
         else:

@@ -14,7 +14,7 @@ between the three kinds is *where forwarding work happens*:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional
 
 from ..sim import Simulator
 from .offload import OffloadConfig
@@ -23,18 +23,6 @@ from .packet import Packet
 __all__ = ["NIC", "PhysicalNIC", "VirtualNIC", "VirtualFunction"]
 
 RxHandler = Callable[[Packet], None]
-
-_LroKey = Tuple[str, int, int]  # (src ip, src port, dst port)
-
-
-class _LroSlot:
-    """One in-progress receive-side merge (first packet, growing)."""
-
-    __slots__ = ("packet", "seg")
-
-    def __init__(self, packet: Packet, seg) -> None:
-        self.packet = packet
-        self.seg = seg
 
 
 class NIC:
@@ -70,8 +58,6 @@ class NIC:
         self.rx_bytes = 0
         self.dropped_failed = 0
         self.dropped_draining = 0
-        self._lro_pending: Dict[_LroKey, _LroSlot] = {}
-        self.lro_merged_deliveries = 0
 
     def fail(self) -> None:
         """Inject a NIC failure (used by failure-detection experiments)."""
@@ -105,76 +91,8 @@ class NIC:
             return
         self.rx_packets += 1
         self.rx_bytes += packet.payload_bytes
-        if self.offload.lro:
-            self._lro_receive(packet)
-            return
         if self.rx_handler is not None:
             self.rx_handler(packet)
-
-    # -- receive-side coalescing (LRO), opt-in ---------------------------------
-    #
-    # Consecutive in-order data segments of one flow arriving within the
-    # aggregation window merge into a single super-segment, so the stack
-    # above pays its per-segment receive cost once per merge.  Byte
-    # conservation is structural: a merge only extends ``payload_len`` by
-    # exactly the appended frame's payload, and only when the appended
-    # frame's ``seq`` continues the merge precisely.  ECN-CE marks and
-    # ECE/CWR echoes are OR-ed so congestion signals survive merging.
-    # Within a flow, delivery order is preserved (any non-mergeable
-    # frame flushes that flow's pending merge first); across flows a
-    # pending merge may be overtaken, as with real hardware.
-
-    def _lro_receive(self, packet: Packet) -> None:
-        seg = packet.payload
-        if packet.protocol != "tcp" or seg is None or not hasattr(seg, "src_port"):
-            if self.rx_handler is not None:
-                self.rx_handler(packet)
-            return
-        key: _LroKey = (packet.src, seg.src_port, seg.dst_port)
-        slot = self._lro_pending.get(key)
-        mergeable = seg.payload_len > 0 and not (seg.syn or seg.fin or seg.rst)
-        if not mergeable:
-            if slot is not None:
-                self._lro_flush(key)
-            if self.rx_handler is not None:
-                self.rx_handler(packet)
-            return
-        if slot is not None:
-            merged = slot.seg
-            if (
-                seg.seq == merged.seq + merged.payload_len
-                and merged.payload_len + seg.payload_len
-                <= self.offload.lro_max_bytes
-            ):
-                merged.payload_len += seg.payload_len
-                merged.ack_no = max(merged.ack_no, seg.ack_no)
-                merged.wnd = seg.wnd
-                merged.ts_ecr = seg.ts_ecr
-                merged.sack = seg.sack
-                merged.ece = merged.ece or seg.ece
-                merged.cwr = merged.cwr or seg.cwr
-                slot.packet.payload_bytes += seg.payload_len
-                slot.packet.ecn_ce = slot.packet.ecn_ce or packet.ecn_ce
-                slot.packet.ecn_capable = (
-                    slot.packet.ecn_capable or packet.ecn_capable
-                )
-                return
-            self._lro_flush(key)
-        slot = _LroSlot(packet, seg)
-        self._lro_pending[key] = slot
-        self.sim.schedule_call(
-            self.offload.lro_flush_s, self._lro_timer, key, slot
-        )
-
-    def _lro_timer(self, key: _LroKey, slot: _LroSlot) -> None:
-        if self._lro_pending.get(key) is slot:
-            self._lro_flush(key)
-
-    def _lro_flush(self, key: _LroKey) -> None:
-        slot = self._lro_pending.pop(key)
-        self.lro_merged_deliveries += 1
-        if self.rx_handler is not None:
-            self.rx_handler(slot.packet)
 
 
 class PhysicalNIC(NIC):

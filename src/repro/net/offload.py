@@ -29,29 +29,14 @@ class OffloadConfig:
 
     tso: bool = True
     gro: bool = True
-    tso_max_bytes: int = TSO_MAX_BYTES
     mtu: int = DEFAULT_MTU
-    #: Receive-side segment coalescing (LRO-style), **off by default**:
-    #: consecutive in-order data segments of one flow arriving within
-    #: ``lro_flush_s`` merge into a single super-segment before the stack
-    #: sees them, so per-segment receive CPU is paid once per merge
-    #: (byte-conserving; ECN-CE and ECE marks are never dropped).  The
-    #: default-off datapath is golden-pinned bit-identical to pre-LRO.
-    lro: bool = False
-    #: Coalescing ceiling: a merged super-segment never exceeds this.
-    lro_max_bytes: int = TSO_MAX_BYTES
-    #: Aggregation window: pending frames flush this many seconds after
-    #: the first frame arrives (one interrupt-coalescing window).
-    lro_flush_s: float = 20e-6
 
     def __post_init__(self) -> None:
-        if self.tso_max_bytes < self.mtu:
-            raise ValueError("tso_max_bytes must be at least one MTU")
-        if self.lro and self.lro_max_bytes < self.mtu:
-            raise ValueError("lro_max_bytes must be at least one MTU")
+        if TSO_MAX_BYTES < self.mtu:
+            raise ValueError("mtu must not exceed the TSO ceiling")
 
     @property
     def effective_mss(self) -> int:
         if self.tso:
-            return self.tso_max_bytes
+            return TSO_MAX_BYTES
         return mss_for_mtu(self.mtu)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Any, Optional
+from typing import Any
 
 __all__ = [
     "Packet",
@@ -65,8 +65,6 @@ class Packet:
     protocol: str = "tcp"
     ecn_capable: bool = False
     ecn_ce: bool = False
-    flow_id: Optional[int] = None
-    created_at: float = 0.0
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
 
     def __post_init__(self) -> None:

@@ -66,8 +66,3 @@ class FastpassArbiter:
         self.bytes_granted += nbytes
         self.sim.schedule_call(start - self.sim.now, event.succeed)
         return event
-
-    @property
-    def backlog_seconds(self) -> float:
-        """How far ahead of now the schedule is committed."""
-        return max(0.0, self._horizon - self.sim.now)

@@ -73,10 +73,6 @@ class ConnectionTable:
         self._by_nsm.setdefault(nsm_id, {})[nsm_key] = None
         self._family[vm_key] = family
 
-    def family_of(self, vm_id: int, fd: int) -> Optional[str]:
-        """The stack family serving this mapping, or None if unmapped."""
-        return self._family.get((vm_id, fd))
-
     def to_nsm(self, vm_id: int, fd: int) -> Optional[NsmKey]:
         return self._vm_to_nsm.get((vm_id, fd))
 
@@ -88,13 +84,6 @@ class ConnectionTable:
         nsm_key = self._vm_to_nsm.pop(vm_key, None)
         if nsm_key is not None:
             self._nsm_to_vm.pop(nsm_key, None)
-            self._unindex(vm_key, nsm_key)
-
-    def remove_by_nsm(self, nsm_id: int, cid: int) -> None:
-        nsm_key = (nsm_id, cid)
-        vm_key = self._nsm_to_vm.pop(nsm_key, None)
-        if vm_key is not None:
-            self._vm_to_nsm.pop(vm_key, None)
             self._unindex(vm_key, nsm_key)
 
     def _unindex(self, vm_key: VmKey, nsm_key: NsmKey) -> None:
@@ -166,15 +155,6 @@ class ConnectionTable:
 
     def drop_alias(self, nsm_id: int, cid: int) -> None:
         self._alias.pop((nsm_id, cid), None)
-
-    def drop_aliases_of_nsm(self, nsm_id: int) -> None:
-        """Forget every alias pointing at ``nsm_id`` (migration COMMIT)."""
-        stale = [key for key in self._alias if key[0] == nsm_id]
-        for key in stale:
-            del self._alias[key]
-
-    def alias_count(self) -> int:
-        return len(self._alias)
 
     def audit(self) -> list[str]:
         """Ownership-uniqueness self-check (invariant checker hook).

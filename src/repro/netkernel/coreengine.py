@@ -165,10 +165,9 @@ class CoreEngine:
         #: destination with no extra step.
         self.rate_caps: Dict[int, float] = {}
         self.nqes_copied = 0
-        #: Hybrid fidelity: DATA nqes switched that carried an aggregated
-        #: fluid byte-credit (and the bytes they covered) — the receive
-        #: path's measure of how much per-nqe work the fluid model elided.
-        self.fluid_credits_switched = 0
+        #: Hybrid fidelity: bytes covered by the DATA nqes switched that
+        #: carried an aggregated fluid byte-credit — the receive path's
+        #: measure of how much per-nqe work the fluid model elided.
         self.fluid_credit_bytes = 0
         # --- fault tolerance ---------------------------------------------
         #: Called with the dead NSM when the watchdog fires; returns a
@@ -196,10 +195,9 @@ class CoreEngine:
         self._migration = None
         #: Completed/aborted migration records (mirrors ``failovers``).
         self.migrations: list = []
-        #: Stale-source fencing: nqes dropped because they arrived from a
-        #: migration source after its connections were re-pointed, and the
-        #: sources fenced (crashed) for it.
-        self.fenced_nqes = 0
+        #: Stale-source fencing: the migration sources fenced (crashed)
+        #: because their nqes arrived after their connections were
+        #: re-pointed.
         self.fenced_sources: list = []
         self._fenced_nsm_ids: set = set()
         #: Optional repro.faults.invariants checker (None = zero-cost).
@@ -500,10 +498,8 @@ class CoreEngine:
                 vm_id, child_fd, nsm.nsm_id, child_cid, family=nsm.spec.stack_family
             )
             nqe.result = child_fd
-        if nqe.fluid_credit:
-            self.fluid_credits_switched += 1
-            if nqe.data_desc is not None:
-                self.fluid_credit_bytes += nqe.data_desc.size
+        if nqe.fluid_credit and nqe.data_desc is not None:
+            self.fluid_credit_bytes += nqe.data_desc.size
         inv = self.invariant_checker
         if inv is not None and nqe.flow_uid is not None:
             chunk = nqe.data_desc
@@ -682,10 +678,6 @@ class CoreEngine:
             queues.completion.drain()
             queues.receive.drain()
 
-    def declare_nsm_dead(self, nsm: NSM) -> None:
-        """Out-of-band failure declaration (monitoring triggers, tests)."""
-        self._on_nsm_dead(nsm)
-
     def _on_nsm_dead(self, nsm: NSM) -> None:
         """Dead-NSM recovery: reset its connections, adopt a standby.
 
@@ -777,7 +769,6 @@ class CoreEngine:
         chunk = nqe.data_desc
         if chunk is not None and not chunk.freed:
             chunk.free()
-        self.fenced_nqes += 1
         if self._traced:
             self.tracer.count("coreengine.migration.fenced_nqes")
         nsm_id = nsm.nsm_id
@@ -800,7 +791,3 @@ class CoreEngine:
 
     def nsm_queues(self, nsm_id: int) -> _NsmQueues:
         return self._nsms[nsm_id]
-
-    @property
-    def vm_count(self) -> int:
-        return len(self._vms)

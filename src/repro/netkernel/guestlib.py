@@ -225,7 +225,7 @@ class GuestLib(SocketApi):
                 f"after {attempt + 1} attempt(s)"
             ))
             return
-        retry = replace(nqe, attempt=attempt + 1)
+        retry = replace(nqe)  # a copy: the original may still be in flight
         self.op_retries_sent += 1
         if self._traced:
             self.tracer.count("guestlib.op_retries")

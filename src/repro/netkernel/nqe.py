@@ -125,10 +125,6 @@ class Nqe:
     #: Observability: when the nqe entered its current ring (set by the
     #: ring itself while tracing, consumed at dequeue for wait latency).
     enqueued_at: Optional[float] = None
-    #: Retry generation (fault tolerance): 0 for the original issue; a
-    #: GuestLib retry reuses the token with ``attempt`` bumped so
-    #: ServiceLib's dedup can drop the duplicate execution.
-    attempt: int = 0
     #: Invariant checking: the emitting backend's stable flow identity
     #: (survives migration cID changes) and per-flow monotonic DATA
     #: sequence number; stamped by ServiceLib on DATA nqes.

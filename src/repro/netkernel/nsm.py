@@ -252,11 +252,6 @@ class NSM:
         switch.attach(self.nic)
         self.host.nics[self.nic.ip] = self.nic
 
-    def shutdown(self) -> None:
-        """Release host resources (scale-down path)."""
-        self.host.release_memory(self.spec.form.memory_gb)
-        self.host.switch.detach(self.nic)
-
     def __repr__(self) -> str:
         return (
             f"<NSM {self.name} form={self.form.value} cc={self.spec.congestion_control} "

@@ -58,11 +58,6 @@ class TokenBucket:
             self._tokens = min(self._tokens, float(self.burst_bytes))
         self._updated_at = now
 
-    @property
-    def tokens(self) -> float:
-        self._refill()
-        return self._tokens
-
     def take(self, nbytes: int) -> Event:
         """Event fires when ``nbytes`` of tokens have been consumed."""
         if nbytes < 0:

@@ -54,7 +54,6 @@ class RdmaNsm:
         host.reserve_memory(0.25)  # container-class footprint
         self.nic = host.create_vf(f"{self.name}.vf")
         self.device = RdmaDevice(sim, fabric, self.nic)
-        self.tenant_count = 0
 
     @property
     def ip(self) -> str:
@@ -74,7 +73,6 @@ class TenantRdma:
         self.nsm = nsm
         self.core = guest_core
         self.qps: List[QueuePair] = []
-        nsm.tenant_count += 1
 
     @property
     def ip(self) -> str:
@@ -98,13 +96,13 @@ class TenantRdma:
         qp.connect(remote_ip, remote_qpn)
 
     # ---------------------------------------------------------------- data --
-    def post_send(self, qp: QueuePair, nbytes: int) -> int:
+    def post_send(self, qp: QueuePair, nbytes: int) -> None:
         self.core.execute(DOORBELL_NS * NANOS)
-        return qp.post_send(nbytes)
+        qp.post_send(nbytes)
 
-    def post_recv(self, qp: QueuePair, max_len: int = 1 << 20) -> int:
+    def post_recv(self, qp: QueuePair, max_len: int = 1 << 20) -> None:
         self.core.execute(DOORBELL_NS * NANOS)
-        return qp.post_recv(max_len)
+        qp.post_recv(max_len)
 
     def poll_cq(self, cq: CompletionQueue, max_entries: int = 16):
         self.core.execute(DOORBELL_NS * NANOS)

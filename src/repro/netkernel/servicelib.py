@@ -104,9 +104,8 @@ class ServiceLib:
         self.rx_chunk = nsm.spec.rx_chunk_bytes
         self._backends: Dict[int, _Backend] = {}
         self.ops_handled = 0
-        #: Hybrid fidelity: DATA nqes emitted as aggregated byte-credits
-        #: for fluid-promoted connections (and the bytes they carried).
-        self.fluid_credit_nqes = 0
+        #: Hybrid fidelity: bytes carried by the DATA nqes emitted as
+        #: aggregated byte-credits for fluid-promoted connections.
         self.fluid_credit_bytes = 0
         self.tracer = obs_runtime.get_tracer()
         self._traced = self.tracer.enabled
@@ -114,8 +113,6 @@ class ServiceLib:
         #: Crashed ServiceLibs stop consuming and producing; recovery is
         #: CoreEngine's heartbeat watchdog + failover.
         self.crashed = False
-        #: Slow-down fault: per-op cost multiplier (1.0 = healthy).
-        self.degraded = 1.0
         #: Migration freeze: new receive reads stall (quiescing the
         #: per-connection state for snapshotting) while in-flight copy
         #: chains still deliver — dropping them would lose bytes the
@@ -236,7 +233,6 @@ class ServiceLib:
         """Slow-down fault: scale the per-op cost by ``factor`` (1.0 heals)."""
         if factor <= 0:
             raise ValueError("degradation factor must be > 0")
-        self.degraded = factor
         self.op_cost = self._base_op_cost * factor
         if self._pump is not None:
             self._pump.cost = self.op_cost
@@ -478,9 +474,6 @@ class ServiceLib:
     def backend_of(self, cid: int) -> Optional[_Backend]:
         return self._backends.get(cid)
 
-    def backends(self) -> Dict[int, _Backend]:
-        return self._backends
-
     # ------------------------------------------------- stack-driven callbacks --
     def _on_accept(self, listen_backend: _Backend, conn: TcpConnection) -> None:
         """nk_new_accept_callback: a child connection finished its handshake."""
@@ -600,7 +593,6 @@ class ServiceLib:
         )
         if credit:
             nqe.fluid_credit = True
-            self.fluid_credit_nqes += 1
             self.fluid_credit_bytes += chunk.size
         nqe.flow_uid = backend.uid
         nqe.rx_seq = backend.rx_seq

@@ -73,15 +73,6 @@ class Log2Histogram:
         if value > self.max:
             self.max = value
 
-    def merge(self, other: "Log2Histogram") -> None:
-        """Fold ``other`` into this histogram (same fixed bucket layout)."""
-        for i, count in enumerate(other.counts):
-            self.counts[i] += count
-        self.total += other.total
-        self.sum += other.sum
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
     @property
     def mean(self) -> float:
         return self.sum / self.total if self.total else 0.0

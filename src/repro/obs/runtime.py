@@ -28,26 +28,6 @@ from .spans import Tracer
 __all__ = ["NullTracer", "NULL_TRACER", "get_tracer", "set_tracer", "reset", "installed"]
 
 
-class _NullSpan:
-    """Inert span: every method is a no-op returning something safe."""
-
-    __slots__ = ()
-
-    def child(self, op, layer=None, tenant=None):
-        return None
-
-    def cpu(self, ns):
-        return self
-
-    def annotate(self, **kwargs):
-        return self
-
-    def end(self, at=None):
-        return self
-
-    duration = 0.0
-
-
 class NullTracer:
     """The disabled tracer: one falsy ``enabled`` attribute, no state.
 

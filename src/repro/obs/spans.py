@@ -23,7 +23,7 @@ Cost discipline (the "zero-allocation-when-disabled" contract):
 from __future__ import annotations
 
 from itertools import count
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 from .counters import CounterCadence, CounterSet
 from .histograms import Log2Histogram
@@ -214,33 +214,11 @@ class Tracer:
     def flow_parent(self, key: int) -> Optional[Span]:
         return self._flow_parents.get(key)
 
-    # -------------------------------------------------------------- queries --
-    def roots(self) -> List[Span]:
-        return [span for span in self.spans if span.parent_id is None]
-
-    def children_of(self, span: Span) -> List[Span]:
-        return [s for s in self.spans if s.parent_id == span.span_id]
-
-    def walk(self, root: Span) -> Iterator[Span]:
-        """Yield ``root`` and all descendants (breadth-first)."""
-        by_parent: Dict[int, List[Span]] = {}
-        for span in self.spans:
-            if span.parent_id is not None:
-                by_parent.setdefault(span.parent_id, []).append(span)
-        frontier = [root]
-        while frontier:
-            span = frontier.pop(0)
-            yield span
-            frontier.extend(by_parent.get(span.span_id, ()))
-
     def find(self, op: Optional[str] = None, layer: Optional[str] = None) -> List[Span]:
         return [
             span for span in self.spans
             if (op is None or span.op == op) and (layer is None or span.layer == layer)
         ]
-
-    def layers_seen(self) -> List[str]:
-        return sorted({span.layer for span in self.spans})
 
     def __repr__(self) -> str:
         return (f"<Tracer spans={len(self.spans)} dropped={self.spans_dropped} "

@@ -13,7 +13,7 @@ machine.  The moving parts, against their RFC 9000/9002 counterparts:
   with the receiver's packet-number ranges (no delayed-ACK timer: the
   simulation favours determinism over ACK-thinning realism).
 * **Loss detection** — packet-threshold reordering (a packet is lost
-  when ``reorder_threshold`` newer packets are acknowledged), one
+  when :data:`REORDER_THRESHOLD` newer packets are acknowledged), one
   congestion event per recovery epoch, plus a probe timeout (PTO) that
   retransmits the oldest outstanding packet and collapses the window.
   The flight map is kept in packet-number order, so an ACK is one merge
@@ -41,6 +41,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .stack import QuicStack
 
 __all__ = ["QuicConnection"]
+
+#: Packet-threshold loss detection (RFC 9002 kPacketThreshold).
+REORDER_THRESHOLD = 3
+#: Probe timeout before an RTT estimate exists, and its floor after.
+INITIAL_PTO_S = 0.002
+MIN_PTO_S = 100e-6
+#: ACK ranges carried per ACK (newest first).
+ACK_RANGE_LIMIT = 8
 
 
 class _SentPacket:
@@ -219,7 +227,6 @@ class QuicConnection:
         stream = QuicStream(self.sim, self, stream_id)
         self.streams[stream_id] = stream
         stream.established.succeed()
-        self.stack.stats.streams_accepted += 1
         if self.on_new_stream is not None:
             self.on_new_stream(stream)
         return stream
@@ -296,7 +303,7 @@ class QuicConnection:
         self.stack.send_packet(self, qpkt)
 
     def _ack_ranges(self) -> Tuple[Tuple[int, int], ...]:
-        """At most ``ack_range_limit`` inclusive ``(lo, hi)`` ranges of the
+        """At most :data:`ACK_RANGE_LIMIT` inclusive ``(lo, hi)`` ranges of the
         received packet numbers, newest first, out of the 64 newest
         intervals retained.
 
@@ -308,8 +315,7 @@ class QuicConnection:
         if len(intervals) > 64:
             self._rcvd.trim_below(intervals[-64][0])
             intervals = intervals[-64:]
-        limit = self.config.ack_range_limit
-        newest_first = [(lo, hi - 1) for lo, hi in reversed(intervals[-limit:])]
+        newest_first = [(lo, hi - 1) for lo, hi in reversed(intervals[-ACK_RANGE_LIMIT:])]
         return tuple(newest_first)
 
     # --------------------------------------------------------------- acks --
@@ -361,7 +367,7 @@ class QuicConnection:
         self._schedule_pump()
 
     def _detect_losses(self, now: float) -> None:
-        threshold = self.largest_acked - self.config.reorder_threshold
+        threshold = self.largest_acked - REORDER_THRESHOLD
         if threshold < 0 or not self.sent:
             return
         # The lost packets are the flight's prefix up to ``threshold``,
@@ -398,8 +404,8 @@ class QuicConnection:
     # --------------------------------------------------------------- PTO ---
     def _pto_interval(self) -> float:
         if self.srtt is None:
-            return self.config.initial_pto_s * self._pto_backoff
-        return max(3.0 * self.srtt, self.config.min_pto_s) * self._pto_backoff
+            return INITIAL_PTO_S * self._pto_backoff
+        return max(3.0 * self.srtt, MIN_PTO_S) * self._pto_backoff
 
     def _arm_pto(self) -> None:
         if self.sent:

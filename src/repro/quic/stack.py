@@ -31,6 +31,7 @@ from itertools import count
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..net import NIC, Endpoint, Packet
+from ..net.addressing import EPHEMERAL_BASE
 from ..sim import NANOS, Simulator
 from ..tcp.cc import base as cc_base
 from .connection import QuicConnection
@@ -58,28 +59,18 @@ class QuicConfig:
     per_packet_ns: float = 2000.0
     #: CPU cost per payload byte (copies, AEAD stand-in).
     per_byte_ns: float = 0.30
-    ephemeral_base: int = 32768
     sndbuf: int = 4 * 1024 * 1024
     rcvbuf: int = 4 * 1024 * 1024
-    #: Packet-threshold loss detection (RFC 9002 kPacketThreshold).
-    reorder_threshold: int = 3
-    #: Probe timeout before an RTT estimate exists.
-    initial_pto_s: float = 0.002
-    min_pto_s: float = 100e-6
-    #: ACK ranges carried per ACK (newest first).
-    ack_range_limit: int = 8
 
 
 @dataclass
 class QuicStackStats:
-    packets_in: int = 0
     packets_out: int = 0
     bytes_in: int = 0
     bytes_out: int = 0
     connections_opened: int = 0
     connections_accepted: int = 0
     streams_opened: int = 0
-    streams_accepted: int = 0
     handshakes: int = 0
     resumptions_0rtt: int = 0
     zero_rtt_rejected: int = 0
@@ -87,7 +78,6 @@ class QuicStackStats:
     loss_events: int = 0
     ptos: int = 0
     migrations: int = 0
-    no_listener_drops: int = 0
 
 
 class QuicListener:
@@ -101,7 +91,6 @@ class QuicListener:
         #: ServiceLib hook: called with each newly established stream.
         self.on_new_connection: Optional[Callable[[QuicStream], None]] = None
         self._cc_name: Optional[str] = None
-        self.total_established = 0
 
     def close(self) -> None:
         self.closed = True
@@ -143,7 +132,7 @@ class QuicStack:
         self._tickets: Dict[Tuple, int] = {}
         #: Server-issued tickets: ticket -> tenant it was issued to.
         self._issued: Dict[int, Optional[int]] = {}
-        self._next_ephemeral = self.config.ephemeral_base
+        self._next_ephemeral = EPHEMERAL_BASE
         self._next_core = 0
         #: Fastpass-style fabric arbiter (same contract as TcpStack).
         self.arbiter = None
@@ -157,7 +146,7 @@ class QuicStack:
         port = self._next_ephemeral
         self._next_ephemeral += 1
         if self._next_ephemeral > 65535:
-            self._next_ephemeral = self.config.ephemeral_base
+            self._next_ephemeral = EPHEMERAL_BASE
         return port
 
     def _assign_core(self, conn: QuicConnection) -> None:
@@ -230,7 +219,6 @@ class QuicStack:
     def _accept_new(self, pkt: QuicPacket, src_ip: str) -> None:
         listener = self._listeners.get(pkt.dst_port)
         if listener is None or listener.closed:
-            self.stats.no_listener_drops += 1
             return
         if pkt.ptype is QuicPacketType.ZERO_RTT:
             if self._issued.get(pkt.ticket, _MISSING) == pkt.tenant:
@@ -260,7 +248,6 @@ class QuicStack:
         self._assign_core(conn)
 
         def deliver(stream: QuicStream, lst=listener) -> None:
-            lst.total_established += 1
             if lst.on_new_connection is not None:
                 lst.on_new_connection(stream)
 
@@ -278,8 +265,6 @@ class QuicStack:
             payload_bytes=qpkt.payload_bytes,
             payload=qpkt,
             protocol="quic",
-            flow_id=id(conn),
-            created_at=self.sim.now,
         )
         cost = (
             self.config.per_packet_ns + self.config.per_byte_ns * qpkt.payload_bytes
@@ -303,7 +288,6 @@ class QuicStack:
         qpkt = packet.payload
         if not isinstance(qpkt, QuicPacket):
             return
-        self.stats.packets_in += 1
         self.stats.bytes_in += qpkt.payload_bytes
         conn = self._by_cid.get(qpkt.dcid)
         core = conn.core if conn is not None else (
@@ -430,10 +414,6 @@ class QuicStack:
                 conn.close_connection()
                 closed += 1
         return closed
-
-    @property
-    def connection_count(self) -> int:
-        return len(self._by_cid)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<QuicStack {self.name} conns={len(self._by_cid)}>"

@@ -42,10 +42,9 @@ class RdmaMessage:
 class _RcSegment:
     """Wire unit: (qp context, message id, segment index, flags)."""
 
-    __slots__ = ("src_qpn", "dst_qpn", "msg_id", "seq", "nbytes", "is_last", "ack")
+    __slots__ = ("dst_qpn", "msg_id", "seq", "nbytes", "is_last", "ack")
 
-    def __init__(self, src_qpn, dst_qpn, msg_id, seq, nbytes, is_last, ack=None):
-        self.src_qpn = src_qpn
+    def __init__(self, dst_qpn, msg_id, seq, nbytes, is_last, ack=None):
         self.dst_qpn = dst_qpn
         self.msg_id = msg_id
         self.seq = seq
@@ -83,8 +82,6 @@ class RcEndpoint:
         self._partial: Dict[int, int] = {}  # msg_id -> bytes received
         #: Delivery callback: fn(msg_id, nbytes) per completed message.
         self.on_message: Optional[Callable[[int, int], None]] = None
-        self.messages_sent = 0
-        self.messages_received = 0
         self.retransmit_events = 0
 
     # ----------------------------------------------------------------- wiring --
@@ -123,16 +120,12 @@ class RcEndpoint:
             self._rto.arm(RETRANSMIT_TIMEOUT)
 
     def _transmit(self, seq: int, message: RdmaMessage, chunk: int, is_last: bool) -> None:
-        segment = _RcSegment(
-            self.qpn, self.remote_qpn, message.msg_id, seq, chunk, is_last
-        )
+        segment = _RcSegment(self.remote_qpn, message.msg_id, seq, chunk, is_last)
         self.fabric.send(self.local_ip, self.remote_ip, chunk, segment)
 
     # -------------------------------------------------------------------- ack --
     def _send_ack(self) -> None:
-        segment = _RcSegment(
-            self.qpn, self.remote_qpn, 0, 0, 0, False, ack=self._rcv_nxt
-        )
+        segment = _RcSegment(self.remote_qpn, 0, 0, 0, False, ack=self._rcv_nxt)
         self.fabric.send(self.local_ip, self.remote_ip, 0, segment)
 
     def on_segment(self, segment: _RcSegment) -> None:
@@ -148,7 +141,6 @@ class RcEndpoint:
         got = self._partial.get(segment.msg_id, 0) + segment.nbytes
         if segment.is_last:
             self._partial.pop(segment.msg_id, None)
-            self.messages_received += 1
             if self.on_message is not None:
                 self.on_message(segment.msg_id, got)
         else:
@@ -161,7 +153,6 @@ class RcEndpoint:
             _seq, message, _chunk, _index, is_last = self._unacked.popleft()
             progressed = True
             if is_last:
-                self.messages_sent += 1
                 message.completion.succeed()
         self._snd_una = max(self._snd_una, ack)
         if progressed:
@@ -225,6 +216,5 @@ class RdmaFabric:
                 payload_bytes=nbytes,
                 payload=segment,
                 protocol="rdma",
-                created_at=self.sim.now,
             )
         )

@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from itertools import count
 from typing import Deque, List, Optional
 
 from ..net import NIC
@@ -21,9 +20,6 @@ from ..sim import Event, Simulator
 from .transport import RcEndpoint, RdmaFabric
 
 __all__ = ["WcOpcode", "WorkCompletion", "CompletionQueue", "QueuePair", "RdmaDevice"]
-
-_wr_ids = count(1)
-
 
 class WcOpcode(enum.Enum):
     SEND = "send"
@@ -34,7 +30,6 @@ class WcOpcode(enum.Enum):
 class WorkCompletion:
     """One entry polled from a completion queue."""
 
-    wr_id: int
     opcode: WcOpcode
     byte_len: int
     qp_num: int
@@ -94,7 +89,7 @@ class QueuePair:
         self.endpoint = endpoint
         self.send_cq = send_cq
         self.recv_cq = recv_cq
-        self._recv_buffers: Deque[tuple[int, int]] = deque()  # (wr_id, max_len)
+        self._recv_buffers: Deque[int] = deque()  # each posted buffer's max_len
         self.rnr_drops = 0  # messages arriving with no posted receive
         endpoint.on_message = self._on_message
 
@@ -109,33 +104,28 @@ class QueuePair:
     def connect(self, remote_ip: str, remote_qpn: int) -> None:
         self.endpoint.connect(remote_ip, remote_qpn)
 
-    def post_recv(self, max_len: int = 1 << 20) -> int:
-        """Post one receive buffer; returns its work-request id."""
-        wr_id = next(_wr_ids)
-        self._recv_buffers.append((wr_id, max_len))
-        return wr_id
+    def post_recv(self, max_len: int = 1 << 20) -> None:
+        """Post one receive buffer."""
+        self._recv_buffers.append(max_len)
 
-    def post_send(self, nbytes: int) -> int:
-        """Post one SEND; returns its wr id (completion lands in send_cq)."""
+    def post_send(self, nbytes: int) -> None:
+        """Post one SEND (its completion lands in send_cq)."""
         if not self.connected:
             raise RuntimeError("QP is not connected")
-        wr_id = next(_wr_ids)
         message = self.endpoint.post_send(nbytes)
         message.completion.add_callback(
             lambda _ev: self.send_cq.push(
-                WorkCompletion(wr_id, WcOpcode.SEND, nbytes, self.qp_num)
+                WorkCompletion(WcOpcode.SEND, nbytes, self.qp_num)
             )
         )
-        return wr_id
 
     def _on_message(self, msg_id: int, nbytes: int) -> None:
         if not self._recv_buffers:
             self.rnr_drops += 1  # receiver-not-ready
             return
-        wr_id, max_len = self._recv_buffers.popleft()
+        max_len = self._recv_buffers.popleft()
         self.recv_cq.push(
             WorkCompletion(
-                wr_id,
                 WcOpcode.RECV,
                 min(nbytes, max_len),
                 self.qp_num,

@@ -30,7 +30,6 @@ _ALLOCATORS = {
     "netkernel.nsm": ("_nsm_ids",),
     "netkernel.rdma_nsm": ("_rdma_nsm_ids",),
     "rdma.transport": ("_msg_ids",),
-    "rdma.verbs": ("_wr_ids",),
     "quic.stack": ("_cid_ids", "_ticket_ids"),
 }
 

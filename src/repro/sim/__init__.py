@@ -4,7 +4,7 @@ Public surface:
 
 * :class:`Simulator` — clock + event queue (one ``heapq`` list).
 * :class:`Deadline` — a lazily re-armed protocol timer (one live entry).
-* :class:`Event`, :class:`Timeout`, :class:`AnyOf`, :class:`AllOf` — waitables.
+* :class:`Event`, :class:`Timeout`, :class:`AnyOf` — waitables.
 * :class:`Process` — generator-based coroutine; also an event.
 * :class:`Store` — a FIFO item queue (the listener's accept queue,
   ServiceLib's worker shards).
@@ -15,7 +15,7 @@ module by the runs that install it.
 """
 
 from .engine import NANOS, Deadline, Simulator
-from .events import AllOf, AnyOf, Event, Interrupt, SimulationError, Timeout
+from .events import AnyOf, Event, SimulationError, Timeout
 from .process import Process
 from .resources import Store
 
@@ -25,8 +25,6 @@ __all__ = [
     "Event",
     "Timeout",
     "AnyOf",
-    "AllOf",
-    "Interrupt",
     "SimulationError",
     "Process",
     "Store",

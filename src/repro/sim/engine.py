@@ -27,7 +27,7 @@ from heapq import heapify, heappop, heappush
 from itertools import count
 from typing import Any, Generator, Iterable, Optional
 
-from .events import AllOf, AnyOf, Event, SimulationError, Timeout
+from .events import AnyOf, Event, Timeout
 from .process import Process
 
 __all__ = ["Simulator", "Deadline", "NANOS"]
@@ -74,11 +74,6 @@ class Simulator:
         #: is a single attribute test that takes the packet branch).
         self.fidelity = None
 
-    # -- event factories ----------------------------------------------------
-    def event(self) -> Event:
-        """Create a fresh untriggered :class:`Event`."""
-        return Event(self)
-
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires ``delay`` seconds from now."""
         return Timeout(self, delay, value)
@@ -90,10 +85,6 @@ class Simulator:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Composite event that fires when any of ``events`` fires."""
         return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Composite event that fires when all of ``events`` have fired."""
-        return AllOf(self, events)
 
     # -- scheduling -----------------------------------------------------------
     # Queue entries are ``(when, seq, target, args)``.  ``args is None``:
@@ -123,26 +114,6 @@ class Simulator:
         else:
             waiter.succeed(value)
 
-    # -- execution ------------------------------------------------------------
-    def step(self) -> None:
-        """Process the single next entry in the queue."""
-        if not self._queue:
-            raise SimulationError("step() on an empty event queue")
-        when, _seq, target, args = heappop(self._queue)
-        if when < self.now:
-            raise SimulationError("event scheduled in the past")
-        self.now = when
-        self.events_processed += 1
-        if args is None:
-            target._run_callbacks()
-        else:
-            target(*args)
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``float('inf')`` if none."""
-        q = self._queue
-        return q[0][0] if q else _INF
-
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock reaches ``until``.
 
@@ -161,10 +132,8 @@ class Simulator:
     def _run_through(self, bound: float) -> int:
         """Process every entry with ``time <= bound``; return how many.
 
-        The one event-loop body: :meth:`step` inlined (minus the
-        stale-event guard, which the heap order makes unreachable from
-        here) — one heappop, then the call or the event's callbacks.
-        Semantics are identical to repeated ``step()`` calls.
+        The one event-loop body: one heappop, then the call or the
+        event's callbacks.
         """
         q = self._queue
         heappop_ = heappop
@@ -184,23 +153,6 @@ class Simulator:
         finally:
             self.events_processed += processed
         return processed
-
-    def run_until_event(self, event: Event, limit: Optional[float] = None) -> Any:
-        """Run until ``event`` is processed; return its value.
-
-        Raises the event's exception if it failed, and
-        :class:`SimulationError` if the queue drains or ``limit`` is reached
-        first.
-        """
-        while not event.processed:
-            if not self._queue:
-                raise SimulationError("queue drained before event fired")
-            if limit is not None and self.peek() > limit:
-                raise SimulationError(f"time limit {limit} reached before event fired")
-            self.step()
-        if not event.ok:
-            raise event.value
-        return event.value
 
     def _entry_died(self) -> None:
         """A :class:`Deadline` entry was retired or released; purge the

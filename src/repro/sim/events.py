@@ -17,30 +17,11 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Seque
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Simulator
 
-__all__ = [
-    "Event",
-    "Timeout",
-    "AnyOf",
-    "AllOf",
-    "SimulationError",
-    "Interrupt",
-]
+__all__ = ["Event", "Timeout", "AnyOf", "SimulationError"]
 
 
 class SimulationError(Exception):
     """Raised for misuse of the simulation kernel (e.g. double trigger)."""
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`repro.sim.process.Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -117,13 +98,6 @@ class Event:
         self.sim._schedule_event(self)
         return self
 
-    # -- kernel hook -------------------------------------------------------
-    def _run_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        self._processed = True
-        for callback in callbacks:
-            callback(self)
-
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Attach ``callback(event)``; runs immediately if already processed."""
         callbacks = self.callbacks
@@ -138,27 +112,25 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if not delay >= 0:  # also refuses NaN, which would corrupt the heap
             raise ValueError(f"negative or NaN timeout delay: {delay!r}")
         super().__init__(sim)
-        self.delay = delay
         self._triggered = True
         self._value = value
         sim._schedule_event(self, delay=delay)
 
 
-class _Condition(Event):
-    """Base for AnyOf / AllOf composite events."""
+class AnyOf(Event):
+    """Fires when any child event fires; value maps fired events to values."""
 
-    __slots__ = ("events", "_n_fired")
+    __slots__ = ("events",)
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
         super().__init__(sim)
         self.events: List[Event] = list(events)
-        self._n_fired = 0
         if not self.events:
             self.succeed({})
             return
@@ -173,37 +145,9 @@ class _Condition(Event):
         if not event.ok:
             self.fail(event.value)
             return
-        self._n_fired += 1
-        if self._satisfied():
-            self.succeed(self._collect())
-
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _collect(self) -> dict:
         # ``processed`` (not ``triggered``): a Timeout counts as triggered
         # from construction, but only events that actually fired belong in
-        # the condition's value.
-        return {
-            event: event.value
-            for event in self.events
-            if event.processed and event.ok
-        }
-
-
-class AnyOf(_Condition):
-    """Fires when any child event fires; value maps fired events to values."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._n_fired >= 1
-
-
-class AllOf(_Condition):
-    """Fires when every child event has fired."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._n_fired == len(self.events)
+        # the value.
+        self.succeed(
+            {child: child.value for child in self.events if child.processed and child.ok}
+        )

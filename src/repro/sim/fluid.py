@@ -19,7 +19,8 @@ per flow by the congestion controller's exported steady-state rate
 (:meth:`~repro.tcp.cc.base.CongestionControl.steady_state_rate`), the
 peer's receive window, and a CPU ceiling mirroring the per-segment
 processing cost of the packet path.  Rates are re-solved only on *epochs*
-— flow arrival, departure, capacity change — never per delivery.  There
+— a flow gaining bytes to send, draining or being demoted — never per
+delivery; a route's capacity is fixed when the route is made.  There
 is one solver, in plain Python: a route's active set holds only flows
 with bytes on the wire, and the largest one any benchmark workload has
 produced is 2 (``fanin_bulk_fluid``, 10 000 connections, 40 572 solves),
@@ -290,12 +291,6 @@ class FidelityController:
 
     def on_nic_repaired(self, nic) -> None:
         """Capacity restored; affected flows re-promote on ACK progress."""
-
-    def set_route_capacity(self, route: FluidRoute, capacity_bytes_per_s: float) -> None:
-        if capacity_bytes_per_s <= 0:
-            raise ValueError("capacity must stay positive; demote instead")
-        route.capacity = float(capacity_bytes_per_s)
-        self._solve(route)
 
     # -- eligibility and promotion ---------------------------------------------
     def _peer_conn(self, conn: "TcpConnection") -> Optional["TcpConnection"]:

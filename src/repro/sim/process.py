@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from .events import Event, Interrupt, SimulationError
+from .events import Event, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Simulator
@@ -27,7 +27,7 @@ class Process(Event):
     process-event's value.
     """
 
-    __slots__ = ("generator", "name", "_target", "_alive")
+    __slots__ = ("generator", "name", "_alive")
 
     def __init__(
         self,
@@ -42,7 +42,6 @@ class Process(Event):
             )
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._target: Optional[Event] = None
         self._alive = True
         # Bootstrap: resume once at the current time.
         boot = Event(sim)
@@ -54,30 +53,10 @@ class Process(Event):
         """True while the generator has not finished."""
         return self._alive
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Raise :class:`Interrupt` inside the process at its yield point.
-
-        The event the process was waiting on is abandoned (its eventual
-        firing is ignored by this process).
-        """
-        if not self._alive:
-            raise SimulationError(f"cannot interrupt finished process {self.name!r}")
-        target, self._target = self._target, None
-        interrupt_event = Event(self.sim)
-        interrupt_event.add_callback(lambda _ev: self._throw(Interrupt(cause)))
-        interrupt_event.succeed()
-        # Detach from the old target so a later fire does not double-resume.
-        if target is not None and target.callbacks:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-
     # -- kernel internals ----------------------------------------------------
     def _resume(self, event: Event) -> None:
         if not self._alive:
             return
-        self._target = None
         try:
             # The fields, not the properties: a fired event is triggered.
             if event._ok:
@@ -92,19 +71,6 @@ class Process(Event):
             return
         self._wait_on(nxt)
 
-    def _throw(self, exc: BaseException) -> None:
-        if not self._alive:
-            return
-        try:
-            nxt = self.generator.throw(exc)
-        except StopIteration as stop:
-            self._finish(stop.value)
-            return
-        except BaseException as err:
-            self._die(err)
-            return
-        self._wait_on(nxt)
-
     def _wait_on(self, target: Any) -> None:
         if not isinstance(target, Event):
             self._die(
@@ -116,7 +82,6 @@ class Process(Event):
         if target.sim is not self.sim:
             self._die(SimulationError("yielded event belongs to another simulator"))
             return
-        self._target = target
         # Inlined Event.add_callback — one call saved per process suspension.
         callbacks = target.callbacks
         if callbacks is None:

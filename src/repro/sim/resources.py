@@ -64,14 +64,6 @@ class Store:
         self._drain()
         return event
 
-    def try_get(self) -> tuple[bool, Any]:
-        """Non-blocking get: return ``(True, item)`` or ``(False, None)``."""
-        if self.items:
-            item = self.items.popleft()
-            self._drain()
-            return True, item
-        return False, None
-
     def _drain(self) -> None:
         progressed = True
         while progressed:

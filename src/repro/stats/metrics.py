@@ -87,13 +87,3 @@ class LatencyRecorder:
 
     def p(self, q: float) -> float:
         return percentile(self.samples, q)
-
-    def summary_us(self) -> dict:
-        if not self.samples:
-            return {"count": 0}
-        return {
-            "count": len(self.samples),
-            "mean_us": self.mean * 1e6,
-            "p50_us": self.p(50) * 1e6,
-            "p99_us": self.p(99) * 1e6,
-        }

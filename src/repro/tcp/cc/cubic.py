@@ -35,7 +35,6 @@ class Cubic(CongestionControl):
         "k",
         "epoch_start",
         "w_est",
-        "_ack_bytes_epoch",
         "fast_convergence",
         "hystart",
         "hystart_fired",
@@ -56,7 +55,6 @@ class Cubic(CongestionControl):
         self.k = 0.0  # time to regrow to w_max
         self.epoch_start: float | None = None
         self.w_est = 0.0  # TCP-friendly (Reno-equivalent) estimate, segments
-        self._ack_bytes_epoch = 0
         self.fast_convergence = True
         # --- HyStart state ---
         self.hystart = hystart
@@ -128,7 +126,6 @@ class Cubic(CongestionControl):
             else:
                 self.k = ((self.w_max - self._cwnd_seg) / self.C) ** (1.0 / 3.0)
             self.w_est = self._cwnd_seg
-            self._ack_bytes_epoch = 0
 
         t = now - self.epoch_start
         target = self._w_cubic(t + rtt)
@@ -140,7 +137,6 @@ class Cubic(CongestionControl):
             increment = 0.01 / cwnd_seg  # minimal probing in the TCP-unfair region
 
         # TCP-friendly region (RFC 8312 §4.2): emulate Reno's growth.
-        self._ack_bytes_epoch += sample.newly_acked
         alpha = 3.0 * (1.0 - self.BETA) / (1.0 + self.BETA)
         self.w_est = self.w_est + alpha * (sample.newly_acked / self.cwnd)
         if self.w_est > cwnd_seg + increment:

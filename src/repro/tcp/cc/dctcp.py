@@ -30,7 +30,6 @@ class Dctcp(CongestionControl):
         "_window_end_acked",
         "_total_acked",
         "_avoidance_acc",
-        "_reduced_this_window",
     )
 
     def __init__(self, mss: int = 1448, initial_window_segments: int = 10) -> None:
@@ -41,7 +40,6 @@ class Dctcp(CongestionControl):
         self._window_end_acked = 0
         self._total_acked = 0
         self._avoidance_acc = 0
-        self._reduced_this_window = False
 
     def on_ack(self, sample: RateSample) -> None:
         self._total_acked += sample.newly_acked

@@ -92,7 +92,6 @@ class _TxRecord:
     delivered_at_send: int
     delivered_time_at_send: float
     is_app_limited: bool
-    retransmitted: bool = False
     payload_len: int = 0
 
 
@@ -660,8 +659,7 @@ class TcpConnection:
                 if self.fin_seq is not None and cursor >= self.fin_seq:
                     # The hole is our FIN: resend it, not payload.
                     seg = self._make_segment(cursor, ack=True, fin=True)
-                    self.stats.retransmits += 1
-                    self.stack.stats.retransmits += 1
+                    self._count_retransmit()
                     self._transmit(seg, retransmit=True)
                     self._mark_rexmitted(cursor, cursor + 1)
                     self._last_repair_time = self.sim.now
@@ -673,8 +671,7 @@ class TcpConnection:
                 seg = self._make_segment(
                     cursor, ack=True, payload_len=length
                 )
-                self.stats.retransmits += 1
-                self.stack.stats.retransmits += 1
+                self._count_retransmit()
                 self._transmit(seg, retransmit=True)
                 self._mark_rexmitted(cursor, cursor + length)
                 self._last_repair_time = self.sim.now
@@ -690,6 +687,13 @@ class TcpConnection:
 
         if self._rexmitted and not self._rack_armed:
             self._arm_rack()
+
+    def _count_retransmit(self) -> None:
+        self.stats.retransmits += 1
+        stack = self.stack
+        stack.stats.retransmits += 1
+        if stack._traced:
+            stack.tracer.count("tcp.retransmits")
 
     def _mark_rexmitted(self, start: int, end: int) -> None:
         if self._rexmitted is EMPTY:

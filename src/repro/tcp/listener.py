@@ -32,8 +32,6 @@ class Listener:
         self.closed = False
         #: ServiceLib hook: called with each newly established connection.
         self.on_new_connection: Optional[Callable[["TcpConnection"], None]] = None
-        self.total_accepted = 0
-        self.total_established = 0
         self.dropped_full = 0
         self._local: Optional[Endpoint] = None
 
@@ -60,14 +58,12 @@ class Listener:
         connection bypasses the accept queue entirely.
         """
         if self.on_new_connection is not None:
-            self.total_established += 1
             self.on_new_connection(conn)
             return
         if not self._accept_queue.try_put(conn):
             self.dropped_full += 1
             conn.abort()
             return
-        self.total_established += 1
         if self._watchers:
             watchers, self._watchers = self._watchers, []
             for watcher in watchers:
@@ -77,12 +73,7 @@ class Listener:
         """Event fires with the next established :class:`TcpConnection`."""
         if self.closed:
             raise RuntimeError(f"accept() on closed listener :{self.port}")
-        event = self._accept_queue.get()
-        event.add_callback(self._count_accept)
-        return event
-
-    def _count_accept(self, _event: Event) -> None:
-        self.total_accepted += 1
+        return self._accept_queue.get()
 
     def wait_pending(self) -> Event:
         """Readiness (epoll EPOLLIN): fires when a connection is queued."""

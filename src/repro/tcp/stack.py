@@ -23,6 +23,7 @@ from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..net import NIC, Endpoint, Packet
+from ..net.addressing import EPHEMERAL_BASE
 from ..obs import runtime as obs_runtime
 from ..sim import NANOS, Event, Simulator
 from .cc import base as cc_base
@@ -49,8 +50,6 @@ class StackConfig:
     per_segment_ns: float = 2000.0
     #: CPU cost per payload byte (copies, checksums).
     per_byte_ns: float = 0.30
-    #: First ephemeral port.
-    ephemeral_base: int = 32768
 
 
 @dataclass
@@ -229,7 +228,7 @@ class TcpStack:
         #: A connection in TIME_WAIT is held as its TimeWait record.
         self._connections: Dict[ConnKey, Union[TcpConnection, TimeWait]] = {}
         self._listeners: Dict[int, Listener] = {}
-        self._next_ephemeral = self.config.ephemeral_base
+        self._next_ephemeral = EPHEMERAL_BASE
         self._next_core = 0
         self._cfg_cache: Dict[tuple, TcpConfig] = {}
         #: Fastpass-style fabric arbiter: when set, every payload-bearing
@@ -283,7 +282,7 @@ class TcpStack:
         port = self._next_ephemeral
         self._next_ephemeral += 1
         if self._next_ephemeral > 65535:
-            self._next_ephemeral = self.config.ephemeral_base
+            self._next_ephemeral = EPHEMERAL_BASE
         return port
 
     def _assign_core(self, conn: TcpConnection) -> None:
@@ -366,8 +365,6 @@ class TcpStack:
             tracer = self.tracer
             tracer.count("tcp.segments_out")
             tracer.count("tcp.bytes_out", seg.payload_len)
-            if getattr(seg, "retransmitted", False):
-                tracer.count("tcp.retransmits")
             # Parent under the ServiceLib send that produced these bytes
             # (payload segments only; pure ACKs stand alone and are left
             # to the sampler).
@@ -384,8 +381,6 @@ class TcpStack:
             payload_bytes=seg.payload_len,
             payload=seg,
             ecn_capable=conn.config.ecn and seg.payload_len > 0,
-            flow_id=id(conn),
-            created_at=self.sim.now,
         )
         core = conn.core
         if core is None:
@@ -465,7 +460,6 @@ class TcpStack:
                 dst=packet.src,
                 payload_bytes=0,
                 payload=rst,
-                created_at=self.sim.now,
             )
         )
 
@@ -548,10 +542,6 @@ class TcpStack:
             # A closed connection is freed at close and the next one may
             # reuse its id: drop the flow-parent span bound to this one.
             self.tracer.bind_flow(id(conn), None)
-
-    @property
-    def connection_count(self) -> int:
-        return len(self._connections)
 
     def __repr__(self) -> str:
         return f"<TcpStack {self.name} conns={len(self._connections)}>"

@@ -2,12 +2,14 @@
 
 ``linked_stacks`` builds the smallest possible end-to-end TCP rig: two
 stacks joined by a duplex link, no hosts or hypervisors.  The heavier
-NetKernel rigs live in the tests that need them.
+NetKernel rigs live in the tests that need them.  ``step`` and ``peek``
+drive a simulator one queue entry at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop
 from typing import Optional
 
 import pytest
@@ -107,6 +109,27 @@ def transfer(
     rig.sim.process(client(rig.sim))
     rig.sim.run(until=time_limit)
     return result
+
+
+def peek(sim: Simulator) -> float:
+    """When the next queue entry fires (``inf`` on an empty queue)."""
+    return sim._queue[0][0] if sim._queue else float("inf")
+
+
+def step(sim: Simulator) -> None:
+    """Run exactly the next queue entry: one turn of the loop in
+    ``Simulator._run_through``, so ``events_processed`` seen inside a
+    callback is the index of the entry that ran it."""
+    when, _seq, target, args = heappop(sim._queue)
+    sim.now = when
+    sim.events_processed += 1
+    if args is not None:
+        target(*args)
+    else:
+        callbacks, target.callbacks = target.callbacks, None
+        target._processed = True
+        for callback in callbacks:
+            callback(target)
 
 
 @pytest.fixture

@@ -203,7 +203,7 @@ def test_retried_socket_gets_the_same_fd_and_leaks_nothing():
     assert vm.api.op_retries_sent == 1
     assert len(fds) == 1
     assert ce.table.connections_of_vm(vm.vm_id) == []
-    assert not nsm.servicelib.backends()
+    assert not nsm.servicelib._backends
 
 
 # ------------------------------------------------------------ failover e2e --

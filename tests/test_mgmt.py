@@ -141,14 +141,6 @@ def test_accountant_reports_nsm_usage():
     assert nsm.name in accountant.all_usage()
 
 
-def test_accountant_host_rollup():
-    testbed, nsm = make_nsm()
-    accountant = Accountant(testbed.sim)
-    usage = accountant.host_usage(testbed.host_a)
-    assert usage.cores == 8
-    assert usage.memory_gb >= NsmForm.VM.memory_gb
-
-
 # -------------------------------------------------------------------- scaling --
 def test_scaling_controller_adds_core_under_load():
     testbed, nsm = make_nsm()

@@ -31,7 +31,7 @@ def test_mesh_measures_every_pair():
 def test_mesh_latency_is_physically_plausible():
     testbed, mesh = make_mesh(2)
     testbed.sim.run(until=1.0)
-    p50 = mesh.pair_p50_us("host0", "host1")
+    p50 = mesh.latency[("host0", "host1")].p(50) * 1e6
     # Two 5 us uplinks each way plus handshake/stack overheads.
     assert 20 < p50 < 500
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.host import Core, CpuSet, GuestOS, PhysicalHost
+from repro.host import CpuSet, GuestOS, PhysicalHost
 from repro.net import AddressAllocator
 from repro.sim import Simulator
 from repro.tcp.cc import CongestionControl, register
@@ -47,11 +47,6 @@ def test_base_on_rto_halves_and_collapses():
 def test_cpuset_validates_count(sim):
     with pytest.raises(ValueError):
         CpuSet(sim, 0)
-
-
-def test_core_validates_clock(sim):
-    with pytest.raises(ValueError):
-        Core(sim, ghz=0)
 
 
 def test_host_requires_two_cores(sim):

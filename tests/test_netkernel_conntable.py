@@ -43,17 +43,9 @@ def test_remove_by_vm_clears_both_directions():
     assert len(table) == 0
 
 
-def test_remove_by_nsm_clears_both_directions():
-    table = ConnectionTable()
-    table.insert(1, 3, 7, 100)
-    table.remove_by_nsm(7, 100)
-    assert len(table) == 0
-
-
 def test_remove_missing_is_noop():
     table = ConnectionTable()
     table.remove_by_vm(9, 9)
-    table.remove_by_nsm(9, 9)
 
 
 def test_fd_allocation_starts_at_3_and_increments():
@@ -74,9 +66,9 @@ def test_family_defaults_to_tcp_and_is_queryable():
     table = ConnectionTable()
     table.insert(1, 3, 7, 100)
     table.insert(1, 4, 8, 200, family="quic")
-    assert table.family_of(1, 3) == "tcp"
-    assert table.family_of(1, 4) == "quic"
-    assert table.family_of(1, 99) is None
+    assert table.connections_of_vm(1, family="tcp") == [(1, 3)]
+    assert table.connections_of_vm(1, family="quic") == [(1, 4)]
+    assert (1, 99) not in table._family
 
 
 def test_connections_of_vm_filters_by_family():
@@ -93,10 +85,9 @@ def test_removal_drops_the_family_mapping():
     table = ConnectionTable()
     table.insert(1, 3, 7, 100, family="quic")
     table.remove_by_vm(1, 3)
-    assert table.family_of(1, 3) is None
+    assert table._family == {}
     table.insert(2, 3, 7, 101, family="quic")
-    table.remove_by_nsm(7, 101)
-    assert table.family_of(2, 3) is None
+    table.evict_nsm(7)
     assert table._family == {}
 
 
@@ -112,7 +103,7 @@ def test_connections_of_vm_and_nsm():
 @settings(max_examples=100, deadline=None)
 @given(
     operations=st.lists(
-        st.tuples(st.sampled_from(["insert", "remove_vm", "remove_nsm"]),
+        st.tuples(st.sampled_from(["insert", "remove_vm", "evict_nsm"]),
                   st.integers(1, 4), st.integers(3, 8)),
         max_size=40,
     )
@@ -128,9 +119,7 @@ def test_property_table_stays_a_bijection(operations):
         elif op == "remove_vm":
             table.remove_by_vm(vm_id, fd)
         else:
-            mapping = table.to_nsm(vm_id, fd)
-            if mapping is not None:
-                table.remove_by_nsm(*mapping)
+            table.evict_nsm(1)
     # Invariant: every forward entry has a matching reverse entry.
     for vm_key, nsm_key in table._vm_to_nsm.items():
         assert table._nsm_to_vm[nsm_key] == vm_key

@@ -105,7 +105,7 @@ def test_guest_has_no_nic_vm_identity_is_nsm_ip():
 def test_windows_vm_uses_bbr_via_nsm():
     """The paper's §4.3 headline: a Windows guest runs BBR."""
     testbed, vm_a, vm_b, nsm_a, _ = make_rig(cc="bbr", guest_os=GuestOS.WINDOWS)
-    assert not vm_a.can_use_cc_natively("bbr")  # kernel says no...
+    assert "bbr" not in vm_a.guest_os.available_cc  # kernel says no...
     out = run_echo(testbed, vm_a.api, vm_b.api)
     assert out["client_got"] == 10_000  # ...NetKernel says yes
     assert nsm_a.spec.congestion_control == "bbr"

@@ -4,8 +4,9 @@ import pytest
 
 from repro.apps import BulkReceiver, BulkSender
 from repro.experiments.common import make_lan_testbed
+from repro.faults import Fault, FaultInjector, FaultKind, FaultPlan
 from repro.net import Endpoint
-from repro.netkernel import NsmSpec, TokenBucket
+from repro.netkernel import CoreEngineConfig, NsmSpec, TokenBucket
 
 
 # ----------------------------------------------------------------- TokenBucket --
@@ -109,12 +110,20 @@ def test_rate_cap_is_registered_with_coreengine():
 def test_rate_cap_survives_warm_standby_failover():
     """The standby booted from a default spec still enforces the cap: it
     belongs to the tenant, not to the dead NSM's spec."""
-    testbed = make_lan_testbed()
+    testbed = make_lan_testbed(
+        coreengine_config=CoreEngineConfig(heartbeat_interval=0.001)
+    )
     hyp = testbed.hypervisor_a
     nsm = hyp.boot_nsm(NsmSpec())
     vm = hyp.boot_netkernel_vm("capped", nsm, rate_limit_bps=CAP_BPS)
     hyp.enable_failover(standbys=1)
-    hyp.coreengine.declare_nsm_dead(nsm)
+    injector = FaultInjector(
+        testbed.sim,
+        FaultPlan.scripted([Fault(at=0.0, kind=FaultKind.NSM_CRASH, target="nsm")]),
+    )
+    injector.register_nsm("nsm", nsm)
+    injector.start()
+    testbed.sim.run(until=0.01)  # the watchdog's misses declare it dead
     serving = hyp.coreengine.attachment_of(vm.vm_id).nsm
     assert serving is not nsm and not serving.failed
     assert serving.servicelib._rate_bucket(vm.vm_id) is not None

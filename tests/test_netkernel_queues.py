@@ -10,6 +10,8 @@ from repro.netkernel.nqe import CONNECTION_EVENT_OPS
 from repro.netkernel.queues import RingPump, soft_interrupt
 from repro.sim import Simulator
 
+from conftest import peek
+
 
 def data_nqe():
     return Nqe(op=NqeOp.DATA, vm_id=1, fd=3)
@@ -408,7 +410,7 @@ def test_pump_notify_on_an_empty_ring_stays_idle(sim):
     pump.stop()
     pump.stopped = False
     pump.notify()
-    assert pump.idle and core.ops == 0 and sim.peek() == float("inf")
+    assert pump.idle and core.ops == 0 and peek(sim) == float("inf")
     ring.offer(tokens(1)[0])
     sim.run(until=1.0)
     assert [t for t, _ in probe.handled] == [0] and pump.idle

@@ -22,7 +22,7 @@ from repro.net import DuplexLink, Endpoint, IIDLoss, OffloadConfig, VirtualNIC
 from repro.netkernel import NsmSpec
 from repro.netkernel.nsm import STACK_FAMILIES, register_stack_family
 from repro.quic import QuicStack
-from repro.quic.connection import _newly_acked, _SentPacket
+from repro.quic.connection import ACK_RANGE_LIMIT, _newly_acked, _SentPacket
 from repro.quic.packet import QuicPacketType
 from repro.sim import Simulator
 from repro.tcp import TcpStack
@@ -160,7 +160,7 @@ def test_streams_multiplex_over_one_connection():
     streams = [rig.stack_a.connect(remote, tenant=1) for _ in range(3)]
     assert rig.stack_a.stats.connections_opened == 1
     assert rig.stack_a.stats.streams_opened == 3
-    assert rig.stack_a.connection_count == 1
+    assert len(rig.stack_a._by_cid) == 1
     assert {s.conn for s in streams} == {streams[0].conn}
 
     def client(sim):
@@ -251,7 +251,7 @@ def test_newly_acked_matches_the_full_scan(received, flight):
     ranges = conn._ack_ranges()
 
     # The contract the walk relies on.
-    assert 1 <= len(ranges) <= conn.config.ack_range_limit
+    assert 1 <= len(ranges) <= ACK_RANGE_LIMIT
     assert len(conn._rcvd) <= 64
     assert ranges[0][1] == max(received)
     assert all(lo <= hi for lo, hi in ranges)
@@ -431,7 +431,7 @@ def test_quic_nsm_guestlib_close_tears_down_the_mapping():
         fd = yield vm_a.api.socket()
         yield vm_a.api.connect(fd, Endpoint(vm_b.api.ip, 5000))
         seen["fd"] = fd
-        seen["family"] = table.family_of(vm_a.vm_id, fd)
+        seen["family"] = table._family.get((vm_a.vm_id, fd))
         yield vm_a.api.send(fd, 4096)
         yield vm_a.api.close(fd)
 
@@ -440,4 +440,4 @@ def test_quic_nsm_guestlib_close_tears_down_the_mapping():
     testbed.run(until=0.1)
     assert seen["family"] == "quic"
     assert table.to_nsm(vm_a.vm_id, seen["fd"]) is None
-    assert table.family_of(vm_a.vm_id, seen["fd"]) is None
+    assert (vm_a.vm_id, seen["fd"]) not in table._family

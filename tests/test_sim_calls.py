@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.host import Core
-from repro.sim import Interrupt, Simulator, Timeout
+from repro.sim import Event, Simulator, Timeout
+
+from conftest import peek, step
 
 # Zero, equal-time ties, microseconds (nqe and wire hops) and a far timer
 # (an RTO's 200 ms).
@@ -93,7 +95,7 @@ class Rig:
         elif kind == "timeout":
             sim.timeout(delay).add_callback(lambda _ev: self.fire(label, children))
         elif kind == "succeed":
-            event = sim.event()
+            event = Event(sim)
             event.add_callback(lambda _ev: self.fire(label, children))
             event.succeed()
         else:
@@ -111,11 +113,11 @@ def test_fire_order_is_time_then_seq_for_every_entry_kind(program, drives):
         if how == "until":
             if arg >= sim.now:
                 sim.run(until=arg)
-                assert sim.now == arg and sim.peek() > arg
+                assert sim.now == arg and peek(sim) > arg
         else:
             for _ in range(arg):
-                if sim.peek() != float("inf"):
-                    sim.step()
+                if peek(sim) != float("inf"):
+                    step(sim)
     sim.run()
     expected = reference_order(program)
     assert rig.fired == expected  # exact floats, exact order
@@ -166,23 +168,12 @@ def test_negative_delay_raises_where_it_is_scheduled(sim):
         ):
             with pytest.raises(ValueError):
                 schedule(delay)
-            assert sim.peek() == float("inf")  # nothing was queued
-            assert core.backlog_seconds == 0.0 and core.ops == 0
-
-
-def test_run_until_event_dispatches_calls_on_the_way(sim):
-    seen = []
-    sim.schedule_call(1.0, seen.append, "call")
-    sim.schedule_call(0.5, seen.append, "stepped")
-    assert sim.peek() == 0.5 and sim.peek() == 0.5  # reading changes nothing
-    sim.step()  # fires the entry peek() named
-    assert seen == ["stepped"] and sim.now == 0.5
-    assert sim.run_until_event(sim.timeout(2.0, value="done")) == "done"
-    assert seen == ["stepped", "call"]
+            assert peek(sim) == float("inf")  # nothing was queued
+            assert core._busy_until == 0.0 and core.ops == 0
 
 
 def test_there_is_no_timeout_pool():
-    assert Timeout.__slots__ == ("delay",)
+    assert Timeout.__slots__ == ()
     sim = Simulator()
     assert not [name for name in vars(sim) if "pool" in name]
     assert not [name for name in dir(Simulator) if "pool" in name.lower()]
@@ -190,7 +181,7 @@ def test_there_is_no_timeout_pool():
 
 # -- callbacks allocated on first waiter ------------------------------------
 def test_event_without_waiters_costs_no_list(sim):
-    event, timer = sim.event(), sim.timeout(1.0)
+    event, timer = Event(sim), sim.timeout(1.0)
     assert event.callbacks == () and timer.callbacks == ()
     assert event.callbacks is timer.callbacks
     event.add_callback(lambda _ev: None)
@@ -207,42 +198,6 @@ def test_add_callback_after_processing_runs_immediately(sim):
     seen = []
     timer.add_callback(lambda ev: seen.append(ev.value))
     assert seen == [7]
-
-
-def test_interrupt_when_the_target_has_no_other_waiter(sim):
-    log = []
-    target = sim.event()
-
-    def waiter():
-        try:
-            yield target
-        except Interrupt as interrupt:
-            log.append(interrupt.cause)
-        yield sim.timeout(1.0)
-        log.append("resumed once")
-
-    proc = sim.process(waiter())
-    sim.run(until=0.5)
-    proc.interrupt("stop")
-    sim.run(until=0.6)
-    target.succeed()  # a late fire must not resume the process a second time
-    sim.run()
-    assert log == ["stop", "resumed once"] and not target.callbacks
-
-
-def test_interrupt_before_the_process_has_waited_on_anything(sim):
-    log = []
-
-    def body():
-        try:
-            yield sim.timeout(1.0)
-        except Interrupt:
-            log.append(sim.now)
-
-    proc = sim.process(body())
-    proc.interrupt()  # same instant as the bootstrap: no target yet
-    sim.run()
-    assert log == [0.0]
 
 
 def test_crash_with_nobody_waiting_still_raises(sim):

@@ -24,6 +24,8 @@ from repro.sim import Deadline, Simulator
 from repro.sim import engine
 from repro.sim.engine import _deadline_pop
 
+from conftest import peek, step as step_sim
+
 N_DEADLINES = 3
 
 
@@ -174,8 +176,8 @@ def test_deadline_fires_where_push_every_arm_would(seed):
     # Floor 1: a purge runs whenever dead entries outnumber live ones.
     with mock.patch.object(engine, "_PURGE_FLOOR", 1), \
             mock.patch.object(engine, "heapify", heapify):
-        while sim.peek() != float("inf"):
-            sim.step()
+        while peek(sim) != float("inf"):
+            step_sim(sim)
             check()
 
     expected, reference_pops = reference_fires(steps, rearms)

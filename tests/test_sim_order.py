@@ -13,6 +13,8 @@
 
 import os
 
+from conftest import peek, step
+
 
 def test_engine_fires_equal_timestamps_fifo():
     """Callbacks scheduled for the same instant run in schedule order."""
@@ -108,8 +110,8 @@ def test_one_send_on_the_figure4_world_costs_27_events_5_of_them_zero_delay():
     seen = max(entry[1] for entry in sim._queue)
     zero_delay = zero_delay_events = 0
     end = sim.now + 0.002
-    while sim.peek() <= end:
-        sim.step()
+    while peek(sim) <= end:
+        step(sim)
         for when, seq, target, _args in sim._queue:
             if seq > seen and when == sim.now:
                 zero_delay += 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt, Simulator, SimulationError
+from repro.sim import Event, Simulator, SimulationError
 
 
 def test_process_runs_and_returns_value(sim):
@@ -51,7 +51,7 @@ def test_failed_event_raises_inside_process(sim):
     caught = []
 
     def body(sim):
-        bad = sim.event()
+        bad = Event(sim)
         sim.schedule_call(1.0, lambda: bad.fail(ValueError("x")))
         try:
             yield bad
@@ -98,31 +98,6 @@ def test_yielding_non_event_is_an_error(sim):
     sim.process(body(sim))
     with pytest.raises(SimulationError):
         sim.run()
-
-
-def test_interrupt_raises_at_yield_point(sim):
-    log = []
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as interrupt:
-            log.append((sim.now, interrupt.cause))
-
-    proc = sim.process(sleeper(sim))
-    sim.schedule_call(1.0, proc.interrupt, "wake up")
-    sim.run(until=5.0)
-    assert log == [(1.0, "wake up")]
-
-
-def test_interrupt_finished_process_rejected(sim):
-    def body(sim):
-        yield sim.timeout(0.5)
-
-    proc = sim.process(body(sim))
-    sim.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
 
 
 def test_is_alive_tracks_lifecycle(sim):

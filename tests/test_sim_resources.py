@@ -65,14 +65,11 @@ def test_store_capacity_blocks_put(sim):
     assert progress == [("a", 0.0), ("b", 2.0)]
 
 
-def test_store_try_put_and_try_get(sim):
+def test_store_try_put_respects_capacity(sim):
     store = Store(sim, capacity=1)
     assert store.try_put(1) is True
     assert store.try_put(2) is False
-    ok, item = store.try_get()
-    assert ok and item == 1
-    ok, item = store.try_get()
-    assert not ok and item is None
+    assert list(store.items) == [1]
 
 
 def test_store_rejects_bad_capacity(sim):

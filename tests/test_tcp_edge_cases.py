@@ -236,7 +236,7 @@ def test_many_sequential_connections_reuse_cleanly():
     rig.run(until=60.0)
     assert served == [100 + i for i in range(20)]
     rig.run(until=rig.sim.now + 5.0)
-    assert rig.stack_a.connection_count == 0
+    assert len(rig.stack_a._connections) == 0
 
 
 def test_segment_describe_renders():

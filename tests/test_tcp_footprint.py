@@ -14,7 +14,7 @@ kept:
 import gc
 import weakref
 
-from conftest import make_linked_stacks
+from conftest import make_linked_stacks, step
 from repro.net import Endpoint
 from repro.tcp import TcpState
 from repro.tcp.segment import TcpSegment
@@ -134,12 +134,12 @@ def test_a_time_wait_record_fires_the_closed_of_a_freed_connection():
         while not any(
             type(e) is TimeWait for e in rig.stack_a._connections.values()
         ):
-            rig.sim.step()
+            step(rig.sim)
         assert gone() is None  # only the record is left
         (record,) = rig.stack_a._connections.values()
         assert record.closed is closing and not closing.triggered
         rig.run(until=1.0)
-        assert closing.triggered and rig.stack_a.connection_count == 0
+        assert closing.triggered and len(rig.stack_a._connections) == 0
     finally:
         gc.enable()
 

@@ -192,8 +192,8 @@ def test_connection_removed_from_stack_after_close():
     rig = make_linked_stacks()
     transfer(rig, total_bytes=1_000)
     rig.run(until=rig.sim.now + 10.0)
-    assert rig.stack_a.connection_count == 0
-    assert rig.stack_b.connection_count == 0
+    assert len(rig.stack_a._connections) == 0
+    assert len(rig.stack_b._connections) == 0
 
 
 # ---------------------------------------------------------------- flow control --

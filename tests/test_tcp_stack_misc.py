@@ -6,10 +6,11 @@ import pytest
 
 from repro.host.cpu import Core
 from repro.net import Endpoint
+from repro.net.addressing import EPHEMERAL_BASE
 from repro.sim.engine import _deadline_pop
 from repro.tcp import StackConfig, TcpSegment, TcpStack, TcpState
 
-from conftest import make_linked_stacks
+from conftest import make_linked_stacks, step
 
 
 def test_ephemeral_ports_unique_and_wrap():
@@ -17,8 +18,7 @@ def test_ephemeral_ports_unique_and_wrap():
     stack = rig.stack_a
     stack._next_ephemeral = 65534
     ports = [stack.allocate_port() for _ in range(4)]
-    assert ports == [65534, 65535, stack.config.ephemeral_base,
-                     stack.config.ephemeral_base + 1]
+    assert ports == [65534, 65535, EPHEMERAL_BASE, EPHEMERAL_BASE + 1]
 
 
 def test_stack_stats_count_connections():
@@ -191,7 +191,7 @@ def test_a_closed_connection_is_freed_at_close():
     gc.disable()  # nothing may need the cycle collector to free them
     try:
         while "ids" not in out:
-            sim.step()
+            step(sim)
         alive = [
             obj for obj in gc.get_objects()
             if type(obj) is TcpConnection and id(obj) in out["ids"]

@@ -4,7 +4,7 @@ The active closer spends 2 MSL in TIME_WAIT.  The stack's demux table
 then holds a :class:`~repro.tcp.stack.TimeWait` record that refers to the
 connection weakly, so a connection nobody else holds is freed at entry.
 The record keeps the connection's duties: the demux entry (collisions,
-``connection_count``), the 2 MSL timer and ``closed``, an ACK for a
+the table size), the 2 MSL timer and ``closed``, an ACK for a
 retransmitted FIN, and an RST that ends it early.
 
 The pinned numbers (event counts, segment fields) were taken from the
@@ -18,7 +18,7 @@ import weakref
 
 import pytest
 
-from conftest import make_linked_stacks
+from conftest import make_linked_stacks, peek, step
 from repro.host.cpu import Core
 from repro.net import Endpoint, OffloadConfig, Packet, VirtualNIC
 from repro.tcp import TcpStack, TcpState
@@ -99,15 +99,15 @@ def close_handshake(hold, msl=0.05, drop_final_ack=False):
 def run_until_time_wait(rig, found):
     """Step through the entry in which A's table entry became its record."""
     while not any(type(e) is TimeWait for e in rig.stack_a._connections.values()):
-        assert rig.sim.peek() <= 1.0, "A never entered TIME_WAIT"
-        rig.sim.step()
+        assert peek(rig.sim) <= 1.0, "A never entered TIME_WAIT"
+        step(rig.sim)
 
 
 def step_until(rig, until):
     """``rig.run(until)`` one entry at a time, so ``events_processed``
     inside a callback is the index of the entry that ran it."""
-    while rig.sim.peek() <= until:
-        rig.sim.step()
+    while peek(rig.sim) <= until:
+        step(rig.sim)
 
 
 def client_key(rig):
@@ -123,7 +123,7 @@ def test_a_time_wait_connection_nobody_holds_is_freed_at_entry():
     assert found["a"]() is None
     (entry,) = rig.stack_a._connections.values()
     assert isinstance(entry, TimeWait) and entry.ref() is None
-    assert rig.stack_a.connection_count == 1
+    assert len(rig.stack_a._connections) == 1
 
 
 def test_a_held_connection_turns_closed_at_2msl_and_closed_fires_on_time():
@@ -141,7 +141,7 @@ def test_a_held_connection_turns_closed_at_2msl_and_closed_fires_on_time():
     step_until(rig, 1.0)
     # (time, place in the event order) as when the whole connection waited.
     assert fired == [(entered + 2 * 0.05, 39, TcpState.CLOSED)]
-    assert rig.stack_a.connection_count == 0
+    assert len(rig.stack_a._connections) == 0
 
 
 def test_a_freed_connection_still_fires_closed_on_time():
@@ -155,7 +155,7 @@ def test_a_freed_connection_still_fires_closed_on_time():
     )
     step_until(rig, 1.0)
     assert fired == [(entered + 2 * 0.05, 39)]
-    assert rig.stack_a.connection_count == 0
+    assert len(rig.stack_a._connections) == 0
 
 
 #: A's ACK of B's retransmitted FIN, as the whole connection sent it.
@@ -199,12 +199,12 @@ def test_an_rst_in_time_wait_removes_the_record(hold):
     assert isinstance(record, TimeWait)
     rst = TcpSegment(src_port=PORT, dst_port=key[0], seq=2, ack_no=1002, rst=True, ack=True)
     rig.stack_a._demux(Packet(src="10.0.0.2", dst="10.0.0.1", payload_bytes=0, payload=rst), rst)
-    assert rig.stack_a.connection_count == 0
+    assert len(rig.stack_a._connections) == 0
     assert record.closed.triggered
     if hold:
         assert held[0].state is TcpState.CLOSED
     rig.run(until=1.0)  # the 2 MSL timer then finds nothing to do
-    assert rig.stack_a.connection_count == 0 and rig.stack_a.stats.rst_sent == 0
+    assert len(rig.stack_a._connections) == 0 and rig.stack_a.stats.rst_sent == 0
 
 
 def test_migration_moves_a_time_wait_connection_whole():
@@ -214,14 +214,14 @@ def test_migration_moves_a_time_wait_connection_whole():
     (conn,) = held
     twin = TcpStack(rig.sim, VirtualNIC(rig.sim, "10.0.0.1", OffloadConfig()))
     key = rig.stack_a.release_connection(conn)
-    assert key is not None and rig.stack_a.connection_count == 0
+    assert key is not None and len(rig.stack_a._connections) == 0
     twin.adopt_connection(conn)
     assert twin._connections[key] is conn and conn.stack is twin
     fired = []
     conn.closed.add_callback(lambda ev: fired.append(rig.sim.now))
     step_until(rig, 1.0)  # the record left behind still closes it at 2 MSL
     assert fired == [entered + 2 * 0.05] and conn.state is TcpState.CLOSED
-    assert twin.connection_count == 0 and rig.stack_a.connection_count == 0
+    assert len(twin._connections) == 0 and len(rig.stack_a._connections) == 0
 
 
 def test_connect_to_the_same_4_tuple_during_time_wait_collides():
@@ -239,11 +239,11 @@ def test_connection_count_counts_time_wait(hold):
     rig, found, _, _ = close_handshake(hold=hold)
     run_until_time_wait(rig, found)
     entered = rig.sim.now
-    assert rig.stack_a.connection_count == 1
+    assert len(rig.stack_a._connections) == 1
     rig.run(until=entered + 0.099)
-    assert rig.stack_a.connection_count == 1
+    assert len(rig.stack_a._connections) == 1
     rig.run(until=entered + 0.101)
-    assert rig.stack_a.connection_count == 0
+    assert len(rig.stack_a._connections) == 0
 
 
 def test_census_live_connections_are_the_active_ones():
