@@ -2,7 +2,7 @@
 
 The robustness story is only as strong as what we *assert* while faults
 fly.  This module provides :class:`InvariantChecker`, a passive observer
-wired into the datapath at two points:
+wired into the datapath at three points:
 
 * **ServiceLib emission** (:meth:`on_data_emitted`): every receive-path
   DATA nqe carries a stable per-flow ``flow_uid`` and a monotonic
@@ -13,25 +13,33 @@ wired into the datapath at two points:
   sequence is *exactly* the next one expected — catching duplicates,
   reordering, gaps, and bytes fabricated out of thin air (forwarded but
   never emitted).
+* **ServiceLib EOF** (:meth:`on_eof`): the flow's stream is complete.
+  Once every DATA nqe it emitted has been forwarded (at once, or when a
+  DATA nqe the EOF overtook during a migration arrives), the flow is
+  *settled*: its byte-conservation check runs and all its state is
+  dropped, so the checker's memory is proportional to the open flows,
+  not to every flow the run ever carried.  A later nqe of a settled
+  flow has nothing left to match and is flagged.
 
 A flow's ``uid`` survives migration even though its cID changes, so a
 migrated connection's stream is checked end-to-end across the handoff.
 
-:meth:`audit` adds the structural invariants: connection-table ownership
-uniqueness (two NSMs must never claim one cID — the split-brain hazard)
-and huge-page descriptor accounting (``0 <= used <= capacity`` per
+:meth:`audit` runs the conservation check on the flows still open and
+adds the structural invariants: connection-table ownership uniqueness
+(two NSMs must never claim one cID — the split-brain hazard) and
+huge-page descriptor accounting (``0 <= used <= capacity`` per
 registered region; a region over capacity means a descriptor is owned
 twice).
 
 All violations accumulate in :attr:`violations` as human-readable
 strings; an empty list at the end of a chaos run is the pass criterion.
-The checker is optional and costs nothing when absent — both hooks are
-``None``-guarded at the call sites.
+The checker is optional and costs nothing when absent — every hook is
+``None``-guarded at its call site.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Set
 
 __all__ = ["InvariantChecker"]
 
@@ -53,6 +61,11 @@ class InvariantChecker:
         #: flow uid -> bytes emitted / forwarded (conservation ledger).
         self._emitted_bytes: Dict[int, int] = {}
         self._forwarded_bytes: Dict[int, int] = {}
+        #: Flows whose EOF was seen while DATA nqes were still in flight.
+        self._eof_pending: Set[int] = set()
+        #: Running totals over the settled flows, for :meth:`report`.
+        self._settled_flows = 0
+        self._settled_bytes = 0
         self._coreengines: list = []
         self._regions: list = []
 
@@ -100,15 +113,42 @@ class InvariantChecker:
                 f"flow {uid}: gap/reorder — forwarded seq {seq}, "
                 f"expected {expected}"
             )
-        self._next_forward[uid] = max(expected, seq + 1)
+        forwarded = self._next_forward[uid] = max(expected, seq + 1)
         self._forwarded_bytes[uid] = self._forwarded_bytes.get(uid, 0) + nbytes
+        if uid in self._eof_pending and forwarded >= emitted:
+            # The EOF overtook this nqe (a migration): the flow is done.
+            self._eof_pending.discard(uid)
+            self._settle(uid)
+
+    def on_eof(self, uid: int) -> None:
+        """A ServiceLib emitted flow ``uid``'s EOF: it emits no more DATA.
+
+        The flow settles once every DATA nqe it emitted has been
+        forwarded: now, or when the last one arrives.
+        """
+        if self._next_forward.get(uid, 0) >= self._emitted_seqs.get(uid, 0):
+            self._settle(uid)
+        else:
+            self._eof_pending.add(uid)
+
+    def _settle(self, uid: int) -> None:
+        """Check flow ``uid``'s conservation and drop all of its state."""
+        if self._emitted_seqs.pop(uid, None) is not None:
+            self._settled_flows += 1
+        self._next_forward.pop(uid, None)
+        emitted = self._emitted_bytes.pop(uid, 0)
+        fwd = self._forwarded_bytes.pop(uid, 0)
+        self._settled_bytes += fwd
+        if fwd > emitted:
+            self._violate(_overdrawn(uid, fwd, emitted))
 
     # -- structural audit ---------------------------------------------------
     def audit(self) -> List[str]:
         """Run the end-state structural checks; returns new violations.
 
-        Call when the simulation has quiesced: per-flow forwarded bytes
-        must never exceed emitted bytes (conservation — the switch cannot
+        Call when the simulation has quiesced: per-flow forwarded bytes of
+        every open flow (settled flows were checked as they settled) must
+        never exceed emitted bytes (conservation — the switch cannot
         deliver bytes no stack produced), every connection table must
         pass its ownership audit, and every watched huge-page region must
         be within ``[0, capacity]``.
@@ -117,9 +157,7 @@ class InvariantChecker:
         for uid, fwd in self._forwarded_bytes.items():
             emitted = self._emitted_bytes.get(uid, 0)
             if fwd > emitted:
-                found.append(
-                    f"flow {uid}: forwarded {fwd}B but only {emitted}B emitted"
-                )
+                found.append(_overdrawn(uid, fwd, emitted))
         for ce in self._coreengines:
             found.extend(ce.table.audit())
         for name, region in self._regions:
@@ -144,8 +182,9 @@ class InvariantChecker:
     def report(self) -> str:
         if not self.violations:
             return (
-                f"invariants: OK ({len(self._emitted_seqs)} flows, "
-                f"{sum(self._forwarded_bytes.values())} bytes forwarded)"
+                f"invariants: OK ({self._flows()} flows, "
+                f"{self._settled_bytes + sum(self._forwarded_bytes.values())}"
+                f" bytes forwarded)"
             )
         lines = [f"invariants: {len(self.violations)} violation(s)"]
         lines.extend(f"  {v}" for v in self.violations[:20])
@@ -153,12 +192,20 @@ class InvariantChecker:
             lines.append(f"  ... and {len(self.violations) - 20} more")
         return "\n".join(lines)
 
+    def _flows(self) -> int:
+        """Flows that emitted DATA, settled or open."""
+        return self._settled_flows + len(self._emitted_seqs)
+
     def _violate(self, message: str) -> None:
         if len(self.violations) < _MAX_VIOLATIONS:
             self.violations.append(message)
 
     def __repr__(self) -> str:
         return (
-            f"<InvariantChecker flows={len(self._emitted_seqs)} "
+            f"<InvariantChecker flows={self._flows()} "
             f"violations={len(self.violations)}>"
         )
+
+
+def _overdrawn(uid: int, fwd: int, emitted: int) -> str:
+    return f"flow {uid}: forwarded {fwd}B but only {emitted}B emitted"

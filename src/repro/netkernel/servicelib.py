@@ -544,6 +544,8 @@ class ServiceLib:
             self.receive_queue.offer(
                 Nqe(NqeOp.EOF, nsm_id=self.nsm.nsm_id, cid=backend.cid)
             )
+            if self.invariants is not None:
+                self.invariants.on_eof(backend.uid)
             return
         root = stage = None
         if self._traced:

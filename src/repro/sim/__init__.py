@@ -4,6 +4,8 @@ Public surface:
 
 * :class:`Simulator` — clock + event queue (one ``heapq`` list).
 * :class:`Deadline` — a lazily re-armed protocol timer (one live entry).
+* :class:`FifoTimer` — items due a fixed delay after they are added, in
+  order, behind one queue entry (TCP's TIME_WAIT expiry).
 * :class:`Event`, :class:`Timeout`, :class:`AnyOf` — waitables.
 * :class:`Process` — generator-based coroutine; also an event.
 * :class:`Store` — a FIFO item queue (the listener's accept queue,
@@ -14,7 +16,7 @@ The fluid engine (:mod:`.fluid`) sits above TCP and is imported from its
 module by the runs that install it.
 """
 
-from .engine import NANOS, Deadline, Simulator
+from .engine import NANOS, Deadline, FifoTimer, Simulator
 from .events import AnyOf, Event, SimulationError, Timeout
 from .process import Process
 from .resources import Store
@@ -22,6 +24,7 @@ from .resources import Store
 __all__ = [
     "Simulator",
     "Deadline",
+    "FifoTimer",
     "Event",
     "Timeout",
     "AnyOf",

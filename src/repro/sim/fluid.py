@@ -702,9 +702,7 @@ class FidelityController:
         peer_stack._connections[(listener.port, remote.ip, remote.port)] = sconn
         peer_stack.stats.connections_accepted += 1
         peer_stack._assign_core(sconn)
-        # bound method, not a lambda: one per accepted conn, and it lives
-        # as long as the conn — ~250 B/conn of closure at N=10^6
-        sconn.on_established_cb = listener.enqueue_established
+        sconn.on_established_cb = listener.on_established
         sconn.state = TcpState.SYN_RCVD
         sconn.irs = conn.iss
         sconn.assembly = ReassemblyQueue(rcv_nxt=conn.iss + 1)

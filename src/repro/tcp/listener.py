@@ -34,6 +34,10 @@ class Listener:
         self.on_new_connection: Optional[Callable[["TcpConnection"], None]] = None
         self.dropped_full = 0
         self._local: Optional[Endpoint] = None
+        #: :meth:`enqueue_established`, bound once: every child
+        #: connection's ``on_established_cb`` shares it instead of holding
+        #: a 64 B bound method of its own.
+        self.on_established = self.enqueue_established
 
     def local_endpoint(self, ip: str) -> Endpoint:
         """The local endpoint of a connection accepted here at ``ip``:

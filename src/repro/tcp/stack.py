@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from ..net import NIC, Endpoint, Packet
 from ..net.addressing import EPHEMERAL_BASE
 from ..obs import runtime as obs_runtime
-from ..sim import NANOS, Event, Simulator
+from ..sim import NANOS, Event, FifoTimer, Simulator
 from .cc import base as cc_base
 from .connection import TcpConfig, TcpConnection, TcpState
 from .listener import Listener
@@ -84,17 +84,21 @@ class TimeWait:
     ``inet_timewait_sock``; this is the same move.  The record refers to
     its connection weakly, so the connection (buffers, scoreboards, RTT
     and congestion state, timers) is freed as soon as the application
-    lets go of it, not 2 MSL later.  The record keeps the demux entry,
-    the 2 MSL timer and the connection's ``closed`` event, and enough to
-    answer what may still arrive (RFC 9293 section 3.10.7.4): while the
-    connection lives, segments go to it unchanged; once it is gone, the
-    record acknowledges a retransmitted FIN or duplicate data as the
-    connection would have, and an RST closes it.
+    lets go of it, not 2 MSL later.  The record keeps the demux entry and
+    the connection's ``closed`` event, and enough to answer what may still
+    arrive (RFC 9293 section 3.10.7.4): while the connection lives,
+    segments go to it unchanged; once it is gone, the record acknowledges
+    a retransmitted FIN or duplicate data as the connection would have,
+    and an RST closes it.
 
     ``remote``, ``config`` and ``core`` are the connection's, under its
     names: :meth:`TcpStack.send_segment` sends for the record as for the
     connection.  The receive buffer is kept for the window the answers
     advertise: the application may still read after TIME_WAIT begins.
+
+    The record holds no queue entry of its own: the stack queues it in
+    the :class:`~repro.sim.FifoTimer` for its 2 MSL, one per duration,
+    which calls :meth:`expire` at ``now + 2 * msl`` as computed at entry.
     """
 
     __slots__ = (
@@ -180,7 +184,9 @@ class TimeWait:
         self.stack.send_segment(self, seg)
 
     def expire(self) -> None:
-        """2 MSL after entry: TIME_WAIT -> CLOSED."""
+        """2 MSL after entry: TIME_WAIT -> CLOSED.  A no-op once an RST
+        closed the record; a connection migration adopted is still closed
+        here, on the stack that holds it now."""
         conn = self.ref()
         if conn is not None:
             conn._time_wait_done()
@@ -227,6 +233,9 @@ class TcpStack:
 
         #: A connection in TIME_WAIT is held as its TimeWait record.
         self._connections: Dict[ConnKey, Union[TcpConnection, TimeWait]] = {}
+        #: 2 MSL -> the records waiting it out, in entry order: one queue
+        #: entry per duration instead of one per record.
+        self._time_wait: Dict[float, FifoTimer] = {}
         self._listeners: Dict[int, Listener] = {}
         self._next_ephemeral = EPHEMERAL_BASE
         self._next_core = 0
@@ -340,9 +349,7 @@ class TcpStack:
         self._connections[(listener.port, remote.ip, remote.port)] = conn
         self.stats.connections_accepted += 1
         self._assign_core(conn)
-        # bound method, not a lambda: it lives as long as the conn, and a
-        # closure per accepted conn is ~250 B of RSS at large N
-        conn.on_established_cb = listener.enqueue_established
+        conn.on_established_cb = listener.on_established
         conn.open_passive_from_syn(seg)
 
     # --------------------------------------------------------------- data path --
@@ -512,12 +519,18 @@ class TcpStack:
     # ------------------------------------------------------------- bookkeeping --
     def enter_time_wait(self, conn: TcpConnection) -> None:
         """``conn`` entered TIME_WAIT: a :class:`TimeWait` record takes
-        its demux entry and its 2 MSL timer."""
+        its demux entry and joins the FIFO that expires it at 2 MSL."""
         key = _key(conn)
         record = TimeWait(conn)
         if self._connections.get(key) is conn:
             self._connections[key] = record
-        self.sim.schedule_call(2 * conn.config.msl, record.expire)
+        duration = 2 * conn.config.msl
+        fifo = self._time_wait.get(duration)
+        if fifo is None:
+            fifo = self._time_wait[duration] = FifoTimer(
+                self.sim, duration, TimeWait.expire
+            )
+        fifo.add(record)
 
     def settle_time_wait(self, conn: TcpConnection) -> None:
         """A connection in TIME_WAIT finished processing a segment: bring

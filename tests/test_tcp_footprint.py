@@ -8,7 +8,8 @@ kept:
   ``()`` whenever nothing is outstanding;
 * ``closed`` is built the first time someone asks for it;
 * a buffer's waiter lists go back to ``None`` once drained;
-* connections accepted on one listener share one local ``Endpoint``.
+* connections accepted on one listener share one local ``Endpoint`` and
+  one bound ``on_established_cb``.
 """
 
 import gc
@@ -175,3 +176,5 @@ def test_connections_accepted_on_a_listener_share_its_local_endpoint():
     assert all(conn.local is accepted[0].local for conn in accepted)
     assert accepted[0].local == Endpoint("10.0.0.2", PORT)
     assert len({conn.remote for conn in accepted}) == 3
+    assert all(conn.on_established_cb is listener.on_established for conn in accepted)
+

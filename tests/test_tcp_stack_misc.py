@@ -293,3 +293,61 @@ def test_connection_churn_keeps_closed_connections_bounded():
     completed = sum(w.completed for w in workers)
     assert completed >= 400 and server.requests_served >= completed
     assert closed_alive == []
+
+
+@pytest.mark.parametrize("until", [0.012, 0.024])
+def test_connection_churn_keeps_checker_and_queue_to_open_flows(until):
+    """Web churn through one NSM pair with the invariant checker watching:
+    the checker's per-flow state and the event queue track the flows that
+    are open, not every flow opened.  At both lengths the checker holds
+    at most the open flows plus a few in flight, no queue entry stands
+    for one TIME_WAIT record, and the dead timer entries stay under the
+    purge floor.
+
+    Before finished flows let go, the checker kept every flow the run
+    carried and each TIME_WAIT record parked its own 2 MSL queue entry,
+    so both grew with the run's length."""
+    from repro.apps import WebClient, WebServer
+    from repro.experiments.common import make_lan_testbed
+    from repro.faults import InvariantChecker
+    from repro.netkernel import NsmSpec
+    from repro.sim import engine
+    from repro.tcp import TcpConnection
+    from repro.tcp.stack import TimeWait
+
+    clients = 4
+    testbed = make_lan_testbed()
+    hv_a, hv_b = testbed.hypervisor_a, testbed.hypervisor_b
+    nsm_a, nsm_b = hv_a.boot_nsm(NsmSpec()), hv_b.boot_nsm(NsmSpec())
+    checker = InvariantChecker()
+    for hv in (hv_a, hv_b):
+        checker.install(hv.coreengine)
+    client_vm = hv_a.boot_netkernel_vm("clients", nsm_a, vcpus=4)
+    server_vm = hv_b.boot_netkernel_vm("server", nsm_b, vcpus=4)
+    server = WebServer(testbed.sim, server_vm.api, port=80)
+    workers = [
+        WebClient(testbed.sim, client_vm.api, Endpoint(server_vm.api.ip, 80),
+                  start_delay=0.001 + 0.0005 * i)
+        for i in range(clients)
+    ]
+    testbed.run(until=until)
+    completed = sum(w.completed for w in workers)
+    assert completed >= 400 * until / 0.012 and server.requests_served >= completed
+    assert checker.audit() == [] and checker.ok
+
+    stacks = (nsm_a.stack, nsm_b.stack)
+    open_flows = sum(
+        type(entry) is TcpConnection
+        for stack in stacks
+        for entry in stack._connections.values()
+    )
+    held = set(checker._emitted_seqs) | set(checker._next_forward)
+    held |= set(checker._emitted_bytes) | set(checker._forwarded_bytes)
+    assert len(held) <= open_flows + 4
+
+    queue = testbed.sim._queue
+    per_record = [e for e in queue if isinstance(getattr(e[2], "__self__", None), TimeWait)]
+    assert per_record == []
+    heads = [e for e in queue if e[2] is getattr(engine, "_fifo_pop", None)]
+    assert len(heads) <= sum(len(stack._time_wait) for stack in stacks)
+    assert testbed.sim._dead_entries <= engine._PURGE_FLOOR

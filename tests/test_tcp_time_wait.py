@@ -21,6 +21,7 @@ import pytest
 from conftest import make_linked_stacks, peek, step
 from repro.host.cpu import Core
 from repro.net import Endpoint, OffloadConfig, Packet, VirtualNIC
+from repro.sim.engine import _fifo_pop
 from repro.tcp import TcpStack, TcpState
 from repro.tcp.connection import TcpConnection
 from repro.tcp.segment import TcpSegment
@@ -288,3 +289,113 @@ def test_census_live_connections_are_the_active_ones():
         if type(obj) is TcpConnection and obj.stack in stacks
     )
     assert live == active
+
+
+def test_records_expire_in_one_fifo_per_duration(monkeypatch):
+    """Two 2 MSL durations on one stack: each record expires at exactly the
+    float ``now + 2 * msl`` of its entry, in entry order within its
+    duration, with ``closed`` fired and the demux entry gone, one queue
+    pop per record, and never more than one queue entry per duration."""
+    rig = make_linked_stacks()
+    sim, stack = rig.sim, rig.stack_b  # the server closes first and waits
+    msls = {PORT: 0.03, PORT + 1: 0.05}
+    listeners = {port: stack.listen(port, msl=msl) for port, msl in msls.items()}
+    due = {}  # record -> when it must expire
+    entered = {msl: [] for msl in msls.values()}
+    expired = {msl: [] for msl in msls.values()}
+
+    enter = stack.enter_time_wait
+
+    def entering(conn):
+        when = sim.now + 2 * conn.config.msl
+        enter(conn)
+        record = stack._connections[(conn.local.port, conn.remote.ip, conn.remote.port)]
+        assert isinstance(record, TimeWait)
+        due[record] = when
+        entered[conn.config.msl].append(record)
+
+    expire = TimeWait.expire
+
+    def expiring(record):
+        expire(record)
+        assert sim.now == due[record]
+        assert record.closed.triggered and record.key not in stack._connections
+        expired[record.config.msl].append(record)
+
+    stack.enter_time_wait = entering
+    monkeypatch.setattr(TimeWait, "expire", expiring)
+
+    def server(sim, listener):
+        while True:
+            sim.process(serve((yield listener.accept())))
+
+    def serve(conn):
+        yield conn.send(1000)
+        conn.close()
+
+    def client(sim, port, start):
+        yield sim.timeout(start)
+        conn = rig.stack_a.connect(Endpoint("10.0.0.2", port))
+        yield conn.established
+        while (yield conn.recv(1 << 16)) != 0:
+            pass
+        conn.close()
+
+    for listener in listeners.values():
+        sim.process(server(sim, listener))
+    for k in range(12):  # the two durations' entries interleave
+        sim.process(client(sim, PORT + k % 2, 0.002 * k))
+
+    fifo_pops = 0
+    while sim._queue and peek(sim) <= 1.0:
+        delays = [e[3][0].delay for e in sim._queue if e[2] is _fifo_pop]
+        assert len(delays) == len(set(delays))  # one entry per duration
+        if sim._queue[0][2] is _fifo_pop:
+            fifo_pops += 1
+            before = sum(map(len, expired.values()))
+            step(sim)
+            assert sum(map(len, expired.values())) == before + 1
+        else:
+            step(sim)
+
+    assert all(len(records) == 6 for records in entered.values())
+    assert expired == entered
+    assert fifo_pops == 12
+    assert sorted(stack._time_wait) == [2 * 0.03, 2 * 0.05]
+    assert not any(t for t in stack._time_wait.values() if t._items)
+
+
+@pytest.mark.parametrize("hold", [True, False], ids=["held", "freed"])
+def test_a_record_closed_by_an_rst_expires_as_a_no_op(hold):
+    rig, found, held, _ = close_handshake(hold=hold)
+    run_until_time_wait(rig, found)
+    key = client_key(rig)
+    record = rig.stack_a._connections[key]
+    rst = TcpSegment(src_port=PORT, dst_port=key[0], seq=2, ack_no=1002, rst=True, ack=True)
+    rig.stack_a._demux(Packet(src="10.0.0.2", dst="10.0.0.1", payload_bytes=0, payload=rst), rst)
+    assert record.closed.triggered and key not in rig.stack_a._connections
+    # The 4-tuple is free again: a new connection takes it before 2 MSL.
+    newer = rig.stack_a.connect(Endpoint("10.0.0.2", PORT), local_port=key[0])
+    step_until(rig, 1.0)
+    assert rig.stack_a._connections[key] is newer
+    assert newer.state is TcpState.ESTABLISHED
+
+
+def test_a_record_whose_connection_migration_adopted_leaves_the_source_alone():
+    rig, found, held, _ = close_handshake(hold=True)
+    run_until_time_wait(rig, found)
+    entered = rig.sim.now
+    (conn,) = held
+    twin = TcpStack(rig.sim, VirtualNIC(rig.sim, "10.0.0.1", OffloadConfig()))
+    key = rig.stack_a.release_connection(conn)
+    twin.adopt_connection(conn)
+    newer = rig.stack_a.connect(Endpoint("10.0.0.2", PORT), local_port=key[0])
+    fired = []
+    conn.closed.add_callback(lambda ev: fired.append(rig.sim.now))
+    # An RST on the adopting stack closes the connection before 2 MSL.
+    rst = TcpSegment(src_port=PORT, dst_port=key[0], seq=2, ack_no=1002, rst=True, ack=True)
+    twin._demux(Packet(src="10.0.0.2", dst="10.0.0.1", payload_bytes=0, payload=rst), rst)
+    step_until(rig, 1.0)
+    assert fired == [entered] and conn.state is TcpState.CLOSED
+    assert len(twin._connections) == 0
+    assert rig.stack_a._connections[key] is newer
