@@ -89,8 +89,9 @@ class Simulator:
 
     # -- scheduling -----------------------------------------------------------
     # Queue entries are ``(when, seq, target, args)``.  ``args is None``:
-    # ``target`` is an Event whose callbacks run.  Otherwise the loop calls
-    # ``target(*args)`` — a scheduled call is nothing but its entry.
+    # ``target`` is an Event whose waiters run.  Otherwise the loop calls
+    # ``target(*args)`` — a scheduled call is nothing but its entry, and a
+    # Deadline or FifoTimer entry is ``(when, seq, timer, ())``.
     def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
         heappush(self._queue, (self.now + delay, next(self._counter), event, None))
 
@@ -134,7 +135,7 @@ class Simulator:
         """Process every entry with ``time <= bound``; return how many.
 
         The one event-loop body: one heappop, then the call or the
-        event's callbacks.
+        event's waiters (none, one, or a list; see ``Event.callbacks``).
         """
         q = self._queue
         heappop_ = heappop
@@ -149,8 +150,12 @@ class Simulator:
                 else:
                     callbacks, target.callbacks = target.callbacks, None
                     target._processed = True
-                    for callback in callbacks:
-                        callback(target)
+                    if callbacks:
+                        if callbacks.__class__ is list:
+                            for callback in callbacks:
+                                callback(target)
+                        else:
+                            callbacks(target)
         finally:
             self.events_processed += processed
         return processed
@@ -178,11 +183,19 @@ class Deadline:
     is lazy: a deadline that moves *later* only moves :attr:`when`, and
     the pending entry, when it pops, pushes itself again at the new
     deadline.  A deadline that moves *earlier* than the pending entry
-    pushes one new entry and retires the old one by token — otherwise a
-    data RTO of ``min_rto`` (200 ms) armed under the SYN's 1 s initial RTO
-    would fire up to 800 ms late and stall loss recovery.  Entries are
-    pushed at the absolute deadline, so ``func`` runs at exactly the float
-    a push on every arm would have fired at.
+    pushes one new entry and retires the old one — otherwise a data RTO
+    of ``min_rto`` (200 ms) armed under the SYN's 1 s initial RTO would
+    fire up to 800 ms late and stall loss recovery.  Entries are pushed
+    at the absolute deadline, so ``func`` runs at exactly the float a push
+    on every arm would have fired at.
+
+    The deadline is its own queue target: an entry is ``(when, seq,
+    deadline, ())`` and the loop calls the deadline.  The live entry is
+    the one whose ``when`` is the very float object in :attr:`_at`, and
+    the loop sets ``sim.now`` to the popped entry's own float, so a pop
+    tells live from retired by ``sim.now is _at``.  Identity, not
+    equality: a re-arm may land on exactly the value of a retired entry
+    still queued, which pops first (lower ``seq``) and must stay a no-op.
 
     Retired entries and the entry of a released deadline are dead: the
     simulator counts them and, once they reach :data:`_PURGE_FLOOR` and
@@ -198,7 +211,7 @@ class Deadline:
     released deadline must not be armed again.
     """
 
-    __slots__ = ("sim", "owner", "func", "when", "_at", "_token")
+    __slots__ = ("sim", "owner", "func", "when", "_at")
 
     def __init__(self, sim: Simulator, owner, func) -> None:
         self.sim = sim
@@ -206,8 +219,8 @@ class Deadline:
         self.func = func
         #: Absolute time ``func`` is due, or None while disarmed.
         self.when: Optional[float] = None
-        self._at: Optional[float] = None  # time of the live queue entry
-        self._token = 0  # identifies the live entry; older ones are stale
+        # The ``when`` float object of the live queue entry, or None.
+        self._at: Optional[float] = None
 
     @property
     def armed(self) -> bool:
@@ -237,27 +250,25 @@ class Deadline:
     def _push(self, when: float) -> None:
         sim = self.sim
         self._at = when
-        token = self._token = self._token + 1
-        heappush(sim._queue, (when, next(sim._counter), _deadline_pop, (self, token)))
+        heappush(sim._queue, (when, next(sim._counter), self, ()))
 
-
-def _deadline_pop(deadline: Deadline, token: int) -> None:
-    """Target of every :class:`Deadline` queue entry (module level, so the
-    entry holds no bound method of the owner)."""
-    if token != deadline._token:
-        deadline.sim._dead_entries -= 1
-        return  # retired when the deadline moved earlier
-    deadline._at = None
-    when = deadline.when
-    if when is None:
-        if deadline.owner is None:
-            deadline.sim._dead_entries -= 1  # released
-        return  # cancelled or released
-    if when > deadline.sim.now:
-        deadline._push(when)  # moved later since this entry was pushed
-        return
-    deadline.when = None
-    deadline.func(deadline.owner)
+    def __call__(self) -> None:
+        """Pop of one of this deadline's queue entries."""
+        sim = self.sim
+        if sim.now is not self._at:
+            sim._dead_entries -= 1
+            return  # retired when the deadline moved earlier
+        self._at = None
+        when = self.when
+        if when is None:
+            if self.owner is None:
+                sim._dead_entries -= 1  # released
+            return  # cancelled or released
+        if when > sim.now:
+            self._push(when)  # moved later since this entry was pushed
+            return
+        self.when = None
+        self.func(self.owner)
 
 
 class FifoTimer:
@@ -265,15 +276,16 @@ class FifoTimer:
     in the order added, behind one queue entry.
 
     A fixed delay means the items fall due in the order they were added,
-    so the queue needs an entry for the head only: the entry is pushed
-    when the FIFO goes from empty to one item, and its pop pushes the
-    next head's.  Each item is stamped at :meth:`add` with the
-    ``(when, seq)`` a ``schedule_call(delay, ...)`` at that instant would
-    have taken, and the head's entry carries that stamp, so ``func(item)``
-    runs at exactly the same float and in exactly the same order as with
-    one entry per item, and each pop still expires one item.  TCP's
-    TIME_WAIT expiry is the user: thousands of records wait out 2 MSL
-    under connection churn.
+    so the queue needs an entry for the head only: the entry ``(when,
+    seq, fifo, ())`` is pushed when the FIFO goes from empty to one item,
+    and its pop (a call of the FIFO) pushes the next head's.  Each item
+    is stamped at :meth:`add` with the ``(when, seq)`` a
+    ``schedule_call(delay, ...)`` at that instant would have taken, and
+    the head's entry carries that stamp, so ``func(item)`` runs at
+    exactly the same float and in exactly the same order as with one
+    entry per item, and each pop still expires one item.  TCP's TIME_WAIT
+    expiry is the user: thousands of records wait out 2 MSL under
+    connection churn.
     """
 
     __slots__ = ("sim", "delay", "func", "_items")
@@ -294,22 +306,21 @@ class FifoTimer:
         items = self._items
         items.append(stamp)
         if len(items) == 1:
-            heappush(sim._queue, (stamp[0], stamp[1], _fifo_pop, (self,)))
+            heappush(sim._queue, (stamp[0], stamp[1], self, ()))
 
-
-def _fifo_pop(fifo: FifoTimer) -> None:
-    """Target of a :class:`FifoTimer`'s queue entry: expire the head."""
-    items = fifo._items
-    item = items.popleft()[2]
-    if items:
-        when, seq, _ = items[0]
-        heappush(fifo.sim._queue, (when, seq, _fifo_pop, (fifo,)))
-    fifo.func(item)
+    def __call__(self) -> None:
+        """Pop of the head's queue entry: expire the head."""
+        items = self._items
+        item = items.popleft()[2]
+        if items:
+            when, seq, _ = items[0]
+            heappush(self.sim._queue, (when, seq, self, ()))
+        self.func(item)
 
 
 def _is_dead(entry) -> bool:
     """Whether a queue entry is a retired or released :class:`Deadline`'s."""
-    if entry[2] is not _deadline_pop:
+    deadline = entry[2]
+    if deadline.__class__ is not Deadline:
         return False
-    deadline, token = entry[3]
-    return token != deadline._token or deadline.owner is None
+    return entry[0] is not deadline._at or deadline.owner is None

@@ -12,7 +12,7 @@ and trimmed to what this project needs.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, List
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Simulator
@@ -30,16 +30,22 @@ class Event:
     Events move through three states: *pending* (created, not triggered),
     *triggered* (scheduled to fire at the current simulation time), and
     *processed* (callbacks have run).
+
+    :attr:`callbacks` costs nothing per waiter it does not need: the
+    shared empty tuple with no waiter, the waiter itself (a callable,
+    never a list or a falsy object) with one, a list in attach order with
+    two or more, and ``None`` once processed.  Most events (fire-and-forget timers, a
+    process's own completion) never get a waiter, and most of the rest
+    get exactly one: the process asleep on them.
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered", "_processed")
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        #: The shared empty tuple until the first waiter attaches, then a
-        #: list; ``None`` once processed.  Most events (fire-and-forget
-        #: timers, a process's own completion) never get a waiter.
-        self.callbacks: Optional[Sequence[Callable[["Event"], None]]] = ()
+        #: ``()``, one waiter, or a list of waiters; ``None`` once
+        #: processed (see the class docstring).
+        self.callbacks: Any = ()
         self._value: Any = None
         self._ok: bool = True
         self._triggered = False
@@ -103,10 +109,12 @@ class Event:
         callbacks = self.callbacks
         if callbacks is None:
             callback(self)
-        elif callbacks:
+        elif not callbacks:
+            self.callbacks = callback
+        elif callbacks.__class__ is list:
             callbacks.append(callback)
         else:
-            self.callbacks = [callback]
+            self.callbacks = [callbacks, callback]
 
 
 class Timeout(Event):

@@ -56,7 +56,7 @@ chunk was never counted anywhere.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..tcp.buffers import ReassemblyQueue
 from ..tcp.connection import TcpConnection, TcpState
@@ -68,6 +68,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Simulator
 
 __all__ = ["FluidRoute", "FluidFlow", "FidelityController"]
+
+_INF = float("inf")
 
 
 def _waterfill(
@@ -165,16 +167,18 @@ class FluidFlow:
         self.peer = peer
         self.route = route
         self.rate = 0.0  # allocated bytes/s (max-min share)
-        self.cap = float("inf")  # per-flow ceiling (cc/rwnd/cpu)
-        self.rwnd_cap = float("inf")  # the peer-window term of cap alone
+        self.cap = _INF  # per-flow ceiling (cc/rwnd/cpu)
+        self.rwnd_cap = _INF  # the peer-window term of cap alone
         self.pending = 0  # bytes submitted, not yet delivered
         self.serviced = 0.0  # bytes serviced by rate integration
         self.submitted = 0  # total bytes ever submitted
         #: (cumulative service target, chunk size) per app write — one
         #: delivery event per write keeps epoll message semantics intact.
         #: A list + head cursor, not a deque: an empty deque is ~0.75 KB,
-        #: which alone would be most of the 10^6-flow memory budget.
-        self.targets: List[Tuple[int, int]] = []
+        #: which alone would be most of the 10^6-flow memory budget.  The
+        #: shared ``()`` while idle: no list until the first write, and
+        #: none again once :meth:`pop_target` drains it.
+        self.targets: Sequence[Tuple[int, int]] = ()
         self._targets_head = 0
         self.demoted = False
         self.last_update = 0.0
@@ -193,7 +197,7 @@ class FluidFlow:
     def pop_target(self) -> None:
         head = self._targets_head + 1
         if head >= len(self.targets):
-            self.targets.clear()
+            self.targets = ()
             self._targets_head = 0
         elif head > 64:  # bound the dead prefix kept for O(1) pops
             del self.targets[:head]
@@ -257,7 +261,7 @@ class FidelityController:
         for terminal kinds — crashes whose recovery is failover, which
         reshapes the topology out from under any analytic model).
         """
-        until = float("inf") if terminal else self.sim.now + max(duration, 0.0)
+        until = _INF if terminal else self.sim.now + max(duration, 0.0)
         self._fault_until = max(self._fault_until, until)
         for conn in self._fluid_conns():
             self.demote(conn, f"fault:{kind}")
@@ -396,7 +400,7 @@ class FidelityController:
         rwnd is the binding constraint."""
         rtt = conn.rtt.srtt or 2.0 * route.latency
         rwnd_cap = peer.recv_buffer.capacity / rtt
-        cap = conn.cc.steady_state_rate(rtt) or float("inf")
+        cap = conn.cc.steady_state_rate(rtt) or _INF
         cap = min(cap, rwnd_cap)
         # The packet path charges per-segment CPU on both stacks; a fluid
         # flow must not outrun the core that would have carried it.
@@ -467,7 +471,10 @@ class FidelityController:
             return
         flow.pending += new
         flow.submitted += new
-        flow.targets.append((flow.submitted, new))
+        if flow.targets:
+            flow.targets.append((flow.submitted, new))
+        else:
+            flow.targets = [(flow.submitted, new)]
         if not flow.active:
             flow.active = True
             flow.route.active.append(flow)

@@ -25,6 +25,11 @@ class Process(Event):
     The wrapped generator may ``yield`` any :class:`Event`; it resumes when
     that event fires.  The generator's ``return`` value becomes the
     process-event's value.
+
+    A process is its own resume callback: calling it with the fired
+    event resumes the generator, so a suspension stores the process in
+    the event's ``callbacks`` and allocates nothing (no bound method, and
+    no list for the sole waiter).
     """
 
     __slots__ = ("generator", "name", "_alive")
@@ -45,7 +50,7 @@ class Process(Event):
         self._alive = True
         # Bootstrap: resume once at the current time.
         boot = Event(sim)
-        boot.add_callback(self._resume)
+        boot.callbacks = self
         boot.succeed()
 
     @property
@@ -54,7 +59,8 @@ class Process(Event):
         return self._alive
 
     # -- kernel internals ----------------------------------------------------
-    def _resume(self, event: Event) -> None:
+    def __call__(self, event: Event) -> None:
+        """Resume the generator with ``event``'s outcome."""
         if not self._alive:
             return
         try:
@@ -85,11 +91,13 @@ class Process(Event):
         # Inlined Event.add_callback — one call saved per process suspension.
         callbacks = target.callbacks
         if callbacks is None:
-            self._resume(target)
-        elif callbacks:
-            callbacks.append(self._resume)
+            self(target)
+        elif not callbacks:
+            target.callbacks = self
+        elif callbacks.__class__ is list:
+            callbacks.append(self)
         else:
-            target.callbacks = [self._resume]
+            target.callbacks = [callbacks, self]
 
     def _finish(self, value: Any) -> None:
         self._alive = False

@@ -16,6 +16,8 @@ from typing import Dict, Optional, Type
 
 __all__ = ["RateSample", "CongestionControl", "register", "make", "available"]
 
+_INF = float("inf")
+
 
 @dataclass(slots=True)
 class RateSample:
@@ -53,7 +55,7 @@ class CongestionControl:
             raise ValueError("mss must be positive")
         self.mss = mss
         self.cwnd = initial_window_segments * mss
-        self.ssthresh = float("inf")
+        self.ssthresh = _INF
         self.in_recovery = False
 
     # -- hooks ---------------------------------------------------------------

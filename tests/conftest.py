@@ -128,8 +128,12 @@ def step(sim: Simulator) -> None:
     else:
         callbacks, target.callbacks = target.callbacks, None
         target._processed = True
-        for callback in callbacks:
-            callback(target)
+        if callbacks:
+            if callbacks.__class__ is list:
+                for callback in callbacks:
+                    callback(target)
+            else:
+                callbacks(target)
 
 
 @pytest.fixture

@@ -7,7 +7,9 @@ driven, ``Core.execute_call`` lands on the float ``Core.execute`` would
 have, and an event without waiters behaves like one with an empty list.
 """
 
+import gc
 import heapq
+import tracemalloc
 from itertools import count
 
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.host import Core
-from repro.sim import Event, Simulator, Timeout
+from repro.sim import Deadline, Event, Simulator, Timeout
 
 from conftest import peek, step
 
@@ -179,17 +181,69 @@ def test_there_is_no_timeout_pool():
     assert not [name for name in dir(Simulator) if "pool" in name.lower()]
 
 
-# -- callbacks allocated on first waiter ------------------------------------
+# -- callbacks allocated on second waiter -----------------------------------
 def test_event_without_waiters_costs_no_list(sim):
-    event, timer = Event(sim), sim.timeout(1.0)
+    """No waiter: the shared ``()``.  One waiter: the waiter itself.  A
+    second waiter makes ``[first, second]``, so waiters run in attach
+    order whatever the shape."""
+    event, timer, pair = Event(sim), sim.timeout(1.0), Event(sim)
     assert event.callbacks == () and timer.callbacks == ()
     assert event.callbacks is timer.callbacks
-    event.add_callback(lambda _ev: None)
-    assert isinstance(event.callbacks, list) and timer.callbacks == ()
+    seen = []
+
+    def first(ev):
+        seen.append(("first", ev))
+
+    def second(ev):
+        seen.append(("second", ev))
+
+    event.add_callback(first)
+    assert event.callbacks is first and timer.callbacks == ()
+    pair.add_callback(first)
+    pair.add_callback(second)
+    assert type(pair.callbacks) is list and pair.callbacks == [first, second]
     event.succeed()
+    pair.succeed()
     sim.run()
-    assert event.callbacks is None and timer.callbacks is None
-    assert event.processed and timer.processed
+    assert seen == [("first", event), ("first", pair), ("second", pair)]
+    assert event.callbacks is None and timer.callbacks is None and pair.callbacks is None
+    assert event.processed and timer.processed and pair.processed
+
+
+def test_a_wait_costs_its_queue_entry():
+    """N processes asleep on ``sim.timeout`` and N armed deadlines: the
+    sleeping process is its timeout's whole ``callbacks`` (no list, no
+    bound method), each deadline entry is one tuple whose args are the
+    shared ``()``, and a (process, deadline) pair costs ~270 B of new
+    allocations on CPython 3.11: the Timeout, two entries and their
+    floats.  The bound sits between that and the ~400 B a list, a bound
+    ``_resume`` and a ``(deadline, token)`` args tuple per pair cost."""
+    n = 2000
+    sim = Simulator()
+
+    def sleeper():
+        yield sim.timeout(1.0)
+
+    class Owner:
+        pass
+
+    procs = [sim.process(sleeper()) for _ in range(n)]
+    deadlines = [Deadline(sim, Owner(), lambda _owner: None) for _ in range(n)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for deadline in deadlines:
+            deadline.arm(0.5)
+        sim.run(until=0.0)  # each process runs to its first yield
+        allocated, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    timeouts = [entry[2] for entry in sim._queue if type(entry[2]) is Timeout]
+    assert len(timeouts) == n and {id(t.callbacks) for t in timeouts} == set(map(id, procs))
+    entries = [entry for entry in sim._queue if type(entry[2]) is Deadline]
+    assert len(entries) == n and {id(entry[3]) for entry in entries} == {id(())}
+    assert {id(entry[2]) for entry in entries} == set(map(id, deadlines))
+    assert allocated / n < 340
 
 
 def test_add_callback_after_processing_runs_immediately(sim):

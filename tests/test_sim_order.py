@@ -157,13 +157,13 @@ def test_churn_pending_entries_stay_within_twice_the_live_ones():
     from repro.experiments.common import make_lan_testbed
     from repro.net import Endpoint
     from repro.netkernel import NsmSpec
-    from repro.sim.engine import _PURGE_FLOOR, _deadline_pop
+    from repro.sim.engine import _PURGE_FLOOR, Deadline
 
     def dead(entry):
-        if entry[2] is not _deadline_pop:
+        deadline = entry[2]
+        if type(deadline) is not Deadline:
             return False
-        deadline, token = entry[3]
-        return token != deadline._token or deadline.owner is None
+        return entry[0] is not deadline._at or deadline.owner is None
 
     clients = 8
     testbed = make_lan_testbed()

@@ -7,7 +7,7 @@ import pytest
 from repro.host.cpu import Core
 from repro.net import Endpoint
 from repro.net.addressing import EPHEMERAL_BASE
-from repro.sim.engine import _deadline_pop
+from repro.sim.engine import Deadline
 from repro.tcp import StackConfig, TcpSegment, TcpStack, TcpState
 
 from conftest import make_linked_stacks, step
@@ -168,7 +168,7 @@ def _one_life(rig, sim, listener, idle_until=None):
 
 
 def _stale_entries(sim):
-    return [entry for entry in sim._queue if entry[2] is _deadline_pop]
+    return [entry for entry in sim._queue if type(entry[2]) is Deadline]
 
 
 def test_a_closed_connection_is_freed_at_close():
@@ -201,7 +201,7 @@ def test_a_closed_connection_is_freed_at_close():
         gc.enable()
     stale = _stale_entries(sim)
     assert stale and all(entry[0] > out["closed_at"] for entry in stale)
-    assert all(entry[3][0].owner is None for entry in stale)
+    assert all(entry[2].owner is None for entry in stale)
     sim.run()  # they pop as no-ops
     assert rig.stack_a.stats.timeouts == rig.stack_b.stats.timeouts == 0
 
@@ -224,7 +224,7 @@ def _two_lives(drop_stale):
         stale = _stale_entries(sim)
         assert stale and min(entry[0] for entry in stale) > sim.now
         if drop_stale:
-            sim._queue[:] = [e for e in sim._queue if e[2] is not _deadline_pop]
+            sim._queue[:] = [e for e in sim._queue if type(e[2]) is not Deadline]
             heapq.heapify(sim._queue)
         started = sim.now
         idle_until = max(entry[0] for entry in stale) + 1.0
@@ -348,6 +348,6 @@ def test_connection_churn_keeps_checker_and_queue_to_open_flows(until):
     queue = testbed.sim._queue
     per_record = [e for e in queue if isinstance(getattr(e[2], "__self__", None), TimeWait)]
     assert per_record == []
-    heads = [e for e in queue if e[2] is getattr(engine, "_fifo_pop", None)]
+    heads = [e for e in queue if type(e[2]) is engine.FifoTimer]
     assert len(heads) <= sum(len(stack._time_wait) for stack in stacks)
     assert testbed.sim._dead_entries <= engine._PURGE_FLOOR

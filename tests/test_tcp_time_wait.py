@@ -21,7 +21,7 @@ import pytest
 from conftest import make_linked_stacks, peek, step
 from repro.host.cpu import Core
 from repro.net import Endpoint, OffloadConfig, Packet, VirtualNIC
-from repro.sim.engine import _fifo_pop
+from repro.sim.engine import FifoTimer
 from repro.tcp import TcpStack, TcpState
 from repro.tcp.connection import TcpConnection
 from repro.tcp.segment import TcpSegment
@@ -348,9 +348,9 @@ def test_records_expire_in_one_fifo_per_duration(monkeypatch):
 
     fifo_pops = 0
     while sim._queue and peek(sim) <= 1.0:
-        delays = [e[3][0].delay for e in sim._queue if e[2] is _fifo_pop]
+        delays = [e[2].delay for e in sim._queue if type(e[2]) is FifoTimer]
         assert len(delays) == len(set(delays))  # one entry per duration
-        if sim._queue[0][2] is _fifo_pop:
+        if type(sim._queue[0][2]) is FifoTimer:
             fifo_pops += 1
             before = sum(map(len, expired.values()))
             step(sim)
