@@ -67,8 +67,6 @@ class NIC:
 
     def repair(self) -> None:
         self.failed = False
-        if self.sim.fidelity is not None:
-            self.sim.fidelity.on_nic_repaired(self)
 
     def transmit(self, packet: Packet) -> None:
         """Send a packet toward the network."""

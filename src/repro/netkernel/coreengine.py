@@ -165,10 +165,6 @@ class CoreEngine:
         #: destination with no extra step.
         self.rate_caps: Dict[int, float] = {}
         self.nqes_copied = 0
-        #: Hybrid fidelity: bytes covered by the DATA nqes switched that
-        #: carried an aggregated fluid byte-credit — the receive path's
-        #: measure of how much per-nqe work the fluid model elided.
-        self.fluid_credit_bytes = 0
         # --- fault tolerance ---------------------------------------------
         #: Called with the dead NSM when the watchdog fires; returns a
         #: standby NSM (or None).  Installed by Hypervisor.enable_failover.
@@ -498,8 +494,6 @@ class CoreEngine:
                 vm_id, child_fd, nsm.nsm_id, child_cid, family=nsm.spec.stack_family
             )
             nqe.result = child_fd
-        if nqe.fluid_credit and nqe.data_desc is not None:
-            self.fluid_credit_bytes += nqe.data_desc.size
         inv = self.invariant_checker
         if inv is not None and nqe.flow_uid is not None:
             chunk = nqe.data_desc
@@ -721,16 +715,8 @@ class CoreEngine:
         if standby is not None:
             self.attach_nsm(standby)
             standby.take_over_ip(nsm)
-            standby_queues = self._nsms[standby.nsm_id]
             for vm_id in list(nsm.tenant_vm_ids):
-                attachment = self._vms.get(vm_id)
-                if attachment is None:
-                    continue
-                attachment.nsm = standby
-                attachment.nsm_queues = standby_queues
-                attachment.guestlib.ip = standby.ip
-                standby.tenant_vm_ids.append(vm_id)
-            nsm.tenant_vm_ids.clear()
+                self.rehome_tenant(vm_id, nsm, standby)
         record = {
             "detected_at": detected,
             "completed_at": self.sim.now,
@@ -748,6 +734,19 @@ class CoreEngine:
                 start=detected,
                 finish=self.sim.now,
             )
+
+    def rehome_tenant(self, vm_id: int, src: NSM, dst: NSM) -> None:
+        """Point tenant ``vm_id`` at ``dst`` instead of ``src``: its
+        attachment, ring set and guest IP, and both NSMs' tenant lists
+        (failover, migration and its rollback)."""
+        src.tenant_vm_ids.remove(vm_id)
+        attachment = self._vms.get(vm_id)
+        if attachment is None:
+            return
+        attachment.nsm = dst
+        attachment.nsm_queues = self._nsms[dst.nsm_id]
+        attachment.guestlib.ip = dst.ip
+        dst.tenant_vm_ids.append(vm_id)
 
     # ------------------------------------------------------------- migration --
     def set_migration(self, coordinator) -> None:

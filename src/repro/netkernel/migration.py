@@ -83,6 +83,23 @@ class MigrationError(Exception):
     """A migration cannot proceed; the coordinator rolls back cleanly."""
 
 
+def _move_backend(backend, frm: NSM, to: NSM, cid: int, moved_conns: set) -> None:
+    """Hand one backend, with its connection and listener, from ``frm``'s
+    stack and ServiceLib to ``to``'s under ``cid``.  A connection several
+    backends share moves once (``moved_conns`` holds their ids)."""
+    conn = backend.conn
+    if conn is not None:
+        underlying = getattr(conn, "conn", None) or conn
+        if id(underlying) not in moved_conns:
+            moved_conns.add(id(underlying))
+            frm.stack.release_connection(underlying)
+            to.stack.adopt_connection(underlying)
+    if backend.listener is not None:
+        frm.stack.release_listener(backend.listener)
+        to.stack.adopt_listener(backend.listener)
+    to.servicelib.adopt_backend(backend, cid)
+
+
 class MigrationCoordinator:
     """Drives one live migration of a stack from ``src`` to ``dst``.
 
@@ -483,7 +500,6 @@ class MigrationCoordinator:
         moves at once.
         """
         ce, src, dst = self.ce, self.src, self.dst
-        src_sl, dst_sl = src.servicelib, dst.servicelib
         if self._whole:
             dst.take_over_ip(src)
             # The retired VF is unprogrammed from the embedded switch:
@@ -497,33 +513,17 @@ class MigrationCoordinator:
         moves: List[Dict] = []
         for snap in self.snapshots:
             vm_id, fd, old_cid = snap["vm_id"], snap["fd"], snap["src_cid"]
-            backend = src_sl.remove_backend(old_cid)
+            backend = src.servicelib.remove_backend(old_cid)
             new_cid = ce.table.allocate_cid(dst.nsm_id)
             ce.table.repoint(vm_id, fd, dst.nsm_id, new_cid)
             if backend is not None:
-                conn = backend.conn
-                if conn is not None:
-                    underlying = getattr(conn, "conn", None) or conn
-                    if id(underlying) not in moved_conns:
-                        moved_conns.add(id(underlying))
-                        src.stack.release_connection(underlying)
-                        dst.stack.adopt_connection(underlying)
-                if backend.listener is not None:
-                    src.stack.release_listener(backend.listener)
-                    dst.stack.adopt_listener(backend.listener)
-                dst_sl.adopt_backend(backend, new_cid)
+                _move_backend(backend, src, dst, new_cid, moved_conns)
             moves.append(
                 {"vm_id": vm_id, "fd": fd, "old_cid": old_cid,
                  "new_cid": new_cid, "backend": backend}
             )
-        dst_queues = ce._nsms[dst.nsm_id]
         for vm_id in self._vm_ids:
-            attachment = ce._vms[vm_id]
-            attachment.nsm = dst
-            attachment.nsm_queues = dst_queues
-            attachment.guestlib.ip = dst.ip
-            src.tenant_vm_ids.remove(vm_id)
-            dst.tenant_vm_ids.append(vm_id)
+            ce.rehome_tenant(vm_id, src, dst)
         self._moves = moves
         self._repointed = True
 
@@ -535,7 +535,6 @@ class MigrationCoordinator:
         source resumes exactly the state it froze with.
         """
         ce, src, dst = self.ce, self.src, self.dst
-        src_sl, dst_sl = src.servicelib, dst.servicelib
         if self._whole:
             src.take_over_ip(dst)
             src.nic.draining = False
@@ -547,7 +546,7 @@ class MigrationCoordinator:
         for move in reversed(self._moves):
             vm_id, fd = move["vm_id"], move["fd"]
             old_cid, new_cid = move["old_cid"], move["new_cid"]
-            backend = dst_sl.remove_backend(new_cid)
+            backend = dst.servicelib.remove_backend(new_cid)
             ce.table.repoint(vm_id, fd, src.nsm_id, old_cid)
             # The forward re-point aliased (src, old_cid); restoring the
             # live mapping under that same key would otherwise look like
@@ -555,25 +554,9 @@ class MigrationCoordinator:
             # stays: it never emitted, but late errors forward safely.
             ce.table.drop_alias(src.nsm_id, old_cid)
             if backend is not None:
-                conn = backend.conn
-                if conn is not None:
-                    underlying = getattr(conn, "conn", None) or conn
-                    if id(underlying) not in moved_conns:
-                        moved_conns.add(id(underlying))
-                        dst.stack.release_connection(underlying)
-                        src.stack.adopt_connection(underlying)
-                if backend.listener is not None:
-                    dst.stack.release_listener(backend.listener)
-                    src.stack.adopt_listener(backend.listener)
-                src_sl.adopt_backend(backend, old_cid)
-        src_queues = ce._nsms[src.nsm_id]
+                _move_backend(backend, dst, src, old_cid, moved_conns)
         for vm_id in self._vm_ids:
-            attachment = ce._vms[vm_id]
-            attachment.nsm = src
-            attachment.nsm_queues = src_queues
-            attachment.guestlib.ip = src.ip
-            dst.tenant_vm_ids.remove(vm_id)
-            src.tenant_vm_ids.append(vm_id)
+            ce.rehome_tenant(vm_id, dst, src)
         self._moves = []
         self._repointed = False
 

@@ -130,12 +130,6 @@ class Nqe:
     #: sequence number; stamped by ServiceLib on DATA nqes.
     flow_uid: Optional[int] = None
     rx_seq: Optional[int] = None
-    #: Hybrid fidelity: True on a DATA nqe carrying an aggregated byte
-    #: credit from a fluid-promoted connection — one nqe standing in for
-    #: the stream of rx_chunk-sized nqes the packet path would emit.
-    #: Invariant stamping (flow_uid/rx_seq/size) is unchanged, so the
-    #: faults.invariants conservation ledger holds across fidelities.
-    fluid_credit: bool = False
 
     @property
     def is_connection_event(self) -> bool:

@@ -104,9 +104,9 @@ class ServiceLib:
         self.rx_chunk = nsm.spec.rx_chunk_bytes
         self._backends: Dict[int, _Backend] = {}
         self.ops_handled = 0
-        #: Hybrid fidelity: bytes carried by the DATA nqes emitted as
-        #: aggregated byte-credits for fluid-promoted connections.
-        self.fluid_credit_bytes = 0
+        #: The simulator's fidelity controller, or None: it may size a
+        #: connection's reads (FidelityController.rx_read_cap).
+        self._fidelity = sim.fidelity
         self.tracer = obs_runtime.get_tracer()
         self._traced = self.tracer.enabled
         # --- fault tolerance ---------------------------------------------
@@ -526,16 +526,8 @@ class ServiceLib:
             return
         conn = backend.conn
         cap = self.rx_chunk
-        credit = False
-        if getattr(conn, "_fluid_flow", None) is not None:
-            # The connection is fluid-promoted: the analytic model fills
-            # the receive buffer in large rate-integrated chunks, so one
-            # aggregated byte-credit nqe stands in for the per-rx_chunk
-            # stream the packet path would emit.  Cap at half the region
-            # so the slow alloc path can always make progress.
-            cap = max(cap, min(conn.recv_buffer.available,
-                               backend.region.capacity // 2))
-            credit = cap > self.rx_chunk
+        if self._fidelity is not None:
+            cap = self._fidelity.rx_read_cap(conn, cap, backend.region.capacity)
         taken = conn.recv_buffer.try_read(cap)
         if taken is None:
             self._rx_wait(backend)
@@ -559,26 +551,21 @@ class ServiceLib:
         if taken <= region.free_bytes:
             chunk = region.try_alloc(taken)
             region.copy_call(
-                self.core, taken, self._rx_staged, backend, chunk, root, stage,
-                credit,
+                self.core, taken, self._rx_staged, backend, chunk, root, stage
             )
         else:  # region exhausted: block until space frees
-            self.sim.process(
-                self._rx_alloc_slow(backend, taken, root, stage, credit)
-            )
+            self.sim.process(self._rx_alloc_slow(backend, taken, root, stage))
 
-    def _rx_alloc_slow(self, backend: _Backend, taken: int, root, stage,
-                       credit: bool = False):
+    def _rx_alloc_slow(self, backend: _Backend, taken: int, root, stage):
         chunk = yield backend.region.alloc(taken)
         yield backend.region.copy(self.core, taken)
-        self._rx_staged(backend, chunk, root, stage, credit)
+        self._rx_staged(backend, chunk, root, stage)
 
-    def _rx_staged(self, backend: _Backend, chunk, root, stage,
-                   credit: bool = False) -> None:
+    def _rx_staged(self, backend: _Backend, chunk, root, stage) -> None:
         owner = backend.owner
         if owner is not None and owner is not self:
             # Copy chain straddled a migration: deliver on the new owner.
-            owner._rx_staged(backend, chunk, root, stage, credit)
+            owner._rx_staged(backend, chunk, root, stage)
             return
         if self.crashed:  # copy chain outlived the crash: drop the data
             if not chunk.freed:
@@ -593,9 +580,6 @@ class ServiceLib:
             data_desc=chunk,
             span=root,
         )
-        if credit:
-            nqe.fluid_credit = True
-            self.fluid_credit_bytes += chunk.size
         nqe.flow_uid = backend.uid
         nqe.rx_seq = backend.rx_seq
         backend.rx_seq += 1

@@ -13,7 +13,8 @@ Public surface:
 * :data:`NANOS` — the time-unit helper for nanosecond costs.
 
 The fluid engine (:mod:`.fluid`) sits above TCP and is imported from its
-module by the runs that install it.
+module by the runs that install it; other layers reach it only through
+``Simulator.fidelity``, one guarded call per site.
 """
 
 from .engine import NANOS, Deadline, FifoTimer, Simulator

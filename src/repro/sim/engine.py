@@ -71,8 +71,8 @@ class Simulator:
         #: Hybrid fidelity: the installed
         #: :class:`~repro.sim.fluid.FidelityController`, or None for pure
         #: packet fidelity (the default — and the bit-identical path: with
-        #: no controller installed every fluid hook in the TCP/NIC layers
-        #: is a single attribute test that takes the packet branch).
+        #: no controller installed every hook that calls it is a single
+        #: attribute test that takes the packet branch).
         self.fidelity = None
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:

@@ -52,24 +52,31 @@ Byte conservation is structural: in fluid mode ``snd_una == snd_nxt``
 always, each delivery advances sender counters and the peer's
 ``rcv_nxt``/receive buffer by exactly the chunk size, and a cancelled
 chunk was never counted anywhere.
+
+The controller is the one home of fluid state.  A connection's one slot,
+``TcpConnection._fluid``, is None while packet, else ``_ARMED`` or its
+:class:`FluidFlow`; the TCP stack, the NIC, the fault injector and
+ServiceLib each make one guarded call on ``sim.fidelity`` (DESIGN.md §15).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..tcp.buffers import ReassemblyQueue
-from ..tcp.connection import TcpConnection, TcpState
+from ..tcp.connection import TcpState
 from ..tcp.stack import TimeWait
 from .engine import Deadline
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..tcp.connection import TcpConnection
     from ..tcp.stack import TcpStack
     from .engine import Simulator
 
 __all__ = ["FluidRoute", "FluidFlow", "FidelityController"]
 
 _INF = float("inf")
+#: ``TcpConnection._fluid`` while promotion waits for the pipe to drain.
+_ARMED = "armed"
 
 
 def _waterfill(
@@ -128,9 +135,10 @@ class FluidRoute:
         self.latency = float(latency)  # one-way seconds
         self.active: List[FluidFlow] = []  # flows with pending bytes
         self.solve_queued = False  # a deferred (coalesced) solve is pending
-        #: Connections declined/demoted as rwnd-limited.  They count
-        #: toward the prospective max-min population in the eligibility
-        #: check — two backlogged flows must see each other or each
+        #: Connections declined/demoted as rwnd-limited: each stays packet
+        #: until its eligibility check finds the share below its window
+        #: cap.  They count toward the prospective max-min population in
+        #: that check — two backlogged flows must see each other or each
         #: assumes it would get the whole capacity and neither promotes.
         self.rwnd_blocked: set = set()
 
@@ -209,8 +217,8 @@ class FluidFlow:
 class FidelityController:
     """Owns routes, fluid flows, rate epochs, and the promotion rules.
 
-    Installed as ``sim.fidelity``; when absent (the default) every hook in
-    the packet path is a single attribute test, keeping ``--fidelity
+    Installed as ``sim.fidelity``; when absent (the default) every hook
+    outside this module is a single attribute test, keeping ``--fidelity
     packet`` bit-identical to pre-fluid builds.
     """
 
@@ -280,21 +288,18 @@ class FidelityController:
             for stack in self._stacks.values()
             for conn in list(stack._connections.values())
             # a TIME_WAIT record's connection closed: never fluid
-            if conn.__class__ is not TimeWait
-            and (conn._fluid_flow is not None or conn._fluid_armed)
+            if conn.__class__ is not TimeWait and conn._fluid is not None
         ]
 
     # -- capacity epochs -------------------------------------------------------
     def on_nic_failed(self, nic) -> None:
         """NIC capacity collapsed to zero: demote everything touching it."""
         for conn in self._fluid_conns():
-            if conn.stack.nic is nic or conn._fluid_flow is not None and (
-                conn._fluid_flow.peer.stack.nic is nic
+            flow = conn._fluid
+            if conn.stack.nic is nic or flow is not _ARMED and (
+                flow.peer.stack.nic is nic
             ):
                 self.demote(conn, "nic_failure")
-
-    def on_nic_repaired(self, nic) -> None:
-        """Capacity restored; affected flows re-promote on ACK progress."""
 
     # -- eligibility and promotion ---------------------------------------------
     def _peer_conn(self, conn: "TcpConnection") -> Optional["TcpConnection"]:
@@ -307,18 +312,19 @@ class FidelityController:
             (conn.remote.port, conn.local.ip, conn.local.port)
         )
 
+    @staticmethod
+    def _path_open(stack: "TcpStack") -> bool:
+        """No fabric arbiter, and the stack's NIC neither failed nor draining."""
+        nic = stack.nic
+        return stack.arbiter is None and not (nic.failed or nic.draining)
+
     def _eligible(self, conn: "TcpConnection") -> Optional["TcpConnection"]:
         """Peer connection when ``conn``'s send direction may go fluid."""
         if self.in_fault_window or conn.state is not TcpState.ESTABLISHED:
             return None
         if conn._in_fast_recovery or conn._sacked or conn.fin_sent:
             return None
-        if conn.send_buffer.fin_requested:
-            return None
-        if conn.stack.arbiter is not None:
-            return None
-        nic = conn.stack.nic
-        if nic.failed or nic.draining:
+        if conn.send_buffer.fin_requested or not self._path_open(conn.stack):
             return None
         route = self.route_for(conn.local.ip, conn.remote.ip)
         if route is None:
@@ -326,11 +332,10 @@ class FidelityController:
         peer = self._peer_conn(conn)
         if peer is None or peer.state is not TcpState.ESTABLISHED:
             return None
-        if peer.stack.arbiter is not None:
+        if not self._path_open(peer.stack):
             return None
-        if peer.stack.nic.failed or peer.stack.nic.draining:
-            return None
-        if conn._fluid_rwnd_block or conn.send_buffer.backlog > 0:
+        blocked = route.rwnd_blocked
+        if conn in blocked or conn.send_buffer.backlog > 0:
             # A backlogged sender whose prospective max-min share exceeds
             # the peer-window cap would be rwnd-limited in fluid mode —
             # a stall-and-burst regime W/RTT overestimates (see _solve).
@@ -340,22 +345,18 @@ class FidelityController:
             # assumes the whole capacity and none ever promotes.
             rtt = conn.rtt.srtt or 2.0 * route.latency
             others = 0
-            for other in list(route.rwnd_blocked):
+            for other in list(blocked):
                 if other is conn:
                     continue
-                if other.state is not TcpState.ESTABLISHED or (
-                    other._fluid_flow is not None
-                ):
-                    route.rwnd_blocked.discard(other)
+                if other.state is not TcpState.ESTABLISHED or other._fluid is not None:
+                    blocked.discard(other)
                     continue
                 others += 1
             share = route.capacity / (len(route.active) + others + 1)
             if peer.recv_buffer.capacity / rtt < share:
-                conn._fluid_rwnd_block = True
-                route.rwnd_blocked.add(conn)
+                blocked.add(conn)
                 return None
-            conn._fluid_rwnd_block = False
-            route.rwnd_blocked.discard(conn)
+            blocked.discard(conn)
         return peer
 
     def _steady(self, conn: "TcpConnection") -> bool:
@@ -379,19 +380,25 @@ class FidelityController:
 
     def on_ack_progress(self, conn: "TcpConnection") -> None:
         """Hook from the tail of ``TcpConnection._process_ack``."""
-        if conn._fluid_flow is not None:
-            return
-        if conn._fluid_armed:
-            if conn._in_fast_recovery or conn._sacked:
-                conn._fluid_armed = False  # loss beat the drain; stay packet
-            elif conn.snd_una == conn.snd_nxt:
+        fluid = conn._fluid
+        if fluid is _ARMED:
+            if self._still_armed(conn) and conn.snd_una == conn.snd_nxt:
                 self._promote(conn)
             return
-        if self._steady(conn) and self._eligible(conn) is not None:
+        if fluid is None and self._steady(conn) and self._eligible(conn) is not None:
             if conn.snd_una == conn.snd_nxt:
                 self._promote(conn)
             else:
-                conn._fluid_armed = True  # drain-then-switch
+                conn._fluid = _ARMED  # drain-then-switch
+
+    @staticmethod
+    def _still_armed(conn: "TcpConnection") -> bool:
+        """An armed connection keeps draining unless loss beat the drain;
+        then it is disarmed and stays packet."""
+        if conn._in_fast_recovery or conn._sacked:
+            conn._fluid = None
+            return False
+        return True
 
     def _flow_cap(self, conn: "TcpConnection", peer: "TcpConnection",
                   route: FluidRoute) -> Tuple[float, float]:
@@ -416,13 +423,11 @@ class FidelityController:
     def _promote(self, conn: "TcpConnection") -> None:
         peer = self._eligible(conn)
         if peer is None:
-            conn._fluid_armed = False
+            conn._fluid = None
             return
         assert conn.snd_una == conn.snd_nxt, "promotion requires a drained pipe"
         route = self.route_for(conn.local.ip, conn.remote.ip)
-        flow = FluidFlow(conn, peer, route, self._service_due)
-        conn._fluid_flow = flow
-        conn._fluid_armed = False
+        conn._fluid = FluidFlow(conn, peer, route, self._service_due)
         self.promotions += 1
         self.pump(conn)  # pick up any backlog the drain held back
 
@@ -433,42 +438,38 @@ class FidelityController:
         ``snd_nxt``, so they are still "written but unsent" and the packet
         path's ``_pump`` transmits them with full per-segment fidelity.
         """
-        flow = conn._fluid_flow
-        armed = conn._fluid_armed
-        conn._fluid_armed = False
+        flow = conn._fluid
         if flow is None:
-            if armed:
-                self.demotions += 1
-                self.demotion_reasons[reason] = (
-                    self.demotion_reasons.get(reason, 0) + 1
-                )
-                conn._pump()
             return
-        conn._fluid_flow = None
-        flow.demoted = True
-        flow.service.release()
-        if flow.active:
-            flow.active = False
-            flow.route.active.remove(flow)
-            self._solve(flow.route)
+        conn._fluid = None
+        if flow is not _ARMED:
+            flow.demoted = True
+            flow.service.release()
+            if flow.active:
+                flow.active = False
+                flow.route.active.remove(flow)
+                self._solve(flow.route)
+            # Refresh the stale window from the peer's actual buffer state —
+            # the advertisement the peer's next ACK would carry.
+            peer = flow.peer
+            conn.snd_wnd = peer.recv_buffer.window(peer.assembly.out_of_order_bytes)
         self.demotions += 1
         self.demotion_reasons[reason] = self.demotion_reasons.get(reason, 0) + 1
-        # Refresh the stale window from the peer's actual buffer state —
-        # the advertisement the peer's next ACK would carry.
-        peer = flow.peer
-        conn.snd_wnd = peer.recv_buffer.window(peer.assembly.out_of_order_bytes)
         conn._pump()
 
     # -- the fluid datapath ----------------------------------------------------
-    def pump(self, conn: "TcpConnection") -> None:
-        """Fluid-mode ``_pump``: hand newly written bytes to the flow."""
-        flow = conn._fluid_flow
-        if flow is None:
-            return
+    def pump(self, conn: "TcpConnection") -> bool:
+        """``_pump`` of a connection that is not plain packet: hand newly
+        written bytes to its flow.  False only when an armed connection
+        was disarmed and the packet path sends after all; an armed one
+        holds new data until promoted."""
+        flow = conn._fluid
+        if flow is _ARMED:
+            return self._still_armed(conn)
         sent = conn.snd_nxt - conn.data_seq_base
         new = conn.send_buffer.written - sent - flow.pending
         if new <= 0:
-            return
+            return True
         flow.pending += new
         flow.submitted += new
         if flow.targets:
@@ -482,6 +483,7 @@ class FidelityController:
             self._request_solve(flow.route)
         # else: the in-progress schedule already covers the new target
         # once the current one fires (service is work-conserving).
+        return True
 
     #: Active-set size above which arrival/departure epochs coalesce.
     SOLVE_COALESCE_THRESHOLD = 8
@@ -541,9 +543,8 @@ class FidelityController:
                 # packet path would stall and burst on window updates —
                 # dynamics W/RTT overestimates (~20 % measured on
                 # figure4's 160 KB sockets).  Send it back to packets;
-                # the flag blocks re-promotion until the route's
+                # membership blocks re-promotion until the route's
                 # population makes the share smaller than the cap.
-                flow.conn._fluid_rwnd_block = True
                 route.rwnd_blocked.add(flow.conn)
                 self.demote(flow.conn, "rwnd-limited")
                 return  # the demotion re-solved the surviving flows
@@ -657,6 +658,15 @@ class FidelityController:
             # arbitrate (zero-window probes, window updates): demote.
             self.demote(conn, "receiver_limited")
 
+    def rx_read_cap(self, conn, cap: int, region_capacity: int) -> int:
+        """Largest read ServiceLib takes from ``conn`` (``cap`` is its
+        chunk size).  A promoted connection's buffer fills in large
+        rate-integrated chunks, so one read drains what is there, up to
+        half the huge-page region so a blocked allocation still fits."""
+        if getattr(conn, "_fluid", None).__class__ is not FluidFlow:
+            return cap  # packet fidelity (or a stack with no fluid path)
+        return max(cap, min(conn.recv_buffer.available, region_capacity // 2))
+
     # -- fluid connection establishment ----------------------------------------
     def try_fluid_connect(self, stack: "TcpStack", conn: "TcpConnection") -> bool:
         """Analytic handshake: skip the SYN exchange on eligible paths.
@@ -669,19 +679,14 @@ class FidelityController:
         one-way latency — the same times the packet handshake would give
         on a clean path, minus its per-segment events.
         """
-        if self.in_fault_window or stack.arbiter is not None:
+        if self.in_fault_window or not self._path_open(stack):
             return False
         route = self.route_for(conn.local.ip, conn.remote.ip)
         back = self.route_for(conn.remote.ip, conn.local.ip)
         if route is None or back is None:
             return False
-        nic = stack.nic
-        if nic.failed or nic.draining:
-            return False
         peer_stack = self._stacks.get(conn.remote.ip)
-        if peer_stack is None or peer_stack.arbiter is not None:
-            return False
-        if peer_stack.nic.failed or peer_stack.nic.draining:
+        if peer_stack is None or not self._path_open(peer_stack):
             return False
         listener = peer_stack._listeners.get(conn.remote.port)
         if listener is None or not listener.can_admit():
@@ -690,48 +695,33 @@ class FidelityController:
         conn.snd_nxt = conn.iss + 1
         self.fluid_connects += 1
         self.sim.schedule_call(
-            route.latency, self._fluid_accept, conn, peer_stack, listener
+            route.latency, self._fluid_accept, conn, peer_stack, listener, back
         )
         return True
 
-    def _fluid_accept(self, conn, peer_stack, listener) -> None:
+    def _fluid_accept(self, conn, peer_stack, listener, back) -> None:
         """Server side of the analytic handshake (at +one-way latency)."""
         if conn.state is not TcpState.SYN_SENT:
             return  # client gave up while the "SYN" was in flight
-        if not listener.can_admit() or listener.closed:
+        if not listener.can_admit():
             conn._send_syn()  # fall back to the packet handshake
             return
-        local = listener.local_endpoint(peer_stack.ip)
-        remote = conn.local
-        cfg = peer_stack._tcp_config(**getattr(listener, "_tcp_overrides", {}))
-        cc = peer_stack._make_cc(getattr(listener, "_cc_name", None), cfg.mss)
-        sconn = TcpConnection(peer_stack.sim, peer_stack, local, remote, cc, cfg)
-        peer_stack._connections[(listener.port, remote.ip, remote.port)] = sconn
-        peer_stack.stats.connections_accepted += 1
-        peer_stack._assign_core(sconn)
-        sconn.on_established_cb = listener.on_established
+        sconn = peer_stack.accept_child(listener, conn.local)
         sconn.state = TcpState.SYN_RCVD
         sconn.irs = conn.iss
-        sconn.assembly = ReassemblyQueue(rcv_nxt=conn.iss + 1)
+        sconn.assembly.reset(rcv_nxt=conn.iss + 1)
         sconn.snd_wnd = conn.recv_buffer.window(0)
         sconn.snd_nxt = sconn.iss + 1
         sconn.snd_una = sconn.iss + 1
         sconn._become_established()
-        self.sim.schedule_call(
-            self.route_for(sconn.local.ip, sconn.remote.ip).latency
-            if self.route_for(sconn.local.ip, sconn.remote.ip) is not None
-            else 0.0,
-            self._fluid_established,
-            conn,
-            sconn,
-        )
+        self.sim.schedule_call(back.latency, self._fluid_established, conn, sconn)
 
     def _fluid_established(self, conn, sconn) -> None:
         """Client side completes (at +RTT), mirroring the SYN/ACK arrival."""
         if conn.state is not TcpState.SYN_SENT:
             return
         conn.irs = sconn.iss
-        conn.assembly = ReassemblyQueue(rcv_nxt=sconn.iss + 1)
+        conn.assembly.reset(rcv_nxt=sconn.iss + 1)
         conn.snd_wnd = sconn.recv_buffer.window(0)
         conn.snd_una = conn.iss + 1
         conn._become_established()

@@ -182,9 +182,7 @@ class TcpConnection:
         "stats",
         # hybrid fidelity
         "_fidelity",
-        "_fluid_flow",
-        "_fluid_armed",
-        "_fluid_rwnd_block",
+        "_fluid",
         # a TIME_WAIT record refers to its connection weakly
         "__weakref__",
     )
@@ -289,15 +287,10 @@ class TcpConnection:
         #: never promote, so the per-ACK hook below stays one attribute
         #: test for ineligible connections.
         self._fidelity = getattr(sim, "fidelity", None)
-        #: Live FluidFlow while this connection's send side is fluid.
-        self._fluid_flow = None
-        #: Drain-then-switch: promotion decided, waiting for the pipe to
-        #: empty.  While armed, _pump sends nothing new.
-        self._fluid_armed = False
-        #: Demoted as rwnd-limited: stays packet until the route's flow
-        #: population makes the max-min share smaller than the peer-
-        #: window cap (the regime the fluid model can price).
-        self._fluid_rwnd_block = False
+        #: None while this connection's send side is packet; otherwise
+        #: the controller's state for it (armed to drain, or its FluidFlow),
+        #: read only by the controller.
+        self._fluid = None
 
     # ------------------------------------------------------------------ API --
     @property
@@ -367,7 +360,7 @@ class TcpConnection:
 
     def close(self) -> Event:
         """Half-close: FIN after all queued data; event fires fully closed."""
-        if self._fluid_flow is not None or self._fluid_armed:
+        if self._fluid is not None:
             self._fidelity.demote(self, "close")
         self.send_buffer.close()
         if self.state is TcpState.ESTABLISHED:
@@ -383,7 +376,7 @@ class TcpConnection:
 
     def abort(self) -> None:
         """Send RST and tear down immediately."""
-        if self._fluid_flow is not None or self._fluid_armed:
+        if self._fluid is not None:
             self._fidelity.demote(self, "abort")
         if self.state not in (TcpState.CLOSED, TcpState.TIME_WAIT):
             self._transmit(self._make_segment(self.snd_nxt, rst=True, ack=True))
@@ -533,7 +526,7 @@ class TcpConnection:
             self._recovery_send()
         else:
             self._pump()
-        if self._fidelity is not None and self._fluid_flow is None:
+        if self._fidelity is not None:
             self._fidelity.on_ack_progress(self)
 
     def _make_rate_sample(self, seg: TcpSegment, delivered_inc: int) -> RateSample:
@@ -853,7 +846,7 @@ class TcpConnection:
             self._finish_closed()
 
     def _finish_closed(self) -> None:
-        if self._fluid_flow is not None or self._fluid_armed:
+        if self._fluid is not None:
             self._fidelity.demote(self, "closed")
         self._release_timers()
         closed = self.closed
@@ -894,14 +887,8 @@ class TcpConnection:
             TcpState.LAST_ACK,
         ):
             return
-        if self._fluid_flow is not None:
-            self._fidelity.pump(self)
+        if self._fluid is not None and self._fidelity.pump(self):
             return
-        if self._fluid_armed:
-            if self._in_fast_recovery or self._sacked:
-                self._fluid_armed = False  # loss beat the drain; stay packet
-            else:
-                return  # drain-then-switch: hold new data until promoted
         while True:
             sent_bytes = self.snd_nxt - self.data_seq_base - (
                 1 if self.fin_sent else 0

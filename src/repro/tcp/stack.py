@@ -341,8 +341,13 @@ class TcpStack:
         return listener
 
     def _spawn_server_connection(self, listener: Listener, seg: TcpSegment, src_ip: str) -> None:
-        local = listener.local_endpoint(self.ip)
         remote = Endpoint(src_ip, seg.src_port)
+        self.accept_child(listener, remote).open_passive_from_syn(seg)
+
+    def accept_child(self, listener: Listener, remote: Endpoint) -> TcpConnection:
+        """A new child of ``listener`` for ``remote``: registered, on a
+        core, handed to the listener once established (still CLOSED)."""
+        local = listener.local_endpoint(self.ip)
         cfg = self._tcp_config(**getattr(listener, "_tcp_overrides", {}))
         cc = self._make_cc(getattr(listener, "_cc_name", None), cfg.mss)
         conn = TcpConnection(self.sim, self, local, remote, cc, cfg)
@@ -350,7 +355,7 @@ class TcpStack:
         self.stats.connections_accepted += 1
         self._assign_core(conn)
         conn.on_established_cb = listener.on_established
-        conn.open_passive_from_syn(seg)
+        return conn
 
     # --------------------------------------------------------------- data path --
     def send_segment(
@@ -481,7 +486,7 @@ class TcpStack:
         key = _key(conn)
         if not _holds(self._connections.get(key), conn):
             return None
-        if conn._fluid_flow is not None or conn._fluid_armed:
+        if conn._fluid is not None:
             conn._fidelity.demote(conn, "migration")
         # A connection in TIME_WAIT leaves its record behind (still due to
         # close it at 2 MSL) and is adopted whole.

@@ -14,12 +14,16 @@ Three properties pin the engine down:
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.apps import BulkReceiver, BulkSender
 from repro.experiments.common import install_fluid, make_lan_testbed
 from repro.faults import Fault, FaultInjector, FaultKind, FaultPlan
 from repro.net import Endpoint
+from repro.sim.fluid import FluidFlow
 
 
 def _bulk_world(mode="auto", total_bytes=None, duration=0.05):
@@ -34,6 +38,11 @@ def _bulk_world(mode="auto", total_bytes=None, duration=0.05):
         total_bytes=total_bytes,
     )
     return testbed, controller, vm_a, vm_b, receiver, sender
+
+
+def _is_fluid(conn):
+    """True while ``conn``'s send side is a fluid flow."""
+    return isinstance(conn._fluid, FluidFlow)
 
 
 def _client_conn(vm):
@@ -52,7 +61,7 @@ def test_bulk_flow_promotes_after_slow_start():
     assert stats["promotions"] >= 1
     assert stats["fluid_bytes_delivered"] > 0
     conn = _client_conn(vm_a)
-    assert conn._fluid_flow is not None  # still fluid at steady state
+    assert _is_fluid(conn)  # still fluid at steady state
     # Fluid mode keeps the pipe drained: every sent byte is acked.
     assert conn.snd_una == conn.snd_nxt
 
@@ -63,7 +72,7 @@ def test_promotion_waits_out_slow_start():
     # One RTT in: the handshake is done but cwnd is still a few segments.
     testbed.run(until=2.5e-5)
     conn = _client_conn(vm_a)
-    if conn._fluid_flow is None and not conn._fluid_armed:
+    if conn._fluid is None:
         assert controller.stats()["promotions"] == 0
 
 
@@ -93,13 +102,13 @@ def test_demote_preserves_cc_state_and_conserves_bytes():
     )
     testbed.run(until=0.005)
     conn = _client_conn(vm_a)
-    assert conn._fluid_flow is not None, "flow should be fluid by 5 ms"
+    assert _is_fluid(conn), "flow should be fluid by 5 ms"
     cwnd, ssthresh = conn.cc.cwnd, conn.cc.ssthresh
     delivered_fluid = controller.fluid_bytes_delivered
     assert delivered_fluid > 0
 
     controller.demote(conn, "test")
-    assert conn._fluid_flow is None
+    assert not _is_fluid(conn)
     assert conn.cc.cwnd == cwnd and conn.cc.ssthresh == ssthresh
     assert controller.stats()["demotion_reasons"] == {"test": 1}
 
@@ -124,16 +133,16 @@ def test_chaos_forces_demotion():
     injector.start()
     testbed.run(until=0.018)
     conn = _client_conn(vm_a)
-    assert conn._fluid_flow is not None
+    assert _is_fluid(conn)
     testbed.run(until=0.025)
     # Inside the fault window: demoted and not re-promotable.
-    assert conn._fluid_flow is None
+    assert not _is_fluid(conn)
     assert controller.in_fault_window
     assert controller.stats()["demotion_reasons"].get("fault:link-loss", 0) >= 1
     testbed.run(until=0.1)
     # Window over, losses repaired: the flow went fluid again.
     assert not controller.in_fault_window
-    assert conn._fluid_flow is not None
+    assert _is_fluid(conn)
 
 
 # -- golden tolerances ---------------------------------------------------------
@@ -209,24 +218,82 @@ def test_figure5_auto_is_packet_exact():
     assert results[0] == results[1]
 
 
-# -- netkernel byte credits ----------------------------------------------------
+# -- figure 4 auto golden ------------------------------------------------------
+
+FIG4_AUTO_GOLDEN = Path(__file__).parent / "data" / "fluid_figure4_auto.json"
+FIG4_AUTO_CELLS = [("native", 2), ("native", 3), ("netkernel", 2), ("netkernel", 3)]
+
+
+def _figure4_auto_cell(mode, flows):
+    """One figure-4 ``--fidelity auto`` world run to 0.1 s: event count,
+    controller stats and the bytes each receiver read."""
+    from repro.experiments.figure4 import _build_lan_world
+
+    testbed, receivers = _build_lan_world(
+        mode, flows, warmup=0.0, fidelity="auto"
+    )
+    testbed.run(until=0.1)
+    return {
+        "events_processed": testbed.events_processed,
+        "stats": testbed.sim.fidelity.stats(),
+        "receiver_bytes": [rx.meter.bytes for rx in receivers],
+    }
+
+
+def figure4_auto_snapshot():
+    """Every cell, keyed ``mode/flows``: the golden file's content.  A
+    change that moves it on purpose rewrites the file from this, with
+    ``json.dumps(figure4_auto_snapshot(), indent=2, sort_keys=True)``."""
+    return {
+        f"{mode}/{flows}": _figure4_auto_cell(mode, flows)
+        for mode, flows in FIG4_AUTO_CELLS
+    }
+
+
+@pytest.mark.parametrize("mode,flows", FIG4_AUTO_CELLS)
+def test_figure4_auto_matches_golden(mode, flows):
+    """The fluid path through native and NetKernel worlds is pinned
+    exactly (the tolerance test above only bounds goodput to 1 %)."""
+    golden = json.loads(FIG4_AUTO_GOLDEN.read_text())
+    cell = _figure4_auto_cell(mode, flows)
+    assert cell == golden[f"{mode}/{flows}"]
+    assert cell["stats"]["promotions"] >= 1
+
+
+# -- netkernel aggregated reads ----------------------------------------------
 
 
 def test_netkernel_fluid_credits_are_conserved():
-    """Aggregated DATA credits keep the invariants ledger balanced."""
+    """A promoted connection's buffer fills in rate-integrated chunks, and
+    ServiceLib reads each in one DATA nqe larger than ``rx_chunk_bytes``;
+    the invariants ledger stays balanced across those aggregated reads."""
     from repro.experiments.figure4 import _build_lan_world
+    from repro.faults.invariants import InvariantChecker
+
+    class Recording(InvariantChecker):
+        largest = 0
+
+        def on_data_forwarded(self, uid, seq, nbytes):
+            self.largest = max(self.largest, nbytes)
+            super().on_data_forwarded(uid, seq, nbytes)
 
     testbed, _receivers = _build_lan_world(
-        "netkernel", flows=1, warmup=0.01, fidelity="auto"
+        "netkernel", flows=2, warmup=0.01, fidelity="auto"
     )
+    hypervisors = (testbed.hypervisor_a, testbed.hypervisor_b)
+    checkers = []
+    for hypervisor in hypervisors:
+        checker = Recording()
+        checker.install(hypervisor.coreengine)
+        checkers.append(checker)
     testbed.run(until=0.05)
-    assert testbed.sim.fidelity.stats()["promotions"] >= 1
-    for hypervisor in (testbed.hypervisor_a, testbed.hypervisor_b):
-        coreengine = hypervisor.coreengine
-        emitted = sum(
-            nsm.servicelib.fluid_credit_bytes for nsm in hypervisor.nsms
-        )
-        assert coreengine.fluid_credit_bytes == emitted
+    assert testbed.sim.fidelity.stats()["fluid_bytes_delivered"] > 0
+    for checker in checkers:
+        assert checker.audit() == [] and checker.violations == []
+    rx_chunk = max(
+        nsm.spec.rx_chunk_bytes for hv in hypervisors for nsm in hv.nsms
+    )
+    assert max(checker.largest for checker in checkers) > rx_chunk
 
 
 # -- one solver, no array library ----------------------------------------------
