@@ -279,17 +279,17 @@ class FidelityController:
         return self.sim.now < self._fault_until
 
     def _fluid_conns(self) -> List["TcpConnection"]:
-        return [
-            flow.conn
-            for route in self.routes.values()
-            for flow in list(route.active)
-        ] + [
-            conn
-            for stack in self._stacks.values()
-            for conn in list(stack._connections.values())
-            # a TIME_WAIT record's connection closed: never fluid
-            if conn.__class__ is not TimeWait and conn._fluid is not None
-        ]
+        """Every fluid connection once: the route-active flows first, then
+        the rest (armed, or flowing but idle) by stack."""
+        conns = dict.fromkeys(
+            flow.conn for route in self.routes.values() for flow in route.active
+        )
+        for stack in self._stacks.values():
+            for conn in stack._connections.values():
+                # a TIME_WAIT record's connection closed: never fluid
+                if conn.__class__ is not TimeWait and conn._fluid is not None:
+                    conns.setdefault(conn)
+        return list(conns)
 
     # -- capacity epochs -------------------------------------------------------
     def on_nic_failed(self, nic) -> None:
@@ -636,14 +636,11 @@ class FidelityController:
         # Sender books: in fluid mode snd_una tracks snd_nxt exactly.
         conn.snd_nxt += size
         conn.snd_una += size
-        conn.stats.bytes_sent += size
-        conn.stats.bytes_acked += size
         conn.delivered += size
         conn.delivered_time = self.sim.now
         conn.send_buffer.on_ack(size)  # admits blocked writers (-> pump)
 
         # Receiver books: exactly what the reassembled segments would do.
-        peer.stats.bytes_received += size
         peer.assembly.rcv_nxt += size
         overfull = peer.recv_buffer.available + size > peer.recv_buffer.capacity
         peer.recv_buffer.deliver(size)

@@ -183,13 +183,17 @@ class ReceiveBuffer:
         self.capacity = capacity
         self.available = 0  # in-order bytes not yet read by the app
         self.eof = False
-        # Both lists are None while empty (see SendBuffer._waiters).
+        # None while empty (see SendBuffer._waiters).
         self._readers: Optional[List[Tuple[int, Event]]] = None
-        self._watchers: Optional[List[Any]] = None
+        # Event.callbacks' shape: None, the one waiter (an Event or a
+        # continuation tuple), or a list of two or more in attach order.
+        self._watchers: Any = None
 
     def window(self, out_of_order_bytes: int = 0) -> int:
-        """Receive window to advertise."""
-        return max(0, self.capacity - self.available - out_of_order_bytes)
+        """Receive window to advertise: ``capacity`` itself while nothing
+        is held, so idle endpoints share it instead of an equal new int."""
+        used = self.available + out_of_order_bytes
+        return max(0, self.capacity - used) if used else self.capacity
 
     def deliver(self, nbytes: int) -> None:
         """Hand newly in-order bytes to the buffer; wakes pending readers."""
@@ -235,19 +239,26 @@ class ReceiveBuffer:
 
     def watch(self, waiter) -> None:
         """:meth:`wait_readable` for any waiter (see :meth:`Simulator.wake`)."""
+        watchers = self._watchers
         if self.available > 0 or self.eof:
             self.sim.wake(waiter)
-        elif self._watchers is None:
-            self._watchers = [waiter]
+        elif watchers is None:
+            self._watchers = waiter
+        elif watchers.__class__ is list:
+            watchers.append(waiter)
         else:
-            self._watchers.append(waiter)
+            self._watchers = [watchers, waiter]
 
     def _wake(self) -> None:
-        if self._watchers and (self.available > 0 or self.eof):
-            watchers, self._watchers = self._watchers, None
+        watchers = self._watchers
+        if watchers is not None and (self.available > 0 or self.eof):
+            self._watchers = None
             wake = self.sim.wake
-            for waiter in watchers:
-                wake(waiter)
+            if watchers.__class__ is list:
+                for waiter in watchers:
+                    wake(waiter)
+            else:
+                wake(watchers)
         readers = self._readers
         while readers and (self.available > 0 or self.eof):
             max_bytes, event = readers.pop(0)

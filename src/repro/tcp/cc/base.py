@@ -12,11 +12,18 @@ tenants when they pick an NSM.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Dict, Optional, Type
 
 __all__ = ["RateSample", "CongestionControl", "register", "make", "available"]
 
 _INF = float("inf")
+
+
+@cache
+def _initial_cwnd(segments: int, mss: int) -> int:
+    """One int per (IW, mss), shared by every connection starting there."""
+    return segments * mss
 
 
 @dataclass(slots=True)
@@ -54,7 +61,7 @@ class CongestionControl:
         if mss <= 0:
             raise ValueError("mss must be positive")
         self.mss = mss
-        self.cwnd = initial_window_segments * mss
+        self.cwnd = _initial_cwnd(initial_window_segments, mss)
         self.ssthresh = _INF
         self.in_recovery = False
 

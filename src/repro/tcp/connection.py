@@ -98,22 +98,6 @@ class _TxRecord:
 _end_seq = attrgetter("end_seq")
 
 
-@dataclass(slots=True)
-class ConnStats:
-    """Per-connection counters surfaced to experiments and tests."""
-
-    bytes_sent: int = 0
-    bytes_acked: int = 0
-    bytes_received: int = 0
-    segments_sent: int = 0
-    segments_received: int = 0
-    retransmits: int = 0
-    fast_retransmits: int = 0
-    timeouts: int = 0
-    dup_acks: int = 0
-    ecn_echoes: int = 0
-
-
 class TcpConnection:
     """One endpoint of a TCP connection."""
 
@@ -179,7 +163,6 @@ class TcpConnection:
         "_closed",
         "on_data_available",
         "on_established_cb",
-        "stats",
         # hybrid fidelity
         "_fidelity",
         "_fluid",
@@ -278,8 +261,6 @@ class TcpConnection:
         #: Optional hooks used by ServiceLib (nk_*_callback analogues).
         self.on_data_available = None
         self.on_established_cb = None
-
-        self.stats = ConnStats()
 
         # --- hybrid fidelity (repro.sim.fluid) ---
         #: The installed FidelityController, or None (pure packet mode).
@@ -386,7 +367,6 @@ class TcpConnection:
     # ------------------------------------------------------- segment arrival --
     def on_segment(self, seg: TcpSegment, ecn_ce: bool = False) -> None:
         """Demuxed entry point from the stack (CPU already charged)."""
-        self.stats.segments_received += 1
         if seg.rst:
             self._on_rst()
             return
@@ -474,7 +454,6 @@ class TcpConnection:
         previously_sacked = self._sacked.trim_below(ack)
         self._rexmitted.trim_below(ack)
         self._covered.trim_below(ack)
-        self.stats.bytes_acked += advance
         self._dupacks = 0
 
         # Delivery accounting: bytes first reported delivered by this ACK.
@@ -500,7 +479,7 @@ class TcpConnection:
 
         # ECN echo (classic): one reduction per window.
         if seg.ece:
-            self.stats.ecn_echoes += 1
+            self.stack.stats.ecn_echoes += 1
             if self.cc.wants_accurate_ecn:
                 sample.ce_marked = True
             elif self.snd_una > self._ecn_reduction_seq:
@@ -577,7 +556,6 @@ class TcpConnection:
         return sample
 
     def _on_dupack(self, seg: TcpSegment, newly_sacked: int) -> None:
-        self.stats.dup_acks += 1
         self.stack.stats.dup_acks += 1
         self._dupacks += 1
 
@@ -608,7 +586,6 @@ class TcpConnection:
         self._in_fast_recovery = True
         self._recover = self.snd_nxt
         self.cc.on_loss_event(self.sim.now, self.bytes_in_flight)
-        self.stats.fast_retransmits += 1
         self.stack.stats.fast_retransmits += 1
         self._recovery_send()
         self._arm_rto(restart=True)
@@ -682,7 +659,6 @@ class TcpConnection:
             self._arm_rack()
 
     def _count_retransmit(self) -> None:
-        self.stats.retransmits += 1
         stack = self.stack
         stack.stats.retransmits += 1
         if stack._traced:
@@ -729,7 +705,6 @@ class TcpConnection:
         advanced = self.assembly.add(seg.seq, seg.payload_len)
         in_order = advanced > 0
         if advanced:
-            self.stats.bytes_received += advanced
             self.recv_buffer.deliver(advanced)
             self._check_fin_delivery()
             if self.on_data_available is not None:
@@ -1005,26 +980,23 @@ class TcpConnection:
     def _transmit(
         self, seg: TcpSegment, syn: bool = False, retransmit: bool = False
     ) -> None:
-        self.stats.segments_sent += 1
-        if seg.payload_len > 0:
-            self.stats.bytes_sent += seg.payload_len
-            if not retransmit:
-                if self.bytes_in_flight == 0:
-                    self._first_tx_time = self.sim.now
-                record = _TxRecord(
-                    end_seq=seg.end_seq,
-                    sent_time=self.sim.now,
-                    first_tx_time=self._first_tx_time,
-                    delivered_at_send=self.delivered,
-                    delivered_time_at_send=self.delivered_time or self.sim.now,
-                    is_app_limited=self.delivered + self.bytes_in_flight
-                    <= self._app_limited_until,
-                    payload_len=seg.payload_len,
-                )
-                if self._tx_records:
-                    self._tx_records.append(record)
-                else:
-                    self._tx_records = [record]
+        if seg.payload_len > 0 and not retransmit:
+            if self.bytes_in_flight == 0:
+                self._first_tx_time = self.sim.now
+            record = _TxRecord(
+                end_seq=seg.end_seq,
+                sent_time=self.sim.now,
+                first_tx_time=self._first_tx_time,
+                delivered_at_send=self.delivered,
+                delivered_time_at_send=self.delivered_time or self.sim.now,
+                is_app_limited=self.delivered + self.bytes_in_flight
+                <= self._app_limited_until,
+                payload_len=seg.payload_len,
+            )
+            if self._tx_records:
+                self._tx_records.append(record)
+            else:
+                self._tx_records = [record]
         self.stack.send_segment(self, seg)
 
     # SYN helpers ---------------------------------------------------------------
@@ -1078,7 +1050,6 @@ class TcpConnection:
             return
         if self.snd_una >= self.snd_nxt:
             return  # everything acked; nothing to do
-        self.stats.timeouts += 1
         self.stack.stats.timeouts += 1
         self.rtt.on_timeout()
         self.cc.on_rto(self.sim.now)

@@ -62,12 +62,13 @@ class StackStats:
     no_socket_drops: int = 0
     connections_opened: int = 0
     connections_accepted: int = 0
-    # Loss recovery, summed over every connection the stack has carried
-    # (ConnStats keeps the per-connection split; connections bump both).
+    # Loss recovery and ECN, summed over every connection the stack has
+    # carried: the only copy (a connection keeps no counters of its own).
     retransmits: int = 0
     fast_retransmits: int = 0
     timeouts: int = 0
     dup_acks: int = 0
+    ecn_echoes: int = 0
 
 
 ConnKey = Tuple[int, str, int]  # (local_port, remote_ip, remote_port)
@@ -340,18 +341,17 @@ class TcpStack:
         self._listeners[port] = listener
         return listener
 
-    def _spawn_server_connection(self, listener: Listener, seg: TcpSegment, src_ip: str) -> None:
-        remote = Endpoint(src_ip, seg.src_port)
-        self.accept_child(listener, remote).open_passive_from_syn(seg)
-
-    def accept_child(self, listener: Listener, remote: Endpoint) -> TcpConnection:
-        """A new child of ``listener`` for ``remote``: registered, on a
-        core, handed to the listener once established (still CLOSED)."""
+    def accept_child(
+        self, listener: Listener, remote: Endpoint, key: Optional[ConnKey] = None
+    ) -> TcpConnection:
+        """A new child of ``listener`` for ``remote``: registered (under
+        ``key``, its SYN's demux key, if given), on a core, handed to the
+        listener once established (still CLOSED)."""
         local = listener.local_endpoint(self.ip)
         cfg = self._tcp_config(**getattr(listener, "_tcp_overrides", {}))
         cc = self._make_cc(getattr(listener, "_cc_name", None), cfg.mss)
         conn = TcpConnection(self.sim, self, local, remote, cc, cfg)
-        self._connections[(listener.port, remote.ip, remote.port)] = conn
+        self._connections[key or (listener.port, remote.ip, remote.port)] = conn
         self.stats.connections_accepted += 1
         self._assign_core(conn)
         conn.on_established_cb = listener.on_established
@@ -438,7 +438,7 @@ class TcpStack:
     ) -> None:
         # The connection is looked up here (not carried over from
         # on_packet) because it may close while the CPU charge drains;
-        # only the key tuple is reused.
+        # only the key tuple is reused (a SYN's becomes its child's).
         if key is None:
             key = (seg.dst_port, packet.src, seg.src_port)
         conn = self._connections.get(key)  # or its TimeWait record
@@ -449,7 +449,8 @@ class TcpStack:
             listener = self._listeners.get(seg.dst_port)
             if listener is not None:
                 if listener.can_admit():
-                    self._spawn_server_connection(listener, seg, packet.src)
+                    remote = Endpoint(packet.src, seg.src_port)
+                    self.accept_child(listener, remote, key).open_passive_from_syn(seg)
                 else:  # backlog full: silent drop, client retries
                     self.stats.no_socket_drops += 1
                 return

@@ -3,11 +3,13 @@
 ``linked_stacks`` builds the smallest possible end-to-end TCP rig: two
 stacks joined by a duplex link, no hosts or hypervisors.  The heavier
 NetKernel rigs live in the tests that need them.  ``step`` and ``peek``
-drive a simulator one queue entry at a time.
+drive a simulator one queue entry at a time.  ``recovery_tally`` counts
+loss recovery per connection, which the program counts only per stack.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from heapq import heappop
 from typing import Optional
@@ -16,7 +18,7 @@ import pytest
 
 from repro.net import DuplexLink, LossModel, OffloadConfig, VirtualNIC
 from repro.sim import Simulator
-from repro.tcp import StackConfig, TcpStack
+from repro.tcp import StackConfig, TcpConnection, TcpStack, TcpState
 
 
 @dataclass
@@ -139,3 +141,41 @@ def step(sim: Simulator) -> None:
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator()
+
+
+#: The ``StackStats`` counters a connection bumps for loss recovery.
+RECOVERY_COUNTERS = ("retransmits", "fast_retransmits", "timeouts", "dup_acks")
+
+
+def _timed_out(conn) -> bool:
+    """Whether ``_rto_fire`` is about to count a timeout (not a SYN retry,
+    not a stale fire with nothing outstanding)."""
+    return (
+        conn.state not in (TcpState.SYN_SENT, TcpState.SYN_RCVD)
+        and conn.snd_una < conn.snd_nxt
+    )
+
+
+@pytest.fixture
+def recovery_tally(monkeypatch):
+    """Per-connection loss-recovery counts kept by the test: connection ->
+    Counter over ``RECOVERY_COUNTERS``, one tick where the connection
+    bumps its stack's counter.  Connections built before the fixture
+    keep the unwrapped RTO (their deadline holds the function)."""
+    tally = defaultdict(Counter)
+
+    def count(name, counter, when=None):
+        method = getattr(TcpConnection, name)
+
+        def counted(conn, *args):
+            if when is None or when(conn):
+                tally[conn][counter] += 1
+            return method(conn, *args)
+
+        monkeypatch.setattr(TcpConnection, name, counted)
+
+    count("_count_retransmit", "retransmits")
+    count("_enter_fast_recovery", "fast_retransmits")
+    count("_rto_fire", "timeouts", _timed_out)
+    count("_on_dupack", "dup_acks")
+    return tally

@@ -145,6 +145,60 @@ def test_chaos_forces_demotion():
     assert _is_fluid(conn)
 
 
+def _figure4_fluid_world():
+    """Figure 4's native 2-flow auto world at 0.02 s (both flows fluid)."""
+    from repro.experiments.figure4 import _build_lan_world
+
+    testbed, _receivers = _build_lan_world(
+        "native", flows=2, warmup=0.0, fidelity="auto"
+    )
+    testbed.run(until=0.02)
+    return testbed.sim.fidelity
+
+
+def test_a_fault_demotes_each_fluid_connection_once(monkeypatch):
+    """Four fluid connections, each listed once (the route-active flows
+    first, then the rest by stack), and a fault demotes each of them once,
+    in that order."""
+    from repro.tcp.stack import TimeWait
+
+    controller = _figure4_fluid_world()
+    fluid = [
+        conn
+        for stack in controller._stacks.values()
+        for conn in stack._connections.values()
+        if conn.__class__ is not TimeWait and conn._fluid is not None
+    ]
+    active = [
+        flow.conn for route in controller.routes.values() for flow in route.active
+    ]
+    listed = controller._fluid_conns()
+    assert len(fluid) == len(listed) == 4 and active
+    assert listed[: len(active)] == active
+    assert listed[len(active):] == [conn for conn in fluid if conn not in active]
+
+    demoted = []
+    demote = controller.demote
+    monkeypatch.setattr(
+        controller, "demote",
+        lambda conn, reason: demoted.append(conn) or demote(conn, reason),
+    )
+    controller.on_fault_fired("test", 0.01)
+    assert demoted == listed
+    assert all(conn._fluid is None for conn in fluid)
+
+
+def test_a_receivers_nic_failure_demotes_both_ends_of_each_flow():
+    """The receiving NIC fails under active flows: each sender is demoted
+    for its peer's NIC and each receiver for its own, once each (a second
+    visit to a demoted sender used to read the peer of a None flow)."""
+    controller = _figure4_fluid_world()
+    flow = next(flow for route in controller.routes.values() for flow in route.active)
+    controller.on_nic_failed(flow.peer.stack.nic)
+    assert controller.demotion_reasons == {"nic_failure": 4}
+    assert flow.demoted and flow.conn._fluid is None
+
+
 # -- golden tolerances ---------------------------------------------------------
 
 

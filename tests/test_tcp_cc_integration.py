@@ -89,7 +89,8 @@ def test_dctcp_holds_queue_at_ecn_threshold():
         ecn=True,
     )
     assert bps > 0.7 * 100e6
-    assert conn.stats.ecn_echoes > 0
+    # The sender's stack carries this one connection.
+    assert conn.stack.stats.ecn_echoes > 0
     # Standing queue stays near the marking threshold, not the full buffer.
     queueing_delay = conn.rtt.srtt - 2 * 0.001
     assert queueing_delay < (400 * 1024 * 8 / 100e6)
@@ -105,8 +106,8 @@ def test_classic_ecn_reduces_without_loss():
         queue_bytes=4 << 20,  # too deep to overflow
         ecn=True,
     )
-    assert conn.stats.ecn_echoes > 0
-    assert conn.stats.retransmits == 0  # marking, not dropping
+    assert conn.stack.stats.ecn_echoes > 0
+    assert conn.stack.stats.retransmits == 0  # marking, not dropping
     assert bps > 0.6 * 100e6
 
 

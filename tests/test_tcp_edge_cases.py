@@ -17,7 +17,8 @@ def _nagle_rig(nagle):
 
 
 def count_runt_segments(rig, nbytes_each=10, writes=20):
-    """Send many tiny writes back to back; return data segments emitted."""
+    """Send many tiny writes back to back; return (bytes delivered, the
+    sending stack's stats), the stack carrying this one connection."""
     listener = rig.stack_b.listen(5000)
     state = {}
 
@@ -33,7 +34,6 @@ def count_runt_segments(rig, nbytes_each=10, writes=20):
 
     def client(sim):
         conn = rig.stack_a.connect(Endpoint("10.0.0.2", 5000))
-        state["conn"] = conn
         yield conn.established
         for _ in range(writes):
             yield conn.send(nbytes_each)
@@ -42,20 +42,16 @@ def count_runt_segments(rig, nbytes_each=10, writes=20):
     rig.sim.process(server(rig.sim))
     rig.sim.process(client(rig.sim))
     rig.run(until=30.0)
-    conn = state["conn"]
-    data_segments = conn.stats.segments_sent - (
-        conn.stats.segments_received
-    )  # rough; use payload-bearing count instead
-    return state["total"], conn
+    return state["total"], rig.stack_a.stats
 
 
 def test_nagle_coalesces_tiny_writes():
-    _total_off, conn_off = count_runt_segments(_nagle_rig(False))
-    total_on, conn_on = count_runt_segments(_nagle_rig(True))
+    _total_off, off = count_runt_segments(_nagle_rig(False))
+    total_on, on = count_runt_segments(_nagle_rig(True))
     assert total_on == 200  # everything still arrives
     # With Nagle the runts coalesce into far fewer data-bearing segments.
-    assert conn_on.stats.bytes_sent == conn_off.stats.bytes_sent
-    assert conn_on.stats.segments_sent < conn_off.stats.segments_sent
+    assert on.bytes_out == off.bytes_out
+    assert on.segments_out < off.segments_out
 
 
 def test_nagle_does_not_deadlock_final_runt():

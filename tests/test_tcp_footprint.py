@@ -7,17 +7,23 @@ kept:
 * the rate-sample records live in one list in send order, the shared
   ``()`` whenever nothing is outstanding;
 * ``closed`` is built the first time someone asks for it;
-* a buffer's waiter lists go back to ``None`` once drained;
+* a buffer's waiter lists go back to ``None`` once drained, and a lone
+  readiness watcher is stored bare, as ``Event.callbacks`` stores one;
 * connections accepted on one listener share one local ``Endpoint`` and
-  one bound ``on_established_cb``.
+  one bound ``on_established_cb``, and each is filed under the demux key
+  its SYN was looked up with;
+* a connection keeps no counters (its stack's ``StackStats`` does), and
+  idle endpoints share one initial ``cwnd`` and one advertised window.
 """
 
 import gc
+import tracemalloc
 import weakref
 
 from conftest import make_linked_stacks, step
 from repro.net import Endpoint
-from repro.tcp import TcpState
+from repro.tcp import TcpConnection, TcpState
+from repro.tcp.buffers import ReceiveBuffer
 from repro.tcp.segment import TcpSegment
 from repro.tcp.stack import TimeWait
 
@@ -84,7 +90,7 @@ def test_a_sack_only_ack_samples_and_retires_its_record_and_rto_empties_the_list
 
     # An RTO presumes everything outstanding lost: no record is kept.
     client._rto_fire()
-    assert client.stats.timeouts == 1
+    assert rig.stack_a.stats.timeouts == 1  # the client's stack
     assert client._tx_records == () and client._tx_head == 0
 
     # A connection that never sent data never built a list.
@@ -178,3 +184,82 @@ def test_connections_accepted_on_a_listener_share_its_local_endpoint():
     assert len({conn.remote for conn in accepted}) == 3
     assert all(conn.on_established_cb is listener.on_established for conn in accepted)
 
+
+
+def test_a_connection_keeps_no_counters_of_its_own():
+    _rig, client, server = established_pair()
+    assert "stats" not in TcpConnection.__slots__
+    assert not hasattr(client, "stats") and not hasattr(server, "stats")
+
+
+def test_an_accepted_child_is_filed_under_its_syns_demux_key():
+    rig = make_linked_stacks()
+    stack = rig.stack_b
+    keys = []
+    demux = stack._demux
+    stack._demux = lambda packet, seg, key=None: keys.append(key) or demux(
+        packet, seg, key
+    )
+    _rig, _client, server = established_pair(rig)
+    (filed,) = [key for key, conn in stack._connections.items() if conn is server]
+    assert filed is keys[0]  # the tuple on_packet built for the SYN
+
+
+def test_idle_endpoints_share_their_initial_and_advertised_windows():
+    _rig, client, server = established_pair()
+    _rig, other, other_server = established_pair()
+    cwnd, rcvbuf = client.cc.cwnd, client.config.rcvbuf
+    assert cwnd == 10 * MSS
+    # Empty receive buffers offer their capacity object, and the peer keeps
+    # the one it was offered.
+    for conn in (client, server, other, other_server):
+        assert conn.cc.cwnd is cwnd
+        assert conn._last_advertised_wnd is rcvbuf
+        assert conn.snd_wnd is rcvbuf
+
+
+def test_a_lone_watcher_is_stored_bare_and_two_wake_in_attach_order(sim):
+    buffer = ReceiveBuffer(sim, 1000)
+    fired = []
+    first = buffer.wait_readable()
+    first.add_callback(lambda _ev: fired.append("first"))
+    assert buffer._watchers is first
+    second = (fired.append, ("second",))
+    buffer.watch(second)
+    assert buffer._watchers == [first, second]
+    buffer.deliver(10)
+    assert buffer._watchers is None
+    sim.run()
+    assert fired == ["first", "second"]
+
+
+#: tracemalloc bytes one idle established pair holds (both endpoints, their
+#: demux entries and pending timer entries), CPython 3.11: ~3 000 here,
+#: ~3 370 while each endpoint kept ten counters, a copy of its window
+#: ints and a fresh demux key per accepted child.
+IDLE_PAIR_BYTES = 3_200
+
+
+def test_an_idle_established_pair_fits_its_byte_budget():
+    pairs = 200
+    rig = make_linked_stacks()
+    listener = rig.stack_b.listen(PORT)
+    accepted = []
+    listener.on_new_connection = accepted.append
+    rig.stack_a.connect(Endpoint("10.0.0.2", PORT))  # warm the caches
+    rig.run(until=0.01)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        clients = [
+            rig.stack_a.connect(Endpoint("10.0.0.2", PORT)) for _ in range(pairs)
+        ]
+        rig.run(until=0.02)
+        gc.collect()
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(accepted) == pairs + 1
+    assert all(conn.state is TcpState.ESTABLISHED for conn in clients)
+    assert used / pairs < IDLE_PAIR_BYTES

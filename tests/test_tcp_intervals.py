@@ -292,7 +292,7 @@ def test_only_a_connection_that_sees_loss_gets_its_own_scoreboards():
     rig = make_linked_stacks(loss=IIDLoss(0.02, seed=5))
     result = transfer(rig, total_bytes=500_000)
     lossy = result["client_conn"]
-    assert result["received"] == 500_000 and lossy.stats.retransmits > 0
+    assert result["received"] == 500_000 and rig.stack_a.stats.retransmits > 0
     assert lossy._sacked is not EMPTY and type(lossy._sacked) is IntervalSet
 
     queue = ReassemblyQueue()

@@ -54,7 +54,7 @@ def test_syn_retransmits_on_loss():
     loss.p = 0.0  # path heals
     rig.run(until=10.0)
     assert conn.state is TcpState.ESTABLISHED
-    assert conn.stats.segments_sent >= 2  # at least one SYN retry
+    assert rig.stack_a.stats.segments_out >= 2  # at least one SYN retry
 
 
 def test_handshake_counts_sequence_space():
@@ -77,7 +77,7 @@ def test_transfer_with_random_loss_is_reliable():
     rig = make_linked_stacks(loss=IIDLoss(0.02, seed=5))
     result = transfer(rig, total_bytes=500_000)
     assert result["received"] == 500_000
-    assert result["client_conn"].stats.retransmits > 0
+    assert rig.stack_a.stats.retransmits > 0  # the client's stack
 
 
 def test_transfer_with_ack_loss_is_reliable():
@@ -136,10 +136,10 @@ def test_fast_retransmit_without_rto():
 
     rig = make_linked_stacks(loss=DropNth(20))
     result = transfer(rig, total_bytes=1_000_000)
-    conn = result["client_conn"]
     assert result["received"] == 1_000_000
-    assert conn.stats.fast_retransmits >= 1
-    assert conn.stats.timeouts == 0
+    # The client's stack carries this one connection.
+    assert rig.stack_a.stats.fast_retransmits >= 1
+    assert rig.stack_a.stats.timeouts == 0
 
 
 def test_rto_recovers_tail_loss():
@@ -164,7 +164,7 @@ def test_rto_recovers_tail_loss():
     rig.stack_a.nic.transmit = flaky_transmit
     result = transfer(rig, total_bytes=100_000)
     assert result["received"] == 100_000
-    assert result["client_conn"].stats.timeouts >= 1
+    assert rig.stack_a.stats.timeouts >= 1  # the client's stack
 
 
 # ----------------------------------------------------------------------- close --
@@ -218,7 +218,7 @@ def test_receiver_window_throttles_sender():
     rig.run(until=30.0)
     client_conn = state["client"]
     # The sender cannot have pushed much more than the receive buffer.
-    assert client_conn.stats.bytes_acked <= 25_000
+    assert client_conn.snd_una - client_conn.data_seq_base <= 25_000  # acked
 
 
 def test_window_reopens_after_reads():

@@ -19,6 +19,8 @@ from repro.host.vm import GuestOS
 from repro.net import Endpoint, IIDLoss
 from repro.netkernel import NsmSpec
 
+from conftest import RECOVERY_COUNTERS
+
 DURATION, WARMUP = 12.0, 3.0
 
 #: cc -> (repr(mbps), retransmits, fast_retransmits, timeouts, dup_acks,
@@ -73,13 +75,13 @@ def test_figure5_point_bit_identical(cc):
 
 
 @pytest.mark.parametrize("cc", sorted(IID_2PCT))
-def test_wan_under_iid_loss_bit_identical(cc):
+def test_wan_under_iid_loss_bit_identical(cc, recovery_tally):
     observed, stack = run_wan_point(cc, loss=IIDLoss(0.02, seed=7))
     assert observed == IID_2PCT[cc]
     # The stack-wide aggregate is the sum of what its connections counted
     # (the bulk flow is still open, so none has been forgotten).
     conns = list(stack._connections.values())
-    for name in ("retransmits", "fast_retransmits", "timeouts", "dup_acks"):
+    for name in RECOVERY_COUNTERS:
         assert getattr(stack.stats, name) == sum(
-            getattr(conn.stats, name) for conn in conns
+            recovery_tally[conn][name] for conn in conns
         )

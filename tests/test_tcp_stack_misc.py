@@ -10,7 +10,7 @@ from repro.net.addressing import EPHEMERAL_BASE
 from repro.sim.engine import Deadline
 from repro.tcp import StackConfig, TcpSegment, TcpStack, TcpState
 
-from conftest import make_linked_stacks, step
+from conftest import RECOVERY_COUNTERS, make_linked_stacks, step
 
 
 def test_ephemeral_ports_unique_and_wrap():
@@ -40,7 +40,7 @@ def test_stack_counts_bytes():
     assert rig.stack_b.stats.bytes_in >= 25_000
 
 
-def test_stack_sums_recovery_counters_past_connection_teardown():
+def test_stack_sums_recovery_counters_past_connection_teardown(recovery_tally):
     from conftest import transfer
     from repro.net import IIDLoss
 
@@ -51,8 +51,8 @@ def test_stack_sums_recovery_counters_past_connection_teardown():
     ]
     assert not rig.stack_a._connections  # both closed and forgotten
     stats = rig.stack_a.stats
-    for name in ("retransmits", "fast_retransmits", "timeouts", "dup_acks"):
-        assert getattr(stats, name) == sum(getattr(c.stats, name) for c in conns)
+    for name in RECOVERY_COUNTERS:
+        assert getattr(stats, name) == sum(recovery_tally[c][name] for c in conns)
     assert stats.retransmits > 0 and stats.dup_acks > 0
 
 
@@ -210,7 +210,9 @@ def _two_lives(drop_stale):
     """Two connections on the same 4-tuple, the second started while the
     first one's stale timer entries are still queued and idling past them.
     With ``drop_stale`` those entries are deleted from the queue first.
-    Returns the second life's (client stats, server stats, duration)."""
+    Returns the second life's (client stats, server stats, duration): what
+    each end's stack counted in that life, when it carried that one
+    connection, plus the stream bytes its sequence numbers account for."""
     import dataclasses
     import heapq
 
@@ -227,12 +229,22 @@ def _two_lives(drop_stale):
             sim._queue[:] = [e for e in sim._queue if type(e[2]) is not Deadline]
             heapq.heapify(sim._queue)
         started = sim.now
+        before = [dataclasses.asdict(s.stats) for s in (rig.stack_a, rig.stack_b)]
         idle_until = max(entry[0] for entry in stale) + 1.0
-        second = yield from _one_life(rig, sim, listener, idle_until)
-        out["result"] = (
-            *(dataclasses.asdict(conn.stats) for conn in second),
-            sim.now - started,
-        )
+        client, server = yield from _one_life(rig, sim, listener, idle_until)
+        ends = []
+        for stack, counted, conn in zip(
+            (rig.stack_a, rig.stack_b), before, (client, server)
+        ):
+            stats = {
+                name: value - counted[name]
+                for name, value in dataclasses.asdict(stack.stats).items()
+            }
+            # Stream bytes: the SYN and the FIN take a sequence number each.
+            stats["bytes_acked"] = conn.snd_una - conn.iss - 2
+            stats["bytes_received"] = conn.assembly.rcv_nxt - conn.irs - 2
+            ends.append(stats)
+        out["result"] = (*ends, sim.now - started)
 
     sim.process(script(sim))
     rig.run(until=300.0)
@@ -245,7 +257,7 @@ def test_previous_life_timers_are_noops_in_the_next_life():
     the new life without effect: no timeout, no retransmit, and not one
     segment more or less than with those entries deleted."""
     client, server, duration = _two_lives(drop_stale=False)
-    assert client["bytes_sent"] == server["bytes_received"] == 200_000
+    assert client["bytes_out"] == server["bytes_received"] == 200_000
     for stats in (client, server):
         assert stats["timeouts"] == 0 and stats["retransmits"] == 0
     assert (client, server, duration) == _two_lives(drop_stale=True)

@@ -182,7 +182,7 @@ def test_a_retransmitted_fin_is_acked_as_the_connection_would(hold):
     rig.run(until=3.0)
     assert (found["a"]() is None) is not hold
     b_conn = found["b"]
-    assert b_conn.stats.retransmits == 1  # the FIN, once
+    assert rig.stack_b.stats.retransmits == 1  # B's FIN, once
     (_, lost), (at, reply) = sent[before:]
     assert lost is found["dropped"] and lost.ack_no == b_conn.fin_seq + 1
     assert reply == FIN_REPLY and at == 1.00200744  # after the CPU charge on a0
