@@ -17,7 +17,7 @@ explicitly in the integration suite.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Protocol
 
 from ..net import Endpoint
 from ..sim import Event, Simulator
@@ -33,12 +33,12 @@ from .errors import (
 __all__ = ["SocketApi", "KernelSocketApi"]
 
 
-class SocketApi:
-    """Abstract socket interface (BSD verbs, fd-based, event-returning)."""
+class SocketApi(Protocol):
+    """The socket interface (BSD verbs, fd-based, event-returning) that
+    :class:`KernelSocketApi` and GuestLib both provide."""
 
     def socket(self) -> Event:
         """Create a socket; event fires with the new fd."""
-        raise NotImplementedError
 
     def bind(self, fd: int, port: int) -> Event:
         """Assign a local port; event fires when the binding is in effect.
@@ -47,27 +47,21 @@ class SocketApi:
         implementation round-trips through the NSM.  Argument errors raise
         synchronously in both.
         """
-        raise NotImplementedError
 
     def listen(self, fd: int, backlog: int = 128) -> Event:
         """Start accepting; event fires when the listener is live."""
-        raise NotImplementedError
 
     def accept(self, fd: int) -> Event:
         """Event fires with the fd of the next accepted connection."""
-        raise NotImplementedError
 
     def connect(self, fd: int, remote: Endpoint) -> Event:
         """Event fires when the handshake completes (or fails)."""
-        raise NotImplementedError
 
     def send(self, fd: int, nbytes: int) -> Event:
         """Event fires with the byte count accepted into the send buffer."""
-        raise NotImplementedError
 
     def recv(self, fd: int, max_bytes: int) -> Event:
         """Event fires with bytes read; 0 means EOF."""
-        raise NotImplementedError
 
     def close(self, fd: int) -> Event:
         """close(2) semantics: fires once the fd is released to the app.
@@ -75,19 +69,16 @@ class SocketApi:
         Teardown (send-buffer drain, FIN handshake, TIME_WAIT) continues
         in the background, as with real sockets.
         """
-        raise NotImplementedError
 
     def set_congestion_control(self, fd: int, name: str) -> None:
         """setsockopt(TCP_CONGESTION) equivalent (synchronous, may raise)."""
-        raise NotImplementedError
 
     # -- readiness (epoll support) ---------------------------------------------
     def wait_readable(self, fd: int) -> Event:
         """Fires when recv()/accept() would not block."""
-        raise NotImplementedError
 
     def readable_now(self, fd: int) -> bool:
-        raise NotImplementedError
+        """Whether recv()/accept() would not block right now."""
 
 
 class _KernelSocket:
@@ -103,7 +94,7 @@ class _KernelSocket:
         self.conn: Optional[TcpConnection] = None
 
 
-class KernelSocketApi(SocketApi):
+class KernelSocketApi:
     """Sockets served by the guest kernel's own TCP stack (legacy path)."""
 
     def __init__(

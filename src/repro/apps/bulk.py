@@ -16,6 +16,10 @@ from ..stats import ThroughputMeter
 
 __all__ = ["BulkReceiver", "BulkSender"]
 
+#: Bytes a receiver asks for per ``recv`` and a sender hands over per ``send``.
+READ_SIZE = 1 << 20
+WRITE_SIZE = 65536
+
 
 class BulkReceiver:
     """Accepts one connection per call slot and drains it, measuring goodput."""
@@ -26,12 +30,10 @@ class BulkReceiver:
         api: SocketApi,
         port: int,
         warmup: float = 0.0,
-        read_size: int = 1 << 20,
     ) -> None:
         self.sim = sim
         self.api = api
         self.port = port
-        self.read_size = read_size
         self.meter = ThroughputMeter(sim, warmup=warmup)
         self.connections_served = 0
         self.process: Process = sim.process(self._run(), name=f"bulk-rx:{port}")
@@ -43,7 +45,7 @@ class BulkReceiver:
         conn_fd = yield self.api.accept(fd)
         self.connections_served += 1
         while True:
-            n = yield self.api.recv(conn_fd, self.read_size)
+            n = yield self.api.recv(conn_fd, READ_SIZE)
             if n == 0:
                 break
             self.meter.record(n)
@@ -59,7 +61,6 @@ class BulkSender:
         api: SocketApi,
         remote: Endpoint,
         total_bytes: Optional[int] = None,
-        write_size: int = 65536,
         congestion_control: Optional[str] = None,
         start_delay: float = 0.0,
     ) -> None:
@@ -67,7 +68,6 @@ class BulkSender:
         self.api = api
         self.remote = remote
         self.total_bytes = total_bytes
-        self.write_size = write_size
         self.congestion_control = congestion_control
         self.start_delay = start_delay
         self.bytes_sent = 0
@@ -81,7 +81,7 @@ class BulkSender:
             self.api.set_congestion_control(fd, self.congestion_control)
         yield self.api.connect(fd, self.remote)
         while self.total_bytes is None or self.bytes_sent < self.total_bytes:
-            size = self.write_size
+            size = WRITE_SIZE
             if self.total_bytes is not None:
                 size = min(size, self.total_bytes - self.bytes_sent)
             yield self.api.send(fd, size)

@@ -80,7 +80,6 @@ class RpcClient:
         request_bytes: int = 128,
         response_bytes: int = 128,
         max_requests: Optional[int] = None,
-        congestion_control: Optional[str] = None,
         start_delay: float = 0.0,
     ) -> None:
         self.sim = sim
@@ -89,7 +88,6 @@ class RpcClient:
         self.request_bytes = request_bytes
         self.response_bytes = response_bytes
         self.max_requests = max_requests
-        self.congestion_control = congestion_control
         self.start_delay = start_delay
         self.latency = LatencyRecorder()
         self.completed = 0
@@ -99,8 +97,6 @@ class RpcClient:
         if self.start_delay > 0:
             yield self.sim.timeout(self.start_delay)
         fd = yield self.api.socket()
-        if self.congestion_control is not None:
-            self.api.set_congestion_control(fd, self.congestion_control)
         yield self.api.connect(fd, self.remote)
         while self.max_requests is None or self.completed < self.max_requests:
             started = self.sim.now

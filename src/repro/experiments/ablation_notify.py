@@ -51,7 +51,11 @@ class NotifyResult:
         return "\n".join(lines)
 
 
-def _measure(mode: NotifyMode, duration: float) -> NotifyRow:
+#: Simulated seconds per notification mode.
+DURATION = 0.3
+
+
+def _measure(mode: NotifyMode) -> NotifyRow:
     config = CoreEngineConfig(notify_mode=mode)
     testbed = make_lan_testbed(coreengine_config=config)
     sim = testbed.sim
@@ -64,7 +68,7 @@ def _measure(mode: NotifyMode, duration: float) -> NotifyRow:
     client = RpcClient(
         sim, vm_a.api, Endpoint(vm_b.api.ip, 7000), start_delay=0.005
     )
-    sim.run(until=duration)
+    sim.run(until=DURATION)
 
     # Provider-side CPU: the two CoreEngine cores plus the two NSM cores.
     provider_cores = [
@@ -73,7 +77,7 @@ def _measure(mode: NotifyMode, duration: float) -> NotifyRow:
         *nsm_a.cores,
         *nsm_b.cores,
     ]
-    burned = sum(core.utilization(duration) for core in provider_cores)
+    burned = sum(core.utilization(DURATION) for core in provider_cores)
     latency = client.latency
     return NotifyRow(
         mode=mode.value,
@@ -84,11 +88,8 @@ def _measure(mode: NotifyMode, duration: float) -> NotifyRow:
     )
 
 
-def run_notify_ablation(duration: float = 0.3) -> NotifyResult:
+def run_notify_ablation() -> NotifyResult:
     """Polling vs batched interrupts under an identical RPC workload."""
     return NotifyResult(
-        rows=[
-            _measure(NotifyMode.POLLING, duration),
-            _measure(NotifyMode.BATCHED_INTERRUPT, duration),
-        ]
+        rows=[_measure(NotifyMode.POLLING), _measure(NotifyMode.BATCHED_INTERRUPT)]
     )

@@ -10,7 +10,7 @@ moved, memory footprint, boot time and isolation class per form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 from ..apps import BulkReceiver, BulkSender
 from ..net import Endpoint
@@ -49,20 +49,18 @@ class NsmFormResult:
         return "\n".join(lines)
 
 
-def run_nsm_form_ablation(
-    forms: Sequence[NsmForm] = (
-        NsmForm.VM,
-        NsmForm.CONTAINER,
-        NsmForm.HYPERVISOR_MODULE,
-    ),
-    flows: int = 2,
-    duration: float = 0.3,
-    warmup: float = 0.08,
-) -> NsmFormResult:
-    """One row per NSM form, measured on the LAN testbed."""
+#: Bulk flows per form, simulated seconds, and the warmup goodput excludes.
+FLOWS = 2
+DURATION = 0.3
+WARMUP = 0.08
+
+
+def run_nsm_form_ablation() -> NsmFormResult:
+    """One row per NSM form (VM, container, hypervisor module), measured
+    on the LAN testbed."""
     rows = []
     overrides = {"rcvbuf": FIG4_SOCKET_BUF, "sndbuf": FIG4_SOCKET_BUF}
-    for form in forms:
+    for form in NsmForm:
         testbed = make_lan_testbed()
         sim = testbed.sim
         spec = NsmSpec(congestion_control="cubic", form=form, tcp_overrides=overrides)
@@ -73,12 +71,12 @@ def run_nsm_form_ablation(
         vm_a = testbed.hypervisor_a.boot_netkernel_vm("client", nsm_a, vcpus=4)
         vm_b = testbed.hypervisor_b.boot_netkernel_vm("server", nsm_b, vcpus=4)
         receivers = []
-        for i in range(flows):
+        for i in range(FLOWS):
             port = 5000 + i
-            receivers.append(BulkReceiver(sim, vm_b.api, port, warmup=warmup))
+            receivers.append(BulkReceiver(sim, vm_b.api, port, warmup=WARMUP))
             BulkSender(sim, vm_a.api, Endpoint(vm_b.api.ip, port))
-        sim.run(until=duration)
-        total_bps = sum(rx.meter.bps(until=duration) for rx in receivers)
+        sim.run(until=DURATION)
+        total_bps = sum(rx.meter.bps(until=DURATION) for rx in receivers)
         gb_moved = sum(rx.meter.bytes for rx in receivers) / 1e9
         nsm_cpu = sum(core.busy_seconds for core in nsm_b.cores) + sum(
             core.busy_seconds for core in nsm_a.cores

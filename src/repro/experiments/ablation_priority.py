@@ -63,9 +63,12 @@ class PriorityResult:
         return "\n".join(lines)
 
 
-def _measure(
-    priority: bool, duration: float, bulk_flows: int
-) -> PriorityRow:
+#: Simulated seconds per ring discipline, and the bulk flows sharing the rings.
+DURATION = 0.3
+BULK_FLOWS = 3
+
+
+def _measure(priority: bool) -> PriorityRow:
     # The HoL-prone configuration: the prototype's 8 KB huge-page chunks
     # (one DATA nqe each — ~575k nqes/s at line rate) with single-threaded
     # GuestLib receive processing that copies inline while polling.
@@ -84,7 +87,7 @@ def _measure(
 
     # Bulk flows saturating the server VM's receive queue with DATA nqes.
     receivers = []
-    for i in range(bulk_flows):
+    for i in range(BULK_FLOWS):
         port = 5000 + i
         receivers.append(BulkReceiver(sim, vm_b.api, port, warmup=0.0))
         BulkSender(sim, vm_a.api, Endpoint(vm_b.api.ip, port))
@@ -97,7 +100,7 @@ def _measure(
         response_bytes=2048,
         start_delay=0.02,
     )
-    sim.run(until=duration)
+    sim.run(until=DURATION)
     latency = web_client.latency
     attachment = testbed.hypervisor_b.coreengine.attachment_of(vm_b.vm_id)
     return PriorityRow(
@@ -105,18 +108,11 @@ def _measure(
         request_p50_us=latency.p(50) * 1e6 if len(latency) else float("nan"),
         request_p99_us=latency.p(99) * 1e6 if len(latency) else float("nan"),
         requests_completed=web_client.completed,
-        bulk_gbps=sum(rx.meter.bps(until=duration) for rx in receivers) / 1e9,
+        bulk_gbps=sum(rx.meter.bps(until=DURATION) for rx in receivers) / 1e9,
         max_ring_depth=attachment.receive_queue.high_watermark,
     )
 
 
-def run_priority_ablation(
-    duration: float = 0.3, bulk_flows: int = 3
-) -> PriorityResult:
+def run_priority_ablation() -> PriorityResult:
     """FIFO vs priority rings under identical load."""
-    return PriorityResult(
-        rows=[
-            _measure(False, duration, bulk_flows),
-            _measure(True, duration, bulk_flows),
-        ]
-    )
+    return PriorityResult(rows=[_measure(False), _measure(True)])

@@ -82,9 +82,12 @@ def measure_rate_cap(
     return receiver.meter.bps(until=duration) / 1e9
 
 
-def _measure_sharing(
-    aggressor_cap_bps: Optional[float], duration: float, warmup: float
-) -> QosRow:
+#: Simulated seconds per run, and the warmup its goodput excludes.
+DURATION = 0.4
+WARMUP = 0.15
+
+
+def _measure_sharing(aggressor_cap_bps: Optional[float]) -> QosRow:
     testbed = make_lan_testbed()
     sim = testbed.sim
     nsm_tx = testbed.hypervisor_a.boot_nsm(
@@ -101,31 +104,28 @@ def _measure_sharing(
     )
     sink = testbed.hypervisor_b.boot_netkernel_vm("sink", nsm_rx, vcpus=4)
 
-    victim_rx = BulkReceiver(sim, sink.api, 5000, warmup=warmup)
+    victim_rx = BulkReceiver(sim, sink.api, 5000, warmup=WARMUP)
     # The victim starts late: without QoS the established aggressor holds
     # the queue and the victim crawls through Cubic convergence.
     BulkSender(sim, victim.api, Endpoint(sink.api.ip, 5000), start_delay=0.05)
-    aggressor_rx = BulkReceiver(sim, sink.api, 5001, warmup=warmup)
+    aggressor_rx = BulkReceiver(sim, sink.api, 5001, warmup=WARMUP)
     BulkSender(sim, aggressor.api, Endpoint(sink.api.ip, 5001))
 
-    sim.run(until=duration)
+    sim.run(until=DURATION)
     return QosRow(
         config="no-qos" if aggressor_cap_bps is None
         else f"cap@{aggressor_cap_bps/1e9:.0f}G",
-        victim_gbps=victim_rx.meter.bps(until=duration) / 1e9,
-        aggressor_gbps=aggressor_rx.meter.bps(until=duration) / 1e9,
+        victim_gbps=victim_rx.meter.bps(until=DURATION) / 1e9,
+        aggressor_gbps=aggressor_rx.meter.bps(until=DURATION) / 1e9,
     )
 
 
-def run_qos_ablation(duration: float = 0.4, warmup: float = 0.15) -> QosResult:
+def run_qos_ablation() -> QosResult:
     """Rate guarantee plus shared-NSM tenant protection."""
     cap = 5e9
-    measured = measure_rate_cap(cap, duration, warmup)
+    measured = measure_rate_cap(cap, DURATION, WARMUP)
     return QosResult(
-        rows=[
-            _measure_sharing(None, duration, warmup),
-            _measure_sharing(10e9, duration, warmup),
-        ],
+        rows=[_measure_sharing(None), _measure_sharing(10e9)],
         rate_cap_gbps=cap / 1e9,
         rate_measured_gbps=measured,
     )

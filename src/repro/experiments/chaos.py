@@ -35,6 +35,7 @@ from typing import List, Optional
 
 from ..api.errors import SocketError
 from ..api.socket_api import SocketApi
+from ..apps.bulk import READ_SIZE, WRITE_SIZE
 from ..faults import FaultInjector, FaultKind, FaultPlan
 from ..net import Endpoint
 from ..netkernel import CoreEngineConfig, NsmSpec
@@ -98,13 +99,11 @@ class ChaosReceiver:
         port: int,
         tracker: Optional[_RecoveryTracker] = None,
         warmup: float = 0.0,
-        read_size: int = 1 << 20,
         phase_edges: Optional[List[float]] = None,
     ) -> None:
         self.sim = sim
         self.api = api
         self.port = port
-        self.read_size = read_size
         self.warmup = warmup
         self.tracker = tracker
         self.phase_edges = list(phase_edges or [])
@@ -153,7 +152,7 @@ class ChaosReceiver:
     def _drain(self, conn_fd: int):
         try:
             while True:
-                n = yield self.api.recv(conn_fd, self.read_size)
+                n = yield self.api.recv(conn_fd, READ_SIZE)
                 if n == 0:
                     break
                 self._record(n)
@@ -181,14 +180,10 @@ class ChaosSender:
         sim: Simulator,
         api: SocketApi,
         remote: Endpoint,
-        tracker: Optional[_RecoveryTracker] = None,
-        write_size: int = 65536,
     ) -> None:
         self.sim = sim
         self.api = api
         self.remote = remote
-        self.tracker = tracker
-        self.write_size = write_size
         self.bytes_sent = 0
         self.errors = 0
         self.connects = 0
@@ -202,11 +197,9 @@ class ChaosSender:
                 yield self.api.connect(fd, self.remote)
                 self.connects += 1
                 while True:
-                    yield self.api.send(fd, self.write_size)
-                    self.bytes_sent += self.write_size
+                    yield self.api.send(fd, WRITE_SIZE)
+                    self.bytes_sent += WRITE_SIZE
                     self.last_success_at = self.sim.now
-                    if self.tracker is not None:
-                        self.tracker.success()
             except SocketError:
                 self.errors += 1
                 yield self.sim.timeout(CHAOS_RETRY_DELAY)
@@ -300,41 +293,31 @@ def run_chaos(
     flows: int = 2,
     duration: float = 0.35,
     warmup: float = 0.05,
-    congestion_control: str = "cubic",
-    socket_buf: int = FIG4_SOCKET_BUF,
-    fault_tolerant: Optional[bool] = None,
-    standbys: int = 1,
-    op_timeout: float = CHAOS_OP_TIMEOUT,
-    heartbeat_interval: float = CHAOS_HEARTBEAT_INTERVAL,
-    heartbeat_miss: int = CHAOS_HEARTBEAT_MISS,
-    tracer=None,
 ) -> ChaosResult:
-    """Figure 4's LAN workload under ``plan``; returns chaos metrics.
+    """Figure 4's LAN workload (CUBIC NSMs) under ``plan``; returns chaos
+    metrics.
 
-    ``fault_tolerant`` arms GuestLib op timeouts, the heartbeat watchdog
-    and warm standbys; it defaults to on exactly when the plan has
-    faults, so an empty plan reproduces the untolerant baseline
-    bit-identically.
+    A plan with faults arms GuestLib op timeouts, the heartbeat watchdog
+    and one warm standby per host; an empty plan runs without them, so it
+    reproduces the untolerant baseline bit-identically.
     """
     plan = plan if plan is not None else FaultPlan.empty()
-    ft = fault_tolerant if fault_tolerant is not None else len(plan) > 0
+    ft = len(plan) > 0
     config = CoreEngineConfig(
-        op_timeout=op_timeout if ft else None,
-        heartbeat_interval=heartbeat_interval if ft else None,
-        heartbeat_miss=heartbeat_miss,
+        op_timeout=CHAOS_OP_TIMEOUT if ft else None,
+        heartbeat_interval=CHAOS_HEARTBEAT_INTERVAL if ft else None,
+        heartbeat_miss=CHAOS_HEARTBEAT_MISS,
     )
-    testbed = make_lan_testbed(coreengine_config=config, tracer=tracer)
+    testbed = make_lan_testbed(coreengine_config=config)
     sim = testbed.sim
-    overrides = {"rcvbuf": socket_buf, "sndbuf": socket_buf}
-    spec = lambda: NsmSpec(  # noqa: E731 — fresh spec per NSM
-        congestion_control=congestion_control, tcp_overrides=overrides
-    )
+    overrides = {"rcvbuf": FIG4_SOCKET_BUF, "sndbuf": FIG4_SOCKET_BUF}
+    spec = lambda: NsmSpec(tcp_overrides=overrides)  # noqa: E731 — fresh spec per NSM
 
     nsm_a = testbed.hypervisor_a.boot_nsm(spec())
     nsm_b = testbed.hypervisor_b.boot_nsm(spec())
     if ft:
-        testbed.hypervisor_a.enable_failover(spec=spec(), standbys=standbys)
-        testbed.hypervisor_b.enable_failover(spec=spec(), standbys=standbys)
+        testbed.hypervisor_a.enable_failover(spec=spec())
+        testbed.hypervisor_b.enable_failover(spec=spec())
     vm_a = testbed.hypervisor_a.boot_netkernel_vm("client", nsm_a, vcpus=4)
     vm_b = testbed.hypervisor_b.boot_netkernel_vm("server", nsm_b, vcpus=4)
 
@@ -513,13 +496,11 @@ class _FiniteSender:
         api: SocketApi,
         remote: Endpoint,
         total_bytes: int,
-        write_size: int = 65536,
     ) -> None:
         self.sim = sim
         self.api = api
         self.remote = remote
         self.total_bytes = total_bytes
-        self.write_size = write_size
         self.bytes_sent = 0
         self.errors = 0
         self.process = sim.process(self._run(), name=f"mig-tx:{remote}")
@@ -529,7 +510,7 @@ class _FiniteSender:
             fd = yield self.api.socket()
             yield self.api.connect(fd, self.remote)
             while self.bytes_sent < self.total_bytes:
-                n = min(self.write_size, self.total_bytes - self.bytes_sent)
+                n = min(WRITE_SIZE, self.total_bytes - self.bytes_sent)
                 yield self.api.send(fd, n)
                 self.bytes_sent += n
             yield self.api.close(fd)
@@ -578,44 +559,36 @@ class MigrationRunResult:
 def run_migration(
     family: str = "tcp",
     migrate: bool = True,
-    migrate_at: float = 1e-3,
     fault: Optional[FaultKind] = None,
     fault_at: Optional[float] = None,
     flows: int = 2,
     total_mb: int = 8,
-    duration: float = 0.05,
-    congestion_control: str = "cubic",
-    socket_buf: int = FIG4_SOCKET_BUF,
-    fault_tolerant: Optional[bool] = None,
-    tracer=None,
-    **migration_kwargs,
 ) -> MigrationRunResult:
-    """A finite LAN transfer with a live NSM migration launched mid-flight.
+    """A finite LAN transfer (CUBIC NSMs, 50 ms) with a live NSM
+    migration launched mid-flight.
 
     The server VM's NSM (``src``) migrates whole-NSM onto an idle
-    same-host destination at ``migrate_at``, while ``flows`` finite bulk
-    flows are in progress.  ``fault`` (one of
-    :data:`repro.faults.MIGRATION_KINDS`) is injected at ``fault_at``
-    through a scripted plan targeting the coordinator.  A
+    same-host destination 1 ms in, while ``flows`` finite bulk flows are
+    in progress.  ``fault`` (one of :data:`repro.faults.MIGRATION_KINDS`)
+    is injected at ``fault_at`` through a scripted plan targeting the
+    coordinator, and arms the chaos fault tolerance.  A
     :class:`~repro.faults.InvariantChecker` watches both CoreEngines for
     the whole run; ``migrate=False`` runs the identical workload with no
     migration — the byte-identity baseline.
     """
     from ..faults import MIGRATION_KINDS, Fault, InvariantChecker
 
-    ft = fault_tolerant if fault_tolerant is not None else fault is not None
+    ft = fault is not None
     config = CoreEngineConfig(
         op_timeout=CHAOS_OP_TIMEOUT if ft else None,
         heartbeat_interval=CHAOS_HEARTBEAT_INTERVAL if ft else None,
         heartbeat_miss=CHAOS_HEARTBEAT_MISS,
     )
-    testbed = make_lan_testbed(coreengine_config=config, tracer=tracer)
+    testbed = make_lan_testbed(coreengine_config=config)
     sim = testbed.sim
-    overrides = {"rcvbuf": socket_buf, "sndbuf": socket_buf}
+    overrides = {"rcvbuf": FIG4_SOCKET_BUF, "sndbuf": FIG4_SOCKET_BUF}
     spec = lambda: NsmSpec(  # noqa: E731 — fresh spec per NSM
-        congestion_control=congestion_control,
-        tcp_overrides=overrides,
-        stack_family=family,
+        tcp_overrides=overrides, stack_family=family
     )
     nsm_a = testbed.hypervisor_a.boot_nsm(spec())
     src = testbed.hypervisor_b.boot_nsm(spec(), name="nsm_src")
@@ -634,9 +607,7 @@ def run_migration(
     coordinator = None
     if migrate:
         dst = testbed.hypervisor_b.boot_nsm(spec(), name="nsm_dst")
-        coordinator = testbed.hypervisor_b.migrate_nsm(
-            src, dst, at=migrate_at, **migration_kwargs
-        )
+        coordinator = testbed.hypervisor_b.migrate_nsm(src, dst, at=1e-3)
         if fault is not None:
             if fault not in MIGRATION_KINDS:
                 raise ValueError(f"{fault} is not a migration fault kind")
@@ -657,7 +628,7 @@ def run_migration(
         senders.append(
             _FiniteSender(sim, vm_a.api, Endpoint(vm_b.api.ip, port), per_flow)
         )
-    sim.run(until=duration)
+    sim.run(until=0.05)
 
     checker.audit()
     record = coordinator.record if coordinator is not None else None
@@ -696,7 +667,7 @@ class MigrationChaosResult:
 
     family: str
     pilot: MigrationRunResult
-    cases: List[tuple] = field(default_factory=list)  # (kind, phase, result)
+    cases: List[tuple] = field(default_factory=list, init=False)  # (kind, phase, result)
     failures: List[str] = field(default_factory=list)
 
     def table(self) -> str:
@@ -779,7 +750,7 @@ def run_migration_chaos(
     _check_case(pilot, "pilot", result.failures)
     boundaries = {phase: at for phase, at in pilot.phases}
     #: Land mid-dwell: the coordinator re-checks aborts and destination
-    #: health after each boundary's ``phase_pause`` wait.
+    #: health after each boundary's ``PHASE_PAUSE`` wait.
     epsilon = 0.5e-6
     for kind in kinds:
         for phase in phases:

@@ -161,7 +161,6 @@ class LanTestbed(_RunnableTestbed):
 
 def make_lan_testbed(
     rate_bps: float = LAN_RATE_BPS,
-    propagation_delay: float = 5e-6,
     queue_bytes: int = 2 * 1024 * 1024,
     sriov: bool = True,
     coreengine_config: Optional[CoreEngineConfig] = None,
@@ -181,7 +180,7 @@ def make_lan_testbed(
     wire = DuplexLink(
         sim,
         rate_bps=rate_bps,
-        propagation_delay=propagation_delay,
+        propagation_delay=5e-6,
         queue_bytes=queue_bytes,
         name="40g-wire",
     )
@@ -218,19 +217,16 @@ class WanTestbed(_RunnableTestbed):
 
 
 def make_wan_testbed(
-    uplink_bps: float = WAN_UPLINK_BPS,
-    downlink_bps: float = 100e6,
-    rtt: float = WAN_RTT,
-    queue_bytes: int = 96 * 1024,  # a shallow uplink-modem queue
     loss: Optional[LossModel] = None,
     seed: int = 1,
-    coreengine_config: Optional[CoreEngineConfig] = None,
     tracer: Optional[Tracer] = None,
 ) -> WanTestbed:
     """Figure 5's path: datacenter server -> transpacific WAN -> client.
 
-    Loss applies on the server's uplink direction (where the data flows);
-    the reverse (ACK) direction is clean — asymmetric, like the real path.
+    A 12 Mbit/s uplink and a 100 Mbit/s downlink, 350 ms RTT, and a
+    shallow uplink-modem queue (96 KB).  Loss applies on the server's
+    uplink direction (where the data flows); the reverse (ACK) direction
+    is clean — asymmetric, like the real path.
     """
     # No TSO super-segments on the WAN path: at 12 Mbps, Linux's TSO
     # autosizing degenerates to MTU-sized frames anyway.
@@ -252,10 +248,10 @@ def make_wan_testbed(
     )
     wire = DuplexLink(
         sim,
-        rate_bps=uplink_bps,
-        rate_bps_reverse=downlink_bps,
-        propagation_delay=rtt / 2.0,
-        queue_bytes=queue_bytes,
+        rate_bps=WAN_UPLINK_BPS,
+        rate_bps_reverse=100e6,
+        propagation_delay=WAN_RTT / 2.0,
+        queue_bytes=96 * 1024,
         loss=loss if loss is not None else default_wan_loss(seed),
         name="wan",
     )
@@ -266,8 +262,8 @@ def make_wan_testbed(
         sim=sim,
         server_host=server,
         client_host=client,
-        server_hypervisor=Hypervisor(sim, server, coreengine_config),
-        client_hypervisor=Hypervisor(sim, client, coreengine_config),
+        server_hypervisor=Hypervisor(sim, server),
+        client_hypervisor=Hypervisor(sim, client),
         wire=wire,
     )
 
@@ -282,21 +278,15 @@ class ClusterTestbed(_RunnableTestbed):
     core: CoreSwitch
 
 
-def make_cluster_testbed(
-    n_hosts: int = 4,
-    rate_bps: float = LAN_RATE_BPS,
-    propagation_delay: float = 5e-6,
-    queue_bytes: int = 2 * 1024 * 1024,
-    ecn_threshold_bytes: Optional[int] = None,
-    tracer: Optional[Tracer] = None,
-) -> ClusterTestbed:
-    """A small cluster: every host uplinks into one core switch."""
+def make_cluster_testbed(n_hosts: int = 4) -> ClusterTestbed:
+    """A small cluster: every host uplinks into one core switch over a
+    40 Gbit/s link (see :meth:`CoreSwitch.attach_host`)."""
     from ..net.fabric import CoreSwitch
 
     if n_hosts < 2:
         raise ValueError("a cluster needs at least 2 hosts")
-    sim = _trace_sim(tracer)
-    core = CoreSwitch(sim, ecn_threshold_bytes=ecn_threshold_bytes)
+    sim = Simulator()
+    core = CoreSwitch(sim)
     hosts, hypervisors = [], []
     for index in range(n_hosts):
         host = PhysicalHost(
@@ -305,12 +295,7 @@ def make_cluster_testbed(
             f"10.{index + 1}.255.1",
             addresses=AddressAllocator(f"10.{index + 1}"),
         )
-        core.attach_host(
-            host,
-            rate_bps=rate_bps,
-            propagation_delay=propagation_delay,
-            queue_bytes=queue_bytes,
-        )
+        core.attach_host(host)
         hosts.append(host)
         hypervisors.append(Hypervisor(sim, host))
     return ClusterTestbed(sim=sim, hosts=hosts, hypervisors=hypervisors, core=core)

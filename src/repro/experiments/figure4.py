@@ -41,7 +41,6 @@ class Figure4Row:
 @dataclass
 class Figure4Result:
     rows: List[Figure4Row]
-    line_rate_gbps: float = LAN_LINE_RATE_GBPS
 
     def table(self) -> str:
         lines = [
@@ -53,7 +52,7 @@ class Figure4Result:
                 f"{row.flows:>6} {row.native_gbps:>12.2f} Gbps "
                 f"{row.nsm_gbps:>9.2f} Gbps {row.ratio:>10.2f}x"
             )
-        lines.append(f"(40 GbE line rate after framing: ~{self.line_rate_gbps} Gbps)")
+        lines.append(f"(40 GbE line rate after framing: ~{LAN_LINE_RATE_GBPS} Gbps)")
         return "\n".join(lines)
 
 
@@ -62,35 +61,24 @@ def _build_lan_world(
     flows: int,
     congestion_control: str = "cubic",
     warmup: float = 0.1,
-    socket_buf: int = FIG4_SOCKET_BUF,
-    stack_family: str = "tcp",
-    coreengine_config=None,
     tracer=None,
     fidelity: str = "packet",
 ) -> Tuple[LanTestbed, List[BulkReceiver]]:
     """Build the figure-4 workload: the testbed and its metered receivers."""
     if mode not in ("native", "netkernel"):
         raise ValueError(f"mode must be 'native' or 'netkernel', got {mode!r}")
-    testbed = make_lan_testbed(coreengine_config=coreengine_config, tracer=tracer)
+    testbed = make_lan_testbed(tracer=tracer)
     # Install before any VM/NSM boots: stacks snapshot sim.fidelity at
     # construction.  No-op (returns None) at packet fidelity.
     install_fluid(testbed, mode=fidelity)
-    overrides = {"rcvbuf": socket_buf, "sndbuf": socket_buf}
+    overrides = {"rcvbuf": FIG4_SOCKET_BUF, "sndbuf": FIG4_SOCKET_BUF}
 
     if mode == "netkernel":
         nsm_a = testbed.hypervisor_a.boot_nsm(
-            NsmSpec(
-                congestion_control=congestion_control,
-                tcp_overrides=overrides,
-                stack_family=stack_family,
-            )
+            NsmSpec(congestion_control=congestion_control, tcp_overrides=overrides)
         )
         nsm_b = testbed.hypervisor_b.boot_nsm(
-            NsmSpec(
-                congestion_control=congestion_control,
-                tcp_overrides=overrides,
-                stack_family=stack_family,
-            )
+            NsmSpec(congestion_control=congestion_control, tcp_overrides=overrides)
         )
         vm_a = testbed.hypervisor_a.boot_netkernel_vm("client", nsm_a, vcpus=4)
         vm_b = testbed.hypervisor_b.boot_netkernel_vm("server", nsm_b, vcpus=4)
@@ -122,26 +110,17 @@ def measure_lan_throughput(
     congestion_control: str = "cubic",
     duration: float = 0.35,
     warmup: float = 0.1,
-    socket_buf: int = FIG4_SOCKET_BUF,
-    coreengine_config=None,
     tracer=None,
     stats_out=None,
-    stack_family: str = "tcp",
     fidelity: str = "packet",
 ) -> float:
     """Aggregate goodput (Gbps) of ``flows`` bulk flows on the LAN testbed.
 
-    ``coreengine_config`` overrides the datapath policy (notify mode,
-    priority rings, ...).  Pass a dict as ``stats_out`` to receive simulator-level
-    metrics (``events_processed``, ``sim_seconds``) — the bench harness
-    uses this.
-
-    ``stack_family`` picks the NSM's protocol stack (``"tcp"`` default,
-    ``"quic"`` for the tenant-defined QUIC family) — netkernel mode only.
+    Pass a dict as ``stats_out`` to receive simulator-level metrics
+    (``events_processed``, ``sim_seconds``) — the bench harness uses this.
     """
     testbed, receivers = _build_lan_world(
-        mode, flows, congestion_control, warmup, socket_buf,
-        stack_family, coreengine_config, tracer, fidelity,
+        mode, flows, congestion_control, warmup, tracer=tracer, fidelity=fidelity
     )
     testbed.run(until=duration)
     if stats_out is not None:

@@ -23,11 +23,11 @@ is not derivable from the published data; see EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..apps import BulkReceiver, BulkSender
 from ..host.vm import GuestOS
-from ..net import Endpoint, LossModel
+from ..net import Endpoint
 from ..netkernel import NsmSpec
 from .common import install_fluid, make_wan_testbed
 
@@ -83,19 +83,12 @@ def measure_wan_throughput(
     duration: float = 40.0,
     warmup: float = 5.0,
     seed: int = 1,
-    loss: Optional[LossModel] = None,
-    coreengine_config=None,
     tracer=None,
     stats_out=None,
     fidelity: str = "packet",
 ) -> float:
     """Mean goodput (Mbps) of one sender configuration on the WAN path."""
-    testbed = make_wan_testbed(
-        seed=seed,
-        loss=loss,
-        coreengine_config=coreengine_config,
-        tracer=tracer,
-    )
+    testbed = make_wan_testbed(seed=seed, tracer=tracer)
     # The WAN path carries an episodic loss process, so install_fluid
     # declines to add routes: ``--fidelity auto`` on figure 5 is
     # packet-exact by construction (the analytic model is only valid on

@@ -45,7 +45,7 @@ class SetupLatency:
     """Per-family connection setup latencies (seconds)."""
 
     family: str
-    samples: List[float] = field(default_factory=list)
+    samples: List[float] = field(default_factory=list, init=False)
     #: QUIC only: how many measured connects resumed 0-RTT.
     resumptions_0rtt: int = 0
     handshakes: int = 0
@@ -195,7 +195,7 @@ def _drain(api, conn_fd: int):
     yield api.close(conn_fd)
 
 
-def _measure_setup(family: str, flows: int, flow_bytes: int = 8192) -> SetupLatency:
+def _measure_setup(family: str, flows: int) -> SetupLatency:
     testbed = make_lan_testbed()
     spec = lambda: NsmSpec(stack_family=family)  # noqa: E731 — fresh per NSM
     nsm_a = testbed.hypervisor_a.boot_nsm(spec())
@@ -209,7 +209,7 @@ def _measure_setup(family: str, flows: int, flow_bytes: int = 8192) -> SetupLate
     sim.process(
         _short_flow_client(
             sim, vm_a.api, Endpoint(vm_b.api.ip, 5000), stats.samples,
-            flows, nsm_a.stack, flow_bytes, settle=500e-6,
+            flows, nsm_a.stack, 8192, settle=500e-6,
         ),
         name="stackswap-client",
     )

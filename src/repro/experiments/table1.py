@@ -15,7 +15,7 @@ exactly these costs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List
 
 from ..host import MemcpyModel, PAPER_TABLE1_POINTS
 from ..host.cpu import Core
@@ -59,8 +59,9 @@ class Table1Result:
         return "\n".join(lines)
 
 
-def _simulate_copy_ns(size: int, repetitions: int = 32) -> float:
-    """Measure one copy by running it on a simulated core."""
+def _simulate_copy_ns(size: int) -> float:
+    """Measure one copy by running it 32 times on a simulated core."""
+    repetitions = 32
     sim = Simulator()
     core = Core(sim, "bench-core")
     region = HugePageRegion(sim, MemcpyModel())
@@ -76,13 +77,11 @@ def _simulate_copy_ns(size: int, repetitions: int = 32) -> float:
     return done["elapsed"] / repetitions * 1e9
 
 
-def run_table1(
-    points: Sequence[Tuple[int, float]] = PAPER_TABLE1_POINTS,
-) -> Table1Result:
+def run_table1() -> Table1Result:
     """Regenerate Table 1 for the paper's six chunk sizes."""
     model = MemcpyModel()
     rows = []
-    for size, paper_ns in points:
+    for size, paper_ns in PAPER_TABLE1_POINTS:
         rows.append(
             Table1Row(
                 chunk_bytes=size,

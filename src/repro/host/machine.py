@@ -87,22 +87,18 @@ class PhysicalHost:
         self._memory_used_gb += gb
 
     # -- NIC provisioning --------------------------------------------------------
-    def create_vnic(self, name: str, offload: Optional[OffloadConfig] = None) -> VirtualNIC:
+    def create_vnic(self, name: str) -> VirtualNIC:
         """Paravirtual NIC through the host's (software) switch."""
-        nic = VirtualNIC(
-            self.sim, self.addresses.allocate(), offload or self.offload, name
-        )
+        nic = VirtualNIC(self.sim, self.addresses.allocate(), self.offload, name)
         self.switch.attach(nic)
         self.nics[nic.ip] = nic
         return nic
 
-    def create_vf(self, name: str, offload: Optional[OffloadConfig] = None) -> VirtualFunction:
+    def create_vf(self, name: str) -> VirtualFunction:
         """SR-IOV virtual function (requires an embedded switch)."""
         if not self.sriov:
             raise RuntimeError(f"{self.name} has no SR-IOV NIC")
-        vf = VirtualFunction(
-            self.sim, self.addresses.allocate(), offload or self.offload, name
-        )
+        vf = VirtualFunction(self.sim, self.addresses.allocate(), self.offload, name)
         self.switch.attach(vf)
         self.nics[vf.ip] = vf
         return vf

@@ -8,10 +8,10 @@ only when existing ones are at tenant capacity.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ..host.vm import VM, GuestOS
-from ..netkernel.nsm import NSM, NsmForm, NsmSpec
+from ..host.vm import VM
+from ..netkernel.nsm import NSM, NsmSpec
 from ..netkernel.provision import Hypervisor
 from ..sim import Simulator
 
@@ -19,49 +19,34 @@ __all__ = ["NsmPlacer"]
 
 
 class NsmPlacer:
-    """Boots tenants onto shared NSMs, minimizing module count."""
+    """Boots tenants onto shared NSMs (VM-form, one core each),
+    minimizing module count."""
 
     def __init__(
         self,
         sim: Simulator,
         hypervisor: Hypervisor,
         tenants_per_nsm: int = 4,
-        form: NsmForm = NsmForm.VM,
-        nsm_cores: int = 1,
     ) -> None:
         if tenants_per_nsm < 1:
             raise ValueError("tenants_per_nsm must be >= 1")
         self.sim = sim
         self.hypervisor = hypervisor
         self.tenants_per_nsm = tenants_per_nsm
-        self.form = form
-        self.nsm_cores = nsm_cores
         self.placements: Dict[str, str] = {}  # vm name -> nsm name
 
-    def boot_tenant(
-        self,
-        name: str,
-        congestion_control: str,
-        guest_os: GuestOS = GuestOS.LINUX,
-        vcpus: int = 2,
-        memory_gb: float = 4.0,
-        tcp_overrides: Optional[dict] = None,
-    ) -> VM:
-        """Boot a NetKernel VM onto a shared NSM offering this stack."""
+    def boot_tenant(self, name: str, congestion_control: str, vcpus: int = 2) -> VM:
+        """Boot a NetKernel VM (Linux, 4 GB) onto a shared NSM offering
+        this stack."""
         nsm = self.hypervisor.find_shared_nsm(congestion_control)
         if nsm is None:
             nsm = self.hypervisor.boot_nsm(
                 NsmSpec(
                     congestion_control=congestion_control,
-                    form=self.form,
-                    cores=self.nsm_cores,
                     max_tenants=self.tenants_per_nsm,
-                    tcp_overrides=tcp_overrides,
                 )
             )
-        vm = self.hypervisor.boot_netkernel_vm(
-            name, nsm, guest_os=guest_os, vcpus=vcpus, memory_gb=memory_gb
-        )
+        vm = self.hypervisor.boot_netkernel_vm(name, nsm, vcpus=vcpus)
         self.placements[name] = nsm.name
         return vm
 

@@ -28,6 +28,8 @@ __all__ = ["PingmeshMesh", "ProbeFailure", "PINGMESH_PORT"]
 
 PINGMESH_PORT = 9  # echo, traditionally
 PROBE_BYTES = 64
+#: A probe unanswered this long (seconds) counts as a failure.
+PROBE_TIMEOUT = 1.0
 
 
 @dataclass
@@ -52,13 +54,11 @@ class PingmeshMesh:
         self,
         sim: Simulator,
         probe_interval: float = 0.05,
-        probe_timeout: float = 1.0,
     ) -> None:
-        if probe_interval <= 0 or probe_timeout <= 0:
-            raise ValueError("probe interval/timeout must be positive")
+        if probe_interval <= 0:
+            raise ValueError("probe interval must be positive")
         self.sim = sim
         self.probe_interval = probe_interval
-        self.probe_timeout = probe_timeout
         self._agents: Dict[str, _Agent] = {}
         self.latency: Dict[Tuple[str, str], LatencyRecorder] = {}
         self.failures: List[ProbeFailure] = []
@@ -113,7 +113,7 @@ class PingmeshMesh:
     def _probe_once(self, agent: _Agent, peer_name: str, peer: _Agent):
         self.probes_sent += 1
         started = self.sim.now
-        deadline = self.sim.timeout(self.probe_timeout)
+        deadline = self.sim.timeout(PROBE_TIMEOUT)
         try:
             conn = agent.nsm.stack.connect(Endpoint(peer.nsm.ip, PINGMESH_PORT))
             outcome = yield AnyOf(self.sim, [conn.established, deadline])

@@ -25,8 +25,8 @@ class ScalingPolicy:
     #: Scale up/out when utilization exceeds this for one interval.
     high_watermark: float = 0.85
     check_interval: float = 0.5
+    #: Scale up (add a core) until this many, then scale out.
     max_cores_per_nsm: int = 4
-    prefer: str = "scale-up"  # or "scale-out"
 
 
 @dataclass
@@ -68,10 +68,7 @@ class ScalingController:
                     self._grow(nsm)
 
     def _grow(self, nsm: NSM) -> None:
-        if (
-            self.policy.prefer == "scale-up"
-            and len(nsm.cores) < self.policy.max_cores_per_nsm
-        ):
+        if len(nsm.cores) < self.policy.max_cores_per_nsm:
             core = self.hypervisor.host.allocate_cores(1)[0]
             nsm.cores.append(core)
             nsm.stack.cores.append(core)

@@ -2,18 +2,17 @@
 
 The two-host testbeds wire pNICs back to back; anything larger needs a
 fabric hop.  :class:`CoreSwitch` is a store-and-forward switch whose ports
-are full links (rate, propagation, queue, optional ECN marking), routing
+are full links (40 Gbit/s, 5 us propagation, a 2 MB queue), routing
 between hosts by their address prefix (each host's NICs live in a /16 of
 its :class:`~repro.net.addressing.AddressAllocator`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Dict, TYPE_CHECKING
 
 from ..sim import Simulator
 from .link import DuplexLink
-from .loss import LossModel
 from .packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -21,21 +20,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["CoreSwitch"]
 
+#: Store-and-forward latency of one switch hop.
+FORWARD_LATENCY = 5e-7
+
 
 class CoreSwitch:
     """A datacenter core/ToR switch joining many hosts."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str = "core",
-        forward_latency: float = 5e-7,
-        ecn_threshold_bytes: Optional[int] = None,
-    ) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.name = name
-        self.forward_latency = forward_latency
-        self.ecn_threshold_bytes = ecn_threshold_bytes
+        self.name = "core"
         self._routes: Dict[str, DuplexLink] = {}  # "10.3" -> that host's link
         self.forwarded = 0
         self.dropped_unroutable = 0
@@ -45,25 +39,16 @@ class CoreSwitch:
         parts = ip.split(".")
         return ".".join(parts[:2])
 
-    def attach_host(
-        self,
-        host: "PhysicalHost",
-        rate_bps: float = 40e9,
-        propagation_delay: float = 5e-6,
-        queue_bytes: int = 2 * 1024 * 1024,
-        loss: Optional[LossModel] = None,
-    ) -> DuplexLink:
+    def attach_host(self, host: "PhysicalHost") -> DuplexLink:
         """Cable a host's pNIC to this switch; returns the uplink."""
         prefix = self._prefix(host.addresses.prefix + ".0.0")
         if prefix in self._routes:
             raise ValueError(f"prefix {prefix} already attached to {self.name}")
         link = DuplexLink(
             self.sim,
-            rate_bps=rate_bps,
-            propagation_delay=propagation_delay,
-            queue_bytes=queue_bytes,
-            ecn_threshold_bytes=self.ecn_threshold_bytes,
-            loss=loss,
+            rate_bps=40e9,
+            propagation_delay=5e-6,
+            queue_bytes=2 * 1024 * 1024,
             name=f"{self.name}<->{host.name}",
         )
         # Host side: pNIC transmits into the host->switch half.
@@ -80,9 +65,4 @@ class CoreSwitch:
             self.dropped_unroutable += 1
             return
         self.forwarded += 1
-        if self.forward_latency > 0:
-            self.sim.schedule_call(
-                self.forward_latency, route.b_to_a.send, packet
-            )
-        else:
-            route.b_to_a.send(packet)
+        self.sim.schedule_call(FORWARD_LATENCY, route.b_to_a.send, packet)

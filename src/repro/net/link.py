@@ -14,7 +14,7 @@ from typing import Callable, Deque, Optional
 
 from ..sim import Simulator
 from .loss import LossModel, NoLoss
-from .packet import DEFAULT_MTU, Packet
+from .packet import Packet
 
 __all__ = ["DropTailQueue", "Link", "DuplexLink", "LinkStats"]
 
@@ -101,9 +101,7 @@ class Link:
         queue_bytes: int = 512 * 1024,
         ecn_threshold_bytes: Optional[int] = None,
         loss: Optional[LossModel] = None,
-        mtu: int = DEFAULT_MTU,
         jitter: float = 0.0,
-        jitter_seed: Optional[int] = None,
         name: str = "link",
     ) -> None:
         if rate_bps <= 0:
@@ -118,11 +116,10 @@ class Link:
         self.deliver = deliver
         self.queue = DropTailQueue(queue_bytes, ecn_threshold_bytes)
         self.loss = loss or NoLoss()
-        self.mtu = mtu
         #: Uniform extra delivery delay in [0, jitter] applied per packet
         #: *independently*, so a jittery link reorders (multipath-style).
         self.jitter = jitter
-        self._jitter_rng = random.Random(jitter_seed)
+        self._jitter_rng = random.Random()
         self.name = name
         self.stats = LinkStats()
         self._busy = False
@@ -141,7 +138,7 @@ class Link:
         if packet is None:
             self._busy = False
             return
-        wire = packet.wire_bytes(self.mtu)
+        wire = packet.wire_bytes()
         tx_time = wire * 8.0 / self.rate_bps
         self.sim.schedule_call(tx_time, self._on_serialized, packet, wire)
 
@@ -177,7 +174,6 @@ class DuplexLink:
         ecn_threshold_bytes: Optional[int] = None,
         loss: Optional[LossModel] = None,
         loss_reverse: Optional[LossModel] = None,
-        mtu: int = DEFAULT_MTU,
         name: str = "duplex",
     ) -> None:
         self.a_to_b = Link(
@@ -187,7 +183,6 @@ class DuplexLink:
             queue_bytes=queue_bytes,
             ecn_threshold_bytes=ecn_threshold_bytes,
             loss=loss,
-            mtu=mtu,
             name=f"{name}:a->b",
         )
         self.b_to_a = Link(
@@ -197,7 +192,6 @@ class DuplexLink:
             queue_bytes=queue_bytes,
             ecn_threshold_bytes=ecn_threshold_bytes,
             loss=loss_reverse,
-            mtu=mtu,
             name=f"{name}:b->a",
         )
 

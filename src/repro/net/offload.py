@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .packet import DEFAULT_MTU, mss_for_mtu
+from .packet import mss_for_mtu
 
 __all__ = ["OffloadConfig", "TSO_MAX_BYTES"]
 
@@ -29,14 +29,9 @@ class OffloadConfig:
 
     tso: bool = True
     gro: bool = True
-    mtu: int = DEFAULT_MTU
-
-    def __post_init__(self) -> None:
-        if TSO_MAX_BYTES < self.mtu:
-            raise ValueError("mtu must not exceed the TSO ceiling")
 
     @property
     def effective_mss(self) -> int:
         if self.tso:
             return TSO_MAX_BYTES
-        return mss_for_mtu(self.mtu)
+        return mss_for_mtu()

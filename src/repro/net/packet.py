@@ -50,6 +50,12 @@ def mss_for_mtu(mtu: int = DEFAULT_MTU) -> int:
     return mtu - IPV4_HEADER - TCP_HEADER - TCP_TIMESTAMP_OPTION
 
 
+#: Every link runs at :data:`DEFAULT_MTU`: its TCP payload per frame, and
+#: the channel bytes each frame adds.
+_MSS = mss_for_mtu()
+_PER_FRAME = ETHERNET_FRAME_OVERHEAD + IPV4_HEADER + TCP_HEADER + TCP_TIMESTAMP_OPTION
+
+
 @dataclass(slots=True)
 class Packet:
     """A network packet carrying an opaque payload object.
@@ -65,32 +71,25 @@ class Packet:
     protocol: str = "tcp"
     ecn_capable: bool = False
     ecn_ce: bool = False
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    #: Stamped at construction, never passed in.
+    packet_id: int = field(default_factory=lambda: next(_packet_ids), init=False)
 
     def __post_init__(self) -> None:
         if self.payload_bytes < 0:
             raise ValueError("payload_bytes must be >= 0")
 
-    def frames(self, mtu: int = DEFAULT_MTU) -> int:
+    def frames(self) -> int:
         """Number of MTU-sized frames this packet occupies on the wire."""
-        mss = mss_for_mtu(mtu)
         if self.payload_bytes <= 0:
             return 1
-        return -(-self.payload_bytes // mss)  # ceil division
+        return -(-self.payload_bytes // _MSS)  # ceil division
 
-    def wire_bytes(self, mtu: int = DEFAULT_MTU) -> int:
+    def wire_bytes(self) -> int:
         """Total channel bytes consumed, including all per-frame overhead."""
-        per_frame = (
-            ETHERNET_FRAME_OVERHEAD + IPV4_HEADER + TCP_HEADER + TCP_TIMESTAMP_OPTION
-        )
-        return self.payload_bytes + self.frames(mtu) * per_frame
+        return self.payload_bytes + self.frames() * _PER_FRAME
 
 
-def wire_bytes(payload_bytes: int, mtu: int = DEFAULT_MTU) -> int:
+def wire_bytes(payload_bytes: int) -> int:
     """Wire bytes for a payload of ``payload_bytes`` (packet-less helper)."""
-    mss = mss_for_mtu(mtu)
-    frames = 1 if payload_bytes <= 0 else -(-payload_bytes // mss)
-    per_frame = (
-        ETHERNET_FRAME_OVERHEAD + IPV4_HEADER + TCP_HEADER + TCP_TIMESTAMP_OPTION
-    )
-    return payload_bytes + frames * per_frame
+    frames = 1 if payload_bytes <= 0 else -(-payload_bytes // _MSS)
+    return payload_bytes + frames * _PER_FRAME

@@ -100,27 +100,21 @@ class VirtualSwitch(HostSwitch):
     """Software overlay switch: per-packet hypervisor CPU cost.
 
     Defaults are in line with measured OVS datapath costs (~1 µs/packet on
-    a 2.3 GHz core) plus a small forwarding latency.
+    a 2.3 GHz core) plus a 2 µs forwarding latency.
     """
 
     def __init__(
         self,
         sim: Simulator,
         name: str = "vswitch",
-        forward_latency: float = 2e-6,
         per_packet_cpu_ns: float = 1000.0,
         core: Optional[_Core] = None,
     ) -> None:
-        super().__init__(sim, name, forward_latency, per_packet_cpu_ns, core)
+        super().__init__(sim, name, 2e-6, per_packet_cpu_ns, core)
 
 
 class EmbeddedSwitch(HostSwitch):
-    """SR-IOV embedded hardware switch: no host CPU, sub-µs latency."""
+    """SR-IOV embedded hardware switch: no host CPU, 300 ns latency."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str = "sriov-switch",
-        forward_latency: float = 3e-7,
-    ) -> None:
-        super().__init__(sim, name, forward_latency, per_packet_cpu_ns=0.0, core=None)
+    def __init__(self, sim: Simulator, name: str = "sriov-switch") -> None:
+        super().__init__(sim, name, 3e-7)

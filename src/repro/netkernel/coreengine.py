@@ -254,7 +254,7 @@ class CoreEngine:
         )
         return queues
 
-    def attach_vm(self, vm_core: Core, nsm: NSM, memcpy=None) -> VmAttachment:
+    def attach_vm(self, vm_core: Core, nsm: NSM) -> VmAttachment:
         """Boot-time plumbing for one VM served by ``nsm`` (§3.1)."""
         if not nsm.can_accept_tenant():
             raise RuntimeError(f"{nsm.name} is at tenant capacity")
@@ -263,7 +263,7 @@ class CoreEngine:
         self._next_vm_id += 1
 
         region = HugePageRegion(
-            self.sim, memcpy or nsm.host.memcpy, name=f"vm{vm_id}.hp"
+            self.sim, nsm.host.memcpy, name=f"vm{vm_id}.hp"
         )
         job = self._ring(f"vm{vm_id}.job")
         completion = self._ring(f"vm{vm_id}.cq")

@@ -25,7 +25,6 @@ from ..api.errors import (
     SocketError,
     wrap_transport_error,
 )
-from ..api.socket_api import SocketApi
 from ..host.cpu import Core
 from ..net import Endpoint
 from ..obs import runtime as obs_runtime
@@ -87,7 +86,7 @@ class _GuestSocket:
         return self.rx_available > 0 or self.eof
 
 
-class GuestLib(SocketApi):
+class GuestLib:
     """The NetKernel socket API inside a tenant VM."""
 
     def __init__(

@@ -67,6 +67,16 @@ __all__ = ["MigrationPhase", "MigrationError", "MigrationCoordinator"]
 
 _migration_ids = count(1)
 
+#: Control-plane dwell at each phase boundary: the window in which
+#: injected faults (and operator aborts) are honoured.
+PHASE_PAUSE = 1e-6
+#: Wait between re-checks while in-flight nqes settle.
+SETTLE_STEP = 5e-6
+#: How long one drain round waits for its marker to come back.
+ROUND_TIMEOUT = 500e-6
+#: Marker rounds before the drain gives up and the migration rolls back.
+MAX_DRAIN_ROUNDS = 64
+
 
 class MigrationPhase(enum.Enum):
     PREPARE = "prepare"
@@ -116,22 +126,12 @@ class MigrationCoordinator:
         src: NSM,
         dst: NSM,
         tenant: Optional[int] = None,
-        phase_pause: float = 1e-6,
-        settle_step: float = 5e-6,
-        round_timeout: float = 500e-6,
-        max_drain_rounds: int = 64,
     ) -> None:
         self.ce = coreengine
         self.sim: Simulator = coreengine.sim
         self.src = src
         self.dst = dst
         self.tenant = tenant
-        #: Control-plane dwell at each phase boundary — the window in
-        #: which injected faults (and operator aborts) are honoured.
-        self.phase_pause = phase_pause
-        self.settle_step = settle_step
-        self.round_timeout = round_timeout
-        self.max_drain_rounds = max_drain_rounds
 
         self.migration_id = next(_migration_ids)
         self.phase = MigrationPhase.PREPARE
@@ -241,7 +241,7 @@ class MigrationCoordinator:
             self.tracer.count(f"migration.phase.{phase.value}")
 
     def _pause(self):
-        yield self.sim.timeout(self.phase_pause)
+        yield self.sim.timeout(PHASE_PAUSE)
 
     def _check_boundary(self) -> None:
         if self.dst.failed:
@@ -366,12 +366,12 @@ class MigrationCoordinator:
         queues = self.ce._nsms[self.src.nsm_id]
         while True:
             self.drain_rounds += 1
-            if self.drain_rounds > self.max_drain_rounds:
+            if self.drain_rounds > MAX_DRAIN_ROUNDS:
                 raise MigrationError(
                     f"source pipeline did not drain in "
-                    f"{self.max_drain_rounds} marker rounds"
+                    f"{MAX_DRAIN_ROUNDS} marker rounds"
                 )
-            yield self.sim.timeout(self.settle_step)
+            yield self.sim.timeout(SETTLE_STEP)
             self._check_boundary()
             seq = next(self._marker_seq)
             arrived = Event(self.sim)
@@ -383,7 +383,7 @@ class MigrationCoordinator:
             queues.receive.offer(
                 Nqe(op=NqeOp.DRAIN_MARKER, nsm_id=self.src.nsm_id, args=payload)
             )
-            yield self.sim.any_of([arrived, self.sim.timeout(self.round_timeout)])
+            yield self.sim.any_of([arrived, self.sim.timeout(ROUND_TIMEOUT)])
             if not arrived.triggered:
                 continue  # pipeline still busy; next round
             if self._pipeline_quiet(queues):
@@ -660,7 +660,7 @@ class MigrationCoordinator:
                     Nqe(op=NqeOp.DATA, nsm_id=src.nsm_id, cid=cid)
                 )
                 self.zombie_nqes += 1
-            yield self.sim.timeout(self.settle_step)
+            yield self.sim.timeout(SETTLE_STEP)
         # CoreEngine clears its coordinator handle at COMMIT, so the
         # fence notification cannot reach us by callback — adopt the
         # CE-side records for our source instead.

@@ -209,8 +209,9 @@ class NSM:
     def can_accept_tenant(self) -> bool:
         return len(self.tenant_vm_ids) < self.spec.max_tenants
 
-    def cpu_utilization(self, elapsed: Optional[float] = None) -> float:
-        window = elapsed if elapsed is not None else self.sim.now
+    def cpu_utilization(self) -> float:
+        """Busy share of the NSM's cores since the simulation started."""
+        window = self.sim.now
         if window <= 0:
             return 0.0
         busy = sum(core.busy_seconds for core in self.cores)

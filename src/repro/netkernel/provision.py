@@ -72,12 +72,13 @@ class Hypervisor:
         self.nsms.append(nsm)
         return nsm
 
-    def boot_rdma_nsm(self, fabric, cores: int = 1, name: Optional[str] = None) -> RdmaNsm:
-        """Boot an RDMA stack module (§2.1's 'customized stack (say RDMA)')."""
+    def boot_rdma_nsm(self, fabric) -> RdmaNsm:
+        """Boot an RDMA stack module (§2.1's 'customized stack (say RDMA)')
+        on one core."""
         from .rdma_nsm import RdmaNsm
 
         with obs_runtime.installed(self._tracer):
-            nsm = RdmaNsm(self.sim, self.host, fabric, cores=cores, name=name)
+            nsm = RdmaNsm(self.sim, self.host, fabric)
         self.rdma_nsms.append(nsm)
         return nsm
 
@@ -128,7 +129,7 @@ class Hypervisor:
         except RuntimeError:
             return None
 
-    def migrate_nsm(self, src: NSM, dst: NSM, tenant=None, at=None, **kwargs):
+    def migrate_nsm(self, src: NSM, dst: NSM, tenant=None, at=None):
         """Launch a live migration of ``src``'s tenant stacks onto ``dst``.
 
         Returns the :class:`repro.netkernel.migration.MigrationCoordinator`
@@ -138,15 +139,13 @@ class Hypervisor:
         connections (tenant-routable families only, e.g. QUIC); ``at``
         delays the launch by that many simulated seconds (the handle
         exists right away, so a fault plan can target it before the
-        simulation starts); ``kwargs`` forward to the coordinator (phase
-        pacing, drain budgets).
+        simulation starts).  Phase pacing and drain budgets are the
+        coordinator module's constants.
         """
         from .migration import MigrationCoordinator
 
         with obs_runtime.installed(self._tracer):
-            coordinator = MigrationCoordinator(
-                self.coreengine, src, dst, tenant=tenant, **kwargs
-            )
+            coordinator = MigrationCoordinator(self.coreengine, src, dst, tenant=tenant)
             if at is None:
                 coordinator.start()
             else:
@@ -220,10 +219,9 @@ class Hypervisor:
         nsm: NSM,
         guest_os: GuestOS = GuestOS.LINUX,
         vcpus: int = 2,
-        memory_gb: float = 4.0,
         rate_limit_bps: Optional[float] = None,
     ) -> VM:
-        """Figure 2(b): GuestLib in the guest, the stack in ``nsm``.
+        """Figure 2(b): GuestLib in the guest (4 GB), the stack in ``nsm``.
 
         Works for *any* guest OS — that is the point: a Windows VM served
         by a BBR NSM uses BBR (§4.3).  ``rate_limit_bps`` caps the
@@ -231,9 +229,9 @@ class Hypervisor:
         tenant, so it holds on whichever NSM serves the VM.
         """
         cores = self.host.allocate_cores(vcpus)
-        self.host.reserve_memory(memory_gb)
+        self.host.reserve_memory(4.0)
         with obs_runtime.installed(self._tracer):
-            vm = VM(self.sim, name, guest_os, cores, memory_gb, NetworkMode.NETKERNEL)
+            vm = VM(self.sim, name, guest_os, cores, 4.0, NetworkMode.NETKERNEL)
             attachment = self.coreengine.attach_vm(cores[0], nsm)
         vm.api = attachment.guestlib
         vm.vm_id = attachment.vm_id

@@ -42,15 +42,13 @@ class RdmaNsm:
         sim: Simulator,
         host: PhysicalHost,
         fabric: RdmaFabric,
-        cores: int = 1,
-        name: Optional[str] = None,
     ) -> None:
         self.sim = sim
         self.host = host
         self.fabric = fabric
         self.nsm_id = next(_rdma_nsm_ids)
-        self.name = name or f"rdma-nsm{self.nsm_id}"
-        self.cores: List[Core] = host.allocate_cores(cores)
+        self.name = f"rdma-nsm{self.nsm_id}"
+        self.cores: List[Core] = host.allocate_cores(1)
         host.reserve_memory(0.25)  # container-class footprint
         self.nic = host.create_vf(f"{self.name}.vf")
         self.device = RdmaDevice(sim, fabric, self.nic)
@@ -104,6 +102,6 @@ class TenantRdma:
         self.core.execute(DOORBELL_NS * NANOS)
         qp.post_recv(max_len)
 
-    def poll_cq(self, cq: CompletionQueue, max_entries: int = 16):
+    def poll_cq(self, cq: CompletionQueue):
         self.core.execute(DOORBELL_NS * NANOS)
-        return cq.poll(max_entries)
+        return cq.poll()

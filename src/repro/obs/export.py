@@ -37,13 +37,14 @@ def _layer_tids(tracer: Tracer) -> Dict[str, int]:
     return tids
 
 
-def chrome_trace(tracer: Tracer, pid: int = 1) -> Dict[str, Any]:
-    """Render all finished spans as a Chrome Trace Event Format object."""
+def chrome_trace(tracer: Tracer) -> Dict[str, Any]:
+    """Render all finished spans as a Chrome Trace Event Format object
+    (one process, pid 1)."""
     tids = _layer_tids(tracer)
     events: List[Dict[str, Any]] = [
         {
             "ph": "M",
-            "pid": pid,
+            "pid": 1,
             "name": "process_name",
             "args": {"name": "netkernel"},
         }
@@ -52,7 +53,7 @@ def chrome_trace(tracer: Tracer, pid: int = 1) -> Dict[str, Any]:
         events.append(
             {
                 "ph": "M",
-                "pid": pid,
+                "pid": 1,
                 "tid": tid,
                 "name": "thread_name",
                 "args": {"name": layer},
@@ -73,7 +74,7 @@ def chrome_trace(tracer: Tracer, pid: int = 1) -> Dict[str, Any]:
         events.append(
             {
                 "ph": "X",
-                "pid": pid,
+                "pid": 1,
                 "tid": tids[span.layer],
                 "name": span.op,
                 "cat": span.layer,
@@ -85,9 +86,9 @@ def chrome_trace(tracer: Tracer, pid: int = 1) -> Dict[str, Any]:
     return {"traceEvents": events, "displayTimeUnit": "ns"}
 
 
-def write_chrome_trace(tracer: Tracer, path: str, pid: int = 1) -> str:
+def write_chrome_trace(tracer: Tracer, path: str) -> str:
     with open(path, "w") as fh:
-        json.dump(chrome_trace(tracer, pid=pid), fh, indent=1)
+        json.dump(chrome_trace(tracer), fh, indent=1)
     return path
 
 

@@ -42,7 +42,7 @@ class NullTracer:
     def span(self, op, layer, tenant=None, parent=None):
         return None
 
-    def record_span(self, *args, **kwargs):
+    def record_span(self, op, layer, start, finish, tenant=None, parent=None):
         return None
 
     def count(self, name, delta=1):

@@ -116,12 +116,11 @@ class Tracer:
 
     def __init__(
         self,
-        sim=None,
         sampler: Optional[HeadSampler] = None,
         cadence: Optional[float] = None,
     ) -> None:
         self.enabled = True
-        self.sim = sim
+        self.sim = None
         self.sampler = sampler
         self.spans: List[Span] = []
         self.spans_dropped = 0
@@ -165,15 +164,14 @@ class Tracer:
         return self._new_span(op, layer, tenant, parent_id=None)
 
     def record_span(self, op: str, layer: str, start: float, finish: float,
-                    tenant: Optional[int] = None, parent: Optional[Span] = None,
-                    cpu_ns: float = 0.0) -> Optional[Span]:
+                    tenant: Optional[int] = None,
+                    parent: Optional[Span] = None) -> Optional[Span]:
         """Record an already-finished interval (e.g. ring residency)."""
         span = self._new_span(op, layer, tenant,
                               parent.span_id if parent is not None else None)
         if span is not None:
             span.start = start
             span.finish = finish
-            span.cpu_ns = cpu_ns
         return span
 
     # ------------------------------------------------- counters / histograms --

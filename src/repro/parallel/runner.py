@@ -35,7 +35,7 @@ import multiprocessing
 import multiprocessing.connection
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -60,7 +60,7 @@ def derive_seed(base_seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One unit of work: ``fn(*args, **kwargs)`` in a worker.
+    """One unit of work: ``fn(*args)`` in a worker.
 
     ``fn`` must be picklable by reference (a module-level callable) so
     spawn-based platforms work too; forked workers don't care.
@@ -69,7 +69,6 @@ class RunSpec:
     key: str
     fn: Callable[..., Any]
     args: Tuple = ()
-    kwargs: Dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,7 @@ ProgressFn = Callable[[int, int, RunResult], None]
 
 
 def _pool_worker_main(conn) -> None:
-    """Pool worker: loop over (fn, args, kwargs) jobs until EOF."""
+    """Pool worker: loop over (fn, args) jobs until EOF."""
     from ..runstate import reset_run_ids
 
     while True:
@@ -112,11 +111,11 @@ def _pool_worker_main(conn) -> None:
             return
         if job is None:  # orderly shutdown
             return
-        fn, args, kwargs = job
+        fn, args = job
         reset_run_ids()
         started = time.perf_counter()
         try:
-            value = fn(*args, **kwargs)
+            value = fn(*args)
         except BaseException as exc:  # noqa: BLE001 — isolation is the point
             conn.send(
                 (
@@ -142,18 +141,11 @@ def _pool_worker_main(conn) -> None:
 class ParallelRunner:
     """Fan :class:`RunSpec`\\ s across worker processes, merge in order."""
 
-    def __init__(
-        self,
-        jobs: int = 1,
-        progress: Optional[ProgressFn] = None,
-        context: Optional[str] = None,
-    ) -> None:
+    def __init__(self, jobs: int = 1, progress: Optional[ProgressFn] = None) -> None:
         self.jobs = max(1, jobs)
         self.progress = progress
-        if context is None:
-            methods = multiprocessing.get_all_start_methods()
-            context = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(context)
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
     # -- public ---------------------------------------------------------------
     def run(self, specs: Sequence[RunSpec]) -> List[RunResult]:
@@ -171,7 +163,7 @@ class ParallelRunner:
             reset_run_ids()
             started = time.perf_counter()
             try:
-                value = spec.fn(*spec.args, **spec.kwargs)
+                value = spec.fn(*spec.args)
                 result = RunResult(
                     spec.key, value=value, wall_s=time.perf_counter() - started
                 )
@@ -214,7 +206,7 @@ class ParallelRunner:
             for conn, (proc, index) in list(workers.items()):
                 if index is None and pending:
                     next_index, spec = pending.pop(0)
-                    conn.send((spec.fn, spec.args, spec.kwargs))
+                    conn.send((spec.fn, spec.args))
                     workers[conn] = (proc, next_index)
 
         try:
@@ -274,7 +266,6 @@ def parallel_map(
     argtuples: Sequence[Tuple],
     jobs: int = 1,
     keys: Optional[Sequence[str]] = None,
-    progress: Optional[ProgressFn] = None,
 ) -> List[Any]:
     """Map ``fn`` over argument tuples; raise on the first failed run.
 
@@ -290,7 +281,7 @@ def parallel_map(
         )
         for i, args in enumerate(argtuples)
     ]
-    outcomes = ParallelRunner(jobs=jobs, progress=progress).run(specs)
+    outcomes = ParallelRunner(jobs=jobs).run(specs)
     for outcome in outcomes:
         if outcome.error is not None:
             raise RuntimeError(

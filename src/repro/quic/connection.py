@@ -231,7 +231,7 @@ class QuicConnection:
             self.on_new_stream(stream)
         return stream
 
-    def stream_wants_send(self, stream: QuicStream) -> None:
+    def stream_wants_send(self) -> None:
         self._schedule_pump()
 
     # ---------------------------------------------------------- handshake --
@@ -361,12 +361,12 @@ class QuicConnection:
             )
             self._pto_backoff = 1.0
         if self.cc.in_recovery and self.largest_acked > self._recovery_until:
-            self.cc.on_recovery_exit(now)
-        self._detect_losses(now)
+            self.cc.on_recovery_exit()
+        self._detect_losses()
         self._arm_pto()
         self._schedule_pump()
 
-    def _detect_losses(self, now: float) -> None:
+    def _detect_losses(self) -> None:
         threshold = self.largest_acked - REORDER_THRESHOLD
         if threshold < 0 or not self.sent:
             return
@@ -386,7 +386,7 @@ class QuicConnection:
         if lost[-1] > self._recovery_until:
             self._recovery_until = self._pkt_num - 1
             self.stack.stats.loss_events += 1
-            self.cc.on_loss_event(now, self.bytes_in_flight)
+            self.cc.on_loss_event(self.bytes_in_flight)
 
     def _requeue(self, pkt: _SentPacket) -> None:
         self.stack.stats.retransmits += 1
@@ -417,7 +417,7 @@ class QuicConnection:
         self.stack.stats.ptos += 1
         pkt = self.sent.pop(next(iter(self.sent)))  # the oldest
         self.bytes_in_flight -= pkt.size
-        self.cc.on_rto(self.sim.now)
+        self.cc.on_rto()
         self._pto_backoff = min(self._pto_backoff * 2.0, 64.0)
         self._requeue(pkt)
         self._arm_pto()

@@ -95,7 +95,7 @@ class QuicStream:
 
     def _write(self, nbytes: int, waiter) -> None:
         self.send_buffer.admit(nbytes, waiter)
-        self.conn.stream_wants_send(self)
+        self.conn.stream_wants_send()
 
     def close(self) -> None:
         """Half-close: FIN at the current write watermark."""
@@ -103,7 +103,7 @@ class QuicStream:
             return
         self.send_buffer.close()
         self.fin_offset = self.send_buffer.written
-        self.conn.stream_wants_send(self)
+        self.conn.stream_wants_send()
 
     def abort(self) -> None:
         """Connection-level teardown reached this stream."""

@@ -69,19 +69,19 @@ class CongestionControl:
     def on_ack(self, sample: RateSample) -> None:
         """Cumulative ACK advanced; adjust cwnd / internal model."""
 
-    def on_loss_event(self, now: float, in_flight: int) -> None:
+    def on_loss_event(self, in_flight: int) -> None:
         """Fast-retransmit-detected loss (once per loss event, not per drop)."""
 
-    def on_rto(self, now: float) -> None:
+    def on_rto(self) -> None:
         """Retransmission timeout fired: collapse to loss-window."""
         self.ssthresh = max(2 * self.mss, self.cwnd / 2)
         self.cwnd = self.mss
 
-    def on_ecn(self, now: float, in_flight: int) -> None:
+    def on_ecn(self, in_flight: int) -> None:
         """Classic ECN echo: treat as a loss event by default (RFC 3168)."""
-        self.on_loss_event(now, in_flight)
+        self.on_loss_event(in_flight)
 
-    def on_recovery_exit(self, now: float) -> None:
+    def on_recovery_exit(self) -> None:
         """All loss repaired; leave fast recovery."""
         self.in_recovery = False
 
@@ -122,7 +122,7 @@ def register(cls: Type[CongestionControl]) -> Type[CongestionControl]:
     return cls
 
 
-def make(name: str, mss: int = 1448, **kwargs) -> CongestionControl:
+def make(name: str, mss: int = 1448) -> CongestionControl:
     """Instantiate a registered algorithm by name."""
     try:
         cls = _REGISTRY[name]
@@ -130,7 +130,7 @@ def make(name: str, mss: int = 1448, **kwargs) -> CongestionControl:
         raise KeyError(
             f"unknown congestion control {name!r}; available: {sorted(_REGISTRY)}"
         ) from None
-    return cls(mss=mss, **kwargs)
+    return cls(mss=mss)
 
 
 def available() -> list[str]:

@@ -57,8 +57,8 @@ class Bbr(CongestionControl):
         "_initial_cwnd",
     )
 
-    def __init__(self, mss: int = 1448, initial_window_segments: int = 10) -> None:
-        super().__init__(mss, initial_window_segments)
+    def __init__(self, mss: int = 1448) -> None:
+        super().__init__(mss)
         self.state = "STARTUP"
         self.pacing_gain = STARTUP_GAIN
         self.cwnd_gain = STARTUP_GAIN
@@ -206,20 +206,20 @@ class Bbr(CongestionControl):
         self.cwnd = max(MIN_CWND_SEGMENTS * self.mss, target)
 
     # -- loss handling: BBR v1 mostly ignores loss --------------------------------
-    def on_loss_event(self, now: float, in_flight: int) -> None:
+    def on_loss_event(self, in_flight: int) -> None:
         # v1 does not reduce on isolated loss; fast recovery is entered by
         # the connection, but the model window stands.
         self.in_recovery = True
 
-    def on_ecn(self, now: float, in_flight: int) -> None:
+    def on_ecn(self, in_flight: int) -> None:
         # v1 ignores ECN signals entirely.
         self.in_recovery = True
 
-    def on_rto(self, now: float) -> None:
+    def on_rto(self) -> None:
         # Conservation on timeout: one packet, then the model rebuilds.
         self.cwnd = self.mss
 
-    def on_recovery_exit(self, now: float) -> None:
+    def on_recovery_exit(self) -> None:
         self.in_recovery = False
         self._set_cwnd()
 

@@ -39,8 +39,8 @@ class CompoundTcp(CongestionControl):
 
     __slots__ = ("dwnd", "base_rtt", "_loss_cwnd", "_acked_this_window", "_last_rtt")
 
-    def __init__(self, mss: int = 1448, initial_window_segments: int = 10) -> None:
-        super().__init__(mss, initial_window_segments)
+    def __init__(self, mss: int = 1448) -> None:
+        super().__init__(mss)
         self.dwnd = 0.0  # delay window, bytes
         self.base_rtt: Optional[float] = None
         self._loss_cwnd = float(self.cwnd)  # Reno component, bytes
@@ -91,7 +91,7 @@ class CompoundTcp(CongestionControl):
                 self.dwnd = max(0.0, self.dwnd - self.ZETA * diff * self.mss)
         self._recompute()
 
-    def on_loss_event(self, now: float, in_flight: int) -> None:
+    def on_loss_event(self, in_flight: int) -> None:
         win = self._loss_cwnd + self.dwnd
         self._loss_cwnd = max(2 * self.mss, self._loss_cwnd / 2.0)
         # dwnd = win*(1 - beta) - cwnd/2, floored at zero (Tan et al. eq. 6).
@@ -100,7 +100,7 @@ class CompoundTcp(CongestionControl):
         self._recompute()
         self.in_recovery = True
 
-    def on_rto(self, now: float) -> None:
+    def on_rto(self) -> None:
         self.ssthresh = max(2 * self.mss, self.cwnd / 2)
         self._loss_cwnd = float(self.mss)
         self.dwnd = 0.0

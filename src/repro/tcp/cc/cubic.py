@@ -44,13 +44,8 @@ class Cubic(CongestionControl):
         "_round_end_delivered",
     )
 
-    def __init__(
-        self,
-        mss: int = 1448,
-        initial_window_segments: int = 10,
-        hystart: bool = True,
-    ) -> None:
-        super().__init__(mss, initial_window_segments)
+    def __init__(self, mss: int = 1448, hystart: bool = True) -> None:
+        super().__init__(mss)
         self.w_max = 0.0  # window (segments) before the last reduction
         self.k = 0.0  # time to regrow to w_max
         self.epoch_start: float | None = None
@@ -144,7 +139,7 @@ class Cubic(CongestionControl):
         else:
             self._set_cwnd_seg(cwnd_seg + increment)
 
-    def on_loss_event(self, now: float, in_flight: int) -> None:
+    def on_loss_event(self, in_flight: int) -> None:
         self.epoch_start = None
         cwnd_seg = self._cwnd_seg
         if cwnd_seg < self.w_max and self.fast_convergence:
@@ -155,7 +150,7 @@ class Cubic(CongestionControl):
         self.ssthresh = self.cwnd
         self.in_recovery = True
 
-    def on_rto(self, now: float) -> None:
+    def on_rto(self) -> None:
         self.epoch_start = None
         self.w_max = self._cwnd_seg
         self.ssthresh = max(2 * self.mss, self.cwnd * self.BETA)

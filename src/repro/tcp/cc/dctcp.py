@@ -32,8 +32,8 @@ class Dctcp(CongestionControl):
         "_avoidance_acc",
     )
 
-    def __init__(self, mss: int = 1448, initial_window_segments: int = 10) -> None:
-        super().__init__(mss, initial_window_segments)
+    def __init__(self, mss: int = 1448) -> None:
+        super().__init__(mss)
         self.alpha = 1.0  # start conservative, as the Linux implementation does
         self._acked_bytes = 0
         self._marked_bytes = 0
@@ -71,16 +71,16 @@ class Dctcp(CongestionControl):
                 self._avoidance_acc -= int(self.cwnd)
                 self.cwnd += self.mss
 
-    def on_ecn(self, now: float, in_flight: int) -> None:
+    def on_ecn(self, in_flight: int) -> None:
         # Per-ACK marks arrive through RateSample.ce_marked; nothing extra.
         pass
 
-    def on_loss_event(self, now: float, in_flight: int) -> None:
+    def on_loss_event(self, in_flight: int) -> None:
         self.ssthresh = max(2 * self.mss, in_flight / 2)
         self.cwnd = self.ssthresh
         self.in_recovery = True
 
-    def on_rto(self, now: float) -> None:
-        super().on_rto(now)
+    def on_rto(self) -> None:
+        super().on_rto()
         self._avoidance_acc = 0
         self.in_recovery = False

@@ -34,12 +34,12 @@ class Reno(CongestionControl):
                 self._avoidance_acc -= int(self.cwnd)
                 self.cwnd += self.mss
 
-    def on_loss_event(self, now: float, in_flight: int) -> None:
+    def on_loss_event(self, in_flight: int) -> None:
         self.ssthresh = max(2 * self.mss, in_flight / 2)
         self.cwnd = self.ssthresh
         self.in_recovery = True
 
-    def on_rto(self, now: float) -> None:
+    def on_rto(self) -> None:
         self.ssthresh = max(2 * self.mss, self.cwnd / 2)
         self.cwnd = self.mss
         self._avoidance_acc = 0

@@ -56,28 +56,31 @@ class TcpState(enum.Enum):
 # time an Enum class attribute takes.
 _TIME_WAIT = TcpState.TIME_WAIT
 
+#: Wire-level MSS (used by congestion control and loss recovery).
+MSS = 1448
+#: Delayed ACKs (RFC 1122): every second full-sized segment is acked at
+#: once, any other within 40 ms.
+DELACK_SEGMENTS = 2
+DELACK_TIMEOUT = 0.040
+#: SYN transmissions before ``connect()`` fails.
+SYN_RETRIES = 6
+
 
 @dataclass(slots=True)
 class TcpConfig:
     """Per-connection tunables (the stack supplies defaults)."""
 
-    #: Wire-level MSS (used by congestion control and loss recovery).
-    mss: int = 1448
     #: Effective segmentation size for sends (64 KB with TSO).
-    effective_mss: int = 1448
+    effective_mss: int = MSS
     sndbuf: int = 4 * 1024 * 1024
     rcvbuf: int = 4 * 1024 * 1024
-    delayed_ack: bool = True
-    delack_timeout: float = 0.040
-    delack_segments: int = 2
-    min_rto: float = 0.2
     ecn: bool = False
     #: Nagle's algorithm (RFC 896): hold sub-MSS writes while data is in
     #: flight.  Off by default, as most latency-conscious services set
-    #: TCP_NODELAY; the RPC workloads exercise both settings.
+    #: TCP_NODELAY; no workload turns it on, only the Nagle tests in
+    #: tests/test_tcp_edge_cases.py.
     nagle: bool = False
     msl: float = 0.05  # short TIME_WAIT, keeps port churn tractable
-    syn_retries: int = 6
 
 
 @dataclass(slots=True)
@@ -209,12 +212,12 @@ class TcpConnection:
         self._last_advertised_wnd = self.config.rcvbuf
 
         # --- RTT / timers ---
-        self.rtt = RttEstimator(min_rto=self.config.min_rto)
+        self.rtt = RttEstimator()
         self._rto = Deadline(sim, self, TcpConnection._rto_fire)
         # Most connections never probe a zero window and only a data
         # receiver delays ACKs: both deadlines are built on first arm.
         self._persist: Optional[Deadline] = None
-        self._syn_retries_left = self.config.syn_retries
+        self._syn_retries_left = SYN_RETRIES
 
         # --- delayed ack ---
         self._delack_pending = 0
@@ -302,7 +305,7 @@ class TcpConnection:
         """Server side: a listener spawned us for this SYN."""
         self.state = TcpState.SYN_RCVD
         self._accept_syn(seg)
-        self._transmit(self._make_segment(self.iss, syn=True, ack=True), syn=True)
+        self._transmit(self._make_segment(self.iss, syn=True, ack=True))
         self.snd_nxt = self.iss + 1
         self._arm_rto()
 
@@ -376,7 +379,7 @@ class TcpConnection:
                 self._accept_syn(seg)
                 self.snd_una = seg.ack_no
                 self._become_established()
-                self._send_ack(force=True)
+                self._send_ack()
                 self._pump()
             return
 
@@ -483,7 +486,7 @@ class TcpConnection:
             if self.cc.wants_accurate_ecn:
                 sample.ce_marked = True
             elif self.snd_una > self._ecn_reduction_seq:
-                self.cc.on_ecn(self.sim.now, self.bytes_in_flight)
+                self.cc.on_ecn(self.bytes_in_flight)
                 self._ecn_reduction_seq = self.snd_nxt
                 self._send_cwr = True
 
@@ -491,7 +494,7 @@ class TcpConnection:
             self._in_fast_recovery = False
             self._forget_repairs()
             self._rto_high = 0
-            self.cc.on_recovery_exit(self.sim.now)
+            self.cc.on_recovery_exit()
         self.cc.on_ack(sample)
 
         if self.snd_una == self.snd_nxt:
@@ -576,7 +579,7 @@ class TcpConnection:
 
         # _sacked lies within [snd_una, snd_nxt), so its total is the
         # SACKed bytes in flight.
-        lost_threshold = self._sacked.total() >= 3 * self.config.mss
+        lost_threshold = self._sacked.total() >= 3 * MSS
         if not self._in_fast_recovery and (self._dupacks >= 3 or lost_threshold):
             self._enter_fast_recovery()
         elif self._in_fast_recovery:
@@ -585,7 +588,7 @@ class TcpConnection:
     def _enter_fast_recovery(self) -> None:
         self._in_fast_recovery = True
         self._recover = self.snd_nxt
-        self.cc.on_loss_event(self.sim.now, self.bytes_in_flight)
+        self.cc.on_loss_event(self.bytes_in_flight)
         self.stack.stats.fast_retransmits += 1
         self._recovery_send()
         self._arm_rto(restart=True)
@@ -609,7 +612,7 @@ class TcpConnection:
         # spends at most ``mss`` bytes, the last hole it touches whole),
         # and before the loop marks any of them repaired.
         covered = self._covered
-        mss = self.config.mss
+        mss = MSS
         lost_unrepaired = max(high_lost - self.snd_una, 0) - covered.covered(
             self.snd_una, high_lost
         )
@@ -728,13 +731,13 @@ class TcpConnection:
             return
         wnd = self.recv_buffer.window(self.assembly.out_of_order_bytes)
         if wnd - self._last_advertised_wnd >= self.config.rcvbuf // 4:
-            self._send_ack(force=True)
+            self._send_ack()
 
     # ------------------------------------------------------------- ACK sending --
     def _schedule_ack(self, immediate: bool, accurate_ecn_ce: bool = False) -> None:
         if self.cc.wants_accurate_ecn:
             # DCTCP receiver: every data segment is acked, echoing its mark.
-            self._send_ack(force=True, ece_override=accurate_ecn_ce)
+            self._send_ack(ece_override=accurate_ecn_ce)
             return
         self._delack_pending += 1
         # The segment threshold counts MSS-equivalents: one TSO/GRO
@@ -742,11 +745,10 @@ class TcpConnection:
         # or a lone super-segment in flight would stall on the delack timer.
         if (
             immediate
-            or not self.config.delayed_ack
-            or self._delack_pending >= self.config.delack_segments
-            or self._delack_bytes >= self.config.delack_segments * self.config.mss
+            or self._delack_pending >= DELACK_SEGMENTS
+            or self._delack_bytes >= DELACK_SEGMENTS * MSS
         ):
-            self._send_ack(force=True)
+            self._send_ack()
             return
         # The timer runs from the first unacknowledged segment (every ACK
         # sent cancels it): a later one leaves it where it is.
@@ -757,9 +759,9 @@ class TcpConnection:
             )
         elif delack.armed:
             return
-        delack.arm(self.config.delack_timeout)
+        delack.arm(DELACK_TIMEOUT)
 
-    def _send_ack(self, force: bool = False, ece_override: Optional[bool] = None) -> None:
+    def _send_ack(self, ece_override: Optional[bool] = None) -> None:
         if self.irs is None or self.state in (TcpState.CLOSED, TcpState.LISTEN):
             return
         self._delack_pending = 0
@@ -780,7 +782,7 @@ class TcpConnection:
             self.assembly.rcv_nxt += 1
             self.recv_buffer.deliver_eof()
             self._fin_advance_state()
-        self._send_ack(force=True)
+        self._send_ack()
 
     def _check_fin_delivery(self) -> None:
         if (
@@ -790,7 +792,7 @@ class TcpConnection:
             self.assembly.rcv_nxt += 1
             self.recv_buffer.deliver_eof()
             self._fin_advance_state()
-            self._send_ack(force=True)
+            self._send_ack()
 
     def _fin_advance_state(self) -> None:
         if self.state is TcpState.ESTABLISHED:
@@ -894,7 +896,7 @@ class TcpConnection:
             if (
                 self.config.nagle
                 and not want_fin
-                and 0 < available < self.config.mss
+                and 0 < available < MSS
                 and in_flight > 0
             ):
                 break  # Nagle: hold the runt until the pipe drains
@@ -977,9 +979,7 @@ class TcpConnection:
             self._send_cwr = False
         return seg
 
-    def _transmit(
-        self, seg: TcpSegment, syn: bool = False, retransmit: bool = False
-    ) -> None:
+    def _transmit(self, seg: TcpSegment, retransmit: bool = False) -> None:
         if seg.payload_len > 0 and not retransmit:
             if self.bytes_in_flight == 0:
                 self._first_tx_time = self.sim.now
@@ -1003,7 +1003,7 @@ class TcpConnection:
     def _send_syn(self) -> None:
         seg = self._make_segment(self.iss, syn=True)
         self.snd_nxt = self.iss + 1
-        self._transmit(seg, syn=True)
+        self._transmit(seg)
         self._arm_rto()
 
     def _accept_syn(self, seg: TcpSegment) -> None:
@@ -1045,14 +1045,14 @@ class TcpConnection:
             return
         if self.state is TcpState.SYN_RCVD:
             self.rtt.on_timeout()
-            self._transmit(self._make_segment(self.iss, syn=True, ack=True), syn=True)
+            self._transmit(self._make_segment(self.iss, syn=True, ack=True))
             self._arm_rto()
             return
         if self.snd_una >= self.snd_nxt:
             return  # everything acked; nothing to do
         self.stack.stats.timeouts += 1
         self.rtt.on_timeout()
-        self.cc.on_rto(self.sim.now)
+        self.cc.on_rto()
         # Treat everything unsacked as lost; retransmit via the scoreboard
         # machinery while the window regrows from one MSS.  SACKed ranges
         # are kept (as Linux does) so delivered-byte accounting stays exact.
@@ -1075,7 +1075,7 @@ class TcpConnection:
         if self.snd_wnd == 0 and self.state is TcpState.ESTABLISHED:
             # Window probe: 1-byte nudge would be the real thing; a bare ACK
             # suffices to elicit a window update in this simulation.
-            self._send_ack(force=True)
+            self._send_ack()
             self._arm_persist()
 
     def __repr__(self) -> str:

@@ -17,11 +17,12 @@ class RttEstimator:
     ALPHA = 1.0 / 8.0
     BETA = 1.0 / 4.0
     K = 4.0
+    #: Clock granularity (RFC 6298's G): the floor of the variance term.
+    G = 1e-3
 
     __slots__ = (
         "min_rto",
         "max_rto",
-        "granularity",
         "srtt",
         "rttvar",
         "latest_rtt",
@@ -35,13 +36,11 @@ class RttEstimator:
         min_rto: float = 0.2,
         max_rto: float = 60.0,
         initial_rto: float = 1.0,
-        clock_granularity: float = 1e-3,
     ) -> None:
         if min_rto <= 0 or max_rto < min_rto:
             raise ValueError("require 0 < min_rto <= max_rto")
         self.min_rto = min_rto
         self.max_rto = max_rto
-        self.granularity = clock_granularity
         self.srtt: Optional[float] = None
         self.rttvar: Optional[float] = None
         self.latest_rtt: Optional[float] = None
@@ -73,7 +72,7 @@ class RttEstimator:
         # Like Linux, floor the variance *term* (not just the total) at
         # min_rto: RTO >= srtt + min_rto, so a quiet round-trip during loss
         # recovery does not race the repair ACK into a spurious timeout.
-        variance_term = max(self.granularity, self.K * self.rttvar, self.min_rto)
+        variance_term = max(self.G, self.K * self.rttvar, self.min_rto)
         self._rto = max(self.min_rto, self.srtt + variance_term)
         self._backoff = 1
 

@@ -27,7 +27,7 @@ from ..net.addressing import EPHEMERAL_BASE
 from ..obs import runtime as obs_runtime
 from ..sim import NANOS, Event, FifoTimer, Simulator
 from .cc import base as cc_base
-from .connection import TcpConfig, TcpConnection, TcpState
+from .connection import MSS, TcpConfig, TcpConnection, TcpState
 from .listener import Listener
 from .segment import TcpSegment
 
@@ -45,7 +45,7 @@ class StackConfig:
     #: Default congestion control for new connections.
     congestion_control: str = "cubic"
     #: Template for per-connection tunables.
-    tcp: TcpConfig = field(default_factory=TcpConfig)
+    tcp: TcpConfig = field(default_factory=TcpConfig, init=False)
     #: Fixed CPU cost per segment processed (protocol work, interrupts).
     per_segment_ns: float = 2000.0
     #: CPU cost per payload byte (copies, checksums).
@@ -278,15 +278,15 @@ class TcpStack:
         if cached is not None:
             return cached
         cfg = replace(template)
-        cfg.effective_mss = max(cfg.mss, self.effective_mss())
+        cfg.effective_mss = max(MSS, self.effective_mss())
         for name, value in overrides.items():
             setattr(cfg, name, value)
         if key is not None:
             self._cfg_cache[key] = cfg
         return cfg
 
-    def _make_cc(self, name: Optional[str], mss: int) -> cc_base.CongestionControl:
-        return cc_base.make(name or self.config.congestion_control, mss=mss)
+    def _make_cc(self, name: Optional[str]) -> cc_base.CongestionControl:
+        return cc_base.make(name or self.config.congestion_control, mss=MSS)
 
     def allocate_port(self) -> int:
         port = self._next_ephemeral
@@ -312,7 +312,7 @@ class TcpStack:
         port = local_port if local_port is not None else self.allocate_port()
         local = Endpoint(self.ip, port)
         cfg = self._tcp_config(**tcp_overrides)
-        cc = self._make_cc(congestion_control, cfg.mss)
+        cc = self._make_cc(congestion_control)
         conn = TcpConnection(self.sim, self, local, remote, cc, cfg)
         key = (port, remote.ip, remote.port)
         if key in self._connections:
@@ -349,7 +349,7 @@ class TcpStack:
         listener once established (still CLOSED)."""
         local = listener.local_endpoint(self.ip)
         cfg = self._tcp_config(**getattr(listener, "_tcp_overrides", {}))
-        cc = self._make_cc(getattr(listener, "_cc_name", None), cfg.mss)
+        cc = self._make_cc(getattr(listener, "_cc_name", None))
         conn = TcpConnection(self.sim, self, local, remote, cc, cfg)
         self._connections[key or (listener.port, remote.ip, remote.port)] = conn
         self.stats.connections_accepted += 1

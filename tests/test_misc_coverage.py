@@ -39,7 +39,7 @@ def test_cc_base_validates_mss():
 
 def test_base_on_rto_halves_and_collapses():
     cc = CongestionControl(mss=1000, initial_window_segments=10)
-    cc.on_rto(0.0)
+    cc.on_rto()
     assert cc.cwnd == 1000
     assert cc.ssthresh == 5000
 

@@ -74,14 +74,14 @@ def test_reno_congestion_avoidance_linear():
 def test_reno_halves_on_loss():
     cc = Reno(mss=MSS)
     in_flight = int(cc.cwnd)
-    cc.on_loss_event(0.0, in_flight)
+    cc.on_loss_event(in_flight)
     assert cc.cwnd == pytest.approx(in_flight / 2)
     assert cc.in_recovery
 
 
 def test_reno_freezes_during_recovery():
     cc = Reno(mss=MSS)
-    cc.on_loss_event(0.0, int(cc.cwnd))
+    cc.on_loss_event(int(cc.cwnd))
     window = cc.cwnd
     ack(cc)
     assert cc.cwnd == window
@@ -89,7 +89,7 @@ def test_reno_freezes_during_recovery():
 
 def test_reno_rto_collapses_to_one_mss():
     cc = Reno(mss=MSS)
-    cc.on_rto(0.0)
+    cc.on_rto()
     assert cc.cwnd == MSS
 
 
@@ -111,15 +111,15 @@ def test_cubic_reduces_by_beta():
     cc = Cubic(mss=MSS)
     cc.ssthresh = cc.cwnd
     window_seg = cc.cwnd / MSS
-    cc.on_loss_event(0.0, int(cc.cwnd))
+    cc.on_loss_event(int(cc.cwnd))
     assert cc.cwnd / MSS == pytest.approx(window_seg * Cubic.BETA, rel=0.01)
 
 
 def test_cubic_regrows_toward_wmax():
     cc = Cubic(mss=MSS)
     cc.ssthresh = cc.cwnd = 100 * MSS
-    cc.on_loss_event(0.0, 100 * MSS)
-    cc.on_recovery_exit(0.0)
+    cc.on_loss_event(100 * MSS)
+    cc.on_recovery_exit()
     dropped = cc.cwnd
     now = 0.0
     for i in range(2000):
@@ -133,10 +133,10 @@ def test_cubic_regrows_toward_wmax():
 def test_cubic_fast_convergence_lowers_wmax():
     cc = Cubic(mss=MSS)
     cc.ssthresh = cc.cwnd = 100 * MSS
-    cc.on_loss_event(0.0, 0)
+    cc.on_loss_event(0)
     first_wmax = cc.w_max
     cc.in_recovery = False
-    cc.on_loss_event(1.0, 0)  # second loss with a smaller window
+    cc.on_loss_event(0)  # second loss with a smaller window
     assert cc.w_max < first_wmax
 
 
@@ -147,8 +147,8 @@ def test_cubic_long_rtt_growth_beats_reno():
     rtt, seconds = 0.2, 20.0
     cc = Cubic(mss=MSS)
     cc.ssthresh = cc.cwnd = 50 * MSS
-    cc.on_loss_event(0.0, 50 * MSS)
-    cc.on_recovery_exit(0.0)
+    cc.on_loss_event(50 * MSS)
+    cc.on_recovery_exit()
     now = 0.0
     while now < seconds:
         now += rtt
@@ -209,7 +209,7 @@ def test_bbr_ignores_isolated_loss():
     cc = Bbr(mss=MSS)
     ack(cc, rate=1e7, rtt=0.05, now=0.1)
     window = cc.cwnd
-    cc.on_loss_event(0.2, int(window))
+    cc.on_loss_event(int(window))
     assert cc.cwnd == window  # no reduction
 
 
@@ -223,7 +223,7 @@ def test_bbr_cwnd_is_gain_times_bdp():
 
 def test_bbr_rto_conservation():
     cc = Bbr(mss=MSS)
-    cc.on_rto(0.0)
+    cc.on_rto()
     assert cc.cwnd == MSS
 
 
@@ -291,7 +291,7 @@ def test_ctcp_loss_halves_total_window():
     cc.dwnd = 40 * MSS
     cc._recompute()
     before = cc.cwnd
-    cc.on_loss_event(0.0, int(before))
+    cc.on_loss_event(int(before))
     assert cc.cwnd == pytest.approx(before * 0.5, rel=0.15)
 
 
@@ -340,7 +340,7 @@ def test_dctcp_reduction_proportional_to_alpha():
 
 def test_dctcp_loss_still_halves():
     cc = Dctcp(mss=MSS)
-    cc.on_loss_event(0.0, 100 * MSS)
+    cc.on_loss_event(100 * MSS)
     assert cc.cwnd == pytest.approx(50 * MSS)
 
 
