@@ -242,7 +242,9 @@ class KernelSocketApi:
     def wait_readable(self, fd: int) -> Event:
         sock = self._get(fd)
         if sock.conn is not None:
-            return sock.conn.recv_buffer.wait_readable()
+            event = Event(self.sim)
+            sock.conn.watch_readable(event)
+            return event
         if sock.listener is not None:
             return sock.listener.wait_pending()
         raise InvalidSocketState(f"fd {fd} is neither connected nor listening")

@@ -118,8 +118,9 @@ class Link:
         self.loss = loss or NoLoss()
         #: Uniform extra delivery delay in [0, jitter] applied per packet
         #: *independently*, so a jittery link reorders (multipath-style).
+        #: Seeded from the name: a run replays its delays exactly.
         self.jitter = jitter
-        self._jitter_rng = random.Random()
+        self._jitter_rng = random.Random(name)
         self.name = name
         self.stats = LinkStats()
         self._busy = False

@@ -496,9 +496,6 @@ class ServiceLib:
             )
         )
 
-    def _start_rx(self, backend: _Backend) -> None:
-        self._rx_wait(backend)
-
     # nk_new_data_callback, as a chain of direct calls: readiness (a bare
     # queue entry where the readiness event would have fired) -> read +
     # huge-page stage (chained memcpy charge) -> DATA nqe -> re-arm.
@@ -507,10 +504,8 @@ class ServiceLib:
     # and its nqe delivered — without a process frame per chunk.  Only the
     # rare blocking cases (region exhausted, receive ring full) fall back
     # to a short-lived generator.
-    def _rx_wait(self, backend: _Backend) -> None:
-        conn = backend.conn
-        assert conn is not None
-        conn.recv_buffer.watch((self._rx_ready, (backend,)))
+    def _start_rx(self, backend: _Backend) -> None:
+        backend.conn.watch_readable((self._rx_ready, (backend,)))
 
     def _rx_ready(self, backend: _Backend) -> None:
         owner = backend.owner
@@ -530,7 +525,7 @@ class ServiceLib:
             cap = self._fidelity.rx_read_cap(conn, cap, backend.region.capacity)
         taken = conn.recv_buffer.try_read(cap)
         if taken is None:
-            self._rx_wait(backend)
+            conn.watch_readable((self._rx_ready, (backend,)))
             return
         if taken == 0:  # EOF: stream fully delivered
             self.receive_queue.offer(
@@ -590,11 +585,11 @@ class ServiceLib:
             self.sim.process(self._rx_push_slow(backend, nqe))
             return
         ring.offer(nqe)
-        self._rx_wait(backend)
+        backend.conn.watch_readable((self._rx_ready, (backend,)))
 
     def _rx_push_slow(self, backend: _Backend, nqe: Nqe):
         yield self.receive_queue.push(nqe)
-        self._rx_wait(backend)
+        self._start_rx(backend)
 
 
 ServiceLib._OP_HANDLERS = {

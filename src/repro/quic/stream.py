@@ -3,10 +3,10 @@
 A :class:`QuicStream` is what the ServiceLib sees when it asks the QUIC
 family for "a connection" — it duck-types the surface
 :class:`repro.tcp.connection.TcpConnection` exposes there
-(``established``, ``send()``, ``recv_buffer``, ``close()``), while the
-:class:`repro.quic.connection.QuicConnection` underneath multiplexes
-many streams over one handshake, one congestion controller and one
-loss-recovery state machine.
+(``established``, ``send()``, ``recv_buffer``, ``watch_readable()``,
+``close()``), while the :class:`repro.quic.connection.QuicConnection`
+underneath multiplexes many streams over one handshake, one congestion
+controller and one loss-recovery state machine.
 
 Buffering reuses the TCP building blocks (:class:`SendBuffer`,
 :class:`ReceiveBuffer`, :class:`ReassemblyQueue`) — they model a virtual
@@ -96,6 +96,11 @@ class QuicStream:
     def _write(self, nbytes: int, waiter) -> None:
         self.send_buffer.admit(nbytes, waiter)
         self.conn.stream_wants_send()
+
+    def watch_readable(self, waiter) -> None:
+        """Wake ``waiter`` once data or EOF is readable, as
+        ``TcpConnection.watch_readable`` does."""
+        self.recv_buffer.watch(waiter)
 
     def close(self) -> None:
         """Half-close: FIN at the current write watermark."""

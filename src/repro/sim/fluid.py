@@ -642,8 +642,11 @@ class FidelityController:
 
         # Receiver books: exactly what the reassembled segments would do.
         peer.assembly.rcv_nxt += size
-        overfull = peer.recv_buffer.available + size > peer.recv_buffer.capacity
-        peer.recv_buffer.deliver(size)
+        recv_buffer = peer.recv_buffer
+        if recv_buffer.read_only:
+            recv_buffer = peer._own_recv_buffer()
+        overfull = recv_buffer.available + size > recv_buffer.capacity
+        recv_buffer.deliver(size)
         if peer.on_data_available is not None:
             peer.on_data_available(peer, size)
 

@@ -24,6 +24,9 @@ class SendBuffer:
 
     __slots__ = ("sim", "capacity", "written", "acked", "fin_requested", "_waiters")
 
+    #: True only on a stack's shared instance (``TcpStack.shared_send_buffer``).
+    read_only = False
+
     def __init__(self, sim: Simulator, capacity: int = 4 * 1024 * 1024) -> None:
         if capacity <= 0:
             raise ValueError("send buffer capacity must be positive")
@@ -176,6 +179,9 @@ class ReceiveBuffer:
 
     __slots__ = ("sim", "capacity", "available", "eof", "_readers", "_watchers")
 
+    #: True only on a stack's shared instance (``TcpStack.shared_recv_buffer``).
+    read_only = False
+
     def __init__(self, sim: Simulator, capacity: int = 4 * 1024 * 1024) -> None:
         if capacity <= 0:
             raise ValueError("receive buffer capacity must be positive")
@@ -228,17 +234,10 @@ class ReceiveBuffer:
             return 0
         return None
 
-    def wait_readable(self) -> Event:
-        """Event fires when data (or EOF) is available, without consuming.
-
-        This is the readiness primitive behind epoll's EPOLLIN.
-        """
-        event = Event(self.sim)
-        self.watch(event)
-        return event
-
     def watch(self, waiter) -> None:
-        """:meth:`wait_readable` for any waiter (see :meth:`Simulator.wake`)."""
+        """Wake ``waiter`` (see :meth:`Simulator.wake`) once data or EOF is
+        available, without consuming: the readiness primitive behind
+        epoll's EPOLLIN."""
         watchers = self._watchers
         if self.available > 0 or self.eof:
             self.sim.wake(waiter)

@@ -54,6 +54,8 @@ class CongestionControl:
     name = "base"
     #: True for algorithms that need per-ACK ECN echo (DCTCP-style receiver).
     wants_accurate_ecn = False
+    #: True only on a stack's shared instance (``TcpStack.shared_cc``).
+    read_only = False
 
     __slots__ = ("mss", "cwnd", "ssthresh", "in_recovery")
 

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from ..net import Endpoint
 from ..sim import Deadline, Event, Simulator
 from .buffers import ReassemblyQueue, ReceiveBuffer, SendBuffer
-from .cc.base import CongestionControl, RateSample
+from .cc.base import CongestionControl, RateSample, make as make_cc
 from .intervals import EMPTY, IntervalSet
 from .rtt import RttEstimator
 from .segment import TcpSegment
@@ -199,23 +199,27 @@ class TcpConnection:
         self.snd_una = 0
         self.snd_nxt = 0
         self.snd_wnd = 65535
-        self.send_buffer = SendBuffer(sim, self.config.sndbuf)
+        # Congestion control, RTT estimator and both buffers start as the
+        # stack's shared read-only parts; every write site swaps in this
+        # connection's own first (see "owned parts" below).
+        self.send_buffer = stack.shared_send_buffer[self.config.sndbuf]
         self.fin_sent = False
         self.fin_seq: Optional[int] = None
 
         # --- receiver state ---
         self.irs: Optional[int] = None
         self.assembly = ReassemblyQueue()
-        self.recv_buffer = ReceiveBuffer(sim, self.config.rcvbuf)
+        self.recv_buffer = stack.shared_recv_buffer[self.config.rcvbuf]
         self.fin_received_seq: Optional[int] = None
         self._ts_recent: Optional[float] = None
         self._last_advertised_wnd = self.config.rcvbuf
 
         # --- RTT / timers ---
-        self.rtt = RttEstimator()
-        self._rto = Deadline(sim, self, TcpConnection._rto_fire)
-        # Most connections never probe a zero window and only a data
-        # receiver delays ACKs: both deadlines are built on first arm.
+        self.rtt = stack.shared_rtt
+        # Built on first arm: the fluid handshake arms no RTO, most
+        # connections never probe a zero window and only a data receiver
+        # delays ACKs.
+        self._rto: Optional[Deadline] = None
         self._persist: Optional[Deadline] = None
         self._syn_retries_left = SYN_RETRIES
 
@@ -334,19 +338,36 @@ class TcpConnection:
             TcpState.TIME_WAIT,
         ):
             raise RuntimeError("send() after close()")
-        self.send_buffer.admit(nbytes, waiter)
+        send_buffer = self.send_buffer
+        if send_buffer.read_only:
+            send_buffer = self._own_send_buffer()
+        send_buffer.admit(nbytes, waiter)
 
     def recv(self, max_bytes: int) -> Event:
         """Read up to ``max_bytes``; fires with count (0 = EOF)."""
-        event = self.recv_buffer.read(max_bytes)
+        recv_buffer = self.recv_buffer
+        if recv_buffer.read_only:
+            recv_buffer = self._own_recv_buffer()
+        event = recv_buffer.read(max_bytes)
         event.add_callback(lambda _ev: self._after_app_read())
         return event
+
+    def watch_readable(self, waiter) -> None:
+        """Wake ``waiter`` (see :meth:`Simulator.wake`) once data or EOF
+        is readable, without consuming it."""
+        recv_buffer = self.recv_buffer
+        if recv_buffer.read_only:
+            recv_buffer = self._own_recv_buffer()
+        recv_buffer.watch(waiter)
 
     def close(self) -> Event:
         """Half-close: FIN after all queued data; event fires fully closed."""
         if self._fluid is not None:
             self._fidelity.demote(self, "close")
-        self.send_buffer.close()
+        send_buffer = self.send_buffer
+        if send_buffer.read_only:
+            send_buffer = self._own_send_buffer()
+        send_buffer.close()
         if self.state is TcpState.ESTABLISHED:
             self.state = TcpState.FIN_WAIT_1
         elif self.state is TcpState.CLOSE_WAIT:
@@ -469,24 +490,35 @@ class TcpConnection:
         if seg.ts_ecr is not None:
             rtt = self.sim.now - seg.ts_ecr
             if rtt > 0:
-                self.rtt.on_sample(rtt)
+                estimator = self.rtt
+                if estimator.read_only:
+                    estimator = self._own_rtt()
+                estimator.on_sample(rtt)
                 sample.rtt = rtt
 
         # Ack covers our FIN?
         fin_acked = self.fin_seq is not None and ack >= self.fin_seq + 1
 
         stream_acked = advance
-        if fin_acked and stream_acked > 0:
+        if fin_acked:
             stream_acked -= 1  # FIN consumed one sequence number
-        self.send_buffer.on_ack(max(0, stream_acked))
+        if stream_acked > 0:
+            send_buffer = self.send_buffer
+            if send_buffer.read_only:
+                send_buffer = self._own_send_buffer()
+            send_buffer.on_ack(stream_acked)
 
+        # Every hook below may write; on_ack, which ends this path, does.
+        cc = self.cc
+        if cc.read_only:
+            cc = self._own_cc()
         # ECN echo (classic): one reduction per window.
         if seg.ece:
             self.stack.stats.ecn_echoes += 1
-            if self.cc.wants_accurate_ecn:
+            if cc.wants_accurate_ecn:
                 sample.ce_marked = True
             elif self.snd_una > self._ecn_reduction_seq:
-                self.cc.on_ecn(self.bytes_in_flight)
+                cc.on_ecn(self.bytes_in_flight)
                 self._ecn_reduction_seq = self.snd_nxt
                 self._send_cwr = True
 
@@ -494,12 +526,16 @@ class TcpConnection:
             self._in_fast_recovery = False
             self._forget_repairs()
             self._rto_high = 0
-            self.cc.on_recovery_exit()
-        self.cc.on_ack(sample)
+            cc.on_recovery_exit()
+        cc.on_ack(sample)
 
         if self.snd_una == self.snd_nxt:
-            self._rto.cancel()
-            self.rtt.reset_backoff()
+            if self._rto is not None:
+                self._rto.cancel()
+            estimator = self.rtt
+            if estimator.read_only:
+                estimator = self._own_rtt()
+            estimator.reset_backoff()
         else:
             self._arm_rto(restart=True)
 
@@ -574,8 +610,14 @@ class TcpConnection:
                 rtt = self.sim.now - seg.ts_ecr
                 if rtt > 0:
                     sample.rtt = rtt
-                    self.rtt.on_sample(rtt)
-            self.cc.on_ack(sample)
+                    estimator = self.rtt
+                    if estimator.read_only:
+                        estimator = self._own_rtt()
+                    estimator.on_sample(rtt)
+            cc = self.cc
+            if cc.read_only:
+                cc = self._own_cc()
+            cc.on_ack(sample)
 
         # _sacked lies within [snd_una, snd_nxt), so its total is the
         # SACKed bytes in flight.
@@ -588,7 +630,7 @@ class TcpConnection:
     def _enter_fast_recovery(self) -> None:
         self._in_fast_recovery = True
         self._recover = self.snd_nxt
-        self.cc.on_loss_event(self.bytes_in_flight)
+        self._own_cc().on_loss_event(self.bytes_in_flight)
         self.stack.stats.fast_retransmits += 1
         self._recovery_send()
         self._arm_rto(restart=True)
@@ -708,7 +750,10 @@ class TcpConnection:
         advanced = self.assembly.add(seg.seq, seg.payload_len)
         in_order = advanced > 0
         if advanced:
-            self.recv_buffer.deliver(advanced)
+            recv_buffer = self.recv_buffer
+            if recv_buffer.read_only:
+                recv_buffer = self._own_recv_buffer()
+            recv_buffer.deliver(advanced)
             self._check_fin_delivery()
             if self.on_data_available is not None:
                 self.on_data_available(self, advanced)
@@ -780,7 +825,10 @@ class TcpConnection:
         # FIN is in order only when all stream data before it has arrived.
         if self.assembly.rcv_nxt == fin_seq:
             self.assembly.rcv_nxt += 1
-            self.recv_buffer.deliver_eof()
+            recv_buffer = self.recv_buffer
+            if recv_buffer.read_only:
+                recv_buffer = self._own_recv_buffer()
+            recv_buffer.deliver_eof()
             self._fin_advance_state()
         self._send_ack()
 
@@ -790,7 +838,10 @@ class TcpConnection:
             and self.assembly.rcv_nxt == self.fin_received_seq
         ):
             self.assembly.rcv_nxt += 1
-            self.recv_buffer.deliver_eof()
+            recv_buffer = self.recv_buffer
+            if recv_buffer.read_only:
+                recv_buffer = self._own_recv_buffer()
+            recv_buffer.deliver_eof()
             self._fin_advance_state()
             self._send_ack()
 
@@ -834,7 +885,9 @@ class TcpConnection:
     def _release_timers(self) -> None:
         # Pending timer entries must not keep a closed connection (or one
         # in TIME_WAIT, whose FIN is acked) alive.
-        self._rto.release()
+        if self._rto is not None:
+            self._rto.release()
+            self._rto = None
         if self._persist is not None:
             self._persist.release()
             self._persist = None
@@ -844,7 +897,7 @@ class TcpConnection:
 
     def _on_rst(self) -> None:
         self.state = TcpState.CLOSED
-        self.recv_buffer.deliver_eof()
+        self._own_recv_buffer().deliver_eof()
         if not self.established.triggered:
             self.established.fail(ConnectionReset(f"{self.local} reset by peer"))
         self._finish_closed()
@@ -1027,8 +1080,12 @@ class TcpConnection:
     # timers ----------------------------------------------------------------
     # Re-armed on every ACK and transmission; lazily, see repro.sim.Deadline.
     def _arm_rto(self, restart: bool = False) -> None:
-        if restart or not self._rto.armed:
-            self._rto.arm(self.rtt.rto)
+        rto = self._rto
+        if rto is None:
+            rto = self._rto = Deadline(self.sim, self, TcpConnection._rto_fire)
+        elif not restart and rto.armed:
+            return
+        rto.arm(self.rtt.rto)
 
     def _rto_fire(self) -> None:
         if self.state is TcpState.SYN_SENT:
@@ -1040,19 +1097,19 @@ class TcpConnection:
                 self.state = TcpState.CLOSED
                 self._finish_closed()
                 return
-            self.rtt.on_timeout()
+            self._own_rtt().on_timeout()
             self._send_syn()
             return
         if self.state is TcpState.SYN_RCVD:
-            self.rtt.on_timeout()
+            self._own_rtt().on_timeout()
             self._transmit(self._make_segment(self.iss, syn=True, ack=True))
             self._arm_rto()
             return
         if self.snd_una >= self.snd_nxt:
             return  # everything acked; nothing to do
         self.stack.stats.timeouts += 1
-        self.rtt.on_timeout()
-        self.cc.on_rto()
+        self._own_rtt().on_timeout()
+        self._own_cc().on_rto()
         # Treat everything unsacked as lost; retransmit via the scoreboard
         # machinery while the window regrows from one MSS.  SACKed ranges
         # are kept (as Linux does) so delivered-byte accounting stays exact.
@@ -1077,6 +1134,37 @@ class TcpConnection:
             # suffices to elicit a window update in this simulation.
             self._send_ack()
             self._arm_persist()
+
+    # owned parts ----------------------------------------------------------
+    # A connection starts on its stack's shared read-only parts.  Each of
+    # these returns the connection's own part to write, built in place of
+    # the shared one the first time (equal to it: the shared one never
+    # changed).  Write sites that run on every connection test
+    # ``read_only`` inline and call these only on a first write; the
+    # rare ones (RST, RTO, loss) call them directly.
+    def _own_cc(self) -> CongestionControl:
+        cc = self.cc
+        if cc.read_only:
+            cc = self.cc = make_cc(cc.name, mss=MSS)
+        return cc
+
+    def _own_rtt(self) -> RttEstimator:
+        estimator = self.rtt
+        if estimator.read_only:
+            estimator = self.rtt = RttEstimator()
+        return estimator
+
+    def _own_send_buffer(self) -> SendBuffer:
+        buffer = self.send_buffer
+        if buffer.read_only:
+            buffer = self.send_buffer = SendBuffer(self.sim, buffer.capacity)
+        return buffer
+
+    def _own_recv_buffer(self) -> ReceiveBuffer:
+        buffer = self.recv_buffer
+        if buffer.read_only:
+            buffer = self.recv_buffer = ReceiveBuffer(self.sim, buffer.capacity)
+        return buffer
 
     def __repr__(self) -> str:
         return (

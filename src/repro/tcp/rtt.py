@@ -19,6 +19,8 @@ class RttEstimator:
     K = 4.0
     #: Clock granularity (RFC 6298's G): the floor of the variance term.
     G = 1e-3
+    #: True only on a stack's shared instance (``TcpStack.shared_rtt``).
+    read_only = False
 
     __slots__ = (
         "min_rto",

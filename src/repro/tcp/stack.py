@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field, replace
+from functools import cache
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -26,9 +27,11 @@ from ..net import NIC, Endpoint, Packet
 from ..net.addressing import EPHEMERAL_BASE
 from ..obs import runtime as obs_runtime
 from ..sim import NANOS, Event, FifoTimer, Simulator
+from .buffers import ReceiveBuffer, SendBuffer
 from .cc import base as cc_base
 from .connection import MSS, TcpConfig, TcpConnection, TcpState
 from .listener import Listener
+from .rtt import RttEstimator
 from .segment import TcpSegment
 
 __all__ = ["StackConfig", "TcpStack", "StackStats", "TimeWait"]
@@ -209,6 +212,48 @@ def _holds(entry, conn: TcpConnection) -> bool:
     return entry is conn or entry.__class__ is TimeWait and entry.ref() is conn
 
 
+def _refuse_store(part, name: str, value) -> None:
+    raise AttributeError(
+        f"{type(part).__name__} is shared read-only: a connection builds "
+        f"its own before it sets {name} = {value!r}"
+    )
+
+
+@cache
+def _read_only_class(cls: type) -> type:
+    """``cls`` with every attribute store refused and ``read_only`` True
+    (no slots of its own, so an instance can switch to it in place)."""
+    return type(
+        f"Shared{cls.__name__}",
+        (cls,),
+        {
+            "__slots__": (),
+            "__module__": cls.__module__,
+            "__setattr__": _refuse_store,
+            "read_only": True,
+        },
+    )
+
+
+def _read_only(part):
+    part.__class__ = _read_only_class(part.__class__)
+    return part
+
+
+class _SharedParts(dict):
+    """key -> ``build(key)`` made read-only, built on first lookup."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        part = self[key] = _read_only(self.build(key))
+        return part
+
+
 #: Every TcpConfig field value as one tuple: the _tcp_config cache fingerprint.
 _tcp_field_values = attrgetter(*TcpConfig.__dataclass_fields__)
 
@@ -241,6 +286,13 @@ class TcpStack:
         self._next_ephemeral = EPHEMERAL_BASE
         self._next_core = 0
         self._cfg_cache: Dict[tuple, TcpConfig] = {}
+        # The parts a new connection starts with, read-only and shared by
+        # every connection until it first writes one and builds its own
+        # (DESIGN.md section 16, "An idle endpoint builds nothing").
+        self.shared_cc = _SharedParts(lambda name: cc_base.make(name, mss=MSS))
+        self.shared_send_buffer = _SharedParts(lambda size: SendBuffer(sim, size))
+        self.shared_recv_buffer = _SharedParts(lambda size: ReceiveBuffer(sim, size))
+        self.shared_rtt = _read_only(RttEstimator())
         #: Fastpass-style fabric arbiter: when set, every payload-bearing
         #: segment waits for a wire timeslot grant before transmission
         #: (pure ACKs bypass — they are a rounding error on the fabric).
@@ -285,9 +337,6 @@ class TcpStack:
             self._cfg_cache[key] = cfg
         return cfg
 
-    def _make_cc(self, name: Optional[str]) -> cc_base.CongestionControl:
-        return cc_base.make(name or self.config.congestion_control, mss=MSS)
-
     def allocate_port(self) -> int:
         port = self._next_ephemeral
         self._next_ephemeral += 1
@@ -312,7 +361,7 @@ class TcpStack:
         port = local_port if local_port is not None else self.allocate_port()
         local = Endpoint(self.ip, port)
         cfg = self._tcp_config(**tcp_overrides)
-        cc = self._make_cc(congestion_control)
+        cc = self.shared_cc[congestion_control or self.config.congestion_control]
         conn = TcpConnection(self.sim, self, local, remote, cc, cfg)
         key = (port, remote.ip, remote.port)
         if key in self._connections:
@@ -349,7 +398,9 @@ class TcpStack:
         listener once established (still CLOSED)."""
         local = listener.local_endpoint(self.ip)
         cfg = self._tcp_config(**getattr(listener, "_tcp_overrides", {}))
-        cc = self._make_cc(getattr(listener, "_cc_name", None))
+        cc = self.shared_cc[
+            getattr(listener, "_cc_name", None) or self.config.congestion_control
+        ]
         conn = TcpConnection(self.sim, self, local, remote, cc, cfg)
         self._connections[key or (listener.port, remote.ip, remote.port)] = conn
         self.stats.connections_accepted += 1

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 from repro.tcp import ReassemblyQueue, ReceiveBuffer, SendBuffer
 
 
@@ -234,12 +234,15 @@ def test_receive_buffer_window_never_negative(sim):
 
 def test_receive_buffer_wait_readable(sim):
     buf = ReceiveBuffer(sim)
-    watcher = buf.wait_readable()
+    watcher = Event(sim)
+    buf.watch(watcher)
     assert not watcher.triggered
     buf.deliver(1)
     assert watcher.triggered
     # Readable-now case fires immediately.
-    assert buf.wait_readable().triggered
+    now = Event(sim)
+    buf.watch(now)
+    assert now.triggered
 
 
 def test_receive_buffer_readers_fifo(sim):
@@ -290,7 +293,9 @@ def _waiter_fire_log(steps, all_events):
         elif kind == "read":
             rcvbuf.try_read(nbytes)
         elif as_event:
-            rcvbuf.wait_readable().add_callback(lambda _ev: fire(("readable", i)))
+            readable = Event(sim)
+            rcvbuf.watch(readable)
+            readable.add_callback(lambda _ev: fire(("readable", i)))
         else:
             rcvbuf.watch((fire, (("readable", i),)))
 
@@ -307,7 +312,7 @@ def _waiter_fire_log(steps, all_events):
 def test_continuation_waiters_fire_where_their_events_would(steps):
     """Blocked writes, ACKs, deliveries and reads, with each waiter either
     a continuation or an Event (``send().add_callback`` /
-    ``wait_readable().add_callback``): the fire log — exact times, exact
+    ``watch(event)`` then ``add_callback``): the fire log — exact times, exact
     order — and the event count equal those of the all-Event run."""
     assert _waiter_fire_log(steps, all_events=False) == _waiter_fire_log(
         steps, all_events=True

@@ -13,17 +13,26 @@ kept:
   one bound ``on_established_cb``, and each is filed under the demux key
   its SYN was looked up with;
 * a connection keeps no counters (its stack's ``StackStats`` does), and
-  idle endpoints share one initial ``cwnd`` and one advertised window.
+  idle endpoints share one initial ``cwnd`` and one advertised window;
+* a connection starts on its stack's read-only congestion control, RTT
+  estimator and buffers, and builds its own of each at its first write
+  of it (a write to a shared part raises); its RTO timer is built at its
+  first arm, so the fluid analytic handshake builds none.
 """
 
 import gc
 import tracemalloc
 import weakref
 
+import pytest
+
 from conftest import make_linked_stacks, step
+from repro.experiments.common import install_fluid, make_lan_testbed
 from repro.net import Endpoint
+from repro.sim import Event
 from repro.tcp import TcpConnection, TcpState
 from repro.tcp.buffers import ReceiveBuffer
+from repro.tcp.cc import RateSample, available
 from repro.tcp.segment import TcpSegment
 from repro.tcp.stack import TimeWait
 
@@ -221,7 +230,8 @@ def test_idle_endpoints_share_their_initial_and_advertised_windows():
 def test_a_lone_watcher_is_stored_bare_and_two_wake_in_attach_order(sim):
     buffer = ReceiveBuffer(sim, 1000)
     fired = []
-    first = buffer.wait_readable()
+    first = Event(sim)
+    buffer.watch(first)
     first.add_callback(lambda _ev: fired.append("first"))
     assert buffer._watchers is first
     second = (fired.append, ("second",))
@@ -233,11 +243,119 @@ def test_a_lone_watcher_is_stored_bare_and_two_wake_in_attach_order(sim):
     assert fired == ["first", "second"]
 
 
+def shared_parts(conn):
+    """Which of ``conn``'s parts are still its stack's shared ones."""
+    stack, config = conn.stack, conn.config
+    shared = {
+        "cc": conn.cc is stack.shared_cc[conn.cc.name],
+        "rtt": conn.rtt is stack.shared_rtt,
+        "send_buffer": conn.send_buffer is stack.shared_send_buffer[config.sndbuf],
+        "recv_buffer": conn.recv_buffer is stack.shared_recv_buffer[config.rcvbuf],
+    }
+    for name, is_shared in shared.items():
+        assert getattr(conn, name).read_only is is_shared
+    return {name for name, is_shared in shared.items() if is_shared}
+
+
+ALL_PARTS = {"cc", "rtt", "send_buffer", "recv_buffer"}
+
+
+def test_an_idle_established_pair_shares_its_stacks_parts():
+    rig, client, server = established_pair()
+    assert shared_parts(client) == shared_parts(server) == ALL_PARTS
+    # One instance per stack, whatever the number of connections.
+    other = rig.stack_a.connect(Endpoint("10.0.0.2", PORT))
+    rig.run(until=0.02)
+    assert other.state is TcpState.ESTABLISHED
+    assert other.cc is client.cc and other.rtt is client.rtt
+    assert other.send_buffer is client.send_buffer
+    assert client.cc is not server.cc  # each stack has its own
+
+
+def test_one_send_and_recv_build_exactly_the_parts_they_write():
+    rig, client, server = established_pair()
+    reading = server.recv(1000)
+    assert shared_parts(server) == ALL_PARTS - {"recv_buffer"}
+    client.send(1000)
+    assert shared_parts(client) == ALL_PARTS - {"send_buffer"}
+    rig.run(until=0.1)  # past the receiver's delayed ACK
+    assert reading.triggered and reading.value == 1000
+    # The ACK of the data wrote the sender's congestion control and RTT
+    # estimator; the receiver only read its own (ACKs write neither).
+    assert shared_parts(client) == {"recv_buffer"}
+    assert shared_parts(server) == {"cc", "rtt", "send_buffer"}
+    assert client.rtt.srtt is not None and client.cc.cwnd > 10 * MSS
+    fresh = rig.stack_a.shared_cc["cubic"]
+    assert fresh.cwnd == 10 * MSS and rig.stack_a.shared_rtt.srtt is None
+
+
+def test_shared_parts_refuse_writes():
+    rig, client, server = established_pair()
+    stack = rig.stack_a
+    with pytest.raises(AttributeError, match="shared read-only"):
+        client.cc.cwnd = 1
+    sample = RateSample(newly_acked=MSS, rtt=1e-3, delivered_total=MSS, now=1.0)
+    for name in available():
+        cc = stack.shared_cc[name]
+        for hook in (lambda: cc.on_ack(sample), cc.on_rto, cc.on_recovery_exit):
+            with pytest.raises(AttributeError, match="shared read-only"):
+                hook()
+    rtt = stack.shared_rtt
+    for hook in (lambda: rtt.on_sample(1e-3), rtt.on_timeout, rtt.reset_backoff):
+        with pytest.raises(AttributeError, match="shared read-only"):
+            hook()
+    send_buffer = client.send_buffer
+    for hook in (
+        lambda: send_buffer.admit(10, Event(rig.sim)),
+        lambda: send_buffer.on_ack(0),
+        send_buffer.close,
+    ):
+        with pytest.raises(AttributeError, match="shared read-only"):
+            hook()
+    recv_buffer = server.recv_buffer
+    for hook in (
+        lambda: recv_buffer.deliver(10),
+        recv_buffer.deliver_eof,
+        lambda: recv_buffer.read(10),
+        lambda: recv_buffer.watch(Event(rig.sim)),
+    ):
+        with pytest.raises(AttributeError, match="shared read-only"):
+            hook()
+    # Nothing was written: every part still reads as a fresh one.
+    assert stack.shared_cc["cubic"].cwnd == 10 * MSS
+    assert rtt.rto == 1.0 and rtt.srtt is None
+    assert send_buffer.written == 0 and not send_buffer.fin_requested
+    assert recv_buffer.available == 0 and not recv_buffer.eof
+    assert recv_buffer._readers is None and recv_buffer._watchers is None
+
+
+def test_the_fluid_handshake_builds_no_rto_timer():
+    testbed = make_lan_testbed()
+    controller = install_fluid(testbed, mode="auto")
+    vm_a = testbed.hypervisor_a.boot_legacy_vm("client", vcpus=2)
+    vm_b = testbed.hypervisor_b.boot_legacy_vm("server", vcpus=2)
+    listener = vm_b.api.stack.listen(PORT)
+    accepted = []
+    listener.on_new_connection = accepted.append
+    client = vm_a.api.stack.connect(Endpoint(vm_b.api.ip, PORT))
+    testbed.run(until=0.01)
+    (server,) = accepted
+    assert controller.fluid_connects == 1
+    assert client.state is server.state is TcpState.ESTABLISHED
+    assert client._rto is None and server._rto is None
+    assert shared_parts(client) == shared_parts(server) == ALL_PARTS
+    # A packet handshake arms one at its SYN and SYN/ACK.
+    _rig, client, server = established_pair()
+    assert client._rto is not None and server._rto is not None
+
+
 #: tracemalloc bytes one idle established pair holds (both endpoints, their
-#: demux entries and pending timer entries), CPython 3.11: ~3 000 here,
-#: ~3 370 while each endpoint kept ten counters, a copy of its window
-#: ints and a fresh demux key per accepted child.
-IDLE_PAIR_BYTES = 3_200
+#: demux entries and pending timer entries), CPython 3.11: ~2 170 here,
+#: ~2 980 while each endpoint built its own congestion control, RTT
+#: estimator and buffers at birth, ~3 370 while each also kept ten
+#: counters, a copy of its window ints and a fresh demux key per
+#: accepted child.
+IDLE_PAIR_BYTES = 2_300
 
 
 def test_an_idle_established_pair_fits_its_byte_budget():

@@ -313,25 +313,40 @@ def test_trim_below_nothing_below_leaves_the_list_alone():
     assert ivs._b is held and ivs.intervals() == [(10, 20), (30, 40)]
 
 
+class _Counted(list):
+    """A boundary list that counts the boundaries read out of it: one per
+    index (each probe of a bisect is one), the length of each slice."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        got = list.__getitem__(self, index)
+        _Counted.reads += len(got) if index.__class__ is slice else 1
+        return got
+
+
+def counted(ivs):
+    """``ivs`` with its boundaries in a :class:`_Counted` (the mutators
+    edit the list in place, so it stays counted)."""
+    ivs._b = _Counted(ivs._b)
+    return ivs
+
+
 def test_per_call_cost_does_not_grow_with_the_scoreboard():
     """add / find probe one spot, a full hole walk is linear, and the
     sender's recovery lookup costs what it returns.
 
-    A scan from the head per call made add linear and the sender's hole
-    finder quadratic (every hole of one set rescanned the other): 4x the
-    intervals cost 4x and 16x.  Indexed, add and find stay flat and the
-    holes of both sets, from scratch (their union, then every hole of
-    it), cost linear time; 6x leaves room for a noisy host.  The sender
-    keeps the union instead, and its recovery lookup (the holes' size
-    from the window's low edge, then one MSS of holes) must not sweep at
-    all: 2x for 4x the intervals.
-
-    The collector is paused while a section is timed: the walks allocate
-    a tuple per hole, and a full collection that lands in the 8 000-interval
-    walk but not in the 2 000 one is the collector's cost, not theirs.
+    Cost is the boundaries each call reads, counted, so the ratios are
+    exact on any host.  A scan from the head per call made add linear and
+    the sender's hole finder quadratic (every hole of one set rescanned
+    the other): 4x the intervals cost 4x and 16x.  Indexed, add and find
+    read a bisect's worth (1.5x allows its log growth) and the holes of
+    both sets, from scratch (their union, then every hole of it), cost
+    linear time plus a bisect per merged interval (5x).  The sender keeps
+    the union instead, and its recovery lookup (the holes' size from the
+    window's low edge, then one MSS of holes) must not sweep at all: 1.5x
+    for 4x the intervals.
     """
-    import gc
-    import time
 
     def build(n):
         sacked, repaired = IntervalSet(), IntervalSet()
@@ -343,47 +358,38 @@ def test_per_call_cost_does_not_grow_with_the_scoreboard():
 
     def per_call(n):
         sacked, repaired = build(n)
+        counted(sacked)
         top = 40 * n
-        probes = [(37 * k) % top for k in range(0, 400)]
-        start = time.perf_counter()
+        probes = [(7919 * k) % top for k in range(400)]  # across the set
+        _Counted.reads = 0
         for at in probes:
             at -= at % 40
             sacked.add(at + 12, at + 14)  # lands mid-set, in a hole
             sacked.find(at + 13)
             sacked.trim_below(0)
-        point = time.perf_counter()
-        for _ in range(5):
-            found, size = gaps(union(sacked, repaired), 0, top)
-        done = time.perf_counter()
+        point = _Counted.reads / len(probes)
+        _Counted.reads = 0
+        both = counted(sacked.copy())
+        for start, end in repaired:
+            both.add(start, end)
+        found, size = gaps(both, 0, top)
+        sweep = _Counted.reads
         assert size == sum(hi - lo for lo, hi in found) > 0
-        covered = union(sacked, repaired)
-        look_up = time.perf_counter()
-        for at in probes * 5:
+        covered = counted(union(sacked, repaired))
+        _Counted.reads = 0
+        for at in probes:
             lost = top - covered.covered(0, top)
             covered.holes(at, top, 1448)
-        looked_up = time.perf_counter()
+        lookup = _Counted.reads / len(probes)
         assert lost == size
-        return (
-            (point - start) / len(probes),
-            (done - point) / 5,
-            (looked_up - look_up) / (5 * len(probes)),
-        )
+        return point, sweep, lookup
 
-    best = {n: (float("inf"),) * 3 for n in (2000, 8000)}
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(3):
-            for n in best:
-                best[n] = tuple(map(min, best[n], per_call(n)))
-    finally:
-        if collecting:
-            gc.enable()
-    point_ratio = best[8000][0] / best[2000][0]
-    sweep_ratio = best[8000][1] / best[2000][1]
-    lookup_ratio = best[8000][2] / best[2000][2]
-    assert point_ratio <= 6.0, f"add/find grew {point_ratio:.1f}x for 4x the intervals"
-    assert sweep_ratio <= 6.0, f"gap sweep grew {sweep_ratio:.1f}x for 4x the intervals"
-    assert lookup_ratio <= 2.0, (
-        f"recovery lookup grew {lookup_ratio:.1f}x for 4x the intervals"
+    small, large = per_call(2000), per_call(8000)
+    point_ratio, sweep_ratio, lookup_ratio = (
+        big / little for big, little in zip(large, small)
+    )
+    assert point_ratio <= 1.5, f"add/find grew {point_ratio:.2f}x for 4x the intervals"
+    assert sweep_ratio <= 5.0, f"gap sweep grew {sweep_ratio:.2f}x for 4x the intervals"
+    assert lookup_ratio <= 1.5, (
+        f"recovery lookup grew {lookup_ratio:.2f}x for 4x the intervals"
     )
