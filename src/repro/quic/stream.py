@@ -9,7 +9,7 @@ underneath multiplexes many streams over one handshake, one congestion
 controller and one loss-recovery state machine.
 
 Buffering reuses the TCP building blocks (:class:`SendBuffer`,
-:class:`ReceiveBuffer`, :class:`ReassemblyQueue`) — they model a virtual
+:class:`ReceiveBuffer`, :class:`OutOfOrder`) — they model a virtual
 byte stream and know nothing about TCP sequence numbers, so stream
 offsets slot straight in.
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from ..sim import Event, Simulator
-from ..tcp.buffers import ReassemblyQueue, ReceiveBuffer, SendBuffer
+from ..tcp.buffers import NOTHING_HELD, OutOfOrder, ReceiveBuffer, SendBuffer
 from ..tcp.intervals import IntervalSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -49,7 +49,8 @@ class QuicStream:
         "fin_sent",
         "fin_acked",
         "recv_buffer",
-        "reassembly",
+        "rcv_nxt",
+        "ooo",
         "remote_fin_offset",
         "_eof_delivered",
         "reset",
@@ -77,7 +78,10 @@ class QuicStream:
         self.fin_acked = False
         # -- receive side ----------------------------------------------
         self.recv_buffer = ReceiveBuffer(sim, capacity=conn.config.rcvbuf)
-        self.reassembly = ReassemblyQueue()
+        #: Next in-order offset expected, and what is held above it (the
+        #: shared empty queue until the first out-of-order frame).
+        self.rcv_nxt = 0
+        self.ooo: OutOfOrder = NOTHING_HELD
         self.remote_fin_offset: Optional[int] = None
         self._eof_delivered = False
         self.reset = False
@@ -161,12 +165,17 @@ class QuicStream:
         """A stream frame arrived (possibly out of order or duplicate)."""
         if fin:
             self.remote_fin_offset = offset + length
-        new_bytes = self.reassembly.add(offset, length) if length else 0
-        if new_bytes:
-            self.recv_buffer.deliver(new_bytes)
+        rcv_nxt = self.rcv_nxt
+        if length:
+            ooo = self.ooo
+            if offset > rcv_nxt and ooo.read_only:
+                ooo = self.ooo = OutOfOrder()
+            self.rcv_nxt = ooo.receive(rcv_nxt, offset, offset + length)
+            if self.rcv_nxt > rcv_nxt:
+                self.recv_buffer.deliver(self.rcv_nxt - rcv_nxt)
         if (
             self.remote_fin_offset is not None
-            and self.reassembly.rcv_nxt >= self.remote_fin_offset
+            and self.rcv_nxt >= self.remote_fin_offset
             and not self._eof_delivered
         ):
             self._eof_delivered = True

@@ -149,7 +149,6 @@ class Simulator:
                     target(*args)
                 else:
                     callbacks, target.callbacks = target.callbacks, None
-                    target._processed = True
                     if callbacks:
                         if callbacks.__class__ is list:
                             for callback in callbacks:

@@ -12,7 +12,7 @@ and trimmed to what this project needs.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List
+from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Simulator
@@ -27,9 +27,10 @@ class SimulationError(Exception):
 class Event:
     """A one-shot event that callbacks and processes can wait on.
 
-    Events move through three states: *pending* (created, not triggered),
-    *triggered* (scheduled to fire at the current simulation time), and
-    *processed* (callbacks have run).
+    Events move through three states: *pending* (created, not triggered;
+    ``_ok`` is None), *triggered* (scheduled to fire; ``_ok`` says whether
+    it succeeded), and *processed* (callbacks have run; ``callbacks`` is
+    None).
 
     :attr:`callbacks` costs nothing per waiter it does not need: the
     shared empty tuple with no waiter, the waiter itself (a callable,
@@ -39,7 +40,7 @@ class Event:
     get exactly one: the process asleep on them.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered", "_processed")
+    __slots__ = ("sim", "callbacks", "_value", "_ok")
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -47,39 +48,38 @@ class Event:
         #: processed (see the class docstring).
         self.callbacks: Any = ()
         self._value: Any = None
-        self._ok: bool = True
-        self._triggered = False
-        self._processed = False
+        #: None while pending, then True (succeeded) or False (failed).
+        self._ok: Optional[bool] = None
 
     # -- state inspection -------------------------------------------------
     @property
     def triggered(self) -> bool:
         """True once the event has been scheduled to fire."""
-        return self._triggered
+        return self._ok is not None
 
     @property
     def processed(self) -> bool:
         """True once all callbacks have executed."""
-        return self._processed
+        return self.callbacks is None
 
     @property
-    def ok(self) -> bool:
-        """True if the event succeeded (only meaningful once triggered)."""
+    def ok(self) -> Optional[bool]:
+        """True if the event succeeded, False if it failed, None while
+        pending."""
         return self._ok
 
     @property
     def value(self) -> Any:
         """The value the event fired with."""
-        if not self._triggered:
+        if self._ok is None:
             raise SimulationError("value read before event was triggered")
         return self._value
 
     # -- triggering --------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self._triggered:
+        if self._ok is not None:
             raise SimulationError("event already triggered")
-        self._triggered = True
         self._ok = True
         self._value = value
         # Inlined Simulator._schedule_event — succeed() is the kernel's
@@ -94,11 +94,10 @@ class Event:
         Every process waiting on the event will have ``exception`` raised at
         its yield point.
         """
-        if self._triggered:
+        if self._ok is not None:
             raise SimulationError("event already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
-        self._triggered = True
         self._ok = False
         self._value = exception
         self.sim._schedule_event(self)
@@ -126,7 +125,7 @@ class Timeout(Event):
         if not delay >= 0:  # also refuses NaN, which would corrupt the heap
             raise ValueError(f"negative or NaN timeout delay: {delay!r}")
         super().__init__(sim)
-        self._triggered = True
+        self._ok = True
         self._value = value
         sim._schedule_event(self, delay=delay)
 
@@ -148,7 +147,7 @@ class AnyOf(Event):
             event.add_callback(self._on_child)
 
     def _on_child(self, event: Event) -> None:
-        if self._triggered:
+        if self._ok is not None:
             return
         if not event.ok:
             self.fail(event.value)

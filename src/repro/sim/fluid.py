@@ -322,7 +322,8 @@ class FidelityController:
         """Peer connection when ``conn``'s send direction may go fluid."""
         if self.in_fault_window or conn.state is not TcpState.ESTABLISHED:
             return None
-        if conn._in_fast_recovery or conn._sacked or conn.fin_sent:
+        cold = conn.cold
+        if cold.in_fast_recovery or cold.sacked or cold.fin_sent:
             return None
         if conn.send_buffer.fin_requested or not self._path_open(conn.stack):
             return None
@@ -395,7 +396,8 @@ class FidelityController:
     def _still_armed(conn: "TcpConnection") -> bool:
         """An armed connection keeps draining unless loss beat the drain;
         then it is disarmed and stays packet."""
-        if conn._in_fast_recovery or conn._sacked:
+        cold = conn.cold
+        if cold.in_fast_recovery or cold.sacked:
             conn._fluid = None
             return False
         return True
@@ -452,7 +454,7 @@ class FidelityController:
             # Refresh the stale window from the peer's actual buffer state —
             # the advertisement the peer's next ACK would carry.
             peer = flow.peer
-            conn.snd_wnd = peer.recv_buffer.window(peer.assembly.out_of_order_bytes)
+            conn.snd_wnd = peer.recv_buffer.window(peer.ooo.total())
         self.demotions += 1
         self.demotion_reasons[reason] = self.demotion_reasons.get(reason, 0) + 1
         conn._pump()
@@ -641,7 +643,7 @@ class FidelityController:
         conn.send_buffer.on_ack(size)  # admits blocked writers (-> pump)
 
         # Receiver books: exactly what the reassembled segments would do.
-        peer.assembly.rcv_nxt += size
+        peer.rcv_nxt += size
         recv_buffer = peer.recv_buffer
         if recv_buffer.read_only:
             recv_buffer = peer._own_recv_buffer()
@@ -709,7 +711,7 @@ class FidelityController:
         sconn = peer_stack.accept_child(listener, conn.local)
         sconn.state = TcpState.SYN_RCVD
         sconn.irs = conn.iss
-        sconn.assembly.reset(rcv_nxt=conn.iss + 1)
+        sconn.rcv_nxt = conn.iss + 1
         sconn.snd_wnd = conn.recv_buffer.window(0)
         sconn.snd_nxt = sconn.iss + 1
         sconn.snd_una = sconn.iss + 1
@@ -721,7 +723,7 @@ class FidelityController:
         if conn.state is not TcpState.SYN_SENT:
             return
         conn.irs = sconn.iss
-        conn.assembly.reset(rcv_nxt=sconn.iss + 1)
+        conn.rcv_nxt = sconn.iss + 1
         conn.snd_wnd = sconn.recv_buffer.window(0)
         conn.snd_una = conn.iss + 1
         conn._become_established()

@@ -105,7 +105,7 @@ class Process(Event):
 
     def _die(self, exc: BaseException) -> None:
         self._alive = False
-        if self.callbacks is not None and not self.callbacks and not self._triggered:
+        if self.callbacks is not None and not self.callbacks and self._ok is None:
             # Nobody is waiting on this process: surface the crash loudly
             # instead of swallowing it.
             raise exc

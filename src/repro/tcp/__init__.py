@@ -10,7 +10,7 @@ that legacy guests run in-kernel.  Public surface:
 """
 
 from . import cc
-from .buffers import ReassemblyQueue, ReceiveBuffer, SendBuffer
+from .buffers import OutOfOrder, ReceiveBuffer, SendBuffer
 from .connection import ConnectionReset, TcpConfig, TcpConnection, TcpState
 from .listener import Listener
 from .rtt import RttEstimator
@@ -28,7 +28,7 @@ __all__ = [
     "RttEstimator",
     "SendBuffer",
     "ReceiveBuffer",
-    "ReassemblyQueue",
+    "OutOfOrder",
     "StackConfig",
     "StackStats",
     "TcpStack",

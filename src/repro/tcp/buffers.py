@@ -7,12 +7,13 @@ never exceed capacity) are what the tests and the protocol rely on.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Any, List, Optional, Tuple
 
 from ..sim import Event, Simulator
-from .intervals import EMPTY, IntervalSet
+from .intervals import IntervalSet
 
-__all__ = ["SendBuffer", "ReassemblyQueue", "ReceiveBuffer"]
+__all__ = ["SendBuffer", "OutOfOrder", "NOTHING_HELD", "ReceiveBuffer"]
 
 
 class SendBuffer:
@@ -85,53 +86,52 @@ class SendBuffer:
         self.fin_requested = True
 
 
-class ReassemblyQueue:
-    """Tracks out-of-order received sequence ranges past ``rcv_nxt``.
+class OutOfOrder(IntervalSet):
+    """Received ranges held above ``rcv_nxt`` until the gap below them
+    fills; they double as the SACK blocks advertised back to the sender.
 
-    ``add`` returns how many new in-order bytes became available (i.e. how
-    far ``rcv_nxt`` advanced).  The out-of-order intervals double as the
-    SACK blocks advertised back to the sender.
+    The owner (a TCP connection or a QUIC stream) keeps ``rcv_nxt`` and
+    starts on the shared :data:`NOTHING_HELD`, which only an out-of-order
+    arrival writes: the owner builds its own at its first one, so an
+    in-order stream never does.
     """
 
-    __slots__ = ("rcv_nxt", "_ooo", "_last_touched", "_rotate")
+    __slots__ = ("_last_touched", "_rotate")
 
-    def __init__(self, rcv_nxt: int = 0) -> None:
-        self.rcv_nxt = rcv_nxt
-        self._ooo: IntervalSet = EMPTY  # own set from the first ooo segment
+    #: True only on :data:`NOTHING_HELD`.
+    read_only = False
+
+    def __init__(self) -> None:
+        super().__init__()
         self._last_touched: Optional[int] = None  # start of freshest interval
         self._rotate = 0
 
-    def reset(self, rcv_nxt: int = 0) -> None:
-        """Reinitialize in place (a SYN names the first sequence number)."""
-        self.rcv_nxt = rcv_nxt
-        self._ooo = EMPTY
-        self._last_touched = None
-        self._rotate = 0
+    def receive(self, rcv_nxt: int, seq: int, end: int) -> int:
+        """Register received range ``[seq, end)``; return the new ``rcv_nxt``.
 
-    @property
-    def out_of_order_bytes(self) -> int:
-        return self._ooo.total()
-
-    def add(self, seq: int, length: int) -> int:
-        """Register received range ``[seq, seq+length)``; return new bytes."""
-        if length < 0:
+        Writes only when ``seq > rcv_nxt`` or something is held already.
+        """
+        if end < seq:
             raise ValueError("negative segment length")
-        end = seq + length
-        rcv_nxt = self.rcv_nxt
         if end <= rcv_nxt:
-            return 0  # entirely duplicate
-        if seq <= rcv_nxt and not self._ooo:
+            return rcv_nxt  # entirely duplicate
+        b = self._b
+        if seq <= rcv_nxt and not b:
             # In order with nothing held: the common case touches no set.
             # (_last_touched is only ever compared against held ranges,
             # all above rcv_nxt, so a stale value below it is as good.)
-            self.rcv_nxt = end
-            return end - rcv_nxt
+            return end
         seq = max(seq, rcv_nxt)
-        if self._ooo is EMPTY:
-            self._ooo = IntervalSet()
-        self._ooo.add(seq, end)
+        self.add(seq, end)
         self._last_touched = seq
-        return self._advance()
+        # Held ranges are disjoint and non-adjacent: at most the first one
+        # joins up with rcv_nxt.
+        if self._b:
+            start, stop = self.first()
+            if start <= rcv_nxt:
+                rcv_nxt = max(rcv_nxt, stop)
+                self.trim_below(rcv_nxt)
+        return rcv_nxt
 
     def sack_blocks(self, limit: int = 3) -> Tuple[Tuple[int, int], ...]:
         """Out-of-order ranges to advertise.
@@ -141,37 +141,24 @@ class ReassemblyQueue:
         ranges so that a sender accumulating blocks across ACKs eventually
         learns the whole scoreboard.
         """
-        ooo = self._ooo
-        if not ooo:
+        held = len(self._b) >> 1
+        if not held:
             return ()  # every ACK of an in-order flow
-        held = len(ooo)
         if held <= limit:
-            return tuple(ooo)
+            return tuple(self)
         blocks: list[Tuple[int, int]] = []
         fresh = -1  # index of the range holding the freshest segment
         if self._last_touched is not None:
-            fresh = ooo.find(self._last_touched)
+            fresh = self.find(self._last_touched)
         if fresh >= 0:
-            blocks.append(ooo[fresh])
+            blocks.append(self[fresh])
             held -= 1
-        # The other ranges, in order, are ooo[k] with ``fresh`` skipped.
+        # The other ranges, in order, are self[k] with ``fresh`` skipped.
         for i in range(limit - len(blocks)):
             k = (self._rotate + i) % held
-            blocks.append(ooo[k + 1 if 0 <= fresh <= k else k])
+            blocks.append(self[k + 1 if 0 <= fresh <= k else k])
         self._rotate = (self._rotate + limit - 1) % held
         return tuple(blocks)
-
-    def _advance(self) -> int:
-        ooo = self._ooo
-        before = self.rcv_nxt
-        while ooo:
-            start, end = ooo.first()
-            if start > self.rcv_nxt:
-                break
-            if end > self.rcv_nxt:
-                self.rcv_nxt = end
-            ooo.trim_below(self.rcv_nxt)
-        return self.rcv_nxt - before
 
 
 class ReceiveBuffer:
@@ -266,3 +253,43 @@ class ReceiveBuffer:
             event.succeed(taken)
         if not readers:
             self._readers = None
+
+
+# Shared read-only parts ---------------------------------------------------
+# A part every new owner would build equal starts as one shared instance
+# whose stores raise; the owner builds its own at its first write of it
+# (DESIGN.md section 16, "An idle endpoint builds nothing").
+
+
+def _refuse_store(part, name: str, value) -> None:
+    raise AttributeError(
+        f"{type(part).__name__} is shared read-only: its owner builds "
+        f"its own before it sets {name} = {value!r}"
+    )
+
+
+@cache
+def _read_only_class(cls: type) -> type:
+    """``cls`` with every attribute store refused and ``read_only`` True
+    (no slots of its own, so an instance can switch to it in place)."""
+    return type(
+        f"Shared{cls.__name__}",
+        (cls,),
+        {
+            "__slots__": (),
+            "__module__": cls.__module__,
+            "__setattr__": _refuse_store,
+            "read_only": True,
+        },
+    )
+
+
+def make_read_only(part):
+    """Turn ``part`` into its read-only twin, in place; return it."""
+    part.__class__ = _read_only_class(part.__class__)
+    return part
+
+
+#: What every owner's out-of-order queue is while it holds nothing and
+#: never held anything: an in-order stream's for life.
+NOTHING_HELD = make_read_only(OutOfOrder())

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..net import Endpoint
 from ..sim import Deadline, Event, Simulator
-from .buffers import ReassemblyQueue, ReceiveBuffer, SendBuffer
+from .buffers import NOTHING_HELD, OutOfOrder, ReceiveBuffer, SendBuffer
 from .cc.base import CongestionControl, RateSample, make as make_cc
 from .intervals import EMPTY, IntervalSet
 from .rtt import RttEstimator
@@ -31,7 +31,7 @@ from .segment import TcpSegment
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .stack import TcpStack
 
-__all__ = ["TcpState", "TcpConfig", "TcpConnection", "ConnectionReset"]
+__all__ = ["TcpState", "TcpConfig", "TcpConnection", "ColdState", "ConnectionReset"]
 
 
 class ConnectionReset(Exception):
@@ -101,6 +101,66 @@ class _TxRecord:
 _end_seq = attrgetter("end_seq")
 
 
+class ColdState:
+    """A connection's fields that an in-order flow, never closed, keeps at
+    their birth values: loss recovery, ECN, FIN bookkeeping, the persist
+    timer and the SYN retry budget.
+
+    A connection starts on its stack's shared read-only instance
+    (``TcpStack.shared_cold``) and builds its own at its first write of
+    any of them (see "owned parts" in :class:`TcpConnection`).
+    """
+
+    __slots__ = (
+        # loss recovery (SACK scoreboard, RFC 2018/6675-style)
+        "dupacks",
+        "recover",
+        "in_fast_recovery",
+        "sacked",
+        "rexmitted",
+        "covered",
+        "rto_high",
+        "last_repair_time",
+        "rack_armed",
+        # ECN
+        "ecn_echo_latched",
+        "send_cwr",
+        "ecn_reduction_seq",
+        # FIN
+        "fin_sent",
+        "fin_seq",
+        "fin_received_seq",
+        # timers
+        "persist",
+        "syn_retries_left",
+    )
+
+    #: True only on a stack's shared instance (``TcpStack.shared_cold``).
+    read_only = False
+
+    def __init__(self) -> None:
+        self.dupacks = 0
+        self.recover = 0
+        self.in_fast_recovery = False
+        # The scoreboards share EMPTY until this connection sees loss.
+        self.sacked: IntervalSet = EMPTY  # peer-held ranges above snd_una
+        self.rexmitted: IntervalSet = EMPTY  # holes already retransmitted
+        # sacked | rexmitted, kept in step: the sender's holes are its gaps.
+        self.covered: IntervalSet = EMPTY
+        self.rto_high = 0  # everything below this is presumed lost after RTO
+        self.last_repair_time = 0.0  # RACK-style lost-retransmission timer
+        self.rack_armed = False
+        self.ecn_echo_latched = False
+        self.send_cwr = False
+        self.ecn_reduction_seq = 0
+        self.fin_sent = False
+        self.fin_seq: Optional[int] = None
+        self.fin_received_seq: Optional[int] = None
+        # Built on first arm: most connections never probe a zero window.
+        self.persist: Optional[Deadline] = None
+        self.syn_retries_left = SYN_RETRIES
+
+
 class TcpConnection:
     """One endpoint of a TCP connection."""
 
@@ -119,38 +179,22 @@ class TcpConnection:
         "snd_nxt",
         "snd_wnd",
         "send_buffer",
-        "fin_sent",
-        "fin_seq",
         # receiver
         "irs",
-        "assembly",
+        "rcv_nxt",
+        "ooo",
         "recv_buffer",
-        "fin_received_seq",
         "_ts_recent",
         "_last_advertised_wnd",
         # RTT / timers
         "rtt",
         "_rto",
-        "_persist",
-        "_syn_retries_left",
         # delayed ack
         "_delack_pending",
         "_delack_bytes",
         "_delack",
-        # loss recovery
-        "_dupacks",
-        "_recover",
-        "_in_fast_recovery",
-        "_sacked",
-        "_rexmitted",
-        "_covered",
-        "_rto_high",
-        "_last_repair_time",
-        "_rack_armed",
-        # ECN
-        "_ecn_echo_latched",
-        "_send_cwr",
-        "_ecn_reduction_seq",
+        # loss recovery, ECN, FIN, persist timer, SYN retries
+        "cold",
         # delivery-rate sampling
         "delivered",
         "delivered_time",
@@ -199,52 +243,34 @@ class TcpConnection:
         self.snd_una = 0
         self.snd_nxt = 0
         self.snd_wnd = 65535
-        # Congestion control, RTT estimator and both buffers start as the
-        # stack's shared read-only parts; every write site swaps in this
-        # connection's own first (see "owned parts" below).
+        # Congestion control, RTT estimator, both buffers, the
+        # out-of-order queue and the cold fields start as shared read-only
+        # parts; every write site swaps in this connection's own first (see
+        # "owned parts" below).
         self.send_buffer = stack.shared_send_buffer[self.config.sndbuf]
-        self.fin_sent = False
-        self.fin_seq: Optional[int] = None
 
         # --- receiver state ---
         self.irs: Optional[int] = None
-        self.assembly = ReassemblyQueue()
+        self.rcv_nxt = 0  # next in-order sequence number expected
+        self.ooo: OutOfOrder = NOTHING_HELD  # held above rcv_nxt
         self.recv_buffer = stack.shared_recv_buffer[self.config.rcvbuf]
-        self.fin_received_seq: Optional[int] = None
         self._ts_recent: Optional[float] = None
         self._last_advertised_wnd = self.config.rcvbuf
 
         # --- RTT / timers ---
         self.rtt = stack.shared_rtt
-        # Built on first arm: the fluid handshake arms no RTO, most
-        # connections never probe a zero window and only a data receiver
-        # delays ACKs.
+        # Built on first arm and released once nothing is outstanding
+        # after the handshake: the fluid handshake arms none, and only a
+        # data receiver delays ACKs.
         self._rto: Optional[Deadline] = None
-        self._persist: Optional[Deadline] = None
-        self._syn_retries_left = SYN_RETRIES
 
         # --- delayed ack ---
         self._delack_pending = 0
         self._delack_bytes = 0
         self._delack: Optional[Deadline] = None
 
-        # --- loss recovery (SACK scoreboard, RFC 2018/6675-style) ---
-        self._dupacks = 0
-        self._recover = 0
-        self._in_fast_recovery = False
-        # The scoreboards share EMPTY until this connection sees loss.
-        self._sacked: IntervalSet = EMPTY  # peer-held ranges above snd_una
-        self._rexmitted: IntervalSet = EMPTY  # holes already retransmitted
-        # _sacked | _rexmitted, kept in step: the sender's holes are its gaps.
-        self._covered: IntervalSet = EMPTY
-        self._rto_high = 0  # everything below this is presumed lost after RTO
-        self._last_repair_time = 0.0  # RACK-style lost-retransmission timer
-        self._rack_armed = False
-
-        # --- ECN ---
-        self._ecn_echo_latched = False
-        self._send_cwr = False
-        self._ecn_reduction_seq = 0
+        # --- loss recovery, ECN, FIN, persist timer, SYN retries ---
+        self.cold: ColdState = stack.shared_cold
 
         # --- delivery-rate sampling (BBR) ---
         self.delivered = 0
@@ -447,16 +473,19 @@ class TcpConnection:
         # Fold in SACK blocks (clipped to un-acked, in-flight data).
         newly_sacked = 0
         floor = max(ack, self.snd_una)
+        cold = self.cold
         for block_start, block_end in seg.sack:
             clipped_start = max(block_start, floor)
             clipped_end = min(block_end, self.snd_nxt)
             if clipped_end > clipped_start:
-                if self._sacked is EMPTY:
-                    self._sacked = IntervalSet()
-                if self._covered is EMPTY:
-                    self._covered = IntervalSet()
-                newly_sacked += self._sacked.add(clipped_start, clipped_end)
-                self._covered.add(clipped_start, clipped_end)
+                if cold.read_only:
+                    cold = self._own_cold()
+                if cold.sacked is EMPTY:
+                    cold.sacked = IntervalSet()
+                if cold.covered is EMPTY:
+                    cold.covered = IntervalSet()
+                newly_sacked += cold.sacked.add(clipped_start, clipped_end)
+                cold.covered.add(clipped_start, clipped_end)
 
         if ack <= self.snd_una:
             is_dup = (
@@ -473,12 +502,15 @@ class TcpConnection:
 
         advance = ack - self.snd_una
         self.snd_una = ack
-        # The scoreboard never reaches below snd_una, so what the trim
-        # drops is exactly the SACKed part of [old snd_una, ack).
-        previously_sacked = self._sacked.trim_below(ack)
-        self._rexmitted.trim_below(ack)
-        self._covered.trim_below(ack)
-        self._dupacks = 0
+        if cold.read_only:
+            previously_sacked = 0  # no scoreboard and no dupacks to clear
+        else:
+            # The scoreboard never reaches below snd_una, so what the trim
+            # drops is exactly the SACKed part of [old snd_una, ack).
+            previously_sacked = cold.sacked.trim_below(ack)
+            cold.rexmitted.trim_below(ack)
+            cold.covered.trim_below(ack)
+            cold.dupacks = 0
 
         # Delivery accounting: bytes first reported delivered by this ACK.
         delivered_inc = (advance - previously_sacked) + newly_sacked
@@ -497,7 +529,8 @@ class TcpConnection:
                 sample.rtt = rtt
 
         # Ack covers our FIN?
-        fin_acked = self.fin_seq is not None and ack >= self.fin_seq + 1
+        fin_seq = cold.fin_seq
+        fin_acked = fin_seq is not None and ack >= fin_seq + 1
 
         stream_acked = advance
         if fin_acked:
@@ -517,15 +550,17 @@ class TcpConnection:
             self.stack.stats.ecn_echoes += 1
             if cc.wants_accurate_ecn:
                 sample.ce_marked = True
-            elif self.snd_una > self._ecn_reduction_seq:
+            elif self.snd_una > cold.ecn_reduction_seq:
                 cc.on_ecn(self.bytes_in_flight)
-                self._ecn_reduction_seq = self.snd_nxt
-                self._send_cwr = True
+                if cold.read_only:
+                    cold = self._own_cold()
+                cold.ecn_reduction_seq = self.snd_nxt
+                cold.send_cwr = True
 
-        if self._in_fast_recovery and ack >= self._recover:
-            self._in_fast_recovery = False
+        if cold.in_fast_recovery and ack >= cold.recover:
+            cold.in_fast_recovery = False
             self._forget_repairs()
-            self._rto_high = 0
+            cold.rto_high = 0
             cc.on_recovery_exit()
         cc.on_ack(sample)
 
@@ -540,7 +575,7 @@ class TcpConnection:
             self._arm_rto(restart=True)
 
         self._on_fin_progress(fin_acked)
-        if self._in_fast_recovery:
+        if self.cold.in_fast_recovery:
             self._recovery_send()
         else:
             self._pump()
@@ -596,7 +631,10 @@ class TcpConnection:
 
     def _on_dupack(self, seg: TcpSegment, newly_sacked: int) -> None:
         self.stack.stats.dup_acks += 1
-        self._dupacks += 1
+        cold = self.cold
+        if cold.read_only:
+            cold = self._own_cold()
+        cold.dupacks += 1
 
         if newly_sacked > 0:
             # SACKed bytes are delivered: feed the model (BBR cares) and
@@ -619,17 +657,18 @@ class TcpConnection:
                 cc = self._own_cc()
             cc.on_ack(sample)
 
-        # _sacked lies within [snd_una, snd_nxt), so its total is the
+        # sacked lies within [snd_una, snd_nxt), so its total is the
         # SACKed bytes in flight.
-        lost_threshold = self._sacked.total() >= 3 * MSS
-        if not self._in_fast_recovery and (self._dupacks >= 3 or lost_threshold):
+        lost_threshold = cold.sacked.total() >= 3 * MSS
+        if not cold.in_fast_recovery and (cold.dupacks >= 3 or lost_threshold):
             self._enter_fast_recovery()
-        elif self._in_fast_recovery:
+        elif cold.in_fast_recovery:
             self._recovery_send()
 
     def _enter_fast_recovery(self) -> None:
-        self._in_fast_recovery = True
-        self._recover = self.snd_nxt
+        cold = self.cold
+        cold.in_fast_recovery = True
+        cold.recover = self.snd_nxt
         self._own_cc().on_loss_event(self.bytes_in_flight)
         self.stack.stats.fast_retransmits += 1
         self._recovery_send()
@@ -639,13 +678,15 @@ class TcpConnection:
         """SACK-based retransmission (RFC 6675 pipe algorithm, simplified).
 
         Fill the congestion window with (1) not-yet-retransmitted holes
-        below the highest SACKed byte, then (2) new data.
+        below the highest SACKed byte, then (2) new data.  Only a
+        connection in recovery gets here, so its cold part is its own.
         """
+        cold = self.cold
         span = self.snd_nxt - self.snd_una
-        sacked = self._sacked.total()  # all of it lies in [snd_una, snd_nxt)
-        high_sacked = min(self._sacked.max_end(), self.snd_nxt)
+        sacked = cold.sacked.total()  # all of it lies in [snd_una, snd_nxt)
+        high_sacked = min(cold.sacked.max_end(), self.snd_nxt)
         # After an RTO everything outstanding at timeout time is presumed lost.
-        high_lost = max(high_sacked, min(self._rto_high, self.snd_nxt))
+        high_lost = max(high_sacked, min(cold.rto_high, self.snd_nxt))
 
         # Holes below high_lost that are neither SACKed nor already
         # repaired: the gaps of their union.  Their size is the window
@@ -653,7 +694,8 @@ class TcpConnection:
         # only as far as the burst budget below can reach (the loop
         # spends at most ``mss`` bytes, the last hole it touches whole),
         # and before the loop marks any of them repaired.
-        covered = self._covered
+        covered = cold.covered
+        fin_seq = cold.fin_seq
         mss = MSS
         lost_unrepaired = max(high_lost - self.snd_una, 0) - covered.covered(
             self.snd_una, high_lost
@@ -671,25 +713,25 @@ class TcpConnection:
         for hole_start, hole_end in holes:
             cursor = hole_start
             while cursor < hole_end and pipe < cwnd and burst_budget > 0:
-                if self.fin_seq is not None and cursor >= self.fin_seq:
+                if fin_seq is not None and cursor >= fin_seq:
                     # The hole is our FIN: resend it, not payload.
                     seg = self._make_segment(cursor, ack=True, fin=True)
                     self._count_retransmit()
                     self._transmit(seg, retransmit=True)
                     self._mark_rexmitted(cursor, cursor + 1)
-                    self._last_repair_time = self.sim.now
+                    cold.last_repair_time = self.sim.now
                     pipe += 1
                     break
                 length = min(mss, hole_end - cursor)
-                if self.fin_seq is not None:
-                    length = min(length, self.fin_seq - cursor)
+                if fin_seq is not None:
+                    length = min(length, fin_seq - cursor)
                 seg = self._make_segment(
                     cursor, ack=True, payload_len=length
                 )
                 self._count_retransmit()
                 self._transmit(seg, retransmit=True)
                 self._mark_rexmitted(cursor, cursor + length)
-                self._last_repair_time = self.sim.now
+                cold.last_repair_time = self.sim.now
                 cursor += length
                 pipe += length
                 burst_budget -= length
@@ -700,7 +742,7 @@ class TcpConnection:
             # Packet conservation allows new data too.
             self._pump(allowed_in_flight=self.bytes_in_flight + (cwnd - pipe))
 
-        if self._rexmitted and not self._rack_armed:
+        if cold.rexmitted and not cold.rack_armed:
             self._arm_rack()
 
     def _count_retransmit(self) -> None:
@@ -710,44 +752,53 @@ class TcpConnection:
             stack.tracer.count("tcp.retransmits")
 
     def _mark_rexmitted(self, start: int, end: int) -> None:
-        if self._rexmitted is EMPTY:
-            self._rexmitted = IntervalSet()
-        if self._covered is EMPTY:
-            self._covered = IntervalSet()
-        self._rexmitted.add(start, end)
-        self._covered.add(start, end)
+        cold = self.cold
+        if cold.rexmitted is EMPTY:
+            cold.rexmitted = IntervalSet()
+        if cold.covered is EMPTY:
+            cold.covered = IntervalSet()
+        cold.rexmitted.add(start, end)
+        cold.covered.add(start, end)
 
     def _forget_repairs(self) -> None:
         """Clear the repaired-marks; the union falls back to the SACKed."""
-        self._rexmitted = EMPTY
-        self._covered = self._sacked.copy() if self._sacked else EMPTY
+        cold = self.cold
+        cold.rexmitted = EMPTY
+        cold.covered = cold.sacked.copy() if cold.sacked else EMPTY
 
     # RACK-style lost-retransmission detection: if snd_una has not moved a
     # round trip after a hole was repaired, the retransmission itself was
     # lost — clear the repaired-marks and retry, instead of waiting for the
     # (window-collapsing) RTO.
     def _arm_rack(self) -> None:
-        self._rack_armed = True
+        self.cold.rack_armed = True
         timeout = 1.25 * (self.rtt.srtt or self.rtt.rto)
         self.sim.schedule_call(timeout, self._rack_fire, self.snd_una)
 
     def _rack_fire(self, una_then: int) -> None:
-        self._rack_armed = False
-        if not self._in_fast_recovery:
+        cold = self.cold
+        cold.rack_armed = False
+        if not cold.in_fast_recovery:
             return
-        if self.snd_una == una_then and self._rexmitted:
-            repair_age = self.sim.now - self._last_repair_time
+        if self.snd_una == una_then and cold.rexmitted:
+            repair_age = self.sim.now - cold.last_repair_time
             if repair_age >= 1.25 * (self.rtt.srtt or self.rtt.rto):
                 self._forget_repairs()
             self._recovery_send()
-        if self._in_fast_recovery and self._rexmitted and not self._rack_armed:
+        if cold.in_fast_recovery and cold.rexmitted and not cold.rack_armed:
             self._arm_rack()
 
     # ------------------------------------------------------------ data path --
     def _process_data(self, seg: TcpSegment, ecn_ce: bool) -> None:
         if self.irs is None:
             return
-        advanced = self.assembly.add(seg.seq, seg.payload_len)
+        seq = seg.seq
+        rcv_nxt = self.rcv_nxt
+        ooo = self.ooo
+        if seq > rcv_nxt and ooo.read_only:
+            ooo = self.ooo = OutOfOrder()  # the first out-of-order segment
+        self.rcv_nxt = ooo.receive(rcv_nxt, seq, seq + seg.payload_len)
+        advanced = self.rcv_nxt - rcv_nxt
         in_order = advanced > 0
         if advanced:
             recv_buffer = self.recv_buffer
@@ -761,20 +812,24 @@ class TcpConnection:
         # if the sender negotiated ECN.  Classic receivers latch the echo
         # until the sender's CWR; DCTCP-style receivers echo per segment
         # (handled in _schedule_ack below).
+        cold = self.cold
         if ecn_ce:
-            self._ecn_echo_latched = True
-        elif seg.cwr and not self.cc.wants_accurate_ecn:
-            self._ecn_echo_latched = False
+            if cold.read_only:
+                cold = self._own_cold()
+            cold.ecn_echo_latched = True
+        elif seg.cwr and cold.ecn_echo_latched and not self.cc.wants_accurate_ecn:
+            cold.ecn_echo_latched = False
 
         self._delack_bytes += seg.payload_len
-        immediate = not in_order or self.assembly.out_of_order_bytes > 0
+        immediate = not in_order or not ooo.read_only and ooo.total() > 0
         self._schedule_ack(immediate=immediate, accurate_ecn_ce=ecn_ce)
 
     def _after_app_read(self) -> None:
         """Send a window update if reading opened the window substantially."""
         if self.state not in (TcpState.ESTABLISHED, TcpState.FIN_WAIT_1, TcpState.FIN_WAIT_2):
             return
-        wnd = self.recv_buffer.window(self.assembly.out_of_order_bytes)
+        ooo = self.ooo
+        wnd = self.recv_buffer.window(0 if ooo.read_only else ooo.total())
         if wnd - self._last_advertised_wnd >= self.config.rcvbuf // 4:
             self._send_ack()
 
@@ -821,10 +876,13 @@ class TcpConnection:
     # ------------------------------------------------------------- FIN path --
     def _process_fin(self, seg: TcpSegment) -> None:
         fin_seq = seg.seq + seg.payload_len
-        self.fin_received_seq = fin_seq
+        cold = self.cold
+        if cold.read_only:
+            cold = self._own_cold()
+        cold.fin_received_seq = fin_seq
         # FIN is in order only when all stream data before it has arrived.
-        if self.assembly.rcv_nxt == fin_seq:
-            self.assembly.rcv_nxt += 1
+        if self.rcv_nxt == fin_seq:
+            self.rcv_nxt += 1
             recv_buffer = self.recv_buffer
             if recv_buffer.read_only:
                 recv_buffer = self._own_recv_buffer()
@@ -833,11 +891,9 @@ class TcpConnection:
         self._send_ack()
 
     def _check_fin_delivery(self) -> None:
-        if (
-            self.fin_received_seq is not None
-            and self.assembly.rcv_nxt == self.fin_received_seq
-        ):
-            self.assembly.rcv_nxt += 1
+        fin_received_seq = self.cold.fin_received_seq
+        if fin_received_seq is not None and self.rcv_nxt == fin_received_seq:
+            self.rcv_nxt += 1
             recv_buffer = self.recv_buffer
             if recv_buffer.read_only:
                 recv_buffer = self._own_recv_buffer()
@@ -888,9 +944,10 @@ class TcpConnection:
         if self._rto is not None:
             self._rto.release()
             self._rto = None
-        if self._persist is not None:
-            self._persist.release()
-            self._persist = None
+        cold = self.cold
+        if cold.persist is not None:
+            cold.persist.release()
+            cold.persist = None
         if self._delack is not None:
             self._delack.release()
             self._delack = None
@@ -919,9 +976,10 @@ class TcpConnection:
             return
         if self._fluid is not None and self._fidelity.pump(self):
             return
+        cold = self.cold
         while True:
             sent_bytes = self.snd_nxt - self.data_seq_base - (
-                1 if self.fin_sent else 0
+                1 if cold.fin_sent else 0
             )
             available = self.send_buffer.written - sent_bytes
             if allowed_in_flight is not None:
@@ -933,7 +991,7 @@ class TcpConnection:
             want_fin = (
                 self.send_buffer.fin_requested
                 and available == 0
-                and not self.fin_sent
+                and not cold.fin_sent
                 and self.state in (TcpState.FIN_WAIT_1, TcpState.CLOSING, TcpState.LAST_ACK)
             )
             if available <= 0 and not want_fin:
@@ -956,8 +1014,10 @@ class TcpConnection:
 
             if want_fin:
                 seg = self._make_segment(self.snd_nxt, ack=True, fin=True)
-                self.fin_seq = self.snd_nxt
-                self.fin_sent = True
+                if cold.read_only:
+                    cold = self._own_cold()
+                cold.fin_seq = self.snd_nxt
+                cold.fin_sent = True
                 self.snd_nxt += 1
                 self._transmit(seg)
                 self._arm_rto()
@@ -1008,13 +1068,20 @@ class TcpConnection:
         rst: bool = False,
         payload_len: int = 0,
     ) -> TcpSegment:
-        wnd = self.recv_buffer.window(self.assembly.out_of_order_bytes)
+        ooo = self.ooo
+        acks_data = ack and self.irs is not None
+        if ooo.read_only:  # nothing held: the common case
+            wnd = self.recv_buffer.window()
+            sack = ()
+        else:
+            wnd = self.recv_buffer.window(ooo.total())
+            sack = ooo.sack_blocks() if acks_data else ()
         self._last_advertised_wnd = wnd
         seg = TcpSegment(
             src_port=self.local.port,
             dst_port=self.remote.port,
             seq=seq,
-            ack_no=self.assembly.rcv_nxt if ack and self.irs is not None else 0,
+            ack_no=self.rcv_nxt if acks_data else 0,
             payload_len=payload_len,
             syn=syn,
             ack=ack,
@@ -1023,13 +1090,14 @@ class TcpConnection:
             wnd=wnd,
             ts_val=self.sim.now,
             ts_ecr=self._ts_recent,
-            sack=self.assembly.sack_blocks() if ack and self.irs is not None else (),
+            sack=sack,
         )
-        if ack and not rst and self._ecn_echo_latched and not self.cc.wants_accurate_ecn:
+        cold = self.cold
+        if ack and not rst and cold.ecn_echo_latched and not self.cc.wants_accurate_ecn:
             seg.ece = True
-        if payload_len > 0 and self._send_cwr:
+        if payload_len > 0 and cold.send_cwr:
             seg.cwr = True
-            self._send_cwr = False
+            cold.send_cwr = False
         return seg
 
     def _transmit(self, seg: TcpSegment, retransmit: bool = False) -> None:
@@ -1061,7 +1129,7 @@ class TcpConnection:
 
     def _accept_syn(self, seg: TcpSegment) -> None:
         self.irs = seg.seq
-        self.assembly.reset(rcv_nxt=seg.seq + 1)
+        self.rcv_nxt = seg.seq + 1
         self.snd_wnd = seg.wnd
         if seg.ts_val is not None:
             self._ts_recent = seg.ts_val
@@ -1076,6 +1144,15 @@ class TcpConnection:
                 self.on_established_cb(self)
             if self._fidelity is not None:
                 self._fidelity.on_established(self)
+            rto = self._rto
+            if rto is not None and self.snd_una == self.snd_nxt:
+                # Nothing is outstanding: the handshake's timer stops
+                # (RFC 6298 5.2), and the first data segment arms a fresh
+                # one (5.1) instead of inheriting the SYN's deadline.
+                rto.release()
+                self._rto = None
+                if not self.rtt.read_only:
+                    self.rtt.reset_backoff()
 
     # timers ----------------------------------------------------------------
     # Re-armed on every ACK and transmission; lazily, see repro.sim.Deadline.
@@ -1089,8 +1166,11 @@ class TcpConnection:
 
     def _rto_fire(self) -> None:
         if self.state is TcpState.SYN_SENT:
-            self._syn_retries_left -= 1
-            if self._syn_retries_left <= 0:
+            cold = self.cold
+            if cold.read_only:
+                cold = self._own_cold()
+            cold.syn_retries_left -= 1
+            if cold.syn_retries_left <= 0:
                 self.established.fail(
                     ConnectionReset(f"connect {self.remote}: SYN retries exhausted")
                 )
@@ -1110,23 +1190,29 @@ class TcpConnection:
         self.stack.stats.timeouts += 1
         self._own_rtt().on_timeout()
         self._own_cc().on_rto()
+        cold = self.cold
+        if cold.read_only:
+            cold = self._own_cold()
         # Treat everything unsacked as lost; retransmit via the scoreboard
         # machinery while the window regrows from one MSS.  SACKed ranges
         # are kept (as Linux does) so delivered-byte accounting stays exact.
-        self._dupacks = 0
+        cold.dupacks = 0
         self._forget_repairs()
         self._tx_records = ()
         self._tx_head = 0
-        self._in_fast_recovery = True
-        self._recover = self.snd_nxt
-        self._rto_high = self.snd_nxt
+        cold.in_fast_recovery = True
+        cold.recover = self.snd_nxt
+        cold.rto_high = self.snd_nxt
         self._arm_rto(restart=True)
         self._recovery_send()
 
     def _arm_persist(self) -> None:
-        if self._persist is None:
-            self._persist = Deadline(self.sim, self, TcpConnection._persist_fire)
-        self._persist.arm(self.rtt.rto)
+        cold = self.cold
+        if cold.read_only:
+            cold = self._own_cold()
+        if cold.persist is None:
+            cold.persist = Deadline(self.sim, self, TcpConnection._persist_fire)
+        cold.persist.arm(self.rtt.rto)
 
     def _persist_fire(self) -> None:
         if self.snd_wnd == 0 and self.state is TcpState.ESTABLISHED:
@@ -1141,7 +1227,8 @@ class TcpConnection:
     # the shared one the first time (equal to it: the shared one never
     # changed).  Write sites that run on every connection test
     # ``read_only`` inline and call these only on a first write; the
-    # rare ones (RST, RTO, loss) call them directly.
+    # rare ones (RST, RTO, loss) call them directly.  The out-of-order
+    # queue has one write site, which builds its own there.
     def _own_cc(self) -> CongestionControl:
         cc = self.cc
         if cc.read_only:
@@ -1153,6 +1240,12 @@ class TcpConnection:
         if estimator.read_only:
             estimator = self.rtt = RttEstimator()
         return estimator
+
+    def _own_cold(self) -> ColdState:
+        cold = self.cold
+        if cold.read_only:
+            cold = self.cold = ColdState()
+        return cold
 
     def _own_send_buffer(self) -> SendBuffer:
         buffer = self.send_buffer

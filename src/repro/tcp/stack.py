@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field, replace
-from functools import cache
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -27,9 +26,9 @@ from ..net import NIC, Endpoint, Packet
 from ..net.addressing import EPHEMERAL_BASE
 from ..obs import runtime as obs_runtime
 from ..sim import NANOS, Event, FifoTimer, Simulator
-from .buffers import ReceiveBuffer, SendBuffer
+from .buffers import ReceiveBuffer, SendBuffer, make_read_only
 from .cc import base as cc_base
-from .connection import MSS, TcpConfig, TcpConnection, TcpState
+from .connection import MSS, ColdState, TcpConfig, TcpConnection, TcpState
 from .listener import Listener
 from .rtt import RttEstimator
 from .segment import TcpSegment
@@ -143,9 +142,9 @@ class TimeWait:
 
     def update(self, conn: TcpConnection) -> None:
         self.snd_nxt = conn.snd_nxt
-        self.rcv_nxt = conn.assembly.rcv_nxt
+        self.rcv_nxt = conn.rcv_nxt
         self.ts_recent = conn._ts_recent
-        self.ecn_echo = conn._ecn_echo_latched
+        self.ecn_echo = conn.cold.ecn_echo_latched
 
     def on_segment(self, seg: TcpSegment, ecn_ce: bool = False) -> None:
         conn = self.ref()
@@ -212,34 +211,6 @@ def _holds(entry, conn: TcpConnection) -> bool:
     return entry is conn or entry.__class__ is TimeWait and entry.ref() is conn
 
 
-def _refuse_store(part, name: str, value) -> None:
-    raise AttributeError(
-        f"{type(part).__name__} is shared read-only: a connection builds "
-        f"its own before it sets {name} = {value!r}"
-    )
-
-
-@cache
-def _read_only_class(cls: type) -> type:
-    """``cls`` with every attribute store refused and ``read_only`` True
-    (no slots of its own, so an instance can switch to it in place)."""
-    return type(
-        f"Shared{cls.__name__}",
-        (cls,),
-        {
-            "__slots__": (),
-            "__module__": cls.__module__,
-            "__setattr__": _refuse_store,
-            "read_only": True,
-        },
-    )
-
-
-def _read_only(part):
-    part.__class__ = _read_only_class(part.__class__)
-    return part
-
-
 class _SharedParts(dict):
     """key -> ``build(key)`` made read-only, built on first lookup."""
 
@@ -250,7 +221,7 @@ class _SharedParts(dict):
         self.build = build
 
     def __missing__(self, key):
-        part = self[key] = _read_only(self.build(key))
+        part = self[key] = make_read_only(self.build(key))
         return part
 
 
@@ -292,7 +263,8 @@ class TcpStack:
         self.shared_cc = _SharedParts(lambda name: cc_base.make(name, mss=MSS))
         self.shared_send_buffer = _SharedParts(lambda size: SendBuffer(sim, size))
         self.shared_recv_buffer = _SharedParts(lambda size: ReceiveBuffer(sim, size))
-        self.shared_rtt = _read_only(RttEstimator())
+        self.shared_rtt = make_read_only(RttEstimator())
+        self.shared_cold = make_read_only(ColdState())
         #: Fastpass-style fabric arbiter: when set, every payload-bearing
         #: segment waits for a wire timeslot grant before transmission
         #: (pure ACKs bypass — they are a rounding error on the fabric).

@@ -129,7 +129,6 @@ def step(sim: Simulator) -> None:
         target(*args)
     else:
         callbacks, target.callbacks = target.callbacks, None
-        target._processed = True
         if callbacks:
             if callbacks.__class__ is list:
                 for callback in callbacks:

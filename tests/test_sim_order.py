@@ -125,9 +125,11 @@ def test_one_send_on_the_figure4_world_costs_27_events_5_of_them_zero_delay():
 
 
 def test_fanin_pending_entries_are_a_few_per_connection(monkeypatch):
-    """Two ``_rto_fire``, one sender sleep and one ``_send_ack`` per
-    connection at most: peak 3.5 x connections here, 3.99 x on the
-    ledger's ``fanin_10k``."""
+    """One data ``_rto_fire`` per client, one sender sleep and one
+    ``_send_ack`` per connection at most, plus the dead entries of
+    released handshake RTO timers that no purge has dropped yet: peak
+    2.87 x connections here, 3.5 x while each endpoint kept its
+    handshake's timer armed."""
     from repro.runstate import reset_run_ids
 
     monkeypatch.syspath_prepend(
@@ -142,7 +144,7 @@ def test_fanin_pending_entries_are_a_few_per_connection(monkeypatch):
     pending = _pending_at_samples(world.testbed, world.run_until[-1])
     result = world.results()
     assert result["failed"] == 0 and result["attempted"] == 2 * n_conns
-    assert n_conns <= max(pending) <= 5 * n_conns, pending
+    assert n_conns <= max(pending) <= 3 * n_conns, pending
 
 
 def test_churn_pending_entries_stay_within_twice_the_live_ones():

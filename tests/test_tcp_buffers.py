@@ -1,11 +1,12 @@
-"""Send buffer, reassembly queue and receive buffer semantics."""
+"""Send buffer, out-of-order queue and receive buffer semantics."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Event, Simulator
-from repro.tcp import ReassemblyQueue, ReceiveBuffer, SendBuffer
+from repro.tcp import OutOfOrder, ReceiveBuffer, SendBuffer
+from repro.tcp.buffers import NOTHING_HELD
 
 
 # ---------------------------------------------------------------- SendBuffer --
@@ -52,15 +53,40 @@ def test_send_buffer_validates(sim):
         buf.on_ack(-1)
 
 
-# ----------------------------------------------------------- ReassemblyQueue --
+# ---------------------------------------------------------------- OutOfOrder --
+class Receiver:
+    """An owner of an out-of-order queue, kept as a TCP connection or a
+    QUIC stream keeps it: ``rcv_nxt`` its own, the queue the shared empty
+    one until the first out-of-order arrival."""
+
+    def __init__(self, rcv_nxt=0):
+        self.rcv_nxt, self.ooo = rcv_nxt, NOTHING_HELD
+
+    def add(self, seq, length):
+        """Take ``[seq, seq + length)``; return how far ``rcv_nxt`` moved."""
+        if seq > self.rcv_nxt and self.ooo.read_only:
+            self.ooo = OutOfOrder()
+        before = self.rcv_nxt
+        self.rcv_nxt = self.ooo.receive(before, seq, seq + length)
+        return self.rcv_nxt - before
+
+    @property
+    def out_of_order_bytes(self):
+        return self.ooo.total()
+
+    def sack_blocks(self, limit=3):
+        return self.ooo.sack_blocks(limit)
+
+
 def test_reassembly_in_order_advances():
-    rq = ReassemblyQueue(rcv_nxt=100)
+    rq = Receiver(rcv_nxt=100)
     assert rq.add(100, 50) == 50
     assert rq.rcv_nxt == 150
+    assert rq.ooo is NOTHING_HELD  # never held anything
 
 
 def test_reassembly_out_of_order_holds():
-    rq = ReassemblyQueue(rcv_nxt=0)
+    rq = Receiver(rcv_nxt=0)
     assert rq.add(100, 50) == 0
     assert rq.out_of_order_bytes == 50
     assert rq.add(0, 100) == 150  # fills the gap, releases everything
@@ -69,21 +95,21 @@ def test_reassembly_out_of_order_holds():
 
 
 def test_reassembly_duplicate_ignored():
-    rq = ReassemblyQueue(rcv_nxt=0)
+    rq = Receiver(rcv_nxt=0)
     rq.add(0, 100)
     assert rq.add(0, 100) == 0
     assert rq.add(50, 50) == 0
 
 
 def test_reassembly_partial_overlap():
-    rq = ReassemblyQueue(rcv_nxt=0)
+    rq = Receiver(rcv_nxt=0)
     rq.add(0, 100)
     assert rq.add(50, 100) == 50
     assert rq.rcv_nxt == 150
 
 
 def test_reassembly_sack_blocks_reflect_ooo():
-    rq = ReassemblyQueue(rcv_nxt=0)
+    rq = Receiver(rcv_nxt=0)
     rq.add(100, 50)
     rq.add(200, 50)
     blocks = rq.sack_blocks()
@@ -91,7 +117,7 @@ def test_reassembly_sack_blocks_reflect_ooo():
 
 
 def test_reassembly_sack_blocks_rotate_fresh_first():
-    rq = ReassemblyQueue(rcv_nxt=0)
+    rq = Receiver(rcv_nxt=0)
     for i in range(5):
         rq.add(100 * (i + 1), 10)
     rq.add(700, 10)  # freshest
@@ -102,7 +128,9 @@ def test_reassembly_sack_blocks_rotate_fresh_first():
 
 def test_reassembly_negative_length_rejected():
     with pytest.raises(ValueError):
-        ReassemblyQueue().add(0, -1)
+        OutOfOrder().receive(0, 10, 9)
+    with pytest.raises(ValueError):
+        NOTHING_HELD.receive(0, 0, -1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -111,7 +139,7 @@ def test_reassembly_negative_length_rejected():
 )
 def test_property_reassembly_delivers_every_byte_once(segments):
     """Segments arriving in any order release each byte exactly once."""
-    rq = ReassemblyQueue(rcv_nxt=0)
+    rq = Receiver(rcv_nxt=0)
     delivered = 0
     for index in segments:
         delivered += rq.add(index * 100, 100)
@@ -177,7 +205,7 @@ class ListReassembly:
 def test_property_reassembly_matches_list_model(steps):
     """Same bytes released, same SACK blocks in the same rotation, whether
     a segment takes the in-order fast path or the out-of-order one."""
-    rq, model = ReassemblyQueue(rcv_nxt=0), ListReassembly()
+    rq, model = Receiver(rcv_nxt=0), ListReassembly()
     for slot, length, limit in steps:
         # 5-byte slots: in-order, duplicate, overlapping and far-ahead
         # arrivals all occur; length 0 is a bare ACK.

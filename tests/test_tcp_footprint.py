@@ -15,9 +15,13 @@ kept:
 * a connection keeps no counters (its stack's ``StackStats`` does), and
   idle endpoints share one initial ``cwnd`` and one advertised window;
 * a connection starts on its stack's read-only congestion control, RTT
-  estimator and buffers, and builds its own of each at its first write
-  of it (a write to a shared part raises); its RTO timer is built at its
-  first arm, so the fluid analytic handshake builds none.
+  estimator, buffers and cold fields (loss recovery, ECN, FIN, persist
+  timer, SYN retries), and on the one empty out-of-order queue; it builds
+  its own of each at its first write of it (a write to a shared part
+  raises);
+* its RTO timer is built at its first arm, so the fluid analytic
+  handshake builds none, and the packet handshake's stops once nothing is
+  outstanding (RFC 6298 5.2).
 """
 
 import gc
@@ -31,7 +35,7 @@ from repro.experiments.common import install_fluid, make_lan_testbed
 from repro.net import Endpoint
 from repro.sim import Event
 from repro.tcp import TcpConnection, TcpState
-from repro.tcp.buffers import ReceiveBuffer
+from repro.tcp.buffers import NOTHING_HELD, OutOfOrder, ReceiveBuffer
 from repro.tcp.cc import RateSample, available
 from repro.tcp.segment import TcpSegment
 from repro.tcp.stack import TimeWait
@@ -53,16 +57,29 @@ def established_pair(rig=None):
     return rig, client, server
 
 
-def ack(conn, ack_no, sack=()):
+def ack(conn, ack_no, sack=(), wnd=1 << 20):
     """The peer's ACK of ``conn``'s data, delivered straight to it."""
     return TcpSegment(
         src_port=conn.remote.port,
         dst_port=conn.local.port,
-        seq=conn.assembly.rcv_nxt,
+        seq=conn.rcv_nxt,
         ack_no=ack_no,
         ack=True,
-        wnd=1 << 20,
+        wnd=wnd,
         sack=sack,
+    )
+
+
+def data(conn, seq):
+    """A peer's 100-byte data segment for ``conn``, delivered straight to it."""
+    return TcpSegment(
+        src_port=conn.remote.port,
+        dst_port=conn.local.port,
+        seq=seq,
+        ack_no=conn.snd_nxt,
+        ack=True,
+        payload_len=100,
+        wnd=1 << 20,
     )
 
 
@@ -251,13 +268,15 @@ def shared_parts(conn):
         "rtt": conn.rtt is stack.shared_rtt,
         "send_buffer": conn.send_buffer is stack.shared_send_buffer[config.sndbuf],
         "recv_buffer": conn.recv_buffer is stack.shared_recv_buffer[config.rcvbuf],
+        "cold": conn.cold is stack.shared_cold,
+        "ooo": conn.ooo is NOTHING_HELD,
     }
     for name, is_shared in shared.items():
         assert getattr(conn, name).read_only is is_shared
     return {name for name, is_shared in shared.items() if is_shared}
 
 
-ALL_PARTS = {"cc", "rtt", "send_buffer", "recv_buffer"}
+ALL_PARTS = {"cc", "rtt", "send_buffer", "recv_buffer", "cold", "ooo"}
 
 
 def test_an_idle_established_pair_shares_its_stacks_parts():
@@ -268,8 +287,9 @@ def test_an_idle_established_pair_shares_its_stacks_parts():
     rig.run(until=0.02)
     assert other.state is TcpState.ESTABLISHED
     assert other.cc is client.cc and other.rtt is client.rtt
-    assert other.send_buffer is client.send_buffer
+    assert other.send_buffer is client.send_buffer and other.cold is client.cold
     assert client.cc is not server.cc  # each stack has its own
+    assert client.cold is not server.cold
 
 
 def test_one_send_and_recv_build_exactly_the_parts_they_write():
@@ -281,9 +301,10 @@ def test_one_send_and_recv_build_exactly_the_parts_they_write():
     rig.run(until=0.1)  # past the receiver's delayed ACK
     assert reading.triggered and reading.value == 1000
     # The ACK of the data wrote the sender's congestion control and RTT
-    # estimator; the receiver only read its own (ACKs write neither).
-    assert shared_parts(client) == {"recv_buffer"}
-    assert shared_parts(server) == {"cc", "rtt", "send_buffer"}
+    # estimator; the receiver only read its own (ACKs write neither).  An
+    # in-order exchange writes neither side's cold fields or queue.
+    assert shared_parts(client) == {"recv_buffer", "cold", "ooo"}
+    assert shared_parts(server) == {"cc", "rtt", "send_buffer", "cold", "ooo"}
     assert client.rtt.srtt is not None and client.cc.cwnd > 10 * MSS
     fresh = rig.stack_a.shared_cc["cubic"]
     assert fresh.cwnd == 10 * MSS and rig.stack_a.shared_rtt.srtt is None
@@ -321,12 +342,24 @@ def test_shared_parts_refuse_writes():
     ):
         with pytest.raises(AttributeError, match="shared read-only"):
             hook()
+    cold = client.cold
+    for name in ("dupacks", "fin_sent", "ecn_echo_latched", "persist"):
+        with pytest.raises(AttributeError, match="shared read-only"):
+            setattr(cold, name, getattr(cold, name))
+    # Only an out-of-order arrival writes the empty queue; an in-order one
+    # and a SACK block lookup only read it.
+    assert NOTHING_HELD.receive(0, 0, 100) == 100
+    assert NOTHING_HELD.sack_blocks() == ()
+    with pytest.raises(AttributeError, match="shared read-only"):
+        NOTHING_HELD.receive(0, 100, 200)
     # Nothing was written: every part still reads as a fresh one.
     assert stack.shared_cc["cubic"].cwnd == 10 * MSS
     assert rtt.rto == 1.0 and rtt.srtt is None
     assert send_buffer.written == 0 and not send_buffer.fin_requested
     assert recv_buffer.available == 0 and not recv_buffer.eof
     assert recv_buffer._readers is None and recv_buffer._watchers is None
+    assert cold.dupacks == 0 and not cold.fin_sent and cold.persist is None
+    assert not NOTHING_HELD and NOTHING_HELD.total() == 0
 
 
 def test_the_fluid_handshake_builds_no_rto_timer():
@@ -344,18 +377,96 @@ def test_the_fluid_handshake_builds_no_rto_timer():
     assert client.state is server.state is TcpState.ESTABLISHED
     assert client._rto is None and server._rto is None
     assert shared_parts(client) == shared_parts(server) == ALL_PARTS
-    # A packet handshake arms one at its SYN and SYN/ACK.
-    _rig, client, server = established_pair()
-    assert client._rto is not None and server._rto is not None
+    # A packet handshake arms one at its SYN and SYN/ACK, and lets it go
+    # once established with nothing outstanding (RFC 6298 5.2) ...
+    rig, client, server = established_pair()
+    assert client._rto is None and server._rto is None
+    # ... so the first data segment arms a fresh one a whole RTO out (5.1),
+    # not the rest of the SYN's.
+    sent_at = rig.sim.now
+    client.send(MSS)
+    rig.run(until=sent_at + 1e-6)
+    assert client.snd_nxt > client.snd_una
+    assert client._rto.when == sent_at + client.rtt.rto
+
+
+def test_in_order_traffic_builds_no_cold_part_and_each_first_write_builds_its_own():
+    rig, client, server = established_pair()
+    # Both directions in order, closing neither: nobody writes a cold
+    # field or holds a segment out of order.
+    reading = server.recv(4 * MSS)
+    back = client.recv(MSS)
+    client.send(4 * MSS)
+    server.send(MSS)
+    rig.run(until=0.2)
+    assert reading.triggered and back.triggered
+    assert {"cold", "ooo"} <= shared_parts(client) & shared_parts(server)
+
+    def parts_built(conn):
+        return ALL_PARTS - shared_parts(conn)
+
+    # The first duplicate ACK counts in the connection's own cold part.
+    rig, client, server = established_pair()
+    rig.stack_a.nic.transmit = lambda packet: None  # data never reaches B
+    client.send(3 * MSS)
+    rig.run(until=rig.sim.now + 1e-4)
+    una = client.snd_una
+    assert "cold" not in parts_built(client)
+    client.on_segment(ack(client, una))
+    assert "cold" in parts_built(client) and client.cold.dupacks == 1
+    assert client.cold is not rig.stack_a.shared_cold
+    assert rig.stack_a.shared_cold.dupacks == 0
+
+    # The first SACK block starts its scoreboard there too.
+    rig, client, server = established_pair()
+    rig.stack_a.nic.transmit = lambda packet: None
+    client.send(3 * MSS)
+    rig.run(until=rig.sim.now + 1e-4)
+    una = client.snd_una
+    client.on_segment(ack(client, una, sack=((una + MSS, una + 2 * MSS),)))
+    assert "cold" in parts_built(client) and client.cold.sacked.total() == MSS
+
+    # The first CE mark latches the receiver's echo; in order, so its
+    # queue stays the shared one.
+    rig, client, server = established_pair()
+    server.on_segment(data(server, server.rcv_nxt), ecn_ce=True)
+    assert parts_built(server) >= {"cold"} and "ooo" not in parts_built(server)
+    assert server.cold.ecn_echo_latched
+
+    # A FIN: the sender records it sent, the receiver where it arrived.
+    rig, client, server = established_pair()
+    client.close()
+    rig.run(until=rig.sim.now + 0.01)
+    assert client.cold.fin_sent and client.cold.fin_seq is not None
+    assert server.cold.fin_received_seq == client.cold.fin_seq
+    assert "ooo" not in parts_built(client) | parts_built(server)
+
+    # A zero window with data waiting arms the persist timer.
+    rig, client, server = established_pair()
+    client.on_segment(ack(client, client.snd_una, wnd=0))
+    assert "cold" not in parts_built(client)  # a window update writes none
+    client.send(MSS)
+    rig.run(until=rig.sim.now + 1e-6)
+    assert client.bytes_in_flight == 0 and client.cold.persist.armed
+
+    # The first out-of-order segment builds the receiver's own queue, and
+    # only that.
+    rig, client, server = established_pair()
+    before = shared_parts(server)
+    server.on_segment(data(server, server.rcv_nxt + MSS))
+    assert shared_parts(server) == before - {"ooo"}
+    assert type(server.ooo) is OutOfOrder and server.ooo.total() == 100
+    assert not NOTHING_HELD
 
 
 #: tracemalloc bytes one idle established pair holds (both endpoints, their
-#: demux entries and pending timer entries), CPython 3.11: ~2 170 here,
-#: ~2 980 while each endpoint built its own congestion control, RTT
-#: estimator and buffers at birth, ~3 370 while each also kept ten
-#: counters, a copy of its window ints and a fresh demux key per
-#: accepted child.
-IDLE_PAIR_BYTES = 2_300
+#: demux entries and pending timer entries), CPython 3.11: ~1 510 here,
+#: ~2 170 while each endpoint kept its cold fields and out-of-order queue
+#: in itself, its handshake's RTO timer armed and 80-byte events, ~2 980
+#: while it also built its own congestion control, RTT estimator and
+#: buffers at birth, ~3 370 while it also kept ten counters, a copy of
+#: its window ints and a fresh demux key per accepted child.
+IDLE_PAIR_BYTES = 1_600
 
 
 def test_an_idle_established_pair_fits_its_byte_budget():

@@ -7,7 +7,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from conftest import make_linked_stacks, transfer
 from repro.net import IIDLoss
-from repro.tcp.buffers import ReassemblyQueue
+from repro.tcp.buffers import NOTHING_HELD, OutOfOrder
 from repro.tcp.intervals import EMPTY, IntervalSet
 
 
@@ -286,22 +286,21 @@ def test_shared_empty_reads_like_an_empty_set_and_refuses_mutation():
 
 def test_only_a_connection_that_sees_loss_gets_its_own_scoreboards():
     clean = transfer(make_linked_stacks(), total_bytes=200_000)["client_conn"]
-    assert clean._sacked is EMPTY and clean._rexmitted is EMPTY
-    assert clean.assembly._ooo is EMPTY
+    assert clean.cold.sacked is EMPTY and clean.cold.rexmitted is EMPTY
+    assert clean.ooo is NOTHING_HELD
 
     rig = make_linked_stacks(loss=IIDLoss(0.02, seed=5))
     result = transfer(rig, total_bytes=500_000)
     lossy = result["client_conn"]
     assert result["received"] == 500_000 and rig.stack_a.stats.retransmits > 0
-    assert lossy._sacked is not EMPTY and type(lossy._sacked) is IntervalSet
+    assert lossy.cold.sacked is not EMPTY and type(lossy.cold.sacked) is IntervalSet
 
-    queue = ReassemblyQueue()
-    assert queue.add(0, 100) == 100 and queue._ooo is EMPTY  # in order
-    assert queue.add(200, 50) == 0 and queue._ooo is not EMPTY
+    queue = OutOfOrder()
+    assert queue.receive(0, 0, 100) == 100 and not queue  # in order
+    assert queue.receive(100, 200, 250) == 100 and queue.total() == 50
     assert queue.sack_blocks() == ((200, 250),)
-    queue.reset()
-    assert queue._ooo is EMPTY
-    assert not EMPTY  # none of it leaked into the shared instance
+    assert queue.receive(100, 100, 200) == 250 and not queue
+    assert not EMPTY and not NOTHING_HELD  # nothing leaked into them
 
 
 def test_trim_below_nothing_below_leaves_the_list_alone():

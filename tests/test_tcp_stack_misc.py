@@ -242,7 +242,7 @@ def _two_lives(drop_stale):
             }
             # Stream bytes: the SYN and the FIN take a sequence number each.
             stats["bytes_acked"] = conn.snd_una - conn.iss - 2
-            stats["bytes_received"] = conn.assembly.rcv_nxt - conn.irs - 2
+            stats["bytes_received"] = conn.rcv_nxt - conn.irs - 2
             ends.append(stats)
         out["result"] = (*ends, sim.now - started)
 

@@ -66,8 +66,8 @@ def close_handshake(hold, msl=0.05, drop_final_ack=False):
         if (
             drop_final_ack
             and b_conn is not None
-            and b_conn.fin_seq is not None
-            and seg.ack_no == b_conn.fin_seq + 1
+            and b_conn.cold.fin_seq is not None
+            and seg.ack_no == b_conn.cold.fin_seq + 1
         ):
             if "dropped" not in found:
                 found["dropped"] = seg
@@ -167,15 +167,16 @@ FIN_REPLY = TcpSegment(
     ack_no=2,
     ack=True,
     wnd=4 * 1024 * 1024,
-    ts_val=1.00200544,
-    ts_ecr=1.00100272,
+    ts_val=1.0040219,
+    ts_ecr=1.00301918,
 )
 
 
 @pytest.mark.parametrize("hold", [True, False], ids=["held", "freed"])
 def test_a_retransmitted_fin_is_acked_as_the_connection_would(hold):
-    # B has no RTT sample, so its FIN returns after the 1 s initial RTO:
-    # 2 MSL must outlast that.
+    # B has no RTT sample, so its FIN returns 1 s (the initial RTO) after
+    # it was sent, on a timer the FIN armed: the handshake's stopped once
+    # B was established.  2 MSL must outlast that.
     rig, found, held, sent = close_handshake(hold=hold, msl=1.0, drop_final_ack=True)
     run_until_time_wait(rig, found)
     before = len(sent)
@@ -184,11 +185,11 @@ def test_a_retransmitted_fin_is_acked_as_the_connection_would(hold):
     b_conn = found["b"]
     assert rig.stack_b.stats.retransmits == 1  # B's FIN, once
     (_, lost), (at, reply) = sent[before:]
-    assert lost is found["dropped"] and lost.ack_no == b_conn.fin_seq + 1
-    assert reply == FIN_REPLY and at == 1.00200744  # after the CPU charge on a0
+    assert lost is found["dropped"] and lost.ack_no == b_conn.cold.fin_seq + 1
+    assert reply == FIN_REPLY and at == 1.0040239  # after the CPU charge on a0
     assert b_conn.state is TcpState.CLOSED
     assert rig.stack_a.stats.segments_out == 6
-    assert rig.sim.events_processed == 45
+    assert rig.sim.events_processed == 47
 
 
 @pytest.mark.parametrize("hold", [True, False], ids=["held", "freed"])
