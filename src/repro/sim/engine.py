@@ -282,9 +282,11 @@ class FifoTimer:
     ``schedule_call(delay, ...)`` at that instant would have taken, and
     the head's entry carries that stamp, so ``func(item)`` runs at
     exactly the same float and in exactly the same order as with one
-    entry per item, and each pop still expires one item.  TCP's TIME_WAIT
-    expiry is the user: thousands of records wait out 2 MSL under
-    connection churn.
+    entry per item, and each pop still expires one item.  The stamp is
+    kept on the item itself, in its ``fifo_when`` and ``fifo_seq``
+    attributes, so the FIFO holds the items and nothing else.  TCP's
+    TIME_WAIT expiry is the user: thousands of records wait out 2 MSL
+    under connection churn.
     """
 
     __slots__ = ("sim", "delay", "func", "_items")
@@ -295,25 +297,26 @@ class FifoTimer:
         self.sim = sim
         self.delay = delay
         self.func = func
-        #: ``(when, seq, item)`` in the order added (so ``when`` ascending).
+        #: The items in the order added (so ``fifo_when`` ascending).
         self._items: deque = deque()
 
     def add(self, item) -> None:
         """``func(item)`` is due ``delay`` seconds from now."""
         sim = self.sim
-        stamp = (sim.now + self.delay, next(sim._counter), item)
+        item.fifo_when = when = sim.now + self.delay
+        item.fifo_seq = seq = next(sim._counter)
         items = self._items
-        items.append(stamp)
+        items.append(item)
         if len(items) == 1:
-            heappush(sim._queue, (stamp[0], stamp[1], self, ()))
+            heappush(sim._queue, (when, seq, self, ()))
 
     def __call__(self) -> None:
         """Pop of the head's queue entry: expire the head."""
         items = self._items
-        item = items.popleft()[2]
+        item = items.popleft()
         if items:
-            when, seq, _ = items[0]
-            heappush(self.sim._queue, (when, seq, self, ()))
+            head = items[0]
+            heappush(self.sim._queue, (head.fifo_when, head.fifo_seq, self, ()))
         self.func(item)
 
 

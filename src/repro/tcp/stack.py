@@ -80,74 +80,88 @@ def _key(conn) -> ConnKey:
     return (conn.local.port, conn.remote.ip, conn.remote.port)
 
 
-class TimeWait:
+class TimeWait(weakref.ref):
     """A connection in TIME_WAIT, as the demux table holds it.
 
     Linux swaps a socket that enters TIME_WAIT for a small
-    ``inet_timewait_sock``; this is the same move.  The record refers to
-    its connection weakly, so the connection (buffers, scoreboards, RTT
-    and congestion state, timers) is freed as soon as the application
-    lets go of it, not 2 MSL later.  The record keeps the demux entry and
-    the connection's ``closed`` event, and enough to answer what may still
-    arrive (RFC 9293 section 3.10.7.4): while the connection lives,
-    segments go to it unchanged; once it is gone, the record acknowledges
-    a retransmitted FIN or duplicate data as the connection would have,
-    and an RST closes it.
+    ``inet_timewait_sock``; this is the same move.  The record is a weak
+    reference to its connection (``record()`` is the connection, or None
+    once freed), so the connection (buffers, scoreboards, RTT and
+    congestion state, timers) is freed as soon as the application lets
+    go of it, not 2 MSL later.  The record keeps the demux entry and the
+    connection's ``closed`` event (``close()`` handed it to callers who
+    may still poll it), and only what the answer to a late segment and
+    the 2 MSL expiry read (RFC 9293 section 3.10.7.4): while the
+    connection lives, segments go to it unchanged; once it is gone, the
+    record acknowledges a retransmitted FIN or duplicate data as the
+    connection would have, and an RST closes it.
 
-    ``remote``, ``config`` and ``core`` are the connection's, under its
-    names: :meth:`TcpStack.send_segment` sends for the record as for the
-    connection.  The receive buffer is kept for the window the answers
-    advertise: the application may still read after TIME_WAIT begins.
+    The 4-tuple is kept as the ports and remote IP the demux key already
+    holds; the ``key`` and ``remote`` built from them serve only the rare
+    paths that need one (expiry, an RST, an answer, which
+    :meth:`TcpStack.send_segment` sends for the record as for the
+    connection, on its ``core``).  ``wnd`` is the window the answers
+    advertise: the int the receive buffer's ``window()`` returned, since
+    once the FIN is in and nothing is left unread no read or arrival can
+    move it; the buffer itself while unread bytes remain (the application
+    may still read after TIME_WAIT begins).
 
     The record holds no queue entry of its own: the stack queues it in
     the :class:`~repro.sim.FifoTimer` for its 2 MSL, one per duration,
-    which calls :meth:`expire` at ``now + 2 * msl`` as computed at entry.
+    which stamps it with ``fifo_when`` and ``fifo_seq`` and calls
+    :meth:`expire` at ``now + 2 * msl`` as computed at entry.
     """
 
     __slots__ = (
         "stack",
         "local_port",
-        "remote",
-        "config",
+        "remote_ip",
+        "remote_port",
         "core",
-        "ref",
         "closed",
-        "recv_buffer",
         "accurate_ecn",
         # refreshed after every segment the connection processes
         "snd_nxt",
         "rcv_nxt",
         "ts_recent",
         "ecn_echo",
+        "wnd",
+        # the FifoTimer's stamp
+        "fifo_when",
+        "fifo_seq",
     )
 
     #: What a reader of the demux table sees.
     state = TcpState.TIME_WAIT
 
     def __init__(self, conn: TcpConnection) -> None:
+        super().__init__(conn)
         self.stack = conn.stack
         self.local_port = conn.local.port
-        self.remote = conn.remote
-        self.config = conn.config
+        self.remote_ip, self.remote_port = conn.remote
         self.core = conn.core
-        self.ref = weakref.ref(conn)
         self.closed = conn.closed
-        self.recv_buffer = conn.recv_buffer
         self.accurate_ecn = conn.cc.wants_accurate_ecn
         self.update(conn)
 
     @property
     def key(self) -> ConnKey:
-        return (self.local_port, self.remote.ip, self.remote.port)
+        return (self.local_port, self.remote_ip, self.remote_port)
+
+    @property
+    def remote(self) -> Endpoint:
+        return Endpoint(self.remote_ip, self.remote_port)
 
     def update(self, conn: TcpConnection) -> None:
         self.snd_nxt = conn.snd_nxt
         self.rcv_nxt = conn.rcv_nxt
         self.ts_recent = conn._ts_recent
         self.ecn_echo = conn.cold.ecn_echo_latched
+        buffer = conn.recv_buffer
+        self.wnd = buffer if buffer.available else buffer.window()
 
     def on_segment(self, seg: TcpSegment, ecn_ce: bool = False) -> None:
-        conn = self.ref()
+        conn = self()
         if conn is not None:
             conn.on_segment(seg, ecn_ce)
             return
@@ -173,13 +187,16 @@ class TimeWait:
             self._ack(self.ecn_echo and not self.accurate_ecn)
 
     def _ack(self, ece: bool) -> None:
+        wnd = self.wnd
+        if wnd.__class__ is not int:  # unread bytes: the buffer's window now
+            wnd = wnd.window()
         seg = TcpSegment(
             src_port=self.local_port,
-            dst_port=self.remote.port,
+            dst_port=self.remote_port,
             seq=self.snd_nxt,
             ack_no=self.rcv_nxt,
             ack=True,
-            wnd=self.recv_buffer.window(),
+            wnd=wnd,
             ts_val=self.stack.sim.now,
             ts_ecr=self.ts_recent,
             ece=ece,
@@ -190,7 +207,7 @@ class TimeWait:
         """2 MSL after entry: TIME_WAIT -> CLOSED.  A no-op once an RST
         closed the record; a connection migration adopted is still closed
         here, on the stack that holds it now."""
-        conn = self.ref()
+        conn = self()
         if conn is not None:
             conn._time_wait_done()
         elif self.stack._connections.get(self.key) is self:
@@ -203,12 +220,12 @@ class TimeWait:
         del self.stack._connections[self.key]
 
     def __repr__(self) -> str:
-        return f"<TimeWait {self.key} alive={self.ref() is not None}>"
+        return f"<TimeWait {self.key} alive={self() is not None}>"
 
 
 def _holds(entry, conn: TcpConnection) -> bool:
     """Whether demux entry ``entry`` stands for ``conn``."""
-    return entry is conn or entry.__class__ is TimeWait and entry.ref() is conn
+    return entry is conn or entry.__class__ is TimeWait and entry() is conn
 
 
 class _SharedParts(dict):
@@ -387,8 +404,9 @@ class TcpStack:
         """Charge transmit CPU, then hand the packet to the NIC.
 
         A :class:`TimeWait` record answering for its connection sends
-        here too: it carries the ``remote``, ``config`` and ``core`` read
-        below (``id(conn)`` is then the record's own).
+        here too: it has the ``remote`` and ``core`` read below, and
+        sends no payload, so no ``config`` (``id(conn)`` is then the
+        record's own).
         """
         self.stats.segments_out += 1
         self.stats.bytes_out += seg.payload_len
@@ -415,7 +433,7 @@ class TcpStack:
             dst=conn.remote.ip,
             payload_bytes=seg.payload_len,
             payload=seg,
-            ecn_capable=conn.config.ecn and seg.payload_len > 0,
+            ecn_capable=seg.payload_len > 0 and conn.config.ecn,
         )
         core = conn.core
         if core is None:
@@ -565,7 +583,7 @@ class TcpStack:
         """A connection in TIME_WAIT finished processing a segment: bring
         its record up to date and let go of everything that held it."""
         record = self._connections.get(_key(conn))
-        if record.__class__ is not TimeWait or record.ref() is not conn:
+        if record.__class__ is not TimeWait or record() is not conn:
             return  # adopted whole by migration: the table holds it
         record.update(conn)
         conn._release_timers()

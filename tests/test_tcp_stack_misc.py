@@ -358,7 +358,15 @@ def test_connection_churn_keeps_checker_and_queue_to_open_flows(until):
     assert len(held) <= open_flows + 4
 
     queue = testbed.sim._queue
-    per_record = [e for e in queue if isinstance(getattr(e[2], "__self__", None), TimeWait)]
+    # An entry stands for a record if its target is one, is bound to one
+    # or takes one as an argument.
+    per_record = [
+        e for e in queue
+        if any(
+            type(x) is TimeWait
+            for x in (e[2], getattr(e[2], "__self__", None), *(e[3] or ()))
+        )
+    ]
     assert per_record == []
     heads = [e for e in queue if type(e[2]) is engine.FifoTimer]
     assert len(heads) <= sum(len(stack._time_wait) for stack in stacks)

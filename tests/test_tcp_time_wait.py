@@ -123,7 +123,7 @@ def test_a_time_wait_connection_nobody_holds_is_freed_at_entry():
     # with the collector off.
     assert found["a"]() is None
     (entry,) = rig.stack_a._connections.values()
-    assert isinstance(entry, TimeWait) and entry.ref() is None
+    assert isinstance(entry, TimeWait) and entry() is None
     assert len(rig.stack_a._connections) == 1
 
 
@@ -296,12 +296,14 @@ def test_records_expire_in_one_fifo_per_duration(monkeypatch):
     """Two 2 MSL durations on one stack: each record expires at exactly the
     float ``now + 2 * msl`` of its entry, in entry order within its
     duration, with ``closed`` fired and the demux entry gone, one queue
-    pop per record, and never more than one queue entry per duration."""
+    pop per record, and never more than one queue entry per duration.
+    The FIFO queues the record itself, stamped on the record, and the
+    head's queue entry carries the head record's stamp."""
     rig = make_linked_stacks()
     sim, stack = rig.sim, rig.stack_b  # the server closes first and waits
     msls = {PORT: 0.03, PORT + 1: 0.05}
     listeners = {port: stack.listen(port, msl=msl) for port, msl in msls.items()}
-    due = {}  # record -> when it must expire
+    due = {}  # id(record) -> (when it must expire, its msl)
     entered = {msl: [] for msl in msls.values()}
     expired = {msl: [] for msl in msls.values()}
 
@@ -312,16 +314,19 @@ def test_records_expire_in_one_fifo_per_duration(monkeypatch):
         enter(conn)
         record = stack._connections[(conn.local.port, conn.remote.ip, conn.remote.port)]
         assert isinstance(record, TimeWait)
-        due[record] = when
+        assert stack._time_wait[2 * conn.config.msl]._items[-1] is record
+        assert record.fifo_when == when
+        due[id(record)] = (when, conn.config.msl)
         entered[conn.config.msl].append(record)
 
     expire = TimeWait.expire
 
     def expiring(record):
         expire(record)
-        assert sim.now == due[record]
+        when, msl = due[id(record)]
+        assert sim.now == when
         assert record.closed.triggered and record.key not in stack._connections
-        expired[record.config.msl].append(record)
+        expired[msl].append(record)
 
     stack.enter_time_wait = entering
     monkeypatch.setattr(TimeWait, "expire", expiring)
@@ -349,8 +354,12 @@ def test_records_expire_in_one_fifo_per_duration(monkeypatch):
 
     fifo_pops = 0
     while sim._queue and peek(sim) <= 1.0:
-        delays = [e[2].delay for e in sim._queue if type(e[2]) is FifoTimer]
+        heads = [e for e in sim._queue if type(e[2]) is FifoTimer]
+        delays = [e[2].delay for e in heads]
         assert len(delays) == len(set(delays))  # one entry per duration
+        for when, seq, fifo, _ in heads:
+            head = fifo._items[0]
+            assert type(head) is TimeWait and (when, seq) == (head.fifo_when, head.fifo_seq)
         if type(sim._queue[0][2]) is FifoTimer:
             fifo_pops += 1
             before = sum(map(len, expired.values()))
