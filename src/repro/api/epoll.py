@@ -5,13 +5,14 @@ implement it, since event-driven servers (the RPC and web workloads) need
 it and it exercises GuestLib's event-notification path.
 
 Readiness is tracked incrementally, the way a real epoll keeps its ready
-list inside the kernel: each registered fd carries one persistent armed
-waiter (``api.wait_readable``), and when it fires the fd moves into a
-ready-set and wakes any pending ``wait()``.  A ``wait()`` call therefore
-touches only the ready fds — O(ready), not O(registered) — and arms no
-new per-fd Events of its own.  An fd is re-armed only after a ``wait()``
-observes it unready again, so a descriptor that stays readable across
-many waits (level-triggered behaviour) costs nothing per wait.
+list inside the kernel: each registered fd gets one :class:`_Item`, its
+interest record and its readiness waiter at once (``api.watch_readable``),
+and when the item fires the fd moves into a ready-set and wakes any
+pending ``wait()``.  A ``wait()`` call therefore touches only the ready
+fds — O(ready), not O(registered) — and arms nothing of its own.  An fd
+is re-armed only after a ``wait()`` observes it unready again, so a
+descriptor that stays readable across many waits (level-triggered
+behaviour) costs nothing per wait.
 """
 
 from __future__ import annotations
@@ -28,23 +29,32 @@ __all__ = ["Epoll", "EPOLLIN"]
 EPOLLIN = 0x001
 
 
-class _ArmedWaiter:
-    """The per-fd readiness callback, as a flyweight.
+class _Item:
+    """A registered fd: its interest record and its readiness waiter.
 
-    A closure here costs ~250 B per armed fd (function + defaults +
-    cell) and in the sparse-sink regime every registered fd keeps one
-    armed — at 10^5..10^6 fds that is real RSS.  A two-slot callable
-    carries the same binding for ~56 B.
+    The socket API wakes a waiter by ``succeed()``; the item answers by
+    queueing its own call at the ``(now, seq)`` ``Event.succeed`` would
+    take, so an fd costs one 56 B item however often it is armed, and
+    no Event.
     """
 
-    __slots__ = ("epoll", "fd")
+    __slots__ = ("epoll", "fd", "armed")
 
     def __init__(self, epoll: "Epoll", fd: int) -> None:
         self.epoll = epoll
         self.fd = fd
+        #: Watched (or fired and not yet run): arming again is a no-op.
+        self.armed = False
 
-    def __call__(self, ev: Event) -> None:
-        self.epoll._on_readable(self.fd, ev)
+    def succeed(self, _value=None) -> None:
+        self.epoll.sim.schedule_call(0.0, self)
+
+    def __call__(self) -> None:
+        self.armed = False
+        epoll = self.epoll
+        if epoll._interest.get(self.fd) is self:  # else unregistered since
+            epoll._ready[self.fd] = None
+            epoll._wake()
 
 
 class Epoll:
@@ -53,17 +63,16 @@ class Epoll:
     def __init__(self, sim: Simulator, api: SocketApi) -> None:
         self.sim = sim
         self.api = api
-        self._interest: Dict[int, int] = {}
+        self._interest: Dict[int, _Item] = {}
         # fds believed readable; insertion-ordered, validated at wait().
         self._ready: Dict[int, None] = {}
-        # fds with a live wait_readable() callback armed.
-        self._armed: set = set()
         self._pending_wait: Optional[Event] = None
 
     def register(self, fd: int, events: int = EPOLLIN) -> None:
         if events != EPOLLIN:
             raise ValueError("only EPOLLIN is supported")
-        self._interest[fd] = events
+        if fd not in self._interest:
+            self._interest[fd] = _Item(self, fd)
         if self.api.readable_now(fd):
             self._ready[fd] = None
             self._wake()
@@ -73,27 +82,17 @@ class Epoll:
     def unregister(self, fd: int) -> None:
         if fd not in self._interest:
             raise BadFileDescriptor(f"fd {fd} not registered")
+        # An armed item may still fire later (e.g. the peer's FIN); it
+        # finds itself no longer registered and does nothing.
         del self._interest[fd]
         self._ready.pop(fd, None)
-        # An armed waiter may still fire later (e.g. the peer's FIN);
-        # _on_readable discards it because fd left the interest set.
-        self._armed.discard(fd)
 
     def _arm(self, fd: int) -> None:
-        """Attach one persistent readiness callback to ``fd``."""
-        if fd in self._armed:
-            return
-        self._armed.add(fd)
-        self.api.wait_readable(fd).add_callback(_ArmedWaiter(self, fd))
-
-    def _on_readable(self, fd: int, ev: Event) -> None:
-        if fd not in self._armed:
-            return  # unregistered (or re-armed afresh) since this was set up
-        self._armed.discard(fd)
-        if fd not in self._interest or not ev.ok:
-            return
-        self._ready[fd] = None
-        self._wake()
+        """Have ``fd``'s item woken once ``fd`` is readable."""
+        item = self._interest[fd]
+        if not item.armed:
+            item.armed = True
+            self.api.watch_readable(fd, item)
 
     def _wake(self) -> None:
         pending = self._pending_wait

@@ -17,7 +17,7 @@ explicitly in the integration suite.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Protocol
+from typing import Dict, Optional, Protocol, Union
 
 from ..net import Endpoint
 from ..sim import Event, Simulator
@@ -74,24 +74,23 @@ class SocketApi(Protocol):
         """setsockopt(TCP_CONGESTION) equivalent (synchronous, may raise)."""
 
     # -- readiness (epoll support) ---------------------------------------------
-    def wait_readable(self, fd: int) -> Event:
-        """Fires when recv()/accept() would not block."""
+    def watch_readable(self, fd: int, waiter) -> None:
+        """Call ``waiter.succeed()`` once recv()/accept() would not block."""
 
     def readable_now(self, fd: int) -> bool:
         """Whether recv()/accept() would not block right now."""
 
 
 class _KernelSocket:
-    """fd-table entry for :class:`KernelSocketApi`."""
+    """fd-table entry for :class:`KernelSocketApi` until the socket
+    connects: a connected fd maps to its :class:`TcpConnection` itself."""
 
-    __slots__ = ("fd", "bound_port", "cc_name", "listener", "conn")
+    __slots__ = ("bound_port", "cc_name", "listener")
 
-    def __init__(self, fd: int) -> None:
-        self.fd = fd
+    def __init__(self) -> None:
         self.bound_port: Optional[int] = None
         self.cc_name: Optional[str] = None
         self.listener: Optional[Listener] = None
-        self.conn: Optional[TcpConnection] = None
 
 
 class KernelSocketApi:
@@ -106,54 +105,59 @@ class KernelSocketApi:
         self.sim = sim
         self.stack = stack
         self.available_cc = available_cc
-        self._fds: Dict[int, _KernelSocket] = {}
+        self._fds: Dict[int, Union[_KernelSocket, TcpConnection]] = {}
         self._next_fd = 3  # 0/1/2 are stdio, as tradition demands
-        self._bound_ports: set = set()  # ports held by live fds
+        self._bound_ports: Dict[int, int] = {}  # port -> the live fd holding it
 
     @property
     def ip(self) -> str:
         return self.stack.ip
 
     # -- helpers -----------------------------------------------------------------
-    def _alloc_fd(self) -> _KernelSocket:
+    def _alloc_fd(self, entry) -> int:
         fd = self._next_fd
         self._next_fd += 1
-        sock = _KernelSocket(fd)
-        self._fds[fd] = sock
-        return sock
+        self._fds[fd] = entry
+        return fd
 
-    def _get(self, fd: int) -> _KernelSocket:
+    def _get(self, fd: int):
         try:
             return self._fds[fd]
         except KeyError:
             raise BadFileDescriptor(f"fd {fd}") from None
 
-    def _register_conn(self, conn: TcpConnection) -> int:
-        sock = self._alloc_fd()
-        sock.conn = conn
-        return sock.fd
+    def _socket(self, fd: int) -> _KernelSocket:
+        sock = self._get(fd)
+        if sock.__class__ is not _KernelSocket:
+            raise InvalidSocketState(f"fd {fd} already connected")
+        return sock
+
+    def _conn(self, fd: int) -> TcpConnection:
+        conn = self._get(fd)
+        if conn.__class__ is _KernelSocket:
+            raise InvalidSocketState(f"fd {fd} not connected")
+        return conn
 
     # -- API ----------------------------------------------------------------------
     def socket(self) -> Event:
-        sock = self._alloc_fd()
         event = Event(self.sim)
-        event.succeed(sock.fd)
+        event.succeed(self._alloc_fd(_KernelSocket()))
         return event
 
     def bind(self, fd: int, port: int) -> Event:
-        sock = self._get(fd)
-        if sock.conn is not None or sock.listener is not None:
+        sock = self._socket(fd)
+        if sock.listener is not None:
             raise InvalidSocketState(f"fd {fd} already active")
         if port in self._bound_ports:
             raise AddressInUse(f"port {port}")
         sock.bound_port = port
-        self._bound_ports.add(port)
+        self._bound_ports[port] = fd
         event = Event(self.sim)
         event.succeed()
         return event
 
     def listen(self, fd: int, backlog: int = 128) -> Event:
-        sock = self._get(fd)
+        sock = self._socket(fd)
         if sock.bound_port is None:
             raise InvalidSocketState(f"fd {fd} not bound")
         if sock.listener is not None:
@@ -166,27 +170,25 @@ class KernelSocketApi:
         return event
 
     def accept(self, fd: int) -> Event:
-        sock = self._get(fd)
+        sock = self._socket(fd)
         if sock.listener is None:
             raise InvalidSocketState(f"fd {fd} is not listening")
         accepted = sock.listener.accept()
         result = Event(self.sim)
         accepted.add_callback(
-            lambda ev: result.succeed(self._register_conn(ev.value))
+            lambda ev: result.succeed(self._alloc_fd(ev.value))
         )
         return result
 
     def connect(self, fd: int, remote: Endpoint) -> Event:
-        sock = self._get(fd)
-        if sock.conn is not None:
-            raise InvalidSocketState(f"fd {fd} already connected")
-        sock.conn = self.stack.connect(
+        sock = self._socket(fd)
+        conn = self._fds[fd] = self.stack.connect(
             remote,
             congestion_control=sock.cc_name,
             local_port=sock.bound_port,
         )
         result = Event(self.sim)
-        established = sock.conn.established
+        established = conn.established
 
         def finish(ev: Event) -> None:
             if ev.ok:
@@ -198,16 +200,10 @@ class KernelSocketApi:
         return result
 
     def send(self, fd: int, nbytes: int) -> Event:
-        sock = self._get(fd)
-        if sock.conn is None:
-            raise InvalidSocketState(f"fd {fd} not connected")
-        return sock.conn.send(nbytes)
+        return self._conn(fd).send(nbytes)
 
     def recv(self, fd: int, max_bytes: int) -> Event:
-        sock = self._get(fd)
-        if sock.conn is None:
-            raise InvalidSocketState(f"fd {fd} not connected")
-        return sock.conn.recv(max_bytes)
+        return self._conn(fd).recv(max_bytes)
 
     def close(self, fd: int) -> Event:
         """Like close(2): returns once the fd is gone from the app's view.
@@ -215,14 +211,17 @@ class KernelSocketApi:
         The connection machinery continues in the background (data drain,
         FIN handshake, TIME_WAIT) exactly as real kernels do.
         """
-        sock = self._get(fd)
-        self._fds.pop(fd, None)
-        if sock.bound_port is not None:
-            self._bound_ports.discard(sock.bound_port)
-        if sock.conn is not None:
-            sock.conn.close()
-        elif sock.listener is not None:
-            sock.listener.close()
+        entry = self._get(fd)
+        del self._fds[fd]
+        if entry.__class__ is _KernelSocket:
+            port = entry.bound_port
+            if entry.listener is not None:
+                entry.listener.close()
+        else:
+            port = entry.local.port
+            entry.start_close()
+        if self._bound_ports.get(port) == fd:
+            del self._bound_ports[port]
         event = Event(self.sim)
         event.succeed()
         return event
@@ -234,26 +233,24 @@ class KernelSocketApi:
                 f"{name!r} is not available in this guest kernel "
                 f"(have: {sorted(self.available_cc)})"
             )
-        if sock.conn is not None:
+        if sock.__class__ is not _KernelSocket:
             raise InvalidSocketState("set congestion control before connect()")
         sock.cc_name = name
 
     # -- readiness ----------------------------------------------------------------
-    def wait_readable(self, fd: int) -> Event:
-        sock = self._get(fd)
-        if sock.conn is not None:
-            event = Event(self.sim)
-            sock.conn.watch_readable(event)
-            return event
-        if sock.listener is not None:
-            return sock.listener.wait_pending()
-        raise InvalidSocketState(f"fd {fd} is neither connected nor listening")
+    def watch_readable(self, fd: int, waiter) -> None:
+        entry = self._get(fd)
+        if entry.__class__ is _KernelSocket:
+            entry = entry.listener
+            if entry is None:
+                raise InvalidSocketState(
+                    f"fd {fd} is neither connected nor listening"
+                )
+        entry.watch_readable(waiter)
 
     def readable_now(self, fd: int) -> bool:
-        sock = self._get(fd)
-        if sock.conn is not None:
-            buffer = sock.conn.recv_buffer
-            return buffer.available > 0 or buffer.eof
-        if sock.listener is not None:
-            return sock.listener.queue_length > 0
-        return False
+        entry = self._get(fd)
+        if entry.__class__ is _KernelSocket:
+            return entry.listener is not None and entry.listener.queue_length > 0
+        buffer = entry.recv_buffer
+        return buffer.available > 0 or buffer.eof

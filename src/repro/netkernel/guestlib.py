@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 from ..api.errors import (
     BadFileDescriptor,
@@ -70,7 +70,7 @@ class _GuestSocket:
         self.rx_chunks: Deque[HugeChunk] = deque()
         self.rx_available = 0
         self.readers: Deque[Tuple[int, Event]] = deque()
-        self.watchers: List[Event] = []
+        self.watchers: list = []  # epoll waiters (see Epoll)
         self.accept_ready: Deque[int] = deque()
         self.acceptors: Deque[Event] = deque()
         self.closed = False
@@ -387,14 +387,12 @@ class GuestLib:
         )
 
     # ------------------------------------------------------------- readiness --
-    def wait_readable(self, fd: int) -> Event:
+    def watch_readable(self, fd: int, waiter) -> None:
         sock = self._get(fd)
-        event = Event(self.sim)
         if sock.readable:
-            event.succeed()
+            waiter.succeed()
         else:
-            sock.watchers.append(event)
-        return event
+            sock.watchers.append(waiter)
 
     def readable_now(self, fd: int) -> bool:
         return self._get(fd).readable

@@ -399,7 +399,7 @@ class ServiceLib:
         if backend.listener is not None:
             backend.listener.close()
         elif backend.conn is not None:
-            backend.conn.close()
+            backend.conn.start_close()
         self._complete_ok(nqe)
 
     def _op_heartbeat(self, nqe: Nqe) -> None:

@@ -4,7 +4,7 @@ A :class:`QuicStream` is what the ServiceLib sees when it asks the QUIC
 family for "a connection" — it duck-types the surface
 :class:`repro.tcp.connection.TcpConnection` exposes there
 (``established``, ``send()``, ``recv_buffer``, ``watch_readable()``,
-``close()``), while the :class:`repro.quic.connection.QuicConnection`
+``start_close()``), while the :class:`repro.quic.connection.QuicConnection`
 underneath multiplexes many streams over one handshake, one congestion
 controller and one loss-recovery state machine.
 
@@ -106,7 +106,7 @@ class QuicStream:
         ``TcpConnection.watch_readable`` does."""
         self.recv_buffer.watch(waiter)
 
-    def close(self) -> None:
+    def start_close(self) -> None:
         """Half-close: FIN at the current write watermark."""
         if self.fin_offset is not None:
             return

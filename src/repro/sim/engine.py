@@ -38,11 +38,11 @@ NANOS = 1e-9
 
 _INF = float("inf")
 
-#: Dead :class:`Deadline` entries tolerated before a purge is considered.
-#: Small queues stay below it and never purge (the ledger's ``lan_bulk``
-#: keeps 9-12 entries pending, ``lan_bulk_quic`` <= 13, ``chaos_failover``
-#: <= 165); without it ``lan_bulk_quic`` would purge now and then to save
-#: 12 of its 604 787 pops.  Connection churn (``web_nk``) crosses it.
+#: Dead :class:`Deadline` entries tolerated before a purge is considered;
+#: past it, a purge runs once they are a quarter of the queue.  Small
+#: queues never reach it (``lan_bulk`` keeps 9-12 entries pending,
+#: ``lan_bulk_quic`` <= 13, ``chaos_failover`` <= 165); connection churn
+#: (``web_nk``) and a fan-in's released handshake timers cross it.
 _PURGE_FLOOR = 256
 
 
@@ -161,10 +161,10 @@ class Simulator:
 
     def _entry_died(self) -> None:
         """A :class:`Deadline` entry was retired or released; purge the
-        dead ones once they reach the floor and outnumber the live ones."""
+        dead ones once they reach the floor and a quarter of the queue."""
         dead = self._dead_entries = self._dead_entries + 1
         q = self._queue
-        if dead >= _PURGE_FLOOR and 2 * dead > len(q):
+        if dead >= _PURGE_FLOOR and 4 * dead >= len(q):
             # In place: the event loop holds this list.  Survivors keep
             # their ``(when, seq)``, so the fire order cannot move.
             q[:] = [entry for entry in q if not _is_dead(entry)]
@@ -198,7 +198,7 @@ class Deadline:
 
     Retired entries and the entry of a released deadline are dead: the
     simulator counts them and, once they reach :data:`_PURGE_FLOOR` and
-    outnumber the live entries, drops them from the queue in one pass
+    a quarter of the queue, drops them from the queue in one pass
     (asyncio does the same with cancelled timer handles).  A cancelled
     deadline that still has an owner keeps its entry, which a re-arm may
     reuse.

@@ -322,6 +322,8 @@ class TcpConnection:
         closed = self._closed
         if closed is None:
             closed = self._closed = Event(self.sim)
+            if self.state is TcpState.TIME_WAIT:  # the record fires it if freed
+                self.stack.settle_time_wait(self)
         return closed
 
     def open_active(self) -> None:
@@ -388,6 +390,12 @@ class TcpConnection:
 
     def close(self) -> Event:
         """Half-close: FIN after all queued data; event fires fully closed."""
+        closed = self.closed
+        self.start_close()
+        return closed
+
+    def start_close(self) -> None:
+        """:meth:`close` without building its event (see ``TimeWait``)."""
         if self._fluid is not None:
             self._fidelity.demote(self, "close")
         send_buffer = self.send_buffer
@@ -401,9 +409,8 @@ class TcpConnection:
         elif self.state in (TcpState.SYN_SENT, TcpState.CLOSED):
             self.state = TcpState.CLOSED
             self._finish_closed()
-            return self.closed
+            return
         self._pump()
-        return self.closed
 
     def abort(self) -> None:
         """Send RST and tear down immediately."""

@@ -28,7 +28,7 @@ class Listener:
         self.port = port
         self.backlog = backlog
         self._accept_queue: Store = Store(sim, capacity=backlog)
-        self._watchers: list[Event] = []
+        self._watchers: list = []
         self.closed = False
         #: ServiceLib hook: called with each newly established connection.
         self.on_new_connection: Optional[Callable[["TcpConnection"], None]] = None
@@ -79,14 +79,13 @@ class Listener:
             raise RuntimeError(f"accept() on closed listener :{self.port}")
         return self._accept_queue.get()
 
-    def wait_pending(self) -> Event:
-        """Readiness (epoll EPOLLIN): fires when a connection is queued."""
-        event = Event(self.sim)
+    def watch_readable(self, waiter) -> None:
+        """Readiness (epoll EPOLLIN): ``waiter.succeed()`` once a
+        connection is queued."""
         if len(self._accept_queue) > 0:
-            event.succeed()
+            waiter.succeed()
         else:
-            self._watchers.append(event)
-        return event
+            self._watchers.append(waiter)
 
     def close(self) -> None:
         self.closed = True

@@ -88,13 +88,13 @@ class TimeWait(weakref.ref):
     reference to its connection (``record()`` is the connection, or None
     once freed), so the connection (buffers, scoreboards, RTT and
     congestion state, timers) is freed as soon as the application lets
-    go of it, not 2 MSL later.  The record keeps the demux entry and the
-    connection's ``closed`` event (``close()`` handed it to callers who
-    may still poll it), and only what the answer to a late segment and
-    the 2 MSL expiry read (RFC 9293 section 3.10.7.4): while the
-    connection lives, segments go to it unchanged; once it is gone, the
-    record acknowledges a retransmitted FIN or duplicate data as the
-    connection would have, and an RST closes it.
+    go of it, not 2 MSL later.  The record keeps the demux entry, the
+    connection's ``closed`` event or None if none was built (``close()``
+    handed it to callers who may still poll it), and only what the answer
+    to a late segment and the 2 MSL expiry read (RFC 9293 section
+    3.10.7.4): while the connection lives, segments go to it unchanged;
+    once it is gone, the record acknowledges a retransmitted FIN or
+    duplicate data as the connection would have, and an RST closes it.
 
     The 4-tuple is kept as the ports and remote IP the demux key already
     holds; the ``key`` and ``remote`` built from them serve only the rare
@@ -118,9 +118,10 @@ class TimeWait(weakref.ref):
         "remote_ip",
         "remote_port",
         "core",
-        "closed",
         "accurate_ecn",
-        # refreshed after every segment the connection processes
+        # refreshed after every segment the connection processes (and
+        # ``closed`` when it builds one in TIME_WAIT)
+        "closed",
         "snd_nxt",
         "rcv_nxt",
         "ts_recent",
@@ -140,7 +141,6 @@ class TimeWait(weakref.ref):
         self.local_port = conn.local.port
         self.remote_ip, self.remote_port = conn.remote
         self.core = conn.core
-        self.closed = conn.closed
         self.accurate_ecn = conn.cc.wants_accurate_ecn
         self.update(conn)
 
@@ -157,6 +157,7 @@ class TimeWait(weakref.ref):
         self.rcv_nxt = conn.rcv_nxt
         self.ts_recent = conn._ts_recent
         self.ecn_echo = conn.cold.ecn_echo_latched
+        self.closed = conn._closed
         buffer = conn.recv_buffer
         self.wnd = buffer if buffer.available else buffer.window()
 
@@ -215,7 +216,7 @@ class TimeWait(weakref.ref):
 
     def _close(self) -> None:
         # TcpConnection._finish_closed for a connection that is gone.
-        if not self.closed.triggered:
+        if self.closed is not None and not self.closed.triggered:
             self.closed.succeed()
         del self.stack._connections[self.key]
 

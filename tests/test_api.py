@@ -4,6 +4,8 @@ The parity tests are the compatibility claim of the paper: one application
 body runs unchanged against both the legacy and the NetKernel API.
 """
 
+import gc
+
 import pytest
 
 from repro.api import (
@@ -19,6 +21,8 @@ from repro.experiments.common import make_lan_testbed
 from repro.host.vm import GuestOS
 from repro.net import Endpoint
 from repro.netkernel import NsmSpec
+from repro.sim import Event
+from repro.tcp import TcpConnection, TcpState
 
 from conftest import make_linked_stacks
 
@@ -478,3 +482,180 @@ def test_connect_refused_raises_api_level_reset():
     rig.run(until=2.0)
     assert len(caught) == 1
     assert isinstance(caught[0], ConnectionReset)
+
+
+# -------------------------------------------------------------- the fd table --
+def connected_fds(api_a, api_b, bind_client=None):
+    """One connection from ``api_a`` to a listener on ``api_b``: returns
+    ``{"listen": fd, "client": fd, "accepted": fd}`` once both ends are
+    established.  ``bind_client`` binds the client's fd first."""
+    fds = {}
+
+    def server(sim):
+        fd = fds["listen"] = yield api_b.socket()
+        yield api_b.bind(fd, 5000)
+        yield api_b.listen(fd)
+        fds["accepted"] = yield api_b.accept(fd)
+
+    def client(sim):
+        fd = yield api_a.socket()
+        if bind_client is not None:
+            yield api_a.bind(fd, bind_client)
+        yield api_a.connect(fd, Endpoint("10.0.0.2", 5000))
+        fds["client"] = fd
+
+    api_a.sim.process(server(api_a.sim))
+    api_a.sim.process(client(api_a.sim))
+    api_a.sim.run(until=api_a.sim.now + 0.5)
+    assert set(fds) == {"listen", "client", "accepted"}
+    return fds
+
+
+def test_connected_and_accepted_fds_map_to_their_connection():
+    """The fd table holds a connected fd's connection itself: no
+    per-fd socket record beside it."""
+    rig, api_a, api_b = make_kernel_apis()
+    fds = connected_fds(api_a, api_b)
+    client, accepted = api_a._fds[fds["client"]], api_b._fds[fds["accepted"]]
+    assert type(client) is TcpConnection and type(accepted) is TcpConnection
+    assert client.state is accepted.state is TcpState.ESTABLISHED
+    assert accepted.local.port == 5000 and client.remote.port == 5000
+    assert type(api_b._fds[fds["listen"]]) is not TcpConnection
+
+
+def test_a_bound_then_connected_fd_releases_its_port_on_close():
+    rig, api_a, api_b = make_kernel_apis()
+    fds = connected_fds(api_a, api_b, bind_client=7000)
+    conn = api_a._fds[fds["client"]]
+    assert type(conn) is TcpConnection and conn.local.port == 7000
+    assert api_a._bound_ports == {7000: fds["client"]}
+    api_a.close(fds["client"])
+    assert api_a._bound_ports == {} and conn.state is TcpState.FIN_WAIT_1
+    fd = value_of(rig, api_a.socket())
+    api_a.bind(fd, 7000)  # the port is free again
+    with pytest.raises(AddressInUse):
+        api_a.bind(value_of(rig, api_a.socket()), 7000)
+
+
+def value_of(rig, event):
+    rig.run(until=rig.sim.now + 1e-6)
+    return event.value
+
+
+@pytest.mark.parametrize("which", ["idle", "bound", "listen"])
+def test_send_and_recv_on_an_unconnected_fd_raise(which):
+    rig, api_a, api_b = make_kernel_apis()
+    fds = connected_fds(api_a, api_b)
+    fd = fds["listen"] if which == "listen" else value_of(rig, api_b.socket())
+    if which == "bound":
+        api_b.bind(fd, 6000)
+    with pytest.raises(InvalidSocketState):
+        api_b.send(fd, 10)
+    with pytest.raises(InvalidSocketState):
+        api_b.recv(fd, 10)
+
+
+@pytest.mark.parametrize("bind_client", [None, 7000], ids=["unbound", "bound"])
+def test_set_congestion_control_after_connect_or_accept_raises(bind_client):
+    rig, api_a, api_b = make_kernel_apis()
+    fds = connected_fds(api_a, api_b, bind_client=bind_client)
+    for api, fd in ((api_a, fds["client"]), (api_b, fds["accepted"])):
+        with pytest.raises(InvalidSocketState):
+            api.set_congestion_control(fd, "reno")
+        with pytest.raises(InvalidSocketState):
+            api.bind(fd, 8000)
+        with pytest.raises(InvalidSocketState):
+            api.connect(fd, Endpoint("10.0.0.2", 5000))
+
+
+def test_closing_a_listener_a_connection_and_an_idle_fd():
+    """Each fd leaves the table at once; a listener stops accepting and
+    frees its port, a connection starts its FIN, an idle fd just goes."""
+    rig, api_a, api_b = make_kernel_apis()
+    fds = connected_fds(api_a, api_b)
+    idle = value_of(rig, api_b.socket())
+    listener = api_b._fds[fds["listen"]].listener
+    conn = api_b._fds[fds["accepted"]]
+    for fd in (fds["listen"], fds["accepted"], idle):
+        assert value_of(rig, api_b.close(fd)) is None
+        with pytest.raises(BadFileDescriptor):
+            api_b.close(fd)
+    assert listener.closed and api_b._bound_ports == {}
+    assert conn.state is TcpState.FIN_WAIT_1
+    # Nothing asked for the close's event, so none was built.
+    assert conn._closed is None
+    rig.run(until=rig.sim.now + 0.5)
+    assert conn.state is TcpState.FIN_WAIT_2  # the client has not closed
+    assert api_a._fds[fds["client"]].state is TcpState.CLOSE_WAIT
+
+
+# -------------------------------------------------------------- epoll items --
+def accepted_idle_fds(n):
+    """``n`` idle connections accepted on ``api_b``: (rig, api_a, api_b,
+    client fds, accepted fds)."""
+    rig, api_a, api_b = make_kernel_apis()
+    accepted, clients = [], []
+
+    def server(sim):
+        fd = yield api_b.socket()
+        yield api_b.bind(fd, 5000)
+        yield api_b.listen(fd, backlog=n)
+        for _ in range(n):
+            accepted.append((yield api_b.accept(fd)))
+
+    def client(sim):
+        fd = yield api_a.socket()
+        yield api_a.connect(fd, Endpoint("10.0.0.2", 5000))
+        clients.append(fd)
+
+    rig.sim.process(server(rig.sim))
+    for _ in range(n):
+        rig.sim.process(client(rig.sim))
+    rig.run(until=0.5)
+    assert len(accepted) == len(clients) == n
+    return rig, api_a, api_b, clients, accepted
+
+
+def count_of(kind):
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is kind)
+
+
+def test_registering_idle_fds_builds_one_item_and_no_event_each():
+    rig, _api_a, api_b, _clients, accepted = accepted_idle_fds(1000)
+    epoll = Epoll(rig.sim, api_b)
+    events = count_of(Event)
+    for fd in accepted:
+        epoll.register(fd)
+    assert count_of(Event) == events
+    items = set(map(id, epoll._interest.values()))
+    assert len(items) == 1000 and count_of(type(epoll._interest[accepted[0]])) == 1000
+    # Each item is its fd's readiness waiter, in the receive buffer.
+    for fd in accepted:
+        assert api_b._fds[fd].recv_buffer._watchers is epoll._interest[fd]
+
+
+def test_a_late_fire_of_an_unregistered_item_is_ignored_after_reregistration():
+    rig, api_a, api_b, clients, accepted = accepted_idle_fds(1)
+    (client,), (fd,) = clients, accepted
+    sim = rig.sim
+    epoll = Epoll(sim, api_b)
+    epoll.register(fd)
+    old = epoll._interest[fd]
+    epoll.unregister(fd)
+    epoll.register(fd)
+    new = epoll._interest[fd]
+    assert new is not old and old.armed and new.armed
+    api_a.send(client, 100)
+    rig.run(until=sim.now + 0.1)  # both items fired; only the new one counts
+    assert not old.armed and not new.armed
+    assert value_of(rig, epoll.wait()) == [(fd, EPOLLIN)]
+    assert value_of(rig, api_b.recv(fd, 100)) == 100
+    waiting = epoll.wait()  # drained: re-arms the new item only
+    assert new.armed and not old.armed
+    old.succeed()  # a late fire of the old item
+    rig.run(until=sim.now + 0.1)
+    assert not waiting.triggered and epoll._ready == {}
+    api_a.send(client, 50)
+    rig.run(until=sim.now + 0.1)
+    assert waiting.value == [(fd, EPOLLIN)]

@@ -29,11 +29,14 @@ def test_epoll_works_over_netkernel():
         yield vm_b.api.listen(fd)
         epoll = Epoll(sim, vm_b.api)
         epoll.register(fd)
+        # The epoll item itself waits in GuestLib's socket: no Event.
+        assert vm_b.api._sockets[fd].watchers == [epoll._interest[fd]]
         ready = yield epoll.wait()
         observed["listener_ready"] = [f for f, _e in ready]
         conn_fd = yield vm_b.api.accept(fd)
         epoll2 = Epoll(sim, vm_b.api)
         epoll2.register(conn_fd)
+        assert vm_b.api._sockets[conn_fd].watchers == [epoll2._interest[conn_fd]]
         ready = yield epoll2.wait()
         observed["data_ready"] = [f for f, _e in ready]
         n = yield vm_b.api.recv(conn_fd, 1000)

@@ -107,7 +107,7 @@ def test_resumption_is_0rtt_and_tenant_keyed():
     first = rig.stack_a.connect(remote, tenant=1)
     rig.run(until=0.1)
     assert first.established.triggered
-    first.close()
+    first.start_close()
     rig.run(until=0.2)
     rig.stack_a.close_idle_connections()
     rig.run(until=0.3)
@@ -136,7 +136,7 @@ def test_foreign_ticket_is_rejected_not_honoured():
     remote = Endpoint("10.0.0.2", 5000)
     first = rig.stack_a.connect(remote, tenant=1)
     rig.run(until=0.1)
-    first.close()
+    first.start_close()
     rig.run(until=0.2)
     rig.stack_a.close_idle_connections()
     rig.run(until=0.3)
@@ -166,7 +166,7 @@ def test_streams_multiplex_over_one_connection():
         yield streams[0].established
         for stream in streams:
             yield stream.send(10_000)
-            stream.close()
+            stream.start_close()
 
     rig.sim.process(client(rig.sim))
     rig.run(until=1.0)
@@ -200,7 +200,7 @@ def test_transfer_under_loss_is_reliable():
             yield streams[0].established
             for s in streams:
                 yield s.send(size)
-                s.close()
+                s.start_close()
 
         rig.sim.process(client(rig.sim))
         rig.run(until=30.0)
@@ -334,7 +334,7 @@ def test_connection_survives_client_ip_change():
         # WiFi-to-LTE in real QUIC). Same cids, new source IP.
         rig.stack_a.ip = "10.0.0.99"
         yield stream.send(20_000)
-        stream.close()
+        stream.start_close()
 
     rig.sim.process(client(rig.sim))
     rig.run(until=2.0)

@@ -273,7 +273,7 @@ def test_deadline_fires_where_push_every_arm_would(seed):
                 latest[deadline] = max(latest.get(deadline, -1), *(e[1] for e in mine))
         assert sim._dead_entries == len(dead_entries(sim, released))
 
-    # Floor 1: a purge runs whenever dead entries outnumber live ones.
+    # Floor 1: a purge runs whenever dead entries reach a quarter of the queue.
     with mock.patch.object(engine, "_PURGE_FLOOR", 1), \
             mock.patch.object(engine, "heapify", heapify):
         owners = run_lazy(sim, steps, rearms, released, after_step)
@@ -334,26 +334,36 @@ def test_a_rearm_on_a_retired_entrys_float_fires_in_its_own_turn():
 def test_a_purge_drops_retired_and_released_entries_only(monkeypatch):
     """Released twice counts once; a cancelled deadline keeps its entry
     (a re-arm may reuse it), so every later push takes the seq it would
-    have taken without the purge."""
+    have taken without the purge.  The purge runs once the dead entries
+    reach the floor and a quarter of the queue: 4 dead of 17 entries stay
+    queued, 4 of 16 are purged."""
     monkeypatch.setattr(engine, "_PURGE_FLOOR", 2)
-    sim = Simulator()
-    owner = Owner([], iter(()))
-    moved, released, cancelled, kept = (
-        Deadline(sim, owner, Owner.fire) for _ in range(4)
-    )
-    for deadline in (moved, released, cancelled, kept):
-        deadline.arm(1.0)
-    moved.arm(0.5)  # retires its 1.0 entry
-    cancelled.cancel()
-    released.release()
-    released.release()  # TIME_WAIT's settle after close: no second count
-    kept.arm(0.25)
-    assert sim._dead_entries == 3 and len(sim._queue) == 6  # half: no purge
-    moved.arm(0.4)  # 4 dead of 7: purged
-    assert sim._dead_entries == 0 and dead_entries(sim, {released}) == []
-    assert sorted((entry[0], entry[1]) for entry in sim._queue) == [(0.25, 5), (0.4, 6), (1.0, 2)]
-    cancelled.arm(2.0)  # later than the kept entry: no push
-    assert len(sim._queue) == 3
+    for fillers in (10, 9):
+        sim = Simulator()
+        owner = Owner([], iter(()))
+        moved, released, cancelled, kept, *others = (
+            Deadline(sim, owner, Owner.fire) for _ in range(4 + fillers)
+        )
+        for deadline in (moved, released, cancelled, kept, *others):
+            deadline.arm(1.0)
+        moved.arm(0.5)  # retires its 1.0 entry
+        cancelled.cancel()
+        released.release()
+        released.release()  # TIME_WAIT's settle after close: no second count
+        kept.arm(0.25)  # retires its 1.0 entry
+        assert sim._dead_entries == 3 and len(sim._queue) == 6 + fillers
+        moved.arm(0.4)  # the fourth dead entry
+        if fillers == 10:  # just under a quarter: no purge
+            assert sim._dead_entries == 4 and len(sim._queue) == 17
+            assert len(dead_entries(sim, {released})) == 4
+            continue
+        # A quarter exactly: purged.
+        assert sim._dead_entries == 0 and dead_entries(sim, {released}) == []
+        assert sorted((entry[0], entry[1]) for entry in sim._queue) == [
+            (0.25, 14), (0.4, 15), (1.0, 2), *((1.0, seq) for seq in range(4, 13))
+        ]
+        cancelled.arm(2.0)  # later than the kept entry: no push
+        assert len(sim._queue) == 12
 
 
 def test_moving_earlier_pushes_one_entry_and_later_pushes_none():

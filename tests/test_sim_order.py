@@ -147,13 +147,47 @@ def test_fanin_pending_entries_are_a_few_per_connection(monkeypatch):
     assert n_conns <= max(pending) <= 3 * n_conns, pending
 
 
+def test_a_fanin_purges_its_released_handshake_timers_in_the_connect_phase(monkeypatch):
+    """Each endpoint releases its handshake RTO timer at establishment,
+    an entry due a second later that can only pop as a no-op.  Dead
+    entries are purged once they reach the floor and a quarter of the
+    queue, so by the end of the connect phase nearly all are gone and the
+    send wave reuses their memory: 9 of 200 are left here, 160 when the
+    purge waited for the dead to outnumber the live entries.  The floor
+    is scaled down with the world (200 connections, not 10 000)."""
+    from repro.runstate import reset_run_ids
+    from repro.sim import engine
+    from repro.sim.engine import Deadline
+
+    monkeypatch.setattr(engine, "_PURGE_FLOOR", 16)
+    monkeypatch.syspath_prepend(
+        os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "ledger")
+    )
+    from workloads import CONNECT_SPACING, _fanin
+
+    n_conns = 200
+    reset_run_ids()
+    world = _fanin(1, None, n_conns, messages_per_conn=2,
+                   message_bytes=512, send_spacing=2e-6)
+    testbed = world.testbed
+    testbed.run(until=n_conns * CONNECT_SPACING + 0.005)  # the connect phase
+    released = [
+        entry for entry in testbed.sim._queue
+        if type(entry[2]) is Deadline and entry[2].owner is None
+    ]
+    assert all(entry[2].func.__name__ == "_rto_fire" for entry in released)
+    assert len(released) < n_conns // 10, len(released)
+    testbed.run(until=world.run_until[-1])
+    assert world.results()["failed"] == 0
+
+
 def test_churn_pending_entries_stay_within_twice_the_live_ones():
     """Connect/request/close churn through one NSM pair: a closed
     connection's deadline entries are dead (released, or retired when a
     deadline moved earlier) but stay queued until their 0.2-1 s timeouts
-    pop.  The simulator purges them once they reach the floor and
-    outnumber the live entries, so at every sample the queue holds at
-    most twice its live entries plus the floor.  Without the purge the
+    pop.  The simulator purges them once they reach the floor and a
+    quarter of the queue, so at every sample the queue holds at most
+    twice its live entries plus the floor.  Without the purge the
     last samples hold 3.5 dead entries per live one."""
     from repro.apps import WebClient, WebServer
     from repro.experiments.common import make_lan_testbed

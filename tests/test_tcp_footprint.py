@@ -6,7 +6,9 @@ kept:
 
 * the rate-sample records live in one list in send order, the shared
   ``()`` whenever nothing is outstanding;
-* ``closed`` is built the first time someone asks for it;
+* ``closed`` is built the first time someone asks for it, and
+  ``start_close()`` (ServiceLib's and the kernel socket API's close)
+  asks for none;
 * a buffer's waiter lists go back to ``None`` once drained, and a lone
   readiness watcher is stored bare, as ``Event.callbacks`` stores one;
 * connections accepted on one listener share one local ``Endpoint`` and
@@ -175,6 +177,58 @@ def test_a_time_wait_record_fires_the_closed_of_a_freed_connection():
         assert gone() is None  # only the record is left
         (record,) = rig.stack_a._connections.values()
         assert record.closed is closing and not closing.triggered
+        rig.run(until=1.0)
+        assert closing.triggered and len(rig.stack_a._connections) == 0
+    finally:
+        gc.enable()
+
+
+def test_a_servicelib_closed_connection_keeps_no_event_in_time_wait():
+    """ServiceLib drops what a close returns, so the close builds no
+    ``closed`` Event and the TIME_WAIT record keeps none for 2 MSL."""
+    from repro.apps import WebClient, WebServer
+    from repro.netkernel import NsmSpec
+
+    testbed = make_lan_testbed()
+    hv_a, hv_b = testbed.hypervisor_a, testbed.hypervisor_b
+    nsm_a, nsm_b = hv_a.boot_nsm(NsmSpec()), hv_b.boot_nsm(NsmSpec())
+    client_vm = hv_a.boot_netkernel_vm("clients", nsm_a, vcpus=2)
+    server_vm = hv_b.boot_netkernel_vm("server", nsm_b, vcpus=2)
+    WebServer(testbed.sim, server_vm.api, port=80)
+    for i in range(4):
+        WebClient(testbed.sim, client_vm.api, Endpoint(server_vm.api.ip, 80),
+                  start_delay=0.001 + 0.0005 * i)
+    testbed.run(until=0.01)
+    records = [
+        entry
+        for stack in (nsm_a.stack, nsm_b.stack)
+        for entry in stack._connections.values()
+        if type(entry) is TimeWait
+    ]
+    assert len(records) >= 50
+    assert all(record.closed is None for record in records)
+    assert not any(holds(record, Event) for record in records)
+
+
+def test_a_closed_asked_for_in_time_wait_is_fired_by_the_record():
+    """``start_close()`` builds no ``closed``; one asked for once the
+    connection is in TIME_WAIT goes to its record, which fires it at
+    2 MSL after the connection is freed."""
+    gc.collect()
+    gc.disable()
+    try:
+        rig, client, server = established_pair()
+        client.start_close()
+        server.close()
+        while client.state is not TcpState.TIME_WAIT:
+            step(rig.sim)
+        (record,) = rig.stack_a._connections.values()
+        assert record.closed is None
+        closing = client.closed
+        assert record.closed is closing
+        gone = weakref.ref(client)
+        del client
+        assert gone() is None
         rig.run(until=1.0)
         assert closing.triggered and len(rig.stack_a._connections) == 0
     finally:
