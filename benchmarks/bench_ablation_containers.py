@@ -13,10 +13,10 @@ from conftest import emit
 
 def test_bench_containers():
     result = run_container_ablation()
-    emit("Ablation E — per-container stacks", result.table())
+    emit("Ablation E — per-container stacks", result.text())
     shared, nsaas = result.rows
-    assert shared.config == "shared-stack"
+    assert shared["config"] == "shared-stack"
     # NSaaS keeps bulk throughput...
-    assert nsaas.spark_gbps > 0.85 * shared.spark_gbps
+    assert nsaas["spark_gbps"] > 0.85 * shared["spark_gbps"]
     # ...and cuts the RPC tail by holding the fabric queue short.
-    assert nsaas.rpc_p99_us < 0.5 * shared.rpc_p99_us
+    assert nsaas["rpc_p99_us"] < 0.5 * shared["rpc_p99_us"]

@@ -7,12 +7,12 @@ from conftest import emit
 
 def test_bench_fastpass():
     result = run_fastpass_ablation()
-    emit("Ablation G — Fastpass-style arbitration", result.table())
+    emit("Ablation G — Fastpass-style arbitration", result.text())
     tcp_only, fastpass = result.rows
-    assert tcp_only.config == "tcp-only"
+    assert tcp_only["config"] == "tcp-only"
     # Arbitration keeps the fabric queue essentially empty...
-    assert fastpass.queue_max_kb < 0.05 * tcp_only.queue_max_kb
+    assert fastpass["queue_max_kb"] < 0.05 * tcp_only["queue_max_kb"]
     # ...collapsing the neighbour's tail latency...
-    assert fastpass.rpc_p99_us < 0.25 * tcp_only.rpc_p99_us
+    assert fastpass["rpc_p99_us"] < 0.25 * tcp_only["rpc_p99_us"]
     # ...for a small throughput cost.
-    assert fastpass.aggregate_gbps > 0.9 * tcp_only.aggregate_gbps
+    assert fastpass["aggregate_gbps"] > 0.9 * tcp_only["aggregate_gbps"]

@@ -7,12 +7,12 @@ from conftest import emit
 
 def test_bench_multiplexing():
     result = run_multiplexing_ablation()
-    emit("Ablation D — dedicated vs shared NSMs", result.table())
+    emit("Ablation D — dedicated vs shared NSMs", result.text())
     dedicated, shared = result.rows
-    assert dedicated.placement == "dedicated"
+    assert dedicated["placement"] == "dedicated"
     # Shared placement consolidates provider resources...
-    assert shared.nsm_count < dedicated.nsm_count
-    assert shared.cores_reserved < dedicated.cores_reserved
-    assert shared.memory_gb < dedicated.memory_gb
+    assert shared["nsm_count"] < dedicated["nsm_count"]
+    assert shared["cores_reserved"] < dedicated["cores_reserved"]
+    assert shared["memory_gb"] < dedicated["memory_gb"]
     # ...while delivering comparable aggregate throughput.
-    assert shared.aggregate_gbps > 0.8 * dedicated.aggregate_gbps
+    assert shared["aggregate_gbps"] > 0.8 * dedicated["aggregate_gbps"]

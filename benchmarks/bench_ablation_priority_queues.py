@@ -15,12 +15,12 @@ from conftest import emit
 
 def test_bench_priority_queues():
     result = run_priority_ablation()
-    emit("Ablation B — FIFO vs priority nqe rings", result.table())
+    emit("Ablation B — FIFO vs priority nqe rings", result.text())
     fifo, priority = result.rows
-    assert fifo.queue_kind == "fifo" and priority.queue_kind == "priority"
+    assert fifo["queue_kind"] == "fifo" and priority["queue_kind"] == "priority"
     # Rings genuinely carry a bulk backlog...
-    assert fifo.max_ring_depth > 10
+    assert fifo["max_ring_depth"] > 10
     # ...and both configurations serve the web workload equivalently.
-    assert not math.isnan(fifo.request_p99_us)
-    assert priority.request_p99_us <= fifo.request_p99_us * 1.5
-    assert priority.requests_completed >= 0.8 * fifo.requests_completed
+    assert not math.isnan(fifo["request_p99_us"])
+    assert priority["request_p99_us"] <= fifo["request_p99_us"] * 1.5
+    assert priority["requests_completed"] >= 0.8 * fifo["requests_completed"]

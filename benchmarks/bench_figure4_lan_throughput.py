@@ -12,12 +12,12 @@ from conftest import emit
 
 def test_bench_figure4():
     result = run_figure4(duration=0.3, warmup=0.08)
-    emit("Figure 4 — Cubic native vs Cubic NSM", result.table())
-    by_flows = {row.flows: row for row in result.rows}
+    emit("Figure 4 — Cubic native vs Cubic NSM", result.text())
+    by_flows = {row["flows"]: row for row in result.rows}
     # NSM tracks native at every flow count.
     for row in result.rows:
-        assert 0.75 <= row.ratio <= 1.25
+        assert 0.75 <= row["ratio"] <= 1.25
     # One flow sits below line rate; two or more reach it.
-    assert by_flows[1].native_gbps < 0.85 * LAN_LINE_RATE_GBPS
-    assert by_flows[2].nsm_gbps > 0.93 * LAN_LINE_RATE_GBPS
-    assert by_flows[3].nsm_gbps > 0.93 * LAN_LINE_RATE_GBPS
+    assert by_flows[1]["native_gbps"] < 0.85 * LAN_LINE_RATE_GBPS
+    assert by_flows[2]["nsm_gbps"] > 0.93 * LAN_LINE_RATE_GBPS
+    assert by_flows[3]["nsm_gbps"] > 0.93 * LAN_LINE_RATE_GBPS

@@ -17,8 +17,8 @@ from conftest import emit
 
 def test_bench_figure5():
     result = run_figure5(duration=40.0, warmup=5.0)
-    emit("Figure 5 — WAN throughput by sender configuration", result.table())
-    measured = result.by_label()
+    emit("Figure 5 — WAN throughput by sender configuration", result.text())
+    measured = {row["label"]: row["mbps"] for row in result.rows}
     # The headline: BBR-via-NSM from a Windows guest == native Linux BBR.
     assert measured["BBR NSM"] == pytest.approx(measured["Linux BBR"], rel=0.05)
     # Both BBR configurations approach the 12 Mbps uplink.

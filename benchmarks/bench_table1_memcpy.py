@@ -10,6 +10,6 @@ from conftest import emit
 
 def test_bench_table1():
     result = run_table1()
-    emit("Table 1 — memory copying latency", result.table())
+    emit("Table 1 — memory copying latency", result.text())
     for row in result.rows:
-        assert row.matches_paper
+        assert row["matches_paper"]

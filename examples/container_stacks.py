@@ -22,13 +22,13 @@ from repro.experiments.ablation_containers import run_container_ablation
 
 def main() -> None:
     result = run_container_ablation(duration=0.4)
-    print(result.table())
+    print(result.text())
     shared, nsaas = result.rows
-    improvement = shared.rpc_p99_us / nsaas.rpc_p99_us
+    improvement = shared["rpc_p99_us"] / nsaas["rpc_p99_us"]
     print(
         f"\nSame host, same workloads: letting the Spark container pick "
         f"DCTCP cut the\nRPC container's p99 latency {improvement:.1f}x "
-        f"while keeping {nsaas.spark_gbps:.1f} Gbps of bulk throughput."
+        f"while keeping {nsaas['spark_gbps']:.1f} Gbps of bulk throughput."
     )
 
 

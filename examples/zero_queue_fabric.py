@@ -18,14 +18,14 @@ from repro.experiments.ablation_fastpass import run_fastpass_ablation
 
 def main() -> None:
     result = run_fastpass_ablation(duration=0.4, warmup=0.1)
-    print(result.table())
+    print(result.text())
     tcp_only, fastpass = result.rows
     print(
         f"\nArbitration emptied the fabric queue "
-        f"({tcp_only.queue_max_kb:.0f} KB -> {fastpass.queue_max_kb:.0f} KB) and cut "
-        f"the neighbour's p99 from {tcp_only.rpc_p99_us:.0f}us to "
-        f"{fastpass.rpc_p99_us:.0f}us,\nfor "
-        f"{(1 - fastpass.aggregate_gbps / tcp_only.aggregate_gbps) * 100:.0f}% of "
+        f"({tcp_only['queue_max_kb']:.0f} KB -> {fastpass['queue_max_kb']:.0f} KB) and cut "
+        f"the neighbour's p99 from {tcp_only['rpc_p99_us']:.0f}us to "
+        f"{fastpass['rpc_p99_us']:.0f}us,\nfor "
+        f"{(1 - fastpass['aggregate_gbps'] / tcp_only['aggregate_gbps']) * 100:.0f}% of "
         f"bulk throughput.  Feasible only because the provider owns every stack."
     )
 

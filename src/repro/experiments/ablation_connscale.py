@@ -14,44 +14,30 @@ that overhead scales with concurrency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 from ..apps import WebClient, WebServer
 from ..net import Endpoint
 from ..netkernel import NsmSpec
 from .common import make_lan_testbed
+from .registry import Experiment
+from .table import Column, Table
 
-__all__ = ["ConnScaleRow", "ConnScaleResult", "run_connscale_ablation"]
+__all__ = ["CONNSCALE", "EXPERIMENT", "run_connscale_ablation"]
 
-
-@dataclass
-class ConnScaleRow:
-    mode: str
-    clients: int
-    requests_per_s: float
-    p50_us: float
-    p99_us: float
-
-
-@dataclass
-class ConnScaleResult:
-    rows: List[ConnScaleRow]
-
-    def table(self) -> str:
-        lines = [
-            "Ablation H: short-connection scalability (web workload)",
-            f"{'mode':>10} {'clients':>8} {'req/s':>9} {'p50':>9} {'p99':>9}",
-        ]
-        for row in self.rows:
-            lines.append(
-                f"{row.mode:>10} {row.clients:>8} {row.requests_per_s:>9.0f} "
-                f"{row.p50_us:>6.0f}us {row.p99_us:>6.0f}us"
-            )
-        return "\n".join(lines)
+CONNSCALE = Table(
+    "Ablation H: short-connection scalability (web workload)",
+    (
+        Column("mode", "mode", 10, ">10"),
+        Column("clients", "clients", 8, ">8"),
+        Column("requests_per_s", "req/s", 9, ">9.0f"),
+        Column("p50_us", "p50", 9, ">6.0f", "us"),
+        Column("p99_us", "p99", 9, ">6.0f", "us"),
+    ),
+)
 
 
-def _measure(mode: str, clients: int, duration: float, warmup: float) -> ConnScaleRow:
+def _measure(mode: str, clients: int, duration: float, warmup: float) -> dict:
     testbed = make_lan_testbed()
     sim = testbed.sim
     if mode.startswith("netkernel"):
@@ -89,7 +75,7 @@ def _measure(mode: str, clients: int, duration: float, warmup: float) -> ConnSca
     from ..stats import percentile
 
     span = duration - warmup
-    return ConnScaleRow(
+    return dict(
         mode=mode,
         clients=clients,
         requests_per_s=completed / span,
@@ -98,29 +84,24 @@ def _measure(mode: str, clients: int, duration: float, warmup: float) -> ConnSca
     )
 
 
-def run_connscale_ablation(
+def _points(
     client_counts: Sequence[int] = (1, 8, 32),
     duration: float = 0.3,
     warmup: float = 0.02,
     modes: Sequence[str] = ("native", "netkernel", "netkernel-4q"),
-    jobs: int = 1,
-) -> ConnScaleResult:
-    """Native vs NetKernel (single and multi-queue) short-connection rates.
-
-    The (mode × clients) grid is the slowest part of the ablation suite;
-    ``jobs`` fans it across worker processes with bit-identical results.
-    """
-    from ..parallel import parallel_map
-
-    grid = [
-        (mode, clients, duration, warmup)
+):
+    """Native vs NetKernel (single and multi-queue) short-connection
+    rates: the (mode x clients) grid is the slowest ablation to run."""
+    return [
+        (f"connscale:{mode}:{clients}c", (mode, clients, duration, warmup))
         for mode in modes
         for clients in client_counts
     ]
-    rows = parallel_map(
-        _measure,
-        grid,
-        jobs=jobs,
-        keys=[f"connscale:{mode}:{clients}c" for mode, clients, _, _ in grid],
-    )
-    return ConnScaleResult(rows=rows)
+
+
+EXPERIMENT = Experiment(
+    points=_points,
+    measure=_measure,
+    result=lambda values, **_params: CONNSCALE.fill(values),
+)
+run_connscale_ablation = EXPERIMENT.run

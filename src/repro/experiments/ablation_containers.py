@@ -24,16 +24,15 @@ what this ablation demonstrates).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
-
 from ..apps import BulkReceiver, BulkSender
 from ..apps.rpc import RpcClient, RpcServer
 from ..net import Endpoint
 from ..netkernel import NsmForm, NsmSpec
 from .common import make_lan_testbed
+from .registry import Experiment
+from .table import Column, Table
 
-__all__ = ["ContainerRow", "ContainerResult", "run_container_ablation"]
+__all__ = ["CONTAINERS", "EXPERIMENT", "run_container_ablation"]
 
 #: A 10 GbE fabric hop with a deep queue and DCTCP-style marking threshold.
 FABRIC_RATE = 10e9
@@ -41,34 +40,19 @@ FABRIC_QUEUE = 1 * 1024 * 1024
 FABRIC_ECN_THRESHOLD = 90 * 1024
 
 
-@dataclass
-class ContainerRow:
-    config: str
-    spark_cc: str
-    spark_gbps: float
-    rpc_p50_us: float
-    rpc_p99_us: float
+CONTAINERS = Table(
+    "Ablation E: per-container stacks (Spark bulk + RPC on one host)",
+    (
+        Column("config", "config", 14, ">14"),
+        Column("spark_cc", "spark cc", 9, ">9"),
+        Column("spark_gbps", "spark tput", 11, ">7.2f", " Gbps"),
+        Column("rpc_p50_us", "rpc p50", 9, ">6.0f", "us"),
+        Column("rpc_p99_us", "rpc p99", 9, ">6.0f", "us"),
+    ),
+)
 
 
-@dataclass
-class ContainerResult:
-    rows: List[ContainerRow]
-
-    def table(self) -> str:
-        lines = [
-            "Ablation E: per-container stacks (Spark bulk + RPC on one host)",
-            f"{'config':>14} {'spark cc':>9} {'spark tput':>11} "
-            f"{'rpc p50':>9} {'rpc p99':>9}",
-        ]
-        for row in self.rows:
-            lines.append(
-                f"{row.config:>14} {row.spark_cc:>9} {row.spark_gbps:>7.2f} Gbps "
-                f"{row.rpc_p50_us:>6.0f}us {row.rpc_p99_us:>6.0f}us"
-            )
-        return "\n".join(lines)
-
-
-def _measure(spark_cc: str, config_label: str, duration: float) -> ContainerRow:
+def _measure(spark_cc: str, config_label: str, duration: float) -> dict:
     testbed = make_lan_testbed(
         rate_bps=FABRIC_RATE,
         queue_bytes=FABRIC_QUEUE,
@@ -103,7 +87,7 @@ def _measure(spark_cc: str, config_label: str, duration: float) -> ContainerRow:
 
     sim.run(until=duration)
     latency = rpc_client.latency
-    return ContainerRow(
+    return dict(
         config=config_label,
         spark_cc=spark_cc,
         spark_gbps=receiver.meter.bps(until=duration) / 1e9,
@@ -112,11 +96,13 @@ def _measure(spark_cc: str, config_label: str, duration: float) -> ContainerRow:
     )
 
 
-def run_container_ablation(duration: float = 0.4) -> ContainerResult:
-    """Shared host stack (cubic for everyone) vs per-container NSMs."""
-    return ContainerResult(
-        rows=[
-            _measure("cubic", "shared-stack", duration),
-            _measure("dctcp", "nsaas", duration),
-        ]
-    )
+#: Shared host stack (cubic for everyone) vs per-container NSMs.
+EXPERIMENT = Experiment(
+    points=lambda duration=0.4: [
+        ("containers:shared-stack", ("cubic", "shared-stack", duration)),
+        ("containers:nsaas", ("dctcp", "nsaas", duration)),
+    ],
+    measure=_measure,
+    result=lambda values, **_params: CONTAINERS.fill(values),
+)
+run_container_ablation = EXPERIMENT.run

@@ -15,8 +15,7 @@ headroom).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from ..apps import BulkReceiver, BulkSender
 from ..apps.rpc import RpcClient, RpcServer
@@ -25,39 +24,24 @@ from ..netkernel import NsmSpec
 from ..netkernel.arbiter import FastpassArbiter
 from ..stats.series import PeriodicSampler
 from .common import make_lan_testbed
+from .registry import Experiment
+from .table import Column, Table
 
-__all__ = ["FastpassRow", "FastpassResult", "run_fastpass_ablation"]
+__all__ = ["FASTPASS", "EXPERIMENT", "run_fastpass_ablation"]
 
-
-@dataclass
-class FastpassRow:
-    config: str
-    aggregate_gbps: float
-    rpc_p50_us: float
-    rpc_p99_us: float
-    queue_max_kb: float
-
-
-@dataclass
-class FastpassResult:
-    rows: List[FastpassRow]
-
-    def table(self) -> str:
-        lines = [
-            "Ablation G: Fastpass-style arbitration as an NSM service",
-            f"{'config':>10} {'bulk':>11} {'rpc p50':>9} {'rpc p99':>9} "
-            f"{'fabric queue max':>17}",
-        ]
-        for row in self.rows:
-            lines.append(
-                f"{row.config:>10} {row.aggregate_gbps:>7.2f} Gbps "
-                f"{row.rpc_p50_us:>6.0f}us {row.rpc_p99_us:>6.0f}us "
-                f"{row.queue_max_kb:>15.0f}KB"
-            )
-        return "\n".join(lines)
+FASTPASS = Table(
+    "Ablation G: Fastpass-style arbitration as an NSM service",
+    (
+        Column("config", "config", 10, ">10"),
+        Column("aggregate_gbps", "bulk", 11, ">7.2f", " Gbps"),
+        Column("rpc_p50_us", "rpc p50", 9, ">6.0f", "us"),
+        Column("rpc_p99_us", "rpc p99", 9, ">6.0f", "us"),
+        Column("queue_max_kb", "fabric queue max", 17, ">15.0f", "KB"),
+    ),
+)
 
 
-def _measure(use_arbiter: bool, duration: float, warmup: float) -> FastpassRow:
+def _measure(use_arbiter: bool, duration: float, warmup: float) -> dict:
     testbed = make_lan_testbed(queue_bytes=2 * 1024 * 1024)
     sim = testbed.sim
     arbiter: Optional[FastpassArbiter] = (
@@ -90,7 +74,7 @@ def _measure(use_arbiter: bool, duration: float, warmup: float) -> FastpassRow:
 
     total_bytes = sum(rx.meter.bytes for rx in receivers)
     latency = client.latency
-    return FastpassRow(
+    return dict(
         config="fastpass" if use_arbiter else "tcp-only",
         aggregate_gbps=total_bytes * 8 / (duration - warmup) / 1e9,
         rpc_p50_us=latency.p(50) * 1e6 if len(latency) else float("nan"),
@@ -99,13 +83,12 @@ def _measure(use_arbiter: bool, duration: float, warmup: float) -> FastpassRow:
     )
 
 
-def run_fastpass_ablation(
-    duration: float = 0.4, warmup: float = 0.1
-) -> FastpassResult:
-    """Bulk tenants + RPC probe, with and without the arbiter."""
-    return FastpassResult(
-        rows=[
-            _measure(False, duration, warmup),
-            _measure(True, duration, warmup),
-        ]
-    )
+#: Bulk tenants + RPC probe, with and without the arbiter.
+EXPERIMENT = Experiment(
+    points=lambda duration=0.4, warmup=0.1: [
+        (f"fastpass:{use}", (use, duration, warmup)) for use in (False, True)
+    ],
+    measure=_measure,
+    result=lambda values, **_params: FASTPASS.fill(values),
+)
+run_fastpass_ablation = EXPERIMENT.run

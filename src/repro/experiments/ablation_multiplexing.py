@@ -11,49 +11,33 @@ delivered aggregate throughput and per-tenant fairness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
-
 from ..apps import BulkReceiver, BulkSender
 from ..mgmt import NsmPlacer
 from ..net import Endpoint
 from ..netkernel import NsmSpec
 from .common import make_lan_testbed
+from .registry import Experiment
+from .table import Column, Table
 
-__all__ = ["MultiplexRow", "MultiplexResult", "run_multiplexing_ablation"]
+__all__ = ["MULTIPLEX", "EXPERIMENT", "run_multiplexing_ablation"]
 
-
-@dataclass
-class MultiplexRow:
-    placement: str
-    nsm_count: int
-    cores_reserved: int
-    memory_gb: float
-    aggregate_gbps: float
-    min_tenant_gbps: float
-    max_tenant_gbps: float
-
-
-@dataclass
-class MultiplexResult:
-    rows: List[MultiplexRow]
-
-    def table(self) -> str:
-        lines = [
-            "Ablation D: dedicated vs shared (multiplexed) NSMs",
-            f"{'placement':>10} {'NSMs':>5} {'cores':>6} {'mem':>7} "
-            f"{'aggregate':>10} {'min..max per tenant':>22}",
-        ]
-        for row in self.rows:
-            lines.append(
-                f"{row.placement:>10} {row.nsm_count:>5} {row.cores_reserved:>6} "
-                f"{row.memory_gb:>5.1f}GB {row.aggregate_gbps:>6.2f} Gbps "
-                f"{row.min_tenant_gbps:>8.2f}..{row.max_tenant_gbps:.2f} Gbps"
-            )
-        return "\n".join(lines)
+MULTIPLEX = Table(
+    "Ablation D: dedicated vs shared (multiplexed) NSMs",
+    (
+        Column("placement", "placement", 10, ">10"),
+        Column("nsm_count", "NSMs", 5, ">5"),
+        Column("cores_reserved", "cores", 6, ">6"),
+        Column("memory_gb", "mem", 7, ">5.1f", "GB"),
+        Column("aggregate_gbps", "aggregate", 10, ">6.2f", " Gbps"),
+        Column(
+            "tenant_range", "min..max per tenant", 22, unit=" Gbps",
+            derive=lambda r: f"{r['min_tenant_gbps']:>8.2f}..{r['max_tenant_gbps']:.2f}",
+        ),
+    ),
+)
 
 
-def _measure(shared: bool, tenants: int, duration: float, warmup: float) -> MultiplexRow:
+def _measure(shared: bool, tenants: int, duration: float, warmup: float) -> dict:
     testbed = make_lan_testbed()
     sim = testbed.sim
 
@@ -83,7 +67,7 @@ def _measure(shared: bool, tenants: int, duration: float, warmup: float) -> Mult
 
     modules = placer.modules_in_use()
     per_tenant = [rx.meter.bps(until=duration) / 1e9 for rx in receivers]
-    return MultiplexRow(
+    return dict(
         placement="shared" if shared else "dedicated",
         nsm_count=len(modules),
         cores_reserved=sum(len(nsm.cores) for nsm in modules),
@@ -94,19 +78,13 @@ def _measure(shared: bool, tenants: int, duration: float, warmup: float) -> Mult
     )
 
 
-def run_multiplexing_ablation(
-    tenants: int = 4,
-    duration: float = 0.3,
-    warmup: float = 0.08,
-    jobs: int = 1,
-) -> MultiplexResult:
-    """Dedicated vs shared placement for the same tenant population."""
-    from ..parallel import parallel_map
-
-    rows = parallel_map(
-        _measure,
-        [(False, tenants, duration, warmup), (True, tenants, duration, warmup)],
-        jobs=jobs,
-        keys=["multiplex:dedicated", "multiplex:shared"],
-    )
-    return MultiplexResult(rows=rows)
+#: Dedicated vs shared placement for the same tenant population.
+EXPERIMENT = Experiment(
+    points=lambda tenants=4, duration=0.3, warmup=0.08: [
+        (f"multiplex:{placement}", (shared, tenants, duration, warmup))
+        for shared, placement in ((False, "dedicated"), (True, "shared"))
+    ],
+    measure=_measure,
+    result=lambda values, **_params: MULTIPLEX.fill(values),
+)
+run_multiplexing_ablation = EXPERIMENT.run

@@ -12,50 +12,34 @@ per-hop latency directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
-
 from ..apps.rpc import RpcClient, RpcServer
 from ..net import Endpoint
 from ..netkernel import CoreEngineConfig, NotifyMode, NsmSpec
 from .common import make_lan_testbed
+from .registry import Experiment
+from .table import Column, Table
 
-__all__ = ["NotifyRow", "NotifyResult", "run_notify_ablation"]
+__all__ = ["NOTIFY", "EXPERIMENT", "run_notify_ablation"]
 
-
-@dataclass
-class NotifyRow:
-    mode: str
-    rpc_p50_us: float
-    rpc_p99_us: float
-    rpcs_completed: int
-    #: Hypervisor + NSM cores burned, as a fraction of one core
-    #: (polling pegs them at 1.0 each regardless of load).
-    provider_cores_burned: float
-
-
-@dataclass
-class NotifyResult:
-    rows: List[NotifyRow]
-
-    def table(self) -> str:
-        lines = [
-            "Ablation C: notification mechanism (RPC latency vs provider CPU)",
-            f"{'mode':>10} {'p50':>9} {'p99':>9} {'rpcs':>7} {'cores burned':>13}",
-        ]
-        for row in self.rows:
-            lines.append(
-                f"{row.mode:>10} {row.rpc_p50_us:>6.0f}us {row.rpc_p99_us:>6.0f}us "
-                f"{row.rpcs_completed:>7} {row.provider_cores_burned:>13.2f}"
-            )
-        return "\n".join(lines)
+#: ``provider_cores_burned``: hypervisor + NSM cores burned, as a
+#: fraction of one core (polling pegs them at 1.0 each regardless of load).
+NOTIFY = Table(
+    "Ablation C: notification mechanism (RPC latency vs provider CPU)",
+    (
+        Column("mode", "mode", 10, ">10"),
+        Column("rpc_p50_us", "p50", 9, ">6.0f", "us"),
+        Column("rpc_p99_us", "p99", 9, ">6.0f", "us"),
+        Column("rpcs_completed", "rpcs", 7, ">7"),
+        Column("provider_cores_burned", "cores burned", 13, ">13.2f"),
+    ),
+)
 
 
 #: Simulated seconds per notification mode.
 DURATION = 0.3
 
 
-def _measure(mode: NotifyMode) -> NotifyRow:
+def _measure(mode: NotifyMode) -> dict:
     config = CoreEngineConfig(notify_mode=mode)
     testbed = make_lan_testbed(coreengine_config=config)
     sim = testbed.sim
@@ -79,7 +63,7 @@ def _measure(mode: NotifyMode) -> NotifyRow:
     ]
     burned = sum(core.utilization(DURATION) for core in provider_cores)
     latency = client.latency
-    return NotifyRow(
+    return dict(
         mode=mode.value,
         rpc_p50_us=latency.p(50) * 1e6 if len(latency) else float("nan"),
         rpc_p99_us=latency.p(99) * 1e6 if len(latency) else float("nan"),
@@ -88,8 +72,13 @@ def _measure(mode: NotifyMode) -> NotifyRow:
     )
 
 
-def run_notify_ablation() -> NotifyResult:
-    """Polling vs batched interrupts under an identical RPC workload."""
-    return NotifyResult(
-        rows=[_measure(NotifyMode.POLLING), _measure(NotifyMode.BATCHED_INTERRUPT)]
-    )
+#: Polling vs batched interrupts under an identical RPC workload.
+EXPERIMENT = Experiment(
+    points=lambda: [
+        (f"notify:{mode.value}", (mode,))
+        for mode in (NotifyMode.POLLING, NotifyMode.BATCHED_INTERRUPT)
+    ],
+    measure=_measure,
+    result=lambda values: NOTIFY.fill(values),
+)
+run_notify_ablation = EXPERIMENT.run

@@ -23,44 +23,26 @@ much slower than a memcpy.  See EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
-
 from ..apps import BulkReceiver, BulkSender, WebClient, WebServer
 from ..net import Endpoint
 from ..netkernel import CoreEngineConfig, NsmSpec
 from .common import make_lan_testbed
+from .registry import Experiment
+from .table import Column, Table
 
-__all__ = ["PriorityRow", "PriorityResult", "run_priority_ablation"]
+__all__ = ["PRIORITY", "EXPERIMENT", "run_priority_ablation"]
 
-
-@dataclass
-class PriorityRow:
-    queue_kind: str
-    request_p50_us: float
-    request_p99_us: float
-    requests_completed: int
-    bulk_gbps: float
-    max_ring_depth: int
-
-
-@dataclass
-class PriorityResult:
-    rows: List[PriorityRow]
-
-    def table(self) -> str:
-        lines = [
-            "Ablation B: FIFO vs priority nqe rings (web requests behind bulk)",
-            f"{'rings':>10} {'p50':>10} {'p99':>10} {'requests':>9} "
-            f"{'bulk':>10} {'ring depth':>11}",
-        ]
-        for row in self.rows:
-            lines.append(
-                f"{row.queue_kind:>10} {row.request_p50_us:>7.0f}us "
-                f"{row.request_p99_us:>7.0f}us {row.requests_completed:>9} "
-                f"{row.bulk_gbps:>6.2f} Gbps {row.max_ring_depth:>11}"
-            )
-        return "\n".join(lines)
+PRIORITY = Table(
+    "Ablation B: FIFO vs priority nqe rings (web requests behind bulk)",
+    (
+        Column("queue_kind", "rings", 10, ">10"),
+        Column("request_p50_us", "p50", 10, ">7.0f", "us"),
+        Column("request_p99_us", "p99", 10, ">7.0f", "us"),
+        Column("requests_completed", "requests", 9, ">9"),
+        Column("bulk_gbps", "bulk", 10, ">6.2f", " Gbps"),
+        Column("max_ring_depth", "ring depth", 11, ">11"),
+    ),
+)
 
 
 #: Simulated seconds per ring discipline, and the bulk flows sharing the rings.
@@ -68,7 +50,7 @@ DURATION = 0.3
 BULK_FLOWS = 3
 
 
-def _measure(priority: bool) -> PriorityRow:
+def _measure(priority: bool) -> dict:
     # The HoL-prone configuration: the prototype's 8 KB huge-page chunks
     # (one DATA nqe each — ~575k nqes/s at line rate) with single-threaded
     # GuestLib receive processing that copies inline while polling.
@@ -103,7 +85,7 @@ def _measure(priority: bool) -> PriorityRow:
     sim.run(until=DURATION)
     latency = web_client.latency
     attachment = testbed.hypervisor_b.coreengine.attachment_of(vm_b.vm_id)
-    return PriorityRow(
+    return dict(
         queue_kind="priority" if priority else "fifo",
         request_p50_us=latency.p(50) * 1e6 if len(latency) else float("nan"),
         request_p99_us=latency.p(99) * 1e6 if len(latency) else float("nan"),
@@ -113,6 +95,10 @@ def _measure(priority: bool) -> PriorityRow:
     )
 
 
-def run_priority_ablation() -> PriorityResult:
-    """FIFO vs priority rings under identical load."""
-    return PriorityResult(rows=[_measure(False), _measure(True)])
+#: FIFO vs priority rings under identical load.
+EXPERIMENT = Experiment(
+    points=lambda: [("priority:fifo", (False,)), ("priority:priority", (True,))],
+    measure=_measure,
+    result=lambda values: PRIORITY.fill(values),
+)
+run_priority_ablation = EXPERIMENT.run

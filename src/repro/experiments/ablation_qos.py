@@ -20,48 +20,37 @@ repo models.  Caps are set with ``boot_netkernel_vm(rate_limit_bps=)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from ..apps import BulkReceiver, BulkSender
 from ..net import Endpoint
 from ..netkernel import NsmSpec
 from .common import make_lan_testbed
+from .registry import Experiment
+from .table import Column, Table
 
-__all__ = ["QosRow", "QosResult", "run_qos_ablation", "measure_rate_cap"]
-
-
-@dataclass
-class QosRow:
-    config: str
-    victim_gbps: float
-    aggressor_gbps: float
-
-    @property
-    def victim_share(self) -> float:
-        total = self.victim_gbps + self.aggressor_gbps
-        return self.victim_gbps / total if total else 0.0
+__all__ = ["QOS", "EXPERIMENT", "run_qos_ablation", "measure_rate_cap"]
 
 
-@dataclass
-class QosResult:
-    rows: List[QosRow]
-    rate_cap_gbps: float
-    rate_measured_gbps: float
+def _victim_share(row: dict) -> float:
+    total = row["victim_gbps"] + row["aggressor_gbps"]
+    return row["victim_gbps"] / total if total else 0.0
 
-    def table(self) -> str:
-        lines = [
-            "Ablation F: per-tenant QoS on a shared NSM",
-            f"rate guarantee: capped tenant measured "
-            f"{self.rate_measured_gbps:.2f} Gbps (cap {self.rate_cap_gbps:.2f})",
-            f"{'config':>16} {'victim':>10} {'aggressor':>10} {'victim share':>13}",
-        ]
-        for row in self.rows:
-            lines.append(
-                f"{row.config:>16} {row.victim_gbps:>6.2f} Gbps "
-                f"{row.aggressor_gbps:>5.2f} Gbps {row.victim_share*100:>12.0f}%"
-            )
-        return "\n".join(lines)
+
+#: One row per sharing configuration; the note is the rate guarantee.
+QOS = Table(
+    "Ablation F: per-tenant QoS on a shared NSM",
+    (
+        Column("config", "config", 16, ">16"),
+        Column("victim_gbps", "victim", 10, ">6.2f", " Gbps"),
+        Column("aggressor_gbps", "aggressor", 10, ">5.2f", " Gbps"),
+        Column("victim_share", "victim share", 13, ">13.0%", derive=_victim_share),
+    ),
+    above=(
+        "rate guarantee: capped tenant measured "
+        "{rate_measured_gbps:.2f} Gbps (cap {rate_cap_gbps:.2f})",
+    ),
+)
 
 
 def measure_rate_cap(
@@ -87,7 +76,7 @@ DURATION = 0.4
 WARMUP = 0.15
 
 
-def _measure_sharing(aggressor_cap_bps: Optional[float]) -> QosRow:
+def _measure_sharing(aggressor_cap_bps: Optional[float]) -> dict:
     testbed = make_lan_testbed()
     sim = testbed.sim
     nsm_tx = testbed.hypervisor_a.boot_nsm(
@@ -112,7 +101,7 @@ def _measure_sharing(aggressor_cap_bps: Optional[float]) -> QosRow:
     BulkSender(sim, aggressor.api, Endpoint(sink.api.ip, 5001))
 
     sim.run(until=DURATION)
-    return QosRow(
+    return dict(
         config="no-qos" if aggressor_cap_bps is None
         else f"cap@{aggressor_cap_bps/1e9:.0f}G",
         victim_gbps=victim_rx.meter.bps(until=DURATION) / 1e9,
@@ -120,12 +109,31 @@ def _measure_sharing(aggressor_cap_bps: Optional[float]) -> QosRow:
     )
 
 
-def run_qos_ablation() -> QosResult:
-    """Rate guarantee plus shared-NSM tenant protection."""
-    cap = 5e9
-    measured = measure_rate_cap(cap, DURATION, WARMUP)
-    return QosResult(
-        rows=[_measure_sharing(None), _measure_sharing(10e9)],
-        rate_cap_gbps=cap / 1e9,
-        rate_measured_gbps=measured,
+#: The rate cap a lone tenant is measured against.
+RATE_CAP_BPS = 5e9
+
+
+def _measure(cap_bps: Optional[float], shared: bool):
+    if shared:
+        return _measure_sharing(cap_bps)
+    return measure_rate_cap(cap_bps, DURATION, WARMUP)
+
+
+def _result(values) -> Table:
+    rate_measured_gbps, *rows = values
+    return QOS.fill(
+        rows, rate_cap_gbps=RATE_CAP_BPS / 1e9, rate_measured_gbps=rate_measured_gbps
     )
+
+
+#: Rate guarantee plus shared-NSM tenant protection.
+EXPERIMENT = Experiment(
+    points=lambda: [
+        ("qos:rate-cap", (RATE_CAP_BPS, False)),
+        ("qos:no-qos", (None, True)),
+        ("qos:capped", (10e9, True)),
+    ],
+    measure=_measure,
+    result=_result,
+)
+run_qos_ablation = EXPERIMENT.run

@@ -30,7 +30,7 @@ Canonical injector target names registered by :func:`run_chaos`:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 from ..api.errors import SocketError
@@ -41,21 +41,20 @@ from ..net import Endpoint
 from ..netkernel import CoreEngineConfig, NsmSpec
 from ..sim import Simulator
 from .common import FIG4_SOCKET_BUF, make_lan_testbed
+from .registry import Experiment
+from .table import Column, Table
 
 __all__ = [
     "ChaosReceiver",
     "ChaosSender",
     "ChaosFlow",
     "ChaosResult",
+    "EXPERIMENT",
     "default_random_plan",
     "run_chaos",
     "run_chaos_fuzz",
+    "run_chaos_smoke",
     "render_fuzz_sweep",
-    "MigrationRunResult",
-    "MigrationChaosResult",
-    "run_migration",
-    "run_migration_chaos",
-    "run_migration_smoke",
 ]
 
 #: Chaos-mode fault-tolerance defaults (simulated seconds).  The op
@@ -236,30 +235,45 @@ class ChaosResult:
     unrecovered: int
     flows: List[ChaosFlow] = field(default_factory=list)
 
-    def table(self) -> str:
-        lines = [
-            f"chaos: {self.plan_faults} fault(s), seed={self.seed}, "
-            f"{len(self.flows)} flow(s), {self.duration}s "
-            f"(warmup {self.warmup}s)",
-            f"  aggregate goodput: {self.goodput_gbps:.2f} Gbps",
+    def text(self) -> str:
+        """The report: each fault phase's goodput, between notes."""
+        phases = self.phase_gbps if len(self.phase_gbps) > 1 else []
+        below = [
+            f"  fault@{at:.3f}s -> first success +{latency * 1e3:.3f} ms"
+            for at, latency in self.recovery
+        ] + [
+            f"  failover: {record['nsm']} -> {record['standby']} "
+            f"at {record['detected_at']:.3f}s "
+            f"({record['connections_reset']} conn(s) reset)"
+            for record in self.failovers
         ]
-        if len(self.phase_gbps) > 1:
-            lines.append("  per-phase goodput:")
-            for start, end, gbps in self.phase_gbps:
-                lines.append(f"    [{start:.3f}, {end:.3f}) {gbps:7.2f} Gbps")
-        for at, latency in self.recovery:
-            lines.append(f"  fault@{at:.3f}s -> first success +{latency * 1e3:.3f} ms")
-        for record in self.failovers:
-            lines.append(
-                f"  failover: {record['nsm']} -> {record['standby']} "
-                f"at {record['detected_at']:.3f}s "
-                f"({record['connections_reset']} conn(s) reset)"
-            )
-        lines.append(
-            f"  errors={self.errors} op_timeouts={self.op_timeouts} "
-            f"resets={self.resets_seen} unrecovered_flows={self.unrecovered}"
+        table = replace(
+            CHAOS,
+            above=CHAOS.above + ("  per-phase goodput:",) * bool(phases),
+            below=(*below, *CHAOS.below),
         )
-        return "\n".join(lines)
+        return table.fill(
+            (dict(start=start, end=end, gbps=gbps) for start, end, gbps in phases),
+            **vars(self),
+            flow_count=len(self.flows),
+        ).text()
+
+
+#: A chaos run's report; its rows are the goodput of each fault phase.
+CHAOS = Table(
+    "chaos: {plan_faults} fault(s), seed={seed}, {flow_count} flow(s), "
+    "{duration}s (warmup {warmup}s)",
+    (
+        Column("span", derive=lambda r: f"[{r['start']:.3f}, {r['end']:.3f})"),
+        Column("gbps", fmt="7.2f", unit=" Gbps"),
+    ),
+    above=("  aggregate goodput: {goodput_gbps:.2f} Gbps",),
+    below=(
+        "  errors={errors} op_timeouts={op_timeouts} "
+        "resets={resets_seen} unrecovered_flows={unrecovered}",
+    ),
+    indent="    ",
+)
 
 
 def default_random_plan(
@@ -476,310 +490,6 @@ def render_fuzz_sweep(outcomes) -> str:
     return "\n".join(lines)
 
 
-# --------------------------------------------------------------------------
-# Live migration chaos (``repro migrate``)
-# --------------------------------------------------------------------------
-#
-# The migration harness runs a *finite* transfer (every sender ships an
-# exact byte budget, closes, and the receiver drains to EOF) so zero-loss
-# is checkable byte-for-byte: a run is golden when the receivers land on
-# exactly ``bytes_expected`` with zero guest-visible errors, whether or
-# not a migration (or an injected migration fault) happened mid-flight.
-
-
-class _FiniteSender:
-    """Ships exactly ``total_bytes`` then closes — the zero-loss probe."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        api: SocketApi,
-        remote: Endpoint,
-        total_bytes: int,
-    ) -> None:
-        self.sim = sim
-        self.api = api
-        self.remote = remote
-        self.total_bytes = total_bytes
-        self.bytes_sent = 0
-        self.errors = 0
-        self.process = sim.process(self._run(), name=f"mig-tx:{remote}")
-
-    def _run(self):
-        try:
-            fd = yield self.api.socket()
-            yield self.api.connect(fd, self.remote)
-            while self.bytes_sent < self.total_bytes:
-                n = min(WRITE_SIZE, self.total_bytes - self.bytes_sent)
-                yield self.api.send(fd, n)
-                self.bytes_sent += n
-            yield self.api.close(fd)
-        except SocketError:
-            self.errors += 1
-
-
-@dataclass
-class MigrationRunResult:
-    """One migration run's outcome plus the zero-loss verdict."""
-
-    family: str
-    final_phase: Optional[str]
-    committed: bool
-    rolled_back: bool
-    reason: Optional[str]
-    #: ``(phase, entered_at)`` pairs from the coordinator's log.
-    phases: List[tuple]
-    freeze_seconds: Optional[float]
-    bytes_expected: int
-    bytes_received: int
-    guest_errors: int
-    connections_moved: int
-    bytes_transferred: int
-    drain_rounds: int
-    duplicate_markers: int
-    fenced_sources: int
-    zombie_nqes: int
-    invariant_violations: List[str]
-    record: Optional[dict]
-
-    @property
-    def zero_loss(self) -> bool:
-        return (
-            self.bytes_received == self.bytes_expected
-            and self.guest_errors == 0
-            and not self.invariant_violations
-        )
-
-    @property
-    def clean_exit(self) -> bool:
-        """Migration (if any) ended in a clean COMMIT or clean ROLLBACK."""
-        return self.final_phase in (None, "commit", "rolled-back")
-
-
-def run_migration(
-    family: str = "tcp",
-    migrate: bool = True,
-    fault: Optional[FaultKind] = None,
-    fault_at: Optional[float] = None,
-    flows: int = 2,
-    total_mb: int = 8,
-) -> MigrationRunResult:
-    """A finite LAN transfer (CUBIC NSMs, 50 ms) with a live NSM
-    migration launched mid-flight.
-
-    The server VM's NSM (``src``) migrates whole-NSM onto an idle
-    same-host destination 1 ms in, while ``flows`` finite bulk flows are
-    in progress.  ``fault`` (one of :data:`repro.faults.MIGRATION_KINDS`)
-    is injected at ``fault_at`` through a scripted plan targeting the
-    coordinator, and arms the chaos fault tolerance.  A
-    :class:`~repro.faults.InvariantChecker` watches both CoreEngines for
-    the whole run; ``migrate=False`` runs the identical workload with no
-    migration — the byte-identity baseline.
-    """
-    from ..faults import MIGRATION_KINDS, Fault, InvariantChecker
-
-    ft = fault is not None
-    config = CoreEngineConfig(
-        op_timeout=CHAOS_OP_TIMEOUT if ft else None,
-        heartbeat_interval=CHAOS_HEARTBEAT_INTERVAL if ft else None,
-        heartbeat_miss=CHAOS_HEARTBEAT_MISS,
-    )
-    testbed = make_lan_testbed(coreengine_config=config)
-    sim = testbed.sim
-    overrides = {"rcvbuf": FIG4_SOCKET_BUF, "sndbuf": FIG4_SOCKET_BUF}
-    spec = lambda: NsmSpec(  # noqa: E731 — fresh spec per NSM
-        tcp_overrides=overrides, stack_family=family
-    )
-    nsm_a = testbed.hypervisor_a.boot_nsm(spec())
-    src = testbed.hypervisor_b.boot_nsm(spec(), name="nsm_src")
-    vm_a = testbed.hypervisor_a.boot_netkernel_vm("client", nsm_a, vcpus=4)
-    vm_b = testbed.hypervisor_b.boot_netkernel_vm("server", src, vcpus=4)
-
-    checker = InvariantChecker()
-    checker.install(testbed.hypervisor_a.coreengine)
-    checker.install(testbed.hypervisor_b.coreengine)
-    for label, ce, vm in (
-        ("vm_a", testbed.hypervisor_a.coreengine, vm_a),
-        ("vm_b", testbed.hypervisor_b.coreengine, vm_b),
-    ):
-        checker.watch_region(f"{label}.hp", ce.attachment_of(vm.vm_id).region)
-
-    coordinator = None
-    if migrate:
-        dst = testbed.hypervisor_b.boot_nsm(spec(), name="nsm_dst")
-        coordinator = testbed.hypervisor_b.migrate_nsm(src, dst, at=1e-3)
-        if fault is not None:
-            if fault not in MIGRATION_KINDS:
-                raise ValueError(f"{fault} is not a migration fault kind")
-            if fault_at is None:
-                raise ValueError("fault injection needs fault_at")
-            injector = FaultInjector(
-                sim, FaultPlan.scripted([Fault(at=fault_at, kind=fault, target="mig")])
-            )
-            injector.register_migration("mig", coordinator)
-            injector.start()
-
-    per_flow = total_mb * 1024 * 1024
-    receivers: List[ChaosReceiver] = []
-    senders: List[_FiniteSender] = []
-    for i in range(flows):
-        port = 5000 + i
-        receivers.append(ChaosReceiver(sim, vm_b.api, port))
-        senders.append(
-            _FiniteSender(sim, vm_a.api, Endpoint(vm_b.api.ip, port), per_flow)
-        )
-    sim.run(until=0.05)
-
-    checker.audit()
-    record = coordinator.record if coordinator is not None else None
-    return MigrationRunResult(
-        family=family,
-        final_phase=coordinator.phase.value if coordinator is not None else None,
-        committed=bool(record and record.get("committed")),
-        rolled_back=bool(record and record.get("rolled_back")),
-        reason=record.get("reason") if record else None,
-        phases=list(coordinator.phase_log) if coordinator is not None else [],
-        freeze_seconds=record.get("freeze_seconds") if record else None,
-        bytes_expected=per_flow * flows,
-        bytes_received=sum(rx.bytes for rx in receivers),
-        guest_errors=sum(rx.errors for rx in receivers)
-        + sum(tx.errors for tx in senders),
-        connections_moved=record.get("connections_moved", 0) if record else 0,
-        bytes_transferred=record.get("bytes_transferred", 0) if record else 0,
-        drain_rounds=record.get("drain_rounds", 0) if record else 0,
-        duplicate_markers=(
-            coordinator.duplicate_markers if coordinator is not None else 0
-        ),
-        fenced_sources=len(record.get("fenced_sources", [])) if record else 0,
-        zombie_nqes=coordinator.zombie_nqes if coordinator is not None else 0,
-        invariant_violations=list(checker.violations),
-        record=record,
-    )
-
-
-#: Phases whose entry boundary the chaos sweep injects faults into.
-_INJECTABLE_PHASES = ("prepare", "freeze", "transfer", "repoint", "resume")
-
-
-@dataclass
-class MigrationChaosResult:
-    """A boundary-sweep of migration faults plus the fault-free pilot."""
-
-    family: str
-    pilot: MigrationRunResult
-    cases: List[tuple] = field(default_factory=list, init=False)  # (kind, phase, result)
-    failures: List[str] = field(default_factory=list)
-
-    def table(self) -> str:
-        lines = [
-            f"migration chaos [{self.family}]: pilot "
-            f"{'COMMIT' if self.pilot.committed else 'ROLLBACK'} "
-            f"freeze={_fmt_us(self.pilot.freeze_seconds)} "
-            f"moved={self.pilot.connections_moved} conn(s) "
-            f"state={self.pilot.bytes_transferred}B "
-            f"drain_rounds={self.pilot.drain_rounds}",
-        ]
-        for kind, phase, result in self.cases:
-            verdict = "ok" if (result.zero_loss and result.clean_exit) else "FAIL"
-            extra = ""
-            if result.fenced_sources:
-                extra = f" fenced={result.fenced_sources}"
-            lines.append(
-                f"  {kind.value:>24} @{phase:<8} -> {result.final_phase:<11} "
-                f"bytes {result.bytes_received}/{result.bytes_expected} "
-                f"errors={result.guest_errors} "
-                f"violations={len(result.invariant_violations)}{extra} {verdict}"
-            )
-        lines.append(
-            f"  {len(self.cases) - len(self.failures)}/{len(self.cases)} "
-            "fault cases clean"
-            + (f", {len(self.failures)} FAILED" if self.failures else "")
-        )
-        return "\n".join(lines)
-
-
-def _fmt_us(seconds: Optional[float]) -> str:
-    return f"{seconds * 1e6:.1f}us" if seconds is not None else "-"
-
-
-def _check_case(result: MigrationRunResult, label: str, failures: List[str]) -> None:
-    if not result.clean_exit:
-        failures.append(f"{label}: ended in {result.final_phase}, not commit/rollback")
-    if result.bytes_received != result.bytes_expected:
-        failures.append(
-            f"{label}: received {result.bytes_received}B, "
-            f"expected {result.bytes_expected}B"
-        )
-    if result.guest_errors:
-        failures.append(f"{label}: {result.guest_errors} guest-visible error(s)")
-    if result.invariant_violations:
-        failures.append(
-            f"{label}: {len(result.invariant_violations)} invariant violation(s): "
-            + "; ".join(result.invariant_violations[:3])
-        )
-
-
-def run_migration_chaos(
-    family: str = "tcp",
-    phases=_INJECTABLE_PHASES,
-    kinds=None,
-    **run_kwargs,
-) -> MigrationChaosResult:
-    """Inject every migration fault kind at every phase boundary.
-
-    A fault-free pilot run learns the phase-boundary times from the
-    coordinator's log (the simulation is deterministic, so a replay hits
-    the same boundaries); each (kind, phase) case then replays with the
-    fault landing just inside that boundary's dwell window.  Every case
-    must end in a clean COMMIT or clean ROLLBACK with the full byte
-    budget delivered, zero guest errors and zero invariant violations.
-    """
-    from ..faults import FaultKind as FK
-
-    kinds = kinds or (
-        FK.MIGRATION_ABORT,
-        FK.DEST_CRASH_MID_TRANSFER,
-        FK.SPLIT_BRAIN,
-    )
-    pilot = run_migration(family=family, **run_kwargs)
-    result = MigrationChaosResult(family=family, pilot=pilot)
-    if not pilot.committed:
-        result.failures.append(
-            f"pilot: fault-free migration did not commit ({pilot.reason})"
-        )
-    _check_case(pilot, "pilot", result.failures)
-    boundaries = {phase: at for phase, at in pilot.phases}
-    #: Land mid-dwell: the coordinator re-checks aborts and destination
-    #: health after each boundary's ``PHASE_PAUSE`` wait.
-    epsilon = 0.5e-6
-    for kind in kinds:
-        for phase in phases:
-            if phase not in boundaries:
-                continue
-            case = run_migration(
-                family=family,
-                fault=kind,
-                fault_at=boundaries[phase] + epsilon,
-                **run_kwargs,
-            )
-            result.cases.append((kind, phase, case))
-            _check_case(case, f"{kind.value}@{phase}", result.failures)
-            if kind is FK.SPLIT_BRAIN and case.committed and not case.fenced_sources:
-                result.failures.append(
-                    f"{kind.value}@{phase}: committed but the stale source "
-                    "was never fenced"
-                )
-    return result
-
-
-def run_migration_smoke() -> List[MigrationChaosResult]:
-    """CI smoke: the full boundary sweep for TCP, abbreviated for QUIC."""
-    return [
-        run_migration_chaos(family="tcp"),
-        run_migration_chaos(family="quic", phases=("transfer", "resume")),
-    ]
-
-
 def run_chaos_smoke(seed: int = 7, flows: int = 2) -> ChaosResult:
     """The CI smoke configuration: one NSM crash mid-transfer, then a
     hostile-tenant phase (ring flood + huge-page hoard), short run."""
@@ -799,3 +509,42 @@ def run_chaos_smoke(seed: int = 7, flows: int = 2) -> ChaosResult:
     )
     plan.seed = seed
     return run_chaos(plan, flows=flows, duration=0.3, warmup=0.05)
+
+
+def _smoke_failures(result: ChaosResult) -> List[str]:
+    failures = []
+    if result.unrecovered:
+        failures.append(f"{result.unrecovered} unrecovered flow(s)")
+    if not result.failovers:
+        failures.append("NSM crash produced no failover")
+    if not any(rec["kind"] == "hostile-tenant" for rec in result.recovered_faults):
+        failures.append("hostile-tenant fault recorded no recovery")
+    return failures
+
+
+def _run(smoke: bool, seed: int, flows: int, faults: int, duration: float) -> ChaosResult:
+    if smoke:
+        return run_chaos_smoke(seed=seed, flows=flows)
+    plan = default_random_plan(seed, duration=duration, faults=faults)
+    return run_chaos(plan, flows=flows, duration=duration)
+
+
+def _text(result: ChaosResult, smoke, seed, faults, duration, **_params) -> str:
+    if smoke:
+        return result.text()
+    plan = default_random_plan(seed, duration=duration, faults=faults)
+    return plan.describe() + "\n" + result.text()
+
+
+#: ``repro chaos``: one run under a seeded random plan, or (``smoke``) the
+#: scripted NSM crash and hostile tenant, which must be recovered from.
+EXPERIMENT = Experiment(
+    points=lambda smoke=False, seed=7, flows=2, faults=6, duration=0.35: [
+        (f"chaos:{seed}", (smoke, seed, flows, faults, duration))
+    ],
+    measure=_run,
+    text=_text,
+    check=lambda result, smoke, **_params: (
+        ("chaos --smoke", _smoke_failures(result)) if smoke else None
+    ),
+)

@@ -9,10 +9,10 @@ throughput saturates the 40 GbE wire from two flows on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..apps import BulkReceiver, BulkSender
+from ..net import Endpoint
 from ..netkernel import NsmSpec
 from .common import (
     FIG4_SOCKET_BUF,
@@ -21,39 +21,26 @@ from .common import (
     install_fluid,
     make_lan_testbed,
 )
+from .registry import Experiment
+from .table import Column, Table
 
-__all__ = ["Figure4Row", "Figure4Result", "run_figure4", "measure_lan_throughput"]
+__all__ = ["FIGURE4", "EXPERIMENT", "run_figure4", "measure_lan_throughput"]
 
-@dataclass
-class Figure4Row:
-    flows: int
-    native_gbps: float
-    nsm_gbps: float
-
-    @property
-    def ratio(self) -> float:
-        """NSM throughput relative to native (1.0 = identical)."""
-        if self.native_gbps == 0:
-            return 0.0
-        return self.nsm_gbps / self.native_gbps
-
-
-@dataclass
-class Figure4Result:
-    rows: List[Figure4Row]
-
-    def table(self) -> str:
-        lines = [
-            "Figure 4: TCP Cubic throughput, native guest vs NetKernel NSM",
-            f"{'flows':>6} {'Linux (CUBIC)':>15} {'CUBIC NSM':>12} {'NSM/native':>11}",
-        ]
-        for row in self.rows:
-            lines.append(
-                f"{row.flows:>6} {row.native_gbps:>12.2f} Gbps "
-                f"{row.nsm_gbps:>9.2f} Gbps {row.ratio:>10.2f}x"
-            )
-        lines.append(f"(40 GbE line rate after framing: ~{LAN_LINE_RATE_GBPS} Gbps)")
-        return "\n".join(lines)
+#: One row per flow count; ``ratio`` is NSM throughput over native
+#: (1.0 = identical, 0.0 when native moved nothing).
+FIGURE4 = Table(
+    "Figure 4: TCP Cubic throughput, native guest vs NetKernel NSM",
+    (
+        Column("flows", "flows", 6, ">6"),
+        Column("native_gbps", "Linux (CUBIC)", 15, ">12.2f", " Gbps"),
+        Column("nsm_gbps", "CUBIC NSM", 12, ">9.2f", " Gbps"),
+        Column(
+            "ratio", "NSM/native", 11, ">10.2f", "x",
+            derive=lambda r: r["nsm_gbps"] / r["native_gbps"] if r["native_gbps"] else 0.0,
+        ),
+    ),
+    below=(f"(40 GbE line rate after framing: ~{LAN_LINE_RATE_GBPS} Gbps)",),
+)
 
 
 def _build_lan_world(
@@ -100,7 +87,7 @@ def _build_lan_world(
     for i in range(flows):
         port = 5000 + i
         receivers.append(BulkReceiver(testbed.sim, vm_b.api, port, warmup=warmup))
-        BulkSender(testbed.sim, vm_a.api, remote_for(vm_b, port))
+        BulkSender(testbed.sim, vm_a.api, Endpoint(vm_b.api.ip, port))
     return testbed, receivers
 
 
@@ -110,9 +97,9 @@ def measure_lan_throughput(
     congestion_control: str = "cubic",
     duration: float = 0.35,
     warmup: float = 0.1,
+    fidelity: str = "packet",
     tracer=None,
     stats_out=None,
-    fidelity: str = "packet",
 ) -> float:
     """Aggregate goodput (Gbps) of ``flows`` bulk flows on the LAN testbed.
 
@@ -130,51 +117,28 @@ def measure_lan_throughput(
     return total_bps / 1e9
 
 
-def remote_for(vm, port: int):
-    from ..net import Endpoint
-
-    return Endpoint(vm.api.ip, port)
-
-
-def _measure_point(
-    mode: str,
-    flows: int,
-    duration: float,
-    warmup: float,
-    fidelity: str = "packet",
-) -> float:
-    return measure_lan_throughput(
-        mode, flows, duration=duration, warmup=warmup, fidelity=fidelity
-    )
-
-
-def run_figure4(
+def _points(
     flow_counts: Sequence[int] = (1, 2, 3),
     duration: float = 0.35,
-    warmup: float = 0.1,
-    jobs: int = 1,
+    warmup: Optional[float] = None,
     fidelity: str = "packet",
-) -> Figure4Result:
-    """Regenerate Figure 4: one row per flow count.
-
-    ``jobs`` fans the (mode × flows) grid across worker processes; the
-    merged result is bit-identical to the serial run.
-    """
-    from ..parallel import parallel_map
-
-    grid = [
-        (mode, flows, duration, warmup, fidelity)
+):
+    """The (flows x mode) grid; ``warmup`` defaults to a quarter of the run."""
+    warmup = duration * 0.25 if warmup is None else warmup
+    return [
+        (f"fig4:{mode}:{flows}f", (mode, flows, "cubic", duration, warmup, fidelity))
         for flows in flow_counts
         for mode in ("native", "netkernel")
     ]
-    values = parallel_map(
-        _measure_point,
-        grid,
-        jobs=jobs,
-        keys=[f"fig4:{mode}:{flows}f" for mode, flows, *_rest in grid],
+
+
+def _result(values, flow_counts, **_params) -> Table:
+    return FIGURE4.fill(
+        dict(flows=flows, native_gbps=native, nsm_gbps=nsm)
+        for flows, native, nsm in zip(flow_counts, values[::2], values[1::2])
     )
-    rows = []
-    for index, flows in enumerate(flow_counts):
-        native, nsm = values[2 * index], values[2 * index + 1]
-        rows.append(Figure4Row(flows=flows, native_gbps=native, nsm_gbps=nsm))
-    return Figure4Result(rows=rows)
+
+
+#: Figure 4: one row per flow count; ``jobs`` fans the grid.
+EXPERIMENT = Experiment(points=_points, measure=measure_lan_throughput, result=_result)
+run_figure4 = EXPERIMENT.run

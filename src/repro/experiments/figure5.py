@@ -22,16 +22,17 @@ is not derivable from the published data; see EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import Sequence
 
 from ..apps import BulkReceiver, BulkSender
 from ..host.vm import GuestOS
 from ..net import Endpoint
 from ..netkernel import NsmSpec
 from .common import install_fluid, make_wan_testbed
+from .registry import Experiment
+from .table import Column, Table
 
-__all__ = ["Figure5Row", "Figure5Result", "run_figure5", "measure_wan_throughput"]
+__all__ = ["FIGURE5", "EXPERIMENT", "run_figure5", "measure_wan_throughput"]
 
 PAPER_MBPS = {
     "BBR NSM": 11.12,
@@ -48,32 +49,17 @@ CONFIGS = (
     ("Linux Cubic", "native", GuestOS.LINUX, "cubic"),
 )
 
-
-@dataclass
-class Figure5Row:
-    label: str
-    mbps: float
-    paper_mbps: float
-
-
-@dataclass
-class Figure5Result:
-    rows: List[Figure5Row]
-
-    def by_label(self) -> Dict[str, float]:
-        return {row.label: row.mbps for row in self.rows}
-
-    def table(self) -> str:
-        lines = [
-            "Figure 5: WAN throughput by sender configuration (12 Mbps uplink,"
-            " 350 ms RTT)",
-            f"{'configuration':>14} {'measured':>10} {'paper':>8}",
-        ]
-        for row in self.rows:
-            lines.append(
-                f"{row.label:>14} {row.mbps:>6.2f} Mbps {row.paper_mbps:>5.2f} Mbps"
-            )
-        return "\n".join(lines)
+#: One row per sender configuration, its goodput averaged over the seeds.
+FIGURE5 = Table(
+    "Figure 5: WAN throughput by sender configuration (12 Mbps uplink,"
+    " 350 ms RTT)",
+    (
+        Column("label", "configuration", 14, ">14"),
+        Column("mbps", "measured", 10, ">6.2f", " Mbps"),
+        Column("paper_mbps", "paper", 8, ">5.2f", " Mbps",
+               derive=lambda r: PAPER_MBPS[r["label"]]),
+    ),
+)
 
 
 def measure_wan_throughput(
@@ -83,9 +69,9 @@ def measure_wan_throughput(
     duration: float = 40.0,
     warmup: float = 5.0,
     seed: int = 1,
+    fidelity: str = "packet",
     tracer=None,
     stats_out=None,
-    fidelity: str = "packet",
 ) -> float:
     """Mean goodput (Mbps) of one sender configuration on the WAN path."""
     testbed = make_wan_testbed(seed=seed, tracer=tracer)
@@ -120,61 +106,34 @@ def measure_wan_throughput(
     return receiver.meter.bps(until=duration) / 1e6
 
 
-def _measure_sample(
-    mode: str,
-    guest_os: GuestOS,
-    cc: str,
-    duration: float,
-    warmup: float,
-    seed: int,
-    fidelity: str = "packet",
-) -> float:
-    return measure_wan_throughput(
-        mode,
-        guest_os,
-        cc,
-        duration=duration,
-        warmup=warmup,
-        seed=seed,
-        fidelity=fidelity,
-    )
-
-
-def run_figure5(
+def _points(
     duration: float = 40.0,
     warmup: float = 5.0,
-    seeds: tuple = (1, 2, 3),
-    jobs: int = 1,
+    seeds: Sequence[int] = (1, 2, 3),
     fidelity: str = "packet",
-) -> Figure5Result:
-    """Regenerate Figure 5: all four sender configurations, same path.
+):
+    """The (config x seed) grid.
 
-    Averaged over ``seeds`` loss-process realizations — the episodic loss
-    is bursty enough that a single 40 s window is noisy, exactly like a
-    single 10 s sample of the live Internet was for the authors.
-    ``jobs`` fans the (config × seed) grid across worker processes;
-    the merged result is bit-identical to the serial run.
+    Each configuration is averaged over ``seeds`` loss-process
+    realizations: the episodic loss is bursty enough that a single 40 s
+    window is noisy, exactly like a single 10 s sample of the live
+    Internet was for the authors.
     """
-    from ..parallel import parallel_map
-
-    grid = [
-        (mode, guest_os, cc, duration, warmup, seed, fidelity)
-        for _label, mode, guest_os, cc in CONFIGS
+    return [
+        (f"fig5:{label}:seed{seed}", (mode, guest_os, cc, duration, warmup, seed, fidelity))
+        for label, mode, guest_os, cc in CONFIGS
         for seed in seeds
     ]
-    values = parallel_map(
-        _measure_sample,
-        grid,
-        jobs=jobs,
-        keys=[
-            f"fig5:{label}:seed{seed}"
-            for label, _m, _g, _c in CONFIGS
-            for seed in seeds
-        ],
-    )
+
+
+def _result(values, seeds, **_params) -> Table:
     rows = []
-    for index, (label, _mode, _guest_os, _cc) in enumerate(CONFIGS):
+    for index, (label, *_config) in enumerate(CONFIGS):
         samples = values[index * len(seeds) : (index + 1) * len(seeds)]
-        mbps = sum(samples) / len(samples)
-        rows.append(Figure5Row(label=label, mbps=mbps, paper_mbps=PAPER_MBPS[label]))
-    return Figure5Result(rows=rows)
+        rows.append(dict(label=label, mbps=sum(samples) / len(samples)))
+    return FIGURE5.fill(rows)
+
+
+#: Figure 5: all four sender configurations on the same path.
+EXPERIMENT = Experiment(points=_points, measure=measure_wan_throughput, result=_result)
+run_figure5 = EXPERIMENT.run

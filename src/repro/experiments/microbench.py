@@ -13,45 +13,31 @@ channel rate comes from timing back-to-back chunk copies on one core.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Optional, Sequence
 
 from ..host import MemcpyModel
 from ..host.cpu import Core
 from ..netkernel import HugePageRegion, NQE_COPY_NS, Nqe, NqeOp, NqeRing
 from ..sim import NANOS, Simulator
+from .registry import Experiment
+from .table import Column, Table, size_label
 
-__all__ = ["ChannelRow", "MicrobenchResult", "run_microbench"]
+__all__ = ["MICROBENCH", "EXPERIMENT", "run_microbench"]
 
 PAPER_NQE_COPY_NS = 12.0
 
-
-@dataclass
-class ChannelRow:
-    chunk_bytes: int
-    gbps: float
-
-
-@dataclass
-class MicrobenchResult:
-    nqe_copy_ns: float
-    channel: List[ChannelRow]
-
-    def table(self) -> str:
-        lines = [
-            "NetKernel communication microbenchmarks (§4.2)",
-            f"nqe copy via CoreEngine: {self.nqe_copy_ns:.1f} ns/event "
-            f"(paper: ~{PAPER_NQE_COPY_NS:.0f} ns)",
-            f"{'chunk':>8} {'channel rate':>14}",
-        ]
-        for row in self.channel:
-            chunk = (
-                f"{row.chunk_bytes}B"
-                if row.chunk_bytes < 1024
-                else f"{row.chunk_bytes // 1024}KB"
-            )
-            lines.append(f"{chunk:>8} {row.gbps:>10.1f} Gbps")
-        return "\n".join(lines)
+#: One row per chunk size; the nqe copy cost is the note above them.
+MICROBENCH = Table(
+    "NetKernel communication microbenchmarks (§4.2)",
+    (
+        Column("chunk", "chunk", 8, ">8", derive=lambda r: size_label(r["chunk_bytes"])),
+        Column("gbps", "channel rate", 14, ">10.1f", " Gbps"),
+    ),
+    above=(
+        "nqe copy via CoreEngine: {nqe_copy_ns:.1f} ns/event "
+        f"(paper: ~{PAPER_NQE_COPY_NS:.0f} ns)",
+    ),
+)
 
 
 def measure_nqe_copy_ns() -> float:
@@ -101,14 +87,24 @@ def measure_channel_gbps(chunk_bytes: int) -> float:
     return chunks * chunk_bytes * 8.0 / done["elapsed"] / 1e9
 
 
-def run_microbench(
-    chunk_sizes: Sequence[int] = (64, 512, 1024, 2048, 4096, 8192),
-) -> MicrobenchResult:
-    """Regenerate the §4.2 communication microbenchmarks."""
-    return MicrobenchResult(
-        nqe_copy_ns=measure_nqe_copy_ns(),
-        channel=[
-            ChannelRow(chunk_bytes=size, gbps=measure_channel_gbps(size))
-            for size in chunk_sizes
-        ],
-    )
+def _measure(chunk_bytes: Optional[int]):
+    """The nqe copy cost (ns) for ``None``, else one channel row."""
+    if chunk_bytes is None:
+        return measure_nqe_copy_ns()
+    return dict(chunk_bytes=chunk_bytes, gbps=measure_channel_gbps(chunk_bytes))
+
+
+def _points(chunk_sizes: Sequence[int] = (64, 512, 1024, 2048, 4096, 8192)):
+    return [("micro:nqe", (None,))] + [
+        (f"micro:{size}B", (size,)) for size in chunk_sizes
+    ]
+
+
+def _result(values, **_params) -> Table:
+    nqe_copy_ns, *channel = values
+    return MICROBENCH.fill(channel, nqe_copy_ns=nqe_copy_ns)
+
+
+#: The §4.2 communication microbenchmarks.
+EXPERIMENT = Experiment(points=_points, measure=_measure, result=_result)
+run_microbench = EXPERIMENT.run

@@ -21,7 +21,7 @@ victim's goodput is intact; with quotas off the flood starves it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..apps import BulkReceiver, BulkSender
 from ..faults import Fault, FaultInjector, FaultKind, FaultPlan
@@ -29,8 +29,12 @@ from ..net import Endpoint
 from ..netkernel import CoreEngineConfig, NsmSpec
 from ..sim import Simulator
 from .common import make_lan_testbed
+from .registry import Experiment
+from .table import Column, Table
 
-__all__ = ["SetupLatency", "IsolationRun", "StackSwapResult", "run_stackswap"]
+__all__ = [
+    "SetupLatency", "IsolationRun", "StackSwapResult", "EXPERIMENT", "run_stackswap"
+]
 
 #: Quota tuning for part B: 1 nqe per 5 µs cycle = 200k job nqes/s per
 #: tenant — far above any honest tenant's op rate (a line-rate bulk flow
@@ -118,38 +122,46 @@ class StackSwapResult:
             )
         return out
 
-    def table(self) -> str:
+    def text(self) -> str:
         tcp, quic = self.setup["tcp"], self.setup["quic"]
-        lines = [
-            "stackswap A: same guest app, stack family swapped underneath",
-            f"{'family':>8} {'flows':>6} {'p50 setup':>12} {'p99 setup':>12} "
-            f"{'0-RTT':>6}",
-        ]
-        for stats in (tcp, quic):
-            lines.append(
-                f"{stats.family:>8} {len(stats.samples):>6} "
-                f"{stats.p50 * 1e6:>10.1f}us {stats.p99 * 1e6:>10.1f}us "
-                f"{stats.resumptions_0rtt:>6}"
-            )
-        lines.append(
-            f"  -> QUIC 0-RTT p99 is {tcp.p99 / quic.p99:.1f}x faster than "
-            "the TCP handshake"
+        setup = SETUP.fill(
+            (
+                dict(vars(stats), p50_us=stats.p50 * 1e6, p99_us=stats.p99 * 1e6)
+                for stats in (tcp, quic)
+            ),
+            speedup=tcp.p99 / quic.p99,
         )
-        lines.append("stackswap B: hostile co-tenant on a shared NSM")
-        lines.append(
-            f"{'quotas':>8} {'hostile':>8} {'victim goodput':>15}"
+        isolation = ISOLATION.fill(
+            map(vars, self.isolation),
+            without_quotas=self.degradation(False) * 100,
+            with_quotas=self.degradation(True) * 100,
         )
-        for run in self.isolation:
-            lines.append(
-                f"{'on' if run.quotas else 'off':>8} "
-                f"{'yes' if run.hostile else 'no':>8} "
-                f"{run.victim_gbps:>10.2f} Gbps"
-            )
-        lines.append(
-            f"  -> degradation: {self.degradation(False) * 100:.1f}% without "
-            f"quotas, {self.degradation(True) * 100:.1f}% with quotas"
-        )
-        return "\n".join(lines)
+        return setup.text() + "\n" + isolation.text()
+
+
+SETUP = Table(
+    "stackswap A: same guest app, stack family swapped underneath",
+    (
+        Column("family", "family", 8, ">8"),
+        Column("flows", "flows", 6, ">6", derive=lambda r: len(r["samples"])),
+        Column("p50_us", "p50 setup", 12, ">10.1f", "us"),
+        Column("p99_us", "p99 setup", 12, ">10.1f", "us"),
+        Column("resumptions_0rtt", "0-RTT", 6, ">6"),
+    ),
+    below=("  -> QUIC 0-RTT p99 is {speedup:.1f}x faster than the TCP handshake",),
+)
+ISOLATION = Table(
+    "stackswap B: hostile co-tenant on a shared NSM",
+    (
+        Column("quotas", "quotas", 8, ">8", derive=lambda r: "on" if r["quotas"] else "off"),
+        Column("hostile", "hostile", 8, ">8", derive=lambda r: "yes" if r["hostile"] else "no"),
+        Column("victim_gbps", "victim goodput", 15, ">10.2f", " Gbps"),
+    ),
+    below=(
+        "  -> degradation: {without_quotas:.1f}% without quotas, "
+        "{with_quotas:.1f}% with quotas",
+    ),
+)
 
 
 # ------------------------------------------------------------------- part A --
@@ -296,3 +308,14 @@ def run_stackswap(
         for h in (False, True)
     ]
     return StackSwapResult(setup=setup, isolation=isolation)
+
+
+#: ``repro stackswap``: both halves, which must show 0-RTT winning and
+#: quotas holding (:meth:`StackSwapResult.failures`).
+EXPERIMENT = Experiment(
+    points=lambda flows=20, duration=0.15, quick=False: [
+        ("stackswap", (flows, duration, quick))
+    ],
+    measure=run_stackswap,
+    check=lambda result, **_params: ("stackswap", result.failures()),
+)

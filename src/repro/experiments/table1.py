@@ -14,49 +14,25 @@ exactly these costs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
-
 from ..host import MemcpyModel, PAPER_TABLE1_POINTS
 from ..host.cpu import Core
 from ..netkernel import HugePageRegion
 from ..sim import Simulator
+from .registry import Experiment
+from .table import Column, Table, size_label
 
-__all__ = ["Table1Row", "Table1Result", "run_table1"]
+__all__ = ["TABLE1", "EXPERIMENT", "run_table1"]
 
-
-@dataclass
-class Table1Row:
-    chunk_bytes: int
-    paper_ns: float
-    model_ns: float
-    simulated_ns: float
-
-    @property
-    def matches_paper(self) -> bool:
-        return abs(self.model_ns - self.paper_ns) < 1e-6
-
-
-@dataclass
-class Table1Result:
-    rows: List[Table1Row]
-
-    def table(self) -> str:
-        lines = [
-            "Table 1: memory copying latency in NetKernel",
-            f"{'chunk':>8} {'paper':>8} {'model':>8} {'simulated':>10}",
-        ]
-        for row in self.rows:
-            chunk = (
-                f"{row.chunk_bytes}B"
-                if row.chunk_bytes < 1024
-                else f"{row.chunk_bytes // 1024}KB"
-            )
-            lines.append(
-                f"{chunk:>8} {row.paper_ns:>6.0f}ns {row.model_ns:>6.0f}ns "
-                f"{row.simulated_ns:>8.0f}ns"
-            )
-        return "\n".join(lines)
+#: One row per chunk size; ``matches_paper`` is the model's exact hit.
+TABLE1 = Table(
+    "Table 1: memory copying latency in NetKernel",
+    (
+        Column("chunk", "chunk", 8, ">8", derive=lambda r: size_label(r["chunk_bytes"])),
+        Column("paper_ns", "paper", 8, ">6.0f", "ns"),
+        Column("model_ns", "model", 8, ">6.0f", "ns"),
+        Column("simulated_ns", "simulated", 10, ">8.0f", "ns"),
+    ),
+)
 
 
 def _simulate_copy_ns(size: int) -> float:
@@ -77,17 +53,22 @@ def _simulate_copy_ns(size: int) -> float:
     return done["elapsed"] / repetitions * 1e9
 
 
-def run_table1() -> Table1Result:
-    """Regenerate Table 1 for the paper's six chunk sizes."""
-    model = MemcpyModel()
-    rows = []
-    for size, paper_ns in PAPER_TABLE1_POINTS:
-        rows.append(
-            Table1Row(
-                chunk_bytes=size,
-                paper_ns=paper_ns,
-                model_ns=model.copy_latency_ns(size),
-                simulated_ns=_simulate_copy_ns(size),
-            )
-        )
-    return Table1Result(rows=rows)
+def _measure(size: int, paper_ns: float) -> dict:
+    model_ns = MemcpyModel().copy_latency_ns(size)
+    return dict(
+        chunk_bytes=size,
+        paper_ns=paper_ns,
+        model_ns=model_ns,
+        simulated_ns=_simulate_copy_ns(size),
+        matches_paper=abs(model_ns - paper_ns) < 1e-6,
+    )
+
+
+#: Table 1 for the paper's six chunk sizes.
+EXPERIMENT = Experiment(
+    points=lambda: [(f"table1:{size}B", (size, paper_ns))
+                    for size, paper_ns in PAPER_TABLE1_POINTS],
+    measure=_measure,
+    result=lambda values: TABLE1.fill(values),
+)
+run_table1 = EXPERIMENT.run

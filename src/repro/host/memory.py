@@ -79,10 +79,3 @@ class MemcpyModel:
     def copy_latency(self, size: int) -> float:
         """Latency in seconds to copy ``size`` bytes."""
         return self.copy_latency_ns(size) * NANOS
-
-    def throughput_gbps(self, size: int) -> float:
-        """Per-core one-copy channel throughput for chunks of ``size``."""
-        latency_ns = self.copy_latency_ns(size)
-        if latency_ns <= 0:
-            return float("inf")
-        return size * 8.0 / latency_ns  # bytes/ns * 8 == Gbps

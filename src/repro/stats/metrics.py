@@ -58,12 +58,6 @@ class ThroughputMeter:
             return 0.0
         return self.bytes * 8.0 / span
 
-    def mbps(self, until: Optional[float] = None) -> float:
-        return self.bps(until) / 1e6
-
-    def gbps(self, until: Optional[float] = None) -> float:
-        return self.bps(until) / 1e9
-
 
 class LatencyRecorder:
     """Collects latency samples; reports mean and percentiles."""

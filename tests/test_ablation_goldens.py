@@ -15,8 +15,6 @@ If a deliberate model change moves these numbers, regenerate with the
 calls below and update the tables — the diff *is* the review artifact.
 """
 
-import dataclasses
-
 from repro.experiments.ablation_connscale import run_connscale_ablation
 from repro.experiments.ablation_multiplexing import run_multiplexing_ablation
 
@@ -90,10 +88,10 @@ MULTIPLEX_GOLDEN = {
 def _connscale_observed(jobs):
     result = run_connscale_ablation(jobs=jobs, **CONNSCALE_KWARGS)
     return {
-        (row.mode, row.clients): (
-            repr(row.requests_per_s),
-            repr(row.p50_us),
-            repr(row.p99_us),
+        (row["mode"], row["clients"]): (
+            repr(row["requests_per_s"]),
+            repr(row["p50_us"]),
+            repr(row["p99_us"]),
         )
         for row in result.rows
     }
@@ -102,13 +100,13 @@ def _connscale_observed(jobs):
 def _multiplex_observed(jobs):
     result = run_multiplexing_ablation(jobs=jobs, **MULTIPLEX_KWARGS)
     return {
-        row.placement: (
-            row.nsm_count,
-            row.cores_reserved,
-            repr(row.memory_gb),
-            repr(row.aggregate_gbps),
-            repr(row.min_tenant_gbps),
-            repr(row.max_tenant_gbps),
+        row["placement"]: (
+            row["nsm_count"],
+            row["cores_reserved"],
+            repr(row["memory_gb"]),
+            repr(row["aggregate_gbps"]),
+            repr(row["min_tenant_gbps"]),
+            repr(row["max_tenant_gbps"]),
         )
         for row in result.rows
     }
@@ -121,9 +119,7 @@ def test_connscale_small_n_matches_golden():
 def test_connscale_parallel_matches_serial_exactly():
     serial = run_connscale_ablation(jobs=1, **CONNSCALE_KWARGS)
     fanned = run_connscale_ablation(jobs=2, **CONNSCALE_KWARGS)
-    assert [dataclasses.asdict(r) for r in serial.rows] == [
-        dataclasses.asdict(r) for r in fanned.rows
-    ]
+    assert serial.rows == fanned.rows
 
 
 def test_multiplexing_small_n_matches_golden():
@@ -133,9 +129,7 @@ def test_multiplexing_small_n_matches_golden():
 def test_multiplexing_parallel_matches_serial_exactly():
     serial = run_multiplexing_ablation(jobs=1, **MULTIPLEX_KWARGS)
     fanned = run_multiplexing_ablation(jobs=2, **MULTIPLEX_KWARGS)
-    assert [dataclasses.asdict(r) for r in serial.rows] == [
-        dataclasses.asdict(r) for r in fanned.rows
-    ]
+    assert serial.rows == fanned.rows
 
 
 def test_epoll_memory_growth_is_linear_and_bounded(monkeypatch):

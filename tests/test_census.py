@@ -73,9 +73,6 @@ ALLOWLIST: Dict[str, str] = {
         "the paper's NSM scale-up/out (§2.1), kept for ROADMAP's CPU-ledger "
         "item, which gives it a cpu_budget(...) to read"
     ),
-    "run_list(args)": "cli.main calls every subcommand as args.runner(args)",
-    "run_micro(args)": "cli.main calls every subcommand as args.runner(args)",
-    "run_table1(args)": "cli.main calls every subcommand as args.runner(args)",
     "QueuePair._on_message(msg_id)": (
         "rdma.transport's RcEndpoint calls on_message(msg_id, nbytes) on "
         "each completed message"

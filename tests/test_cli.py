@@ -1,14 +1,78 @@
 """CLI: parsing, dispatch, and one real regeneration."""
 
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import registry
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_list_command(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "figure4" in out and "ablation" in out
+
+
+def test_every_harness_is_a_registry_entry_and_listed(capsys):
+    """A harness module declares one experiment, the registry names it,
+    and ``repro list`` names every entry."""
+    modules = {path.stem for path in Path(registry.__file__).parent.glob("*.py")}
+    harnesses = modules - {"__init__", "common", "table", "registry"}
+    assert sorted(entry.module for entry in registry.ENTRIES.values()) == sorted(harnesses)
+    for name in registry.ENTRIES:
+        assert isinstance(registry.load(name), registry.Experiment), name
+    assert main(["list"]) == 0
+    listed = set(re.findall(r"\w+", capsys.readouterr().out))
+    assert set(registry.ENTRIES) <= listed
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name", ["table1", "micro"])
+def test_jobs_fan_prints_the_pinned_table(name, jobs):
+    """One runner fans every experiment's points: ``jobs`` workers print
+    exactly the committed table (these two take no ``--jobs`` flag)."""
+    report = registry.load(name).report(jobs)
+    assert report + "\n" == (DATA / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_ablation_jobs_prints_the_pinned_table(capsys, jobs):
+    """``ablation containers --jobs N`` fans its two runs and prints the
+    committed table byte for byte."""
+    assert main(["ablation", "containers", "--jobs", jobs]) == 0
+    pinned = (DATA / "ablation_containers.txt").read_text()
+    assert capsys.readouterr().out == pinned
+
+
+def test_a_figure4_run_imports_no_other_harness():
+    probe = (
+        "import json, sys\n"
+        "from repro.cli import build_parser\n"
+        "from repro.experiments import registry\n"
+        "build_parser()\n"
+        "registry.load('figure4')\n"
+        "print(json.dumps(sorted(m for m in sys.modules"
+        " if m.startswith('repro.experiments.'))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], check=True, env=env, timeout=120,
+        capture_output=True, text=True,
+    ).stdout
+    assert json.loads(out) == [
+        "repro.experiments.common",
+        "repro.experiments.figure4",
+        "repro.experiments.registry",
+        "repro.experiments.table",
+    ]
 
 
 def test_table1_command_prints_table(capsys):

@@ -17,7 +17,7 @@ from repro.experiments.common import (
     make_lan_testbed,
     make_wan_testbed,
 )
-from repro.experiments.figure4 import Figure4Result, Figure4Row
+from repro.experiments.figure4 import FIGURE4
 from repro.experiments.figure5 import CONFIGS, PAPER_MBPS
 from repro.experiments.microbench import run_microbench
 from repro.experiments.table1 import run_table1
@@ -65,32 +65,30 @@ def test_figure5_configs_cover_the_paper():
 
 
 def test_figure4_row_ratio():
-    row = Figure4Row(flows=1, native_gbps=20.0, nsm_gbps=22.0)
-    assert row.ratio == pytest.approx(1.1)
-    assert Figure4Row(flows=1, native_gbps=0.0, nsm_gbps=1.0).ratio == 0.0
+    (row,) = FIGURE4.fill([dict(flows=1, native_gbps=20.0, nsm_gbps=22.0)]).rows
+    assert row["ratio"] == pytest.approx(1.1)
+    (idle,) = FIGURE4.fill([dict(flows=1, native_gbps=0.0, nsm_gbps=1.0)]).rows
+    assert idle["ratio"] == 0.0
 
 
 def test_figure4_table_renders():
-    result = Figure4Result(
-        rows=[Figure4Row(flows=1, native_gbps=22.0, nsm_gbps=23.0)]
-    )
-    table = result.table()
+    table = FIGURE4.fill([dict(flows=1, native_gbps=22.0, nsm_gbps=23.0)]).text()
     assert "CUBIC NSM" in table and "22.00" in table
 
 
 def test_table1_runs_fast_and_matches():
     result = run_table1()
-    assert [row.chunk_bytes for row in result.rows] == [
+    assert [row["chunk_bytes"] for row in result.rows] == [
         64, 512, 1024, 2048, 4096, 8192,
     ]
-    assert all(row.matches_paper for row in result.rows)
-    assert "809" in result.table()
+    assert all(row["matches_paper"] for row in result.rows)
+    assert "809" in result.text()
 
 
 def test_microbench_runs_fast_and_matches():
     result = run_microbench(chunk_sizes=(64, 8192))
-    assert result.nqe_copy_ns == pytest.approx(12.0)
-    assert "12.0 ns" in result.table()
+    assert result.values["nqe_copy_ns"] == pytest.approx(12.0)
+    assert "12.0 ns" in result.text()
 
 
 def test_fig4_socket_buffer_below_line_rate_bdp():

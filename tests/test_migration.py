@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.experiments.chaos import (
-    ChaosReceiver,
-    ChaosSender,
-    run_migration,
-    run_migration_chaos,
-)
+from repro.experiments.chaos import ChaosReceiver, ChaosSender
 from repro.experiments.common import make_lan_testbed
+from repro.experiments.migration import run_migration, run_migration_chaos
 from repro.faults import FaultKind
 from repro.net import Endpoint
 from repro.netkernel import CoreEngineConfig, NsmSpec

@@ -66,6 +66,6 @@ def test_end_to_end_zero_queue():
 
     tcp_only = _measure(False, duration=0.3, warmup=0.1)
     fastpass = _measure(True, duration=0.3, warmup=0.1)
-    assert fastpass.queue_max_kb < 10
-    assert tcp_only.queue_max_kb > 500
-    assert fastpass.rpc_p99_us < tcp_only.rpc_p99_us
+    assert fastpass["queue_max_kb"] < 10
+    assert tcp_only["queue_max_kb"] > 500
+    assert fastpass["rpc_p99_us"] < tcp_only["rpc_p99_us"]

@@ -17,19 +17,21 @@ from repro.netkernel import NQE_COPY_NS
 def test_table1_model_matches_every_published_number():
     result = run_table1()
     for row in result.rows:
-        assert row.matches_paper, f"{row.chunk_bytes}B: {row.model_ns} != {row.paper_ns}"
-        assert row.simulated_ns == pytest.approx(row.paper_ns, rel=1e-6)
+        assert row["matches_paper"], (
+            f"{row['chunk_bytes']}B: {row['model_ns']} != {row['paper_ns']}"
+        )
+        assert row["simulated_ns"] == pytest.approx(row["paper_ns"], rel=1e-6)
 
 
 def test_nqe_copy_cost_is_12ns():
     result = run_microbench(chunk_sizes=(64,))
-    assert result.nqe_copy_ns == pytest.approx(NQE_COPY_NS, rel=1e-6)
+    assert result.values["nqe_copy_ns"] == pytest.approx(NQE_COPY_NS, rel=1e-6)
 
 
 def test_channel_throughput_matches_section_4_2():
     """~64 Gbps at 64 B and ~81 Gbps at 8 KB per core."""
     result = run_microbench(chunk_sizes=(64, 8192))
-    rates = {row.chunk_bytes: row.gbps for row in result.channel}
+    rates = {row["chunk_bytes"]: row["gbps"] for row in result.rows}
     assert rates[64] == pytest.approx(64.0, rel=0.02)
     assert rates[8192] == pytest.approx(81.0, rel=0.02)
 

@@ -131,9 +131,7 @@ def test_figure4_parallel_matches_serial():
 
     serial = run_figure4(flow_counts=(1,), duration=0.05, warmup=0.01, jobs=1)
     fanned = run_figure4(flow_counts=(1,), duration=0.05, warmup=0.01, jobs=2)
-    assert [dataclasses.asdict(r) for r in serial.rows] == [
-        dataclasses.asdict(r) for r in fanned.rows
-    ]
+    assert serial.rows == fanned.rows
 
 
 # ------------------------------------------------------------- worker reuse --

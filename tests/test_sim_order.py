@@ -57,7 +57,7 @@ def test_figure4_full_repr_golden():
 
     result = run_figure4(**FIG4_KWARGS)
     observed = {
-        row.flows: (repr(row.native_gbps), repr(row.nsm_gbps))
+        row["flows"]: (repr(row["native_gbps"]), repr(row["nsm_gbps"]))
         for row in result.rows
     }
     assert observed == FIG4_GOLDEN
@@ -67,7 +67,7 @@ def test_figure5_full_repr_golden():
     from repro.experiments.figure5 import run_figure5
 
     result = run_figure5(**FIG5_KWARGS)
-    observed = {row.label: repr(row.mbps) for row in result.rows}
+    observed = {row["label"]: repr(row["mbps"]) for row in result.rows}
     assert observed == FIG5_GOLDEN
 
 
