@@ -218,7 +218,7 @@ class KernelSocketApi:
             if entry.listener is not None:
                 entry.listener.close()
         else:
-            port = entry.local.port
+            port = entry.key[0]
             entry.start_close()
         if self._bound_ports.get(port) == fd:
             del self._bound_ports[port]

@@ -47,7 +47,10 @@ def run_experiment(args: argparse.Namespace) -> str:
     if getattr(args, "fuzz", 0):
         return _chaos_fuzz(args)
     params = {dest: getattr(args, dest) for dest in args.params}
-    return registry.load(args.experiment).report(getattr(args, "jobs", 1), **params)
+    try:
+        return registry.load(args.experiment).report(getattr(args, "jobs", 1), **params)
+    except registry.UsageError as exc:
+        args.usage_error(str(exc))  # exits 2
 
 
 def _chaos_fuzz(args: argparse.Namespace) -> str:
@@ -203,11 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
             continue
         command = sub.add_parser(name, help=entry.title or entry.summary)
         params = _add_options(command, entry.options)
-        command.set_defaults(runner=run_experiment, experiment=name, params=params)
+        command.set_defaults(
+            runner=run_experiment, experiment=name, params=params,
+            usage_error=command.error,
+        )
     ablation = sub.add_parser("ablation", help="§5 ablations")
     ablation.add_argument("experiment", choices=sorted(registry.ablations()))
     _add_options(ablation, [registry.JOBS])
-    ablation.set_defaults(runner=run_experiment, params=[])
+    ablation.set_defaults(runner=run_experiment, params=[], usage_error=ablation.error)
 
     trace = sub.add_parser(
         "trace",

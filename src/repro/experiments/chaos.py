@@ -41,7 +41,7 @@ from ..net import Endpoint
 from ..netkernel import CoreEngineConfig, NsmSpec
 from ..sim import Simulator
 from .common import FIG4_SOCKET_BUF, make_lan_testbed
-from .registry import Experiment
+from .registry import Experiment, UsageError
 from .table import Column, Table
 
 __all__ = [
@@ -276,20 +276,26 @@ CHAOS = Table(
 )
 
 
+#: A random plan's faults land in ``[warmup, FAULT_SPAN * duration]``.
+FAULT_SPAN = 0.7
+#: Seconds of traffic before the first fault may land.
+WARMUP = 0.05
+
+
 def default_random_plan(
     seed: int,
     duration: float,
-    warmup: float = 0.05,
+    warmup: float = WARMUP,
     faults: int = 6,
 ) -> FaultPlan:
     """A seeded random plan over :func:`run_chaos`'s canonical targets.
 
-    Faults land in ``[warmup, 0.7 * duration]`` so the run has room to
-    demonstrate recovery before the clock stops.
+    Faults land in ``[warmup, FAULT_SPAN * duration]`` so the run has
+    room to demonstrate recovery before the clock stops.
     """
     return FaultPlan.random(
         seed,
-        duration=0.7 * duration,
+        duration=FAULT_SPAN * duration,
         start=warmup,
         nsm_targets=("nsm_a", "nsm_b"),
         ring_targets=("vm_a.job", "vm_b.rq", "nsm_b.rq"),
@@ -306,7 +312,7 @@ def run_chaos(
     plan: Optional[FaultPlan] = None,
     flows: int = 2,
     duration: float = 0.35,
-    warmup: float = 0.05,
+    warmup: float = WARMUP,
 ) -> ChaosResult:
     """Figure 4's LAN workload (CUBIC NSMs) under ``plan``; returns chaos
     metrics.
@@ -536,12 +542,19 @@ def _text(result: ChaosResult, smoke, seed, faults, duration, **_params) -> str:
     return plan.describe() + "\n" + result.text()
 
 
+def _points(smoke=False, seed=7, flows=2, faults=6, duration=0.35):
+    if not smoke and FAULT_SPAN * duration <= WARMUP:
+        raise UsageError(
+            f"--duration must exceed {WARMUP / FAULT_SPAN:.4g} s: random faults "
+            f"land in [{WARMUP} s, {FAULT_SPAN} x duration], got {duration}"
+        )
+    return [(f"chaos:{seed}", (smoke, seed, flows, faults, duration))]
+
+
 #: ``repro chaos``: one run under a seeded random plan, or (``smoke``) the
 #: scripted NSM crash and hostile tenant, which must be recovered from.
 EXPERIMENT = Experiment(
-    points=lambda smoke=False, seed=7, flows=2, faults=6, duration=0.35: [
-        (f"chaos:{seed}", (smoke, seed, flows, faults, duration))
-    ],
+    points=_points,
     measure=_run,
     text=_text,
     check=lambda result, smoke, **_params: (

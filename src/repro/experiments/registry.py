@@ -5,7 +5,9 @@ An entry names the harness module that declares the experiment, the line
 module imports no harness, so a run loads only the one it runs.  Each
 harness module declares one :class:`Experiment`, ``EXPERIMENT``:
 
-* ``points(**params)``: the runs, as ``(key, argument tuple)`` pairs;
+* ``points(**params)``: the runs, as ``(key, argument tuple)`` pairs (a
+  :class:`UsageError` for parameters it cannot run: a usage error at the
+  command line);
 * ``measure(*args)``: one run (module level, so a worker can unpickle it);
 * ``result(values, **params)``: the measured values, in point order, made
   into its result (a :class:`~repro.experiments.table.Table`, or a
@@ -27,10 +29,14 @@ import inspect
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["Entry", "Experiment", "ENTRIES", "ablations", "load"]
+__all__ = ["Entry", "Experiment", "ENTRIES", "UsageError", "ablations", "load"]
 
 #: One command-line option: ``(flags, add_argument keywords)``.
 Option = Tuple[Tuple[str, ...], Dict[str, Any]]
+
+
+class UsageError(ValueError):
+    """Parameters an experiment cannot run, raised by its ``points``."""
 
 
 def _only_value(values: List[Any], **_params) -> Any:

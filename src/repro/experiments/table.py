@@ -63,7 +63,7 @@ class Table:
             filled.append(row)
         return Table(
             self.title, self.columns, self.above, self.below, self.indent,
-            tuple(filled), {**values},
+            tuple(filled), values,
         )
 
     def text(self) -> str:

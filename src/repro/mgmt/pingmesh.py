@@ -116,8 +116,10 @@ class PingmeshMesh:
         deadline = self.sim.timeout(PROBE_TIMEOUT)
         try:
             conn = agent.nsm.stack.connect(Endpoint(peer.nsm.ip, PINGMESH_PORT))
-            outcome = yield AnyOf(self.sim, [conn.established, deadline])
-            if conn.established not in outcome:
+            # Held here: the connection lets go of it once it has fired.
+            established = conn.established
+            outcome = yield AnyOf(self.sim, [established, deadline])
+            if established not in outcome:
                 conn.abort()
                 self._fail(agent.name, peer_name, "connect timeout")
                 return

@@ -305,12 +305,11 @@ class FidelityController:
     def _peer_conn(self, conn: "TcpConnection") -> Optional["TcpConnection"]:
         # A peer in TIME_WAIT comes back as its TimeWait record, whose
         # ``state`` says so.
-        peer_stack = self._stacks.get(conn.remote.ip)
+        local_port, remote_ip, remote_port = conn.key
+        peer_stack = self._stacks.get(remote_ip)
         if peer_stack is None:
             return None
-        return peer_stack._connections.get(
-            (conn.remote.port, conn.local.ip, conn.local.port)
-        )
+        return peer_stack._connections.get((remote_port, conn.stack.ip, local_port))
 
     @staticmethod
     def _path_open(stack: "TcpStack") -> bool:
@@ -327,7 +326,7 @@ class FidelityController:
             return None
         if conn.send_buffer.fin_requested or not self._path_open(conn.stack):
             return None
-        route = self.route_for(conn.local.ip, conn.remote.ip)
+        route = self.route_for(conn.stack.ip, conn.key[1])
         if route is None:
             return None
         peer = self._peer_conn(conn)
@@ -372,7 +371,7 @@ class FidelityController:
 
     def on_established(self, conn: "TcpConnection") -> None:
         """Hook from ``TcpConnection._become_established``."""
-        if self.route_for(conn.local.ip, conn.remote.ip) is None:
+        if self.route_for(conn.stack.ip, conn.key[1]) is None:
             # Never eligible (lossy / unrouted path): stop paying the
             # per-ACK promotion check for this connection's lifetime.
             conn._fidelity = None
@@ -428,7 +427,7 @@ class FidelityController:
             conn._fluid = None
             return
         assert conn.snd_una == conn.snd_nxt, "promotion requires a drained pipe"
-        route = self.route_for(conn.local.ip, conn.remote.ip)
+        route = self.route_for(conn.stack.ip, conn.key[1])
         conn._fluid = FluidFlow(conn, peer, route, self._service_due)
         self.promotions += 1
         self.pump(conn)  # pick up any backlog the drain held back
@@ -683,14 +682,14 @@ class FidelityController:
         """
         if self.in_fault_window or not self._path_open(stack):
             return False
-        route = self.route_for(conn.local.ip, conn.remote.ip)
-        back = self.route_for(conn.remote.ip, conn.local.ip)
+        route = self.route_for(conn.stack.ip, conn.key[1])
+        back = self.route_for(conn.key[1], conn.stack.ip)
         if route is None or back is None:
             return False
-        peer_stack = self._stacks.get(conn.remote.ip)
+        peer_stack = self._stacks.get(conn.key[1])
         if peer_stack is None or not self._path_open(peer_stack):
             return False
-        listener = peer_stack._listeners.get(conn.remote.port)
+        listener = peer_stack._listeners.get(conn.key[2])
         if listener is None or not listener.can_admit():
             return False
         conn.state = TcpState.SYN_SENT
@@ -708,7 +707,9 @@ class FidelityController:
         if not listener.can_admit():
             conn._send_syn()  # fall back to the packet handshake
             return
-        sconn = peer_stack.accept_child(listener, conn.local)
+        sconn = peer_stack.accept_child(
+            listener, (listener.port, conn.stack.ip, conn.key[0])
+        )
         sconn.state = TcpState.SYN_RCVD
         sconn.irs = conn.iss
         sconn.rcv_nxt = conn.iss + 1

@@ -29,7 +29,7 @@ from .rtt import RttEstimator
 from .segment import TcpSegment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .stack import TcpStack
+    from .stack import ConnKey, TcpStack
 
 __all__ = ["TcpState", "TcpConfig", "TcpConnection", "ColdState", "ConnectionReset"]
 
@@ -168,8 +168,7 @@ class TcpConnection:
         "sim",
         "stack",
         "core",
-        "local",
-        "remote",
+        "key",
         "cc",
         "config",
         "state",
@@ -206,7 +205,7 @@ class TcpConnection:
         "_next_send_time",
         "_pacing_timer_armed",
         # app-visible
-        "established",
+        "_established",
         "_closed",
         "on_data_available",
         "on_established_cb",
@@ -221,8 +220,7 @@ class TcpConnection:
         self,
         sim: Simulator,
         stack: "TcpStack",
-        local: Endpoint,
-        remote: Endpoint,
+        key: "ConnKey",
         cc: CongestionControl,
         config: Optional[TcpConfig] = None,
     ) -> None:
@@ -232,8 +230,9 @@ class TcpConnection:
         #: stack sets it when it takes the connection and clears it when
         #: it lets go.
         self.core = None
-        self.local = local
-        self.remote = remote
+        #: ``(local_port, remote_ip, remote_port)``: the very tuple the
+        #: stack's demux table files this connection under.
+        self.key = key
         self.cc = cc
         self.config = config or TcpConfig()
         self.state = TcpState.CLOSED
@@ -288,7 +287,7 @@ class TcpConnection:
         self._pacing_timer_armed = False
 
         # --- app-visible events ---
-        self.established = Event(sim)
+        self._established: Optional[Event] = Event(sim)
         # Built on first use: most connections are never waited on to close.
         self._closed: Optional[Event] = None
         #: Optional hooks used by ServiceLib (nk_*_callback analogues).
@@ -315,6 +314,28 @@ class TcpConnection:
     @property
     def bytes_in_flight(self) -> int:
         return self.snd_nxt - self.snd_una
+
+    @property
+    def local(self) -> Endpoint:
+        """This end's address, built on demand (repr, errors, apps)."""
+        return Endpoint(self.stack.ip, self.key[0])
+
+    @property
+    def remote(self) -> Endpoint:
+        """The peer's address, built on demand (repr, errors, apps)."""
+        return Endpoint(self.key[1], self.key[2])
+
+    @property
+    def established(self) -> Event:
+        """Fires once the handshake completes; fails on a reset or when
+        the SYN retries run out.  The connection lets go of the event
+        once its waiters have run; a later read gets a stand-in that is
+        likewise succeeded and processed."""
+        event = self._established
+        if event is None:
+            event = Event(self.sim)
+            event._ok, event.callbacks = True, None
+        return event
 
     @property
     def closed(self) -> Event:
@@ -1085,8 +1106,8 @@ class TcpConnection:
             sack = ooo.sack_blocks() if acks_data else ()
         self._last_advertised_wnd = wnd
         seg = TcpSegment(
-            src_port=self.local.port,
-            dst_port=self.remote.port,
+            src_port=self.key[0],
+            dst_port=self.key[2],
             seq=seq,
             ack_no=self.rcv_nxt if acks_data else 0,
             payload_len=payload_len,
@@ -1145,8 +1166,12 @@ class TcpConnection:
         if self.state in (TcpState.SYN_SENT, TcpState.SYN_RCVD):
             self.state = TcpState.ESTABLISHED
             self.delivered_time = self.sim.now
-            if not self.established.triggered:
-                self.established.succeed()
+            established = self._established
+            if not established.triggered:
+                established.succeed()
+                # Kept until the event pops (its waiters have run): a
+                # reader before then still gets this event, not a stand-in.
+                established.add_callback(self._let_go_of_established)
             if self.on_established_cb is not None:
                 self.on_established_cb(self)
             if self._fidelity is not None:
@@ -1160,6 +1185,9 @@ class TcpConnection:
                 self._rto = None
                 if not self.rtt.read_only:
                     self.rtt.reset_backoff()
+
+    def _let_go_of_established(self, _event: Event) -> None:
+        self._established = None
 
     # timers ----------------------------------------------------------------
     # Re-armed on every ACK and transmission; lazily, see repro.sim.Deadline.

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
-from ..net import Endpoint
 from ..sim import Event, Simulator, Store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -33,19 +32,10 @@ class Listener:
         #: ServiceLib hook: called with each newly established connection.
         self.on_new_connection: Optional[Callable[["TcpConnection"], None]] = None
         self.dropped_full = 0
-        self._local: Optional[Endpoint] = None
         #: :meth:`enqueue_established`, bound once: every child
         #: connection's ``on_established_cb`` shares it instead of holding
         #: a 64 B bound method of its own.
         self.on_established = self.enqueue_established
-
-    def local_endpoint(self, ip: str) -> Endpoint:
-        """The local endpoint of a connection accepted here at ``ip``:
-        one shared by every such connection, not one each."""
-        local = self._local
-        if local is None or local.ip != ip:
-            local = self._local = Endpoint(ip, self.port)
-        return local
 
     @property
     def queue_length(self) -> int:

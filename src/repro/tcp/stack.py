@@ -76,10 +76,6 @@ class StackStats:
 ConnKey = Tuple[int, str, int]  # (local_port, remote_ip, remote_port)
 
 
-def _key(conn) -> ConnKey:
-    return (conn.local.port, conn.remote.ip, conn.remote.port)
-
-
 class TimeWait(weakref.ref):
     """A connection in TIME_WAIT, as the demux table holds it.
 
@@ -96,11 +92,11 @@ class TimeWait(weakref.ref):
     once it is gone, the record acknowledges a retransmitted FIN or
     duplicate data as the connection would have, and an RST closes it.
 
-    The 4-tuple is kept as the ports and remote IP the demux key already
-    holds; the ``key`` and ``remote`` built from them serve only the rare
-    paths that need one (expiry, an RST, an answer, which
-    :meth:`TcpStack.send_segment` sends for the record as for the
-    connection, on its ``core``).  ``wnd`` is the window the answers
+    Its ``key`` is the connection's, the very tuple the demux table files
+    both under: expiry and an RST delete the entry by it, and an answer
+    takes its ports from it and goes out through
+    :meth:`TcpStack.send_segment` as the connection's would, on its
+    ``core``.  ``wnd`` is the window the answers
     advertise: the int the receive buffer's ``window()`` returned, since
     once the FIN is in and nothing is left unread no read or arrival can
     move it; the buffer itself while unread bytes remain (the application
@@ -114,9 +110,7 @@ class TimeWait(weakref.ref):
 
     __slots__ = (
         "stack",
-        "local_port",
-        "remote_ip",
-        "remote_port",
+        "key",
         "core",
         "accurate_ecn",
         # refreshed after every segment the connection processes (and
@@ -138,19 +132,10 @@ class TimeWait(weakref.ref):
     def __init__(self, conn: TcpConnection) -> None:
         super().__init__(conn)
         self.stack = conn.stack
-        self.local_port = conn.local.port
-        self.remote_ip, self.remote_port = conn.remote
+        self.key = conn.key
         self.core = conn.core
         self.accurate_ecn = conn.cc.wants_accurate_ecn
         self.update(conn)
-
-    @property
-    def key(self) -> ConnKey:
-        return (self.local_port, self.remote_ip, self.remote_port)
-
-    @property
-    def remote(self) -> Endpoint:
-        return Endpoint(self.remote_ip, self.remote_port)
 
     def update(self, conn: TcpConnection) -> None:
         self.snd_nxt = conn.snd_nxt
@@ -192,8 +177,8 @@ class TimeWait(weakref.ref):
         if wnd.__class__ is not int:  # unread bytes: the buffer's window now
             wnd = wnd.window()
         seg = TcpSegment(
-            src_port=self.local_port,
-            dst_port=self.remote_port,
+            src_port=self.key[0],
+            dst_port=self.key[2],
             seq=self.snd_nxt,
             ack_no=self.rcv_nxt,
             ack=True,
@@ -349,14 +334,12 @@ class TcpStack:
     ) -> TcpConnection:
         """Open a connection; wait on ``conn.established`` for completion."""
         port = local_port if local_port is not None else self.allocate_port()
-        local = Endpoint(self.ip, port)
-        cfg = self._tcp_config(**tcp_overrides)
-        cc = self.shared_cc[congestion_control or self.config.congestion_control]
-        conn = TcpConnection(self.sim, self, local, remote, cc, cfg)
         key = (port, remote.ip, remote.port)
         if key in self._connections:
             raise RuntimeError(f"connection collision on {key}")
-        self._connections[key] = conn
+        cfg = self._tcp_config(**tcp_overrides)
+        cc = self.shared_cc[congestion_control or self.config.congestion_control]
+        conn = self._connections[key] = TcpConnection(self.sim, self, key, cc, cfg)
         self.stats.connections_opened += 1
         self._assign_core(conn)
         fid = self.sim.fidelity
@@ -380,19 +363,15 @@ class TcpStack:
         self._listeners[port] = listener
         return listener
 
-    def accept_child(
-        self, listener: Listener, remote: Endpoint, key: Optional[ConnKey] = None
-    ) -> TcpConnection:
-        """A new child of ``listener`` for ``remote``: registered (under
-        ``key``, its SYN's demux key, if given), on a core, handed to the
-        listener once established (still CLOSED)."""
-        local = listener.local_endpoint(self.ip)
+    def accept_child(self, listener: Listener, key: ConnKey) -> TcpConnection:
+        """A new child of ``listener`` filed under ``key`` (its SYN's demux
+        key), on a core, handed to the listener once established (still
+        CLOSED)."""
         cfg = self._tcp_config(**getattr(listener, "_tcp_overrides", {}))
         cc = self.shared_cc[
             getattr(listener, "_cc_name", None) or self.config.congestion_control
         ]
-        conn = TcpConnection(self.sim, self, local, remote, cc, cfg)
-        self._connections[key or (listener.port, remote.ip, remote.port)] = conn
+        conn = self._connections[key] = TcpConnection(self.sim, self, key, cc, cfg)
         self.stats.connections_accepted += 1
         self._assign_core(conn)
         conn.on_established_cb = listener.on_established
@@ -405,9 +384,9 @@ class TcpStack:
         """Charge transmit CPU, then hand the packet to the NIC.
 
         A :class:`TimeWait` record answering for its connection sends
-        here too: it has the ``remote`` and ``core`` read below, and
-        sends no payload, so no ``config`` (``id(conn)`` is then the
-        record's own).
+        here too: it has the ``key`` and ``core`` read below, and sends
+        no payload, so no ``config`` (``id(conn)`` is then the record's
+        own).
         """
         self.stats.segments_out += 1
         self.stats.bytes_out += seg.payload_len
@@ -431,7 +410,7 @@ class TcpStack:
                 span.cpu(cost / NANOS).annotate(bytes=seg.payload_len)
         packet = Packet(
             src=self.ip,
-            dst=conn.remote.ip,
+            dst=conn.key[1],
             payload_bytes=seg.payload_len,
             payload=seg,
             ecn_capable=seg.payload_len > 0 and conn.config.ecn,
@@ -491,8 +470,7 @@ class TcpStack:
             listener = self._listeners.get(seg.dst_port)
             if listener is not None:
                 if listener.can_admit():
-                    remote = Endpoint(packet.src, seg.src_port)
-                    self.accept_child(listener, remote, key).open_passive_from_syn(seg)
+                    self.accept_child(listener, key).open_passive_from_syn(seg)
                 else:  # backlog full: silent drop, client retries
                     self.stats.no_socket_drops += 1
                 return
@@ -526,7 +504,7 @@ class TcpStack:
         demux entry and core assignment leave this stack.  Returns the
         demux key, or None if the connection was not (or no longer) ours.
         """
-        key = _key(conn)
+        key = conn.key
         if not _holds(self._connections.get(key), conn):
             return None
         if conn._fluid is not None:
@@ -545,7 +523,7 @@ class TcpStack:
         same simulated instant, so the wire 4-tuple never changes and the
         peer notices nothing).
         """
-        key = _key(conn)
+        key = conn.key
         if key in self._connections:
             raise RuntimeError(f"connection collision on {key}")
         self._connections[key] = conn
@@ -568,7 +546,7 @@ class TcpStack:
     def enter_time_wait(self, conn: TcpConnection) -> None:
         """``conn`` entered TIME_WAIT: a :class:`TimeWait` record takes
         its demux entry and joins the FIFO that expires it at 2 MSL."""
-        key = _key(conn)
+        key = conn.key
         record = TimeWait(conn)
         if self._connections.get(key) is conn:
             self._connections[key] = record
@@ -583,7 +561,7 @@ class TcpStack:
     def settle_time_wait(self, conn: TcpConnection) -> None:
         """A connection in TIME_WAIT finished processing a segment: bring
         its record up to date and let go of everything that held it."""
-        record = self._connections.get(_key(conn))
+        record = self._connections.get(conn.key)
         if record.__class__ is not TimeWait or record() is not conn:
             return  # adopted whole by migration: the table holds it
         record.update(conn)
@@ -595,7 +573,7 @@ class TcpStack:
 
     def forget(self, conn: TcpConnection) -> None:
         """Remove a fully closed connection from the demux table."""
-        key = _key(conn)
+        key = conn.key
         if _holds(self._connections.get(key), conn):
             del self._connections[key]
         conn.core = None

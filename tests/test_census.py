@@ -364,7 +364,9 @@ class _Scan(ast.NodeVisitor):
             var_positional=arguments.vararg and arguments.vararg.arg,
             var_keyword=arguments.kwarg and arguments.kwarg.arg,
         )
-        params = {name.lstrip("*") for name in function.parameters()}
+        # A bare name -> its parameter's key (``**kwargs`` passed on as
+        # ``f(kwargs)`` is that parameter's forward).
+        params = {name.lstrip("*"): name for name in function.parameters()}
         forwarded: Set[int] = set()
         for statement in node.body:
             for inner in ast.walk(statement):
@@ -374,12 +376,14 @@ class _Scan(ast.NodeVisitor):
                         if isinstance(argument, ast.Starred):
                             break
                         if isinstance(argument, ast.Name) and argument.id in params:
-                            function.forwards.append((argument.id, callees, index))
+                            function.forwards.append((params[argument.id], callees, index))
                             forwarded.add(id(argument))
                     for keyword in inner.keywords:
                         value = keyword.value
                         if keyword.arg and isinstance(value, ast.Name) and value.id in params:
-                            function.forwards.append((value.id, callees, keyword.arg))
+                            function.forwards.append(
+                                (params[value.id], callees, keyword.arg)
+                            )
                             forwarded.add(id(value))
                 elif (
                     isinstance(inner, ast.Name)
@@ -729,6 +733,10 @@ def test_census_flags_dead_exports_and_stale_allowlist_entries(tmp_path):
         "    return x * factor * spare\n"
         "def relay(x, now):\n"
         "    return scale(x, now)  # passing ``now`` on to an unread slot\n"
+        "def pack(**fields):\n"
+        "    return relay(fields, 0)  # passing ``**fields`` on to a read slot\n"
+        "def drop(**fields):\n"
+        "    return 0\n"
         "class Base:\n"
         "    def hook(self, event):\n"
         "        return None  # ignores it, but Impl.hook reads it\n"
@@ -742,9 +750,11 @@ def test_census_flags_dead_exports_and_stale_allowlist_entries(tmp_path):
         "used()\n"
         "Box().used_method()\n"
         'getattr(Box(), "by_name")()\n'
-        "from repro.mod import Base, Impl, relay, scale\n"
+        "from repro.mod import Base, Impl, drop, pack, relay, scale\n"
         "scale(1, 2, factor=3)\n"
         "relay(1, 2)\n"
+        "pack(a=1)\n"
+        "drop(a=1)\n"
         "for shape in (Base(), Impl()):\n"
         "    shape.hook(0)\n",
     )
@@ -783,6 +793,10 @@ def test_census_flags_dead_exports_and_stale_allowlist_entries(tmp_path):
         "relay": "referenced",
         "relay(x)": "referenced",
         "relay(now)": "dead",
+        "pack": "referenced",
+        "pack(**fields)": "referenced",
+        "drop": "referenced",
+        "drop(**fields)": "dead",
         "Base": "referenced",
         "Impl": "referenced",
         "Base.hook": "referenced",
@@ -792,6 +806,8 @@ def test_census_flags_dead_exports_and_stale_allowlist_entries(tmp_path):
         # Rule (d2): every default is passed by some call.
         "scale(factor=)": "referenced",
         "scale(spare=)": "dead",
+        "pack(**fields=)": "referenced",
+        "drop(**fields=)": "referenced",
         "scale(removed=)": "stale",
     }
     # An allowlisted name that gains a caller is stale as well.

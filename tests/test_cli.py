@@ -305,6 +305,21 @@ def test_chaos_smoke_command_passes(capsys):
     assert "failover" in out
 
 
+@pytest.mark.parametrize("duration", ["0.05", "0.0714"])
+def test_chaos_duration_too_short_for_its_fault_window_is_a_usage_error(
+    duration, capsys
+):
+    """Random faults land in [0.05 s warmup, 0.7 x duration]: a duration
+    that closes that window is refused before any run, naming the
+    minimum."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["chaos", "--seed", "5", "--duration", duration, "--faults", "1"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: repro chaos")
+    assert "--duration must exceed 0.07143 s" in err
+
+
 def test_chaos_random_plan_command(capsys):
     assert main(["chaos", "--seed", "3", "--duration", "0.15", "--faults", "2"]) == 0
     out = capsys.readouterr().out

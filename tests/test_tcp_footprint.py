@@ -11,9 +11,11 @@ kept:
   asks for none;
 * a buffer's waiter lists go back to ``None`` once drained, and a lone
   readiness watcher is stored bare, as ``Event.callbacks`` stores one;
-* connections accepted on one listener share one local ``Endpoint`` and
-  one bound ``on_established_cb``, and each is filed under the demux key
-  its SYN was looked up with;
+* a connection is its demux key: it holds the very tuple its stack's
+  table files it under (the one an accepted child's SYN was looked up
+  with), builds its ``local`` and ``remote`` endpoints only when asked,
+  and lets go of its ``established`` event once that event has fired;
+  children of one listener share one bound ``on_established_cb``;
 * a connection keeps no counters (its stack's ``StackStats`` does), and
   idle endpoints share one initial ``cwnd`` and one advertised window;
 * a connection starts on its stack's read-only congestion control, RTT
@@ -27,7 +29,8 @@ kept:
 * a freed connection in TIME_WAIT leaves a record that is its own weak
   reference and its own 2 MSL FIFO item, and keeps the window it
   advertises as an int: no receive buffer (unless bytes were left
-  unread), remote endpoint or stamp tuple.
+  unread), endpoint or stamp tuple; its only tuple is its connection's
+  demux key.
 """
 
 import gc
@@ -36,7 +39,7 @@ import weakref
 
 import pytest
 
-from conftest import make_linked_stacks, step
+from conftest import make_linked_stacks, peek, step
 from repro.experiments.common import install_fluid, make_lan_testbed
 from repro.net import Endpoint
 from repro.sim import Event
@@ -66,8 +69,8 @@ def established_pair(rig=None):
 def ack(conn, ack_no, sack=(), wnd=1 << 20):
     """The peer's ACK of ``conn``'s data, delivered straight to it."""
     return TcpSegment(
-        src_port=conn.remote.port,
-        dst_port=conn.local.port,
+        src_port=conn.key[2],
+        dst_port=conn.key[0],
         seq=conn.rcv_nxt,
         ack_no=ack_no,
         ack=True,
@@ -79,8 +82,8 @@ def ack(conn, ack_no, sack=(), wnd=1 << 20):
 def data(conn, seq):
     """A peer's 100-byte data segment for ``conn``, delivered straight to it."""
     return TcpSegment(
-        src_port=conn.remote.port,
-        dst_port=conn.local.port,
+        src_port=conn.key[2],
+        dst_port=conn.key[0],
         seq=seq,
         ack_no=conn.snd_nxt,
         ack=True,
@@ -254,7 +257,7 @@ def test_buffer_waiter_lists_are_let_go_when_drained():
     assert blocked.triggered and client.send_buffer._waiters is None
 
 
-def test_connections_accepted_on_a_listener_share_its_local_endpoint():
+def test_connections_accepted_on_a_listener_own_no_endpoint():
     rig = make_linked_stacks()
     listener = rig.stack_b.listen(PORT)
     accepted = []
@@ -263,11 +266,47 @@ def test_connections_accepted_on_a_listener_share_its_local_endpoint():
         rig.stack_a.connect(Endpoint("10.0.0.2", PORT))
     rig.run(until=0.01)
     assert len(accepted) == 3
-    assert all(conn.local is accepted[0].local for conn in accepted)
-    assert accepted[0].local == Endpoint("10.0.0.2", PORT)
+    filed = {id(entry): key for key, entry in rig.stack_b._connections.items()}
+    for conn in accepted:
+        assert holds(conn, Endpoint) == []
+        assert conn.key is filed[id(conn)]
+        # Built on demand from the stack's IP and the key.
+        assert conn.local == Endpoint("10.0.0.2", PORT)
+        assert conn.remote == Endpoint("10.0.0.1", conn.key[2])
     assert len({conn.remote for conn in accepted}) == 3
     assert all(conn.on_established_cb is listener.on_established for conn in accepted)
 
+
+def test_after_a_fan_in_no_connection_holds_an_endpoint_or_event():
+    pairs = 200
+    rig = make_linked_stacks()
+    listener = rig.stack_b.listen(PORT)
+    accepted = []
+    listener.on_new_connection = accepted.append
+    clients = [
+        rig.stack_a.connect(Endpoint("10.0.0.2", PORT)) for _ in range(pairs)
+    ]
+    rig.run(until=0.01)
+    for conn in clients:
+        conn.send(512)
+    rig.run(until=0.02)
+    # Half the pairs close, client first: the clients wait out TIME_WAIT.
+    for conn in clients[: pairs // 2]:
+        conn.start_close()
+    rig.run(until=0.03)
+    for conn in accepted[: pairs // 2]:
+        conn.start_close()
+    rig.run(until=0.04)
+    records = [e for e in rig.stack_a._connections.values() if type(e) is TimeWait]
+    assert len(records) == pairs // 2 and len(accepted) == pairs
+    for conn in clients + accepted:
+        # A fully closed connection fired its ``closed`` on the way out.
+        fired = [conn._closed] if conn.state is TcpState.CLOSED else []
+        assert holds(conn, (Endpoint, Event)) == fired, conn
+    for stack in (rig.stack_a, rig.stack_b):
+        for key, entry in stack._connections.items():
+            assert entry.key is key
+    assert all(record().key is record.key for record in records)
 
 
 def test_a_connection_keeps_no_counters_of_its_own():
@@ -286,7 +325,7 @@ def test_an_accepted_child_is_filed_under_its_syns_demux_key():
     )
     _rig, _client, server = established_pair(rig)
     (filed,) = [key for key, conn in stack._connections.items() if conn is server]
-    assert filed is keys[0]  # the tuple on_packet built for the SYN
+    assert filed is keys[0] is server.key  # the tuple on_packet built for the SYN
 
 
 def test_idle_endpoints_share_their_initial_and_advertised_windows():
@@ -518,13 +557,15 @@ def test_in_order_traffic_builds_no_cold_part_and_each_first_write_builds_its_ow
 
 
 #: tracemalloc bytes one idle established pair holds (both endpoints, their
-#: demux entries and pending timer entries), CPython 3.11: ~1 510 here,
-#: ~2 170 while each endpoint kept its cold fields and out-of-order queue
-#: in itself, its handshake's RTO timer armed and 80-byte events, ~2 980
-#: while it also built its own congestion control, RTT estimator and
-#: buffers at birth, ~3 370 while it also kept ten counters, a copy of
-#: its window ints and a fresh demux key per accepted child.
-IDLE_PAIR_BYTES = 1_600
+#: demux entries and pending timer entries), CPython 3.11: ~1 190 here,
+#: ~1 510 while each endpoint kept its own ``Endpoint`` and its fired
+#: ``established`` event, ~2 170 while it also kept its cold fields and
+#: out-of-order queue in itself, its handshake's RTO timer armed and
+#: 80-byte events, ~2 980 while it also built its own congestion control,
+#: RTT estimator and buffers at birth, ~3 370 while it also kept ten
+#: counters, a copy of its window ints and a fresh demux key per accepted
+#: child.
+IDLE_PAIR_BYTES = 1_300
 
 
 def test_an_idle_established_pair_fits_its_byte_budget():
@@ -594,7 +635,8 @@ def freed_in_time_wait(pairs):
 
 
 #: tracemalloc bytes a freed connection's TIME_WAIT record and what only
-#: it holds come to, CPython 3.11: ~425 here, ~660 while the record held
+#: it holds come to, CPython 3.11: ~405 here, ~425 while it kept the
+#: ports and remote IP in three slots, ~660 while the record held
 #: a separate weak reference, the receive buffer, the remote endpoint and
 #: a ``(when, seq, record)`` stamp tuple in its FIFO.
 TIME_WAIT_RECORD_BYTES = 500
@@ -641,7 +683,7 @@ def time_wait_rig(unread):
 def retransmitted_fin(record, server):
     return TcpSegment(
         src_port=PORT,
-        dst_port=record.local_port,
+        dst_port=record.key[0],
         seq=server.cold.fin_seq,
         ack_no=record.snd_nxt,
         ack=True,
@@ -649,15 +691,18 @@ def retransmitted_fin(record, server):
     )
 
 
-def holds(record, kinds):
-    """What ``record`` refers to directly that is one of ``kinds``."""
-    return [x for x in gc.get_referents(record) if isinstance(x, kinds)]
+def holds(obj, kinds):
+    """What ``obj`` refers to directly that is one of ``kinds``."""
+    return [x for x in gc.get_referents(obj) if isinstance(x, kinds)]
 
 
 def test_a_record_is_its_own_weak_reference_and_fifo_item():
     rig, record, server, _buffer, sent = time_wait_rig(unread=0)
-    # Endpoint is a tuple too, as a stamp would be.
-    assert holds(record, (ReceiveBuffer, weakref.ref, tuple)) == []
+    # Endpoint is a tuple too, as a stamp would be: the one tuple held is
+    # the demux table's own key.
+    (key,) = rig.stack_a._connections
+    assert key is record.key
+    assert holds(record, (ReceiveBuffer, weakref.ref, tuple)) == [key]
     (fifo,) = rig.stack_a._time_wait.values()
     assert list(fifo._items) == [record]
     (head,) = [e for e in rig.sim._queue if e[2] is fifo]
@@ -667,9 +712,26 @@ def test_a_record_is_its_own_weak_reference_and_fifo_item():
     assert reply.ack_no == record.rcv_nxt and reply.wnd == 4 * 1024 * 1024
 
 
+def test_a_record_answers_a_retransmitted_fin_and_leaves_the_table_at_2msl():
+    rig, record, server, _buffer, sent = time_wait_rig(unread=0)
+    entered, key = rig.sim.now, record.key
+    record.on_segment(retransmitted_fin(record, server))
+    (reply,) = sent
+    assert (reply.src_port, reply.dst_port) == (key[0], key[2]) == (32768, PORT)
+    assert reply.ack and not reply.fin and reply.ack_no == record.rcv_nxt
+    expiry = entered + 2 * 0.05  # the default MSL
+    while peek(rig.sim) < expiry:
+        step(rig.sim)
+    assert rig.stack_a._connections[key] is record
+    step(rig.sim)
+    assert rig.sim.now == expiry and key not in rig.stack_a._connections
+
+
 def test_a_record_keeps_the_receive_buffer_only_while_bytes_are_unread():
-    _rig, record, server, buffer, sent = time_wait_rig(unread=1000)
-    assert holds(record, (ReceiveBuffer, weakref.ref, tuple)) == [buffer]
+    rig, record, server, buffer, sent = time_wait_rig(unread=1000)
+    (key,) = rig.stack_a._connections
+    assert holds(record, (ReceiveBuffer, weakref.ref, tuple)) == [key, buffer]
+    assert record.key is key
     fin = retransmitted_fin(record, server)
     record.on_segment(fin)
     assert sent[-1].wnd == buffer.window() == buffer.capacity - 1000
